@@ -114,8 +114,14 @@ def test_e16_claim_table(benchmark, e16_group, trajectory):
         # sharing keys would make the trajectory self-inconsistent and
         # trip the --check gate with apples-to-oranges ratios.
         op = "e16_" + name.replace(" ", "_")
-        trajectory.record(op, group.params.name, "direct", direct_ms / 1000, 3)
-        trajectory.record(op, group.params.name, "precomputed", fast_ms / 1000, 3)
+        trajectory.record(
+            op, group.params.name, "direct", direct_ms / 1000, 3,
+            backend=group.backend_name,
+        )
+        trajectory.record(
+            op, group.params.name, "precomputed", fast_ms / 1000, 3,
+            backend=group.backend_name,
+        )
     group.clear_precomputations()
 
     # Multi-pairing: the update-verification equation as two cached-line

@@ -5,19 +5,26 @@ element protocol used by :mod:`repro.math.field` / :mod:`repro.math.quadratic`
 (arithmetic operators, ``square``, ``inverse``, ``is_zero``, ``to_bytes``)
 works.  Scalar multiplication runs in Jacobian projective coordinates so a
 ``k``-bit multiply costs one field inversion instead of ``~1.5k``.
+
+Over a :class:`~repro.math.field.PrimeField` every multi-step operation
+runs on the integer kernels of :mod:`repro.ec.jacobian`.  The
+element-level Jacobian ladder below serves extension-field curves only
+(BN254 G2 over Fp2), the one input with no integer kernel.
 """
 
 from __future__ import annotations
 
 from repro.errors import DecodingError, NotOnCurveError, ParameterError
+from repro.ec import jacobian
 from repro.ec.point import CurvePoint
 from repro.math.field import FieldElement, PrimeField
+from repro.math.modular import sqrt_if_square
 
 
 class EllipticCurve:
     """``y^2 = x^3 + a*x + b`` over an explicit field object."""
 
-    __slots__ = ("field", "a", "b")
+    __slots__ = ("field", "a", "b", "int_a")
 
     def __init__(self, field, a, b):
         self.field = field
@@ -27,6 +34,16 @@ class EllipticCurve:
         discriminant = a * a * a * 4 + b * b * 27
         if discriminant.is_zero():
             raise ParameterError("singular curve: 4a^3 + 27b^2 == 0")
+        # The integer coefficient the repro.ec.jacobian kernels take;
+        # None marks an extension-field curve.
+        self.int_a = a.value if isinstance(field, PrimeField) else None
+
+    def _from_ints(self, xy) -> CurvePoint:
+        """Wrap a kernel's affine ``(x, y)`` ints (``None`` is infinity)."""
+        if xy is None:
+            return self.infinity()
+        field = self.field
+        return CurvePoint(self, FieldElement(field, xy[0]), FieldElement(field, xy[1]))
 
     def infinity(self) -> CurvePoint:
         return CurvePoint(self, None, None)
@@ -53,20 +70,24 @@ class EllipticCurve:
         a non-residue.
         """
         rhs = x.square() * x + self.a * x + self.b
-        if not rhs.is_square():
+        root = sqrt_if_square(rhs.value, self.field.p)
+        if root is None:
             raise NotOnCurveError("x does not lift to a curve point")
-        y = rhs.sqrt()
-        if y.value % 2 != y_parity % 2:
+        y = FieldElement(self.field, root)
+        if root % 2 != y_parity % 2:
             y = -y
         return CurvePoint(self, x, y)
 
     def random_point(self, rng) -> CurvePoint:
-        """A random affine point, by rejection sampling on ``x``."""
+        """A random affine point, by rejection sampling on ``x`` (Fp only)."""
+        if self.int_a is None:
+            raise ParameterError("random_point needs a base-field curve")
         while True:
             x = self.field.random(rng)
             rhs = x.square() * x + self.a * x + self.b
-            if hasattr(rhs, "is_square") and rhs.is_square():
-                y = rhs.sqrt()
+            root = sqrt_if_square(rhs.value, self.field.p)
+            if root is not None:
+                y = FieldElement(self.field, root)
                 if rng.randrange(2):
                     y = -y
                 return CurvePoint(self, x, y)
@@ -96,10 +117,11 @@ class EllipticCurve:
         return self.point(x, y)
 
     # ------------------------------------------------------------------
-    # Jacobian-coordinate scalar multiplication.
+    # Element-level Jacobian arithmetic, for extension-field curves.
     #
     # A Jacobian triple (X, Y, Z) represents the affine point
-    # (X / Z^2, Y / Z^3); infinity is Z == 0.
+    # (X / Z^2, Y / Z^3); infinity is Z == 0.  Base-field curves use
+    # the integer kernels in repro.ec.jacobian instead.
     # ------------------------------------------------------------------
 
     def _jacobian_double(self, jp):
@@ -141,46 +163,24 @@ class EllipticCurve:
         z3 = z1 * z2 * h
         return (x3, y3, z3)
 
-    def _jacobian_add_affine(self, jp, ax, ay):
-        """Mixed addition of an affine point ``(ax, ay)`` (``Z == 1``).
-
-        Saves the ``Z2``-dependent work of :meth:`_jacobian_add`; this is
-        the inner operation of every table-driven multiplication, where
-        table entries are batch-normalized to affine.
-        """
-        x1, y1, z1 = jp
-        if z1.is_zero():
-            return (ax, ay, self.field.one())
-        z1sq = z1.square()
-        u2 = ax * z1sq
-        s2 = ay * z1sq * z1
-        if x1 == u2:
-            if y1 == s2:
-                return self._jacobian_double(jp)
-            return (self.field.one(), self.field.one(), self.field.zero())
-        h = u2 - x1
-        r = s2 - y1
-        hsq = h.square()
-        hcu = hsq * h
-        v = x1 * hsq
-        x3 = r.square() - hcu - v - v
-        y3 = r * (v - x3) - y1 * hcu
-        z3 = z1 * h
-        return (x3, y3, z3)
-
     def batch_to_affine(self, triples):
         """Normalize Jacobian triples to affine ``(x, y)`` pairs.
 
         Uses Montgomery's trick: one field inversion for the whole batch
         instead of one per point.  Infinity entries come back as ``None``.
-        Over a :class:`~repro.math.field.PrimeField` the inversion runs
-        through the field backend's
-        :meth:`~repro.math.backend.base.FieldBackend.fp_batch_inv` on
-        raw coefficients (same values, no per-step object allocation);
-        extension-field batches keep the generic element path.
+        Over a :class:`~repro.math.field.PrimeField` this is
+        :func:`repro.ec.jacobian.normalize` on the raw coefficients.
         """
-        if isinstance(self.field, PrimeField):
-            return self._batch_to_affine_fp(triples)
+        if self.int_a is not None:
+            affine = jacobian.normalize(
+                self.field.backend, [(x.value, y.value, z.value) for x, y, z in triples]
+            )
+            field = self.field
+            return [
+                None if xy is None
+                else (FieldElement(field, xy[0]), FieldElement(field, xy[1]))
+                for xy in affine
+            ]
         prefix = []
         acc = self.field.one()
         for _, _, z in triples:
@@ -197,26 +197,6 @@ class EllipticCurve:
             inv = inv * z
             zinv_sq = zinv.square()
             out[index] = (x * zinv_sq, y * zinv_sq * zinv)
-        return out
-
-    def _batch_to_affine_fp(self, triples):
-        """Backend-accelerated base-field batch normalization."""
-        field = self.field
-        p = field.p
-        z_values = [z.value for _, _, z in triples if not z.is_zero()]
-        if not z_values:
-            return [None] * len(triples)
-        z_invs = iter(field.backend.fp_batch_inv(z_values))
-        out: list = [None] * len(triples)
-        for index, (x, y, z) in enumerate(triples):
-            if z.is_zero():
-                continue
-            zinv = next(z_invs)
-            zinv_sq = zinv * zinv % p
-            out[index] = (
-                FieldElement(field, x.value * zinv_sq % p),
-                FieldElement(field, y.value * zinv_sq * zinv % p),
-            )
         return out
 
     def _to_jacobian(self, point: CurvePoint):
@@ -244,12 +224,12 @@ class EllipticCurve:
         return 4
 
     def scalar_mult(self, point: CurvePoint, scalar: int) -> CurvePoint:
-        """``scalar * point`` via a fixed-window Jacobian ladder.
+        """``scalar * point``.
 
-        The window is sized by ``scalar.bit_length()``: tiny scalars
-        (cofactor-by-12 checks, small test multiples) skip table setup
-        entirely rather than paying 14 Jacobian adds for a 16-entry
-        window they barely index into.
+        Base-field curves run the wNAF kernel
+        (:func:`repro.ec.jacobian.scalar_mult`).  Extension-field curves
+        run a fixed-window element-level ladder whose window is sized by
+        ``scalar.bit_length()``, so tiny scalars skip table setup.
         """
         if scalar == 0 or point.is_infinity:
             return self.infinity()
@@ -257,6 +237,10 @@ class EllipticCurve:
             return self.scalar_mult(-point, -scalar)
         if scalar == 1:
             return point
+        if self.int_a is not None:
+            return self._from_ints(jacobian.scalar_mult(
+                self.field.backend, self.int_a, point.x.value, point.y.value, scalar
+            ))
         base = self._to_jacobian(point)
         bits = scalar.bit_length()
         width = self._window_width(bits)
@@ -292,53 +276,30 @@ class EllipticCurve:
         doubling chain absorbs roughly ``bits/(w+1)`` mixed additions
         per term instead of ``bits/2`` plain additions.  Used by
         verification equations that combine several terms.
+        Extension-field curves sum individual products instead.
         """
-        from repro.ec.precompute import wnaf_digits
-
-        pairs = [(k, p) for k, p in pairs if k != 0 and not p.is_infinity]
-        if not pairs:
-            return self.infinity()
-        normalized = []
+        terms = []
         for k, p in pairs:
+            if k == 0 or p.is_infinity:
+                continue
             if k < 0:
                 k, p = -k, -p
-            normalized.append((k, p))
-        if max(k.bit_length() for k, _ in normalized) <= 16:
+            terms.append((k, p))
+        if not terms:
+            return self.infinity()
+        if self.int_a is None:
+            total = self.infinity()
+            for k, p in terms:
+                total = total + self.scalar_mult(p, k)
+            return total
+        if max(k.bit_length() for k, _ in terms) <= 16:
             width = 2
-        odd_count = max(1, 1 << (width - 2))
-        flat = []
-        digit_lists = []
-        for k, p in normalized:
-            digit_lists.append(wnaf_digits(k, width))
-            jp = self._to_jacobian(p)
-            twop = self._jacobian_double(jp)
-            odd = [jp]
-            for _ in range(odd_count - 1):
-                odd.append(self._jacobian_add(odd[-1], twop))
-            flat.extend(odd)
-        affine = self.batch_to_affine(flat)
-        tables = [
-            affine[i * odd_count:(i + 1) * odd_count]
-            for i in range(len(normalized))
-        ]
-        top = max(len(digits) for digits in digit_lists)
-        result = (self.field.one(), self.field.one(), self.field.zero())
-        for position in range(top - 1, -1, -1):
-            result = self._jacobian_double(result)
-            for digits, table in zip(digit_lists, tables):
-                if position >= len(digits):
-                    continue
-                digit = digits[position]
-                if digit == 0:
-                    continue
-                entry = table[(abs(digit) - 1) // 2]
-                if entry is None:
-                    continue  # odd multiple hit infinity (tiny-order point)
-                ax, ay = entry
-                if digit < 0:
-                    ay = -ay
-                result = self._jacobian_add_affine(result, ax, ay)
-        return self._from_jacobian(result)
+        return self._from_ints(jacobian.multi_scalar_mult(
+            self.field.backend,
+            self.int_a,
+            [(k, p.x.value, p.y.value) for k, p in terms],
+            width,
+        ))
 
     def __eq__(self, other: object) -> bool:
         return (

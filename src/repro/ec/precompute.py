@@ -6,10 +6,12 @@ receiver's ``asG``.  :class:`FixedBaseTable` trades a one-time table
 build (all windowed multiples of the base, batch-normalized to affine)
 for multiplications that need **zero doublings** — just one mixed
 addition per window — which amortizes after a few calls on the same
-point.
+point.  Both halves run on the integer kernels of
+:mod:`repro.ec.jacobian`, and the table stores canonical int pairs.
 
-The module also provides :func:`wnaf_digits`, the signed-digit
-expansion shared with :meth:`repro.ec.curve.EllipticCurve.multi_scalar_mult`.
+The module also re-exports
+:func:`~repro.math.backend.base.wnaf_digits`, the signed-digit expansion
+behind the wNAF scalar multiplications.
 
 Every fast path here returns exactly the point the direct
 :meth:`~repro.ec.curve.EllipticCurve.scalar_mult` would — affine
@@ -19,49 +21,27 @@ byte-identically (asserted in ``tests/ec/test_precompute.py``).
 
 from __future__ import annotations
 
+from repro.ec import jacobian
 from repro.ec.point import CurvePoint
 from repro.errors import ParameterError
+from repro.math.backend.base import wnaf_digits
 
-
-def wnaf_digits(scalar: int, width: int) -> list[int]:
-    """Width-``w`` non-adjacent form of a non-negative scalar, LSB first.
-
-    Digits are zero or odd with ``|d| < 2^(w-1)``, and any two non-zero
-    digits are at least ``w`` positions apart, so a left-to-right
-    evaluation performs roughly ``bits/(w+1)`` additions.
-    """
-    if scalar < 0:
-        raise ParameterError("wNAF expects a non-negative scalar")
-    if width < 2:
-        raise ParameterError("wNAF width must be at least 2")
-    digits = []
-    modulus = 1 << width
-    half = 1 << (width - 1)
-    while scalar:
-        if scalar & 1:
-            digit = scalar & (modulus - 1)
-            if digit >= half:
-                digit -= modulus
-            scalar -= digit
-        else:
-            digit = 0
-        digits.append(digit)
-        scalar >>= 1
-    return digits
+__all__ = ["FixedBaseTable", "wnaf_digits"]
 
 
 class FixedBaseTable:
     """Windowed multiples of one fixed point, for repeated ``k * P``.
 
     The table stores ``d * 2^(j*w) * P`` for every window index ``j``
-    and digit ``d in 1..2^w - 1``, normalized to affine with a single
-    batch inversion.  A multiplication then reads one entry per window
-    and performs only mixed additions — no doublings at all.
+    and digit ``d in 1..2^w - 1`` as canonical affine int pairs
+    (:func:`repro.ec.jacobian.fixed_base_rows`, two batch inversions).
+    A multiplication then reads one entry per window and performs only
+    mixed additions — no doublings at all.
 
     Parameters
     ----------
     point:
-        The fixed base ``P``.
+        The fixed base ``P``, on a curve over a prime field.
     bits:
         Capacity: scalars up to ``2^bits - 1`` take the fast path
         (callers reducing mod the group order pass ``q.bit_length()``).
@@ -78,31 +58,19 @@ class FixedBaseTable:
             raise ParameterError("window width must be in 1..8")
         if bits < 1:
             raise ParameterError("table capacity must be at least one bit")
+        if point.curve.int_a is None:
+            raise ParameterError("fixed-base tables need a base-field curve")
         self.point = point
         self.curve = point.curve
         self.width = width
         self.bits = bits
         self.windows = (bits + width - 1) // width
         self._rows: list[list] = []
-        if point.is_infinity:
-            return
-        curve = self.curve
-        size = 1 << width
-        base = curve._to_jacobian(point)
-        flat = []
-        for _ in range(self.windows):
-            entry = base
-            flat.append(entry)
-            for _ in range(size - 2):
-                entry = curve._jacobian_add(entry, base)
-                flat.append(entry)
-            for _ in range(width):
-                base = curve._jacobian_double(base)
-        affine = curve.batch_to_affine(flat)
-        self._rows = [
-            affine[j * (size - 1):(j + 1) * (size - 1)]
-            for j in range(self.windows)
-        ]
+        if not point.is_infinity:
+            self._rows = jacobian.fixed_base_rows(
+                self.curve.field.backend, self.curve.int_a,
+                point.x.value, point.y.value, bits, width,
+            )
 
     @property
     def table_points(self) -> int:
@@ -119,18 +87,10 @@ class FixedBaseTable:
             scalar = -scalar
         if scalar.bit_length() > self.bits:
             result = curve.scalar_mult(self.point, scalar)
-            return -result if negate else result
-        mask = (1 << self.width) - 1
-        acc = (curve.field.one(), curve.field.one(), curve.field.zero())
-        for window_index in range(self.windows):
-            digit = (scalar >> (window_index * self.width)) & mask
-            if not digit:
-                continue
-            entry = self._rows[window_index][digit - 1]
-            if entry is None:
-                continue  # that multiple is infinity (tiny-order base)
-            acc = curve._jacobian_add_affine(acc, entry[0], entry[1])
-        result = curve._from_jacobian(acc)
+        else:
+            result = curve._from_ints(jacobian.fixed_base_mult(
+                curve.field.backend, curve.int_a, self._rows, self.width, scalar
+            ))
         return -result if negate else result
 
     def __repr__(self) -> str:

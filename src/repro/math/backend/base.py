@@ -268,7 +268,7 @@ class FieldBackend:
                     ((pa + pb) * (sq_a + sq_b) - ac - bd) % p,
                 ))
         ra = rb = None
-        for digit in reversed(_wnaf_digits_signed(exponent, width)):
+        for digit in reversed(wnaf_digits(exponent, width)):
             if ra is not None:
                 ra, rb = (2 * ra * ra - 1) % p, 2 * ra * rb % p
             if digit:
@@ -292,24 +292,31 @@ class FieldBackend:
         return f"{type(self).__name__}(p~2^{self.p.bit_length()})"
 
 
-def _wnaf_digits_signed(exponent: int, width: int) -> list[int]:
-    """Width-``w`` NAF of a non-negative exponent, LSB first (odd
-    digits, ``|d| < 2^(w-1)``); the multiplicative twin of
-    :func:`repro.ec.precompute.wnaf_digits`.  Lives here (not in
-    ``repro.math.quadratic``) so the backend layer has no import edge
-    back into the object layer.
+def wnaf_digits(scalar: int, width: int) -> list[int]:
+    """Width-``w`` non-adjacent form of a non-negative scalar, LSB first.
+
+    Digits are zero or odd with ``|d| < 2^(w-1)``, and any two non-zero
+    digits are at least ``w`` positions apart, so a left-to-right
+    evaluation performs roughly ``bits/(w+1)`` additions (or GT
+    multiplications).  Shared by :meth:`FieldBackend.unitary_exp` and
+    the curve kernels in :mod:`repro.ec.jacobian`; it lives here so the
+    backend layer has no import edge back into the object layer.
     """
+    if scalar < 0:
+        raise ParameterError("wNAF expects a non-negative scalar")
+    if width < 2:
+        raise ParameterError("wNAF width must be at least 2")
     digits = []
     modulus = 1 << width
     half = 1 << (width - 1)
-    while exponent:
-        if exponent & 1:
-            digit = exponent & (modulus - 1)
+    while scalar:
+        if scalar & 1:
+            digit = scalar & (modulus - 1)
             if digit >= half:
                 digit -= modulus
-            exponent -= digit
+            scalar -= digit
         else:
             digit = 0
         digits.append(digit)
-        exponent >>= 1
+        scalar >>= 1
     return digits

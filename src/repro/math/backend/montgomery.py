@@ -39,7 +39,7 @@ any other ``beta``, so family B stays correct, just unaccelerated.
 from __future__ import annotations
 
 from repro.errors import ParameterError
-from repro.math.backend.base import LINE, VERT, FieldBackend, _wnaf_digits_signed
+from repro.math.backend.base import LINE, VERT, FieldBackend, wnaf_digits
 
 
 class MontgomeryBackend(FieldBackend):
@@ -288,7 +288,7 @@ class MontgomeryBackend(FieldBackend):
                     redc((pa + pb) * (sq_a + sq_b) - ac - bd + p2_2),
                 ))
         ra = rb = None
-        for digit in reversed(_wnaf_digits_signed(exponent, width)):
+        for digit in reversed(wnaf_digits(exponent, width)):
             if ra is not None:
                 ra, rb = (redc(2 * ra * ra) - r1 + p) % p, redc(2 * ra * rb)
             if digit:

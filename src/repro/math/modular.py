@@ -63,22 +63,26 @@ def is_quadratic_residue(a: int, p: int) -> bool:
     return pow(a, (p - 1) // 2, p) == 1
 
 
-def sqrt_mod(a: int, p: int) -> int:
-    """A square root of ``a`` modulo the odd prime ``p``.
+def sqrt_if_square(a: int, p: int) -> int | None:
+    """The canonical square root of ``a`` modulo the odd prime ``p``, or
+    ``None`` when ``a`` is a non-residue.
 
-    Uses the fast exponentiation shortcut for ``p % 4 == 3`` and
-    Tonelli–Shanks otherwise.  Raises :class:`ParameterError` when ``a`` is
-    a non-residue.  The returned root is canonicalized to the smaller of
-    the pair ``{r, p - r}`` so results are deterministic.
+    For ``p % 4 == 3`` this is ONE exponentiation: ``r = a^((p+1)/4)``
+    is a root exactly when ``r^2 == a``, so the root doubles as the
+    residuosity test.  Other primes run Euler's criterion and then
+    Tonelli–Shanks.  The root is canonicalized to the smaller of the
+    pair ``{r, p - r}`` so results are deterministic.
     """
     a %= p
     if a == 0:
         return 0
-    if not is_quadratic_residue(a, p):
-        raise ParameterError(f"{a} is not a quadratic residue mod p")
     if p % 4 == 3:
         root = pow(a, (p + 1) // 4, p)
+        if root * root % p != a:
+            return None
         return min(root, p - root)
+    if not is_quadratic_residue(a, p):
+        return None
     # Tonelli-Shanks for p % 4 == 1.
     q, s = p - 1, 0
     while q % 2 == 0:
@@ -103,6 +107,15 @@ def sqrt_mod(a: int, p: int) -> int:
         t = t * c % p
         root = root * b % p
     return min(root, p - root)
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """:func:`sqrt_if_square`, raising :class:`ParameterError` when ``a``
+    is a non-residue."""
+    root = sqrt_if_square(a, p)
+    if root is None:
+        raise ParameterError(f"{a % p} is not a quadratic residue mod p")
+    return root
 
 
 def cube_root_mod(a: int, p: int) -> int:

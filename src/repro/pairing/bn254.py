@@ -37,6 +37,7 @@ from repro.ec.curve import EllipticCurve
 from repro.ec.point import CurvePoint
 from repro.errors import NotInSubgroupError, ParameterError
 from repro.math.field import PrimeField
+from repro.math.modular import sqrt_if_square
 from repro.math.polyext import PolyElement, PolyExtensionField
 
 # alt_bn128 parameters (Ethereum precompile curve).
@@ -230,17 +231,18 @@ class BN254:
         """Try-and-increment onto G1 (cofactor 1, p ≡ 3 mod 4 sqrt)."""
         for counter in range(512):
             digest = _digest(tag, counter.to_bytes(4, "big"), data)
-            x = self.fp(int.from_bytes(digest, "big") % self.p)
-            rhs = x.square() * x + self.fp(3)
-            if rhs.is_zero():
+            x = int.from_bytes(digest, "big") % self.p
+            rhs = (x * x * x + 3) % self.p
+            if rhs == 0:
                 continue
-            if rhs.is_square():
-                y = rhs.sqrt()
+            root = sqrt_if_square(rhs, self.p)
+            if root is not None:
+                y = self.fp(root)
                 if digest[0] & 1:
                     y = -y
                 # lint: allow[point-validation] y is a square root of the
                 # curve equation's RHS, so (x, y) is on G1 (cofactor 1)
-                return self.curve_g1.unchecked_point(x, y)
+                return self.curve_g1.unchecked_point(self.fp(x), y)
         raise ParameterError("hash_to_g1 exhausted its attempt budget")
 
     def gt_to_bytes(self, element: PolyElement) -> bytes:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from repro.encoding import int_from_bytes, int_to_bytes
 from repro.errors import EncodingError, ParameterError
+from repro.ec import jacobian
 from repro.ec.point import CurvePoint
 from repro.math.quadratic import QuadraticElement, QuadraticField
 
@@ -226,88 +227,44 @@ def record_line_sequence_fast(
 
     The affine recorder pays one extended-Euclid inversion per loop
     step (the slope denominator), which dominates a cold pairing.  This
-    recorder walks the identical double/add schedule in Jacobian
-    coordinates on raw integers, batch-normalizes every intermediate
-    ``V`` to affine with ONE field inversion
-    (:meth:`~repro.math.backend.base.FieldBackend.fp_batch_inv`), then
-    resolves all slope denominators with a second batch inversion.
+    recorder walks the identical double/add schedule on the integer
+    Jacobian kernels (:mod:`repro.ec.jacobian`), batch-normalizes every
+    intermediate ``V`` to affine with ONE field inversion, then resolves
+    all slope denominators with a second batch inversion
+    (:meth:`~repro.math.backend.base.FieldBackend.fp_batch_inv`).
     Affine coordinates are canonical, so the recorded ``steps`` tuple is
     byte-identical to :func:`record_line_sequence`'s — the two are
     interchangeable everywhere, only the recording cost differs
     (~8x cheaper at ss512).
     """
-    field = p_point.curve.field
-    backend = field.backend
-    p = field.p
-    a_coeff = p_point.curve.a.value
+    curve = p_point.curve
+    backend = curve.field.backend
+    p = curve.field.p
+    a_coeff = curve.int_a
     px, py = p_point.x.value, p_point.y.value
-    # Walk the chain in Jacobian coordinates, remembering V's projective
-    # coordinates at each line-evaluation site (doubling lines evaluate
-    # at V *before* the doubling; addition lines at V after it).
-    x, y, z = px, py, 1
+    lp, lpx, lpy = backend.lift(p), backend.lift(px), backend.lift(py)
+    # Walk the chain, remembering V's Jacobian coordinates at each
+    # line-evaluation site (doubling lines evaluate at V *before* the
+    # doubling; addition lines at V after it).
+    x, y, z = lpx, lpy, 1
     sched = []
+    flags = []
     for bit_index in range(order.bit_length() - 2, -1, -1):
-        sched.append((False, x, y, z))
-        if z == 0 or y == 0:
-            x, y, z = 1, 1, 0
-        else:
-            ysq = y * y % p
-            s = 4 * x * ysq % p
-            m = (3 * x * x + a_coeff * pow(z, 4, p)) % p
-            x, y, z = (
-                (m * m - 2 * s) % p,
-                (m * (s - (m * m - 2 * s)) - 8 * ysq * ysq) % p,
-                2 * y * z % p,
-            )
+        sched.append((x, y, z))
+        flags.append(False)
+        x, y, z = jacobian.double(x, y, z, lp, a_coeff)
         if (order >> bit_index) & 1:
-            sched.append((True, x, y, z))
-            if z == 0:
-                x, y, z = px, py, 1
-            else:
-                z1sq = z * z % p
-                u2 = px * z1sq % p
-                s2 = py * z1sq * z % p
-                if x == u2 and y != s2:
-                    x, y, z = 1, 1, 0
-                elif x == u2:
-                    ysq = y * y % p
-                    s = 4 * x * ysq % p
-                    m = (3 * x * x + a_coeff * pow(z, 4, p)) % p
-                    x, y, z = (
-                        (m * m - 2 * s) % p,
-                        (m * (s - (m * m - 2 * s)) - 8 * ysq * ysq) % p,
-                        2 * y * z % p,
-                    )
-                else:
-                    h = (u2 - x) % p
-                    r = (s2 - y) % p
-                    hsq = h * h % p
-                    hcu = hsq * h % p
-                    v = x * hsq % p
-                    x3 = (r * r - hcu - 2 * v) % p
-                    x, y, z = (
-                        x3,
-                        (r * (v - x3) - y * hcu) % p,
-                        z * h % p,
-                    )
+            sched.append((x, y, z))
+            flags.append(True)
+            x, y, z = jacobian.add_affine(x, y, z, lpx, lpy, lp, a_coeff)
     if z != 0:
         raise ParameterError("point order does not divide the loop order")
     # First batch inversion: normalize every finite V to affine.
-    z_invs = iter(
-        backend.fp_batch_inv([vz for _, _, _, vz in sched if vz != 0])
-    )
-    affine = []
-    for is_add, vx, vy, vz in sched:
-        if vz == 0:
-            affine.append((is_add, None))
-        else:
-            zi = next(z_invs)
-            zi_sq = zi * zi % p
-            affine.append((is_add, (vx * zi_sq % p, vy * zi_sq * zi % p)))
+    affine = jacobian.normalize(backend, sched)
     # Second batch inversion: all slope denominators at once.
     denominators: list[int] = []
     metas = []
-    for is_add, coords in affine:
+    for is_add, coords in zip(flags, affine):
         if coords is None:
             metas.append((is_add, _ONE, 0, 0, None))
             continue

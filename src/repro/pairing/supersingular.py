@@ -31,7 +31,7 @@ from repro.errors import NotInSubgroupError, ParameterError
 from repro.ec.curve import EllipticCurve
 from repro.ec.point import CurvePoint
 from repro.math.field import PrimeField
-from repro.math.modular import inverse_mod
+from repro.math.modular import inverse_mod, sqrt_if_square
 from repro.math.quadratic import QuadraticField
 from repro.pairing.params import ParameterSet
 
@@ -153,15 +153,15 @@ class SupersingularCurve:
             y = self.fp(value)
             x = (y.square() - self.fp(1)).cube_root()
             return self.curve.unchecked_point(x, y)
-        # Family A: try x = value, succeed iff x^3 + x is a square.
-        x = self.fp(value)
-        rhs = x.square() * x + x
-        if not rhs.is_square():
+        # Family A: try x = value, succeed iff x^3 + x is a square; one
+        # exponentiation both tests residuosity and yields the root.
+        root = sqrt_if_square(value * value * value + value, self.p)
+        if root is None:
             return None
-        y = rhs.sqrt()
+        y = self.fp(root)
         if seed[0] & 1:
             y = -y
-        return self.curve.unchecked_point(x, y)
+        return self.curve.unchecked_point(self.fp(value), y)
 
     def __repr__(self) -> str:
         return (
