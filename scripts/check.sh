@@ -83,7 +83,8 @@ if [ "$backends" -eq 1 ]; then
          print('auto resolves to:', resolve_backend_name('auto'))"
     PYTHONPATH=src python -m pytest -q \
         tests/math/test_backends.py tests/core/test_cross_backend.py \
-        tests/core/test_worker_warmup.py \
+        tests/core/test_worker_warmup.py tests/core/test_broadcast.py \
+        tests/vectors \
         || failures=$((failures + 1))
 fi
 

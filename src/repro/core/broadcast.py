@@ -10,7 +10,13 @@ payload.  The broadcast mode shares everything that can be shared:
 * **N** per-recipient KEM headers, each wrapping ``K_dem`` under
   ``H2(ê(as_iG, H1(T))^r)`` — with the sender GT cache warm
   (:meth:`BroadcastTimedReleaseScheme.precompute_sender`), each header
-  costs one table-driven GT exponentiation, no pairing.
+  costs one table-driven GT exponentiation, no pairing;
+* cold, **one** ``H1(T)``, **one** ``r·H1(T)`` and **one** recording
+  of its Miller lines for all cold recipients, after which each header
+  costs one evaluation of those lines and one final exponentiation,
+  ``ê(as_iG, r·H1(T))`` — the same element by bilinearity and
+  symmetry.  A single cold recipient pairs ``ê(r·asG, H1(T))``
+  directly.
 
 Sharing ``r`` across recipients is safe here for the same reason it is
 in ElGamal-style multi-recipient KEMs: the per-recipient secrets
@@ -147,8 +153,7 @@ class BroadcastTimedReleaseScheme:
         u_point = self.group.mul(server_public.generator, r)
         header_ad = self.group.point_to_bytes(u_point) + time_label
         headers = []
-        for receiver_public in receivers:
-            k = self._kem._sender_key(receiver_public, time_label, r)
+        for k in self._kem._sender_keys(receivers, time_label, r):
             wrap_key = self.group.mask_bytes(k, _KEY_BYTES, tag=H2_TAG)
             headers.append(
                 aead_encrypt(

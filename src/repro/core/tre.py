@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.keys import ServerPublicKey, UserKeyPair, UserPublicKey
 from repro.core.timeserver import TimeBoundKeyUpdate
 from repro.ec.point import CurvePoint
 from repro.encoding import pack_chunks, unpack_chunks, xor_bytes
 from repro.errors import EncodingError, UpdateVerificationError
-from repro.pairing.api import GTElement, PairingGroup
+from repro.pairing.api import GTElement, PairingGroup, PairingPrecomputation
 
 H1_TAG = "repro:H1"
 H2_TAG = "repro:H2"
@@ -100,20 +100,49 @@ class TimedReleaseScheme:
         time_label: bytes,
         r: int,
     ) -> GTElement:
-        """``K = ê(r·asG, H1(T))`` — computed by the sender.
+        """``K = ê(r·asG, H1(T))`` — :meth:`_sender_keys` for one receiver."""
+        return self._sender_keys([receiver_public], time_label, r)[0]
 
-        With a warm GT cache (see :meth:`precompute_sender` with
-        ``time_labels``) this is ``ê(asG, H1(T))^r`` — the same group
-        element by bilinearity, obtained from one table-driven GT
-        exponentiation instead of a hash-to-curve, a scalar
-        multiplication, and a pairing.
+    def _sender_keys(
+        self,
+        receivers: Sequence[UserPublicKey],
+        time_label: bytes,
+        r: int,
+    ) -> list[GTElement]:
+        """``K_i = ê(r·as_iG, H1(T))`` for every receiver, in order.
+
+        A warm ``(receiver, T)`` (see :meth:`precompute_sender` with
+        ``time_labels``) costs ``ê(asG, H1(T))^r`` — one table-driven GT
+        exponentiation, no hash-to-curve, no pairing.  A single cold
+        receiver costs ``H1(T)``, ``r·asG`` (which may use a fixed-base
+        table for ``asG``) and one pairing.  Two or more cold receivers
+        share one ``H1(T)``, one ``r·H1(T)`` and one recording of its
+        Miller lines; each then costs one evaluation of those lines and
+        one final exponentiation, ``ê(as_iG, r·H1(T))``.  Bilinearity
+        and symmetry make all three the same group element, so the
+        ciphertexts are byte-identical.
         """
-        cached = self._sender_gt.get((receiver_public.as_generator, time_label))
-        if cached is not None:
-            return cached ** r
-        r_as_g = self.group.mul(receiver_public.as_generator, r)
-        h_t = self.group.hash_to_g1(time_label, tag=H1_TAG)
-        return self.group.pair(r_as_g, h_t)
+        cached = [
+            self._sender_gt.get((receiver_public.as_generator, time_label))
+            for receiver_public in receivers
+        ]
+        cold = [index for index, g in enumerate(cached) if g is None]
+        fresh: dict[int, GTElement] = {}
+        if len(cold) == 1:
+            r_as_g = self.group.mul(receivers[cold[0]].as_generator, r)
+            h_t = self.group.hash_to_g1(time_label, tag=H1_TAG)
+            fresh[cold[0]] = self.group.pair(r_as_g, h_t)
+        elif cold:
+            h_t = self.group.hash_to_g1(time_label, tag=H1_TAG)
+            # Transient on purpose: r is fresh per encryption, so these
+            # lines are never reused and must not enter the group cache.
+            shared = PairingPrecomputation(self.group, self.group.mul(h_t, r))
+            for index in cold:
+                fresh[index] = shared.pair(receivers[index].as_generator)
+        return [
+            fresh[index] if g is None else g ** r
+            for index, g in enumerate(cached)
+        ]
 
     def _receiver_key(
         self,

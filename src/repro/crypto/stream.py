@@ -20,12 +20,17 @@ def keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     """``length`` pad bytes from ``SHA256(key || nonce || counter)`` blocks."""
     if length < 0:
         raise ValueError("length must be non-negative")
+    # The length-framed prefix is absorbed once; each block copies that
+    # state and appends only its fixed-width counter.
+    prefix = hashlib.sha256(len(key).to_bytes(2, "big"))
+    prefix.update(key)
+    prefix.update(len(nonce).to_bytes(2, "big"))
+    prefix.update(nonce)
     blocks = []
-    prefix = len(key).to_bytes(2, "big") + key + len(nonce).to_bytes(2, "big") + nonce
     for counter in range((length + _BLOCK - 1) // _BLOCK):
-        blocks.append(
-            hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
-        )
+        block = prefix.copy()
+        block.update(counter.to_bytes(8, "big"))
+        blocks.append(block.digest())
     return b"".join(blocks)[:length]
 
 

@@ -39,12 +39,18 @@ def byte_length(value: int) -> int:
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings."""
+    """XOR two equal-length byte strings.
+
+    One whole-buffer big-int XOR: the conversions and the XOR run in C,
+    and the fixed output length keeps leading and trailing zero bytes.
+    """
     if len(a) != len(b):
         raise EncodingError(
             f"xor_bytes requires equal lengths, got {len(a)} and {len(b)}"
         )
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (
+        int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+    ).to_bytes(len(a), "little")
 
 
 def pack_chunks(*chunks: bytes) -> bytes:

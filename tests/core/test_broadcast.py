@@ -11,9 +11,17 @@ import random
 
 import pytest
 
-from repro.core.broadcast import BroadcastCiphertext, BroadcastTimedReleaseScheme
+from repro.core.broadcast import (
+    _DEM_NONCE,
+    _KEM_NONCE,
+    _KEY_BYTES,
+    BroadcastCiphertext,
+    BroadcastTimedReleaseScheme,
+)
 from repro.core.keys import ServerKeyPair, UserKeyPair
 from repro.core.timeserver import PassiveTimeServer
+from repro.core.tre import H1_TAG, H2_TAG
+from repro.crypto.authenc import aead_encrypt
 from repro.encoding import pack_chunks
 from repro.errors import (
     DecryptionError,
@@ -21,6 +29,7 @@ from repro.errors import (
     ParameterError,
     UpdateVerificationError,
 )
+from repro.pairing.api import PairingGroup
 
 LABEL = b"broadcast-release-T"
 MESSAGE = b"one payload, many recipients" * 3
@@ -225,3 +234,100 @@ class TestDeterminismAndFastPath:
         assert "pairing" not in ops
         assert "hash_to_group" not in ops
         assert ops.get("gt_fixed_base") == len(users)
+
+
+# ----------------------------------------------------------------------
+# Sender keys against a per-recipient oracle.  Cold sets of two or more
+# share one H1(T), one r·H1(T) and one line recording; every header must
+# still equal the one built from ê(r·as_iG, H1(T)) recipient by recipient.
+# ----------------------------------------------------------------------
+
+ORACLE_LABEL = b"broadcast-oracle-T"
+
+
+@pytest.fixture(scope="module", params=["A", "B"])
+def oracle_setup(request):
+    group = PairingGroup("toy64", family=request.param)
+    rng = random.Random(0x0AC1E)
+    server = ServerKeyPair.generate(group, rng)
+    users = [UserKeyPair.generate(group, server.public, rng) for _ in range(5)]
+    return group, server, users
+
+
+def _oracle_bytes(group, server_public, receivers, seed) -> bytes:
+    """The ciphertext built from one ``ê(r·as_iG, H1(T))`` per recipient."""
+    rng = random.Random(seed)
+    r = group.random_scalar(rng)
+    dem_key = rng.randbytes(_KEY_BYTES)
+    u_point = group.mul(server_public.generator, r)
+    header_ad = group.point_to_bytes(u_point) + ORACLE_LABEL
+    h_t = group.hash_to_g1(ORACLE_LABEL, tag=H1_TAG)
+    headers = []
+    for receiver_public in receivers:
+        k = group.pair(group.mul(receiver_public.as_generator, r), h_t)
+        wrap_key = group.mask_bytes(k, _KEY_BYTES, tag=H2_TAG)
+        headers.append(aead_encrypt(wrap_key, _KEM_NONCE, dem_key, header_ad))
+    sealed = aead_encrypt(dem_key, _DEM_NONCE, MESSAGE, ORACLE_LABEL)
+    ct = BroadcastCiphertext(u_point, ORACLE_LABEL, tuple(headers), sealed)
+    return ct.to_bytes(group)
+
+
+class TestSenderKeysOracle:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("warm", ["cold", "warm", "mixed"])
+    def test_matches_per_recipient_oracle(self, oracle_setup, n, warm):
+        group, server, users = oracle_setup
+        receivers = [user.public for user in users[:n]]
+        warmed = {
+            "cold": [],
+            "warm": receivers,
+            "mixed": receivers[1::2],
+        }[warm]
+        scheme = BroadcastTimedReleaseScheme(group)
+        if warmed:
+            scheme.precompute_sender(
+                warmed, server.public, time_labels=[ORACLE_LABEL]
+            )
+        seed = 1000 * n + len(warmed)
+        ct = scheme.encrypt_broadcast(
+            MESSAGE, receivers, server.public, ORACLE_LABEL,
+            random.Random(seed), verify_receiver_keys=False,
+        )
+        assert ct.to_bytes(group) == _oracle_bytes(
+            group, server.public, receivers, seed
+        )
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_cold_set_shares_one_miller_recording(self, oracle_setup, n):
+        group, server, users = oracle_setup
+        receivers = [user.public for user in users[:n]]
+        scheme = BroadcastTimedReleaseScheme(group)
+        cached_lines = len(group._pairing_precomp)
+        with group.counters.measure() as ops:
+            scheme.encrypt_broadcast(
+                MESSAGE, receivers, server.public, ORACLE_LABEL,
+                random.Random(n), verify_receiver_keys=False,
+            )
+        assert ops["hash_to_group"] == 1
+        assert ops["scalar_mult"] == 2
+        assert ops["pairing"] == n
+        if group.family == "A":
+            assert ops["pairing_precomp"] == n
+        else:
+            # Family B has no denominator-free loop: the transient
+            # precomputation falls back to direct pairings.
+            assert "pairing_precomp" not in ops
+        assert len(group._pairing_precomp) == cached_lines
+
+    def test_single_cold_recipient_pairs_directly(self, oracle_setup):
+        group, server, users = oracle_setup
+        scheme = BroadcastTimedReleaseScheme(group)
+        with group.counters.measure() as ops:
+            scheme.encrypt_broadcast(
+                MESSAGE, [users[0].public], server.public, ORACLE_LABEL,
+                random.Random(1), verify_receiver_keys=False,
+            )
+        assert ops["hash_to_group"] == 1
+        assert ops["scalar_mult"] == 2
+        assert ops["pairing"] == 1
+        assert "pairing_precomp" not in ops

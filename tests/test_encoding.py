@@ -73,6 +73,27 @@ class TestChunkFraming:
         assert unpack_chunks(pack_chunks(*chunks)) == chunks
 
 
+def _xor_oracle(a, b) -> bytes:
+    """The former byte-at-a-time implementation, kept as the oracle."""
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+@st.composite
+def _equal_length_pairs(draw):
+    """Equal-length pairs of 0-70 bytes, often padded with zero bytes."""
+    length = draw(st.integers(0, 70))
+    a = draw(st.binary(min_size=length, max_size=length))
+    b = draw(st.binary(min_size=length, max_size=length))
+    lead = draw(st.integers(0, length))
+    trail = draw(st.integers(0, length - lead))
+    zeros_a, zeros_b = draw(st.booleans()), draw(st.booleans())
+    if zeros_a:
+        a = bytes(lead) + a[lead:length - trail] + bytes(trail)
+    if zeros_b:
+        b = bytes(lead) + b[lead:length - trail] + bytes(trail)
+    return a, b
+
+
 class TestXor:
     def test_basic(self):
         assert xor_bytes(b"\x0f\xf0", b"\xff\xff") == b"\xf0\x0f"
@@ -80,3 +101,34 @@ class TestXor:
     def test_mismatch_raises(self):
         with pytest.raises(EncodingError):
             xor_bytes(b"a", b"ab")
+
+    def test_every_length_matches_oracle(self):
+        for length in range(71):
+            a = bytes((37 * i + 11) & 0xFF for i in range(length))
+            b = bytes((101 * i + 5) & 0xFF for i in range(length))
+            assert xor_bytes(a, b) == _xor_oracle(a, b)
+            assert xor_bytes(a, a) == bytes(length)
+
+    def test_zero_bytes_are_kept(self):
+        assert xor_bytes(b"\x00\x00\x01", b"\x00\x00\x02") == b"\x00\x00\x03"
+        assert xor_bytes(b"\x01\x00\x00", b"\x02\x00\x00") == b"\x03\x00\x00"
+        assert xor_bytes(b"\x80\x00", b"\x80\x00") == b"\x00\x00"
+        assert xor_bytes(b"", b"") == b""
+
+    @given(_equal_length_pairs())
+    def test_matches_oracle(self, pair):
+        a, b = pair
+        expected = _xor_oracle(a, b)
+        assert xor_bytes(a, b) == expected
+        assert xor_bytes(bytearray(a), memoryview(b)) == expected
+        assert xor_bytes(memoryview(a), bytearray(b)) == expected
+        assert type(xor_bytes(bytearray(a), bytearray(b))) is bytes
+
+    @given(st.binary(max_size=70), st.binary(max_size=70))
+    def test_unequal_lengths_raise(self, a, b):
+        if len(a) == len(b):
+            b += b"\x00"
+        with pytest.raises(EncodingError):
+            xor_bytes(a, b)
+        with pytest.raises(EncodingError):
+            xor_bytes(bytearray(a), memoryview(b))
