@@ -350,12 +350,13 @@ def bench_backend_pairing(group, rng, trajectory, rounds):
 
     One fresh group per backend over the same parameters; the pure
     ``python`` backend is recorded as the ``direct`` variant, so the
-    derived ``speedup_vs_direct`` rows are exactly the backend
-    acceptance ratios (e.g. ``pairing_backend:ss512:montgomery``).
-    Each timed call clears the caches first — this is the *cold* path,
-    where the Montgomery backend's record-then-evaluate strategy has to
-    pay its own recording cost.  Byte-identity across backends is
-    asserted on the way.
+    derived ``speedup_vs_direct`` rows compare backends (e.g.
+    ``pairing_backend:ss512:montgomery``).  Every backend runs the same
+    record-then-evaluate Miller path, so the ratio measures the
+    backends' kernels alone — REDC against ``%`` for Montgomery — plus
+    their step conversion.  Each timed call clears the caches first:
+    this is the *cold* path, recording included.  Byte-identity across
+    backends is asserted on the way.
     """
     from repro.math.backend import available_backends
 

@@ -1,15 +1,19 @@
 """Pluggable field-arithmetic backends.
 
 Three implementations of the narrow
-:class:`~repro.math.backend.base.FieldBackend` interface:
+:class:`~repro.math.backend.base.FieldBackend` interface (nine calls:
+``lift``, ``fp_pow``, ``fp_inv``, ``fp_batch_inv``, ``convert_steps``,
+``convert_coords``, the two Miller line kernels and ``unitary_exp``).
+Every backend takes the same record-then-evaluate Miller path; they
+differ only inside these calls:
 
 ``"python"``
-    The seed library's pure-python arithmetic, extracted behind the
-    interface byte-identically.  Portability/auditability baseline.
+    Plain big-int ``%`` kernels and extended-Euclid inversion.
+    Portability/auditability baseline.
 ``"montgomery"``
     Montgomery-form Fp (R = 2^k residues, CIOS-style REDC in pure
-    python ints) with lazy-reduction Fp² kernels and batch-inversion
-    Miller-loop recording.  Pure python, no dependencies.
+    python ints) with lazy-reduction Fp² kernels.  Pure python, no
+    dependencies.
 ``"gmpy2"``
     GMP-backed ``mpz`` arithmetic behind a soft import; raises
     :class:`~repro.errors.BackendUnavailableError` when requested

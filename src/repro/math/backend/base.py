@@ -1,15 +1,19 @@
 """The narrow field-arithmetic interface every backend implements.
 
 A :class:`FieldBackend` is bound to one prime modulus ``p`` and exposes
+exactly the calls the runtime makes:
 
-* scalar ``Fp`` operations (add/sub/mul/sqr/inv/pow) on canonical
-  integers in ``[0, p)``,
+* :meth:`~FieldBackend.lift` into the kernels' integer type,
+* scalar ``Fp`` power and inversion on canonical integers in ``[0, p)``,
 * batch inversion (the Montgomery trick: ``n`` inverses for the price
   of one plus ``3(n-1)`` multiplications),
-* ``Fp2 = Fp[u]/(u^2 - beta)`` operations on coefficient pairs, and
-* the three pairing hot-loop kernels — line-sequence evaluation, the
-  shared-squaring multi-pairing product, and unitary (cyclotomic)
-  exponentiation — that dominate every pairing's wall clock.
+* :meth:`~FieldBackend.convert_steps` / :meth:`~FieldBackend.convert_coords`,
+  which move recorded Miller lines and evaluation points into the
+  kernels' representation, and
+* the three pairing hot-loop kernels over ``Fp2 = Fp[u]/(u^2 - beta)``
+  — line-sequence evaluation, the shared-squaring multi-pairing
+  product, and unitary (cyclotomic) exponentiation — that dominate
+  every pairing's wall clock.
 
 Backends trade representation for speed *inside* kernels only.  At the
 object layer (``FieldElement``, ``QuadraticElement``, ``CurvePoint``)
@@ -21,9 +25,7 @@ exit, amortizing the conversions over the whole loop.
 
 The base class implements every kernel generically over the integer
 type returned by :meth:`FieldBackend.lift` — the pure-python backend
-lifts to native ``int`` (making the base loops exactly the code that
-previously lived inline in ``repro.pairing.miller`` and
-``repro.math.quadratic``), the gmpy2 backend lifts to ``mpz``.  Only
+lifts to native ``int``, the gmpy2 backend lifts to ``mpz``.  Only
 :meth:`fp_inv` is abstract.
 """
 
@@ -43,14 +45,9 @@ class FieldBackend:
 
     Subclasses set :attr:`name` and implement :meth:`fp_inv`; everything
     else has a generic implementation they may override for speed.
-    :attr:`prefers_recorded_miller` tells the Tate engine whether a
-    one-shot pairing should record the Miller-loop line sequence
-    (Jacobian chain + batch inversion — no per-step ``egcd``) instead of
-    running the per-step affine loop.
     """
 
     name = "abstract"
-    prefers_recorded_miller = False
 
     def __init__(self, p: int):
         # Deliberately permissive: PrimeField(n, check_prime=False) on a
@@ -73,19 +70,6 @@ class FieldBackend:
     # ------------------------------------------------------------------
     # Fp scalar operations (canonical ints in [0, p)).
     # ------------------------------------------------------------------
-
-    def fp_add(self, x: int, y: int) -> int:
-        return (x + y) % self.p
-
-    def fp_sub(self, x: int, y: int) -> int:
-        return (x - y) % self.p
-
-    def fp_mul(self, x: int, y: int) -> int:
-        return int(self.lift(x) * y % self.p)
-
-    def fp_sqr(self, x: int) -> int:
-        x = self.lift(x)
-        return int(x * x % self.p)
 
     def fp_pow(self, x: int, exponent: int) -> int:
         return pow(x, exponent, self.p)
@@ -117,35 +101,6 @@ class FieldBackend:
         return out
 
     # ------------------------------------------------------------------
-    # Fp2 operations on coefficient pairs (a + b*u, u^2 = beta).
-    # ------------------------------------------------------------------
-
-    def fp2_mul(self, ar: int, ai: int, br: int, bi: int, beta: int):
-        """Karatsuba ``(ar + ai*u)(br + bi*u)`` — 3 mults, lazy sums."""
-        p = self._p_lifted
-        ar, ai = self.lift(ar), self.lift(ai)
-        ac = ar * br
-        bd = ai * bi
-        cross = (ar + ai) * (br + bi) - ac - bd
-        return int((ac + beta * bd) % p), int(cross % p)
-
-    def fp2_sqr(self, ar: int, ai: int, beta: int):
-        p = self._p_lifted
-        ar, ai = self.lift(ar), self.lift(ai)
-        a2 = ar * ar
-        b2 = ai * ai
-        return int((a2 + beta * b2) % p), int(2 * ar * ai % p)
-
-    def fp2_inv(self, ar: int, ai: int, beta: int):
-        """Inverse via the norm: ``(a - bu) / (a^2 - beta*b^2)``."""
-        p = self.p
-        norm = (ar * ar - beta * ai * ai) % p
-        if norm == 0:
-            raise ParameterError("zero has no inverse in Fp2")
-        inv_norm = self.fp_inv(norm)
-        return int(ar * inv_norm % p), int(-ai * inv_norm % p)
-
-    # ------------------------------------------------------------------
     # Miller-loop kernels.  ``steps`` are the canonical
     # (is_add, kind, xv, yv, slope) tuples recorded by
     # repro.pairing.miller; convert_steps may re-represent them once per
@@ -164,8 +119,6 @@ class FieldBackend:
 
         ``steps`` must come from :meth:`convert_steps`; the coordinates
         from :meth:`convert_coords`.  Returns canonical ``(a, b)`` ints.
-        This loop is the former ``evaluate_line_sequence`` integer body,
-        verbatim — the python backend runs exactly the seed code path.
         """
         p = self._p_lifted
         fa, fb = self.lift(1), self.lift(0)

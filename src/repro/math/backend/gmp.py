@@ -37,10 +37,6 @@ class Gmpy2Backend(FieldBackend):
     """GMP-accelerated arithmetic via ``gmpy2.mpz`` lifting."""
 
     name = "gmpy2"
-    # Recording (batch-inverse) beats the per-step egcd loop under GMP
-    # too: gmpy2.invert is faster than pure-python egcd, but one batch
-    # inversion is still faster than hundreds of invert calls.
-    prefers_recorded_miller = True
 
     def __init__(self, p: int):
         if _gmpy2 is None:
@@ -52,9 +48,6 @@ class Gmpy2Backend(FieldBackend):
 
     def lift(self, x: int):
         return _gmpy2.mpz(x)
-
-    def fp_mul(self, x: int, y: int) -> int:
-        return int(self.lift(x) * y % self._p_lifted)
 
     def fp_pow(self, x: int, exponent: int) -> int:
         return int(_gmpy2.powmod(x, exponent, self._p_lifted))

@@ -22,14 +22,15 @@ Two deliberate choices, both measured on the seed hardware:
 
 * **Inversion is the enemy, not multiplication.**  On CPython a single
   Montgomery multiply is *not* faster than the builtin ``a*b % p`` (the
-  interpreter dispatch dominates at these operand sizes); what is slow
-  is the per-step ``egcd`` slope inversion of the affine Miller loop —
-  ~70% of a cold ss512 pairing.  This backend therefore sets
-  ``prefers_recorded_miller``: the Tate engine records the line
-  sequence via a Jacobian double/add chain plus TWO batch inversions
-  (:meth:`~repro.math.backend.base.FieldBackend.fp_batch_inv`) and
-  evaluates it with the Montgomery kernels.  That is where the measured
-  ≥ 1.5x on a full pairing comes from.
+  interpreter dispatch dominates at these operand sizes).  What made a
+  cold pairing slow was the per-step slope inversion of an affine
+  Miller loop; every backend now records the line sequence with a
+  Jacobian chain plus TWO batch inversions
+  (:func:`repro.pairing.miller.record_line_sequence`) instead.  Against
+  the python backend, which shares that recorder, only the kernels and
+  ``pow(x, -1, p)`` inversion differ, and on a 2-vCPU x86-64 host under
+  CPython 3.11 the REDC kernels measure 10–35% slower than the ``%``
+  kernels (``docs/PERFORMANCE.md``).
 
 The ``beta == -1`` fast paths (family A: the square is
 ``((a+b)(a-b), 2ab)``) fall back to the generic base-class kernels for
@@ -46,7 +47,6 @@ class MontgomeryBackend(FieldBackend):
     """CIOS-style Montgomery REDC over pure python ints."""
 
     name = "montgomery"
-    prefers_recorded_miller = True
 
     def __init__(self, p: int):
         super().__init__(p)
@@ -89,16 +89,6 @@ class MontgomeryBackend(FieldBackend):
     # domain never leaks past a method boundary).
     # ------------------------------------------------------------------
 
-    def fp_mul(self, x: int, y: int) -> int:
-        # One conversion each way wraps a single REDC multiply; scalar
-        # one-off products stay correct, bulk work goes through the
-        # kernels where conversion amortizes.
-        return self.redc(self.redc(self.to_mont(x) * self.to_mont(y)))
-
-    def fp_sqr(self, x: int) -> int:
-        xm = self.to_mont(x)
-        return self.redc(self.redc(xm * xm))
-
     def fp_inv(self, x: int) -> int:
         x %= self.p
         if x == 0:
@@ -127,33 +117,8 @@ class MontgomeryBackend(FieldBackend):
         to_m = self.to_mont
         return (to_m(sxa), to_m(sxb), to_m(sya), to_m(syb))
 
-    # ------------------------------------------------------------------
-    # Fp2 coefficient ops — beta == -1 (family A) fast paths.
-    # ------------------------------------------------------------------
-
     def _is_minus_one(self, beta: int) -> bool:
         return beta % self.p == self.p - 1
-
-    def fp2_mul(self, ar, ai, br, bi, beta):
-        if not self._is_minus_one(beta):
-            return super().fp2_mul(ar, ai, br, bi, beta)
-        redc = self.redc
-        am, bm = self.to_mont(ar), self.to_mont(ai)
-        cm, dm = self.to_mont(br), self.to_mont(bi)
-        ac = am * cm
-        bd = bm * dm
-        real = redc(ac - bd + self.p2)
-        cross = redc((am + bm) * (cm + dm) - ac - bd + self.p2_2)
-        return self.from_mont(real), self.from_mont(cross)
-
-    def fp2_sqr(self, ar, ai, beta):
-        if not self._is_minus_one(beta):
-            return super().fp2_sqr(ar, ai, beta)
-        redc = self.redc
-        am, bm = self.to_mont(ar), self.to_mont(ai)
-        real = redc((am + bm) * (am - bm + self.p))
-        cross = redc(2 * am * bm)
-        return self.from_mont(real), self.from_mont(cross)
 
     # ------------------------------------------------------------------
     # Miller kernels, beta == -1.  The loop invariants:

@@ -1,11 +1,12 @@
 """The pure-python reference backend.
 
-Exactly the arithmetic the library shipped before the backend layer
-existed: native big-int ``%`` everywhere, extended-Euclid inversion, the
-inline Miller-loop and unitary-exponentiation integer loops (now the
-generic :class:`~repro.math.backend.base.FieldBackend` bodies with the
-identity lift).  It is the portability and auditability baseline — every
-other backend is property-tested byte-identical against it.
+Native big-int ``%`` everywhere and extended-Euclid inversion: the
+generic :class:`~repro.math.backend.base.FieldBackend` kernel bodies
+with the identity lift.  It takes the same record-then-evaluate Miller
+path as every other backend, so it differs from the Montgomery backend
+only in the kernels' reduction (``%`` instead of REDC).  It is the
+portability and auditability baseline — every other backend is
+property-tested byte-identical against it.
 """
 
 from __future__ import annotations
@@ -18,13 +19,6 @@ class PythonBackend(FieldBackend):
     """Native-int arithmetic; the behavioral reference for all backends."""
 
     name = "python"
-    prefers_recorded_miller = False
-
-    def fp_mul(self, x: int, y: int) -> int:
-        return x * y % self.p
-
-    def fp_sqr(self, x: int) -> int:
-        return x * x % self.p
 
     def fp_inv(self, x: int) -> int:
         # The seed library's inversion: extended Euclid, with its

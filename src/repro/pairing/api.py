@@ -48,7 +48,7 @@ from repro.pairing.opcount import (
 from repro.pairing.miller import PrecomputedLines
 from repro.pairing.params import ParameterSet, get_parameter_set
 from repro.pairing.supersingular import FAMILY_A, SupersingularCurve
-from repro.pairing.tate import TatePairing, unitary_pow
+from repro.pairing.tate import TatePairing
 
 
 class GTElement:
@@ -493,11 +493,18 @@ class PairingGroup:
         """
         from repro.errors import DecodingError, EncodingError
 
+        if self.family != FAMILY_A:
+            raise ParameterError(
+                "line install requires the denominator-free (family A) loop"
+            )
         if len(data) < 4:
             raise DecodingError("truncated pairing-lines blob")
         count = int.from_bytes(data[:4], "big")
         offset = 4
         element_bytes = self.ssc.fp.element_bytes
+        # One doubling step per bit below the top, one addition per
+        # further set bit: the only step count a q-order loop records.
+        schedule = self.q.bit_length() - 1 + bin(self.q).count("1") - 1
         installed = []
         for _ in range(count):
             if len(data) < offset + self.point_bytes + 4:
@@ -516,6 +523,8 @@ class PairingGroup:
                 )
             except EncodingError as exc:
                 raise DecodingError(str(exc)) from exc
+            if lines.order != self.q or len(lines) != schedule:
+                raise DecodingError("line table recorded for another loop")
             offset += blob_len
             installed.append((point, lines))
         if offset != len(data):
@@ -591,7 +600,7 @@ class PairingGroup:
         """
         if not (value * value.conjugate()).is_one():
             raise NotInSubgroupError("GT element is not unitary")
-        if not unitary_pow(value, self.q).is_one():
+        if not unitary_exp(value, self.q).is_one():
             raise NotInSubgroupError("GT element is outside the order-q subgroup")
         return value
 

@@ -1,11 +1,17 @@
 """Miller's algorithm for evaluating ``f_{q,P}`` at extension-field points.
 
-Two variants are provided:
+Two loops are provided, one per supersingular family:
 
-* :func:`miller_loop_denominator_free` — the BKLS/GHS-optimized loop that
-  drops every vertical-line factor.  Correct whenever those factors land
-  in a proper subfield killed by the final exponentiation, which holds
-  for family A (distorted x-coordinates stay in ``Fp``).
+* Family A records ``P``'s line sequence once
+  (:func:`record_line_sequence` — a Jacobian double/add chain on the
+  integer kernels plus two batch inversions) and replays it against
+  any number of evaluation points in the backend's kernel
+  (:func:`evaluate_line_sequence`, and
+  :func:`evaluate_line_sequences_product` for multi-pairings).  Every
+  vertical-line factor is dropped (the BKLS/GHS denominator-free loop):
+  distorted x-coordinates stay in ``Fp``, so the final exponentiation
+  kills those factors.  This is the only family-A path, on every
+  backend.
 
 * :func:`miller_loop_general` — the textbook loop evaluating ``f_{q,P}``
   at the divisor ``(S + R) - (R)`` for an auxiliary point ``R``, keeping
@@ -14,8 +20,8 @@ Two variants are provided:
   family B.  This is the "slow but general" arm of the E12 ablation.
 
 Throughout, ``P`` and the intermediate points ``V`` live on ``E(Fp)``
-(affine coordinates, slopes in ``Fp``) while the evaluation points live
-on ``E(Fp2)``; mixed-field line evaluation embeds the ``Fp`` slope via
+while the evaluation points live on ``E(Fp2)``; the general loop's
+mixed-field line evaluation embeds the ``Fp`` slope via
 ``QuadraticElement``'s integer coercion.
 """
 
@@ -57,35 +63,6 @@ def _vertical_value(v: CurvePoint, s_x, fp2: QuadraticField):
     return s_x - fp2.from_base(v.x)
 
 
-def miller_loop_denominator_free(
-    p_point: CurvePoint,
-    s_point: CurvePoint,
-    order: int,
-    fp2: QuadraticField,
-) -> QuadraticElement:
-    """``f_{order, P}(S)`` with all vertical-line factors omitted.
-
-    ``p_point`` must have the given (odd prime) order on ``E(Fp)``;
-    ``s_point`` lives on ``E(Fp2)``.  The result is only meaningful after
-    the reduced-Tate final exponentiation, which is what kills the
-    omitted subfield factors.
-    """
-    if s_point.is_infinity:
-        raise ParameterError("cannot evaluate Miller function at infinity")
-    s_x, s_y = s_point.x, s_point.y
-    f = fp2.one()
-    v = p_point
-    for bit_index in range(order.bit_length() - 2, -1, -1):
-        f = f.square() * _line_value(v, v, s_x, s_y, fp2)
-        v = v.double()
-        if (order >> bit_index) & 1:
-            f = f * _line_value(v, p_point, s_x, s_y, fp2)
-            v = v + p_point
-    if not v.is_infinity:
-        raise ParameterError("point order does not divide the loop order")
-    return f
-
-
 _LINE = 0   # chord/tangent: (s_y - yv) - (s_x - xv) * slope
 _VERT = 1   # vertical:      s_x - xv
 _ONE = 2    # line through infinity: constant 1
@@ -97,10 +74,9 @@ class PrecomputedLines:
     Every coefficient lives in ``Fp`` (family A keeps ``P`` and all loop
     intermediates on ``E(Fp)``), so a step is four ints: an is-add flag
     plus ``(kind, x_V, y_V, slope)``.  Evaluating the sequence against a
-    second argument replays :func:`miller_loop_denominator_free` exactly
-    — same field operations in the same order — minus all the point
-    arithmetic and slope inversions, which is where the per-pairing
-    savings come from.
+    second argument performs only the loop's ``Fp2`` squarings and
+    multiplications — no point arithmetic and no slope inversions,
+    which is where the per-pairing savings come from.
 
     ``steps`` are always *canonical* integers in ``[0, p)`` regardless
     of the evaluating backend; a backend that wants its own
@@ -185,57 +161,20 @@ class PrecomputedLines:
         return cls(tuple(steps), order)
 
 
-def _line_coefficients(v: CurvePoint, w: CurvePoint):
-    """The ``(kind, x_V, y_V, slope)`` record for the line through V, W."""
-    if v.is_infinity or w.is_infinity:
-        return (_ONE, 0, 0, 0)
-    if v.x == w.x and v.y != w.y:
-        return (_VERT, v.x.value, 0, 0)
-    if v.x == w.x:
-        if v.y.is_zero():
-            return (_VERT, v.x.value, 0, 0)
-        slope = (v.x.square() * 3 + v.curve.a) / (v.y * 2)
-    else:
-        slope = (w.y - v.y) / (w.x - v.x)
-    return (_LINE, v.x.value, v.y.value, slope.value)
-
-
 def record_line_sequence(p_point: CurvePoint, order: int) -> PrecomputedLines:
-    """Run the denominator-free loop once, keeping only line coefficients.
+    """Record the denominator-free loop's line coefficients for ``P``.
 
-    ``p_point`` must have the given (odd prime) order on ``E(Fp)``.  The
-    returned sequence replays against any number of second arguments via
-    :func:`evaluate_line_sequence`.
-    """
-    steps = []
-    v = p_point
-    for bit_index in range(order.bit_length() - 2, -1, -1):
-        steps.append((False,) + _line_coefficients(v, v))
-        v = v.double()
-        if (order >> bit_index) & 1:
-            steps.append((True,) + _line_coefficients(v, p_point))
-            v = v + p_point
-    if not v.is_infinity:
-        raise ParameterError("point order does not divide the loop order")
-    return PrecomputedLines(tuple(steps), order)
-
-
-def record_line_sequence_fast(
-    p_point: CurvePoint, order: int
-) -> PrecomputedLines:
-    """:func:`record_line_sequence` with batch inversion — same steps.
-
-    The affine recorder pays one extended-Euclid inversion per loop
-    step (the slope denominator), which dominates a cold pairing.  This
-    recorder walks the identical double/add schedule on the integer
-    Jacobian kernels (:mod:`repro.ec.jacobian`), batch-normalizes every
-    intermediate ``V`` to affine with ONE field inversion, then resolves
-    all slope denominators with a second batch inversion
+    ``p_point`` must have the given (odd prime) order on ``E(Fp)``.  An
+    affine loop would pay one inversion per step (the slope
+    denominator), which dominates a cold pairing.  This recorder walks
+    the double/add schedule on the integer Jacobian kernels
+    (:mod:`repro.ec.jacobian`), batch-normalizes every intermediate
+    ``V`` to affine with ONE field inversion, then resolves all slope
+    denominators with a second batch inversion
     (:meth:`~repro.math.backend.base.FieldBackend.fp_batch_inv`).
-    Affine coordinates are canonical, so the recorded ``steps`` tuple is
-    byte-identical to :func:`record_line_sequence`'s — the two are
-    interchangeable everywhere, only the recording cost differs
-    (~8x cheaper at ss512).
+    Affine coordinates are canonical, so the steps do not depend on the
+    backend.  The returned sequence replays against any number of
+    second arguments via :func:`evaluate_line_sequence`.
     """
     curve = p_point.curve
     backend = curve.field.backend
@@ -304,14 +243,13 @@ def evaluate_line_sequence(
 ) -> QuadraticElement:
     """``f_{order, P}(S)`` from cached coefficients.
 
-    Performs the same ``Fp2`` squarings and multiplications as
-    :func:`miller_loop_denominator_free` (so the reduced pairing value
-    is bit-for-bit identical) but no curve arithmetic.  The integer loop
-    runs in the field's arithmetic backend
+    One ``Fp2`` squaring per doubling step and one multiplication per
+    line, but no curve arithmetic.  The integer loop runs in the field's
+    arithmetic backend
     (:meth:`~repro.math.backend.base.FieldBackend.eval_line_sequence`):
-    the python backend executes the seed library's raw mod-``p`` loop
-    verbatim, the Montgomery backend the lazy-reduction REDC kernel —
-    canonical in, canonical out, identical bytes either way.
+    the python backend executes a plain mod-``p`` loop, the Montgomery
+    backend the lazy-reduction REDC kernel — canonical in, canonical
+    out, identical bytes either way.
     """
     if s_point.is_infinity:
         raise ParameterError("cannot evaluate Miller function at infinity")

@@ -10,8 +10,9 @@ The final exponentiation factors as ``(p - 1) * c`` since
 
 * ``f^(p-1)`` is one conjugation and one inversion, because the
   Frobenius on ``Fp2`` is conjugation;
-* the remaining ``^c`` is a plain square-and-multiply, on an element
-  that is now *unitary* (norm 1), so its inverse is its conjugate.
+* the remaining ``^c`` runs on an element that is now *unitary*
+  (norm 1), so its inverse is its conjugate and
+  :func:`~repro.math.quadratic.unitary_exp` applies.
 """
 
 from __future__ import annotations
@@ -25,25 +26,10 @@ from repro.pairing.miller import (
     PrecomputedLines,
     evaluate_line_sequence,
     evaluate_line_sequences_product,
-    miller_loop_denominator_free,
     miller_loop_general,
     record_line_sequence,
-    record_line_sequence_fast,
 )
 from repro.pairing.supersingular import FAMILY_A, SupersingularCurve
-
-
-def unitary_pow(base: QuadraticElement, exponent: int) -> QuadraticElement:
-    """``base ** exponent`` assuming ``norm(base) == 1``.
-
-    Negative exponents cost only a conjugation.  Delegates to
-    :func:`repro.math.quadratic.unitary_exp` — width-4 wNAF recoding
-    with free signed digits plus cyclotomic squaring (2 base-field
-    multiplications per squaring instead of 3), which speeds up every
-    final exponentiation and GT exponentiation in the library.  The
-    returned element is exactly what naive square-and-multiply yields.
-    """
-    return unitary_exp(base, exponent)
 
 
 class TatePairing:
@@ -100,28 +86,13 @@ class TatePairing:
             raise NotInSubgroupError("pairing inputs must lie on E(Fp)")
         s_point = self.ssc.distort(q_point)
         if self.ssc.family == FAMILY_A:
-            if self.fp2.backend.prefers_recorded_miller:
-                # Record-then-evaluate: the Jacobian recorder replaces
-                # the per-step egcd inversions (which dominate a cold
-                # affine loop) with two batch inversions, and the
-                # evaluation runs in the backend's kernel.  Byte-
-                # identical to the affine loop — see
-                # record_line_sequence_fast.
-                f = evaluate_line_sequence(
-                    self._record(p_point), s_point, self.fp2
-                )
-            else:
-                f = miller_loop_denominator_free(
-                    p_point, s_point, self.ssc.q, self.fp2
-                )
+            f = evaluate_line_sequence(self._record(p_point), s_point, self.fp2)
         else:
             f = self._general_miller(p_point, s_point)
         return self.final_exponentiation(f)
 
     def _record(self, p_point: CurvePoint) -> PrecomputedLines:
-        """Record ``P``'s line sequence via the backend-preferred path."""
-        if self.fp2.backend.prefers_recorded_miller:
-            return record_line_sequence_fast(p_point, self.ssc.q)
+        """Record ``P``'s family-A line sequence (the one recording seam)."""
         return record_line_sequence(p_point, self.ssc.q)
 
     def precompute_lines(self, p_point: CurvePoint) -> PrecomputedLines:
@@ -250,4 +221,4 @@ class TatePairing:
         if f.is_zero():
             raise ParameterError("Miller value is zero; degenerate input")
         g = f.conjugate() * f.inverse()
-        return unitary_pow(g, self.ssc.cofactor)
+        return unitary_exp(g, self.ssc.cofactor)

@@ -20,7 +20,11 @@ from repro.ec.precompute import FixedBaseTable
 from repro.math.backend import available_backends
 from repro.pairing import hashing
 from repro.pairing.api import PairingGroup
-from repro.pairing.miller import record_line_sequence, record_line_sequence_fast
+from repro.pairing.miller import record_line_sequence
+from tests.pairing.reference import (
+    miller_loop_denominator_free,
+    record_line_sequence_affine,
+)
 
 GROUPS = [("toy64", "A"), ("toy64", "B"), ("ss512", "A"), ("ss512", "B")]
 
@@ -172,18 +176,52 @@ def test_fixed_base_table_matches_oracle(setup):
                 assert table.mult(k) == point.affine_scalar_mult(k)
 
 
+def _rebind(group, point):
+    """``point`` on ``group``'s curve, so kernels run in its backend."""
+    fp = group.ssc.fp
+    return group.ssc.curve.point(fp(point.x.value), fp(point.y.value))
+
+
 def test_recorders_agree(setup):
-    """The kernel-based recorder produces the affine recorder's steps,
-    on the subgroup generator and on small-order points whose loops
-    hit vertical lines and infinity."""
+    """On every backend, the kernel-based recorder produces the affine
+    oracle's steps, on the subgroup generator and on small-order points
+    whose loops hit vertical lines and infinity.  On family A, every
+    backend's ``pair``, ``pair_with_precomp`` and ``multi_pair`` equal
+    the final exponentiation of the affine Miller loop."""
     group, small, _ = setup
     cases = [(group.generator, group.q)] + [(pt, m) for m, pt in small.items()]
     if group.params.name == "ss512" and group.family == "B":
         cases = cases[1:]  # the generator case is covered on family A
-    for point, order in cases:
-        fast = record_line_sequence_fast(point, order)
-        slow = record_line_sequence(point, order)
-        assert fast.steps == slow.steps
+    expected = [record_line_sequence_affine(pt, m).steps for pt, m in cases]
+    gen, q = group.generator, group.q
+    p_point, q_point = gen * 5, gen * 7
+    if group.family == "A":
+        def oracle(left, right):
+            return miller_loop_denominator_free(
+                left, group.ssc.distort(right), q, group.ssc.fp2
+            )
+
+        f_pq = oracle(p_point, q_point)
+        direct = group.tate.final_exponentiation(f_pq)
+        product = group.tate.final_exponentiation(
+            f_pq * oracle(gen, p_point).conjugate()
+        )
+    for backend in available_backends():
+        g = PairingGroup(group.params, family=group.family, backend=backend)
+        for (point, order), steps in zip(cases, expected):
+            assert record_line_sequence(_rebind(g, point), order).steps == steps
+        if group.family != "A":
+            continue
+        left, right, base = (_rebind(g, pt) for pt in (p_point, q_point, gen))
+        assert g.tate.pair(left, right) == direct
+        lines = g.tate.precompute_lines(left)
+        assert g.tate.pair_with_precomp(lines, right) == direct
+        assert g.tate.multi_pair(
+            [(left, right), (base, left)], [1, -1]
+        ) == product
+        assert g.tate.multi_pair(
+            [(lines, right), (base, left)], [1, -1]
+        ) == product
 
 
 @pytest.mark.parametrize("backend", available_backends())

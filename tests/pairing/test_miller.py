@@ -6,11 +6,11 @@ from repro.errors import ParameterError
 from repro.pairing.miller import (
     _line_value,
     _vertical_value,
-    miller_loop_denominator_free,
     miller_loop_general,
 )
 from repro.pairing.params import get_parameter_set
 from repro.pairing.supersingular import SupersingularCurve
+from tests.pairing.reference import miller_loop_denominator_free
 
 PARAMS = get_parameter_set("toy64")
 
