@@ -6,7 +6,9 @@ Run from the repository root::
 
 The vectors pin the bytes of the symmetric Tate pairing every scheme
 rests on — seeded ``ê(P, Q)``, ``pair_with_precomp`` on recorded lines,
-``multi_pair`` with mixed ``±1`` exponents, and the SHA-256 of the
+``multi_pair`` with mixed ``±1`` exponents (on family A also a product
+mixing raw-point and recorded-line first arguments), a one-pair
+``multi_pair`` with exponent ``-1``, and the SHA-256 of the
 serialized Miller-line table (``PrecomputedLines.to_bytes``) for the
 generator and one seeded point — on toy64 and ss512, families A and B
 (line tables exist on family A only).  They were generated once and
@@ -35,6 +37,12 @@ PAIRS = [(0, 0), (0, 1), (1, 3), (2, 4), (4, 3)]
 PRECOMP_PAIRS = [(0, 2), (0, 3), (1, 1), (1, 4)]
 MULTI_PAIRS = [(0, 1), (1, 2), (2, 3), (3, 4)]
 MULTI_EXPONENTS = [1, -1, 1, -1]
+# Family A only: the first two pairs enter as raw points, the last two
+# with their first argument as recorded ``PrecomputedLines``.
+MIXED_PAIRS = [(1, 4), (3, 0), (2, 2), (4, 1)]
+MIXED_EXPONENTS = [1, -1, -1, 1]
+# One pair entering conjugated: the exponent -1 path on its own.
+SINGLE_PAIR = (3, 2)
 
 
 def set_seed(params: str, family: str) -> int:
@@ -78,6 +86,9 @@ def build_set(params: str, family: str) -> dict:
     multi = group.tate.multi_pair(
         [(points[i], points[j]) for i, j in MULTI_PAIRS], MULTI_EXPONENTS
     )
+    single = group.tate.multi_pair(
+        [(points[SINGLE_PAIR[0]], points[SINGLE_PAIR[1]])], [-1]
+    )
     entry = {
         "params": params,
         "family": family,
@@ -90,8 +101,24 @@ def build_set(params: str, family: str) -> dict:
             "exponents": MULTI_EXPONENTS,
             "gt": multi.to_bytes().hex(),
         },
+        "multi_pair_single": {
+            "pair": list(SINGLE_PAIR),
+            "exponent": -1,
+            "gt": single.to_bytes().hex(),
+        },
     }
     if family == "A":
+        mixed = [(points[i], points[j]) for i, j in MIXED_PAIRS[:2]]
+        mixed += [
+            (group.tate.precompute_lines(points[i]), points[j])
+            for i, j in MIXED_PAIRS[2:]
+        ]
+        entry["multi_pair_mixed"] = {
+            "pairs": [list(pair) for pair in MIXED_PAIRS],
+            "recorded": [False, False, True, True],
+            "exponents": MIXED_EXPONENTS,
+            "gt": group.tate.multi_pair(mixed, MIXED_EXPONENTS).to_bytes().hex(),
+        }
         entry["lines_sha256"] = {
             str(i): lines_digest(group, points[i]) for i in (0, 1)
         }

@@ -79,6 +79,33 @@ def test_multi_pair(case):
         assert value.to_bytes().hex() == spec["gt"]
 
 
+def test_multi_pair_mixed(case):
+    entry, group, points = case
+    if group.family != "A":
+        assert "multi_pair_mixed" not in entry
+        return
+    spec = entry["multi_pair_mixed"]
+    pairs = [
+        (group.tate.precompute_lines(points[i]) if recorded else points[i],
+         points[j])
+        for (i, j), recorded in zip(spec["pairs"], spec["recorded"])
+    ]
+    value = group.tate.multi_pair(pairs, spec["exponents"])
+    assert value.to_bytes().hex() == spec["gt"]
+
+
+def test_multi_pair_single(case):
+    entry, group, points = case
+    spec = entry["multi_pair_single"]
+    i, j = spec["pair"]
+    pairs = [(points[i], points[j])]
+    exponents = [spec["exponent"]]
+    assert group.tate.multi_pair(pairs, exponents).to_bytes().hex() == spec["gt"]
+    assert group.multi_pair(pairs, exponents).to_bytes().hex() == spec["gt"]
+    inverse = group.tate.pair(points[i], points[j]).inverse()
+    assert inverse.to_bytes().hex() == spec["gt"]
+
+
 def test_lines_digest(case):
     entry, group, points = case
     if group.family != "A":
