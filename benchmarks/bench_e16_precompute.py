@@ -151,8 +151,14 @@ def test_e16_claim_table(benchmark, e16_group, trajectory):
         "update verify", f"{seq_ms:.2f}", f"{fused_ms:.2f}",
         f"{seq_ms / fused_ms:.1f}x", "2 final exps -> 1 (multi-pair)",
     ))
-    trajectory.record("verify_2pair", group.params.name, "direct", seq_ms / 1000, 3)
-    trajectory.record("verify_2pair", group.params.name, "multi_pair", fused_ms / 1000, 3)
+    trajectory.record(
+        "verify_2pair", group.params.name, "direct", seq_ms / 1000, 3,
+        backend=group.backend_name,
+    )
+    trajectory.record(
+        "verify_2pair", group.params.name, "multi_pair", fused_ms / 1000, 3,
+        backend=group.backend_name,
+    )
     group.clear_precomputations()
 
     # Process-parallel sharding of the same batch.  Honest on purpose:

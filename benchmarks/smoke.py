@@ -13,7 +13,8 @@ merges the results into ``BENCH_pairing.json``:
 * ``decrypt_batch`` over N same-label ciphertexts vs. N independent
   ``decrypt`` calls;
 * the multi-pairing verify path (one combined Miller loop, ONE final
-  exponentiation) vs. two sequential pairings;
+  exponentiation) vs. two sequential pairings, plus the same check
+  with no cached lines;
 * archive catch-up throughput: ``verify_archive`` over an N-epoch
   backlog (shared ``(G, sG)`` Miller lines) vs. N naive per-update
   verifications — the cost a resilient client pays after an outage;
@@ -35,6 +36,7 @@ to re-measure these entries and diff them against the committed file.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 
 from benchmarks.trajectory import BenchTrajectory, time_median
@@ -274,10 +276,13 @@ def bench_multi_pair(group, rng, trajectory, rounds):
     """Verify path: ê(sG, H1(T)) == ê(G, I_T) as two pairings vs one
     multi-pairing ratio check (shared final exponentiation).
 
-    Both variants evaluate the cached Miller lines of the fixed
-    ``(G, sG)`` — exactly the archive catch-up configuration — so the
-    difference isolates the saved final exponentiation plus the saved
-    GT comparison.
+    ``direct`` and ``ratio_check`` evaluate the cached Miller lines of
+    the fixed ``(G, sG)`` — exactly the archive catch-up configuration —
+    so the difference isolates the saved final exponentiation plus the
+    saved GT comparison.  ``verify_cold`` is the same ratio check with
+    no cached lines, the path a client takes when it checks one update
+    (``ResilientTimeClient._ingest``) or a receiver key
+    (``ensure_well_formed``): one fused Miller loop over both pairs.
     """
     from repro.core.bls import BLSSignatureScheme
 
@@ -310,6 +315,9 @@ def bench_multi_pair(group, rng, trajectory, rounds):
         group, "multi_pair", "ratio_check", fused, rounds, batch=per
     )
     group.clear_precomputations()
+    trajectory.measure(
+        group, "multi_pair", "verify_cold", fused, rounds, batch=per
+    )
     return d / f
 
 
@@ -351,17 +359,18 @@ def bench_backend_pairing(group, rng, trajectory, rounds):
     One fresh group per backend over the same parameters; the pure
     ``python`` backend is recorded as the ``direct`` variant, so the
     derived ``speedup_vs_direct`` rows compare backends (e.g.
-    ``pairing_backend:ss512:montgomery``).  Every backend runs the same
-    record-then-evaluate Miller path, so the ratio measures the
-    backends' kernels alone — REDC against ``%`` for Montgomery — plus
-    their step conversion.  Each timed call clears the caches first:
-    this is the *cold* path, recording included.  Byte-identity across
-    backends is asserted on the way.
+    ``pairing_backend:ss512:montgomery``).  A cold pairing records no
+    lines: every backend runs the same fused projective Miller loop on
+    ``%`` reductions, so the rows differ only in the final
+    exponentiation's unitary-exponentiation kernel (REDC against ``%``
+    for Montgomery).  Each timed call clears the caches first, so no
+    cached lines leak in, and the rounds alternate between backends.
+    Byte-identity across backends is asserted on the way.
     """
     from repro.math.backend import available_backends
 
     s1, s2 = group.random_scalar(rng), group.random_scalar(rng)
-    medians = {}
+    colds = {}
     reference_bytes = None
     for name in available_backends():
         g = PairingGroup(group.params, family=group.family, backend=name)
@@ -376,11 +385,21 @@ def bench_backend_pairing(group, rng, trajectory, rounds):
             g.clear_precomputations()
             g.tate.pair(p_point, q_point)
 
+        colds[name] = cold
+    # Interleave the backends round by round, so drift in the host's
+    # speed lands on every backend alike instead of on one block.
+    samples = {name: [] for name in colds}
+    for _ in range(rounds):
+        for name, cold in colds.items():
+            samples[name].append(time_median(cold, rounds=1))
+    medians = {}
+    for name, times in samples.items():
+        medians[name] = statistics.median(times)
         variant = "direct" if name == "python" else name
-        medians[name] = trajectory.measure(
-            g, "pairing_backend", variant, cold, rounds, batch=1
+        trajectory.record(
+            "pairing_backend", group.params.name, variant, medians[name],
+            rounds, backend=name, batch=1,
         )
-        g.clear_precomputations()
     fastest = min(
         (n for n in medians if n != "python"), key=medians.__getitem__
     )

@@ -4,8 +4,9 @@ Three implementations of the narrow
 :class:`~repro.math.backend.base.FieldBackend` interface (nine calls:
 ``lift``, ``fp_pow``, ``fp_inv``, ``fp_batch_inv``, ``convert_steps``,
 ``convert_coords``, the two Miller line kernels and ``unitary_exp``).
-Every backend takes the same record-then-evaluate Miller path; they
-differ only inside these calls:
+Every backend takes the same two family-A Miller paths (the fused
+projective loop for one-shot arguments, record-then-evaluate for fixed
+ones); they differ only inside these calls:
 
 ``"python"``
     Plain big-int ``%`` kernels and extended-Euclid inversion.

@@ -24,10 +24,12 @@ Two deliberate choices, both measured on the seed hardware:
   Montgomery multiply is *not* faster than the builtin ``a*b % p`` (the
   interpreter dispatch dominates at these operand sizes).  What made a
   cold pairing slow was the per-step slope inversion of an affine
-  Miller loop; every backend now records the line sequence with a
-  Jacobian chain plus TWO batch inversions
-  (:func:`repro.pairing.miller.record_line_sequence`) instead.  Against
-  the python backend, which shares that recorder, only the kernels and
+  Miller loop; every backend now runs the inversion-free fused loop
+  (:func:`repro.pairing.miller.miller_loop_projective`) for a one-shot
+  pairing and records a fixed argument's lines with a Jacobian chain
+  plus TWO batch inversions
+  (:func:`repro.pairing.miller.record_line_sequence`).  Against the
+  python backend, which shares both, only the kernels and
   ``pow(x, -1, p)`` inversion differ, and on a 2-vCPU x86-64 host under
   CPython 3.11 the REDC kernels measure 10–35% slower than the ``%``
   kernels (``docs/PERFORMANCE.md``).

@@ -2,9 +2,9 @@
 
 Native big-int ``%`` everywhere and extended-Euclid inversion: the
 generic :class:`~repro.math.backend.base.FieldBackend` kernel bodies
-with the identity lift.  It takes the same record-then-evaluate Miller
-path as every other backend, so it differs from the Montgomery backend
-only in the kernels' reduction (``%`` instead of REDC).  It is the
+with the identity lift.  It takes the same Miller paths as every
+other backend, so it differs from the Montgomery backend only in the
+kernels' reduction (``%`` instead of REDC).  It is the
 portability and auditability baseline — every other backend is
 property-tested byte-identical against it.
 """

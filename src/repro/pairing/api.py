@@ -441,7 +441,12 @@ class PairingGroup:
         Returns a :class:`PairingPrecomputation` whose ``pair(Q)``
         evaluates ``ê(point, Q)`` from the cached lines; :meth:`pair`
         also probes this cache on both arguments, so existing call
-        sites speed up without changes.  On family B the returned
+        sites speed up without changes.  Recording the lines costs
+        about 1.3 uncached Miller loops and each later evaluation saves
+        a little more than half of one, so precomputation breaks even
+        at about the second pairing with ``point`` and pays off from
+        the third; a one-off pairing is cheaper uncached.  On family B
+        the returned
         object falls back to the direct pairing (no denominator-free
         loop to cache).  :meth:`clear_precomputations` frees the cache.
         """

@@ -1,17 +1,26 @@
 """Miller's algorithm for evaluating ``f_{q,P}`` at extension-field points.
 
-Two loops are provided, one per supersingular family:
+Family A takes one of two paths, chosen by whether the first argument
+already has recorded lines.  Both drop every vertical-line factor (the
+BKLS/GHS denominator-free loop): distorted x-coordinates stay in
+``Fp``, so the final exponentiation kills those factors.
 
-* Family A records ``P``'s line sequence once
-  (:func:`record_line_sequence` — a Jacobian double/add chain on the
-  integer kernels plus two batch inversions) and replays it against
+* One-shot arguments run :func:`miller_loop_projective`: every
+  ``P_i``'s Jacobian double/add chain on the integer kernels, with each
+  tangent or chord evaluated at ``phi(Q_i)`` as it is met and scaled
+  into ``Fp`` instead of divided, under one shared ``Fp2`` squaring
+  chain.  No line table and no inversion; the value is the Miller
+  value up to an ``Fp*`` factor, which the final exponentiation
+  removes.
+
+* Fixed arguments record ``P``'s line sequence once
+  (:func:`record_line_sequence` — the same Jacobian chain plus two
+  batch inversions that make the lines affine) and replay it against
   any number of evaluation points in the backend's kernel
   (:func:`evaluate_line_sequence`, and
-  :func:`evaluate_line_sequences_product` for multi-pairings).  Every
-  vertical-line factor is dropped (the BKLS/GHS denominator-free loop):
-  distorted x-coordinates stay in ``Fp``, so the final exponentiation
-  kills those factors.  This is the only family-A path, on every
-  backend.
+  :func:`evaluate_line_sequences_product` for multi-pairings).  The
+  recording costs about 1.3 fused loops and a replay a little under
+  half of one, so it breaks even at about two evaluations.
 
 * :func:`miller_loop_general` — the textbook loop evaluating ``f_{q,P}``
   at the divisor ``(S + R) - (R)`` for an auxiliary point ``R``, keeping
@@ -166,7 +175,7 @@ def record_line_sequence(p_point: CurvePoint, order: int) -> PrecomputedLines:
 
     ``p_point`` must have the given (odd prime) order on ``E(Fp)``.  An
     affine loop would pay one inversion per step (the slope
-    denominator), which dominates a cold pairing.  This recorder walks
+    denominator).  This recorder walks
     the double/add schedule on the integer Jacobian kernels
     (:mod:`repro.ec.jacobian`), batch-normalizes every intermediate
     ``V`` to affine with ONE field inversion, then resolves all slope
@@ -313,6 +322,122 @@ def evaluate_line_sequences_product(
     # task's line value (conjugation = negating the ``b`` coefficient).
     fa, fb = backend.eval_line_sequences_product(prepared, fp2.beta)
     return QuadraticElement(fp2, fa, fb)
+
+
+def _tangent(x, y, z, sx, sy, p):
+    """``2V`` and the tangent at ``V`` evaluated at ``(sx, i*sy)``.
+
+    The ``a = 1`` case of :func:`repro.ec.jacobian.double`, inlined
+    because the line needs its intermediates (``Y^2``, ``Z^2``, ``M``).
+    The affine tangent ``(s_y - y) - lambda*(s_x - x)`` with
+    ``lambda = M/(2YZ)`` is returned scaled by ``2YZ^3``, as ``(re, im)``
+    canonical ints.  ``None`` stands for a line in ``Fp*`` — through
+    infinity, or the vertical tangent at a point of order two.
+    """
+    if not z or not y:
+        return jacobian.INFINITY, None
+    yy = y * y % p
+    zz = z * z % p
+    m = (3 * x * x + zz * zz) % p
+    s = 4 * x * yy % p
+    x3 = (m * m - 2 * s) % p
+    z3 = 2 * y * z % p
+    line = (
+        (m * (x - zz * sx) - 2 * yy) % p,
+        z3 * zz % p * sy % p,
+    )
+    return (x3, (m * (s - x3) - 8 * yy * yy) % p, z3), line
+
+
+def _chord(x, y, z, px, py, sx, sy, dx, p):
+    """``V + P`` and the line through them evaluated at ``(sx, i*sy)``.
+
+    The ``a = 1`` case of :func:`repro.ec.jacobian.add_affine`, inlined
+    because the line needs its intermediates (``Z^2``, ``H``, ``R``).
+    The affine chord ``(s_y - y_P) - lambda*(s_x - x_P)`` with
+    ``lambda = R/(ZH)`` is returned scaled by ``Z_3 = ZH``; ``dx`` is
+    ``s_x - x_P``.  ``None`` as in :func:`_tangent`: the line through
+    infinity, or the vertical at ``V = -P``.
+    """
+    if not z:
+        return (px, py, 1), None
+    zz = z * z % p
+    u2 = px * zz % p
+    s2 = py * zz % p * z % p
+    if u2 == x:
+        if s2 == y:
+            return _tangent(x, y, z, sx, sy, p)
+        return jacobian.INFINITY, None
+    h = u2 - x
+    r = s2 - y
+    hh = h * h % p
+    hhh = hh * h % p
+    v = x * hh % p
+    x3 = (r * r - hhh - 2 * v) % p
+    z3 = z * h % p
+    line = (-(z3 * py + r * dx) % p, z3 * sy % p)
+    return (x3, (r * (v - x3) - y * hhh) % p, z3), line
+
+
+def _times_line(fa, fb, line, p):
+    """``(fa + i*fb) * (va + i*vb)`` in ``Fp[i]``; a ``None`` line is 1."""
+    if line is None:
+        return fa, fb
+    va, vb = line
+    ac, bd = fa * va, fb * vb
+    return (ac - bd) % p, ((fa + fb) * (va + vb) - ac - bd) % p
+
+
+def miller_loop_projective(tasks, order: int, fp2: QuadraticField):
+    """``Π f_{order, P_i}(phi(Q_i))^{±1}`` up to an ``Fp*`` factor, in one pass.
+
+    ``tasks`` is a sequence of ``(p_point, q_point, conjugate)``: two
+    points of family A's ``E(Fp)`` and whether the factor enters
+    conjugated (exponent ``-1``).  The loop evaluates at the distorted
+    ``phi(Q) = (-x_Q, i*y_Q)`` without building it; conjugation is
+    evaluation at ``phi(-Q)``.
+
+    Each step runs every ``P_i``'s Jacobian double or add on integers
+    and multiplies the shared accumulator by the line value scaled into
+    ``Fp`` — ``2YZ^3`` for a tangent, ``Z_3`` for a chord — so the loop
+    needs no inversion and keeps no line table.  Vertical lines, the
+    scale factors and a line through infinity all lie in ``Fp*``; since
+    ``p - 1`` divides ``(p^2 - 1)/q`` the final exponentiation sends
+    them to 1, so the result differs from the recorded path's Miller
+    value while its reduced pairing is the same element.  One ``Fp2``
+    squaring per doubling step is shared by all tasks.
+
+    Raises :class:`ParameterError` when some ``P_i`` has an order that
+    does not divide ``order``, like :func:`record_line_sequence`.
+    """
+    tasks = list(tasks)
+    if fp2.beta != fp2.p - 1:
+        raise ParameterError("the projective Miller loop needs Fp2 = Fp[i]")
+    backend = fp2.backend
+    lift = backend.lift
+    p = lift(fp2.p)
+    points = []
+    consts = []
+    for p_point, q_point, conjugate in tasks:
+        px, py = lift(p_point.x.value), lift(p_point.y.value)
+        sx = -lift(q_point.x.value) % p
+        sy = -lift(q_point.y.value) % p if conjugate else lift(q_point.y.value)
+        points.append((px, py, 1))
+        consts.append((px, py, sx, sy, (sx - px) % p))
+    fa, fb = lift(1), lift(0)
+    for bit_index in range(order.bit_length() - 2, -1, -1):
+        fa, fb = (fa + fb) * (fa - fb) % p, 2 * fa * fb % p
+        add = (order >> bit_index) & 1
+        for index, (px, py, sx, sy, dx) in enumerate(consts):
+            point, line = _tangent(*points[index], sx, sy, p)
+            fa, fb = _times_line(fa, fb, line, p)
+            if add:
+                point, line = _chord(*point, px, py, sx, sy, dx, p)
+                fa, fb = _times_line(fa, fb, line, p)
+            points[index] = point
+    if any(z for _, _, z in points):
+        raise ParameterError("point order does not divide the loop order")
+    return QuadraticElement(fp2, int(fa), int(fb))
 
 
 def miller_loop_general(

@@ -13,6 +13,12 @@ The final exponentiation factors as ``(p - 1) * c`` since
 * the remaining ``^c`` runs on an element that is now *unitary*
   (norm 1), so its inverse is its conjugate and
   :func:`~repro.math.quadratic.unitary_exp` applies.
+
+Because ``p - 1`` divides the exponent, every ``Fp*`` factor of a
+Miller value maps to 1.  That is what lets family A drop vertical lines
+and, for one-shot arguments, scale each line into ``Fp`` instead of
+dividing (:func:`~repro.pairing.miller.miller_loop_projective`): the
+Miller values differ from the recorded-lines path, the GT bytes do not.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from repro.pairing.miller import (
     evaluate_line_sequence,
     evaluate_line_sequences_product,
     miller_loop_general,
+    miller_loop_projective,
     record_line_sequence,
 )
 from repro.pairing.supersingular import FAMILY_A, SupersingularCurve
@@ -77,22 +84,28 @@ class TatePairing:
     def pair(self, p_point: CurvePoint, q_point: CurvePoint) -> QuadraticElement:
         """Compute ``ê(P, Q)`` for subgroup points P, Q of ``E(Fp)``.
 
-        Returns the identity of ``G2`` when either input is infinity,
-        mirroring the bilinear extension ``ê(O, Q) = 1``.
+        Family A runs the fused projective loop: no line table is
+        recorded, because ``P`` is evaluated once.  Callers that pair
+        one ``P`` again and again record its lines with
+        :meth:`precompute_lines` instead.  Returns the identity of
+        ``G2`` when either input is infinity, mirroring the bilinear
+        extension ``ê(O, Q) = 1``; raises :class:`ParameterError` when
+        ``P``'s order does not divide ``q``.
         """
         if p_point.is_infinity or q_point.is_infinity:
             return self.fp2.one()
         if p_point.curve != self.ssc.curve or q_point.curve != self.ssc.curve:
             raise NotInSubgroupError("pairing inputs must lie on E(Fp)")
-        s_point = self.ssc.distort(q_point)
         if self.ssc.family == FAMILY_A:
-            f = evaluate_line_sequence(self._record(p_point), s_point, self.fp2)
+            f = miller_loop_projective(
+                [(p_point, q_point, False)], self.ssc.q, self.fp2
+            )
         else:
-            f = self._general_miller(p_point, s_point)
+            f = self._general_miller(p_point, self.ssc.distort(q_point))
         return self.final_exponentiation(f)
 
     def _record(self, p_point: CurvePoint) -> PrecomputedLines:
-        """Record ``P``'s family-A line sequence (the one recording seam)."""
+        """Record ``P``'s family-A line sequence for :meth:`precompute_lines`."""
         return record_line_sequence(p_point, self.ssc.q)
 
     def precompute_lines(self, p_point: CurvePoint) -> PrecomputedLines:
@@ -101,9 +114,11 @@ class TatePairing:
         The denominator-free (family A) loop's lines depend only on
         ``P`` and the loop order ``q``; the returned sequence feeds
         :meth:`pair_with_precomp` for any number of second arguments,
-        skipping all per-pairing curve arithmetic and slope inversions.
-        Since the pairing is symmetric, callers with a fixed *second*
-        argument simply swap it into the ``P`` slot.
+        skipping all per-pairing curve arithmetic.  Recording costs
+        about 1.3 fused :meth:`pair` Miller loops, so it breaks even at
+        about two evaluations of ``P``.  Since the pairing is symmetric,
+        callers with a fixed *second* argument simply swap it into the
+        ``P`` slot.
         """
         if self.ssc.family != FAMILY_A:
             raise ParameterError(
@@ -145,7 +160,10 @@ class TatePairing:
         A product of ``k`` pairings normally costs ``k`` Miller loops
         *and* ``k`` final exponentiations.  Here the Miller loops run in
         lockstep accumulating into a single ``Fp2`` product (on family A
-        the per-iteration accumulator squaring is shared too), negative
+        the per-iteration accumulator squaring is shared too: raw-point
+        pairs share one fused projective loop, recorded-lines pairs one
+        line-evaluation product, and the two values are multiplied
+        before the final exponentiation), negative
         exponents enter as conjugated Miller values (valid because
         ``FE(conj(f)) == FE(f)^-1`` for the even-embedding-degree
         reduced Tate pairing — the Frobenius on ``Fp2`` is conjugation),
@@ -183,15 +201,17 @@ class TatePairing:
         if not live:
             return self.fp2.one()
         if self.ssc.family == FAMILY_A:
-            tasks = []
+            recorded, raw = [], []
             for first, q_point, exponent in live:
-                lines = (
-                    first
-                    if isinstance(first, PrecomputedLines)
-                    else self._record(first)
-                )
-                tasks.append((lines, self.ssc.distort(q_point), exponent < 0))
-            f = evaluate_line_sequences_product(tasks, self.fp2)
+                if isinstance(first, PrecomputedLines):
+                    recorded.append(
+                        (first, self.ssc.distort(q_point), exponent < 0)
+                    )
+                else:
+                    raw.append((first, q_point, exponent < 0))
+            f = evaluate_line_sequences_product(recorded, self.fp2)
+            if raw:
+                f = f * miller_loop_projective(raw, self.ssc.q, self.fp2)
         else:
             f = self.fp2.one()
             for first, q_point, exponent in live:

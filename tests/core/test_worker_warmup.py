@@ -4,8 +4,9 @@ The parallel engine's warm-up fix: the parent records the batch's shared
 line tables once, ships them in the job as an export blob, and each
 worker installs the blob into its rebuilt group.  The regression these
 tests pin is a worker silently paying the recording cost per process —
-so the recorder entry points are rigged to explode and the batch must
-still come back byte-identical.
+so the recorder entry points — and the fused loop that pairs an
+argument without recorded lines — are rigged to explode and the batch
+must still come back byte-identical.
 """
 
 import multiprocessing
@@ -15,6 +16,7 @@ import pytest
 from repro import parallel
 from repro.core.timeserver import PassiveTimeServer, epoch_label, verify_archive
 from repro.core.tre import TimedReleaseScheme
+from repro.pairing import tate
 from repro.pairing.tate import TatePairing
 
 pytestmark = pytest.mark.skipif(
@@ -25,6 +27,12 @@ pytestmark = pytest.mark.skipif(
 
 def _boom(*args, **kwargs):
     raise AssertionError("worker re-recorded Miller lines")
+
+
+def _rig(monkeypatch):
+    monkeypatch.setattr(TatePairing, "precompute_lines", _boom)
+    monkeypatch.setattr(TatePairing, "_record", _boom)
+    monkeypatch.setattr(tate, "miller_loop_projective", _boom)
 
 
 @pytest.fixture()
@@ -48,13 +56,13 @@ def batch(group, session_rng):
 def test_decrypt_workers_never_record(group, batch, monkeypatch):
     server, scheme, user, update, ciphertexts = batch
     expected = scheme.decrypt_batch(ciphertexts, user, update)
-    # Pre-warm the parent's cache, then rig every recorder entry point:
-    # the parent's export reads the warm cache and forked workers
-    # (which inherit the rigged class) must install the shipped blob —
-    # any recording attempt, parent or worker, now fails the batch.
+    # Pre-warm the parent's cache, then rig every recorder entry point
+    # and the fused loop: the parent's export reads the warm cache and
+    # forked workers (which inherit the rigged class) must install the
+    # shipped blob — any recording attempt or uncached pairing, parent
+    # or worker, now fails the batch.
     group.precompute_pairing(update.point)
-    monkeypatch.setattr(TatePairing, "precompute_lines", _boom)
-    monkeypatch.setattr(TatePairing, "_record", _boom)
+    _rig(monkeypatch)
     out = scheme.decrypt_batch(
         ciphertexts, user, update, workers=2, chunk_size=2
     )
@@ -68,8 +76,7 @@ def test_verify_archive_workers_never_record(group, session_rng, monkeypatch):
     assert expected == []
     group.precompute_pairing(server.public_key.s_generator)
     group.precompute_pairing(server.public_key.generator)
-    monkeypatch.setattr(TatePairing, "precompute_lines", _boom)
-    monkeypatch.setattr(TatePairing, "_record", _boom)
+    _rig(monkeypatch)
     try:
         out = verify_archive(
             group, server.public_key, updates, workers=2, chunk_size=2

@@ -20,7 +20,7 @@ from repro.ec.precompute import FixedBaseTable
 from repro.math.backend import available_backends
 from repro.pairing import hashing
 from repro.pairing.api import PairingGroup
-from repro.pairing.miller import record_line_sequence
+from repro.pairing.miller import miller_loop_projective, record_line_sequence
 from tests.pairing.reference import (
     miller_loop_denominator_free,
     record_line_sequence_affine,
@@ -185,11 +185,17 @@ def _rebind(group, point):
 def test_recorders_agree(setup):
     """On every backend, the kernel-based recorder produces the affine
     oracle's steps, on the subgroup generator and on small-order points
-    whose loops hit vertical lines and infinity.  On family A, every
-    backend's ``pair``, ``pair_with_precomp`` and ``multi_pair`` equal
-    the final exponentiation of the affine Miller loop."""
+    whose loops hit vertical lines, infinity and an add step with
+    ``V == P``.  On family A, the fused
+    projective loop on those same cases, and every backend's ``pair``,
+    ``pair_with_precomp`` and ``multi_pair`` (raw points, recorded
+    lines, and both mixed in one product), equal the final
+    exponentiation of the affine Miller loop."""
     group, small, _ = setup
     cases = [(group.generator, group.q)] + [(pt, m) for m, pt in small.items()]
+    # 21 = 0b10101: the add step after the prefix 0b10 meets V = 4P = P
+    # on a point of order 3, so the chord is the tangent at P.
+    cases.append((small[3], 21))
     if group.params.name == "ss512" and group.family == "B":
         cases = cases[1:]  # the generator case is covered on family A
     expected = [record_line_sequence_affine(pt, m).steps for pt, m in cases]
@@ -201,11 +207,22 @@ def test_recorders_agree(setup):
                 left, group.ssc.distort(right), q, group.ssc.fp2
             )
 
+        final_exp = group.tate.final_exponentiation
         f_pq = oracle(p_point, q_point)
-        direct = group.tate.final_exponentiation(f_pq)
-        product = group.tate.final_exponentiation(
-            f_pq * oracle(gen, p_point).conjugate()
+        direct = final_exp(f_pq)
+        product = final_exp(f_pq * oracle(gen, p_point).conjugate())
+        mixed = final_exp(
+            f_pq
+            * oracle(gen, q_point).conjugate()
+            * oracle(gen, p_point).conjugate()
+            * oracle(p_point, gen)
         )
+        fused_expected = [
+            final_exp(miller_loop_denominator_free(
+                pt, group.ssc.distort(q_point), m, group.ssc.fp2
+            ))
+            for pt, m in cases
+        ]
     for backend in available_backends():
         g = PairingGroup(group.params, family=group.family, backend=backend)
         for (point, order), steps in zip(cases, expected):
@@ -213,6 +230,11 @@ def test_recorders_agree(setup):
         if group.family != "A":
             continue
         left, right, base = (_rebind(g, pt) for pt in (p_point, q_point, gen))
+        for (point, order), expected_value in zip(cases, fused_expected):
+            fused = miller_loop_projective(
+                [(_rebind(g, point), right, False)], order, g.ssc.fp2
+            )
+            assert g.tate.final_exponentiation(fused) == expected_value
         assert g.tate.pair(left, right) == direct
         lines = g.tate.precompute_lines(left)
         assert g.tate.pair_with_precomp(lines, right) == direct
@@ -222,6 +244,11 @@ def test_recorders_agree(setup):
         assert g.tate.multi_pair(
             [(lines, right), (base, left)], [1, -1]
         ) == product
+        base_lines = g.tate.precompute_lines(base)
+        assert g.tate.multi_pair(
+            [(left, right), (base_lines, right), (base, left), (lines, base)],
+            [1, -1, -1, 1],
+        ) == mixed
 
 
 @pytest.mark.parametrize("backend", available_backends())

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from repro.errors import NotInSubgroupError
+from repro.errors import NotInSubgroupError, ParameterError
+from repro.math.backend import available_backends
 from repro.math.quadratic import unitary_exp
+from repro.pairing import hashing
 from repro.pairing.api import PairingGroup
 from repro.pairing.miller import miller_loop_general
 from repro.pairing.params import get_parameter_set
@@ -77,6 +79,59 @@ class TestPairingProperties:
         bad = g * ((a * b + 1) % any_group.q)
         assert any_group.pair(g * a, g * b) == any_group.pair(g, good)
         assert any_group.pair(g * a, g * b) != any_group.pair(g, bad)
+
+
+class TestFirstArgumentOutsideSubgroup:
+    """A first argument whose order does not divide ``q`` raises on every
+    entry point, as it did when every family-A pairing recorded lines;
+    infinity arguments still give the identity."""
+
+    ORDER_ERROR = "point order does not divide the loop order"
+
+    @pytest.fixture(params=available_backends())
+    def setup(self, request):
+        g = PairingGroup("toy64", family="A", backend=request.param)
+        fp = g.ssc.fp
+        bad = [
+            g.ssc.curve.point(fp(0), fp(0)),  # order 2 on y^2 = x^3 + x
+            hashing.hash_to_curve_point(g.ssc, b"not cofactor-cleared"),
+        ]
+        return g, bad
+
+    def test_pair_raises(self, setup):
+        g, bad = setup
+        for point in bad:
+            with pytest.raises(ParameterError, match=self.ORDER_ERROR):
+                g.tate.pair(point, g.generator)
+            with pytest.raises(ParameterError, match=self.ORDER_ERROR):
+                g.pair(point, g.generator)
+
+    def test_multi_pair_raises(self, setup):
+        g, bad = setup
+        gen = g.generator
+        lines = g.tate.precompute_lines(gen)
+        for point in bad:
+            for pairs, exponents in (
+                ([(point, gen)], [1]),
+                ([(point, gen)], [-1]),
+                ([(gen, gen), (point, gen)], [1, -1]),
+                ([(lines, gen), (point, gen)], [-1, 1]),
+            ):
+                with pytest.raises(ParameterError, match=self.ORDER_ERROR):
+                    g.tate.multi_pair(pairs, exponents)
+
+    def test_infinity_still_gives_identity(self, setup):
+        g, bad = setup
+        o = g.identity()
+        one = g.ssc.fp2.one()
+        for point in (g.generator, *bad):
+            assert g.tate.pair(o, point) == one
+            assert g.tate.pair(point, o) == one
+            assert g.pair(o, point).is_identity()
+            assert g.tate.multi_pair([(point, o), (o, point)], [1, -1]) == one
+        lines = g.tate.precompute_lines(g.generator)
+        assert g.tate.multi_pair([(lines, o)]) == one
+        assert g.tate.multi_pair([]) == one
 
 
 class TestMillerVariantsAgree:
