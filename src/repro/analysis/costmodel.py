@@ -17,6 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+# Recording one argument's Miller lines, in one-shot (fused) Miller
+# loops: measured on ss512, see "Cold pairings" in docs/PERFORMANCE.md.
+LINE_RECORDING_MILLER_LOOPS = 1.3
+
+
 @dataclass(frozen=True)
 class OpBudget:
     """Operation counts for one protocol step.
@@ -48,7 +53,8 @@ class OpBudget:
     multi_pairs: int = 0
     # Miller-line recordings for a one-off argument (a transient
     # PairingPrecomputation).  No counter sees them, so they stay out
-    # of as_dict; dominant_cost charges each one Miller loop.
+    # of as_dict; dominant_cost charges each 1.3 one-shot Miller loops
+    # (the record-vs-fuse table in docs/PERFORMANCE.md).
     line_recordings: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -85,9 +91,10 @@ class OpBudget:
         ``final_exp_weight``.  A table-driven GT exponentiation
         (``gt_fixed_base_exps``, a subset of ``gt_exps``) drops all
         squarings the same way a fixed-base multiplication does, and
-        earns the same discount.  A line recording costs one Miller
-        loop: a pairing without its final exponentiation.  The
-        discounted weights reflect the measured ratios in
+        earns the same discount.  A line recording costs
+        :data:`LINE_RECORDING_MILLER_LOOPS` one-shot Miller loops, a
+        Miller loop being a pairing without its final exponentiation.
+        The discounted weights reflect the measured ratios in
         ``BENCH_pairing.json``.
         """
         direct_pairings = self.pairings - self.precomputed_pairings
@@ -108,7 +115,8 @@ class OpBudget:
             + direct_gt_exps
             + self.gt_fixed_base_exps * gt_fixed_base_weight
             + 0.01 * self.point_adds
-            + self.line_recordings * (pairing_weight - final_exp_weight)
+            + self.line_recordings * LINE_RECORDING_MILLER_LOOPS
+            * (pairing_weight - final_exp_weight)
             - saved_final_exps * final_exp_weight
         )
 
@@ -265,18 +273,29 @@ PRECOMP_UPDATE_VERIFY_COST = OpBudget(
     miller_loops=2, final_exps=1, multi_pairs=1,
 )
 
-def tre_batch_decrypt_cost(n: int) -> OpBudget:
-    """Decrypting ``n`` ciphertexts sharing one ``I_T`` via cached lines.
+# The receiver-key check from its third use against one server key
+# (the second records (G, sG)): both pairings evaluate cached lines
+# inside one multi-pairing, symmetry swapping sG into the fixed slot.
+PRECOMP_KEY_CHECK_COST = OpBudget(
+    pairings=2, precomputed_pairings=2,
+    miller_loops=2, final_exps=1, multi_pairs=1,
+)
 
-    One pairing and one GT exponentiation per ciphertext, with every
-    pairing a line evaluation against the shared update.  The pairings
-    stay independent (each ciphertext needs its own GT value), so no
-    final exponentiations are shared here — parallelism, not
-    multi-pairing, is this path's lever (see :func:`parallel_speedup`).
+
+def tre_batch_decrypt_cost(n: int) -> OpBudget:
+    """Decrypting ``n`` ciphertexts sharing one ``I_T``.
+
+    One scalar multiplication ``a·I_T`` and one transient recording of
+    its lines per batch, then one line evaluation and one final
+    exponentiation per ciphertext: ``ê(U_i, a·I_T) = ê(U_i, I_T)^a``,
+    so no GT exponentiation.  The pairings stay independent (each
+    ciphertext needs its own GT value), so no final exponentiations are
+    shared here — parallelism, not multi-pairing, is this path's lever
+    (see :func:`parallel_speedup`).
     """
     return OpBudget(
-        pairings=n, gt_exps=n, precomputed_pairings=n,
-        miller_loops=n, final_exps=n,
+        pairings=n, scalar_mults=1, precomputed_pairings=n,
+        miller_loops=n, final_exps=n, line_recordings=1,
     )
 
 

@@ -40,6 +40,9 @@ class ServerPublicKey:
         generation, TRE/ID-TRE encryption) and caches their Miller
         lines (update self-authentication, receiver-key checks).  A
         process that touches one server key many times calls this once.
+        Receiver-key checks do not need it: from their second use they
+        record the same lines themselves
+        (:meth:`UserPublicKey.verify_well_formed`).
         """
         group.precompute(self.generator)
         group.precompute(self.s_generator)
@@ -103,7 +106,19 @@ class UserPublicKey:
         Checked as one multi-pairing ratio (a single combined Miller
         loop and final exponentiation); keys containing the point at
         infinity (``a == 0`` degenerate keys) are rejected outright.
+
+        A sender holds the server key for its whole life, so half of
+        every check pairs against fixed points.  The first check against
+        ``server_public`` on ``group`` runs both Miller loops fused; the
+        second records the lines of ``G`` and ``sG`` in the group cache
+        (symmetry swaps ``sG`` into the fixed slot), and every later one
+        is a single evaluation of both tables plus one final
+        exponentiation.  A one-shot sender thus pays nothing for a table
+        it never reuses.  The answer is the same on every path.
         """
+        group._precompute_on_second_use(
+            server_public.generator, server_public.s_generator
+        )
         return group.pair_ratio_is_one(
             ((self.a_generator, server_public.s_generator),),
             ((server_public.generator, self.as_generator),),

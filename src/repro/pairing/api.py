@@ -225,6 +225,8 @@ class PairingGroup:
         self._fixed_base: dict[CurvePoint, FixedBaseTable] = {}
         self._pairing_precomp: dict[CurvePoint, PairingPrecomputation] = {}
         self._gt_fixed_base: dict[QuadraticElement, GTFixedBaseTable] = {}
+        # Fixed-argument tuples seen once by _precompute_on_second_use.
+        self._seen_once: set[tuple[CurvePoint, ...]] = set()
         # lint: allow[RP302] per-process bookkeeping by design: every
         # process tracks the groups *it* constructed so the at-fork hook
         # can clear inherited caches; divergence across processes is the
@@ -445,16 +447,39 @@ class PairingGroup:
         about 1.3 uncached Miller loops and each later evaluation saves
         a little more than half of one, so precomputation breaks even
         at about the second pairing with ``point`` and pays off from
-        the third; a one-off pairing is cheaper uncached.  On family B
-        the returned
-        object falls back to the direct pairing (no denominator-free
-        loop to cache).  :meth:`clear_precomputations` frees the cache.
+        the third; a one-off pairing is cheaper uncached.  The
+        receiver-key check records the server key ``(G, sG)`` here by
+        itself from its second use (see
+        :meth:`~repro.core.keys.UserPublicKey.verify_well_formed`).
+        Only public points belong in this cache: lines derived from a
+        secret, such as a receiver's ``a·I_T``, go in a transient
+        :class:`PairingPrecomputation` that the caller drops.  On
+        family B the returned object falls back to the direct pairing
+        (no denominator-free loop to cache).
+        :meth:`clear_precomputations` frees the cache.
         """
         precomp = self._pairing_precomp.get(point)
         if precomp is None:
             precomp = PairingPrecomputation(self, point)
             self._pairing_precomp[point] = precomp
         return precomp
+
+    def _precompute_on_second_use(self, *points: CurvePoint) -> None:
+        """Record lines for fixed ``points`` the second time they come.
+
+        The first call only remembers the tuple, so a one-shot caller
+        keeps the fused Miller loop and pays nothing for a table it
+        never reuses; the second records every point (family A only),
+        and later calls find them cached.  :meth:`clear_precomputations`
+        forgets the tuples too.
+        """
+        if self.family != FAMILY_A:
+            return
+        if points not in self._seen_once:
+            self._seen_once.add(points)
+            return
+        for point in points:
+            self.precompute_pairing(point)
 
     # ------------------------------------------------------------------
     # Shipping precomputed lines between processes.  Layout:
@@ -545,11 +570,14 @@ class PairingGroup:
 
         Long-running processes that precompute per-epoch updates (e.g.
         archive catch-up over thousands of labels) call this to bound
-        memory; correctness is unaffected.
+        memory; correctness is unaffected.  The second-use record of
+        :meth:`_precompute_on_second_use` is dropped too, so the next
+        receiver-key check runs cold again.
         """
         self._fixed_base.clear()
         self._pairing_precomp.clear()
         self._gt_fixed_base.clear()
+        self._seen_once.clear()
 
     def gt_exp(self, gt: GTElement, exponent: int) -> GTElement:
         """``gt ** exponent`` (exponent reduced mod ``q``).

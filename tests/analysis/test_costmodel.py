@@ -11,6 +11,7 @@ from repro.analysis.costmodel import (
     HYBRID_COST,
     IDTRE_COST,
     OpBudget,
+    PRECOMP_KEY_CHECK_COST,
     PRECOMP_UPDATE_VERIFY_COST,
     RECEIVER_KEY_CHECK_COST,
     TRE_COST,
@@ -259,6 +260,18 @@ class TestPrecomputedBudgets:
         )
         _assert_budget_with_advisory(measured, PRECOMP_UPDATE_VERIFY_COST)
 
+    def test_precomp_key_check(self, fresh):
+        """The third check replays the (G, sG) lines the second recorded."""
+        group, server, user = fresh
+        for _ in range(2):
+            assert user.public.verify_well_formed(group, server.public_key)
+        measured = _measure(
+            group,
+            lambda: user.public.verify_well_formed(group, server.public_key),
+        )
+        _assert_budget_with_advisory(measured, PRECOMP_KEY_CHECK_COST)
+        _assert_budget(measured, RECEIVER_KEY_CHECK_COST)
+
     @pytest.mark.parametrize("n", [1, 4])
     def test_batch_decrypt(self, fresh, rng, n):
         group, server, user = fresh
@@ -310,6 +323,10 @@ class TestPrecomputedBudgets:
         assert (
             tre_batch_decrypt_cost(8).dominant_cost()
             < 8 * TRE_COST.decrypt.dominant_cost()
+        )
+        assert (
+            PRECOMP_KEY_CHECK_COST.dominant_cost()
+            < RECEIVER_KEY_CHECK_COST.dominant_cost()
         )
 
     def test_dominant_cost_credits_shared_final_exps(self):

@@ -80,6 +80,34 @@ class TestDecryptBatch:
         assert group.counters.total(PAIRING_PRECOMP) == expected
 
 
+    def test_cache_bounded_and_free_of_epoch_keys(self, any_group, rng):
+        """Eight epochs of batches add nothing to the group cache.
+
+        ``a·I_T`` is the receiver's decryption key for ``T``; its lines
+        belong to the batch, never to the shared cache.
+        """
+        scheme = TimedReleaseScheme(any_group)
+        server = PassiveTimeServer(any_group, rng=rng)
+        user = UserKeyPair.generate(any_group, server.public_key, rng)
+        before = len(any_group._pairing_precomp)
+        for epoch in range(8):
+            label = epoch_label(epoch, prefix="batch-cache")
+            update = server.publish_update(label)
+            cts = [
+                scheme.encrypt(
+                    b"epoch %d" % epoch, user.public, server.public_key,
+                    label, rng, verify_receiver_key=False,
+                )
+                for _ in range(2)
+            ]
+            assert scheme.decrypt_batch(cts, user, update) == [
+                b"epoch %d" % epoch
+            ] * 2
+            epoch_key = any_group.mul(update.point, user.private)
+            assert epoch_key not in any_group._pairing_precomp
+            assert len(any_group._pairing_precomp) == before
+
+
 class TestSenderPrecompute:
     def test_encrypt_identical_after_precompute(self, any_group, rng):
         scheme = TimedReleaseScheme(any_group)

@@ -4,6 +4,13 @@ import pytest
 
 from repro.core.keys import ServerKeyPair, ServerPublicKey, UserKeyPair, UserPublicKey
 from repro.errors import EncodingError, KeyValidationError
+from repro.pairing.api import PairingGroup
+from repro.pairing.opcount import (
+    FINAL_EXP,
+    MILLER_LOOP,
+    MULTI_PAIRING,
+    PAIRING_PRECOMP,
+)
 
 
 class TestServerKeys:
@@ -85,3 +92,113 @@ class TestUserKeys:
         rekeyed = user.rekey_to_server(group, new_server.public)
         assert rekeyed.private == user.private
         assert rekeyed.public.verify_well_formed(group, new_server.public)
+
+
+class TestKeyCheckSecondUse:
+    """The receiver-key check records ``(G, sG)`` from its second use.
+
+    Every case builds its own group so the cache starts empty.
+    """
+
+    @pytest.fixture()
+    def fresh(self, rng):
+        group = PairingGroup("toy64", family="A")
+        server = ServerKeyPair.generate(group, rng).public
+        user = UserKeyPair.generate(group, server, rng)
+        recordings = []
+        record = group.tate.precompute_lines
+
+        def counting(point):
+            recordings.append(point)
+            return record(point)
+
+        group.tate.precompute_lines = counting
+        return group, server, user, recordings
+
+    @staticmethod
+    def _check(group, key, server):
+        with group.counters.measure() as delta:
+            verdict = key.verify_well_formed(group, server)
+        return verdict, delta
+
+    def test_first_check_records_nothing(self, fresh):
+        group, server, user, recordings = fresh
+        verdict, delta = self._check(group, user.public, server)
+        assert verdict
+        assert recordings == []
+        assert group._pairing_precomp == {}
+        assert PAIRING_PRECOMP not in delta
+
+    def test_second_check_caches_server_key(self, fresh):
+        group, server, user, recordings = fresh
+        for _ in range(2):
+            assert user.public.verify_well_formed(group, server)
+        assert set(recordings) == {server.generator, server.s_generator}
+        assert set(group._pairing_precomp) == set(recordings)
+
+    def test_third_check_replays(self, fresh):
+        group, server, user, recordings = fresh
+        for _ in range(2):
+            assert user.public.verify_well_formed(group, server)
+        verdict, delta = self._check(group, user.public, server)
+        assert verdict
+        assert len(recordings) == 2
+        assert delta[PAIRING_PRECOMP] == 2
+        assert delta[MILLER_LOOP] == 2
+        assert delta[FINAL_EXP] == 1
+        assert delta[MULTI_PAIRING] == 1
+
+    def test_bad_keys_rejected_cold_and_replayed(self, fresh, rng):
+        group, server, user, recordings = fresh
+        a_g = user.public.a_generator
+        forged = UserPublicKey(
+            a_g, group.mul(server.generator, group.random_scalar(rng))
+        )
+        bad = (
+            forged,
+            UserPublicKey(group.identity(), group.identity()),
+            UserPublicKey(a_g, group.identity()),
+        )
+        for key in bad:
+            # Cold: each is the first check since the cache was emptied.
+            group.clear_precomputations()
+            verdict, delta = self._check(group, key, server)
+            assert not verdict
+            assert PAIRING_PRECOMP not in delta
+        assert recordings == []
+        for _ in range(2):
+            assert user.public.verify_well_formed(group, server)
+        assert len(recordings) == 2
+        for key in bad:
+            assert not key.verify_well_formed(group, server)
+            with pytest.raises(KeyValidationError):
+                key.ensure_well_formed(group, server)
+        verdict, delta = self._check(group, forged, server)
+        assert not verdict
+        assert delta[PAIRING_PRECOMP] == 2
+        assert len(recordings) == 2
+
+    def test_clear_makes_next_check_cold(self, fresh):
+        group, server, user, recordings = fresh
+        for _ in range(3):
+            assert user.public.verify_well_formed(group, server)
+        group.clear_precomputations()
+        verdict, delta = self._check(group, user.public, server)
+        assert verdict
+        assert PAIRING_PRECOMP not in delta
+        assert group._pairing_precomp == {}
+        assert len(recordings) == 2
+        assert user.public.verify_well_formed(group, server)
+        assert len(recordings) == 4
+
+    def test_family_b_stays_correct(self, rng):
+        group = PairingGroup("toy64", family="B")
+        server = ServerKeyPair.generate(group, rng).public
+        user = UserKeyPair.generate(group, server, rng)
+        forged = UserPublicKey(
+            user.public.a_generator, group.random_point(rng)
+        )
+        for _ in range(3):
+            assert user.public.verify_well_formed(group, server)
+            assert not forged.verify_well_formed(group, server)
+        assert group._pairing_precomp == {}
