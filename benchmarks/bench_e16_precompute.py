@@ -161,34 +161,6 @@ def test_e16_claim_table(benchmark, e16_group, trajectory):
     )
     group.clear_precomputations()
 
-    # Process-parallel sharding of the same batch.  Honest on purpose:
-    # the row records the CPU count the run actually had; on a one-core
-    # runner the sharded path documents the process overhead instead of
-    # a speedup.
-    from repro.parallel import available_workers
-
-    cpus = available_workers()
-    seq_batch_ms = time_median(batch_fast, rounds=3) * 1000
-
-    def batch_parallel():
-        group.clear_precomputations()
-        scheme.decrypt_batch(cts, user, update, workers=2)
-
-    par_ms = time_median(batch_parallel, rounds=3) * 1000
-    rows.append((
-        f"decrypt x{BATCH} sharded", f"{seq_batch_ms:.2f}", f"{par_ms:.2f}",
-        f"{seq_batch_ms / par_ms:.1f}x", f"2 workers, {cpus} cpu(s) visible",
-    ))
-    trajectory.record(
-        f"parallel_decrypt_x{BATCH}", group.params.name, "direct",
-        seq_batch_ms / 1000, 3, cpus=cpus,
-    )
-    trajectory.record(
-        f"parallel_decrypt_x{BATCH}", group.params.name, "workers2",
-        par_ms / 1000, 3, cpus=cpus, workers=2,
-    )
-    group.clear_precomputations()
-
     emit(format_table(
         ("operation", "direct ms", "precomp ms", "speedup", "notes"),
         rows,

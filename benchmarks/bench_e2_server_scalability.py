@@ -64,13 +64,10 @@ def test_e2_archive_catchup(benchmark, toy_group):
     The passive server publishes one update per instant regardless of
     audience, so an absent receiver catches up from the public archive:
     per-update multi-pairing ratio checks (one final exponentiation
-    each), optionally sharded across worker processes.  The CPU count is
-    recorded with the row — on a one-core runner the sharded column
-    honestly documents the process overhead.
+    each) on the shared ``(G, sG)`` Miller lines.
     """
     from benchmarks.trajectory import time_median
     from repro.core.timeserver import verify_archive
-    from repro.parallel import available_workers
 
     group = toy_group
     server = PassiveTimeServer(group, rng=seeded_rng("e2-catchup"))
@@ -82,19 +79,14 @@ def test_e2_archive_catchup(benchmark, toy_group):
     seq_ms = time_median(
         lambda: verify_archive(group, server.public_key, updates), rounds=3
     ) * 1000
-    par_ms = time_median(
-        lambda: verify_archive(group, server.public_key, updates, workers=2),
-        rounds=3,
-    ) * 1000
-    cpus = available_workers()
     emit(format_table(
-        ("archive", "sequential ms", "2-worker ms", "ratio", "cpus"),
+        ("archive", "sequential ms", "ms/update"),
         [(
-            f"{len(updates)} updates", f"{seq_ms:.1f}", f"{par_ms:.1f}",
-            f"{seq_ms / par_ms:.2f}x", cpus,
+            f"{len(updates)} updates", f"{seq_ms:.1f}",
+            f"{seq_ms / len(updates):.2f}",
         )],
         title="E2b: receiver catch-up over a missed-update archive — "
-              "per-update multi-pair checks, process-parallel sharding",
+              "per-update multi-pair checks",
     ))
     benchmark(lambda: None)
 

@@ -17,10 +17,7 @@ merges the results into ``BENCH_pairing.json``:
   with no cached lines;
 * archive catch-up throughput: ``verify_archive`` over an N-epoch
   backlog (shared ``(G, sG)`` Miller lines) vs. N naive per-update
-  verifications — the cost a resilient client pays after an outage;
-* process-parallel ``decrypt_batch`` sharding vs. the sequential path
-  (recorded with the machine's CPU count — on a single-core box the
-  "speedup" honestly reports ~1x).
+  verifications — the cost a resilient client pays after an outage.
 
 Usage::
 
@@ -406,50 +403,7 @@ def bench_backend_pairing(group, rng, trajectory, rounds):
     return medians["python"] / medians[fastest]
 
 
-def bench_parallel_decrypt(group, rng, trajectory, rounds, batch, workers=None):
-    """``decrypt_batch`` sequential vs sharded across worker processes.
-
-    Honest numbers: the entry records the CPU count the run actually
-    had (``cpus``); with one core the sharded path cannot win and the
-    recorded ratio documents the process overhead instead.
-    """
-    from repro.parallel import available_workers
-
-    cpus = available_workers()
-    if workers is None:
-        workers = max(2, cpus)
-    scheme = TimedReleaseScheme(group)
-    server = PassiveTimeServer(group, rng=rng)
-    user = UserKeyPair.generate(group, server.public_key, rng)
-    update = server.publish_update(RELEASE)
-    cts = [
-        scheme.encrypt(
-            f"payload {i}".encode() * 4, user.public, server.public_key,
-            RELEASE, rng, verify_receiver_key=False,
-        )
-        for i in range(batch)
-    ]
-
-    def sequential():
-        return scheme.decrypt_batch(cts, user, update)
-
-    def sharded():
-        return scheme.decrypt_batch(cts, user, update, workers=workers)
-
-    assert sequential() == sharded()
-    op = f"parallel_decrypt_x{batch}"
-    d = trajectory.measure(
-        group, op, "direct", sequential, rounds, batch=batch, cpus=cpus
-    )
-    f = trajectory.measure(
-        group, op, f"workers{workers}", sharded, rounds,
-        batch=batch, cpus=cpus, workers=workers,
-    )
-    group.clear_precomputations()
-    return d / f
-
-
-def run_all(group, rng, trajectory, rounds, batch, workers=None):
+def run_all(group, rng, trajectory, rounds, batch):
     """Every smoke comparison; returns ``{label: speedup_ratio}``.
 
     Shared by the CLI below and ``benchmarks.trajectory --check``.
@@ -476,9 +430,6 @@ def run_all(group, rng, trajectory, rounds, batch, workers=None):
         "backend pairing": bench_backend_pairing(
             group, rng, trajectory, rounds
         ),
-        f"parallel decrypt x{batch}": bench_parallel_decrypt(
-            group, rng, trajectory, rounds, batch, workers
-        ),
     }
 
 
@@ -490,9 +441,6 @@ def main(argv=None) -> int:
                         help="ciphertexts in the batch-decrypt comparison")
     parser.add_argument("--rounds", type=int, default=5,
                         help="timing rounds per measurement (median kept)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for the parallel-decrypt "
-                             "comparison (default: max(2, cpu count))")
     parser.add_argument("--backend", default=None,
                         help="field-arithmetic backend for the main group "
                              "(python, montgomery, gmpy2, auto; default "
@@ -510,9 +458,7 @@ def main(argv=None) -> int:
     print(f"precomputation smoke benchmark on {args.params} "
           f"(q={group.q.bit_length()} bits, backend={group.backend_name}, "
           f"rounds={args.rounds})")
-    ratios = run_all(
-        group, rng, trajectory, args.rounds, args.batch, args.workers
-    )
+    ratios = run_all(group, rng, trajectory, args.rounds, args.batch)
     path = trajectory.write()
 
     for line in trajectory.summary_lines():

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import statistics
 import sys
@@ -70,8 +71,10 @@ class BenchTrajectory:
         backend: str | None = None,
         **extra,
     ) -> None:
-        from repro.parallel import available_workers
-
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # pragma: no cover - non-Linux fallback
+            cpus = os.cpu_count() or 1
         entry = {
             "op": op,
             "params": params,
@@ -82,7 +85,7 @@ class BenchTrajectory:
             # runs with the same arithmetic backend on the same CPU
             # budget, so every entry records both and --check skips
             # mismatched pairs (see compare_entries).
-            "cpus": available_workers(),
+            "cpus": cpus,
         }
         if backend is not None:
             entry["backend"] = backend
@@ -269,7 +272,6 @@ def run_check(
     tolerance: float = 0.3,
     rounds: int = 3,
     batch: int = 32,
-    workers: int | None = None,
     path: pathlib.Path | str | None = None,
     backend: str | None = None,
 ) -> int:
@@ -288,7 +290,7 @@ def run_check(
     group = PairingGroup(params, family="A", backend=backend)
     rng = seeded_rng(f"smoke:{params}")
     fresh = BenchTrajectory(path)
-    smoke.run_all(group, rng, fresh, rounds, batch, workers)
+    smoke.run_all(group, rng, fresh, rounds, batch)
     rows, regressions, new_keys = compare_entries(
         committed, fresh.entries, tolerance
     )
@@ -322,9 +324,7 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=3,
                         help="timing rounds per fresh measurement")
     parser.add_argument("--batch", type=int, default=32,
-                        help="batch size for the batch/parallel entries")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker count for the parallel entry")
+                        help="batch size for the batch entries")
     parser.add_argument("--backend", default=None,
                         help="field-arithmetic backend for the fresh "
                              "measurements (python, montgomery, gmpy2, "
@@ -340,7 +340,6 @@ def main(argv=None) -> int:
             tolerance=args.tolerance,
             rounds=args.rounds,
             batch=args.batch,
-            workers=args.workers,
             path=args.path,
             backend=args.backend,
         )

@@ -83,7 +83,7 @@ if [ "$backends" -eq 1 ]; then
          print('auto resolves to:', resolve_backend_name('auto'))"
     PYTHONPATH=src python -m pytest -q \
         tests/math/test_backends.py tests/core/test_cross_backend.py \
-        tests/core/test_worker_warmup.py tests/core/test_broadcast.py \
+        tests/core/test_broadcast.py \
         tests/vectors tests/pairing tests/ec/test_jacobian.py \
         || failures=$((failures + 1))
 fi

@@ -290,8 +290,9 @@ def tre_batch_decrypt_cost(n: int) -> OpBudget:
     exponentiation per ciphertext: ``ê(U_i, a·I_T) = ê(U_i, I_T)^a``,
     so no GT exponentiation.  The pairings stay independent (each
     ciphertext needs its own GT value), so no final exponentiations are
-    shared here — parallelism, not multi-pairing, is this path's lever
-    (see :func:`parallel_speedup`).
+    shared here.  This path's lever is the transient ``a·I_T`` line
+    table: it turns each ciphertext's pairing into a line replay and
+    removes the per-ciphertext GT exponentiation.
     """
     return OpBudget(
         pairings=n, scalar_mults=1, precomputed_pairings=n,
@@ -300,7 +301,7 @@ def tre_batch_decrypt_cost(n: int) -> OpBudget:
 
 
 # ----------------------------------------------------------------------
-# Multi-pairing and process-parallel speedup formulas.
+# Multi-pairing speedup formulas.
 # ----------------------------------------------------------------------
 
 
@@ -326,32 +327,6 @@ def multi_pairing_speedup(
     sequential = k * pairing_weight
     fused = sequential - multi_pairing_saving(k, final_exp_weight)
     return sequential / fused
-
-
-def parallel_speedup(
-    workers: int,
-    items: int,
-    serial_fraction: float = 0.02,
-    per_item_overhead: float = 0.0,
-) -> float:
-    """Amdahl-style model for :mod:`repro.parallel` batch sharding.
-
-    ``serial_fraction`` covers the parent-side work that cannot shard
-    (label checks, one update verification, result assembly);
-    ``per_item_overhead`` the serialize/deserialize cost per payload as
-    a fraction of per-item compute.  With fewer items than workers the
-    extra workers idle.
-    """
-    if workers <= 1 or items <= 1:
-        return 1.0
-    effective = min(workers, items)
-    parallel_fraction = 1.0 - serial_fraction
-    denominator = (
-        serial_fraction
-        + parallel_fraction / effective
-        + per_item_overhead
-    )
-    return 1.0 / denominator
 
 
 def cost_table() -> str:

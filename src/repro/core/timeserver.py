@@ -247,8 +247,6 @@ def verify_archive(
     group: PairingGroup,
     server_public,
     updates: list[TimeBoundKeyUpdate],
-    workers: int | str | None = None,
-    chunk_size: int | None = None,
 ) -> list[bytes]:
     """Archive catch-up: authenticate a backlog update-by-update.
 
@@ -260,71 +258,15 @@ def verify_archive(
     whole batch — use that first and fall back to this to pinpoint the
     bad update(s).
 
-    ``workers > 1`` shards the backlog across a process pool via
-    :mod:`repro.parallel` (each worker precomputes the ``(G, sG)``
-    lines once per chunk); the returned labels are identical to the
-    sequential path, though worker pairings do not show up in this
-    group's operation counters.  ``workers="auto"`` lets
-    :func:`repro.parallel.auto_workers` pick a count from the backlog
-    size and available CPUs; ``None`` stays sequential.
-
     Partial-failure semantics: an update that cannot even be *checked*
     (a malformed point, a group mismatch, an identity-element input the
     verifier rejects) counts as failed and verification continues with
-    the rest of the backlog — it never aborts the whole call.  Both
-    paths apply the same per-update containment, so the sequential and
-    parallel answers are identical even with malformed updates mixed
-    into the backlog.
+    the rest of the backlog — it never aborts the whole call.
+
+    The backlog is checked in this process, in order; two worker
+    processes measured slower at the archive sizes catch-up issues
+    (docs/PERFORMANCE.md, "Why there is no process pool").
     """
-    if workers == "auto":
-        from repro.parallel import WORKER_WARMUP_WITH_TABLES_COST, auto_workers
-
-        workers = auto_workers(
-            len(updates), warmup=WORKER_WARMUP_WITH_TABLES_COST
-        )
-    if workers is not None and workers > 1 and len(updates) > 1:
-        from repro.parallel import parallel_map
-        from repro.pairing.supersingular import FAMILY_A
-
-        # An update that cannot be wire-encoded (e.g. a point from the
-        # wrong group) is failed here, before dispatch, instead of
-        # aborting the whole shard — same containment as the worker's
-        # per-update decode/verify catch.
-        encoded: list[bytes | None] = []
-        for update in updates:
-            try:
-                encoded.append(update.to_bytes(group))
-            except ReproError:
-                encoded.append(None)
-        payloads = [blob for blob in encoded if blob is not None]
-        # Record the fixed (G, sG) verification lines once and ship
-        # them; workers install the blob instead of re-recording per
-        # worker (family B has no recordable lines).
-        tables = (
-            group.export_pairing_lines(
-                [server_public.s_generator, server_public.generator]
-            )
-            if group.family == FAMILY_A
-            else None
-        )
-        flags = iter(
-            parallel_map(
-                "timeserver.verify_update",
-                group,
-                server_public.to_bytes(group),
-                payloads,
-                workers=workers,
-                chunk_size=chunk_size,
-                shared_tables=tables,
-            )
-            if payloads
-            else ()
-        )
-        return [
-            update.time_label
-            for update, blob in zip(updates, encoded)
-            if blob is None or next(flags) != b"\x01"
-        ]
     bls = BLSSignatureScheme(group)
     bls.precompute_public(server_public)
     failed = []

@@ -265,8 +265,6 @@ class TimedReleaseScheme:
         receiver: UserKeyPair | int,
         update: TimeBoundKeyUpdate,
         server_public: ServerPublicKey | None = None,
-        workers: int | str | None = None,
-        chunk_size: int | None = None,
     ) -> list[bytes]:
         """Decrypt many ciphertexts bound to the *same* release time.
 
@@ -279,7 +277,7 @@ class TimedReleaseScheme:
         exponentiation, with no GT exponentiation.  ``a·I_T`` opens
         every ciphertext for ``T``, so its lines live in a transient
         :class:`~repro.pairing.api.PairingPrecomputation` dropped on
-        return; they never enter the group cache or an export blob.
+        return; they never enter the group cache.
         Recording runs the update's subgroup check, once per batch.
         Against evaluating ``I_T``'s lines and raising each result to
         ``a``, a batch of three or fewer pays at most the one scalar
@@ -289,19 +287,11 @@ class TimedReleaseScheme:
         ciphertext; a ciphertext with a different label raises
         :class:`UpdateVerificationError` before any plaintext is
         produced.  ``server_public``, when given, self-authenticates
-        the update once for the whole batch.
-
-        ``workers > 1`` shards the batch across a process pool via
-        :mod:`repro.parallel` (label checks and update verification
-        still happen here, once, before any shard is dispatched); the
-        plaintexts are byte-identical to the sequential path.  Workers
-        keep the ``ê(U, I_T)^a`` arithmetic: they receive the public
-        ``I_T`` lines recorded here, never lines derived from ``a``.
-        ``workers="auto"`` lets :func:`repro.parallel.auto_workers`
-        pick a count from the batch size and available CPUs (which may
-        be sequential); ``None`` stays sequential for backward
-        compatibility.  Note that pairing work done in workers is not
-        reflected in this group's operation counters.
+        the update once for the whole batch.  The batch runs in this
+        process: with no GT exponentiation left per ciphertext, two
+        worker processes measured no faster at any batch size a
+        workload issues (docs/PERFORMANCE.md, "Why there is no process
+        pool").
         """
         private = receiver.private if isinstance(receiver, UserKeyPair) else receiver
         for ciphertext in ciphertexts:
@@ -311,43 +301,6 @@ class TimedReleaseScheme:
                 )
         if server_public is not None:
             update.ensure_valid(self.group, server_public)
-        if workers == "auto":
-            from repro.parallel import WORKER_WARMUP_WITH_TABLES_COST, auto_workers
-
-            workers = auto_workers(
-                len(ciphertexts), warmup=WORKER_WARMUP_WITH_TABLES_COST
-            )
-        if workers is not None and workers > 1 and len(ciphertexts) > 1:
-            from repro.parallel import parallel_map, shard_secret
-
-            # The receiver's scalar must reach the workers; it crosses
-            # as wire-encoded bytes through the audited shard sanitizer
-            # (RP303), never as a pickled object graph.
-            setup = pack_chunks(
-                shard_secret(private.to_bytes(self.group.scalar_bytes, "big")),
-                update.to_bytes(self.group),
-            )
-            # Record the shared update's Miller lines once, here, and
-            # ship them: workers install the blob instead of each
-            # re-recording the same lines on their first chunk.  (No
-            # lines to ship on family B — its loop has no cacheable
-            # denominator-free form.)
-            from repro.pairing.supersingular import FAMILY_A
-
-            tables = (
-                self.group.export_pairing_lines([update.point])
-                if self.group.family == FAMILY_A
-                else None
-            )
-            return parallel_map(
-                "tre.decrypt",
-                self.group,
-                setup,
-                [ciphertext.to_bytes(self.group) for ciphertext in ciphertexts],
-                workers=workers,
-                chunk_size=chunk_size,
-                shared_tables=tables,
-            )
         # Transient on purpose: a·I_T is the receiver's decryption key
         # for T, so neither it nor its lines may outlive this batch.
         epoch_key = PairingPrecomputation(

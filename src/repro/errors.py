@@ -83,15 +83,6 @@ class SimulationError(ReproError):
     """The discrete-event simulator was driven into an invalid state."""
 
 
-class ParallelExecutionError(ReproError):
-    """A worker process in the parallel batch engine raised an exception.
-
-    Carries the worker-side traceback text so the failure is diagnosable
-    from the parent process; raised instead of letting the pool hang or
-    silently drop the failed shard.
-    """
-
-
 # ----------------------------------------------------------------------
 # Service-layer taxonomy (repro.service).
 #

@@ -89,8 +89,9 @@ CONC_RULES: tuple[FlowRuleMeta, ...] = (
         "processes without passing the bytes-only shard sanitizer — "
         "pickled object graphs copy secrets into pool pipes and worker "
         "heaps outside the library's zeroization reach",
-        "wrap the encoded secret in repro.parallel.shard_secret (bytes "
-        "only), or derive a per-shard key first",
+        "wrap the encoded secret in a bytes-only sanitizer listed in "
+        "repro.lint.conc.registry.SHARD_SANITIZERS (shard_secret), or "
+        "derive a per-shard key first",
     ),
     FlowRuleMeta(
         RP304,

@@ -64,8 +64,8 @@ _BACKEND_CLASSES = {
     "gmpy2": Gmpy2Backend,
 }
 
-# Per-(name, modulus) instance cache.  Cleared after fork (cache
-# hygiene, same idiom as the worker group cache in repro.parallel).
+# Per-(name, modulus) instance cache.  Cleared in forked children
+# (cache hygiene, same idiom as the group caches in repro.pairing.api).
 _INSTANCES: dict[tuple[str, int], FieldBackend] = {}
 
 if hasattr(os, "register_at_fork"):  # not available on all platforms

@@ -45,7 +45,6 @@ from repro.pairing.opcount import (
     SCALAR_MULT,
     OperationCounter,
 )
-from repro.pairing.miller import PrecomputedLines
 from repro.pairing.params import ParameterSet, get_parameter_set
 from repro.pairing.supersingular import FAMILY_A, SupersingularCurve
 from repro.pairing.tate import TatePairing
@@ -125,22 +124,6 @@ class PairingPrecomputation:
             group.ssc.ensure_in_subgroup(point)
             self.lines = group.tate.precompute_lines(point)
 
-    @classmethod
-    def from_lines(cls, group: "PairingGroup", point: CurvePoint, lines):
-        """Wrap already-recorded lines without re-recording them.
-
-        The rehydration half of
-        :meth:`PairingGroup.export_pairing_lines` — worker processes
-        install tables the parent recorded once instead of each paying
-        the recording cost.  The lines are trusted to belong to
-        ``point`` (they came from this library's own export).
-        """
-        precomp = cls.__new__(cls)
-        precomp.group = group
-        precomp.point = point
-        precomp.lines = lines
-        return precomp
-
     def pair(self, q_point: CurvePoint) -> "GTElement":
         """``ê(P, Q)`` — byte-identical to ``group.pair(P, Q)``."""
         self.group.counters.record(PAIRING)
@@ -167,13 +150,17 @@ class PairingPrecomputation:
 # parent's tables means parent and child caches silently diverge, and
 # each lazy extension forces a private page copy.  Clearing in the
 # child is the fork-safe discipline (lint rules RP302/RP304); entries
-# are weak so the registry never extends a group's lifetime.
-_LIVE_GROUPS: "weakref.WeakSet[PairingGroup]" = weakref.WeakSet()
+# are weak so the registry never extends a group's lifetime.  Keyed by
+# identity: groups over the same parameters compare equal, so a set
+# would hold only the first of them and skip the others' caches.
+_LIVE_GROUPS: "weakref.WeakValueDictionary[int, PairingGroup]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 def _clear_caches_after_fork() -> None:
     """At-fork child hook: each group rebuilds caches on demand."""
-    for group in _LIVE_GROUPS:
+    for group in _LIVE_GROUPS.values():
         group.clear_precomputations()
 
 
@@ -227,11 +214,7 @@ class PairingGroup:
         self._gt_fixed_base: dict[QuadraticElement, GTFixedBaseTable] = {}
         # Fixed-argument tuples seen once by _precompute_on_second_use.
         self._seen_once: set[tuple[CurvePoint, ...]] = set()
-        # lint: allow[RP302] per-process bookkeeping by design: every
-        # process tracks the groups *it* constructed so the at-fork hook
-        # can clear inherited caches; divergence across processes is the
-        # point, and WeakSet entries die with their groups
-        _LIVE_GROUPS.add(self)
+        _LIVE_GROUPS[id(self)] = self
 
     # ------------------------------------------------------------------
     # Scalars.
@@ -480,90 +463,6 @@ class PairingGroup:
             return
         for point in points:
             self.precompute_pairing(point)
-
-    # ------------------------------------------------------------------
-    # Shipping precomputed lines between processes.  Layout:
-    #   count(4) || per entry: point(point_bytes) || lines_len(4) || lines
-    # Everything is canonical bytes, so a blob exported under one
-    # backend installs identically under any other.
-    # ------------------------------------------------------------------
-
-    def export_pairing_lines(self, points) -> bytes:
-        """Serialize cached Miller lines for ``points`` into one blob.
-
-        Records any missing lines first (family A only).  The blob feeds
-        :meth:`install_pairing_lines` in another process — typically a
-        :func:`repro.parallel.parallel_map` worker, which then never
-        re-records lines the parent already paid for.
-        """
-        if self.family != FAMILY_A:
-            raise ParameterError(
-                "line export requires the denominator-free (family A) loop"
-            )
-        points = list(points)
-        parts = [len(points).to_bytes(4, "big")]
-        element_bytes = self.ssc.fp.element_bytes
-        for point in points:
-            precomp = self.precompute_pairing(point)
-            if precomp.lines is None:
-                raise ParameterError("cannot export lines for infinity")
-            parts.append(self.point_to_bytes(point))
-            blob = precomp.lines.to_bytes(element_bytes)
-            parts.append(len(blob).to_bytes(4, "big"))
-            parts.append(blob)
-        return b"".join(parts)
-
-    def install_pairing_lines(self, data: bytes) -> int:
-        """Install an :meth:`export_pairing_lines` blob into this group.
-
-        Returns the number of entries installed.  Subsequent
-        :meth:`pair` / :meth:`multi_pair` calls on the covered points hit
-        the cache exactly as if :meth:`precompute_pairing` had recorded
-        them locally — same bytes, none of the recording cost.
-        """
-        from repro.errors import DecodingError, EncodingError
-
-        if self.family != FAMILY_A:
-            raise ParameterError(
-                "line install requires the denominator-free (family A) loop"
-            )
-        if len(data) < 4:
-            raise DecodingError("truncated pairing-lines blob")
-        count = int.from_bytes(data[:4], "big")
-        offset = 4
-        element_bytes = self.ssc.fp.element_bytes
-        # One doubling step per bit below the top, one addition per
-        # further set bit: the only step count a q-order loop records.
-        schedule = self.q.bit_length() - 1 + bin(self.q).count("1") - 1
-        installed = []
-        for _ in range(count):
-            if len(data) < offset + self.point_bytes + 4:
-                raise DecodingError("truncated pairing-lines blob")
-            point = self.point_from_bytes(
-                data[offset:offset + self.point_bytes]
-            )
-            offset += self.point_bytes
-            blob_len = int.from_bytes(data[offset:offset + 4], "big")
-            offset += 4
-            if len(data) < offset + blob_len:
-                raise DecodingError("truncated pairing-lines blob")
-            try:
-                lines = PrecomputedLines.from_bytes(
-                    data[offset:offset + blob_len], element_bytes
-                )
-            except EncodingError as exc:
-                raise DecodingError(str(exc)) from exc
-            if lines.order != self.q or len(lines) != schedule:
-                raise DecodingError("line table recorded for another loop")
-            offset += blob_len
-            installed.append((point, lines))
-        if offset != len(data):
-            raise DecodingError("trailing bytes in pairing-lines blob")
-        for point, lines in installed:
-            self._pairing_precomp[point] = PairingPrecomputation.from_lines(
-                self, point, lines
-            )
-        return len(installed)
 
     def clear_precomputations(self) -> None:
         """Drop all fixed-base tables, cached Miller lines, and GT tables.

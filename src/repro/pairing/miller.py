@@ -36,8 +36,8 @@ mixed-field line evaluation embeds the ``Fp`` slope via
 
 from __future__ import annotations
 
-from repro.encoding import int_from_bytes, int_to_bytes
-from repro.errors import EncodingError, ParameterError
+from repro.encoding import int_to_bytes
+from repro.errors import ParameterError
 from repro.ec import jacobian
 from repro.ec.point import CurvePoint
 from repro.math.quadratic import QuadraticElement, QuadraticField
@@ -92,8 +92,8 @@ class PrecomputedLines:
     representation (Montgomery residues, ``mpz``) converts once through
     :meth:`backend_steps` and the converted tuple is cached here per
     backend name.  The canonical steps are also what
-    :meth:`to_bytes` serializes, so a sequence recorded under one
-    backend rehydrates identically under any other.
+    :meth:`to_bytes` serializes, so a sequence encodes to the same
+    bytes whichever backend recorded it.
     """
 
     __slots__ = ("steps", "order", "_backend_steps")
@@ -115,8 +115,8 @@ class PrecomputedLines:
         return converted
 
     # ------------------------------------------------------------------
-    # Wire format: ship recorded lines to worker processes instead of
-    # re-recording per worker.  Layout (all big-endian):
+    # Canonical encoding, pinned by the pairing known-answer vectors.
+    # Layout (all big-endian):
     #   order_len(2) || order || step_count(4) ||
     #   per step: flags(1: is_add<<2 | kind) || xv || yv || slope
     # with xv/yv/slope fixed-width at ``element_bytes``.
@@ -137,37 +137,6 @@ class PrecomputedLines:
             parts.append(int_to_bytes(yv, element_bytes))
             parts.append(int_to_bytes(slope, element_bytes))
         return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, element_bytes: int) -> "PrecomputedLines":
-        if len(data) < 6:
-            raise EncodingError("truncated line-sequence encoding")
-        order_len = int.from_bytes(data[:2], "big")
-        offset = 2 + order_len
-        if len(data) < offset + 4:
-            raise EncodingError("truncated line-sequence encoding")
-        order = int_from_bytes(data[2:offset])
-        count = int.from_bytes(data[offset:offset + 4], "big")
-        offset += 4
-        step_size = 1 + 3 * element_bytes
-        if len(data) != offset + count * step_size:
-            raise EncodingError("line-sequence length mismatch")
-        steps = []
-        for _ in range(count):
-            flags = data[offset]
-            kind = flags & 0x03
-            if kind not in (_LINE, _VERT, _ONE) or flags >> 3:
-                raise EncodingError("bad line-step flags")
-            xv = int_from_bytes(data[offset + 1:offset + 1 + element_bytes])
-            yv = int_from_bytes(
-                data[offset + 1 + element_bytes:offset + 1 + 2 * element_bytes]
-            )
-            slope = int_from_bytes(
-                data[offset + 1 + 2 * element_bytes:offset + step_size]
-            )
-            steps.append((bool(flags >> 2), kind, xv, yv, slope))
-            offset += step_size
-        return cls(tuple(steps), order)
 
 
 def record_line_sequence(p_point: CurvePoint, order: int) -> PrecomputedLines:

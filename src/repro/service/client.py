@@ -64,9 +64,6 @@ class ResilientTimeClient:
     total_timeout:
         Default overall deadline for one operation; ``None`` means
         retry forever (the decrypt queue's mode: park until released).
-    verify_workers:
-        Passed to :func:`verify_archive` for catch-up batches
-        (``"auto"`` enables the process pool on big backlogs).
     """
 
     def __init__(
@@ -80,7 +77,6 @@ class ResilientTimeClient:
         backoff: ExponentialBackoff | None = None,
         failure_threshold: int = 3,
         reset_timeout: float = 5.0,
-        verify_workers: int | str | None = None,
         name: str = "client",
     ):
         self.group = group
@@ -100,7 +96,6 @@ class ResilientTimeClient:
             )
             for _ in self.transports
         ]
-        self.verify_workers = verify_workers
         self.name = name
         self.updates: dict[bytes, TimeBoundKeyUpdate] = {}
         self._waiters: dict[bytes, asyncio.Future] = {}
@@ -362,11 +357,10 @@ class ResilientTimeClient:
     ) -> list[TimeBoundKeyUpdate]:
         """Fetch and authenticate the archive backlog past ``after``.
 
-        The whole batch goes through :func:`verify_archive` (sequential
-        or the process pool, per ``verify_workers``); entries that fail
-        are rejected and counted while the verified remainder still
-        lands in the cache — one corrupt blob must not cost the client
-        the other hundred updates.
+        The whole batch goes through :func:`verify_archive`; entries
+        that fail are rejected and counted while the verified remainder
+        still lands in the cache — one corrupt blob must not cost the
+        client the other hundred updates.
         """
         deadline = self._deadline(deadline)
         payload = wire.encode_message(wire.GetArchive(after))
@@ -381,14 +375,7 @@ class ResilientTimeClient:
                 decoded.append(TimeBoundKeyUpdate.from_bytes(self.group, blob))
             except ReproError:
                 self.rejected += 1
-        failed = set(
-            verify_archive(
-                self.group,
-                self.server_public,
-                decoded,
-                workers=self.verify_workers,
-            )
-        )
+        failed = set(verify_archive(self.group, self.server_public, decoded))
         accepted = []
         for update in decoded:
             if update.time_label in failed:

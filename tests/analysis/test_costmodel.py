@@ -362,18 +362,6 @@ class TestSpeedupFormulas:
         assert 1.0 < s2 < s8
         assert s8 < 10.0 / (10.0 - 2.0) * 1.001  # asymptote
 
-    def test_parallel_speedup_model(self):
-        from repro.analysis.costmodel import parallel_speedup
-
-        assert parallel_speedup(1, 100) == 1.0
-        assert parallel_speedup(8, 1) == 1.0
-        s4 = parallel_speedup(4, 100)
-        s8 = parallel_speedup(8, 100)
-        assert 1.0 < s4 < 4.0  # sub-linear: Amdahl serial fraction
-        assert s4 < s8 < 8.0
-        # More workers than items: the surplus idles.
-        assert parallel_speedup(64, 4) == parallel_speedup(4, 4)
-
 
 class TestRendering:
     def test_cost_table_renders(self):

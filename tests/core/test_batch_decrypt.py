@@ -128,13 +128,19 @@ class TestSenderPrecompute:
 
 class TestArchiveCatchUp:
     def test_verify_archive_flags_only_bad_labels(self, group, rng):
+        from repro.ec.point import CurvePoint
+
         server = PassiveTimeServer(group, rng=rng)
         updates = [server.publish_update(epoch_label(i)) for i in range(8)]
         assert verify_archive(group, server.public_key, updates) == []
         updates[3] = TimeBoundKeyUpdate(updates[3].time_label, group.generator)
+        point = group.random_point(rng)
+        off_curve = CurvePoint(point.curve, point.x, point.y + point.y / point.y)
+        updates[5] = TimeBoundKeyUpdate(updates[5].time_label, off_curve)
         updates[6] = TimeBoundKeyUpdate(updates[6].time_label, group.identity())
         assert verify_archive(group, server.public_key, updates) == [
             epoch_label(3),
+            epoch_label(5),
             epoch_label(6),
         ]
         group.clear_precomputations()

@@ -110,10 +110,6 @@ class TestForgedUpdateInLargeArchive:
         )
         expected = [updates[position].time_label]
         assert verify_archive(group, server.public_key, forged) == expected
-        assert (
-            verify_archive(group, server.public_key, forged, workers=4)
-            == expected
-        )
 
     def test_pair_ratio_is_one_on_each_update(self, group, archive32, rng):
         """The underlying primitive: per-update ê(sG,H1(T)) / ê(G,I_T)."""

@@ -1,24 +1,22 @@
-"""Runtime fork-safety of the parallel batch engine.
+"""Runtime fork-safety of the at-fork hooks.
 
 The static analyzer (RP301/RP302/RP304) proves the *absence* of
-fork-hazard patterns; these tests check the positive runtime claims:
-forked workers never replay each other's randomness, the at-fork guards
-actually fire in children, and sharding a batch leaves the parent
-process's ``PairingGroup`` caches untouched byte-for-byte.
+fork-hazard patterns; these tests check the positive runtime claims
+for any caller that forks: children never replay each other's
+randomness, the RNG guard fires in children and not in the parent, and
+a forked child starts with empty ``PairingGroup`` caches.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import time
 
 import pytest
 
-from repro import parallel
-from repro.core.timeserver import PassiveTimeServer, verify_archive
-from repro.core.tre import TimedReleaseScheme
 from repro.crypto.rng import fork_generation, process_rng
-from repro.errors import ParameterError
+from repro.pairing.api import PairingGroup
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -26,128 +24,69 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _task_nonce(group, setup, chunk):
-    """Report (pid, fork generation, fresh nonce) once per payload."""
-    rng = process_rng()
-    pid = os.getpid()
-    generation = fork_generation()
-    return [
-        pid.to_bytes(8, "big")
-        + generation.to_bytes(2, "big")
-        + rng.getrandbits(64).to_bytes(8, "big")
-        for _ in chunk
-    ]
+def _fork_pool(processes: int, **kwargs):
+    return multiprocessing.get_context("fork").Pool(processes, **kwargs)
 
 
-try:
-    parallel.register_task("selftest.nonce")(_task_nonce)
-except ParameterError:  # already registered by a previous collection
-    pass
+def _run(pool, fn, items):
+    return pool.map_async(fn, items, chunksize=1).get(timeout=60)
 
 
-def _records(blobs):
-    return [
-        (
-            int.from_bytes(blob[:8], "big"),
-            int.from_bytes(blob[8:10], "big"),
-            blob[10:],
-        )
-        for blob in blobs
-    ]
+def _nonce(_):
+    """(pid, fork generation, fresh nonce) for one item."""
+    time.sleep(0.02)  # hold the worker so the other one takes items too
+    return os.getpid(), fork_generation(), process_rng().getrandbits(64)
 
 
 class TestForkedRandomness:
-    def test_workers_draw_distinct_nonces(self, group):
-        out = parallel.parallel_map(
-            "selftest.nonce",
-            group,
-            b"",
-            [b""] * 8,
-            workers=2,
-            chunk_size=1,
-            start_method="fork",
-        )
-        records = _records(out)
+    def test_workers_draw_distinct_nonces(self):
+        with _fork_pool(2) as pool:
+            records = _run(pool, _nonce, range(8))
         nonces = {nonce for _, _, nonce in records}
         assert len(nonces) == len(records)  # no replayed stream anywhere
         parent = os.getpid()
         assert all(pid != parent for pid, _, _ in records)
         worker_pids = {pid for pid, _, _ in records}
-        assert len(worker_pids) >= 2  # the batch really was sharded
+        assert len(worker_pids) >= 2  # both children drew
 
-    def test_at_fork_guard_fires_in_children_not_parent(self, group):
+    def test_at_fork_guard_fires_in_children_not_parent(self):
         process_rng()  # populate the parent cache before forking
-        out = parallel.parallel_map(
-            "selftest.nonce",
-            group,
-            b"",
-            [b""] * 4,
-            workers=2,
-            chunk_size=1,
-            start_method="fork",
-        )
-        assert all(generation >= 1 for _, generation, _ in _records(out))
+        with _fork_pool(2) as pool:
+            records = _run(pool, _nonce, range(4))
+        assert all(generation >= 1 for _, generation, _ in records)
         assert fork_generation() == 0  # the hook never runs in the parent
 
 
-def _cache_snapshot(group):
-    """The parent group's precomputation caches, serialized for diffing."""
-    fixed = sorted(
-        (group.point_to_bytes(point), table.width, table.bits)
-        for point, table in group._fixed_base.items()
-    )
-    pairing = sorted(
-        (group.point_to_bytes(point), len(precomp.lines or ()))
-        for point, precomp in group._pairing_precomp.items()
-    )
-    return fixed, pairing
+_CHILD_GROUPS: list[PairingGroup] = []
 
 
-class TestParentCachesSurviveSharding:
-    @pytest.fixture(scope="class")
-    def batch(self, group, session_rng):
-        server = PassiveTimeServer(group, rng=session_rng)
-        scheme = TimedReleaseScheme(group)
-        user = scheme.generate_user_keypair(server.public_key, session_rng)
-        label = b"fork-safety-T"
-        update = server.issue_update(label)
-        messages = [f"fork-safety message {i}".encode() for i in range(6)]
-        ciphertexts = [
-            scheme.encrypt(
-                message, user.public, server.public_key, label, session_rng,
-                verify_receiver_key=False,
-            )
-            for message in messages
-        ]
-        return server, scheme, user, update, messages, ciphertexts
+def _adopt_groups(groups: list[PairingGroup]) -> None:
+    # Pool initializer: under fork the argument is the parent's objects,
+    # inherited rather than pickled.
+    _CHILD_GROUPS.extend(groups)
 
-    def test_decrypt_batch_leaves_parent_caches_byte_identical(self, group, batch):
-        _, scheme, user, update, messages, ciphertexts = batch
-        group.precompute(group.generator)
-        group.precompute_pairing(update.point)
-        probe = group.pair(update.point, group.generator).to_bytes()
-        before = _cache_snapshot(group)
 
-        assert (
-            scheme.decrypt_batch(ciphertexts, user, update, workers=2)
-            == messages
-        )
+def _cache_sizes(_):
+    return [
+        (len(group._fixed_base), len(group._pairing_precomp))
+        for group in _CHILD_GROUPS
+    ]
 
-        assert _cache_snapshot(group) == before
-        assert group.pair(update.point, group.generator).to_bytes() == probe
 
-    def test_verify_archive_leaves_parent_caches_byte_identical(
-        self, group, batch
-    ):
-        server, _, _, _, _, _ = batch
-        updates = [
-            server.publish_update(f"fork-archive-{i}".encode()) for i in range(6)
-        ]
-        # The sequential pass warms the parent-side BLS precomputation.
-        assert verify_archive(group, server.public_key, updates) == []
-        before = _cache_snapshot(group)
+class TestForkedGroupCaches:
+    def test_child_starts_with_empty_caches(self, rng):
+        # Groups over the same parameters compare equal; the hook must
+        # still clear every one of them.
+        groups = [PairingGroup("toy64"), PairingGroup("toy64")]
+        for group in groups:
+            group.precompute(group.generator)
+            group.precompute_pairing(group.random_point(rng))
+            assert group._fixed_base and group._pairing_precomp
 
-        assert (
-            verify_archive(group, server.public_key, updates, workers=2) == []
-        )
-        assert _cache_snapshot(group) == before
+        with _fork_pool(
+            1, initializer=_adopt_groups, initargs=(groups,)
+        ) as pool:
+            assert _run(pool, _cache_sizes, [None]) == [[(0, 0), (0, 0)]]
+
+        # The hook clears only the child's copies.
+        assert all(g._fixed_base and g._pairing_precomp for g in groups)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.errors import DecodingError, NotInSubgroupError, ParameterError
+from repro.errors import NotInSubgroupError, ParameterError
 from repro.pairing.api import PairingGroup
-from repro.pairing.miller import PrecomputedLines, record_line_sequence
+from repro.pairing.miller import record_line_sequence
 from repro.pairing.opcount import PAIRING, PAIRING_PRECOMP
 
 
@@ -117,50 +117,3 @@ class TestGroupLevelCache:
         right = group.pair(p, q) ** (a * b % group.q)
         assert left == right
         group.clear_precomputations()
-
-
-class TestLineInstall:
-    """``install_pairing_lines`` must refuse tables for another loop."""
-
-    @staticmethod
-    def _blob(group, point, lines) -> bytes:
-        table = lines.to_bytes(group.ssc.fp.element_bytes)
-        return b"".join([
-            (1).to_bytes(4, "big"),
-            group.point_to_bytes(point),
-            len(table).to_bytes(4, "big"),
-            table,
-        ])
-
-    def test_round_trip_installs(self, rng):
-        source = PairingGroup("toy64", family="A")
-        p, q = source.random_point(rng), source.random_point(rng)
-        target = PairingGroup("toy64", family="A")
-        assert target.install_pairing_lines(source.export_pairing_lines([p])) == 1
-        assert target.pair(p, q).to_bytes() == source.pair(p, q).to_bytes()
-
-    def test_rejects_table_for_another_order(self, rng):
-        group = PairingGroup("toy64", family="A")
-        p, q = group.random_point(rng), group.random_point(rng)
-        expected = group.pair(p, q)
-        steps = group.tate.precompute_lines(p).steps
-        blob = self._blob(group, p, PrecomputedLines(steps[2:], group.q >> 1))
-        with pytest.raises(DecodingError):
-            group.install_pairing_lines(blob)
-        assert group.pair(p, q) == expected
-
-    def test_rejects_truncated_schedule(self, rng):
-        group = PairingGroup("toy64", family="A")
-        p = group.random_point(rng)
-        steps = group.tate.precompute_lines(p).steps
-        for bad in (steps[2:], steps + steps[-1:]):
-            blob = self._blob(group, p, PrecomputedLines(bad, group.q))
-            with pytest.raises(DecodingError):
-                group.install_pairing_lines(blob)
-        assert not group._pairing_precomp
-
-    def test_family_b_rejects_install(self, group_b, rng):
-        p = group_b.random_point(rng)
-        lines = PrecomputedLines((), group_b.q)
-        with pytest.raises(ParameterError):
-            group_b.install_pairing_lines(self._blob(group_b, p, lines))
