@@ -6,14 +6,16 @@ Three implementations of the narrow
 ``convert_coords``, the two Miller line kernels and ``unitary_exp``).
 Every backend takes the same two family-A Miller paths (the fused
 projective loop for one-shot arguments, record-then-evaluate for fixed
-ones); they differ only inside these calls:
+ones) and the same ``unitary_exp`` Lucas ladder for every final
+exponentiation and GT power; they differ only inside these calls:
 
 ``"python"``
     Plain big-int ``%`` kernels and extended-Euclid inversion.
     Portability/auditability baseline.
 ``"montgomery"``
     Montgomery-form Fp (R = 2^k residues, CIOS-style REDC in pure
-    python ints) with lazy-reduction Fp² kernels.  Pure python, no
+    python ints) for the two Miller line kernels, with lazy-reduction
+    Fp² products, and ``pow(x, -1, p)`` inversion.  Pure python, no
     dependencies.
 ``"gmpy2"``
     GMP-backed ``mpz`` arithmetic behind a soft import; raises

@@ -12,8 +12,9 @@ exactly the calls the runtime makes:
   kernels' representation, and
 * the three pairing hot-loop kernels over ``Fp2 = Fp[u]/(u^2 - beta)``
   — line-sequence evaluation, the shared-squaring multi-pairing
-  product, and unitary (cyclotomic) exponentiation — that dominate
-  every pairing's wall clock.
+  product, and unitary exponentiation (a Lucas ladder on the trace,
+  one implementation for every backend) — that dominate every
+  pairing's wall clock.
 
 Backends trade representation for speed *inside* kernels only.  At the
 object layer (``FieldElement``, ``QuadraticElement``, ``CurvePoint``)
@@ -188,58 +189,50 @@ class FieldBackend:
         return int(fa), int(fb)
 
     # ------------------------------------------------------------------
-    # Unitary (norm-1) exponentiation: wNAF + cyclotomic squaring.
+    # Unitary (norm-1) exponentiation: a Lucas ladder on the trace.
     # ------------------------------------------------------------------
 
-    def unitary_exp(self, a: int, b: int, exponent: int, beta: int,
-                    width: int = 4):
-        """``(a + bu) ** exponent`` for unitary ``a + bu``.
+    def unitary_exp(self, a: int, b: int, exponent: int, beta: int):
+        """``(a + bu) ** exponent`` for unitary ``z = a + bu``.
 
-        The integer transcription of the former object-level
-        ``repro.math.quadratic.unitary_exp`` ladder: width-``w`` NAF
-        digits, free negative digits via conjugation, and cyclotomic
-        squaring ``(2a^2 - 1, 2ab)``.  Same exact mod-``p`` arithmetic,
-        so the result is bit-identical to the object path.
+        The input must have norm ``a^2 - beta*b^2 == 1``; the result
+        is meaningless otherwise (every GT element and every
+        ``conj(f)/f`` in the final exponentiation qualifies).
+
+        For such ``z`` the traces ``V_n = z^n + z^-n = 2*Re(z^n)``
+        form a Lucas sequence with ``V_{2n} = V_n^2 - 2`` and
+        ``V_{2n+1} = V_n*V_{n+1} - V_1`` (Scott and Barreto,
+        "Compressed Pairings", CRYPTO 2004).  A Montgomery ladder keeps
+        ``(V_n, V_{n+1})`` — the half-traces ``Re(z^n)``,
+        ``Re(z^(n+1))`` doubled, which saves two doublings per bit —
+        for one ``Fp`` squaring and one ``Fp`` multiplication per
+        exponent bit, with no table.  Since ``Re(z^(n+1)) = a*Re(z^n)
+        + beta*b*Im(z^n)``, one inversion at the end recovers
+        ``Im(z^n) = (V_{n+1} - a*V_n) / (2*beta*b)``.
+
+        Negative exponents conjugate first; ``b == 0`` means ``z = ±1``,
+        whose powers are ``(a^e mod p, 0)``.  Exact mod-``p``
+        arithmetic, so every backend returns the same canonical ints.
         """
         p = self._p_lifted
-        beta = self.lift(beta)
         if exponent < 0:
             b = -b % p
             exponent = -exponent
         if exponent == 0:
             return 1, 0
         a, b = self.lift(a), self.lift(b)
-        odd_powers = [(a, b)]
-        if width > 2:
-            sq_a, sq_b = (2 * a * a - 1) % p, 2 * a * b % p
-            for _ in range((1 << (width - 2)) - 1):
-                pa, pb = odd_powers[-1]
-                ac = pa * sq_a
-                bd = pb * sq_b
-                odd_powers.append((
-                    (ac + beta * bd) % p,
-                    ((pa + pb) * (sq_a + sq_b) - ac - bd) % p,
-                ))
-        ra = rb = None
-        for digit in reversed(wnaf_digits(exponent, width)):
-            if ra is not None:
-                ra, rb = (2 * ra * ra - 1) % p, 2 * ra * rb % p
-            if digit:
-                ea, eb = odd_powers[abs(digit) >> 1]
-                if digit < 0:
-                    eb = -eb % p
-                if ra is None:
-                    ra, rb = ea, eb
-                else:
-                    ac = ra * ea
-                    bd = rb * eb
-                    ra, rb = (
-                        (ac + beta * bd) % p,
-                        ((ra + rb) * (ea + eb) - ac - bd) % p,
-                    )
-        if ra is None:  # pragma: no cover - exponent != 0 above
-            return 1, 0
-        return int(ra), int(rb)
+        if not b:
+            return int(pow(a, exponent, p)), 0
+        trace = 2 * a % p
+        v0, v1 = trace, (trace * trace - 2) % p
+        for bit in bin(exponent)[3:]:
+            if bit == "1":
+                v0, v1 = (v0 * v1 - trace) % p, (v1 * v1 - 2) % p
+            else:
+                v0, v1 = (v0 * v0 - 2) % p, (v0 * v1 - trace) % p
+        beta_b = beta * b % p
+        inv = self.lift(self.fp_inv(int(2 * beta_b % p)))
+        return int(v0 * beta_b * inv % p), int((v1 - a * v0) * inv % p)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(p~2^{self.p.bit_length()})"
@@ -251,9 +244,9 @@ def wnaf_digits(scalar: int, width: int) -> list[int]:
     Digits are zero or odd with ``|d| < 2^(w-1)``, and any two non-zero
     digits are at least ``w`` positions apart, so a left-to-right
     evaluation performs roughly ``bits/(w+1)`` additions (or GT
-    multiplications).  Shared by :meth:`FieldBackend.unitary_exp` and
-    the curve kernels in :mod:`repro.ec.jacobian`; it lives here so the
-    backend layer has no import edge back into the object layer.
+    multiplications).  Used by the curve kernels in
+    :mod:`repro.ec.jacobian`; it lives here so the backend layer has no
+    import edge back into the object layer.
     """
     if scalar < 0:
         raise ParameterError("wNAF expects a non-negative scalar")

@@ -30,8 +30,10 @@ class QuadraticField:
 
     The field-arithmetic backend is inherited from the base field, so a
     :class:`~repro.pairing.api.PairingGroup` constructed with
-    ``backend="montgomery"`` routes its ``Fp2`` inversions and unitary
+    ``backend="gmpy2"`` routes its ``Fp2`` inversions and unitary
     exponentiations through the same provider as its ``Fp`` layer.
+    Unitary exponentiation is one Lucas ladder on every backend; only
+    the integer type and ``fp_inv`` differ.
     """
 
     __slots__ = ("base", "p", "beta", "element_bytes", "backend")
@@ -260,15 +262,17 @@ class QuadraticElement:
 #
 # The order-q target group GT of the reduced Tate pairing lives in the
 # norm-1 ("cyclotomic") subgroup of Fp2*: the final exponentiation's
-# ^(p-1) step maps every Miller value there.  Two structural freebies
-# follow, and the GT hot path (one exponentiation per encryption once
-# the pairing is cached) is built on both:
+# ^(p-1) step maps every Miller value there.  Three structural freebies
+# follow, and the GT paths are built on them:
 #
-# * the inverse is the conjugate, so signed-digit exponent recodings
-#   cost nothing extra for their negative digits;
+# * the inverse is the conjugate, so negative exponents cost nothing;
 # * squaring needs only 2 base-field multiplications instead of the
 #   generic 3: with a^2 - beta*b^2 == 1 the real part of
-#   (a + bu)^2 = (a^2 + beta*b^2) + 2ab*u collapses to 2a^2 - 1.
+#   (a + bu)^2 = (a^2 + beta*b^2) + 2ab*u collapses to 2a^2 - 1
+#   (GTFixedBaseTable builds its rows with it);
+# * the real parts of the powers alone obey a Lucas recurrence, so
+#   unitary_exp ladders over them and recovers the imaginary part
+#   with one inversion at the end.
 # ----------------------------------------------------------------------
 
 
@@ -287,30 +291,21 @@ def cyclotomic_square(x: QuadraticElement) -> QuadraticElement:
     )
 
 
-def unitary_exp(
-    base: QuadraticElement, exponent: int, width: int = 4
-) -> QuadraticElement:
-    """``base ** exponent`` for unitary ``base``, wNAF + cyclotomic squaring.
+def unitary_exp(base: QuadraticElement, exponent: int) -> QuadraticElement:
+    """``base ** exponent`` for unitary ``base`` (norm 1).
 
-    The signed-digit (width-``w`` NAF) recoding halves the window table
-    (odd positive digits only — negative digits conjugate for free) and
-    the ~``bits`` loop squarings each cost 2 base-field multiplications
-    instead of 3.  Negative exponents conjugate the base first.
-
-    The ladder itself runs in the field's arithmetic backend
-    (:meth:`repro.math.backend.base.FieldBackend.unitary_exp`) on raw
-    coefficients: the python backend executes the identical integer
-    steps this function used to perform on ``QuadraticElement`` objects,
-    the Montgomery backend runs the same ladder in its ``R = 2^k``
-    domain, and both return exactly the element the naive
-    square-and-multiply would.
+    Runs the field backend's Lucas ladder on the trace
+    (:meth:`repro.math.backend.base.FieldBackend.unitary_exp`): one
+    ``Fp`` squaring and one ``Fp`` multiplication per exponent bit, and
+    one ``Fp`` inversion at the end.  Every backend runs the same code
+    and returns exactly the element the naive square-and-multiply
+    would.  Negative exponents conjugate the base first.  A base whose
+    norm is not one gives a meaningless result: callers check
+    unitarity first (:meth:`repro.pairing.api.PairingGroup.ensure_in_gt`)
+    or hold a value that is unitary by construction.
     """
-    if width < 2 or width > 8:
-        raise ParameterError("wNAF width must be in 2..8")
     field = base.field
-    a, b = field.backend.unitary_exp(
-        base.a, base.b, exponent, field.beta, width
-    )
+    a, b = field.backend.unitary_exp(base.a, base.b, exponent, field.beta)
     return QuadraticElement(field, a, b)
 
 

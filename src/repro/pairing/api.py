@@ -486,8 +486,9 @@ class PairingGroup:
         cached by :meth:`precompute_gt` the exponentiation is
         table-driven — one ``Fp2`` multiplication per window, zero
         squarings — and the advisory ``gt_fixed_base`` counter records
-        the hit.  Without a table it runs the wNAF/cyclotomic-squaring
-        ladder.  The result is the same group element either way.
+        the hit.  Without a table it runs the Lucas ladder of
+        :func:`~repro.math.quadratic.unitary_exp`.  The result is the
+        same group element either way.
         """
         if not isinstance(gt, GTElement) or gt.group is not self:
             raise GroupMismatchError("gt_exp expects a GT element of this group")

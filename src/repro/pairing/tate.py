@@ -12,7 +12,8 @@ The final exponentiation factors as ``(p - 1) * c`` since
   Frobenius on ``Fp2`` is conjugation;
 * the remaining ``^c`` runs on an element that is now *unitary*
   (norm 1), so its inverse is its conjugate and
-  :func:`~repro.math.quadratic.unitary_exp` applies.
+  :func:`~repro.math.quadratic.unitary_exp` — a Lucas ladder on the
+  trace — applies.
 
 Because ``p - 1`` divides the exponent, every ``Fp*`` factor of a
 Miller value maps to 1.  That is what lets family A drop vertical lines

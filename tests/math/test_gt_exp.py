@@ -3,9 +3,10 @@
 ``cyclotomic_square``, ``unitary_exp`` and ``GTFixedBaseTable`` are pure
 accelerators for norm-1 elements of Fp2 — the GT representation the Tate
 pairing's final exponentiation produces.  Every fast path must return
-the exact field element the generic ``**`` computes, for both beta
-choices (mirroring curve families A and B), all widths, and negative,
-zero and oversized exponents.
+the exact field element the generic ``**`` computes, on every available
+backend, for both beta choices (mirroring curve families A and B), and
+for negative, zero and oversized exponents.  ``unitary_exp`` is also
+checked against the wNAF oracle in ``tests/math/reference.py``.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParameterError
+from repro.math.backend import available_backends
 from repro.math.field import PrimeField
 from repro.math.quadratic import (
     GTFixedBaseTable,
@@ -21,22 +23,21 @@ from repro.math.quadratic import (
     cyclotomic_square,
     unitary_exp,
 )
+from tests.math.reference import unitary_exp_wnaf
 
 # Two field shapes: beta = -1 (family A's extension) and a small odd
 # non-residue (the general shape family B can use).
 P_A = (1 << 61) - 1  # Mersenne prime, ≡ 3 mod 4 so -1 is a non-residue
 P_B = 2**62 + 135    # prime; _field picks the first odd non-residue >= 3
+SHAPES = {"beta_neg1_shape": (P_A, P_A - 1), "beta_odd_shape": (P_B, 3)}
 
 
-def _field(p: int, beta_hint: int) -> QuadraticField:
-    base = PrimeField(p)
+def _field(p: int, beta_hint: int, backend: str = "python") -> QuadraticField:
+    base = PrimeField(p, backend=backend)
     beta = beta_hint % p
     while pow(beta, (p - 1) // 2, p) == 1:
         beta += 1
     return QuadraticField(base, beta)
-
-
-FIELDS = [_field(P_A, P_A - 1), _field(P_B, 3)]
 
 
 def _unitary(field: QuadraticField, rng: random.Random):
@@ -47,9 +48,21 @@ def _unitary(field: QuadraticField, rng: random.Random):
             return x.conjugate() * x.inverse()
 
 
-@pytest.fixture(params=[0, 1], ids=["beta_neg1_shape", "beta_odd_shape"])
+# The python backend keeps the bare shape id; every other available
+# backend runs the same tests under ``<shape>-<backend>``.
+@pytest.fixture(
+    params=[
+        (shape, backend)
+        for backend in available_backends()
+        for shape in SHAPES
+    ],
+    ids=lambda param: (
+        param[0] if param[1] == "python" else f"{param[0]}-{param[1]}"
+    ),
+)
 def field(request):
-    return FIELDS[request.param]
+    shape, backend = request.param
+    return _field(*SHAPES[shape], backend=backend)
 
 
 @pytest.fixture()
@@ -84,23 +97,29 @@ class TestUnitaryExp:
 
     @pytest.mark.parametrize("width", [2, 3, 4, 5, 6])
     def test_all_widths_agree(self, g, width):
+        """The ladder equals the wNAF oracle at every window width."""
         k = 0xDEADBEEFCAFEBABE
-        assert unitary_exp(g, k, width=width) == g ** k
+        field = g.field
+        expected = unitary_exp_wnaf(g.a, g.b, k, field.beta, field.p, width)
+        assert unitary_exp(g, k) == field(*expected) == g ** k
 
-    def test_width_bounds(self, g):
-        with pytest.raises(ParameterError):
-            unitary_exp(g, 5, width=1)
-        with pytest.raises(ParameterError):
-            unitary_exp(g, 5, width=9)
+    @pytest.mark.parametrize("value", [1, -1])
+    def test_real_units(self, field, value):
+        """``b == 0``: the unitary elements are ``±1``."""
+        unit = field(value)
+        for exponent in (0, 1, 2, 3, -1, -(2**130 + 5), 2**64 + 1):
+            assert unitary_exp(unit, exponent) == field(value ** (exponent % 2))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=-(2**128), max_value=2**128))
     def test_matches_pow_for_random_exponents(self, exponent):
-        g = _unitary(FIELDS[0], random.Random(99))
-        expected = (
-            (g ** -exponent).conjugate() if exponent < 0 else g ** exponent
-        )
-        assert unitary_exp(g, exponent) == expected
+        for backend in available_backends():
+            field = _field(*SHAPES["beta_neg1_shape"], backend=backend)
+            g = _unitary(field, random.Random(99))
+            expected = (
+                (g ** -exponent).conjugate() if exponent < 0 else g ** exponent
+            )
+            assert unitary_exp(g, exponent) == expected
 
 
 class TestGTFixedBaseTable:
