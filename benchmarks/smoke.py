@@ -101,7 +101,7 @@ def bench_pairing(group, rng, trajectory, rounds):
 
 
 def bench_gt_exp(group, rng, trajectory, rounds):
-    """Windowed GT fixed-base table vs plain wNAF exponentiation.
+    """Windowed GT fixed-base table vs the plain unitary-exp ladder.
 
     The direct path clears the group's precomputations first, so
     ``gt ** k`` runs the generic unitary exponentiation; the fast path
@@ -358,9 +358,11 @@ def bench_backend_pairing(group, rng, trajectory, rounds):
     derived ``speedup_vs_direct`` rows compare backends (e.g.
     ``pairing_backend:ss512:montgomery``).  A cold pairing records no
     lines: every backend runs the same fused projective Miller loop on
-    ``%`` reductions, so the rows differ only in the final
-    exponentiation's unitary-exponentiation kernel (REDC against ``%``
-    for Montgomery).  Each timed call clears the caches first, so no
+    ``%`` reductions and the same Lucas ladder for the final
+    exponentiation, so the rows differ only in ``fp_inv`` (extended
+    Euclid for ``python``, ``pow(x, -1, p)`` for Montgomery) — two
+    calls per pairing, one in the ``conj(f)/f`` step and one at the end
+    of the ladder.  Each timed call clears the caches first, so no
     cached lines leak in, and the rounds alternate between backends.
     Byte-identity across backends is asserted on the way.
     """

@@ -82,8 +82,9 @@ if [ "$backends" -eq 1 ]; then
          print('available backends:', ', '.join(available_backends())); \
          print('auto resolves to:', resolve_backend_name('auto'))"
     PYTHONPATH=src python -m pytest -q \
-        tests/math/test_backends.py tests/core/test_cross_backend.py \
-        tests/core/test_broadcast.py \
+        tests/math/test_backends.py tests/math/test_gt_exp.py \
+        tests/core/test_cross_backend.py tests/core/test_broadcast.py \
+        tests/core/test_keys.py tests/core/test_batch_decrypt.py \
         tests/vectors tests/pairing tests/ec/test_jacobian.py \
         || failures=$((failures + 1))
 fi
