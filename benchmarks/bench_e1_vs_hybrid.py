@@ -125,10 +125,13 @@ def test_e1_claim_table(benchmark, bench_group, tre, hybrid, bench_server,
     hyb_points = 2
 
     def fmt(ops):
+        hashes = f"{ops.get('hash_to_group', 0)}H"
+        if ops.get("hash_to_curve"):
+            hashes += f" {ops['hash_to_curve']}h"
         return (
             f"{ops.get('pairing', 0)}P "
             f"{ops.get('scalar_mult', 0)}M "
-            f"{ops.get('hash_to_group', 0)}H "
+            f"{hashes} "
             f"{ops.get('gt_exp', 0)}E"
         )
 
@@ -142,7 +145,8 @@ def test_e1_claim_table(benchmark, bench_group, tre, hybrid, bench_server,
         rows,
         title="E1: TRE vs hybrid PKE+IBE (32-byte payload, ss512) — "
               "claim: ~50% reduction (ops: P=pairing M=scalar-mult "
-              "H=hash-to-G1 E=GT-exp)",
+              "H=hash-to-G1 h=H1 map point without its cofactor "
+              "E=GT-exp)",
     ))
 
     # The headline claim, asserted: half the group elements, and at

@@ -158,13 +158,14 @@ def test_e4_gt_fast_path_op_counts(benchmark):
             ops.get("pairing", 0),
             ops.get("scalar_mult", 0),
             ops.get("hash_to_group", 0),
+            ops.get("hash_to_curve", 0),
             ops.get("gt_exp", 0),
             ops.get("gt_fixed_base", 0),
             f"{budget.dominant_cost():.1f}",
         ))
     emit(format_table(
-        ("encrypt path", "pairings", "scalar mults", "H1", "GT exps",
-         "GT table hits", "dominant cost*"),
+        ("encrypt path", "pairings", "scalar mults", "H1", "H1 map only",
+         "GT exps", "GT table hits", "dominant cost*"),
         rows,
         title="E4c: sender GT fast path — encryption collapses from a "
               "pairing to one table-driven GT exponentiation "

@@ -140,6 +140,9 @@ def bench_encrypt(group, rng, trajectory, rounds, batch):
     variant clears every cache inside the timed function; the warm
     variant runs after ``precompute_sender(..., time_labels=[T])`` and
     produces byte-identical ciphertexts (asserted with a replayed rng).
+    The rounds alternate between the two variants, re-warming the
+    caches untimed before each warm round, so drift in the host's speed
+    lands on both alike.
     """
     scheme = TimedReleaseScheme(group)
     server = PassiveTimeServer(group, rng=rng)
@@ -158,19 +161,36 @@ def bench_encrypt(group, rng, trajectory, rounds, batch):
         scheme.clear_sender_cache()
         encrypt_n(n)
 
-    ratios = {}
-    for n in (1, batch):
-        op = f"encrypt_x{n}"
-        d = trajectory.measure(
-            group, op, "direct", lambda: cold_n(n), rounds, batch=n
-        )
+    def warm():
         scheme.precompute_sender(
             user.public, server.public_key, time_labels=[RELEASE]
         )
-        f = trajectory.measure(
-            group, op, "gt_table", lambda: encrypt_n(n), rounds, batch=n
-        )
-        ratios[n] = d / f
+
+    ratios = {}
+    for n in (1, batch):
+        op = f"encrypt_x{n}"
+        with group.counters.measure() as cold_counts:
+            cold_n(n)
+        warm()
+        with group.counters.measure() as warm_counts:
+            encrypt_n(n)
+        samples = {"direct": [], "gt_table": []}
+        for _ in range(rounds):
+            samples["direct"].append(time_median(lambda: cold_n(n), rounds=1))
+            warm()
+            samples["gt_table"].append(
+                time_median(lambda: encrypt_n(n), rounds=1)
+            )
+        medians = {}
+        for variant, counts in (
+            ("direct", cold_counts), ("gt_table", warm_counts)
+        ):
+            medians[variant] = statistics.median(samples[variant])
+            trajectory.record(
+                op, group.params.name, variant, medians[variant], rounds,
+                op_counts=counts, backend=group.backend_name, batch=n,
+            )
+        ratios[n] = medians["direct"] / medians["gt_table"]
     # Byte-identity spot check: same seeded rng, cold vs warm.
     check = seeded_rng("smoke:encrypt-identity")
     warm_ct = scheme.encrypt(
@@ -359,10 +379,9 @@ def bench_backend_pairing(group, rng, trajectory, rounds):
     ``pairing_backend:ss512:montgomery``).  A cold pairing records no
     lines: every backend runs the same fused projective Miller loop on
     ``%`` reductions and the same Lucas ladder for the final
-    exponentiation, so the rows differ only in ``fp_inv`` (extended
-    Euclid for ``python``, ``pow(x, -1, p)`` for Montgomery) — two
-    calls per pairing, one in the ``conj(f)/f`` step and one at the end
-    of the ladder.  Each timed call clears the caches first, so no
+    exponentiation, and both invert with the base class's
+    ``pow(x, -1, p)``, so their cold pairings run the same code: the
+    two rows measure the host's noise, not a backend.  Each timed call clears the caches first, so no
     cached lines leak in, and the rounds alternate between backends.
     Byte-identity across backends is asserted on the way.
     """

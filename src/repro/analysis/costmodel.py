@@ -10,16 +10,29 @@ Counts exclude the optional receiver-key well-formedness check
 (2 pairings, amortizable across messages) and update
 self-authentication (2 pairings, once per broadcast, not per message);
 both are listed separately.
+
+``H1(T) = c·P′`` is counted two ways.  ``hash_to_group`` is the full
+hash, cofactor multiplication included; ``hash_to_curve`` is the map
+point ``P′`` alone, which is all a party that only *pairs* with
+``H1(T)`` computes: it moves the cofactor onto its fixed G1 argument,
+``ê(X, c·P′) = ê((c mod q)·X, P′)`` (docs/PERFORMANCE.md, "H1 without
+its cofactor").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 # Recording one argument's Miller lines, in one-shot (fused) Miller
 # loops: measured on ss512, see "Cold pairings" in docs/PERFORMANCE.md.
 LINE_RECORDING_MILLER_LOOPS = 1.3
+
+# H1's map point without the cofactor multiplication, as a share of
+# the full hash (the hash is charged one scalar-mult equivalent).  The
+# 352-bit cofactor multiplication is about three quarters of
+# hash_to_g1 on ss512 (docs/PERFORMANCE.md, "H1 without its cofactor").
+MAP_TO_CURVE_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -35,6 +48,9 @@ class OpBudget:
     pairings: int = 0
     scalar_mults: int = 0
     hash_to_group: int = 0
+    # H1's map point only, no cofactor multiplication (mirrors
+    # HASH_TO_CURVE in repro.pairing.opcount).
+    hash_to_curve: int = 0
     gt_exps: int = 0
     point_adds: int = 0
     fixed_base_mults: int = 0
@@ -57,11 +73,19 @@ class OpBudget:
     # (the record-vs-fuse table in docs/PERFORMANCE.md).
     line_recordings: int = 0
 
+    def __add__(self, other: "OpBudget") -> "OpBudget":
+        """Two steps run one after the other: every count adds up."""
+        return OpBudget(**{
+            item.name: getattr(self, item.name) + getattr(other, item.name)
+            for item in fields(self)
+        })
+
     def as_dict(self) -> dict[str, int]:
         mapping = {
             "pairing": self.pairings,
             "scalar_mult": self.scalar_mults,
             "hash_to_group": self.hash_to_group,
+            "hash_to_curve": self.hash_to_curve,
             "gt_exp": self.gt_exps,
             "point_add": self.point_adds,
             "fixed_base_mult": self.fixed_base_mults,
@@ -91,7 +115,9 @@ class OpBudget:
         ``final_exp_weight``.  A table-driven GT exponentiation
         (``gt_fixed_base_exps``, a subset of ``gt_exps``) drops all
         squarings the same way a fixed-base multiplication does, and
-        earns the same discount.  A line recording costs
+        earns the same discount.  A map point without its cofactor
+        (``hash_to_curve``) costs :data:`MAP_TO_CURVE_SHARE` of a full
+        ``hash_to_group``.  A line recording costs
         :data:`LINE_RECORDING_MILLER_LOOPS` one-shot Miller loops, a
         Miller loop being a pairing without its final exponentiation.
         The discounted weights reflect the measured ratios in
@@ -112,6 +138,7 @@ class OpBudget:
             + direct_mults
             + self.fixed_base_mults * fixed_base_weight
             + self.hash_to_group
+            + self.hash_to_curve * MAP_TO_CURVE_SHARE
             + direct_gt_exps
             + self.gt_fixed_base_exps * gt_fixed_base_weight
             + 0.01 * self.point_adds
@@ -130,12 +157,14 @@ class SchemeCost:
     extras: dict = field(default_factory=dict)
 
 
-# The §5.1 scheme: Encrypt = H1(T), r·G, r·asG, one pairing;
-# Decrypt = one pairing then ^a.
+# The §5.1 scheme: Encrypt = r·G and K = ê(r·asG, H1(T)), computed as
+# ê((c·r mod q)·asG, P′) from H1's map point P′ alone: one map point,
+# two scalar multiplications, one pairing.  Decrypt = one pairing
+# then ^a.
 TRE_COST = SchemeCost(
     name="TRE",
     encrypt=OpBudget(
-        pairings=1, scalar_mults=2, hash_to_group=1,
+        pairings=1, scalar_mults=2, hash_to_curve=1,
         miller_loops=1, final_exps=1,
     ),
     decrypt=OpBudget(pairings=1, gt_exps=1, miller_loops=1, final_exps=1),
@@ -206,10 +235,15 @@ def resilient_cost(depth: int) -> SchemeCost:
 ALL_FIXED_COSTS = (TRE_COST, IDTRE_COST, HYBRID_COST)
 
 # Every pairing-product *verification* is one multi-pairing ratio check:
-# two (or more) Miller loops, a single shared final exponentiation.
+# two (or more) Miller loops, a single shared final exponentiation.  The
+# update check ê(sG, H1(T)) == ê(G, I_T) runs as ê(D, P′) == ê(G, I_T)
+# with D = (c mod q)·sG, so it hashes only to H1's map point P′.
 UPDATE_VERIFY_COST = OpBudget(
-    pairings=2, hash_to_group=1, miller_loops=2, final_exps=1, multi_pairs=1
+    pairings=2, hash_to_curve=1, miller_loops=2, final_exps=1, multi_pairs=1
 )
+# Once per ServerPublicKey object, on its first update check (or in
+# ServerPublicKey.precompute): deriving D = (c mod q)·sG.
+UPDATE_KEY_DERIVATION_COST = OpBudget(scalar_mults=1)
 RECEIVER_KEY_CHECK_COST = OpBudget(
     pairings=2, miller_loops=2, final_exps=1, multi_pairs=1
 )
@@ -221,9 +255,9 @@ RECEIVER_KEY_CHECK_COST = OpBudget(
 # ----------------------------------------------------------------------
 
 # §5.1 Encrypt after TimedReleaseScheme.precompute_sender: both scalar
-# multiplications (rG, r·asG) come from fixed-base tables.
+# multiplications (rG, (c·r mod q)·asG) come from fixed-base tables.
 TRE_PRECOMP_ENCRYPT_COST = OpBudget(
-    pairings=1, scalar_mults=2, hash_to_group=1, fixed_base_mults=2,
+    pairings=1, scalar_mults=2, hash_to_curve=1, fixed_base_mults=2,
     miller_loops=1, final_exps=1,
 )
 
@@ -234,7 +268,7 @@ TRE_PRECOMP_ENCRYPT_COST = OpBudget(
 # hash-to-curve and the r·asG multiplication all vanish, leaving one
 # fixed-base U = rG and one table-driven GT exponentiation g^r.  This
 # is the encryption collapse the E4c table demonstrates
-# (dominant cost: 13 -> ~0.8 scalar-mult equivalents).
+# (dominant cost: 12.25 -> ~0.8 scalar-mult equivalents).
 TRE_GT_ENCRYPT_COST = OpBudget(
     scalar_mults=1, fixed_base_mults=1, gt_exps=1, gt_fixed_base_exps=1,
 )
@@ -246,7 +280,8 @@ def broadcast_encrypt_cost(recipients: int, warm: bool = True) -> OpBudget:
     Warm (GT caches built by ``BroadcastTimedReleaseScheme.
     precompute_sender``): one shared fixed-base ``U = rG`` plus one
     table-driven GT exponentiation per recipient — no pairings at all.
-    Cold, one recipient: ``H1(T)``, ``rG``, ``r·asG`` and one pairing.
+    Cold, one recipient: :data:`TRE_COST` — ``H1(T)``'s map point,
+    ``rG``, ``(c·r mod q)·asG`` and one pairing.
     Cold, two or more: one ``H1(T)``, two scalar multiplications
     (``rG`` and ``r·H1(T)``), one shared recording of the Miller lines
     of ``r·H1(T)`` and one precomputed pairing per recipient.
@@ -266,10 +301,11 @@ def broadcast_encrypt_cost(recipients: int, warm: bool = True) -> OpBudget:
         miller_loops=recipients, final_exps=recipients,
     )
 
-# Update self-authentication against a precomputed (G, sG): both
-# pairings evaluate cached Miller lines inside one multi-pairing.
+# Update self-authentication against a precomputed (G, D): both
+# pairings evaluate cached Miller lines inside one multi-pairing.  D was
+# derived when the lines were recorded, so no scalar multiplication.
 PRECOMP_UPDATE_VERIFY_COST = OpBudget(
-    pairings=2, hash_to_group=1, precomputed_pairings=2,
+    pairings=2, hash_to_curve=1, precomputed_pairings=2,
     miller_loops=2, final_exps=1, multi_pairs=1,
 )
 
@@ -333,19 +369,29 @@ def cost_table() -> str:
     """Render the fixed budgets as an aligned table (for docs/benches)."""
     from repro.analysis.table import format_table
 
+    def ops(budget: OpBudget) -> str:
+        hashes = f"{budget.hash_to_group}H"
+        if budget.hash_to_curve:
+            hashes += f" {budget.hash_to_curve}h"
+        return (
+            f"{budget.pairings}P {budget.scalar_mults}M {hashes} "
+            f"{budget.gt_exps}E"
+        )
+
     rows = []
     for cost in ALL_FIXED_COSTS + (multiserver_cost(3), resilient_cost(8)):
         rows.append((
             cost.name,
-            f"{cost.encrypt.pairings}P {cost.encrypt.scalar_mults}M "
-            f"{cost.encrypt.hash_to_group}H {cost.encrypt.gt_exps}E",
-            f"{cost.decrypt.pairings}P {cost.decrypt.scalar_mults}M "
-            f"{cost.decrypt.hash_to_group}H {cost.decrypt.gt_exps}E",
+            ops(cost.encrypt),
+            ops(cost.decrypt),
             f"{cost.encrypt.dominant_cost():.0f}",
             f"{cost.decrypt.dominant_cost():.0f}",
         ))
     return format_table(
         ("scheme", "encrypt", "decrypt", "enc cost*", "dec cost*"),
         rows,
-        title="Symbolic op budgets (*scalar-mult equivalents, pairing=10)",
+        title=(
+            "Symbolic op budgets (*scalar-mult equivalents, pairing=10; "
+            "h = H1 map point without its cofactor)"
+        ),
     )

@@ -13,13 +13,16 @@ module implements the signature scheme standalone so that:
 Signing is one hash-to-group plus one scalar multiplication; verifying
 is the pairing-ratio check ``ê(sG, H1(m)) == ê(G, σ)``, evaluated as a
 single multi-pairing (two Miller loops, ONE final exponentiation) via
-:meth:`repro.pairing.api.PairingGroup.pair_ratio_is_one`.
+:meth:`repro.pairing.api.PairingGroup.pair_ratio_is_one`.  The verifier
+never clears ``H1(m)``'s cofactor: it pairs the uncleared map point
+against ``(c mod q)·sG`` instead (see :meth:`BLSSignatureScheme.verify`).
 """
 
 from __future__ import annotations
 
 from repro.core.keys import ServerKeyPair, ServerPublicKey
 from repro.ec.point import CurvePoint
+from repro.errors import ParameterError
 from repro.pairing.api import PairingGroup
 
 H1_TAG = "repro:H1"
@@ -41,16 +44,17 @@ class BLSSignatureScheme:
         return self.group.mul(self.hash_message(message), keypair.private)
 
     def precompute_public(self, public: ServerPublicKey) -> None:
-        """Cache Miller lines for ``(G, sG)`` so verification reuses them.
+        """Cache Miller lines for ``(G, D)`` so verification reuses them.
 
-        Both pairings in :meth:`verify` have a fixed first argument
-        under a fixed public key; after this call every ``verify`` /
-        ``batch_verify`` against ``public`` evaluates cached lines
-        instead of re-running the full Miller loop.  A receiver catching
-        up on an archive of time-bound key updates pays the two
-        precomputations once for the whole backlog.
+        ``D = (c mod q)·sG`` and ``G`` are the two fixed first
+        arguments of :meth:`verify` under a fixed public key; after
+        this call every ``verify`` against ``public`` evaluates cached
+        lines instead of re-running the full Miller loop.  A receiver
+        catching up on an archive of time-bound key updates pays the
+        two precomputations, and the one derivation of ``D``, once for
+        the whole backlog.
         """
-        self.group.precompute_pairing(public.s_generator)
+        self.group.precompute_pairing(public.cofactor_s_generator(self.group))
         self.group.precompute_pairing(public.generator)
 
     def verify(
@@ -58,16 +62,44 @@ class BLSSignatureScheme:
     ) -> bool:
         """Check ``ê(sG, H1(m)) == ê(G, σ)``.
 
-        Also rejects signatures outside the prime-order subgroup, which
-        guards against small-subgroup confusion on deserialized points.
-        The two pairings run as one multi-pairing ratio check: a single
-        combined Miller loop (reusing cached lines for ``sG``/``G`` when
-        :meth:`precompute_public` has run) and ONE final exponentiation
-        instead of two.
+        Rejects the point at infinity and signatures outside the
+        prime-order subgroup first, which guards against small-subgroup
+        confusion on deserialized points.
+
+        The pairing step never computes ``H1(m) = c·P′₀``.  The reduced
+        Tate pairing is linear in its second argument over all of
+        ``E(Fp²)``, so with ``D = (c mod q)·sG``
+        (:meth:`~repro.core.keys.ServerPublicKey.cofactor_s_generator`,
+        derived once per key object) it checks
+        ``ê(D, P′₀) == ê(G, σ)`` against the uncleared map point
+        ``P′₀``, as one multi-pairing ratio: a single combined Miller
+        loop (reusing cached lines for ``D``/``G`` when
+        :meth:`precompute_public` has run) and ONE final
+        exponentiation.
+
+        The verdict is exact.  The two equations differ only when
+        ``c·P′₀ = O`` and ``H1`` moves on to counter 1 (probability
+        about ``1/q``); then ``ê(D, P′₀) = 1``, which no ``σ ≠ O`` in
+        G1 matches, so an accept is always right.  A reject clears
+        ``P′₀``'s cofactor and, only if that gives ``O``, reruns the
+        check against ``H1(m)`` itself: a reject costs what every check
+        cost before, and an accept saves the cofactor multiplication.
         """
         if signature.is_infinity or not self.group.in_group(signature):
             return False
-        return self.group.pair_ratio_is_one(
+        group = self.group
+        uncleared = group._map_to_curve(message, tag=self.hash_tag)
+        try:
+            if group.pair_ratio_is_one(
+                ((public.cofactor_s_generator(group), uncleared),),
+                ((public.generator, signature),),
+            ):
+                return True
+            degenerate = group.ssc.clear_cofactor(uncleared).is_infinity
+        except ParameterError:
+            # A zero Miller value: P′₀ itself is degenerate.
+            degenerate = True
+        return degenerate and group.pair_ratio_is_one(
             ((public.s_generator, self.hash_message(message)),),
             ((public.generator, signature),),
         )

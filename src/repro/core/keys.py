@@ -16,7 +16,7 @@ otherwise let the receiver decrypt without the update.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.kdf import derive_key
 from repro.crypto.redact import redacted_repr
@@ -32,22 +32,46 @@ class ServerPublicKey:
 
     generator: CurvePoint
     s_generator: CurvePoint
+    # (c mod q)·sG, derived on first use by cofactor_s_generator.  A
+    # pure function of sG: outside equality, hash, repr and the wire.
+    _cofactor_s_generator: CurvePoint | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def cofactor_s_generator(self, group: PairingGroup) -> CurvePoint:
+        """``D = (c mod q)·sG``, the update check's fixed G1 argument.
+
+        ``ê(sG, H1(T)) = ê(D, P′₀)`` for the uncleared map point
+        ``P′₀`` of ``H1(T)`` (see
+        :meth:`~repro.core.bls.BLSSignatureScheme.verify`).  Derived
+        once per key object, with one scalar multiplication.
+        """
+        if self._cofactor_s_generator is None:
+            # Frozen dataclass: the cache slot is set past __setattr__.
+            object.__setattr__(
+                self,
+                "_cofactor_s_generator",
+                group.mul(self.s_generator, group.h1_cofactor),
+            )
+        return self._cofactor_s_generator
 
     def precompute(self, group: PairingGroup) -> None:
         """Warm every fixed-argument cache this key participates in.
 
         Builds fixed-base tables for ``G`` and ``sG`` (user key
-        generation, TRE/ID-TRE encryption) and caches their Miller
-        lines (update self-authentication, receiver-key checks).  A
-        process that touches one server key many times calls this once.
-        Receiver-key checks do not need it: from their second use they
-        record the same lines themselves
+        generation, TRE/ID-TRE encryption) and caches the Miller lines
+        of ``G`` and ``sG`` (receiver-key checks) and of
+        ``D = (c mod q)·sG`` (update self-authentication, with ``G``).
+        A process that touches one server key many times calls this
+        once.  Receiver-key checks do not need it: from their second
+        use they record the lines of ``G`` and ``sG`` themselves
         (:meth:`UserPublicKey.verify_well_formed`).
         """
         group.precompute(self.generator)
         group.precompute(self.s_generator)
         group.precompute_pairing(self.generator)
         group.precompute_pairing(self.s_generator)
+        group.precompute_pairing(self.cofactor_s_generator(group))
 
     def to_bytes(self, group: PairingGroup) -> bytes:
         return pack_chunks(

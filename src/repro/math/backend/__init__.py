@@ -10,13 +10,13 @@ ones) and the same ``unitary_exp`` Lucas ladder for every final
 exponentiation and GT power; they differ only inside these calls:
 
 ``"python"``
-    Plain big-int ``%`` kernels and extended-Euclid inversion.
+    Plain big-int ``%`` kernels and ``pow(x, -1, p)`` inversion.
     Portability/auditability baseline.
 ``"montgomery"``
     Montgomery-form Fp (R = 2^k residues, CIOS-style REDC in pure
     python ints) for the two Miller line kernels, with lazy-reduction
-    Fp² products, and ``pow(x, -1, p)`` inversion.  Pure python, no
-    dependencies.
+    Fp² products; the same ``pow(x, -1, p)`` inversion.  Pure python,
+    no dependencies.
 ``"gmpy2"``
     GMP-backed ``mpz`` arithmetic behind a soft import; raises
     :class:`~repro.errors.BackendUnavailableError` when requested

@@ -91,24 +91,6 @@ class MontgomeryBackend(FieldBackend):
         return self.redc(x)
 
     # ------------------------------------------------------------------
-    # Fp scalar operations (canonical in, canonical out; the Montgomery
-    # domain never leaks past a method boundary).
-    # ------------------------------------------------------------------
-
-    def fp_inv(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise ParameterError("0 has no inverse")
-        # CPython's pow(x, -1, p) is ~2.3x faster than the pure-python
-        # extended Euclid at 512 bits, with identical output.
-        try:
-            return pow(x, -1, self.p)
-        except ValueError as exc:
-            raise ParameterError(
-                f"{x} is not invertible modulo {self.p}"
-            ) from exc
-
-    # ------------------------------------------------------------------
     # Kernel-side step/coordinate conversion (cached by the caller).
     # ------------------------------------------------------------------
 

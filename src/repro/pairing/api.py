@@ -36,6 +36,7 @@ from repro.pairing.opcount import (
     GT_EXP,
     GT_FIXED_BASE,
     GT_MUL,
+    HASH_TO_CURVE,
     HASH_TO_GROUP,
     MILLER_LOOP,
     MULTI_PAIRING,
@@ -207,6 +208,9 @@ class PairingGroup:
         self.point_bytes = 1 + 2 * self.ssc.fp.element_bytes
         self.gt_bytes = 2 * self.ssc.fp.element_bytes
         self.scalar_bytes = (self.q.bit_length() + 7) // 8
+        # c mod q: moves H1's cofactor onto the other pairing argument
+        # (see _map_to_curve).
+        self.h1_cofactor = params.c % params.q
         # Fixed-argument caches, populated only by explicit precompute
         # calls; mul/pair/gt_exp probe them with a dict lookup per call.
         self._fixed_base: dict[CurvePoint, FixedBaseTable] = {}
@@ -268,6 +272,21 @@ class PairingGroup:
         """The paper's ``H1 : {0,1}* → G1`` random oracle."""
         self.counters.record(HASH_TO_GROUP)
         return hashing.hash_to_subgroup(self.ssc, data, tag)
+
+    def _map_to_curve(self, data: bytes, tag: str = "repro:H1") -> CurvePoint:
+        """``P′₀``, the point :meth:`hash_to_g1` clears first, uncleared.
+
+        For a caller that only pairs with ``H1(data)``: it pairs
+        against ``P′₀`` and multiplies its fixed G1 argument by
+        :attr:`h1_cofactor` instead, since
+        ``ê(X, c·P′₀) = ê((c mod q)·X, P′₀)``.  The two differ only
+        when ``c·P′₀ = O`` and ``H1`` moves on to counter 1
+        (probability about ``1/q``), which the caller detects and
+        handles by falling back to :meth:`hash_to_g1`.  Counted as
+        ``hash_to_curve``, not ``hash_to_group``.
+        """
+        self.counters.record(HASH_TO_CURVE)
+        return hashing.map_to_curve(self.ssc, data, tag)
 
     def random_point(self, rng: random.Random) -> CurvePoint:
         """A uniform element of the order-``q`` subgroup."""

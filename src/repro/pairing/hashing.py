@@ -6,7 +6,19 @@ CCA transforms:
 * ``H1 : {0,1}* -> G1`` — :func:`hash_to_subgroup`.  Family B uses the
   deterministic Boneh–Franklin MapToPoint (cubing is a bijection when
   ``p % 3 == 2``); family A uses try-and-increment on x-coordinates.
-  Both finish with cofactor clearing into the order-``q`` subgroup.
+  Both finish with cofactor clearing into the order-``q`` subgroup:
+  ``H1(m) = c·P′`` for the first map point :func:`map_to_curve` gives
+  whose multiple ``c·P′`` is not the point at infinity.
+* The map point alone — :func:`map_to_curve`.  A party that only
+  *pairs* with ``H1(m)`` can skip the cofactor multiplication, about
+  three quarters of :func:`hash_to_subgroup`: the reduced Tate pairing
+  is linear in its second argument over all of ``E(Fp²)``, so
+  ``ê(X, c·P′) = ê((c mod q)·X, P′)`` and the cofactor moves onto a
+  fixed ``X``.  The two sides differ only when ``c·P′₀ = O`` (about
+  ``1/q``), where :func:`hash_to_subgroup` moves on to counter 1; the
+  callers (:meth:`repro.core.bls.BLSSignatureScheme.verify`,
+  ``repro.core.tre.TimedReleaseScheme._sender_keys``) detect that case
+  and fall back to ``H1``.
 * ``H2 : G2 -> {0,1}^n`` — :func:`hash_gt_to_bytes`, a counter-mode
   KDF over the canonical ``Fp2`` encoding.
 * ``H3/H4``-style helpers — :func:`hash_to_scalar` maps arbitrary bytes
@@ -50,6 +62,17 @@ def hash_to_curve_point(
     raise ParameterError("hash_to_curve_point exhausted its attempt budget")
 
 
+def map_to_curve(
+    ssc: SupersingularCurve, data: bytes, tag: str = "repro:H1", counter: int = 0
+) -> CurvePoint:
+    """``P′_counter``, the point :func:`hash_to_subgroup` clears at ``counter``.
+
+    ``hash_to_subgroup(data) == c·map_to_curve(data)`` unless that
+    multiple is the point at infinity (probability about ``1/q``).
+    """
+    return hash_to_curve_point(ssc, counter.to_bytes(4, "big") + data, tag)
+
+
 def hash_to_subgroup(
     ssc: SupersingularCurve, data: bytes, tag: str = "repro:H1"
 ) -> CurvePoint:
@@ -60,9 +83,7 @@ def hash_to_subgroup(
     probability 1/2).  The cofactor multiplication dominates either way.
     """
     for counter in range(_MAX_MAP_ATTEMPTS):
-        salted = counter.to_bytes(4, "big") + data
-        point = hash_to_curve_point(ssc, salted, tag)
-        cleared = ssc.clear_cofactor(point)
+        cleared = ssc.clear_cofactor(map_to_curve(ssc, data, tag, counter))
         if not cleared.is_infinity:
             return cleared
     raise ParameterError("hash_to_subgroup exhausted its attempt budget")

@@ -17,6 +17,9 @@ PAIRING = "pairing"
 SCALAR_MULT = "scalar_mult"
 POINT_ADD = "point_add"
 HASH_TO_GROUP = "hash_to_group"
+# The map point of H1 without its cofactor multiplication: what a party
+# that only pairs with H1(T) computes (PairingGroup._map_to_curve).
+HASH_TO_CURVE = "hash_to_curve"
 GT_EXP = "gt_exp"
 GT_MUL = "gt_mul"
 

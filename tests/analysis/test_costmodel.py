@@ -5,6 +5,8 @@ compare against the declared :class:`OpBudget` — a regression net for
 any change that silently alters a scheme's operation count.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.costmodel import (
@@ -17,6 +19,7 @@ from repro.analysis.costmodel import (
     TRE_COST,
     TRE_GT_ENCRYPT_COST,
     TRE_PRECOMP_ENCRYPT_COST,
+    UPDATE_KEY_DERIVATION_COST,
     UPDATE_VERIFY_COST,
     broadcast_encrypt_cost,
     cost_table,
@@ -44,8 +47,8 @@ def _assert_budget(measured: dict, budget) -> None:
     relevant = {
         k: v for k, v in measured.items()
         if k in (
-            "pairing", "scalar_mult", "hash_to_group", "gt_exp", "point_add",
-            "miller_loop", "final_exp", "multi_pair",
+            "pairing", "scalar_mult", "hash_to_group", "hash_to_curve",
+            "gt_exp", "point_add", "miller_loop", "final_exp", "multi_pair",
         )
     }
     # point_add counts are advisory; compare the expensive ops exactly.
@@ -104,9 +107,11 @@ class TestFixedBudgets:
 
     def test_update_verify(self, group, server):
         update = server.publish_update(b"costmodel-verify")
-        measured = _measure(
-            group, lambda: update.verify(group, server.public_key)
-        )
+        # A fresh key object: its first check also derives (c mod q)·sG.
+        public = dataclasses.replace(server.public_key)
+        measured = _measure(group, lambda: update.verify(group, public))
+        _assert_budget(measured, UPDATE_VERIFY_COST + UPDATE_KEY_DERIVATION_COST)
+        measured = _measure(group, lambda: update.verify(group, public))
         _assert_budget(measured, UPDATE_VERIFY_COST)
 
     def test_receiver_key_check(self, group, server, user):
@@ -173,7 +178,7 @@ class TestParametricBudgets:
 def _assert_budget_with_advisory(measured: dict, budget) -> None:
     """Exact comparison including the fast-path sub-counters."""
     names = (
-        "pairing", "scalar_mult", "hash_to_group", "gt_exp",
+        "pairing", "scalar_mult", "hash_to_group", "hash_to_curve", "gt_exp",
         "fixed_base_mult", "pairing_precomp", "gt_fixed_base",
         "miller_loop", "final_exp", "multi_pair",
     )
@@ -220,6 +225,7 @@ class TestPrecomputedBudgets:
         _assert_budget_with_advisory(measured, TRE_GT_ENCRYPT_COST)
         assert "pairing" not in measured
         assert "hash_to_group" not in measured
+        assert "hash_to_curve" not in measured
 
     def test_broadcast_encrypt_budget(self, fresh, rng):
         from repro.core.broadcast import BroadcastTimedReleaseScheme

@@ -162,6 +162,12 @@ class TestArchiveCatchUp:
         keypair = ServerKeyPair.generate(fresh, rng)
         keypair.public.precompute(fresh)
         assert len(fresh._fixed_base) == 2
-        assert len(fresh._pairing_precomp) == 2
+        # Lines for G and sG (receiver-key checks) and for
+        # D = (c mod q)·sG (update checks).
+        assert set(fresh._pairing_precomp) == {
+            keypair.public.generator,
+            keypair.public.s_generator,
+            keypair.public.cofactor_s_generator(fresh),
+        }
         user = UserKeyPair.generate(fresh, keypair.public, rng)
         assert user.public.verify_well_formed(fresh, keypair.public)

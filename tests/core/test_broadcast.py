@@ -327,7 +327,9 @@ class TestSenderKeysOracle:
                 MESSAGE, [users[0].public], server.public, ORACLE_LABEL,
                 random.Random(1), verify_receiver_keys=False,
             )
-        assert ops["hash_to_group"] == 1
+        # One map point of H1(T): the cofactor rides on (c·r mod q)·asG.
+        assert ops["hash_to_curve"] == 1
+        assert "hash_to_group" not in ops
         assert ops["scalar_mult"] == 2
         assert ops["pairing"] == 1
         assert "pairing_precomp" not in ops

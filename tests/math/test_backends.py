@@ -24,6 +24,7 @@ from repro.math.backend import (
 from repro.math.backend.base import FieldBackend, LINE, ONE, VERT
 from repro.math.backend.gmp import gmpy2_available
 from repro.math.field import PrimeField
+from repro.math.modular import inverse_mod
 from repro.math.quadratic import QuadraticField
 from repro.pairing.params import get_parameter_set
 from tests.math.reference import unitary_exp_wnaf
@@ -87,6 +88,25 @@ class TestFpAgreement:
         assert expected == [ref.fp_inv(v) for v in values]
         for backend in others(p):
             assert backend.fp_batch_inv(values) == expected
+
+    @given(modulus_and_values(1))
+    @settings(max_examples=40, deadline=None)
+    def test_inv_matches_extended_euclid(self, pv):
+        p, x = pv
+        if x:
+            for name in available_backends():
+                assert get_backend(name, p).fp_inv(x) == inverse_mod(x, p)
+
+    def test_inv_rejects_zero_and_non_units(self):
+        """``ParameterError`` for 0, and for a non-unit mod a composite."""
+        for name in available_backends():
+            field = PrimeField(15, check_prime=False, backend=name)
+            assert field(7).inverse() == field(13)
+            for value in (0, 15, 6, 10):
+                with pytest.raises(ParameterError):
+                    field(value).inverse()
+            with pytest.raises(ParameterError):
+                get_backend(name, P_TOY).fp_inv(P_TOY)
 
     def test_batch_inv_zero_raises(self):
         for name in available_backends():
