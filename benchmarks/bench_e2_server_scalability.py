@@ -67,23 +67,29 @@ def test_e2_archive_catchup(benchmark, toy_group):
     each) on the shared ``(G, sG)`` Miller lines.
     """
     from benchmarks.trajectory import time_median
-    from repro.core.timeserver import verify_archive
+    from repro.core.timeserver import TimeBoundKeyUpdate, verify_archive
 
     group = toy_group
     server = PassiveTimeServer(group, rng=seeded_rng("e2-catchup"))
-    updates = [
-        server.publish_update(f"catchup-{i:02d}".encode()) for i in range(64)
+    blobs = [
+        server.publish_update(f"catchup-{i:02d}".encode()).to_bytes(group)
+        for i in range(64)
     ]
-    assert verify_archive(group, server.public_key, updates) == []
 
-    seq_ms = time_median(
-        lambda: verify_archive(group, server.public_key, updates), rounds=3
-    ) * 1000
+    def catch_up():
+        # Decoded afresh each round: an update remembers the key it was
+        # accepted under, so re-checking one object would cost nothing.
+        updates = [TimeBoundKeyUpdate.from_bytes(group, b) for b in blobs]
+        return verify_archive(group, server.public_key, updates)
+
+    assert catch_up() == []
+
+    seq_ms = time_median(catch_up, rounds=3) * 1000
     emit(format_table(
         ("archive", "sequential ms", "ms/update"),
         [(
-            f"{len(updates)} updates", f"{seq_ms:.1f}",
-            f"{seq_ms / len(updates):.2f}",
+            f"{len(blobs)} updates", f"{seq_ms:.1f}",
+            f"{seq_ms / len(blobs):.2f}",
         )],
         title="E2b: receiver catch-up over a missed-update archive — "
               "per-update multi-pair checks",

@@ -38,7 +38,12 @@ import sys
 
 from benchmarks.trajectory import BenchTrajectory, time_median
 from repro.core.keys import ServerKeyPair, UserKeyPair
-from repro.core.timeserver import PassiveTimeServer, epoch_label, verify_archive
+from repro.core.timeserver import (
+    PassiveTimeServer,
+    TimeBoundKeyUpdate,
+    epoch_label,
+    verify_archive,
+)
 from repro.core.tre import TimedReleaseScheme
 from repro.crypto.rng import seeded_rng
 from repro.pairing.api import PairingGroup
@@ -249,15 +254,13 @@ def bench_encrypt_broadcast(group, rng, trajectory, rounds, batch):
             verify_receiver_keys=False,
         )
 
-    op = f"broadcast_x{batch}"
-    d = trajectory.measure(
-        group, op, "direct", per_recipient, rounds, batch=batch
-    )
-    f = trajectory.measure(
-        group, op, "shared_u", broadcast_once, rounds, batch=batch
+    medians = trajectory.measure_interleaved(
+        group, f"broadcast_x{batch}",
+        {"direct": per_recipient, "shared_u": broadcast_once},
+        rounds, batch=batch,
     )
     group.clear_precomputations()
-    return d / f
+    return medians["direct"] / medians["shared_u"]
 
 
 def bench_batch_decrypt(group, rng, trajectory, rounds, batch):
@@ -282,11 +285,13 @@ def bench_batch_decrypt(group, rng, trajectory, rounds, batch):
         return scheme.decrypt_batch(cts, user, update)
 
     assert individual() == batched()
-    op = f"tre_decrypt_x{batch}"
-    d = trajectory.measure(group, op, "direct", individual, rounds, batch=batch)
-    f = trajectory.measure(group, op, "batch_precomp", batched, rounds, batch=batch)
+    medians = trajectory.measure_interleaved(
+        group, f"tre_decrypt_x{batch}",
+        {"direct": individual, "batch_precomp": batched},
+        rounds, batch=batch,
+    )
     group.clear_precomputations()
-    return d / f
+    return medians["direct"] / medians["batch_precomp"]
 
 
 def bench_multi_pair(group, rng, trajectory, rounds):
@@ -346,28 +351,35 @@ def bench_catchup(group, rng, trajectory, rounds, batch):
     ``ê(sG, H1(T)) == ê(G, I_T)`` before being trusted.  The direct
     path clears the caches and verifies update-by-update; the archive
     path shares the ``(G, sG)`` Miller lines across the whole backlog.
+    Both decode the backlog from bytes every round, as a client does:
+    an update remembers the key it was accepted under, so verifying the
+    same objects again would time that record, not the check.
     """
     server = PassiveTimeServer(group, rng=rng)
-    updates = [
-        server.publish_update(epoch_label(epoch)) for epoch in range(batch)
+    blobs = [
+        server.publish_update(epoch_label(epoch)).to_bytes(group)
+        for epoch in range(batch)
     ]
     public = server.public_key
 
+    def decoded():
+        return [TimeBoundKeyUpdate.from_bytes(group, blob) for blob in blobs]
+
     def naive():
         group.clear_precomputations()
-        assert all(u.verify(group, public) for u in updates)
+        assert all(u.verify(group, public) for u in decoded())
 
     def catch_up():
         group.clear_precomputations()
-        assert verify_archive(group, public, updates) == []
+        assert verify_archive(group, public, decoded()) == []
 
-    op = f"catchup_x{batch}"
-    d = trajectory.measure(group, op, "direct", naive, rounds, batch=batch)
-    f = trajectory.measure(
-        group, op, "shared_lines", catch_up, rounds, batch=batch
+    medians = trajectory.measure_interleaved(
+        group, f"catchup_x{batch}",
+        {"direct": naive, "shared_lines": catch_up},
+        rounds, batch=batch,
     )
     group.clear_precomputations()
-    return d / f
+    return medians["direct"] / medians["shared_lines"]
 
 
 def bench_backend_pairing(group, rng, trajectory, rounds):

@@ -114,6 +114,32 @@ class BenchTrajectory:
         )
         return median
 
+    def measure_interleaved(
+        self, group, op: str, variants: dict, rounds: int = 5, **extra
+    ) -> dict[str, float]:
+        """:meth:`measure` for several variants, one round of each in turn.
+
+        ``variants`` maps a variant name to its function.  Host speed
+        drifts during a run; alternating the rounds lands that drift on
+        every variant alike.  Returns ``{variant: median seconds}``.
+        """
+        counts = {}
+        for variant, fn in variants.items():
+            with group.counters.measure() as counts[variant]:
+                fn()
+        samples: dict[str, list[float]] = {variant: [] for variant in variants}
+        for _ in range(rounds):
+            for variant, fn in variants.items():
+                samples[variant].append(time_median(fn, rounds=1))
+        medians = {}
+        for variant, timings in samples.items():
+            medians[variant] = statistics.median(timings)
+            self.record(
+                op, group.params.name, variant, medians[variant], rounds,
+                op_counts=counts[variant], backend=group.backend_name, **extra,
+            )
+        return medians
+
     def _derive_speedups(self, entries: dict[str, dict]) -> dict[str, float]:
         by_pair: dict[tuple[str, str], dict[str, float]] = {}
         for entry in entries.values():

@@ -85,7 +85,7 @@ if [ "$backends" -eq 1 ]; then
         tests/math/test_backends.py tests/math/test_gt_exp.py \
         tests/core/test_cross_backend.py tests/core/test_broadcast.py \
         tests/core/test_keys.py tests/core/test_batch_decrypt.py \
-        tests/core/test_h1_uncleared.py \
+        tests/core/test_h1_uncleared.py tests/core/test_subgroup_proofs.py \
         tests/vectors tests/pairing tests/ec/test_jacobian.py \
         || failures=$((failures + 1))
 fi

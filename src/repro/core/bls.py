@@ -64,7 +64,10 @@ class BLSSignatureScheme:
 
         Rejects the point at infinity and signatures outside the
         prime-order subgroup first, which guards against small-subgroup
-        confusion on deserialized points.
+        confusion: the Tate pairing cannot see an order-2 component
+        such as ``σ + (0, 0)``.  A decoded ``σ`` carries the subgroup
+        proof its decoder established, so the check is free there; a
+        point without one pays the full ``q·σ = O`` test.
 
         The pairing step never computes ``H1(m) = c·P′₀``.  The reduced
         Tate pairing is linear in its second argument over all of

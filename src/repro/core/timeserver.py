@@ -23,7 +23,7 @@ canonical, lexicographically ordered label family.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.bls import BLSSignatureScheme
 from repro.core.keys import ServerKeyPair, ServerPublicKey
@@ -51,12 +51,33 @@ class TimeBoundKeyUpdate:
 
     time_label: bytes
     point: CurvePoint
+    # (server key object, group) under which the check last accepted;
+    # set by _check.  Outside equality, hash, repr and the wire.
+    _accepted_under: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def verify(self, group: PairingGroup, server_public: ServerPublicKey) -> bool:
-        """Anyone can check ``ê(sG, H1(T)) == ê(G, I_T)`` (§5.1)."""
-        return BLSSignatureScheme(group).verify(
-            server_public, self.time_label, self.point
-        )
+        """Anyone can check ``ê(sG, H1(T)) == ê(G, I_T)`` (§5.1).
+
+        An update remembers the server-key object it last verified
+        under, so asking again under that same object (and an equal
+        group) returns ``True`` with no work.  Any other key object and
+        every reject run the full check.
+        """
+        return self._check(BLSSignatureScheme(group), server_public)
+
+    def _check(self, bls: BLSSignatureScheme, server_public) -> bool:
+        """:meth:`verify` through ``bls``, recording an accept."""
+        accepted = self._accepted_under
+        if (accepted is not None and accepted[0] is server_public
+                and accepted[1] == bls.group):
+            return True
+        if not bls.verify(server_public, self.time_label, self.point):
+            return False
+        # Frozen dataclass: the verdict slot is set past __setattr__.
+        object.__setattr__(self, "_accepted_under", (server_public, bls.group))
+        return True
 
     def ensure_valid(
         self, group: PairingGroup, server_public: ServerPublicKey
@@ -258,6 +279,11 @@ def verify_archive(
     whole batch — use that first and fall back to this to pinpoint the
     bad update(s).
 
+    Each accept is recorded on its update as
+    :meth:`TimeBoundKeyUpdate.verify` records one: an update already
+    accepted under the ``server_public`` object is not checked again,
+    and a later ``verify``/``ensure_valid`` under it costs nothing.
+
     Partial-failure semantics: an update that cannot even be *checked*
     (a malformed point, a group mismatch, an identity-element input the
     verifier rejects) counts as failed and verification continues with
@@ -272,7 +298,7 @@ def verify_archive(
     failed = []
     for update in updates:
         try:
-            ok = bls.verify(server_public, update.time_label, update.point)
+            ok = update._check(bls, server_public)
         except ReproError:
             # An uncheckable update is a failed update, not an abort:
             # the caller learns *which* labels are bad either way.

@@ -1,10 +1,20 @@
 """Affine points on a short Weierstrass curve.
 
-Points are immutable.  Addition and doubling use the textbook affine
-formulas (one field inversion each); scalar multiplication delegates to
-the curve's Jacobian-coordinate ladder, which performs a single inversion
-at the end.  Both paths are exercised against each other in the tests and
-compared in the E12 ablation benchmark.
+A point's coordinates are immutable.  Addition and doubling use the
+textbook affine formulas (one field inversion each); scalar
+multiplication delegates to the curve's Jacobian-coordinate ladder,
+which performs a single inversion at the end.  Both paths are exercised
+against each other in the tests and compared in the E12 ablation
+benchmark.
+
+Besides its coordinates a point carries one write-once fact,
+:attr:`CurvePoint.proven_order`: a prime ``q`` for which ``q·P = O``
+has been established, or ``None``.  It takes no part in equality,
+hashing, ``repr`` or either encoding, and a point built from bytes
+never has it.  Only a proof sets it: the subgroup check after
+``q·P = O`` held, cofactor clearing on a base curve of order ``c·q``,
+and a group's scalar multiplication of a point that already carries it
+(see :meth:`~repro.pairing.supersingular.SupersingularCurve.in_subgroup`).
 """
 
 from __future__ import annotations
@@ -15,13 +25,23 @@ from repro.errors import GroupMismatchError
 class CurvePoint:
     """A point on an :class:`~repro.ec.curve.EllipticCurve`, or infinity."""
 
-    __slots__ = ("curve", "x", "y")
+    __slots__ = ("curve", "x", "y", "proven_order")
 
     def __init__(self, curve, x, y):
         # x is None (and y is None) exactly for the point at infinity.
         self.curve = curve
         self.x = x
         self.y = y
+        self.proven_order = None
+
+    def prove_order(self, q: int) -> None:
+        """Record that ``q·self = O`` has been established.
+
+        Write-once: the first proof sticks.  Call it only where the fact
+        was just proven or follows from one that was.
+        """
+        if self.proven_order is None:
+            self.proven_order = q
 
     @property
     def is_infinity(self) -> bool:

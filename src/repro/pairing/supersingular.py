@@ -107,16 +107,37 @@ class SupersingularCurve:
     # ------------------------------------------------------------------
 
     def clear_cofactor(self, point: CurvePoint) -> CurvePoint:
-        """Project a curve point into the order-``q`` subgroup."""
-        return point * self.cofactor
+        """Project a curve point into the order-``q`` subgroup.
+
+        ``#E(Fp) = c·q`` (checked by the parameter set), so ``c·P`` lies
+        in G1 for every base-curve point ``P``: the result carries that
+        proof (:attr:`~repro.ec.point.CurvePoint.proven_order`).
+        """
+        cleared = point * self.cofactor
+        if point.curve == self.curve:
+            cleared.prove_order(self.q)
+        return cleared
 
     def in_subgroup(self, point: CurvePoint) -> bool:
-        """Whether a point lies in the prime-order-``q`` subgroup."""
+        """Whether a point lies in the prime-order-``q`` subgroup.
+
+        The check is exact and each point pays for it once.  A base-curve
+        point that already carries the proof ``q`` (from an earlier check,
+        from :meth:`clear_cofactor`, or from a group multiplication of a
+        proven point) passes at once.  Otherwise ``q·P = O`` is computed,
+        and a pass is recorded on the point; a failure records nothing,
+        so asking again recomputes and fails again.
+        """
         if point.is_infinity:
             return True
         if point.curve != self.curve:
             return False
-        return (point * self.q).is_infinity
+        if point.proven_order == self.q:
+            return True
+        if not (point * self.q).is_infinity:
+            return False
+        point.prove_order(self.q)
+        return True
 
     def ensure_in_subgroup(self, point: CurvePoint) -> CurvePoint:
         if not self.in_subgroup(point):

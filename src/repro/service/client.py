@@ -415,9 +415,12 @@ class ResilientTimeClient:
     ) -> bytes:
         """Wait for the verified update for this ciphertext, then decrypt.
 
-        ``scheme.decrypt`` re-checks label match and authenticity — the
-        cache only ever holds verified updates, but defence in depth is
-        free here.
+        ``scheme.decrypt`` re-checks label match and authenticity,
+        although the cache only ever holds updates verified under
+        :attr:`server_public`.  The cached update carries that verdict
+        (:meth:`~repro.core.timeserver.TimeBoundKeyUpdate.verify`), so
+        the re-check under the same key object does no pairing and no
+        subgroup check.
         """
         update = await self.get_update(ciphertext.time_label, deadline)
         return scheme.decrypt(

@@ -29,7 +29,7 @@ from repro.analysis.costmodel import (
 )
 from repro.core.idtre import IdentityTimedReleaseScheme
 from repro.core.keys import ServerKeyPair, UserKeyPair
-from repro.core.timeserver import PassiveTimeServer
+from repro.core.timeserver import PassiveTimeServer, TimeBoundKeyUpdate
 from repro.core.tre import TimedReleaseScheme
 from repro.pairing.api import PairingGroup
 
@@ -111,8 +111,12 @@ class TestFixedBudgets:
         public = dataclasses.replace(server.public_key)
         measured = _measure(group, lambda: update.verify(group, public))
         _assert_budget(measured, UPDATE_VERIFY_COST + UPDATE_KEY_DERIVATION_COST)
-        measured = _measure(group, lambda: update.verify(group, public))
+        # A freshly decoded update pays the full check under that key...
+        fresh = TimeBoundKeyUpdate.from_bytes(group, update.to_bytes(group))
+        measured = _measure(group, lambda: fresh.verify(group, public))
         _assert_budget(measured, UPDATE_VERIFY_COST)
+        # ...and asking the same object again costs nothing.
+        assert _measure(group, lambda: update.verify(group, public)) == {}
 
     def test_receiver_key_check(self, group, server, user):
         measured = _measure(

@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from repro.errors import GroupMismatchError, NotInSubgroupError, ParameterError
+from repro.errors import (
+    DecodingError,
+    GroupMismatchError,
+    NotInSubgroupError,
+    ParameterError,
+)
 from repro.math.backend import available_backends
 from repro.pairing.api import PairingGroup
 from repro.pairing.opcount import PAIRING, SCALAR_MULT
@@ -61,6 +66,19 @@ class TestG1Facade:
     def test_infinity_roundtrip(self, group):
         blob = group.point_to_bytes(group.identity())
         assert group.point_from_bytes(blob).is_infinity
+
+    def test_non_canonical_infinity_rejected(self, group):
+        width = group.point_bytes
+        for blob in (
+            b"\x00",
+            b"\x00\xff\xff\xff\xff\xff",
+            bytes(width - 1),
+            bytes(width + 1),
+            bytes(width - 1) + b"\x01",
+            b"\x00" + b"\xff" * (width - 1),
+        ):
+            with pytest.raises(DecodingError):
+                group.point_from_bytes(blob)
 
 
 class TestGTElement:
