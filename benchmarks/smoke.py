@@ -25,8 +25,11 @@ Usage::
     PYTHONPATH=src python -m benchmarks.smoke --params ss512  # acceptance run
 
 Direct paths are timed through the cache-free primitives (``curve
-.scalar_mult`` / ``tate.pair``) so prior precomputation cannot leak into
-the baseline.  ``benchmarks.trajectory --check`` reuses :func:`run_all`
+.scalar_mult`` / ``tate.pair`` / ``unitary_exp``) so prior
+precomputation cannot leak into the baseline, and every comparison
+alternates its variants round by round
+(``BenchTrajectory.measure_interleaved``), so host-speed drift lands on
+each variant alike.  ``benchmarks.trajectory --check`` reuses :func:`run_all`
 to re-measure these entries and diff them against the committed file.
 """
 
@@ -46,6 +49,7 @@ from repro.core.timeserver import (
 )
 from repro.core.tre import TimedReleaseScheme
 from repro.crypto.rng import seeded_rng
+from repro.math.quadratic import unitary_exp
 from repro.pairing.api import PairingGroup
 
 RELEASE = b"2030-01-01T00:00:00Z"
@@ -67,16 +71,15 @@ def bench_scalar_mult(group, rng, trajectory, rounds):
         for k in scalars:
             table.mult(k)
 
-    per = len(scalars)
-    d = trajectory.measure(
-        group, "scalar_mult", "direct", direct, rounds, batch=per
+    medians = trajectory.measure_interleaved(
+        group, "scalar_mult", {"direct": direct, "fixed_base": fixed_base},
+        rounds, batch=len(scalars),
+        variant_extra={"fixed_base": {
+            "setup_ms": round(setup_s * 1000, 4),
+            "table_points": table.table_points,
+        }},
     )
-    f = trajectory.measure(
-        group, "scalar_mult", "fixed_base", fixed_base, rounds,
-        batch=per, setup_ms=round(setup_s * 1000, 4),
-        table_points=table.table_points,
-    )
-    return d / f
+    return medians["direct"] / medians["fixed_base"]
 
 
 def bench_pairing(group, rng, trajectory, rounds):
@@ -94,34 +97,31 @@ def bench_pairing(group, rng, trajectory, rounds):
         for q in others:
             group.tate.pair_with_precomp(lines, q)
 
-    per = len(others)
-    d = trajectory.measure(
-        group, "pairing", "direct", direct, rounds, batch=per
+    medians = trajectory.measure_interleaved(
+        group, "pairing", {"direct": direct, "precomputed": precomputed},
+        rounds, batch=len(others),
+        variant_extra={"precomputed": {
+            "setup_ms": round(setup_s * 1000, 4), "lines": len(lines),
+        }},
     )
-    f = trajectory.measure(
-        group, "pairing", "precomputed", precomputed, rounds,
-        batch=per, setup_ms=round(setup_s * 1000, 4), lines=len(lines),
-    )
-    return d / f
+    return medians["direct"] / medians["precomputed"]
 
 
 def bench_gt_exp(group, rng, trajectory, rounds):
     """Windowed GT fixed-base table vs the plain unitary-exp ladder.
 
-    The direct path clears the group's precomputations first, so
-    ``gt ** k`` runs the generic unitary exponentiation; the fast path
-    reads the table built by ``precompute_gt``.
+    The direct path runs the ladder itself
+    (:func:`~repro.math.quadratic.unitary_exp`, what ``gt ** k`` runs
+    without a table), so the table built by ``precompute_gt`` for the
+    fast path cannot leak into it.
     """
     gt = group.pair(group.random_point(rng), group.random_point(rng))
     scalars = [group.random_scalar(rng) for _ in range(8)]
 
     def direct():
-        group.clear_precomputations()
         for k in scalars:
-            gt ** k
+            unitary_exp(gt.value, k)
 
-    per = len(scalars)
-    d = trajectory.measure(group, "gt_exp", "direct", direct, rounds, batch=per)
     setup_s = time_median(lambda: group.precompute_gt(gt), rounds=1)
     table = group.precompute_gt(gt)
 
@@ -129,13 +129,16 @@ def bench_gt_exp(group, rng, trajectory, rounds):
         for k in scalars:
             gt ** k
 
-    f = trajectory.measure(
-        group, "gt_exp", "fixed_base", fixed_base, rounds,
-        batch=per, setup_ms=round(setup_s * 1000, 4),
-        table_elements=table.table_elements,
+    medians = trajectory.measure_interleaved(
+        group, "gt_exp", {"direct": direct, "fixed_base": fixed_base},
+        rounds, batch=len(scalars),
+        variant_extra={"fixed_base": {
+            "setup_ms": round(setup_s * 1000, 4),
+            "table_elements": table.table_elements,
+        }},
     )
     group.clear_precomputations()
-    return d / f
+    return medians["direct"] / medians["fixed_base"]
 
 
 def bench_encrypt(group, rng, trajectory, rounds, batch):
@@ -301,20 +304,24 @@ def bench_multi_pair(group, rng, trajectory, rounds):
     ``direct`` and ``ratio_check`` evaluate the cached Miller lines of
     the fixed ``(G, sG)`` — exactly the archive catch-up configuration —
     so the difference isolates the saved final exponentiation plus the
-    saved GT comparison.  ``verify_cold`` is the same ratio check with
-    no cached lines, the path a client takes when it checks one update
-    (``ResilientTimeClient._ingest``) or a receiver key
-    (``ensure_well_formed``): one fused Miller loop over both pairs.
+    saved GT comparison.  ``verify_cold`` is the same ratio check under
+    a second key whose lines are never cached, the path a client takes
+    when it checks one update (``ResilientTimeClient._ingest``) or a
+    receiver key (``ensure_well_formed``): one fused Miller loop over
+    both pairs.
     """
     from repro.core.bls import BLSSignatureScheme
 
     keypair = ServerKeyPair.generate(group, rng)
-    public = keypair.public
+    cold_keypair = ServerKeyPair.generate(group, rng)
+    public, cold_public = keypair.public, cold_keypair.public
     bls = BLSSignatureScheme(group)
     messages = [f"mp-{i}".encode() for i in range(4)]
     signatures = [bls.sign(keypair, m) for m in messages]
+    cold_signatures = [bls.sign(cold_keypair, m) for m in messages]
     hashes = [bls.hash_message(m) for m in messages]
-    bls.precompute_public(public)
+    group.precompute_pairing(public.generator)
+    group.precompute_pairing(public.s_generator)
 
     def sequential():
         for h_point, signature in zip(hashes, signatures):
@@ -322,25 +329,26 @@ def bench_multi_pair(group, rng, trajectory, rounds):
             right = group.pair(public.generator, signature)
             assert left == right
 
-    def fused():
-        for h_point, signature in zip(hashes, signatures):
-            assert group.pair_ratio_is_one(
-                ((public.s_generator, h_point),),
-                ((public.generator, signature),),
-            )
+    def ratio(key, sigs):
+        def check():
+            for h_point, signature in zip(hashes, sigs):
+                assert group.pair_ratio_is_one(
+                    ((key.s_generator, h_point),),
+                    ((key.generator, signature),),
+                )
+        return check
 
-    per = len(messages)
-    d = trajectory.measure(
-        group, "multi_pair", "direct", sequential, rounds, batch=per
-    )
-    f = trajectory.measure(
-        group, "multi_pair", "ratio_check", fused, rounds, batch=per
+    medians = trajectory.measure_interleaved(
+        group, "multi_pair",
+        {
+            "direct": sequential,
+            "ratio_check": ratio(public, signatures),
+            "verify_cold": ratio(cold_public, cold_signatures),
+        },
+        rounds, batch=len(messages),
     )
     group.clear_precomputations()
-    trajectory.measure(
-        group, "multi_pair", "verify_cold", fused, rounds, batch=per
-    )
-    return d / f
+    return medians["direct"] / medians["ratio_check"]
 
 
 def bench_catchup(group, rng, trajectory, rounds, batch):

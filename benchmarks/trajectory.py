@@ -95,33 +95,18 @@ class BenchTrajectory:
             entry.update(extra)
         self.entries[self.key(op, params, variant)] = entry
 
-    def measure(
-        self,
-        group,
-        op: str,
-        variant: str,
-        fn,
-        rounds: int = 5,
-        **extra,
-    ) -> float:
-        """Time ``fn``, capture one run's op counts, record, return median s."""
-        with group.counters.measure() as counts:
-            fn()
-        median = time_median(fn, rounds)
-        self.record(
-            op, group.params.name, variant, median, rounds,
-            op_counts=counts, backend=group.backend_name, **extra,
-        )
-        return median
-
     def measure_interleaved(
-        self, group, op: str, variants: dict, rounds: int = 5, **extra
+        self, group, op: str, variants: dict, rounds: int = 5,
+        variant_extra: dict[str, dict] | None = None, **extra
     ) -> dict[str, float]:
-        """:meth:`measure` for several variants, one round of each in turn.
+        """Time several variants, one round of each in turn, and record them.
 
-        ``variants`` maps a variant name to its function.  Host speed
+        ``variants`` maps a variant name to its function; one untimed
+        call of each captures its op counts first.  Host speed
         drifts during a run; alternating the rounds lands that drift on
-        every variant alike.  Returns ``{variant: median seconds}``.
+        every variant alike.  ``extra`` goes on every variant's entry,
+        ``variant_extra[name]`` on that variant's only (a fast path's
+        set-up cost, say).  Returns ``{variant: median seconds}``.
         """
         counts = {}
         for variant, fn in variants.items():
@@ -136,7 +121,8 @@ class BenchTrajectory:
             medians[variant] = statistics.median(timings)
             self.record(
                 op, group.params.name, variant, medians[variant], rounds,
-                op_counts=counts[variant], backend=group.backend_name, **extra,
+                op_counts=counts[variant], backend=group.backend_name,
+                **extra, **(variant_extra or {}).get(variant, {}),
             )
         return medians
 

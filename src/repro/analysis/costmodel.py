@@ -273,6 +273,14 @@ TRE_GT_ENCRYPT_COST = OpBudget(
     scalar_mults=1, fixed_base_mults=1, gt_exps=1, gt_fixed_base_exps=1,
 )
 
+# Warming it: per receiver key object, D = (c mod q)·asG from asG's
+# fixed-base table and one recording of D's lines; per label, H1's map
+# point P′ and one replay of D's lines, g_{R,T} = ê(D, P′).
+SENDER_KEY_DERIVATION_COST = OpBudget(scalar_mults=1, fixed_base_mults=1, line_recordings=1)
+SENDER_LABEL_COST = OpBudget(
+    pairings=1, hash_to_curve=1, precomputed_pairings=1, miller_loops=1, final_exps=1,
+)
+
 
 def broadcast_encrypt_cost(recipients: int, warm: bool = True) -> OpBudget:
     """One broadcast encryption to ``recipients`` receivers.

@@ -12,17 +12,17 @@ module implements the signature scheme standalone so that:
 
 Signing is one hash-to-group plus one scalar multiplication; verifying
 is the pairing-ratio check ``ê(sG, H1(m)) == ê(G, σ)``, evaluated as a
-single multi-pairing (two Miller loops, ONE final exponentiation) via
-:meth:`repro.pairing.api.PairingGroup.pair_ratio_is_one`.  The verifier
-never clears ``H1(m)``'s cofactor: it pairs the uncleared map point
-against ``(c mod q)·sG`` instead (see :meth:`BLSSignatureScheme.verify`).
+single multi-pairing (two Miller loops, ONE final exponentiation) by
+:meth:`repro.pairing.api.PairingGroup.pair_h1`, which never clears
+``H1(m)``'s cofactor.  Signing needs ``H1(m)`` as a point in G1, as
+does the sum in :meth:`BLSSignatureScheme.batch_verify`;
+``verify_aggregate`` still pairs each ``H1(m_i)`` itself.
 """
 
 from __future__ import annotations
 
 from repro.core.keys import ServerKeyPair, ServerPublicKey
 from repro.ec.point import CurvePoint
-from repro.errors import ParameterError
 from repro.pairing.api import PairingGroup
 
 H1_TAG = "repro:H1"
@@ -69,43 +69,21 @@ class BLSSignatureScheme:
         proof its decoder established, so the check is free there; a
         point without one pays the full ``q·σ = O`` test.
 
-        The pairing step never computes ``H1(m) = c·P′₀``.  The reduced
-        Tate pairing is linear in its second argument over all of
-        ``E(Fp²)``, so with ``D = (c mod q)·sG``
-        (:meth:`~repro.core.keys.ServerPublicKey.cofactor_s_generator`,
-        derived once per key object) it checks
-        ``ê(D, P′₀) == ê(G, σ)`` against the uncleared map point
-        ``P′₀``, as one multi-pairing ratio: a single combined Miller
-        loop (reusing cached lines for ``D``/``G`` when
-        :meth:`precompute_public` has run) and ONE final
-        exponentiation.
-
-        The verdict is exact.  The two equations differ only when
-        ``c·P′₀ = O`` and ``H1`` moves on to counter 1 (probability
-        about ``1/q``); then ``ê(D, P′₀) = 1``, which no ``σ ≠ O`` in
-        G1 matches, so an accept is always right.  A reject clears
-        ``P′₀``'s cofactor and, only if that gives ``O``, reruns the
-        check against ``H1(m)`` itself: a reject costs what every check
-        cost before, and an accept saves the cofactor multiplication.
+        The pairing step is :meth:`~repro.pairing.api.PairingGroup.pair_h1`
+        with ``D = (c mod q)·sG``
+        (:meth:`~repro.core.keys.ServerPublicKey.cofactor_s_generator`):
+        one multi-pairing ratio ``ê(D, P′₀) / ê(G, σ)`` against
+        ``H1(m)``'s uncleared map point, reusing cached lines for ``D``
+        and ``G`` once :meth:`precompute_public` has run.
         """
-        if signature.is_infinity or not self.group.in_group(signature):
+        if (signature.is_infinity or public.generator.is_infinity
+                or not self.group.in_group(signature)):
             return False
-        group = self.group
-        uncleared = group._map_to_curve(message, tag=self.hash_tag)
-        try:
-            if group.pair_ratio_is_one(
-                ((public.cofactor_s_generator(group), uncleared),),
-                ((public.generator, signature),),
-            ):
-                return True
-            degenerate = group.ssc.clear_cofactor(uncleared).is_infinity
-        except ParameterError:
-            # A zero Miller value: P′₀ itself is degenerate.
-            degenerate = True
-        return degenerate and group.pair_ratio_is_one(
-            ((public.s_generator, self.hash_message(message)),),
-            ((public.generator, signature),),
-        )
+        return self.group.pair_h1(
+            public.s_generator, message, self.hash_tag,
+            derived=public.cofactor_s_generator(self.group),
+            over=(public.generator, signature),
+        ).is_identity()
 
     def batch_verify(
         self,

@@ -26,34 +26,29 @@ from repro.errors import EncodingError, KeyValidationError
 from repro.pairing.api import PairingGroup
 
 
+def _cofactor_multiple(key, slot: str, point: CurvePoint, group: PairingGroup) -> CurvePoint:
+    """``(c mod q)·point``, derived once and kept in ``key``'s ``slot``, a pure
+    function of the key outside equality, hash, repr and the wire (set
+    past the frozen ``__setattr__``)."""
+    if getattr(key, slot) is None:
+        object.__setattr__(key, slot, group.mul(point, group.h1_cofactor))
+    return getattr(key, slot)
+
+
 @dataclass(frozen=True)
 class ServerPublicKey:
     """The time server's public key ``PK_S = (G, sG)``."""
 
     generator: CurvePoint
     s_generator: CurvePoint
-    # (c mod q)·sG, derived on first use by cofactor_s_generator.  A
-    # pure function of sG: outside equality, hash, repr and the wire.
     _cofactor_s_generator: CurvePoint | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def cofactor_s_generator(self, group: PairingGroup) -> CurvePoint:
-        """``D = (c mod q)·sG``, the update check's fixed G1 argument.
-
-        ``ê(sG, H1(T)) = ê(D, P′₀)`` for the uncleared map point
-        ``P′₀`` of ``H1(T)`` (see
-        :meth:`~repro.core.bls.BLSSignatureScheme.verify`).  Derived
-        once per key object, with one scalar multiplication.
-        """
-        if self._cofactor_s_generator is None:
-            # Frozen dataclass: the cache slot is set past __setattr__.
-            object.__setattr__(
-                self,
-                "_cofactor_s_generator",
-                group.mul(self.s_generator, group.h1_cofactor),
-            )
-        return self._cofactor_s_generator
+        """``D = (c mod q)·sG``, the update check's fixed G1 argument (see
+        :meth:`~repro.core.bls.BLSSignatureScheme.verify`)."""
+        return _cofactor_multiple(self, "_cofactor_s_generator", self.s_generator, group)
 
     def precompute(self, group: PairingGroup) -> None:
         """Warm every fixed-argument cache this key participates in.
@@ -119,6 +114,14 @@ class UserPublicKey:
 
     a_generator: CurvePoint
     as_generator: CurvePoint
+    _cofactor_as_generator: CurvePoint | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def cofactor_as_generator(self, group: PairingGroup) -> CurvePoint:
+        """``(c mod q)·asG``, the warm sender's fixed G1 argument (see
+        :meth:`~repro.core.tre.TimedReleaseScheme.precompute_sender`)."""
+        return _cofactor_multiple(self, "_cofactor_as_generator", self.as_generator, group)
 
     def verify_well_formed(
         self, group: PairingGroup, server_public: ServerPublicKey

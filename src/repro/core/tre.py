@@ -29,7 +29,7 @@ from repro.core.keys import ServerPublicKey, UserKeyPair, UserPublicKey
 from repro.core.timeserver import TimeBoundKeyUpdate
 from repro.ec.point import CurvePoint
 from repro.encoding import pack_chunks, unpack_chunks, xor_bytes
-from repro.errors import EncodingError, ParameterError, UpdateVerificationError
+from repro.errors import EncodingError, UpdateVerificationError
 from repro.pairing.api import GTElement, PairingGroup, PairingPrecomputation
 
 H1_TAG = "repro:H1"
@@ -114,20 +114,17 @@ class TimedReleaseScheme:
         A warm ``(receiver, T)`` (see :meth:`precompute_sender` with
         ``time_labels``) costs ``ê(asG, H1(T))^r`` — one table-driven GT
         exponentiation, no hash-to-curve, no pairing.  A single cold
-        receiver never clears ``H1(T)``'s cofactor: it costs the map
-        point ``P′₀`` of ``H1(T) = c·P′₀``, one scalar multiplication
-        ``(c·r mod q)·asG`` (which may use a fixed-base table for
-        ``asG``) and one pairing, ``ê((c·r mod q)·asG, P′₀)``.  The
-        reduced Tate pairing is linear in its second argument over all
-        of ``E(Fp²)``, so that equals ``ê(r·asG, H1(T))`` unless
-        ``c·P′₀ = O`` (probability about ``1/q``, where ``H1`` moves
-        on to counter 1).  Exactly then the pairing is the identity, or
-        its Miller value is zero, and the key is recomputed through
-        ``H1(T)`` itself.  Two or more cold receivers share one
-        ``H1(T)``, one ``r·H1(T)`` and one recording of its Miller
-        lines; each then costs one evaluation of those lines and one
-        final exponentiation, ``ê(as_iG, r·H1(T))``.  Bilinearity and
-        symmetry make all three the same group element, so the
+        receiver never clears ``H1(T)``'s cofactor
+        (:meth:`~repro.pairing.api.PairingGroup.pair_h1`): it costs the
+        map point ``P′₀`` of ``H1(T) = c·P′₀``, one scalar
+        multiplication ``(c·r mod q)·asG`` (which may use a fixed-base
+        table for ``asG``) and one pairing, ``ê((c·r mod q)·asG, P′₀)``.
+        Two or more cold receivers share one ``H1(T)``, one ``r·H1(T)``
+        and one recording of its Miller lines; each then costs one
+        evaluation of those lines and one final exponentiation,
+        ``ê(as_iG, r·H1(T))``.  A recorded argument must lie in G1, so
+        this path clears the cofactor with ``hash_to_g1``.  Bilinearity
+        and symmetry make all three the same group element, so the
         ciphertexts are byte-identical.
         """
         cached = [
@@ -137,8 +134,8 @@ class TimedReleaseScheme:
         cold = [index for index, g in enumerate(cached) if g is None]
         fresh: dict[int, GTElement] = {}
         if len(cold) == 1:
-            fresh[cold[0]] = self._cold_key(
-                receivers[cold[0]].as_generator, time_label, r
+            fresh[cold[0]] = self.group.pair_h1(
+                receivers[cold[0]].as_generator, time_label, H1_TAG, scalar=r
             )
         elif cold:
             h_t = self.group.hash_to_g1(time_label, tag=H1_TAG)
@@ -151,22 +148,6 @@ class TimedReleaseScheme:
             fresh[index] if g is None else g ** r
             for index, g in enumerate(cached)
         ]
-
-    def _cold_key(
-        self, as_generator: CurvePoint, time_label: bytes, r: int
-    ) -> GTElement:
-        """``ê((c·r mod q)·asG, P′₀)``, or ``ê(r·asG, H1(T))`` if degenerate."""
-        group = self.group
-        uncleared = group._map_to_curve(time_label, tag=H1_TAG)
-        scaled = group.mul(as_generator, group.h1_cofactor * r)
-        try:
-            k = group.pair(scaled, uncleared)
-            if not k.is_identity():
-                return k
-        except ParameterError:
-            pass  # a zero Miller value: c·P′₀ = O, as for the identity
-        h_t = group.hash_to_g1(time_label, tag=H1_TAG)
-        return group.pair(group.mul(as_generator, r), h_t)
 
     def _receiver_key(
         self,
@@ -202,7 +183,10 @@ class TimedReleaseScheme:
         which :meth:`encrypt` for that (receiver, T) pair costs one
         table-driven fixed-base multiplication (``U = rG``) plus one
         table-driven GT exponentiation (``g_{R,T}^r``) — no pairing, no
-        hash-to-curve — with byte-identical ciphertexts.
+        hash-to-curve — with byte-identical ciphertexts.  A label costs
+        ``H1(T)``'s map point and one replay of the Miller lines of
+        ``(c mod q)·asG``, recorded once per receiver key object
+        (:meth:`~repro.pairing.api.PairingGroup.pair_h1`).
         :meth:`clear_sender_cache` frees the per-label entries.
         """
         self.group.precompute(server_public.generator)
@@ -210,14 +194,15 @@ class TimedReleaseScheme:
         time_labels = list(time_labels)
         if not time_labels:
             return
-        # One set of Miller lines for asG amortizes across all labels.
-        precomp = self.group.precompute_pairing(receiver_public.as_generator)
+        derived = receiver_public.cofactor_as_generator(self.group)
+        self.group.precompute_pairing(derived)
         for label in time_labels:
             key = (receiver_public.as_generator, label)
             g = self._sender_gt.get(key)
             if g is None:
-                h_t = self.group.hash_to_g1(label, tag=H1_TAG)
-                g = precomp.pair(h_t)
+                g = self.group.pair_h1(
+                    receiver_public.as_generator, label, H1_TAG, derived=derived
+                )
                 self._sender_gt[key] = g
             self.group.precompute_gt(g)
 

@@ -213,8 +213,7 @@ class PairingGroup:
         self.point_bytes = 1 + 2 * self.ssc.fp.element_bytes
         self.gt_bytes = 2 * self.ssc.fp.element_bytes
         self.scalar_bytes = (self.q.bit_length() + 7) // 8
-        # c mod q: moves H1's cofactor onto the other pairing argument
-        # (see _map_to_curve).
+        # c mod q, which pair_h1 moves onto the fixed pairing argument.
         self.h1_cofactor = params.c % params.q
         # Fixed-argument caches, populated only by explicit precompute
         # calls; mul/pair/gt_exp probe them with a dict lookup per call.
@@ -292,17 +291,69 @@ class PairingGroup:
     def _map_to_curve(self, data: bytes, tag: str = "repro:H1") -> CurvePoint:
         """``P′₀``, the point :meth:`hash_to_g1` clears first, uncleared.
 
-        For a caller that only pairs with ``H1(data)``: it pairs
-        against ``P′₀`` and multiplies its fixed G1 argument by
-        :attr:`h1_cofactor` instead, since
-        ``ê(X, c·P′₀) = ê((c mod q)·X, P′₀)``.  The two differ only
-        when ``c·P′₀ = O`` and ``H1`` moves on to counter 1
-        (probability about ``1/q``), which the caller detects and
-        handles by falling back to :meth:`hash_to_g1`.  Counted as
+        Its one caller is :meth:`pair_h1`, which pairs against ``P′₀``
+        and owns the fallback for ``c·P′₀ = O``.  Counted as
         ``hash_to_curve``, not ``hash_to_group``.
         """
         self.counters.record(HASH_TO_CURVE)
         return hashing.map_to_curve(self.ssc, data, tag)
+
+    def pair_h1(
+        self,
+        fixed: CurvePoint,
+        data: bytes,
+        tag: str = "repro:H1",
+        *,
+        scalar: int = 1,
+        derived: CurvePoint | None = None,
+        over: tuple[CurvePoint, CurvePoint] | None = None,
+    ) -> GTElement:
+        """``ê(scalar·fixed, H1(data))``, divided by ``ê(*over)`` if given.
+
+        The one place a fixed G1 argument is paired against ``H1``.  It
+        never clears ``H1(data) = c·P′₀``'s cofactor: the reduced Tate
+        pairing is linear in its second argument over all of
+        ``E(Fp²)``, so ``ê(X, c·P′₀) = ê((c mod q)·X, P′₀)``, and it
+        pairs the map point ``P′₀`` against
+        ``derived = (c·scalar mod q)·fixed``.  A caller that pairs one
+        ``fixed`` often passes ``derived`` and records its Miller lines
+        with :meth:`precompute_pairing`; :meth:`pair` and
+        :meth:`multi_pair` pick them up.  With ``over = (Y, Z)`` the
+        ratio ``ê(derived, P′₀) / ê(Y, Z)`` stays one multi-pairing with
+        one final exponentiation.
+
+        The two sides differ only when ``c·P′₀ = O`` and ``H1`` moves
+        on to counter 1 (probability about ``1/q``).  Then
+        ``ê(derived, P′₀) = 1``, or its Miller value is zero
+        (:class:`ParameterError`), and exactly then the value is
+        recomputed against ``H1(data)`` itself.  Without ``over`` an
+        identity result shows it.  With ``over``, whose points must lie
+        in G1 off infinity so that ``ê(Y, Z) ≠ 1``, an identity ratio
+        is exact, and a non-identity one clears ``P′₀``'s cofactor to
+        tell.  Callers that need ``H1(data)`` as a point in G1 (signing,
+        key extraction, recording its lines) use :meth:`hash_to_g1`.
+        """
+        def value(first: CurvePoint, second: CurvePoint) -> GTElement:
+            if over is None:
+                return self.pair(first, second)
+            return self.multi_pair(((first, second), over), (1, -1))
+
+        uncleared = self._map_to_curve(data, tag)
+        if derived is None:
+            derived = self.mul(fixed, self.h1_cofactor * scalar)
+        try:
+            result = value(derived, uncleared)
+        except ParameterError:
+            result = None  # a zero Miller value: c·P′₀ = O
+        if result is not None:
+            if over is None:
+                exact = not result.is_identity()
+            else:
+                exact = result.is_identity() or not self.ssc.clear_cofactor(
+                    uncleared).is_infinity
+            if exact:
+                return result
+        return value(self.mul(fixed, scalar), self.hash_to_g1(data, tag))
 
     def random_point(self, rng: random.Random) -> CurvePoint:
         """A uniform element of the order-``q`` subgroup."""

@@ -16,6 +16,8 @@ from repro.analysis.costmodel import (
     PRECOMP_KEY_CHECK_COST,
     PRECOMP_UPDATE_VERIFY_COST,
     RECEIVER_KEY_CHECK_COST,
+    SENDER_KEY_DERIVATION_COST,
+    SENDER_LABEL_COST,
     TRE_COST,
     TRE_GT_ENCRYPT_COST,
     TRE_PRECOMP_ENCRYPT_COST,
@@ -230,6 +232,24 @@ class TestPrecomputedBudgets:
         assert "pairing" not in measured
         assert "hash_to_group" not in measured
         assert "hash_to_curve" not in measured
+
+    def test_sender_label_budget(self, fresh):
+        """One derivation per receiver key object, then each warmed
+        label hashes only to H1's map point and replays D's lines."""
+        group, server, user = fresh
+        scheme = TimedReleaseScheme(group)
+        labels = [LABEL + b":0", LABEL + b":1"]
+        measured = _measure(group, lambda: scheme.precompute_sender(
+            user.public, server.public_key, time_labels=labels
+        ))
+        _assert_budget_with_advisory(
+            measured,
+            SENDER_KEY_DERIVATION_COST + SENDER_LABEL_COST + SENDER_LABEL_COST,
+        )
+        measured = _measure(group, lambda: scheme.precompute_sender(
+            user.public, server.public_key, time_labels=[LABEL + b":2"]
+        ))
+        _assert_budget_with_advisory(measured, SENDER_LABEL_COST)
 
     def test_broadcast_encrypt_budget(self, fresh, rng):
         from repro.core.broadcast import BroadcastTimedReleaseScheme

@@ -2,17 +2,21 @@
 
 ``H1(T) = c·P′₀`` with the 352-bit (on ss512) cofactor ``c``.  The
 reduced Tate pairing is linear in its second argument over all of
-``E(Fp²)``, so ``ê(X, c·P′) = ê((c mod q)·X, P′)``: the update check and
-the cold single-receiver sender pair against ``P′₀`` and carry the
-cofactor on a fixed G1 argument.  These tests check the identity on
-both families and every backend, and force the one case where the two
-sides differ (``c·P′₀ = O``, where ``H1`` moves on to counter 1) to
-show the fallback keeps verdicts and keys exact.
+``E(Fp²)``, so ``ê(X, c·P′) = ê((c mod q)·X, P′)``: the update check,
+the cold single-receiver sender and the warm sender's labels pair
+against ``P′₀`` through ``PairingGroup.pair_h1`` and carry the cofactor
+on a fixed G1 argument.  These tests check the identity on both
+families and every backend, force the one case where the two sides
+differ (``c·P′₀ = O``, where ``H1`` moves on to counter 1) to show the
+fallback keeps verdicts and keys exact, and scan ``src/`` to keep that
+fallback in one place.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import pathlib
 import random
 
 import pytest
@@ -22,7 +26,6 @@ from repro.core.bls import BLSSignatureScheme
 from repro.core.keys import ServerKeyPair, UserKeyPair
 from repro.core.timeserver import PassiveTimeServer, TimeBoundKeyUpdate
 from repro.core.tre import H1_TAG, TimedReleaseScheme
-from repro.ec.point import CurvePoint
 from repro.errors import ParameterError
 from repro.math.backend import available_backends
 from repro.pairing import hashing
@@ -96,18 +99,34 @@ def test_cold_key_matches_h1_pairing(group):
         assert scheme._sender_key(user.public, label, r) == expected
 
 
+def _assert_derived_off_identity(group, key, derive, point):
+    pristine = dataclasses.replace(key)
+    with group.counters.measure() as ops:
+        derived = derive(group)
+        assert derive(group) is derived
+    assert ops["scalar_mult"] == 1
+    assert key == pristine
+    assert hash(key) == hash(pristine)
+    assert repr(key) == repr(pristine)
+    assert key.to_bytes(group) == pristine.to_bytes(group)
+    assert derived == group.mul(point, group.h1_cofactor)
+
+
 def test_derived_point_stays_off_the_key_identity(group):
     """``D`` is cached on the key object but is no part of its value."""
-    server = ServerKeyPair.generate(group, random.Random(9))
-    derived = server.public
-    pristine = dataclasses.replace(derived)
-    derived.cofactor_s_generator(group)
-    assert derived == pristine
-    assert hash(derived) == hash(pristine)
-    assert repr(derived) == repr(pristine)
-    assert derived.to_bytes(group) == pristine.to_bytes(group)
-    assert derived.cofactor_s_generator(group) == group.mul(
-        derived.s_generator, group.h1_cofactor
+    public = ServerKeyPair.generate(group, random.Random(9)).public
+    _assert_derived_off_identity(
+        group, public, public.cofactor_s_generator, public.s_generator
+    )
+
+
+def test_sender_derived_point_stays_off_the_key_identity(group):
+    """So is the warm sender's ``(c mod q)·asG``."""
+    rng = random.Random(9)
+    server = ServerKeyPair.generate(group, rng)
+    public = UserKeyPair.generate(group, server.public, rng).public
+    _assert_derived_off_identity(
+        group, public, public.cofactor_as_generator, public.as_generator
     )
 
 
@@ -129,8 +148,9 @@ def degenerate(request, group, monkeypatch):
     """Make counter 0 of every map hit a small-order point.
 
     Pairing against it gives the identity.  The ``zero_miller`` case
-    also makes every Miller loop that meets it fail the way a zero
-    Miller value does, with :class:`ParameterError`.
+    also makes every Miller loop that meets it, fused or replayed from
+    recorded lines, fail the way a zero Miller value does, with
+    :class:`ParameterError`.
     """
     real = hashing.map_to_curve
     small = _small_order_point(group)
@@ -144,15 +164,16 @@ def degenerate(request, group, monkeypatch):
 
         def failing(method):
             def run(*args):
-                # tate.pair(P, Q) or tate.multi_pair(pairs, exponents)
-                pairs = [args] if isinstance(args[0], CurvePoint) else args[0]
+                # tate.pair(P, Q), tate.pair_with_precomp(lines, Q) or
+                # tate.multi_pair(pairs, exponents)
+                pairs = args[0] if isinstance(args[0], list) else [args]
                 if any(q_point == small for _, q_point in pairs):
                     raise ParameterError("Miller value is zero; degenerate input")
                 return method(*args)
             return run
 
-        monkeypatch.setattr(tate, "pair", failing(tate.pair))
-        monkeypatch.setattr(tate, "multi_pair", failing(tate.multi_pair))
+        for name in ("pair", "pair_with_precomp", "multi_pair"):
+            monkeypatch.setattr(tate, name, failing(getattr(tate, name)))
     return small
 
 
@@ -200,3 +221,81 @@ def test_cold_encrypt_falls_back_exactly(group, degenerate):
     assert scheme.decrypt(
         ciphertext, user, update, server.public_key
     ) == message
+
+
+def test_warm_label_falls_back_exactly(group, degenerate):
+    rng = random.Random(13)
+    server = PassiveTimeServer(group, rng=rng)
+    user = UserKeyPair.generate(group, server.public_key, rng)
+    scheme = TimedReleaseScheme(group)
+    label = b"forced"
+    scheme.precompute_sender(user.public, server.public_key, time_labels=[label])
+    expected = group.pair(user.public.as_generator, group.hash_to_g1(label))
+    assert not expected.is_identity()
+    assert scheme._sender_gt[(user.public.as_generator, label)] == expected
+    message = b"opens after the forced label, warm"
+    ciphertext = scheme.encrypt(
+        message, user.public, server.public_key, label, rng
+    )
+    update = server.publish_update(label)
+    assert scheme.decrypt(
+        ciphertext, user, update, server.public_key
+    ) == message
+
+
+# ----------------------------------------------------------------------
+# One fallback in src/: only pair_h1 meets the uncleared map point.
+# ----------------------------------------------------------------------
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+def _functions_where(predicate, skip=()):
+    """``Class.function`` names in ``src/repro`` whose body matches."""
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if relative.startswith("lint/") or relative in skip:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, (ast.Module, ast.ClassDef)):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if any(predicate(inner) for inner in ast.walk(node)):
+                        owner = getattr(cls, "name", relative)
+                        found.add(f"{owner}.{node.name}")
+    return found
+
+
+def _calls(name):
+    return lambda node: (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == name
+    )
+
+
+def _catches_parameter_error(node):
+    return isinstance(node, ast.ExceptHandler) and any(
+        isinstance(caught, ast.Name) and caught.id == "ParameterError"
+        for caught in ast.walk(node.type or ast.Tuple(elts=[]))
+    )
+
+
+def test_pair_h1_is_the_only_map_point_caller():
+    assert _functions_where(_calls("_map_to_curve")) == {"PairingGroup.pair_h1"}
+
+
+def test_pair_h1_is_the_only_fallback():
+    """No other function catches a zero Miller value or clears a
+    cofactor by hand (the Miller loop's own auxiliary-point retry and
+    the hash itself aside)."""
+    assert _functions_where(
+        _catches_parameter_error, skip={"pairing/tate.py"}
+    ) == {"PairingGroup.pair_h1"}
+    assert _functions_where(
+        _calls("clear_cofactor"),
+        skip={"pairing/hashing.py", "pairing/supersingular.py"},
+    ) == {"PairingGroup.pair_h1"}
