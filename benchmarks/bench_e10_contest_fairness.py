@@ -45,6 +45,8 @@ def test_e10_auction_simulation(benchmark):
 
 
 def test_e10_claim_table(benchmark):
+    # The claim's assertions run in tier-1, at 12 teams:
+    # tests/sim/test_scenarios.py::TestProgrammingContest::test_e10_claim.
     rows = []
     for jitter in JITTER_LEVELS:
         result = _run(jitter)
@@ -63,15 +65,4 @@ def test_e10_claim_table(benchmark):
         title="E10: contest opening-time fairness, 50 teams — claim: TRE "
               "tracks update jitter, not message delivery spread",
     ))
-
-    results = [_run(j) for j in JITTER_LEVELS]
-    # TRE spread is flat in message jitter; naive spread grows with it.
-    tre_spreads = [r.tre_spread for r in results]
-    naive_spreads = [r.naive_spread for r in results]
-    assert max(tre_spreads) < 1.0
-    assert naive_spreads[2] > naive_spreads[0] * 3
-    # Everyone got the ciphertext before the start; nobody opened early.
-    for result in results:
-        assert max(result.ciphertext_arrivals) <= result.contest_start
-        assert min(result.tre_open_times) >= result.contest_start
     benchmark(lambda: None)

@@ -15,9 +15,10 @@ The package layers as follows (bottom-up):
 * :mod:`repro.baselines` — every comparator the paper discusses
   (time-lock puzzles, escrow agents, Rivest's server, Mont's vault,
   conditional oblivious transfer, and the hybrid PKE+IBE construction).
-* :mod:`repro.sim` — a discrete-event network simulator used to run the
-  paper's motivating scenarios (sealed-bid auctions, programming
-  contests) end to end.
+* :mod:`repro.sim` — latency models, links and the paper's motivating
+  scenarios (sealed-bid auctions, programming contests), run end to end
+  on the :mod:`repro.service` node and client under a virtual-time
+  event loop.
 
 Quickstart::
 

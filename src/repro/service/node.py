@@ -343,9 +343,9 @@ class TimeServerNode:
 class LocalNodeTransport:
     """In-process transport to a node, with optional simulated latency.
 
-    The latency model is any object with ``sample(rng) -> float`` —
-    exactly the :mod:`repro.sim.network` contract — applied
-    independently to the request and response legs.  Fault injection
+    ``latency`` is a latency model as the :mod:`repro.sim.network`
+    module docstring defines it, sampled independently for the request
+    and the response leg.  Fault injection
     wraps *around* this class (:class:`repro.service.faults
     .FaultyTransport`), keeping "slow network" and "broken network"
     composable but separate.

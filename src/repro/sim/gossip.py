@@ -19,13 +19,12 @@ What it demonstrates, quantitatively (see
 
 from __future__ import annotations
 
+import asyncio
 import random
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.sim.events import Simulator
 from repro.sim.metrics import MetricsCollector
-from repro.sim.network import LatencyModel
 
 
 @dataclass
@@ -56,9 +55,8 @@ class GossipNetwork:
 
     def __init__(
         self,
-        sim: Simulator,
         node_names: list[str],
-        latency: LatencyModel,
+        latency,
         fanout: int,
         rng: random.Random,
         metrics: MetricsCollector | None = None,
@@ -68,7 +66,6 @@ class GossipNetwork:
             raise SimulationError("fanout must be at least 1")
         if len(node_names) < 2:
             raise SimulationError("gossip needs at least two nodes")
-        self.sim = sim
         self.node_names = list(node_names)
         self.latency = latency
         self.fanout = fanout
@@ -77,44 +74,49 @@ class GossipNetwork:
         # verifier(payload) -> bool; models per-hop self-authentication.
         self.verifier = verifier or (lambda payload: True)
 
-    def disseminate(
+    async def disseminate(
         self, payload, size_bytes: int, seeds: int = 1
     ) -> GossipResult:
-        """Inject at ``seeds`` random nodes; run until the mesh is quiet."""
+        """Inject at ``seeds`` random nodes; return once the mesh is quiet."""
         if not 1 <= seeds <= len(self.node_names):
             raise SimulationError("seeds out of range")
+        loop = asyncio.get_running_loop()
         result = GossipResult(
-            injected_at=self.sim.now,
+            injected_at=loop.time(),
             seeds=seeds,
             fanout=self.fanout,
             node_count=len(self.node_names),
         )
+        quiet = loop.create_future()
+        in_flight = 0
 
-        def deliver(node: str, incoming):
+        def send(node: str, incoming) -> None:
+            nonlocal in_flight
+            in_flight += 1
+            delay = self.latency.sample(self.rng)
+            loop.call_later(delay, deliver, node, incoming)
+
+        def deliver(node: str, incoming) -> None:
+            nonlocal in_flight
+            in_flight -= 1
             if not self.verifier(incoming):
                 result.forged_copies_dropped += 1
-                return
-            if node in result.delivery_times:
-                return  # Already infected; drop the duplicate.
-            result.delivery_times[node] = self.sim.now
-            peers = [n for n in self.node_names if n != node]
-            for peer in self.rng.sample(peers, min(self.fanout, len(peers))):
-                delay = self.latency.sample(self.rng)
-                result.messages_sent += 1
-                if self.metrics is not None:
-                    self.metrics.record_message("gossip", size_bytes)
-                self.sim.schedule_in(
-                    delay, (lambda p=peer: deliver(p, incoming))
-                )
+            elif node not in result.delivery_times:  # Else a duplicate.
+                result.delivery_times[node] = loop.time()
+                peers = [n for n in self.node_names if n != node]
+                for peer in self.rng.sample(peers, min(self.fanout, len(peers))):
+                    result.messages_sent += 1
+                    if self.metrics is not None:
+                        self.metrics.record_message("gossip", size_bytes)
+                    send(peer, incoming)
+            if in_flight == 0:
+                quiet.set_result(None)
 
         for seed_node in self.rng.sample(self.node_names, seeds):
             # The server's injection — the only messages it ever sends.
             result.messages_sent += 1
             if self.metrics is not None:
                 self.metrics.record_message("server-injection", size_bytes)
-            self.sim.schedule_in(
-                self.latency.sample(self.rng),
-                (lambda n=seed_node: deliver(n, payload)),
-            )
-        self.sim.run()
+            send(seed_node, payload)
+        await quiet
         return result

@@ -1,21 +1,24 @@
 """Network links, latency models and the broadcast channel.
 
-Latency models are callables drawing a per-delivery delay from an
-explicit RNG.  :class:`UnicastLink` models the (possibly slow,
-congested) sender→receiver path; :class:`BroadcastChannel` models the
-time server's one-to-many update dissemination — one ``publish`` call
-fans out to every subscriber with an independent jitter draw, which is
+A latency model is any object with ``sample(rng) -> float``: it draws
+one non-negative per-delivery delay, in seconds, from the RNG it is
+handed.  :class:`UnicastLink` models the (possibly slow, congested)
+sender→receiver path; :class:`BroadcastChannel` models the time
+server's one-to-many update dissemination — one ``publish`` call fans
+out to every subscriber with an independent jitter draw, which is
 exactly the "single update for all receivers" property the scenarios
-measure.
+measure.  Both schedule their deliveries on the running event loop
+(``loop.call_later``), normally the virtual-time loop of
+:func:`~repro.service.virtualtime.run_virtual`.
 """
 
 from __future__ import annotations
 
+import asyncio
 import random
 from typing import Callable
 
 from repro.errors import SimulationError
-from repro.sim.events import Simulator
 from repro.sim.metrics import MetricsCollector
 
 
@@ -58,21 +61,16 @@ class NormalJitterLatency:
         return max(self.floor, rng.gauss(self.base, self.jitter_std))
 
 
-LatencyModel = Callable  # Anything with .sample(rng) -> float.
-
-
 class UnicastLink:
     """A point-to-point link delivering byte payloads to one handler."""
 
     def __init__(
         self,
-        sim: Simulator,
-        latency: LatencyModel,
+        latency,
         rng: random.Random,
         metrics: MetricsCollector | None = None,
         name: str = "unicast",
     ):
-        self.sim = sim
         self.latency = latency
         self.rng = rng
         self.metrics = metrics
@@ -80,12 +78,12 @@ class UnicastLink:
 
     def send(self, payload, size_bytes: int, deliver: Callable) -> float:
         """Schedule delivery; returns the arrival time."""
+        loop = asyncio.get_running_loop()
         delay = self.latency.sample(self.rng)
-        arrival = self.sim.now + delay
         if self.metrics is not None:
             self.metrics.record_message(self.name, size_bytes)
-        self.sim.schedule_in(delay, lambda: deliver(payload))
-        return arrival
+        loop.call_later(delay, deliver, payload)
+        return loop.time() + delay
 
 
 class BroadcastChannel:
@@ -93,13 +91,11 @@ class BroadcastChannel:
 
     def __init__(
         self,
-        sim: Simulator,
-        latency: LatencyModel,
+        latency,
         rng: random.Random,
         metrics: MetricsCollector | None = None,
         name: str = "broadcast",
     ):
-        self.sim = sim
         self.latency = latency
         self.rng = rng
         self.metrics = metrics
@@ -122,9 +118,10 @@ class BroadcastChannel:
         """
         if self.metrics is not None:
             self.metrics.record_message(self.name, size_bytes)
+        loop = asyncio.get_running_loop()
         arrivals = []
         for deliver in self._subscribers:
             delay = self.latency.sample(self.rng)
-            arrivals.append(self.sim.now + delay)
-            self.sim.schedule_in(delay, (lambda d: (lambda: d(payload)))(deliver))
+            arrivals.append(loop.time() + delay)
+            loop.call_later(delay, deliver, payload)
         return arrivals

@@ -1,4 +1,4 @@
-"""The paper's two motivating applications, run end to end in simulation.
+"""The paper's motivating applications, run end to end on the service stack.
 
 * :func:`run_programming_contest` — §1: problem sets must reach teams
   all over the world *before* the start time but be unreadable until it;
@@ -6,35 +6,122 @@
 * :func:`run_sealed_bid_auction` — §1: bids are sealed until the close
   so that nobody (including the auctioneer handling them) can leak them
   to competitors early.
+* :func:`run_threshold_beacon` — a k-of-N beacon releasing one epoch
+  while some members are offline.
 
-Both return small result objects with the measured timing/traffic plus
-the anonymity ledger, so tests and benchmark E10 can assert the paper's
-qualitative claims on concrete numbers.
+Each scenario runs under :func:`~repro.service.virtualtime.run_virtual`:
+one virtual-time asyncio loop carries the links, the broadcast channel
+and, in the contest and the auction, the real
+:class:`~repro.service.node.TimeServerNode`.  Its ``epoch_interval`` is
+the release time, so the release label is ``node.label_for(1)``.  One
+pump task forwards every announce frame the node emits onto a
+:class:`~repro.sim.network.BroadcastChannel`, which adds the
+per-receiver jitter; receivers authenticate the update with
+:meth:`~repro.service.client.ResilientTimeClient.ingest_frame` and
+never send the node a request.  Equal-time timers do not run
+first-in, first-out on the loop, so whatever a scenario does at one
+instant (an organizer's sends, the members' shares) happens in one
+callback, in a loop: the RNG draw order is the code's.
+
+The results carry the measured timing/traffic plus the anonymity
+ledger, so tests and benchmark E10 can assert the paper's qualitative
+claims on concrete numbers.
 """
 
 from __future__ import annotations
 
+import asyncio
 import random
 from dataclasses import dataclass, field
 
-from repro.core.keys import UserKeyPair
+from repro.core.keys import ServerKeyPair, UserKeyPair
+from repro.core.timeserver import TimeBoundKeyUpdate
 from repro.core.tre import TimedReleaseScheme
-from repro.errors import SimulationError, UpdateNotAvailableError
+from repro.errors import SimulationError
 from repro.pairing.api import PairingGroup
-from repro.sim.actors import (
-    NaiveSenderNode,
-    TimeServerNode,
-    TREReceiverNode,
-    TRESenderNode,
-)
-from repro.sim.events import Simulator
-from repro.sim.metrics import AnonymityLedger, MetricsCollector
+from repro.service import wire
+from repro.service.client import ResilientTimeClient
+from repro.service.node import LocalNodeTransport, TimeServerNode
+from repro.service.virtualtime import run_virtual
+from repro.sim.metrics import AnonymityLedger
 from repro.sim.network import (
     BroadcastChannel,
     NormalJitterLatency,
     UnicastLink,
     UniformLatency,
 )
+
+
+async def _sleep_until(when: float) -> None:
+    """Sleep to loop time ``when``; every delivery due by then has run."""
+    await asyncio.sleep(max(0.0, when - asyncio.get_running_loop().time()))
+
+
+class _ReleasePump:
+    """Forwards each announce frame of ``node`` onto ``channel``.
+
+    The node announces every epoch from 0 on when it starts, so the
+    pump keeps account of the frames that carry ``label`` only.
+    """
+
+    def __init__(
+        self, node: TimeServerNode, channel: BroadcastChannel, label: bytes
+    ):
+        self.label = label
+        self.announces = 0
+        self.bytes = 0
+        self.arrivals: list[float] = []
+        self.released = asyncio.Event()
+        queue = node.subscribe()
+        self.task = asyncio.get_running_loop().create_task(
+            self._forward(queue, node.group, channel)
+        )
+
+    async def _forward(self, queue, group, channel) -> None:
+        while True:
+            frame = await queue.get()
+            arrivals = channel.publish(frame, len(frame))
+            update_bytes = wire.decode_message(frame).update_bytes
+            update = TimeBoundKeyUpdate.from_bytes(group, update_bytes)
+            if update.time_label == self.label:
+                self.announces += 1
+                self.bytes += len(frame)
+                self.arrivals = arrivals
+                self.released.set()
+
+
+class _Receiver:
+    """Holds ciphertexts and opens them once an announce is authenticated.
+
+    It only listens: the frame goes through its client's
+    :meth:`~repro.service.client.ResilientTimeClient.ingest_frame`, the
+    wire decode and verification gate, and nothing is ever requested.
+    A ciphertext that arrives after its update stays sealed.
+    """
+
+    def __init__(self, client: ResilientTimeClient, keypair: UserKeyPair):
+        self.client = client
+        self.keypair = keypair
+        self.scheme = TimedReleaseScheme(client.group)
+        self.held: list = []
+        self.held_at: list[float] = []
+        self.opened: list[tuple[bytes, float]] = []
+
+    def receive_ciphertext(self, ciphertext) -> None:
+        self.held.append(ciphertext)
+        self.held_at.append(asyncio.get_running_loop().time())
+
+    def receive_frame(self, frame: bytes) -> None:
+        update = self.client.ingest_frame(frame)
+        if update is None:
+            return
+        now = asyncio.get_running_loop().time()
+        for ciphertext in self.held:
+            if ciphertext.time_label == update.time_label:
+                plaintext = self.scheme.decrypt(
+                    ciphertext, self.keypair, update, self.client.server_public
+                )
+                self.opened.append((plaintext, now))
 
 
 @dataclass
@@ -93,65 +180,78 @@ def run_programming_contest(
     message_latency = message_latency or UniformLatency(5.0, 240.0)
     update_latency = update_latency or NormalJitterLatency(0.08, 0.03)
 
-    sim = Simulator()
-    metrics = MetricsCollector()
-    ledger = AnonymityLedger()
-    channel = BroadcastChannel(sim, update_latency, rng, metrics, "updates")
-    server_node = TimeServerNode(sim, group, channel, rng)
-    organizer = TRESenderNode("organizer", sim, group, server_node.public_key, rng)
-    naive_organizer = NaiveSenderNode(sim, metrics)
-
-    start_label = b"contest:start"
-    problem_set = rng.randbytes(problem_bytes)
-
-    receivers = []
-    for index in range(teams):
-        receiver = TREReceiverNode(
-            f"team-{index}",
-            sim,
-            group,
-            server_node.public_key,
-            channel,
-            rng,
-            metrics,
-        )
-        receivers.append(receiver)
-        link = UnicastLink(sim, message_latency, rng, metrics, "problems")
-        organizer.send(
-            problem_set,
-            receiver,
-            link,
-            start_label,
-            at=contest_start - send_lead_time,
-        )
-        naive_link = UnicastLink(sim, message_latency, rng, metrics, "naive")
-        naive_organizer.send_at_release(problem_set, contest_start, naive_link)
-
-    server_node.schedule_update(contest_start, start_label)
-    sim.run()
-
-    tre_open_times = metrics.series["tre_open_time"]
-    if len(tre_open_times) != teams:
-        raise SimulationError(
-            f"{teams - len(tre_open_times)} teams never opened the problems "
-            "(ciphertext arrived after the update?)"
-        )
-    ciphertext_arrivals = [
-        value
-        for name, values in metrics.series.items()
-        if name.startswith("ct_arrival:")
-        for value in values
-    ]
-    return ContestResult(
-        contest_start=contest_start,
-        tre_open_times=tre_open_times,
-        naive_open_times=metrics.series["naive_open_time"],
-        update_arrivals=server_node.broadcast_arrivals[start_label],
-        ciphertext_arrivals=ciphertext_arrivals,
-        server_broadcasts=metrics.channels["updates"].messages,
-        server_bytes=metrics.channels["updates"].bytes,
-        ledger=ledger,
+    channel = BroadcastChannel(update_latency, rng)
+    problems = UnicastLink(message_latency, rng)
+    naive = UnicastLink(message_latency, rng)
+    keypair = ServerKeyPair.generate(group, rng)
+    node = TimeServerNode(
+        group, keypair, epoch_interval=contest_start, prefix="contest"
     )
+    start_label = node.label_for(1)
+    scheme = TimedReleaseScheme(group)
+    problem_set = rng.randbytes(problem_bytes)
+    transport = LocalNodeTransport(node)
+    receivers = [
+        _Receiver(
+            ResilientTimeClient(
+                group, keypair.public, [transport], rng, name=f"team-{index}"
+            ),
+            UserKeyPair.generate(group, keypair.public, rng),
+        )
+        for index in range(teams)
+    ]
+    for receiver in receivers:
+        channel.subscribe(receiver.receive_frame)
+
+    async def contest() -> ContestResult:
+        loop = asyncio.get_running_loop()
+        pump = _ReleasePump(node, channel, start_label)
+        await node.start()
+
+        await _sleep_until(contest_start - send_lead_time)
+        arrivals = []
+        for receiver in receivers:
+            ciphertext = scheme.encrypt(
+                problem_set,
+                receiver.keypair.public,
+                keypair.public,
+                start_label,
+                rng,
+            )
+            arrivals.append(problems.send(
+                ciphertext,
+                ciphertext.size_bytes(group),
+                receiver.receive_ciphertext,
+            ))
+
+        # The naive organizer holds the plaintext until the start.
+        await pump.released.wait()
+        naive_open_times: list[float] = []
+        for _ in receivers:
+            arrivals.append(naive.send(
+                problem_set,
+                len(problem_set),
+                lambda _: naive_open_times.append(loop.time()),
+            ))
+        await _sleep_until(max(arrivals + pump.arrivals))
+        return ContestResult(
+            contest_start=contest_start,
+            tre_open_times=[t for r in receivers for _, t in r.opened],
+            naive_open_times=naive_open_times,
+            update_arrivals=pump.arrivals,
+            ciphertext_arrivals=[t for r in receivers for t in r.held_at],
+            server_broadcasts=pump.announces,
+            server_bytes=pump.bytes,
+            ledger=AnonymityLedger(),
+        )
+
+    result = run_virtual(contest())
+    if len(result.tre_open_times) != teams:
+        raise SimulationError(
+            f"{teams - len(result.tre_open_times)} teams never opened the "
+            "problems (ciphertext arrived after the update?)"
+        )
+    return result
 
 
 @dataclass
@@ -182,96 +282,99 @@ def run_sealed_bid_auction(
 
     Each bidder encrypts its bid to the auctioneer with release time =
     the close.  The auctioneer holds all ciphertexts and *tries* to open
-    them early (modelling the corrupt-agent threat the paper describes);
-    every early attempt fails because no update exists yet.  At the
-    close the time server broadcasts one update and all bids open.
+    them early (modelling the corrupt-agent threat the paper describes):
+    at each of ``early_attempt_times`` it sends the node a
+    ``GET_UPDATE`` for the close label per sealed bid, and before the
+    close every one is refused.  At the close the time server
+    broadcasts one update and all bids open.
     """
     if bidders < 2:
         raise SimulationError("an auction needs at least two bidders")
     rng = random.Random(seed)
     group = group or PairingGroup("toy64")
 
-    sim = Simulator()
-    metrics = MetricsCollector()
-    ledger = AnonymityLedger()
-    channel = BroadcastChannel(
-        sim, NormalJitterLatency(0.05, 0.01), rng, metrics, "updates"
+    channel = BroadcastChannel(NormalJitterLatency(0.05, 0.01), rng)
+    keypair = ServerKeyPair.generate(group, rng)
+    node = TimeServerNode(
+        group, keypair, epoch_interval=close_time, prefix="auction"
     )
-    server_node = TimeServerNode(sim, group, channel, rng)
+    # An epoch label, not a free-form one: the node signs free-form
+    # labels on demand, so only the release policy keeps this sealed.
+    close_label = node.label_for(1)
     scheme = TimedReleaseScheme(group)
-    auctioneer = UserKeyPair.generate(group, server_node.public_key, rng)
-
-    close_label = b"auction:close"
     bids = {f"bidder-{i}": rng.randrange(1_000, 1_000_000) for i in range(bidders)}
-    sealed: dict[str, object] = {}
-    bid_bytes: dict[str, int] = {}
-
-    def submit(name: str, amount: int):
-        def do_submit():
-            ciphertext = scheme.encrypt(
-                str(amount).encode(),
-                auctioneer.public,
-                server_node.public_key,
-                close_label,
-                rng,
-            )
-            sealed[name] = ciphertext
-            bid_bytes[name] = ciphertext.size_bytes(group)
-
-        return do_submit
-
-    for index, (name, amount) in enumerate(sorted(bids.items())):
-        sim.schedule_at(10.0 + index, submit(name, amount))
-
-    # The corrupt-agent probe: before the close, try opening with any
-    # update the server has actually published (none for the close label).
-    early_results = {"attempts": 0, "succeeded": 0, "refused": 0}
-
-    def attempt_early_opening():
-        for name, ciphertext in sealed.items():
-            early_results["attempts"] += 1
-            try:
-                server_node.server.lookup(close_label)
-                early_results["succeeded"] += 1
-            except UpdateNotAvailableError:
-                # No update published yet: the bid stays sealed.  The
-                # refusal is the security property — count it so the
-                # result proves every pre-close attempt was denied.
-                early_results["refused"] += 1
-
-    for when in early_attempt_times:
-        sim.schedule_at(when, attempt_early_opening)
-
-    opened: dict[str, int] = {}
-    opened_at = {"time": None}
-
-    def open_all(update):
-        for name, ciphertext in sorted(sealed.items()):
-            plaintext = scheme.decrypt(
-                ciphertext, auctioneer, update, server_node.public_key
-            )
-            opened[name] = int(plaintext.decode())
-        opened_at["time"] = sim.now
-
-    channel.subscribe(open_all)
-    server_node.schedule_update(close_time, close_label)
-    sim.run()
-
-    if opened != bids:
-        raise SimulationError("recovered bids do not match submitted bids")
-    winner = max(opened, key=lambda name: opened[name])
-    return AuctionResult(
-        close_time=close_time,
-        bids=bids,
-        winner=winner,
-        winning_bid=bids[winner],
-        opened_at=opened_at["time"],
-        early_opening_attempts=early_results["attempts"],
-        early_openings_succeeded=early_results["succeeded"],
-        early_openings_refused=early_results["refused"],
-        server_broadcasts=metrics.channels["updates"].messages,
-        ledger=ledger,
+    names = sorted(bids)
+    transport = LocalNodeTransport(node)
+    auctioneer = _Receiver(
+        ResilientTimeClient(group, keypair.public, [transport], rng),
+        UserKeyPair.generate(group, keypair.public, rng),
     )
+    channel.subscribe(auctioneer.receive_frame)
+    bid_bytes: dict[str, int] = {}
+    early = {"attempts": 0, "succeeded": 0, "refused": 0}
+
+    async def auction() -> AuctionResult:
+        pump = _ReleasePump(node, channel, close_label)
+        await node.start()
+
+        async def bidding():
+            for index, name in enumerate(names):
+                await _sleep_until(10.0 + index)
+                ciphertext = scheme.encrypt(
+                    str(bids[name]).encode(),
+                    auctioneer.keypair.public,
+                    keypair.public,
+                    close_label,
+                    rng,
+                )
+                auctioneer.receive_ciphertext(ciphertext)
+                bid_bytes[name] = ciphertext.size_bytes(group)
+
+        async def corrupt_agent():
+            # Before the close, ask the node for the close label's
+            # update once per sealed bid.  Only the release policy
+            # stands in the way: each refusal is an ERR_UNAVAILABLE
+            # reply, counted so the result proves every try was denied.
+            probe = wire.encode_message(wire.GetUpdate(close_label))
+            for when in early_attempt_times:
+                await _sleep_until(when)
+                for _ in auctioneer.held:
+                    early["attempts"] += 1
+                    raw = await asyncio.wait_for(transport.request(probe), 1.0)
+                    reply = wire.decode_message(raw)
+                    if isinstance(reply, wire.UpdateResponse):
+                        early["succeeded"] += 1
+                    elif (isinstance(reply, wire.ErrorResponse)
+                            and reply.code == wire.ERR_UNAVAILABLE):
+                        early["refused"] += 1
+
+        async def closing():
+            await pump.released.wait()
+            await _sleep_until(max(pump.arrivals))
+
+        await asyncio.gather(bidding(), corrupt_agent(), closing())
+        opened = {
+            name: int(plaintext.decode())
+            for name, (plaintext, _) in zip(names, auctioneer.opened)
+        }
+        if opened != bids:
+            raise SimulationError("recovered bids do not match submitted bids")
+        winner = max(opened, key=lambda name: opened[name])
+        return AuctionResult(
+            close_time=close_time,
+            bids=bids,
+            winner=winner,
+            winning_bid=bids[winner],
+            opened_at=auctioneer.opened[0][1],
+            early_opening_attempts=early["attempts"],
+            early_openings_succeeded=early["succeeded"],
+            early_openings_refused=early["refused"],
+            server_broadcasts=pump.announces,
+            ledger=AnonymityLedger(),
+            bid_bytes=bid_bytes,
+        )
+
+    return run_virtual(auction())
 
 
 @dataclass
@@ -323,8 +426,6 @@ def run_threshold_beacon(
     group = group or PairingGroup("toy64")
     share_latency = share_latency or NormalJitterLatency(0.25, 0.10)
 
-    sim = Simulator()
-    metrics = MetricsCollector()
     coordinator, member_objs = ThresholdTimeServer.setup(
         group, members=members, threshold=threshold, rng=rng
     )
@@ -342,10 +443,11 @@ def run_threshold_beacon(
         for i, key in enumerate(user_keys)
     ]
 
-    update_channel = BroadcastChannel(
-        sim, NormalJitterLatency(0.05, 0.02), rng, metrics, "updates"
-    )
+    update_channel = BroadcastChannel(NormalJitterLatency(0.05, 0.02), rng)
+    shares = UnicastLink(share_latency, rng)
     opened: list[tuple[int, bytes]] = []
+    open_times: list[float] = []
+    state = {"shares": [], "combined_at": None, "arrivals": [], "updates": []}
 
     def make_receiver(index):
         def on_update(update):
@@ -354,17 +456,16 @@ def run_threshold_beacon(
                 coordinator.public_key,
             )
             opened.append((index, plaintext))
-            metrics.observe("beacon_open_time", sim.now)
+            open_times.append(asyncio.get_running_loop().time())
 
         return on_update
 
     for index in range(receivers):
         update_channel.subscribe(make_receiver(index))
 
-    state = {"shares": [], "combined_at": None, "arrivals": []}
-
     def on_share(share):
-        state["arrivals"].append(sim.now)
+        now = asyncio.get_running_loop().time()
+        state["arrivals"].append(now)
         if state["combined_at"] is not None:
             return
         if not coordinator.verify_share(share):
@@ -372,22 +473,25 @@ def run_threshold_beacon(
         state["shares"].append(share)
         if len(state["shares"]) >= threshold:
             update = coordinator.combine(state["shares"], verify=False)
-            state["combined_at"] = sim.now
-            update_channel.publish(update, len(update.to_bytes(group)))
+            state["combined_at"] = now
+            state["updates"] = update_channel.publish(
+                update, len(update.to_bytes(group))
+            )
 
-    online = member_objs[offline:]
-    for member in online:
-        link = UnicastLink(sim, share_latency, rng, metrics, "shares")
-        sim.schedule_at(
-            release_time,
-            (lambda m=member, l=link: l.send(
-                m.issue_update_share(label),
+    async def beacon() -> None:
+        await _sleep_until(release_time)
+        arrivals = [
+            shares.send(
+                member.issue_update_share(label),
                 group.point_bytes + len(label),
                 on_share,
-            )),
-        )
-    sim.run()
+            )
+            for member in member_objs[offline:]
+        ]
+        await _sleep_until(max(arrivals))
+        await _sleep_until(max(state["updates"], default=0.0))
 
+    run_virtual(beacon())
     expected = [(i, f"payload-{i}".encode()) for i in range(receivers)]
     if sorted(opened) != expected:
         raise SimulationError("not every receiver recovered its payload")
@@ -399,5 +503,5 @@ def run_threshold_beacon(
         share_arrivals=state["arrivals"],
         combined_at=state["combined_at"],
         receivers_opened=len(opened),
-        open_times=metrics.series["beacon_open_time"],
+        open_times=open_times,
     )

@@ -1,11 +1,16 @@
-"""Tests for latency models, unicast links and the broadcast channel."""
+"""Tests for latency models, unicast links and the broadcast channel.
 
+Links and the channel schedule deliveries on the running loop, so each
+test drives them inside ``run_virtual``.
+"""
+
+import asyncio
 import random
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import Simulator
+from repro.service.virtualtime import run_virtual
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import (
     BroadcastChannel,
@@ -47,38 +52,49 @@ class TestLatencyModels:
             NormalJitterLatency(-1, 0)
 
 
+async def _settle(result):
+    """Let every delivery already scheduled run, then return ``result``."""
+    await asyncio.sleep(60.0)
+    return result
+
+
 class TestUnicastLink:
     def test_delivery(self):
-        sim = Simulator()
         metrics = MetricsCollector()
-        link = UnicastLink(sim, FixedLatency(2.0), random.Random(0), metrics, "l")
+        link = UnicastLink(FixedLatency(2.0), random.Random(0), metrics, "l")
         received = []
-        arrival = link.send(b"payload", 7, received.append)
-        assert arrival == 2.0
-        sim.run()
+
+        async def scenario():
+            return await _settle(link.send(b"payload", 7, received.append))
+
+        assert run_virtual(scenario()) == 2.0
         assert received == [b"payload"]
         assert metrics.channels["l"].messages == 1
         assert metrics.channels["l"].bytes == 7
 
     def test_metrics_optional(self):
-        sim = Simulator()
-        link = UnicastLink(sim, FixedLatency(1.0), random.Random(0))
-        link.send(b"x", 1, lambda p: None)
-        sim.run()
+        link = UnicastLink(FixedLatency(1.0), random.Random(0))
+
+        async def scenario():
+            await _settle(link.send(b"x", 1, lambda p: None))
+
+        run_virtual(scenario())
 
 
 class TestBroadcastChannel:
     def test_fanout(self):
-        sim = Simulator()
         metrics = MetricsCollector()
         channel = BroadcastChannel(
-            sim, FixedLatency(0.5), random.Random(0), metrics, "b"
+            FixedLatency(0.5), random.Random(0), metrics, "b"
         )
         boxes = [[], [], []]
         for box in boxes:
             channel.subscribe(box.append)
-        arrivals = channel.publish("update", 66)
-        sim.run()
+
+        async def scenario():
+            return await _settle(channel.publish("update", 66))
+
+        arrivals = run_virtual(scenario())
         assert all(box == ["update"] for box in boxes)
         assert arrivals == [0.5, 0.5, 0.5]
         # One message charged regardless of subscriber count.
@@ -86,23 +102,28 @@ class TestBroadcastChannel:
         assert metrics.channels["b"].bytes == 66
 
     def test_independent_jitter(self):
-        sim = Simulator()
         channel = BroadcastChannel(
-            sim, UniformLatency(0.0, 1.0), random.Random(3), None
+            UniformLatency(0.0, 1.0), random.Random(3), None
         )
         for _ in range(5):
             channel.subscribe(lambda p: None)
-        arrivals = channel.publish("u", 1)
+
+        async def scenario():
+            return await _settle(channel.publish("u", 1))
+
+        arrivals = run_virtual(scenario())
         assert len(set(arrivals)) > 1
 
     def test_subscriber_count(self):
-        sim = Simulator()
-        channel = BroadcastChannel(sim, FixedLatency(0), random.Random(0), None)
+        channel = BroadcastChannel(FixedLatency(0), random.Random(0), None)
         assert channel.subscriber_count == 0
         channel.subscribe(lambda p: None)
         assert channel.subscriber_count == 1
 
     def test_empty_broadcast(self):
-        sim = Simulator()
-        channel = BroadcastChannel(sim, FixedLatency(0), random.Random(0), None)
-        assert channel.publish("u", 1) == []
+        channel = BroadcastChannel(FixedLatency(0), random.Random(0), None)
+
+        async def scenario():
+            return channel.publish("u", 1)
+
+        assert run_virtual(scenario()) == []

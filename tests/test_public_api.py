@@ -63,7 +63,7 @@ PUBLIC_SURFACE = {
     ],
     "repro.pairing.bn254": ["BN254", "bn254"],
     "repro.sim": [
-        "Simulator", "FixedLatency", "UniformLatency", "NormalJitterLatency",
+        "FixedLatency", "UniformLatency", "NormalJitterLatency",
         "UnicastLink", "BroadcastChannel", "MetricsCollector",
     ],
     "repro.sim.scenarios": [
