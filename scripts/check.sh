@@ -47,11 +47,10 @@ if [ "$fast" -eq 0 ]; then
 fi
 
 # One run gates all four families (RP1xx pattern rules, RP2xx taint,
-# RP3xx fork-safety, RP4xx typestate protocols); --jobs parallelizes
-# parsing without changing a byte of the report.
+# RP3xx fork-safety, RP4xx typestate protocols).
 step "crypto-hygiene lint (repro.lint, RP1xx-RP4xx)"
 PYTHONPATH=src python -m repro.lint src examples benchmarks \
-    --check-baseline --self-time-budget 60 --jobs 4 \
+    --check-baseline --self-time-budget 60 \
     || failures=$((failures + 1))
 
 step "ruff"

@@ -344,35 +344,6 @@ def tre_batch_decrypt_cost(n: int) -> OpBudget:
     )
 
 
-# ----------------------------------------------------------------------
-# Multi-pairing speedup formulas.
-# ----------------------------------------------------------------------
-
-
-def multi_pairing_saving(k: int, final_exp_weight: float = 2.0) -> float:
-    """Scalar-mult equivalents saved by fusing ``k`` pairings into one
-    multi-pairing: ``k - 1`` final exponentiations disappear."""
-    if k < 1:
-        raise ValueError("a multi-pairing needs at least one pair")
-    return (k - 1) * final_exp_weight
-
-
-def multi_pairing_speedup(
-    k: int,
-    pairing_weight: float = 10.0,
-    final_exp_weight: float = 2.0,
-) -> float:
-    """Predicted ratio (k independent pairings) / (one k-fold multi-pairing).
-
-    With a pairing worth ``pairing_weight`` equivalents of which
-    ``final_exp_weight`` is the final exponentiation, fusing shares all
-    but one of the ``k`` final exponentiations.
-    """
-    sequential = k * pairing_weight
-    fused = sequential - multi_pairing_saving(k, final_exp_weight)
-    return sequential / fused
-
-
 def cost_table() -> str:
     """Render the fixed budgets as an aligned table (for docs/benches)."""
     from repro.analysis.table import format_table

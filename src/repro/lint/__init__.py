@@ -72,6 +72,9 @@ typestate protocol pass (:mod:`repro.lint.proto`), which tracks
 per-variable abstract states (FETCHED < PARAM < VERIFIED for wire-
 decoded updates) through assignments, branches, and interprocedural
 summaries, plus the async-discipline and error-taxonomy checks.
+The three whole-program families share one core,
+:mod:`repro.lint.program`: the program index, the call binder, the
+summary fixpoint and the finding sink.
 
 Suppression is explicit and reviewable: an inline
 ``# lint: allow[rule-name] justification`` waiver on (or directly
@@ -85,28 +88,20 @@ See ``docs/STATIC_ANALYSIS.md`` for the rule-by-rule rationale.
 from __future__ import annotations
 
 from repro.lint.baseline import format_baseline, load_baseline, update_baseline
-from repro.lint.conc import CONC_RULES
 from repro.lint.engine import (
+    RULES,
     LintReport,
     lint_paths,
     lint_source,
     split_by_baseline,
 )
 from repro.lint.findings import Finding
-from repro.lint.flow import FLOW_RULES
-from repro.lint.proto import PROTO_RULES
-from repro.lint.rules import ALL_RULES, all_rule_ids, get_rule
 
 __all__ = [
-    "ALL_RULES",
-    "CONC_RULES",
-    "FLOW_RULES",
-    "PROTO_RULES",
+    "RULES",
     "Finding",
     "LintReport",
-    "all_rule_ids",
     "format_baseline",
-    "get_rule",
     "lint_paths",
     "lint_source",
     "load_baseline",

@@ -14,11 +14,7 @@ import sys
 from pathlib import Path
 
 from repro.lint.baseline import format_baseline, load_baseline, update_baseline
-from repro.lint.conc import CONC_RULES
-from repro.lint.engine import LintReport, lint_paths, run
-from repro.lint.flow import FLOW_RULES
-from repro.lint.proto import PROTO_RULES
-from repro.lint.rules import ALL_RULES
+from repro.lint.engine import RULES, LintReport, lint_paths, run
 from repro.lint.sarif import render_sarif
 
 DEFAULT_BASELINE = "lint-baseline.txt"
@@ -77,14 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the report to FILE instead of stdout (text summary "
         "still goes to stdout so CI logs stay readable)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse/index modules with N worker processes (default: 1); "
-        "output is byte-identical to a sequential run",
     )
     parser.add_argument(
         "--self-time-budget",
@@ -146,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.list_rules:
-        for rule in (*ALL_RULES, *FLOW_RULES, *CONC_RULES, *PROTO_RULES):
+        for rule in RULES:
             print(f"{rule.id} {rule.name}: {rule.rationale}")
         return 0
 
@@ -165,13 +153,13 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     if args.write_baseline:
-        findings, _, _ = lint_paths(args.paths, jobs=max(1, args.jobs))
+        findings, _, _ = lint_paths(args.paths)
         Path(args.baseline).write_text(format_baseline(findings))
         print(f"wrote {len(findings)} grandfathered finding(s) to {args.baseline}")
         return 0
 
     if args.update_baseline:
-        findings, _, _ = lint_paths(args.paths, jobs=max(1, args.jobs))
+        findings, _, _ = lint_paths(args.paths)
         try:
             added, removed = update_baseline(args.baseline, findings)
         except ValueError as exc:
@@ -188,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"repro.lint: {exc}", file=sys.stderr)
         return 2
-    report = run(args.paths, baseline, select=select, jobs=max(1, args.jobs))
+    report = run(args.paths, baseline, select=select)
 
     over_budget = (
         args.self_time_budget is not None and report.elapsed > args.self_time_budget

@@ -1,10 +1,11 @@
 """repro.lint.conc — whole-program concurrency & fork-safety analysis.
 
 Where :mod:`repro.lint.flow` follows *values*, this package follows
-*processes*: which functions run inside :mod:`repro.parallel` workers
-(or any pool/executor/``Process`` target), and what process-global
-state — RNG streams, module/class-level caches, pickled task shards —
-they touch once they do:
+*processes*: which functions run inside worker processes (a
+``register_task`` task, a pool/executor dispatch target or a
+``multiprocessing.Process`` target), and what process-global state —
+RNG streams, module/class-level caches, pickled task shards — they
+touch once they do:
 
 ========  ===========================  ================================
 Rule id   Name                         Violation
@@ -28,10 +29,6 @@ worked examples.
 
 from __future__ import annotations
 
-from repro.lint.conc.analysis import (
-    CONC_RULE_IDS,
-    CONC_RULES,
-    analyze_concurrency,
-)
+from repro.lint.conc.analysis import CONC_RULES, analyze_concurrency
 
-__all__ = ["CONC_RULES", "CONC_RULE_IDS", "analyze_concurrency"]
+__all__ = ["CONC_RULES", "analyze_concurrency"]

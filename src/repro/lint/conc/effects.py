@@ -26,7 +26,8 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.lint.conc import registry as creg
-from repro.lint.flow.callgraph import FunctionInfo, ModuleImports
+from repro.lint.program import FunctionInfo
+from repro.lint.rules.base import name_tokens, terminal_name
 
 
 # A mutable-container literal or constructor at module/class level.
@@ -36,12 +37,20 @@ _CONTAINER_CALLS = frozenset(
 )
 
 
-def _terminal(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
+def _is_pool_receiver(expr: ast.expr) -> bool:
+    base = terminal_name(expr)
+    return base is not None and bool(name_tokens(base) & creg.POOL_RECEIVER_TOKENS)
+
+
+def is_pool_dispatch(call: ast.Call) -> bool:
+    """``pool.map(f, ...)``-shaped: a dispatch method on a pool-named
+    receiver (``mapping.map`` does not count)."""
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in creg.POOL_DISPATCH_METHODS
+        and _is_pool_receiver(func.value)
+    )
 
 
 def _is_mutable_value(value: ast.expr | None) -> bool:
@@ -49,14 +58,14 @@ def _is_mutable_value(value: ast.expr | None) -> bool:
                           ast.ListComp, ast.SetComp)):
         return True
     if isinstance(value, ast.Call):
-        return _terminal(value.func) in _CONTAINER_CALLS
+        return terminal_name(value.func) in _CONTAINER_CALLS
     return False
 
 
 def _is_stateful_rng_value(value: ast.expr | None) -> bool:
     if not isinstance(value, ast.Call):
         return False
-    name = _terminal(value.func)
+    name = terminal_name(value.func)
     return (
         name in creg.STATEFUL_RNG_FACTORIES
         and name not in creg.FORK_SAFE_RNG_FACTORIES
@@ -127,7 +136,7 @@ def _collect_fork_guards(tree: ast.Module) -> set[str]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        if _terminal(node.func) not in creg.AT_FORK_REGISTRARS:
+        if terminal_name(node.func) not in creg.AT_FORK_REGISTRARS:
             continue
         values = [kw.value for kw in node.keywords] + list(node.args)
         for value in values:
@@ -215,7 +224,7 @@ class _EffectVisitor(ast.NodeVisitor):
         self,
         func: FunctionInfo,
         state: ModuleState,
-        imports: ModuleImports,
+        imports: dict[str, str],
     ):
         self.func = func
         self.state = state
@@ -485,7 +494,7 @@ class _EffectVisitor(ast.NodeVisitor):
                 base, attr = func.value.id, func.attr
                 # `random.randrange(...)` on the stdlib module.
                 if (
-                    self.imports.origin_of(base) == creg.RNG_MODULE
+                    self.imports.get(base) == creg.RNG_MODULE
                     and base not in self.locals
                     and attr in creg.RNG_STATE_FUNCTIONS
                 ):
@@ -516,7 +525,7 @@ class _EffectVisitor(ast.NodeVisitor):
             elif isinstance(func, ast.Name):
                 # `from random import randrange` then `randrange(...)`.
                 if (
-                    self.imports.origin_of(func.id) == creg.RNG_MODULE
+                    self.imports.get(func.id) == creg.RNG_MODULE
                     and func.id in creg.RNG_STATE_FUNCTIONS
                     and func.id not in self.locals
                 ):
@@ -550,26 +559,15 @@ class _EffectVisitor(ast.NodeVisitor):
     def _is_dispatch_call(self, value: ast.expr) -> bool:
         if not isinstance(value, ast.Call):
             return False
-        func = value.func
-        if isinstance(func, ast.Name):
-            return func.id in creg.SHARD_BOUNDARY_CALLS
-        if isinstance(func, ast.Attribute):
-            from repro.lint.flow.registry import name_tokens
-
-            if func.attr in creg.POOL_DISPATCH_METHODS and isinstance(
-                func.value, (ast.Name, ast.Attribute)
-            ):
-                base = _terminal(func.value)
-                return base is not None and bool(
-                    name_tokens(base) & creg.POOL_RECEIVER_TOKENS
-                )
-        return False
+        if isinstance(value.func, ast.Name):
+            return value.func.id in creg.SHARD_BOUNDARY_CALLS
+        return is_pool_dispatch(value)
 
     def _scan_merge(self, sub: ast.AST) -> None:
         if not isinstance(sub, ast.Call):
             return
         func = sub.func
-        name = _terminal(func)
+        name = terminal_name(func)
         # set(results) / frozenset(results) over a dispatch result —
         # bound to a local or wrapping the dispatch call directly.
         if (
@@ -595,15 +593,9 @@ class _EffectVisitor(ast.NodeVisitor):
             )
         # imap_unordered / as_completed: completion-order result streams.
         elif name in creg.UNORDERED_DISPATCH:
-            receiver_ok = True
-            if isinstance(func, ast.Attribute) and name == "imap_unordered":
-                from repro.lint.flow.registry import name_tokens
-
-                base = _terminal(func.value)
-                receiver_ok = base is not None and bool(
-                    name_tokens(base) & creg.POOL_RECEIVER_TOKENS
-                )
-            if receiver_ok:
+            if not (
+                isinstance(func, ast.Attribute) and name == "imap_unordered"
+            ) or _is_pool_receiver(func.value):
                 self.effects.merges.append(
                     Effect(
                         "merge",
@@ -616,7 +608,7 @@ class _EffectVisitor(ast.NodeVisitor):
 
 
 def function_effects(
-    func: FunctionInfo, state: ModuleState, imports: ModuleImports
+    func: FunctionInfo, state: ModuleState, imports: dict[str, str]
 ) -> FunctionEffects:
     """Collect the concurrency effect summary of one function."""
     return _EffectVisitor(func, state, imports).run()

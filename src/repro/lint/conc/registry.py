@@ -4,10 +4,10 @@ Like ``repro.lint.flow.registry``, this file is the analysis's trusted
 computing base: every name the fork-safety pass believes something
 about lives here.  Four kinds of declarations:
 
-* **Worker entry markers** — how code becomes *worker-reachable*: the
-  :func:`repro.parallel.register_task` decorator, functions handed to a
-  pool/executor dispatch method, and ``multiprocessing.Process``
-  targets.
+* **Worker entry markers** — how code becomes *worker-reachable*: a
+  ``register_task`` task decorator, functions handed to a pool/executor
+  dispatch method, and ``multiprocessing.Process`` targets.  The
+  ``conc_*`` fixtures under ``tests/lint/fixtures`` exercise each.
 * **RNG state** — the stdlib ``random`` module-level functions whose
   shared Mersenne-Twister state a fork duplicates (two children that
   inherit it draw the *same* "random" stream), and the constructors
@@ -116,16 +116,13 @@ STATEFUL_RNG_FACTORIES = frozenset({"Random", "seeded_rng"})
 # *write* to one of these from worker-reachable code still fires.
 READ_ONLY_GLOBALS = frozenset(
     {
-        "_TASKS",  # repro.parallel task registry, populated at import
+        "_TASKS",  # a register_task registry, populated at import
         "PARAMETER_SETS",  # repro.pairing.params, immutable after import
         # repro.math.backend: the name -> class table is write-once at
         # import; the per-(name, modulus) instance cache is mutable but
         # fork-guarded by its own register_at_fork clear hook.
         "_BACKEND_CLASSES",
         "BACKEND_NAMES",
-        "ALL_RULES",  # lint rule registry (self-analysis)
-        "FLOW_RULES",
-        "CONC_RULES",
     }
 )
 

@@ -1,11 +1,12 @@
 """The lint engine: file discovery, parsing, rule dispatch, waivers.
 
-Since the interprocedural flow pass (``repro.lint.flow``) landed, a
-lint run is two-phase: every requested file is parsed up front, the
-single-node RP1xx rules run per module, then the whole-program taint
-analysis runs once over all parsed modules and its RP2xx findings are
-merged back onto the module they report against.  Waivers, baselining
-and fingerprints apply uniformly to both families.
+A lint run is two-phase: every requested file is parsed up front, the
+single-node RP1xx rules run per module, then the three whole-program
+families (RP2xx taint, RP3xx fork safety, RP4xx typestate) run once
+over one :class:`~repro.lint.program.Program` of all parsed modules,
+and their findings are merged back onto the module they report
+against.  Waivers, baselining and fingerprints apply uniformly to
+every family.  ``RULES`` is the one table of every rule.
 
 Waivers are inline comments of the form::
 
@@ -27,27 +28,21 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.lint.conc import analyze_concurrency
+from repro.lint.conc import CONC_RULES, analyze_concurrency
 from repro.lint.findings import Finding, attach_fingerprints
-from repro.lint.flow import analyze_program, solve_program
-from repro.lint.proto import analyze_protocols
-from repro.lint.rules import ALL_RULES, ModuleContext, Rule
+from repro.lint.flow import FLOW_RULES, analyze_program
+from repro.lint.program import ParsedModule, Program
+from repro.lint.proto import PROTO_RULES, analyze_protocols
+from repro.lint.rules import MODULE_RULES, ModuleContext, Rule
+
+RULES: tuple[Rule, ...] = (*MODULE_RULES, *FLOW_RULES, *CONC_RULES, *PROTO_RULES)
+_RULE_TOKENS = {rule.id for rule in RULES} | {rule.name for rule in RULES}
 
 _WAIVER = re.compile(r"#\s*lint:\s*allow\[([^\]]+)\]")
 
 # A flow finding duplicating a single-node finding of the paired legacy
 # rule on the same line is dropped — one leak, one report.
 _FLOW_SHADOWS = {"RP201": "RP103", "RP202": "RP102"}
-
-
-@dataclass
-class ParsedModule:
-    """One file, parsed once and shared by both analysis phases."""
-
-    path: str
-    package_path: str
-    tree: ast.Module
-    lines: list[str]
 
 
 @dataclass
@@ -115,13 +110,6 @@ def _all_waiver_tokens(lines: list[str]) -> list[tuple[int, str]]:
     placeholder tokens (``allow[rule-name]``), and a placeholder is not
     a stale suppression.
     """
-    from repro.lint.rules import ALL_RULES
-    from repro.lint.flow import FLOW_RULES
-    from repro.lint.conc import CONC_RULES
-    from repro.lint.proto import PROTO_RULES
-
-    families = (*ALL_RULES, *FLOW_RULES, *CONC_RULES, *PROTO_RULES)
-    known = {rule.id for rule in families} | {rule.name for rule in families}
     out: list[tuple[int, str]] = []
     for number, text in enumerate(lines, start=1):
         match = _WAIVER.search(text)
@@ -129,7 +117,7 @@ def _all_waiver_tokens(lines: list[str]) -> list[tuple[int, str]]:
             out.extend(
                 (number, token)
                 for token in (part.strip() for part in match.group(1).split(","))
-                if token in known
+                if token in _RULE_TOKENS
             )
     return out
 
@@ -176,8 +164,7 @@ def _drop_shadowed(findings: list[Finding]) -> list[Finding]:
 
 def analyze_modules(
     modules: list[ParsedModule],
-    rules: tuple[Rule, ...] = ALL_RULES,
-    flow: bool = True,
+    rules: tuple[Rule, ...] = MODULE_RULES,
 ) -> tuple[list[Finding], int, list[str]]:
     """Both analysis phases plus waiver/fingerprint bookkeeping.
 
@@ -186,18 +173,12 @@ def analyze_modules(
     by_path: dict[str, list[Finding]] = {module.path: [] for module in modules}
     for module in modules:
         by_path[module.path].extend(_module_rule_findings(module, rules))
-    if flow:
-        parsed = [(m.path, m.package_path, m.tree, m.lines) for m in modules]
-        # One index + one summary fixpoint feeds all whole-program
-        # passes: the taint report (RP2xx), the fork-safety /
-        # concurrency report (RP3xx), and the typestate protocol
-        # report (RP4xx).
-        program = solve_program(parsed)
-        whole_program = analyze_program(parsed, program)
-        whole_program += analyze_concurrency(parsed, program)
-        whole_program += analyze_protocols(parsed, program)
-        for finding in whole_program:
-            by_path.setdefault(finding.path, []).append(finding)
+    program = Program(modules)
+    taint = analyze_program(program)
+    analyze_concurrency(program, taint)  # RP303 reads the taint summaries
+    analyze_protocols(program)
+    for finding in program.findings:
+        by_path.setdefault(finding.path, []).append(finding)
 
     findings: list[Finding] = []
     waived = 0
@@ -236,9 +217,8 @@ def analyze_modules(
 def lint_source(
     source: str,
     path: str,
-    rules: tuple[Rule, ...] = ALL_RULES,
+    rules: tuple[Rule, ...] = MODULE_RULES,
     package_path: str | None = None,
-    flow: bool = True,
 ) -> tuple[list[Finding], int]:
     """Lint one module's text; returns (findings, waived_count).
 
@@ -248,7 +228,7 @@ def lint_source(
     intra-module interprocedural flows are still found.
     """
     module = parse_module(source, path, package_path)
-    findings, waived, _ = analyze_modules([module], rules, flow=flow)
+    findings, waived, _ = analyze_modules([module], rules)
     return findings, waived
 
 
@@ -261,45 +241,19 @@ def iter_python_files(paths: list[str | Path]):
             yield path
 
 
-def _parse_one(posix_path: str) -> ParsedModule:
-    """Top-level (picklable) parse worker for the ``jobs`` pool."""
-    return parse_module(
-        Path(posix_path).read_text(encoding="utf-8"), posix_path
-    )
-
-
-def parse_paths(paths: list[str | Path], jobs: int = 1) -> list[ParsedModule]:
-    """Discover and parse every requested file.
-
-    ``jobs > 1`` parses in a process pool: parsing dominates a lint
-    run's startup on wide trees, trees are embarrassingly parallel, and
-    ``executor.map`` preserves submission order, so the module list —
-    and therefore every downstream report — is byte-identical to the
-    sequential one.  Any pool failure (sandboxed CI without semaphores,
-    interpreter shutdown races) falls back to sequential parsing rather
-    than failing the gate.
-    """
-    files = [file_path.as_posix() for file_path in iter_python_files(paths)]
-    if jobs > 1 and len(files) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(files))
-            ) as executor:
-                return list(executor.map(_parse_one, files, chunksize=8))
-        except OSError:
-            pass
-    return [_parse_one(file_path) for file_path in files]
+def parse_paths(paths: list[str | Path]) -> list[ParsedModule]:
+    """Discover and parse every requested file, in discovery order."""
+    return [
+        parse_module(file_path.read_text(encoding="utf-8"), file_path.as_posix())
+        for file_path in iter_python_files(paths)
+    ]
 
 
 def lint_paths(
-    paths: list[str | Path],
-    rules: tuple[Rule, ...] = ALL_RULES,
-    jobs: int = 1,
+    paths: list[str | Path], rules: tuple[Rule, ...] = MODULE_RULES
 ) -> tuple[list[Finding], int, int]:
     """Lint files/trees; returns (findings, waived_count, files_checked)."""
-    modules = parse_paths(paths, jobs=jobs)
+    modules = parse_paths(paths)
     findings, waived, _ = analyze_modules(modules, rules)
     return findings, waived, len(modules)
 
@@ -329,7 +283,6 @@ def run(
     paths: list[str | Path],
     baseline: set[str] | None = None,
     select: tuple[str, ...] | None = None,
-    jobs: int = 1,
 ) -> LintReport:
     """Full pipeline used by the CLI and the pytest gate.
 
@@ -342,7 +295,7 @@ def run(
     import time
 
     started = time.perf_counter()
-    modules = parse_paths(paths, jobs=jobs)
+    modules = parse_paths(paths)
     findings, waived, unused = analyze_modules(modules)
     baseline = set(baseline or set())
     if select:

@@ -28,23 +28,15 @@ and how to declare new sources/sinks/sanitizers.
 
 from __future__ import annotations
 
-from repro.lint.flow.analysis import (
-    FLOW_RULE_IDS,
-    FLOW_RULES,
-    FlowRuleMeta,
-    analyze_program,
-    solve_program,
-)
+from repro.lint.flow.analysis import analyze_program
 from repro.lint.flow.lattice import CLEAN, DERIVED, SECRET, Taint
+from repro.lint.flow.transfer import FLOW_RULES
 
 __all__ = [
     "CLEAN",
     "DERIVED",
     "FLOW_RULES",
-    "FLOW_RULE_IDS",
-    "FlowRuleMeta",
     "SECRET",
     "Taint",
     "analyze_program",
-    "solve_program",
 ]

@@ -1,15 +1,10 @@
-"""Whole-program driver: summary fixpoint, reporting, RP201–RP204.
+"""The taint family's driver: reporting and RP201–RP204.
 
-``analyze_program`` takes every parsed module at once, builds the
-program index, iterates per-function summaries to a fixpoint (the
-lattice is finite and summaries grow monotonically, so this
-terminates; in practice two or three passes suffice for the tree's
-call-chain depth), and then runs a reporting pass that emits findings
-wherever *concretely* secret values reach sinks — including call sites
-whose taint disappears into a helper that leaks several hops later.
-
-Module top-level code is analyzed as a parameterless pseudo-function,
-so scripts under ``examples/`` and ``benchmarks/`` are covered too.
+``analyze_program`` solves the per-function taint summaries over the
+shared program (:mod:`repro.lint.program`), then runs a reporting pass
+that emits findings wherever *concretely* secret values reach sinks —
+including call sites whose taint disappears into a helper that leaks
+several hops later.
 
 A separate structural scan flags secret-named fields of ``@dataclass``
 definitions whose generated ``__repr__`` would render them (the
@@ -21,223 +16,40 @@ class installs a redacted one.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 
-from repro.lint.findings import Finding
-from repro.lint.flow.callgraph import FunctionInfo, ProgramIndex
-from repro.lint.flow.transfer import (
-    RP201,
-    RP202,
-    RP203,
-    RP204,
-    FunctionTransfer,
-    Summary,
-)
 from repro.lint.flow import registry as reg
-
-_MAX_FIXPOINT_PASSES = 12
-
-# Which package top-dirs each flow rule patrols; None = everywhere.
-# "" is the top_dir of files outside the repro package (examples,
-# benchmarks, scripts) — rendering and third-party escapes matter
-# there, branch timing and serialization discipline do not.
-_CRYPTO_DIRS = ("core", "crypto", "ec", "pairing", "math", "baselines")
-FLOW_RULE_SCOPES: dict[str, tuple[str, ...] | None] = {
-    RP201: None,
-    RP202: _CRYPTO_DIRS,
-    RP203: _CRYPTO_DIRS,
-    RP204: (*_CRYPTO_DIRS, ""),
-}
+from repro.lint.flow.transfer import RP201, FunctionTransfer, Summary
+from repro.lint.program import FunctionInfo, Program, Summaries
+from repro.lint.rules.base import terminal_name
 
 
-@dataclass(frozen=True)
-class FlowRuleMeta:
-    """CLI/SARIF-facing metadata for one flow rule family."""
-
-    id: str
-    name: str
-    rationale: str
-    hint: str
+def _callee(node: ast.expr | None) -> str | None:
+    """Terminal name of a decorator or call: ``@dataclass(...)`` -> "dataclass"."""
+    return terminal_name(node.func if isinstance(node, ast.Call) else node)
 
 
-FLOW_RULES: tuple[FlowRuleMeta, ...] = (
-    FlowRuleMeta(
-        RP201,
-        "secret-flow-sink",
-        "a secret (or pre-KDF derived) value flows — possibly through "
-        "helper calls — into logging, printing, f-strings, repr, or "
-        "exception text",
-        "log a length/placeholder instead, or KDF the value first; for "
-        "dataclasses holding keys, redact with repro.crypto.redacted_repr",
-    ),
-    FlowRuleMeta(
-        RP202,
-        "secret-branch",
-        "control flow (if/while/assert/ternary) depends on a secret "
-        "value — variable-time execution observable over the network",
-        "restructure to constant-time selection, or waive with a "
-        "justification when the branch reveals only negligible information",
-    ),
-    FlowRuleMeta(
-        RP203,
-        "secret-serialize",
-        "a secret or pre-KDF pairing value is serialized or persisted "
-        "without passing a KDF",
-        "pass the value through repro.crypto.kdf.derive_key or "
-        "PairingGroup.mask_bytes before it leaves the process",
-    ),
-    FlowRuleMeta(
-        RP204,
-        "taint-escape",
-        "a secret value is passed to an untracked third-party callable "
-        "the analysis cannot follow",
-        "wrap the boundary in an audited in-tree helper, or sanitize "
-        "the value before it crosses",
-    ),
-)
-
-FLOW_RULE_IDS = tuple(meta.id for meta in FLOW_RULES)
-_FLOW_NAMES = {meta.id: meta.name for meta in FLOW_RULES}
-_FLOW_HINTS = {meta.id: meta.hint for meta in FLOW_RULES}
-
-
-class ProgramAnalysis:
-    """The object handed to transfer functions: index + summaries + emit."""
-
-    def __init__(self, index: ProgramIndex):
-        self.index = index
-        self.summaries: dict[int, Summary] = {}
-        self.findings: list[Finding] = []
-        self._seen: set[tuple[str, int, int, str, str]] = set()
-        # (pseudo FunctionInfo, module tree) pairs, filled by
-        # solve_program — kept so reporting passes (flow *and* conc)
-        # can revisit module top-level code.
-        self.pseudo_functions: list[tuple[FunctionInfo, ast.Module]] = []
-
-    # -- transfer-facing API ------------------------------------------------
-
-    def resolve_function(self, name: str) -> list[FunctionInfo]:
-        return self.index.resolve_function(name)
-
-    def is_class(self, name: str) -> bool:
-        return self.index.is_class(name)
-
-    def imports_of(self, path: str):
-        return self.index.imports_of(path)
-
-    def summary_of(self, func: FunctionInfo) -> Summary:
-        return self.summaries.get(id(func), Summary())
-
-    def emit(self, func: FunctionInfo, node: ast.AST, rule: str, message: str) -> None:
-        scopes = FLOW_RULE_SCOPES.get(rule)
-        if scopes is not None and func.top_dir not in scopes:
-            return
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        key = (func.path, line, col, rule, message)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.findings.append(
-            Finding(
-                rule=rule,
-                name=_FLOW_NAMES[rule],
-                path=func.path,
-                line=line,
-                col=col,
-                message=message,
-                hint=_FLOW_HINTS[rule],
-            )
-        )
-
-    # -- driver -------------------------------------------------------------
-
-    def solve(self) -> None:
-        """Iterate summaries to a fixpoint."""
-        for _ in range(_MAX_FIXPOINT_PASSES):
-            changed = False
-            for func in self.index.all_functions:
-                summary = FunctionTransfer(func, self, report=False).run()
-                if summary != self.summaries.get(id(func)):
-                    self.summaries[id(func)] = summary
-                    changed = True
-            if not changed:
-                return
-
-    def report(self) -> None:
-        for func in self.index.all_functions:
-            FunctionTransfer(func, self, report=True).run()
-
-
-def _module_pseudo_function(
-    path: str, package_path: str, tree: ast.Module, lines: list[str]
-) -> FunctionInfo:
-    return FunctionInfo(
-        name="<module>",
-        qualname=f"{package_path or path}::<module>",
-        path=path,
-        package_path=package_path,
-        node=tree,
-        lines=lines,
+def _repr_false(node: ast.expr | None) -> bool:
+    """Whether ``node`` is a call passing ``repr=False``."""
+    return isinstance(node, ast.Call) and any(
+        kw.arg == "repr"
+        and isinstance(kw.value, ast.Constant)
+        and kw.value.value is False
+        for kw in node.keywords
     )
 
 
-def _dataclass_call_suppresses_repr(decorator: ast.expr) -> tuple[bool, bool]:
-    """(is_dataclass_decorator, repr_suppressed) for one decorator node."""
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    name = target.attr if isinstance(target, ast.Attribute) else (
-        target.id if isinstance(target, ast.Name) else None
-    )
-    if name != "dataclass":
-        return False, False
-    if isinstance(decorator, ast.Call):
-        for kw in decorator.keywords:
-            if kw.arg == "repr" and isinstance(kw.value, ast.Constant):
-                return True, kw.value.value is False
-    return True, False
-
-
-def _is_redacted_repr_decorator(decorator: ast.expr) -> bool:
-    """True for ``@redacted_repr(...)`` (the repro.crypto helper)."""
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    name = target.attr if isinstance(target, ast.Attribute) else (
-        target.id if isinstance(target, ast.Name) else None
-    )
-    return name == "redacted_repr"
-
-
-def _field_repr_suppressed(value: ast.expr | None) -> bool:
-    if not isinstance(value, ast.Call):
-        return False
-    target = value.func
-    name = target.attr if isinstance(target, ast.Attribute) else (
-        target.id if isinstance(target, ast.Name) else None
-    )
-    if name != "field":
-        return False
-    for kw in value.keywords:
-        if kw.arg == "repr" and isinstance(kw.value, ast.Constant):
-            return kw.value.value is False
-    return False
-
-
-def _check_dataclass_reprs(
-    analysis: ProgramAnalysis, pseudo: FunctionInfo, tree: ast.Module
-) -> None:
-    for node in ast.walk(tree):
+def _check_dataclass_reprs(program: Program, pseudo: FunctionInfo) -> None:
+    for node in ast.walk(pseudo.node):
         if not isinstance(node, ast.ClassDef):
             continue
-        is_dataclass = repr_suppressed = False
-        for decorator in node.decorator_list:
-            found, suppressed = _dataclass_call_suppresses_repr(decorator)
-            is_dataclass = is_dataclass or found
-            repr_suppressed = (
-                repr_suppressed
-                or suppressed
-                or _is_redacted_repr_decorator(decorator)
-            )
-        if not is_dataclass:
+        decorators = [(_callee(dec), dec) for dec in node.decorator_list]
+        if not any(name == "dataclass" for name, _ in decorators):
             continue
+        # `@dataclass(repr=False)` or the repro.crypto `@redacted_repr`.
+        repr_suppressed = any(
+            (name == "dataclass" and _repr_false(dec)) or name == "redacted_repr"
+            for name, dec in decorators
+        )
         defines_repr = any(
             (isinstance(item, ast.FunctionDef) and item.name == "__repr__")
             or (
@@ -259,9 +71,11 @@ def _check_dataclass_reprs(
             field_name = item.target.id
             if not reg.is_secret_name(field_name):
                 continue
-            if repr_suppressed or _field_repr_suppressed(item.value):
+            if repr_suppressed or (
+                _callee(item.value) == "field" and _repr_false(item.value)
+            ):
                 continue
-            analysis.emit(
+            program.emit(
                 pseudo,
                 item,
                 RP201,
@@ -270,41 +84,13 @@ def _check_dataclass_reprs(
             )
 
 
-def solve_program(
-    modules: "list[tuple[str, str, ast.Module, list[str]]]",
-) -> ProgramAnalysis:
-    """Index the modules and iterate summaries to a fixpoint.
-
-    ``modules`` is a list of ``(path, package_path, tree, lines)``.
-    The returned analysis carries the solved summary table but no
-    findings yet; hand it to :func:`analyze_program` for the flow
-    report, or to ``repro.lint.conc.analyze_concurrency`` — both reuse
-    the one index and fixpoint instead of recomputing them.
-    """
-    index = ProgramIndex()
-    analysis = ProgramAnalysis(index)
-    for path, package_path, tree, lines in modules:
-        index.add_module(path, package_path, tree, lines)
-        pseudo = _module_pseudo_function(path, package_path, tree, lines)
-        index.all_functions.append(pseudo)
-        analysis.pseudo_functions.append((pseudo, tree))
-    analysis.solve()
-    return analysis
-
-
-def analyze_program(
-    modules: "list[tuple[str, str, ast.Module, list[str]]]",
-    program: ProgramAnalysis | None = None,
-) -> list[Finding]:
-    """Run the interprocedural taint analysis over parsed modules.
-
-    Returns flow findings (without fingerprints — the engine attaches
-    those alongside the per-module rule findings).  ``program`` may be
-    a pre-solved analysis from :func:`solve_program`; omitted, one is
-    solved here.
-    """
-    analysis = program or solve_program(modules)
-    analysis.report()
-    for pseudo, tree in analysis.pseudo_functions:
-        _check_dataclass_reprs(analysis, pseudo, tree)
-    return analysis.findings
+def analyze_program(program: Program) -> Summaries[Summary]:
+    """Run the interprocedural taint analysis, emitting RP2xx findings
+    into ``program``.  Returns the solved summaries, which the
+    fork-safety pass reads too."""
+    summaries = program.solve(FunctionTransfer, Summary())
+    summaries.report()
+    for pseudo in program.functions:
+        if pseudo.name == "<module>":
+            _check_dataclass_reprs(program, pseudo)
+    return summaries

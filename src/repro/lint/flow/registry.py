@@ -28,6 +28,7 @@ the contract each table entry asserts).
 from __future__ import annotations
 
 from repro.lint.flow.lattice import DERIVED, SECRET
+from repro.lint.rules.base import name_tokens
 
 # -- name heuristics (shared vocabulary with RP102/RP103) -------------------
 
@@ -191,19 +192,11 @@ TRACKED_MODULE_ROOTS = frozenset(
 )
 
 
-def module_root(module: str | None) -> str:
-    return (module or "").split(".", 1)[0]
+def is_tracked_module(module: str) -> bool:
+    return module.split(".", 1)[0] in TRACKED_MODULE_ROOTS
 
 
-def is_tracked_module(module: str | None) -> bool:
-    return module_root(module) in TRACKED_MODULE_ROOTS
-
-
-# -- shared token helpers ---------------------------------------------------
-
-
-def name_tokens(identifier: str) -> set[str]:
-    return {tok for tok in identifier.strip("_").lower().split("_") if tok}
+# -- name predicates --------------------------------------------------------
 
 
 def is_secret_name(identifier: str) -> bool:

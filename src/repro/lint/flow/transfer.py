@@ -22,12 +22,8 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from repro.lint.flow.callgraph import FunctionInfo
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.lint.flow.analysis import ProgramAnalysis
+from repro.lint.flow import registry as reg
 from repro.lint.flow.lattice import (
     CLEAN,
     DERIVED,
@@ -36,12 +32,50 @@ from repro.lint.flow.lattice import (
     Taint,
     join_all,
 )
-from repro.lint.flow import registry as reg
+from repro.lint.program import FunctionInfo, Summaries, clip
+from repro.lint.rules.base import CRYPTO_DIRS, Rule, name_tokens
 
-RP201 = "RP201"
-RP202 = "RP202"
-RP203 = "RP203"
-RP204 = "RP204"
+# Which package top-dirs each rule patrols; None = everywhere.  "" is
+# the top_dir of files outside the repro package (examples, benchmarks,
+# scripts) — rendering and third-party escapes matter there, branch
+# timing and serialization discipline do not.
+RP201 = Rule(
+    "RP201",
+    "secret-flow-sink",
+    "a secret (or pre-KDF derived) value flows — possibly through "
+    "helper calls — into logging, printing, f-strings, repr, or "
+    "exception text",
+    "log a length/placeholder instead, or KDF the value first; for "
+    "dataclasses holding keys, redact with repro.crypto.redacted_repr",
+)
+RP202 = Rule(
+    "RP202",
+    "secret-branch",
+    "control flow (if/while/assert/ternary) depends on a secret "
+    "value — variable-time execution observable over the network",
+    "restructure to constant-time selection, or waive with a "
+    "justification when the branch reveals only negligible information",
+    scopes=CRYPTO_DIRS,
+)
+RP203 = Rule(
+    "RP203",
+    "secret-serialize",
+    "a secret or pre-KDF pairing value is serialized or persisted "
+    "without passing a KDF",
+    "pass the value through repro.crypto.kdf.derive_key or "
+    "PairingGroup.mask_bytes before it leaves the process",
+    scopes=CRYPTO_DIRS,
+)
+RP204 = Rule(
+    "RP204",
+    "taint-escape",
+    "a secret value is passed to an untracked third-party callable "
+    "the analysis cannot follow",
+    "wrap the boundary in an audited in-tree helper, or sanitize "
+    "the value before it crosses",
+    scopes=(*CRYPTO_DIRS, ""),
+)
+FLOW_RULES = (RP201, RP202, RP203, RP204)
 
 # Minimum concrete taint level at which each rule fires.  RP201/RP203
 # include DERIVED: pre-KDF pairing values must not be rendered or
@@ -49,29 +83,16 @@ RP204 = "RP204"
 # branches and generic helper calls quiet.
 RULE_THRESHOLD = {RP201: DERIVED, RP202: SECRET, RP203: DERIVED, RP204: SECRET}
 
-_MAX_DESC = 90
-
 
 @dataclass
 class Summary:
     """A function's interprocedural contract."""
 
     returns: Taint = TAINT_CLEAN
-    # (param index, rule id) -> (call depth to the sink, description).
+    # (param index, rule) -> (call depth to the sink, description).
     # The description is the *original* sink's, never re-composed, so
     # summary entries are stable and the fixpoint terminates.
-    param_sinks: dict[tuple[int, str], tuple[int, str]] = field(default_factory=dict)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Summary)
-            and self.returns == other.returns
-            and self.param_sinks == other.param_sinks
-        )
-
-
-def _clip(desc: str) -> str:
-    return desc if len(desc) <= _MAX_DESC else desc[: _MAX_DESC - 1] + "…"
+    param_sinks: dict[tuple[int, Rule], tuple[int, str]] = field(default_factory=dict)
 
 
 def _qualify(level: int) -> str:
@@ -81,13 +102,14 @@ def _qualify(level: int) -> str:
 class FunctionTransfer:
     """Analyze one function body against the current summary table."""
 
-    def __init__(self, func: FunctionInfo, program: "ProgramAnalysis", report: bool):
+    def __init__(self, func: FunctionInfo, summaries: Summaries[Summary], report: bool):
         self.func = func
-        self.program = program
+        self.summaries = summaries
+        self.program = summaries.program
         self.report = report
         self.env: dict[str, Taint] = {}
         self.returns = TAINT_CLEAN
-        self.param_sinks: dict[tuple[int, str], tuple[int, str]] = {}
+        self.param_sinks: dict[tuple[int, Rule], tuple[int, str]] = {}
         self.param_index = {name: i for i, name in enumerate(func.params)}
         for i, name in enumerate(func.params):
             level = SECRET if reg.is_secret_name(name) else CLEAN
@@ -102,12 +124,12 @@ class FunctionTransfer:
 
     # -- findings and summary entries ---------------------------------------
 
-    def _emit(self, node: ast.AST, rule: str, message: str) -> None:
+    def _emit(self, node: ast.AST, rule: Rule, message: str) -> None:
         if self.report:
             self.program.emit(self.func, node, rule, message)
 
     def _sink(
-        self, node: ast.AST, rule: str, taint: Taint, happened: str
+        self, node: ast.AST, rule: Rule, taint: Taint, happened: str
     ) -> None:
         """A tainted value reached a sink described by ``happened``."""
         threshold = RULE_THRESHOLD[rule]
@@ -117,7 +139,7 @@ class FunctionTransfer:
             # Only *direct* flows become summary entries: rendering a
             # neutral field of an object that also holds a key is not a
             # leak of the key.
-            desc = _clip(f"{happened} in `{self.func.name}`")
+            desc = clip(f"{happened} in `{self.func.name}`")
             for dep in taint.direct_deps():
                 self.param_sinks.setdefault((dep, rule), (0, desc))
 
@@ -449,18 +471,19 @@ class FunctionTransfer:
         # -- calls resolved inside the analyzed program ---------------------
         base_taint = self.eval(func.value, env) if is_attr else None
         resolved = self._apply_program_call(
-            node, fname, is_attr, base_taint, pos_taints, kw_taints, no_serialize_sinks
+            node,
+            base_taint,
+            pos_taints + [kw_taints[kw.arg] for kw in node.keywords],
+            no_serialize_sinks,
         )
         if resolved is not None:
             return resolved
 
         # -- untracked third-party boundary (RP204) -------------------------
-        imports = self.program.imports_of(self.func.path)
-        external = (
-            (not is_attr and fname is not None and imports.is_untracked(fname))
-            or (is_attr and base_name is not None and imports.is_untracked(base_name))
+        origin = self.program.imports[self.func.path].get(
+            base_name if is_attr else fname
         )
-        if external:
+        if origin is not None and not reg.is_tracked_module(origin):
             for arg, taint in zip(node.args, pos_taints):
                 self._sink(
                     arg,
@@ -492,7 +515,7 @@ class FunctionTransfer:
             return f"{fname}()"
         if isinstance(func, ast.Attribute):
             if fname in reg.LOG_METHODS and base_name is not None:
-                if reg.name_tokens(base_name) & reg.LOG_RECEIVER_TOKENS:
+                if name_tokens(base_name) & reg.LOG_RECEIVER_TOKENS:
                     return f"{base_name}.{fname}()"
             if fname in reg.WARN_CALLS:
                 return f"{fname}()"
@@ -505,48 +528,26 @@ class FunctionTransfer:
     def _apply_program_call(
         self,
         node: ast.Call,
-        fname: str | None,
-        is_attr: bool,
         base_taint: Taint | None,
-        pos_taints: list[Taint],
-        kw_taints: dict[str | None, Taint],
+        arg_taints: list[Taint],
         no_serialize_sinks: bool,
     ) -> Taint | None:
         """Apply summaries of in-program candidates; None when unresolved."""
-        if fname is None:
-            return None
-        if not is_attr and (self.program.is_class(fname) or fname == "cls"):
+        bound_calls = self.program.bind_call(node, arg_taints, receiver=base_taint)
+        if bound_calls is None:
             # Constructor: the instance is a *container*, tracked
             # symbolically (non-direct deps) but not concretely — the
             # object is not the secret it holds.  Secrets are recovered
             # at field extraction (`kp.private`) by the name heuristics,
             # and unredacted reprs by the structural dataclass check.
-            joined = join_all(pos_taints + list(kw_taints.values()))
-            return joined.with_level(CLEAN).demoted()
-        candidates = self.program.resolve_function(fname)
-        if is_attr:
-            usable = candidates
-        else:
-            usable = [c for c in candidates if not c.is_method] or candidates
-        if not usable:
+            return join_all(arg_taints).with_level(CLEAN).demoted()
+        if not bound_calls:
             return None
         out = TAINT_CLEAN
-        for cand in usable[:8]:
-            param_taints: dict[int, Taint] = {}
-            offset = 0
-            if cand.is_method:
-                if is_attr and base_taint is not None:
-                    param_taints[0] = base_taint
-                offset = 1
-            for i, taint in enumerate(pos_taints):
-                param_taints[offset + i] = taint
-            index = {name: j for j, name in enumerate(cand.params)}
-            for kw_name, taint in kw_taints.items():
-                if kw_name is not None and kw_name in index:
-                    param_taints[index[kw_name]] = taint
-            summary = self.program.summary_of(cand)
+        for cand, param_taints in bound_calls:
+            summary = self.summaries.of(cand)
             for (pidx, rule), (depth, desc) in summary.param_sinks.items():
-                if no_serialize_sinks and rule == RP203:
+                if no_serialize_sinks and rule is RP203:
                     continue
                 arg_taint = param_taints.get(pidx)
                 if arg_taint is None:

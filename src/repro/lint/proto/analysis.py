@@ -1,7 +1,7 @@
 """Typestate protocols and the RP401–RP405 rules.
 
 The pass runs after the flow fixpoint on the same
-:class:`~repro.lint.flow.callgraph.ProgramIndex`, adding a third
+:class:`~repro.lint.program.Program`, adding a third
 whole-program family: object *protocols* in the Strom–Yemini typestate
 tradition.  Each tracked value carries an abstract state; operations
 either transition the state or demand one the value has not reached.
@@ -52,79 +52,61 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.lint.conc.analysis import _own_nodes, _terminal
-from repro.lint.findings import Finding
-from repro.lint.flow.analysis import FlowRuleMeta, ProgramAnalysis
-from repro.lint.flow.callgraph import FunctionInfo
-from repro.lint.flow import registry as freg
+from repro.lint.program import FunctionInfo, Program, Summaries, clip, own_nodes
 from repro.lint.proto import registry as preg
+from repro.lint.rules.base import Rule, name_tokens, terminal_name
 
-RP401 = "RP401"
-RP402 = "RP402"
-RP403 = "RP403"
-RP404 = "RP404"
-RP405 = "RP405"
-
-PROTO_RULES: tuple[FlowRuleMeta, ...] = (
-    FlowRuleMeta(
-        RP401,
-        "unverified-update-use",
-        "an update decoded from wire bytes reaches a cache insert, "
-        "decrypt, or serialization sink without passing the pairing "
-        "check ê(sG, H1(T)) == ê(G, I_T) on every path — a forged "
-        "update accepted here poisons everything downstream that "
-        "trusts the cache",
-        "guard the value first: `if not update.verify(group, pub): "
-        "raise`, `update.ensure_valid(...)`, or batch-verify the "
-        "collection with verify_archive(...) and drop the failures",
-    ),
-    FlowRuleMeta(
-        RP402,
-        "unguarded-transport-await",
-        "an `await` on a transport/channel round-trip is not enclosed "
-        "in an asyncio.wait_for/deadline scope — a stalled peer then "
-        "parks this coroutine forever, outside every retry policy",
-        "wrap the call: `await asyncio.wait_for(transport.request(...), "
-        "timeout)` (see service.client for the Deadline idiom)",
-    ),
-    FlowRuleMeta(
-        RP403,
-        "untracked-task",
-        "the Task returned by create_task/ensure_future is dropped — "
-        "an untracked task is garbage-collected mid-flight, its "
-        "exceptions are logged to the void, and shutdown cannot cancel "
-        "or await it",
-        "store the task (e.g. on self), await or cancel it on the "
-        "shutdown path, or hand it to a tracked task group",
-    ),
-    FlowRuleMeta(
-        RP404,
-        "unclassified-service-error",
-        "service-layer error handling outside the transient/permanent "
-        "taxonomy: a raise the retry policies cannot classify, or a "
-        "broad except that swallows errors they needed to see",
-        "raise TransientServiceError/PermanentServiceError (or a "
-        "subclass) from repro.errors; catch the specific exception and "
-        "record or re-wrap it instead of `except Exception: pass`",
-    ),
-    FlowRuleMeta(
-        RP405,
-        "verify-result-discarded",
-        "the boolean verdict of a verification call is never consumed "
-        "— the pairing check ran, burned the CPU, and protected "
-        "nothing",
-        "branch on the verdict (`if not ok: raise ...`) or use the "
-        "raising form `update.ensure_valid(...)`",
-    ),
+RP401 = Rule(
+    "RP401",
+    "unverified-update-use",
+    "an update decoded from wire bytes reaches a cache insert, "
+    "decrypt, or serialization sink without passing the pairing "
+    "check ê(sG, H1(T)) == ê(G, I_T) on every path — a forged "
+    "update accepted here poisons everything downstream that "
+    "trusts the cache",
+    "guard the value first: `if not update.verify(group, pub): "
+    "raise`, `update.ensure_valid(...)`, or batch-verify the "
+    "collection with verify_archive(...) and drop the failures",
 )
-
-PROTO_RULE_IDS = tuple(meta.id for meta in PROTO_RULES)
-_PROTO_NAMES = {meta.id: meta.name for meta in PROTO_RULES}
-_PROTO_HINTS = {meta.id: meta.hint for meta in PROTO_RULES}
-
-_MAX_FIXPOINT_PASSES = 12
-_MAX_DESC = 90
-_MAX_CANDIDATES = 8
+RP402 = Rule(
+    "RP402",
+    "unguarded-transport-await",
+    "an `await` on a transport/channel round-trip is not enclosed "
+    "in an asyncio.wait_for/deadline scope — a stalled peer then "
+    "parks this coroutine forever, outside every retry policy",
+    "wrap the call: `await asyncio.wait_for(transport.request(...), "
+    "timeout)` (see service.client for the Deadline idiom)",
+)
+RP403 = Rule(
+    "RP403",
+    "untracked-task",
+    "the Task returned by create_task/ensure_future is dropped — "
+    "an untracked task is garbage-collected mid-flight, its "
+    "exceptions are logged to the void, and shutdown cannot cancel "
+    "or await it",
+    "store the task (e.g. on self), await or cancel it on the "
+    "shutdown path, or hand it to a tracked task group",
+)
+RP404 = Rule(
+    "RP404",
+    "unclassified-service-error",
+    "service-layer error handling outside the transient/permanent "
+    "taxonomy: a raise the retry policies cannot classify, or a "
+    "broad except that swallows errors they needed to see",
+    "raise TransientServiceError/PermanentServiceError (or a "
+    "subclass) from repro.errors; catch the specific exception and "
+    "record or re-wrap it instead of `except Exception: pass`",
+)
+RP405 = Rule(
+    "RP405",
+    "verify-result-discarded",
+    "the boolean verdict of a verification call is never consumed "
+    "— the pairing check ran, burned the CPU, and protected "
+    "nothing",
+    "branch on the verdict (`if not ok: raise ...`) or use the "
+    "raising form `update.ensure_valid(...)`",
+)
+PROTO_RULES = (RP401, RP402, RP403, RP404, RP405)
 
 # -- the typestate lattice ---------------------------------------------------
 
@@ -187,10 +169,6 @@ class ProtoSummary:
     param_sinks: dict[int, str] = field(default_factory=dict)
 
 
-def _clip(desc: str) -> str:
-    return desc if len(desc) <= _MAX_DESC else desc[: _MAX_DESC - 1] + "…"
-
-
 def _is_update_name(identifier: str) -> bool:
     return preg.UPDATE_NAME_MARKER in identifier.lower()
 
@@ -201,7 +179,7 @@ def _receiver_name(expr: ast.expr) -> str | None:
     node = expr
     while isinstance(node, ast.Subscript):
         node = node.value
-    return _terminal(node)
+    return terminal_name(node)
 
 
 def _env_key(expr: ast.expr) -> str | None:
@@ -217,10 +195,11 @@ class ProtoTransfer:
     """Abstract interpretation of one function body over Val states."""
 
     def __init__(
-        self, func: FunctionInfo, analysis: "ProtocolAnalysis", report: bool
+        self, func: FunctionInfo, summaries: Summaries[ProtoSummary], report: bool
     ):
         self.func = func
-        self.analysis = analysis
+        self.summaries = summaries
+        self.program = summaries.program
         self.report = report
         self.env: dict[str, Val] = {}
         self.param_index = {name: i for i, name in enumerate(func.params)}
@@ -270,9 +249,9 @@ class ProtoTransfer:
 
     # -- findings and summary entries ---------------------------------------
 
-    def _emit(self, node: ast.AST, rule: str, message: str) -> None:
+    def _emit(self, node: ast.AST, rule: Rule, message: str) -> None:
         if self.report:
-            self.analysis.emit(self.func, node, rule, message)
+            self.program.emit(self.func, node, rule, message)
 
     def _sink(self, node: ast.AST, val: Val | None, happened: str) -> None:
         """A tracked update value reached an RP401 sink."""
@@ -287,7 +266,7 @@ class ProtoTransfer:
                 "never checked on this path",
             )
         elif val.state == PARAM:
-            desc = _clip(f"{happened} in `{self.func.name}`")
+            desc = clip(f"{happened} in `{self.func.name}`")
             for i in val.params:
                 self.param_sinks.setdefault(i, desc)
 
@@ -403,9 +382,9 @@ class ProtoTransfer:
         value = stmt.value
         call = value.value if isinstance(value, ast.Await) else value
         if isinstance(call, ast.Call):
-            name = _terminal(call.func)
+            name = terminal_name(call.func)
             if name in preg.VERIFY_PREDICATES:
-                rendered = _clip(ast.unparse(call))
+                rendered = clip(ast.unparse(call))
                 self._emit(
                     call,
                     RP405,
@@ -625,8 +604,8 @@ class ProtoTransfer:
             receiver = _receiver_name(target.value)
             if receiver is None:
                 return
-            if freg.name_tokens(receiver) & preg.CACHE_NAME_TOKENS:
-                rendered = _clip(ast.unparse(target))
+            if name_tokens(receiver) & preg.CACHE_NAME_TOKENS:
+                rendered = clip(ast.unparse(target))
                 self._sink(target, val, f"stored into cache `{rendered}`")
                 return
             if val is not None and val.kind in (UPDATE, COLL):
@@ -643,7 +622,7 @@ class ProtoTransfer:
 
     def eval_call(self, node: ast.Call, env: dict[str, Val]) -> Val | None:
         func = node.func
-        fname = _terminal(func)
+        fname = terminal_name(func)
         is_attr = isinstance(func, ast.Attribute)
         receiver_key = _env_key(func.value) if is_attr else None
         receiver_val = self.eval(func.value, env) if is_attr else None
@@ -654,7 +633,7 @@ class ProtoTransfer:
         if (
             is_attr
             and fname in preg.UPDATE_DECODE_CALLS
-            and (rname := _terminal(func.value)) is not None
+            and (rname := terminal_name(func.value)) is not None
             and _is_update_name(rname)
         ):
             return Val(UPDATE, FETCHED)
@@ -704,12 +683,12 @@ class ProtoTransfer:
             arg_val = arg_vals[0] if arg_vals else None
             rname = _receiver_name(func.value)
             if rname is not None and (
-                freg.name_tokens(rname) & preg.CACHE_NAME_TOKENS
+                name_tokens(rname) & preg.CACHE_NAME_TOKENS
             ):
                 self._sink(
                     node.args[0],
                     arg_val,
-                    f"appended to cache `{_clip(ast.unparse(func.value))}`",
+                    f"appended to cache `{clip(ast.unparse(func.value))}`",
                 )
             elif (
                 arg_val is not None
@@ -732,46 +711,28 @@ class ProtoTransfer:
             return None
 
         # Calls resolved inside the analyzed program ---------------------
-        return self._apply_program_call(
-            node, fname, is_attr, arg_vals, kw_vals, env
-        )
+        return self._apply_program_call(node, arg_vals, kw_vals, env)
 
     def _apply_program_call(
         self,
         node: ast.Call,
-        fname: str | None,
-        is_attr: bool,
         arg_vals: list[Val | None],
         kw_vals: dict[str | None, Val | None],
         env: dict[str, Val],
     ) -> Val | None:
-        if fname is None:
-            return None
-        if not is_attr and self.analysis.index.is_class(fname):
-            # Constructors build *trusted* local values: the typestate
-            # protocol governs bytes that crossed a wire, and those
-            # enter through from_bytes, not __init__.
-            return None
-        candidates = self.analysis.index.resolve_function(fname)
-        if is_attr:
-            usable = candidates
-        else:
-            usable = [c for c in candidates if not c.is_method] or candidates
-        if not usable:
-            return None
+        # A constructor call binds nothing (None): constructors build
+        # *trusted* local values — the typestate protocol governs bytes
+        # that crossed a wire, and those enter through from_bytes, not
+        # __init__.
+        args = [
+            *zip(node.args, arg_vals),
+            *((kw.value, kw_vals.get(kw.arg)) for kw in node.keywords),
+        ]
         out: Val | None = None
-        arg_exprs: dict[int, ast.expr] = {}
-        param_vals: dict[int, Val | None] = {}
-        for cand in usable[:_MAX_CANDIDATES]:
-            offset = 1 if cand.is_method else 0
-            arg_exprs = {offset + i: arg for i, arg in enumerate(node.args)}
-            param_vals = {offset + i: val for i, val in enumerate(arg_vals)}
-            index = {name: j for j, name in enumerate(cand.params)}
-            for kw in node.keywords:
-                if kw.arg is not None and kw.arg in index:
-                    arg_exprs[index[kw.arg]] = kw.value
-                    param_vals[index[kw.arg]] = kw_vals.get(kw.arg)
-            summary = self.analysis.summary_of(cand)
+        for cand, bound in self.program.bind_call(node, args) or ():
+            arg_exprs = {pidx: expr for pidx, (expr, _) in bound.items()}
+            param_vals = {pidx: val for pidx, (_, val) in bound.items()}
+            summary = self.summaries.of(cand)
             for pidx, desc in sorted(summary.param_sinks.items()):
                 val = param_vals.get(pidx)
                 if val is None or val.kind not in (UPDATE, COLL):
@@ -818,79 +779,32 @@ class ProtoTransfer:
 
 
 class ProtocolAnalysis:
-    """One whole-program typestate pass over a solved flow analysis."""
+    """One whole-program typestate pass: the protocol fixpoint and
+    report (RP401, RP405), then the per-function RP402–RP404 scans."""
 
-    def __init__(
-        self,
-        modules: "list[tuple[str, str, ast.Module, list[str]]]",
-        program: ProgramAnalysis,
-    ):
+    def __init__(self, program: Program):
         self.program = program
-        self.index = program.index
-        self.summaries: dict[int, ProtoSummary] = {}
-        self.findings: list[Finding] = []
-        self._seen: set[tuple[str, int, int, str, str]] = set()
 
-    def summary_of(self, func: FunctionInfo) -> ProtoSummary:
-        return self.summaries.get(id(func), ProtoSummary())
-
-    def emit(
-        self, func: FunctionInfo, node: ast.AST, rule: str, message: str
-    ) -> None:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        key = (func.path, line, col, rule, message)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.findings.append(
-            Finding(
-                rule=rule,
-                name=_PROTO_NAMES[rule],
-                path=func.path,
-                line=line,
-                col=col,
-                message=message,
-                hint=_PROTO_HINTS[rule],
-            )
-        )
-
-    # -- driver --------------------------------------------------------------
-
-    def solve(self) -> None:
-        for _ in range(_MAX_FIXPOINT_PASSES):
-            changed = False
-            for func in self.index.all_functions:
-                summary = ProtoTransfer(func, self, report=False).run()
-                previous = self.summaries.get(id(func))
-                if previous is None or summary != previous:
-                    self.summaries[id(func)] = summary
-                    changed = True
-            if not changed:
-                return
-
-    def run(self) -> list[Finding]:
-        self.solve()
-        for func in self.index.all_functions:
-            ProtoTransfer(func, self, report=True).run()
+    def run(self) -> None:
+        self.program.solve(ProtoTransfer, ProtoSummary()).report()
+        for func in self.program.functions:
             self._rule_402(func)
             self._rule_403(func)
             self._rule_404(func)
-        return self.findings
 
     # -- RP402: unguarded transport awaits -----------------------------------
 
     def _rule_402(self, func: FunctionInfo) -> None:
         guarded: set[int] = set()
-        for node in _own_nodes(func.node):
+        for node in own_nodes(func.node):
             if (
                 isinstance(node, ast.Call)
-                and _terminal(node.func) in preg.DEADLINE_GUARD_CALLS
+                and terminal_name(node.func) in preg.DEADLINE_GUARD_CALLS
             ):
                 for arg in [*node.args, *[kw.value for kw in node.keywords]]:
                     for inner in ast.walk(arg):
                         guarded.add(id(inner))
-        for node in _own_nodes(func.node):
+        for node in own_nodes(func.node):
             if not isinstance(node, ast.Await):
                 continue
             call = node.value
@@ -902,14 +816,14 @@ class ProtocolAnalysis:
                 continue
             rname = _receiver_name(call.func.value)
             if rname is None or not (
-                freg.name_tokens(rname) & preg.TRANSPORT_RECEIVER_TOKENS
+                name_tokens(rname) & preg.TRANSPORT_RECEIVER_TOKENS
             ):
                 continue
-            self.emit(
+            self.program.emit(
                 func,
                 node,
                 RP402,
-                f"`await {_clip(ast.unparse(call))}` in `{func.name}` is "
+                f"`await {clip(ast.unparse(call))}` in `{func.name}` is "
                 "not bounded by asyncio.wait_for or a deadline scope — a "
                 "stalled peer parks this coroutine forever",
             )
@@ -918,7 +832,7 @@ class ProtocolAnalysis:
 
     def _rule_403(self, func: FunctionInfo) -> None:
         spawners: list[tuple[ast.stmt, ast.Call, str | None]] = []
-        own = list(_own_nodes(func.node))
+        own = list(own_nodes(func.node))
         for node in own:
             if isinstance(node, ast.Expr) and self._spawner_call(node.value):
                 spawners.append((node, node.value, None))
@@ -937,9 +851,9 @@ class ProtocolAnalysis:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         }
         for stmt, call, name in spawners:
-            fname = _terminal(call.func)
+            fname = terminal_name(call.func)
             if name is None:
-                self.emit(
+                self.program.emit(
                     func,
                     stmt,
                     RP403,
@@ -947,7 +861,7 @@ class ProtocolAnalysis:
                     "dropped — never stored, awaited, or cancelled",
                 )
             elif name not in loads:
-                self.emit(
+                self.program.emit(
                     func,
                     stmt,
                     RP403,
@@ -959,7 +873,7 @@ class ProtocolAnalysis:
     def _spawner_call(node: ast.expr) -> bool:
         return (
             isinstance(node, ast.Call)
-            and _terminal(node.func) in preg.TASK_SPAWNERS
+            and terminal_name(node.func) in preg.TASK_SPAWNERS
         )
 
     # -- RP404: the service error taxonomy -----------------------------------
@@ -967,12 +881,12 @@ class ProtocolAnalysis:
     def _rule_404(self, func: FunctionInfo) -> None:
         if func.top_dir in preg.RAISE_TAXONOMY_SCOPES:
             allowed = preg.SERVICE_TAXONOMY_CLASSES | preg.SERVICE_WRAPPED_ERRORS
-            for node in _own_nodes(func.node):
+            for node in own_nodes(func.node):
                 if not isinstance(node, ast.Raise) or node.exc is None:
                     continue
                 exc = node.exc
                 target = exc.func if isinstance(exc, ast.Call) else exc
-                name = _terminal(target)
+                name = terminal_name(target)
                 # Only class-looking names are judged: re-raising a
                 # caught variable (`raise exc`) is classification done
                 # elsewhere.
@@ -980,7 +894,7 @@ class ProtocolAnalysis:
                     continue
                 if name in allowed:
                     continue
-                self.emit(
+                self.program.emit(
                     func,
                     node,
                     RP404,
@@ -989,7 +903,7 @@ class ProtocolAnalysis:
                     "policies cannot classify it",
                 )
         if func.top_dir in preg.BROAD_EXCEPT_SCOPES:
-            for node in _own_nodes(func.node):
+            for node in own_nodes(func.node):
                 if not isinstance(node, ast.Try):
                     continue
                 for handler in node.handlers:
@@ -1002,11 +916,11 @@ class ProtocolAnalysis:
                     ):
                         continue
                     caught = (
-                        _terminal(handler.type)
+                        terminal_name(handler.type)
                         if handler.type is not None
                         else "everything"
                     )
-                    self.emit(
+                    self.program.emit(
                         func,
                         handler,
                         RP404,
@@ -1024,15 +938,11 @@ class ProtocolAnalysis:
             if isinstance(handler.type, ast.Tuple)
             else [handler.type]
         )
-        return any(_terminal(t) in preg.BROAD_EXCEPT_NAMES for t in types)
+        return any(terminal_name(t) in preg.BROAD_EXCEPT_NAMES for t in types)
 
 
-def analyze_protocols(
-    modules: "list[tuple[str, str, ast.Module, list[str]]]",
-    program: ProgramAnalysis,
-) -> list[Finding]:
-    """Run the typestate pass over parsed modules, reusing the solved
-    flow analysis (its index; summaries here are the protocol family's
-    own fixpoint).  Returns findings without fingerprints — the engine
-    attaches those."""
-    return ProtocolAnalysis(modules, program).run()
+def analyze_protocols(program: Program) -> None:
+    """Run the typestate pass, emitting RP4xx findings into
+    ``program``.  Its summaries are the protocol family's own
+    fixpoint over the shared program."""
+    ProtocolAnalysis(program).run()

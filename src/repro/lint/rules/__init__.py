@@ -1,10 +1,11 @@
-"""Rule registry.
+"""The single-node rules (RP1xx).
 
 To add a rule: subclass :class:`repro.lint.rules.base.Rule` in a new
 module here, give it a fresh ``RPxxx`` id and a kebab-case ``name``,
-append an instance to ``ALL_RULES``, document it in
+append an instance to ``MODULE_RULES``, document it in
 ``docs/STATIC_ANALYSIS.md``, and add positive/negative fixtures under
-``tests/lint/fixtures/``.
+``tests/lint/fixtures/``.  ``repro.lint.engine.RULES`` is the one table
+of every rule, these and the whole-program families'.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.lint.rules.point_validation import PointValidationRule
 from repro.lint.rules.rng_discipline import RngDisciplineRule
 from repro.lint.rules.secret_leak import SecretLeakRule
 
-ALL_RULES: tuple[Rule, ...] = (
+MODULE_RULES: tuple[Rule, ...] = (
     RngDisciplineRule(),
     ConstantTimeRule(),
     SecretLeakRule(),
@@ -24,44 +25,4 @@ ALL_RULES: tuple[Rule, ...] = (
     HashDomainRule(),
 )
 
-
-def all_rule_ids() -> tuple[str, ...]:
-    """Every rule id the engine can report: AST rules + whole-program
-    families (flow RP2xx, concurrency RP3xx, protocol RP4xx)."""
-    from repro.lint.conc import CONC_RULE_IDS
-    from repro.lint.flow import FLOW_RULE_IDS
-    from repro.lint.proto import PROTO_RULE_IDS
-
-    return (
-        tuple(rule.id for rule in ALL_RULES)
-        + tuple(FLOW_RULE_IDS)
-        + tuple(CONC_RULE_IDS)
-        + tuple(PROTO_RULE_IDS)
-    )
-
-
-def get_rule(identifier: str):
-    """Look a rule up by id ("RP101"/"RP302") or name ("rng-discipline").
-
-    Returns a :class:`Rule` for the AST rules or a
-    :class:`repro.lint.flow.FlowRuleMeta` for the flow and concurrency
-    families — both carry ``id``, ``name``, ``rationale`` and ``hint``.
-    """
-    from repro.lint.conc import CONC_RULES
-    from repro.lint.flow import FLOW_RULES
-    from repro.lint.proto import PROTO_RULES
-
-    for rule in (*ALL_RULES, *FLOW_RULES, *CONC_RULES, *PROTO_RULES):
-        if identifier in (rule.id, rule.name):
-            return rule
-    raise KeyError(f"unknown lint rule {identifier!r}")
-
-
-__all__ = [
-    "ALL_RULES",
-    "CRYPTO_DIRS",
-    "ModuleContext",
-    "Rule",
-    "all_rule_ids",
-    "get_rule",
-]
+__all__ = ["CRYPTO_DIRS", "MODULE_RULES", "ModuleContext", "Rule"]

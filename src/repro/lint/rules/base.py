@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.lint.findings import Finding
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.lint.program import FunctionInfo
 
 # Package-top-level directories that hold security-relevant code.  A
 # rule lists the subset it patrols; ``None`` means the whole tree.
@@ -89,7 +93,15 @@ def contains_add(node: ast.AST) -> bool:
 
 
 class Rule:
-    """Base class: subclasses set the metadata and implement ``check``."""
+    """One rule's metadata: ``id``, ``name``, ``rationale``, ``hint``
+    and ``scopes``.
+
+    A single-node rule (RP1xx) subclasses this, sets the metadata as
+    class attributes and implements ``check``.  A whole-program rule
+    (RP2xx–RP4xx) is a plain instance, ``Rule(id, name, rationale,
+    hint)``, that its family reports through
+    :meth:`repro.lint.program.Program.emit`.
+    """
 
     id = "RP000"
     name = "base"
@@ -98,7 +110,19 @@ class Rule:
     # Package-relative top dirs this rule patrols; None = everywhere.
     scopes: tuple[str, ...] | None = None
 
-    def applies_to(self, context: ModuleContext) -> bool:
+    def __init__(
+        self,
+        id: str | None = None,
+        name: str = "",
+        rationale: str = "",
+        hint: str = "",
+        scopes: tuple[str, ...] | None = None,
+    ) -> None:
+        if id is not None:
+            self.id, self.name, self.rationale, self.hint = id, name, rationale, hint
+            self.scopes = scopes
+
+    def applies_to(self, context: ModuleContext | FunctionInfo) -> bool:
         if self.scopes is None:
             return True
         return context.top_dir in self.scopes
@@ -107,7 +131,11 @@ class Rule:
         raise NotImplementedError
 
     def finding(
-        self, context: ModuleContext, node: ast.AST, message: str, hint: str = ""
+        self,
+        context: ModuleContext | FunctionInfo,
+        node: ast.AST,
+        message: str,
+        hint: str = "",
     ) -> Finding:
         return Finding(
             rule=self.id,

@@ -12,12 +12,8 @@ from __future__ import annotations
 
 import json
 
-from repro.lint.conc import CONC_RULES
-from repro.lint.engine import LintReport
+from repro.lint.engine import RULES, LintReport
 from repro.lint.findings import Finding
-from repro.lint.flow import FLOW_RULES
-from repro.lint.proto import PROTO_RULES
-from repro.lint.rules import ALL_RULES
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
@@ -28,28 +24,16 @@ _INFO_URI = "https://example.invalid/repro/docs/STATIC_ANALYSIS.md"
 
 
 def _rule_descriptors() -> list[dict]:
-    descriptors = []
-    for rule in ALL_RULES:
-        descriptors.append(
-            {
-                "id": rule.id,
-                "name": rule.name,
-                "shortDescription": {"text": rule.rationale},
-                "help": {"text": rule.hint},
-                "defaultConfiguration": {"level": "error"},
-            }
-        )
-    for meta in (*FLOW_RULES, *CONC_RULES, *PROTO_RULES):
-        descriptors.append(
-            {
-                "id": meta.id,
-                "name": meta.name,
-                "shortDescription": {"text": meta.rationale},
-                "help": {"text": meta.hint},
-                "defaultConfiguration": {"level": "error"},
-            }
-        )
-    return descriptors
+    return [
+        {
+            "id": rule.id,
+            "name": rule.name,
+            "shortDescription": {"text": rule.rationale},
+            "help": {"text": rule.hint},
+            "defaultConfiguration": {"level": "error"},
+        }
+        for rule in RULES
+    ]
 
 
 def _result(finding: Finding, suppressed: bool) -> dict:

@@ -377,22 +377,6 @@ class TestPrecomputedBudgets:
         )
 
 
-class TestSpeedupFormulas:
-    def test_multi_pairing_saving_grows_linearly(self):
-        from repro.analysis.costmodel import (
-            multi_pairing_saving,
-            multi_pairing_speedup,
-        )
-
-        assert multi_pairing_saving(1) == 0.0
-        assert multi_pairing_saving(3) == 2 * multi_pairing_saving(2)
-        assert multi_pairing_speedup(1) == 1.0
-        # Speedup grows with k but is bounded by the Miller-loop share.
-        s2, s8 = multi_pairing_speedup(2), multi_pairing_speedup(8)
-        assert 1.0 < s2 < s8
-        assert s8 < 10.0 / (10.0 - 2.0) * 1.001  # asymptote
-
-
 class TestRendering:
     def test_cost_table_renders(self):
         table = cost_table()

@@ -6,7 +6,7 @@ harness cannot: the interprocedural summaries crossing module
 boundaries (a sink in one module firing at the decode site in another,
 and a guard helper verifying its argument at the call site),
 byte-for-byte determinism of the RP4xx report, and the CLI surface
-that rides along (``--select RP4``, ``--jobs``, SARIF descriptors).
+that rides along (``--select RP4``, SARIF descriptors).
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def test_module_order_does_not_change_proto_findings():
     assert [key(f) for f in forward] == [key(f) for f in backward]
 
 
-# -- CLI: --select RP4, --jobs, SARIF -----------------------------------------
+# -- CLI: --select RP4, SARIF ------------------------------------------------
 
 DIRTY_PROTO = (
     "def rebroadcast(group, blob):\n"
@@ -190,21 +190,6 @@ def test_select_rp4_reports_only_the_proto_family(tmp_path, capsys) -> None:
     assert "RP401" in out
     assert "RP1" not in out
     assert "RP3" not in out
-
-
-def test_jobs_output_matches_sequential(capsys) -> None:
-    """``--jobs`` must be invisible in the report: same findings, same
-    order, same bytes (the wall-clock footer is the one tolerated
-    difference)."""
-    import re
-
-    scrub = lambda text: re.sub(r"\[\d+\.\d+s\]", "[T]", text)
-    assert main([str(FIXTURES), "--no-baseline"]) == 1
-    sequential = scrub(capsys.readouterr().out)
-    assert main([str(FIXTURES), "--no-baseline", "--jobs", "4"]) == 1
-    parallel = scrub(capsys.readouterr().out)
-    assert parallel == sequential
-    assert "RP401" in sequential
 
 
 def test_list_rules_includes_proto_family(capsys) -> None:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import all_rule_ids, lint_source
+from repro.lint import RULES, lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 _HEADER = re.compile(r"#\s*lint-fixture:\s*(\S+)")
@@ -61,7 +61,7 @@ def test_every_rule_has_a_positive_fixture() -> None:
     for fixture in _fixture_paths():
         _, _, expected = _load_fixture(fixture)
         covered.update(rule for _, rule in expected)
-    assert covered == set(all_rule_ids())
+    assert covered == {rule.id for rule in RULES}
 
 
 def test_waiver_suppresses_and_is_counted() -> None:
