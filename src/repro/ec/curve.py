@@ -163,42 +163,6 @@ class EllipticCurve:
         z3 = z1 * z2 * h
         return (x3, y3, z3)
 
-    def batch_to_affine(self, triples):
-        """Normalize Jacobian triples to affine ``(x, y)`` pairs.
-
-        Uses Montgomery's trick: one field inversion for the whole batch
-        instead of one per point.  Infinity entries come back as ``None``.
-        Over a :class:`~repro.math.field.PrimeField` this is
-        :func:`repro.ec.jacobian.normalize` on the raw coefficients.
-        """
-        if self.int_a is not None:
-            affine = jacobian.normalize(
-                self.field.backend, [(x.value, y.value, z.value) for x, y, z in triples]
-            )
-            field = self.field
-            return [
-                None if xy is None
-                else (FieldElement(field, xy[0]), FieldElement(field, xy[1]))
-                for xy in affine
-            ]
-        prefix = []
-        acc = self.field.one()
-        for _, _, z in triples:
-            prefix.append(acc)
-            if not z.is_zero():
-                acc = acc * z
-        inv = acc.inverse()
-        out: list = [None] * len(triples)
-        for index in range(len(triples) - 1, -1, -1):
-            x, y, z = triples[index]
-            if z.is_zero():
-                continue
-            zinv = inv * prefix[index]
-            inv = inv * z
-            zinv_sq = zinv.square()
-            out[index] = (x * zinv_sq, y * zinv_sq * zinv)
-        return out
-
     def _to_jacobian(self, point: CurvePoint):
         if point.is_infinity:
             return (self.field.one(), self.field.one(), self.field.zero())

@@ -6,9 +6,10 @@ auditing this table.  Four kinds of declarations:
 
 * **Sources** introduce taint: secret-named identifiers (the same token
   heuristic RP103 uses), scalar-sampling calls (``random_scalar``,
-  ``secrets.token_bytes``), and raw pairing outputs (``pair`` /
-  ``pair_with_precomp``), which are DERIVED — a pre-KDF pairing value
-  must reach a KDF before it may escape.
+  ``secrets.token_bytes``), and raw pairing outputs (``pair``,
+  ``pair_with_precomp``, ``pair_h1``, ``multi_pair``), which are
+  DERIVED — a pre-KDF pairing value must reach a KDF before it may
+  escape.
 * **Sanitizers** clear taint: the KDF family, ``mask_bytes`` (the
   paper's H2), hashes/HMAC, MACs, the DEM (its outputs are
   ciphertexts), and ``ct.bytes_eq`` (a constant-time boolean).
@@ -56,7 +57,9 @@ SOURCE_CALLS: dict[str, int] = {
 # Raw pairing results: DERIVED at minimum, even on public arguments —
 # they are exactly the "pre-KDF pairing value" of the scheme and must
 # pass mask_bytes/derive_key before leaving the crypto layer.
-PAIRING_CALLS = frozenset({"pair", "pair_with_precomp"})
+PAIRING_CALLS = frozenset(
+    {"pair", "pair_with_precomp", "pair_h1", "multi_pair"}
+)
 PAIRING_LEVEL = DERIVED
 
 # -- sanitizers -------------------------------------------------------------

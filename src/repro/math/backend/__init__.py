@@ -1,30 +1,32 @@
 """Pluggable field-arithmetic backends.
 
 Three implementations of the narrow
-:class:`~repro.math.backend.base.FieldBackend` interface (nine calls:
+:class:`~repro.math.backend.base.FieldBackend` interface (eight calls:
 ``lift``, ``fp_pow``, ``fp_inv``, ``fp_batch_inv``, ``convert_steps``,
-``convert_coords``, the two Miller line kernels and ``unitary_exp``).
-Every backend takes the same two family-A Miller paths (the fused
-projective loop for one-shot arguments, record-then-evaluate for fixed
-ones) and the same ``unitary_exp`` Lucas ladder for every final
-exponentiation and GT power; they differ only inside these calls:
+``convert_coords``, the line-replay kernel
+``eval_line_sequences_product`` and ``unitary_exp``).  Every backend
+takes the same two family-A Miller paths (the fused projective loop for
+one-shot arguments, record-then-replay for fixed ones) and the same
+``unitary_exp`` Lucas ladder for every final exponentiation and GT
+power; they differ only inside these calls:
 
 ``"python"``
     Plain big-int ``%`` kernels and ``pow(x, -1, p)`` inversion.
-    Portability/auditability baseline.
+    Portability/auditability baseline, and the default without gmpy2.
 ``"montgomery"``
     Montgomery-form Fp (R = 2^k residues, CIOS-style REDC in pure
-    python ints) for the two Miller line kernels, with lazy-reduction
-    Fp² products; the same ``pow(x, -1, p)`` inversion.  Pure python,
-    no dependencies.
+    python ints) for the line-replay kernel, with lazy-reduction Fp²
+    products; the same ``pow(x, -1, p)`` inversion.  Pure python, no
+    dependencies, selected only by name.
 ``"gmpy2"``
     GMP-backed ``mpz`` arithmetic behind a soft import; raises
     :class:`~repro.errors.BackendUnavailableError` when requested
     explicitly but not installed.
 
 ``"auto"`` (the :class:`~repro.pairing.api.PairingGroup` default) probes
-gmpy2 and falls back to the Montgomery backend — the fastest option
-that is always present.
+gmpy2 and falls back to the python backend: Montgomery's replay kernel
+is no faster than ``%`` on CPython, and its line tables cost a
+conversion and more memory.
 
 Backend instances are cached per ``(name, p)``: they are deterministic,
 stateless-after-construction arithmetic providers, so sharing one across
@@ -86,13 +88,13 @@ def resolve_backend_name(name: str | None) -> str:
     """Map a user-facing selector (including ``None``/``"auto"``) to a
     concrete backend name.
 
-    ``None`` and ``"auto"`` probe gmpy2 and fall back to Montgomery.
+    ``None`` and ``"auto"`` probe gmpy2 and fall back to python.
     An explicit unavailable name raises
     :class:`~repro.errors.BackendUnavailableError`; an unknown name
     raises :class:`~repro.errors.ParameterError`.
     """
     if name is None or name == "auto":
-        return "gmpy2" if gmpy2_available() else "montgomery"
+        return "gmpy2" if gmpy2_available() else "python"
     if name not in _BACKEND_CLASSES:
         raise ParameterError(
             f"unknown field backend {name!r}; known: "

@@ -10,10 +10,10 @@ exactly the calls the runtime makes:
 * :meth:`~FieldBackend.convert_steps` / :meth:`~FieldBackend.convert_coords`,
   which move recorded Miller lines and evaluation points into the
   kernels' representation, and
-* the three pairing hot-loop kernels over ``Fp2 = Fp[u]/(u^2 - beta)``
-  — line-sequence evaluation, the shared-squaring multi-pairing
-  product, and unitary exponentiation (a Lucas ladder on the trace,
-  one implementation for every backend) — that dominate every
+* the two pairing hot-loop kernels over ``Fp2 = Fp[u]/(u^2 - beta)``
+  — the line replay (one or many recorded sequences under one shared
+  squaring chain) and unitary exponentiation (a Lucas ladder on the
+  trace, one implementation for every backend) — that dominate every
   pairing's wall clock.
 
 Backends trade representation for speed *inside* kernels only.  At the
@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from repro.errors import ParameterError
 
-# Line-step kinds, shared with repro.pairing.miller (kept numerically
-# identical; miller.py re-exports them as _LINE/_VERT/_ONE).
+# Line-step kinds, shared with repro.pairing.miller (which re-exports
+# them as _LINE/_VERT/_ONE).
 LINE = 0   # chord/tangent: (s_y - yv) - (s_x - xv) * slope
 VERT = 1   # vertical:      s_x - xv
 ONE = 2    # line through infinity: constant 1
@@ -130,47 +130,16 @@ class FieldBackend:
         """Lift one evaluation point's coefficients for the kernels."""
         return (self.lift(sxa), self.lift(sxb), self.lift(sya), self.lift(syb))
 
-    def eval_line_sequence(self, steps, sxa, sxb, sya, syb, beta):
-        """Accumulate ``Π line_i(S)`` with one Fp2 square per doubling.
-
-        ``steps`` must come from :meth:`convert_steps`; the coordinates
-        from :meth:`convert_coords`.  Returns canonical ``(a, b)`` ints.
-        """
-        p = self._p_lifted
-        fa, fb = self.lift(1), self.lift(0)
-        for is_add, kind, xv, yv, slope in steps:
-            if not is_add:
-                a2 = fa * fa
-                b2 = fb * fb
-                fa, fb = (a2 + beta * b2) % p, 2 * fa * fb % p
-            if kind == LINE:
-                va = (sya - yv - (sxa - xv) * slope) % p
-                # Family A distorts to a purely-real x, so the line
-                # value's ``u`` coefficient is the constant ``syb``.
-                vb = (syb - sxb * slope) % p if sxb else syb
-            elif kind == VERT:
-                va = (sxa - xv) % p
-                vb = sxb
-            else:
-                continue
-            if vb:
-                ac = fa * va
-                bd = fb * vb
-                fa, fb = (
-                    (ac + beta * bd) % p,
-                    ((fa + fb) * (va + vb) - ac - bd) % p,
-                )
-            else:
-                fa, fb = fa * va % p, fb * va % p
-        return int(fa), int(fb)
-
     def eval_line_sequences_product(self, tasks, beta):
         """``Π f_i(S_i)^{±1}`` with ONE shared squaring chain.
 
-        ``tasks`` is a list of ``(steps, sxa, sxb, sya, syb, conjugate)``
-        with steps/coords already converted; all step sequences must be
-        aligned (same loop order — the caller checks).  Conjugation is
-        a negated ``b`` coefficient, exactly as in the object layer.
+        The one line-replay kernel: a single pairing is a one-task
+        product.  ``tasks`` is a list of ``(steps, sxa, sxb, sya, syb,
+        conjugate)`` with steps from :meth:`convert_steps` and coords
+        from :meth:`convert_coords`; all step sequences must be aligned
+        (same loop order — the caller checks).  Conjugation is a
+        negated ``b`` coefficient, exactly as in the object layer.
+        Returns canonical ``(a, b)`` ints.
         """
         p = self._p_lifted
         shared_steps = tasks[0][0]
@@ -184,6 +153,8 @@ class FieldBackend:
                 _, kind, xv, yv, slope = steps[index]
                 if kind == LINE:
                     va = (sya - yv - (sxa - xv) * slope) % p
+                    # Family A distorts to a purely-real x, so the line
+                    # value's ``u`` coefficient is the constant ``syb``.
                     vb = (syb - sxb * slope) % p if sxb else syb
                 elif kind == VERT:
                     va = (sxa - xv) % p

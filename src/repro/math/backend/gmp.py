@@ -9,7 +9,7 @@ generic base-class loops dispatches to GMP.  Inversion uses
 
 When gmpy2 is missing this module still imports cleanly —
 :func:`gmpy2_available` reports ``False``, the ``"auto"`` selector falls
-back to the Montgomery backend, and an *explicit* ``backend="gmpy2"``
+back to the python backend, and an *explicit* ``backend="gmpy2"``
 request raises :class:`~repro.errors.BackendUnavailableError`.  Nothing
 is ever installed on the user's behalf.
 

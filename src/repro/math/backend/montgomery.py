@@ -17,8 +17,8 @@ Two deliberate choices, both measured on the seed hardware:
   only the single conditional subtraction.  An Fp² multiply is then 3
   big-int products and exactly 2 REDCs — the reductions the schoolbook
   form would spend on ``ac`` and ``bd`` individually are *deferred
-  across the accumulator sum*, which is where this backend beats the
-  eager-``%`` path inside ``evaluate_line_sequences_product``.
+  across the accumulator sum*, which is where this backend can beat
+  the eager-``%`` replay kernel.
 
 * **Inversion is the enemy, not multiplication.**  On CPython a single
   Montgomery multiply is *not* faster than the builtin ``a*b % p`` (the
@@ -29,18 +29,20 @@ Two deliberate choices, both measured on the seed hardware:
   pairing and records a fixed argument's lines with a Jacobian chain
   plus TWO batch inversions
   (:func:`repro.pairing.miller.record_line_sequence`).  Against the
-  python backend, which shares both, only the two Miller line kernels
-  and ``pow(x, -1, p)`` inversion differ.  On 2-vCPU x86-64 hosts
-  under CPython 3.11 the REDC replay kernel has measured from 35%
-  slower to 10% faster than the ``%`` kernel (``docs/PERFORMANCE.md``).
+  python backend, which shares both, only the line-replay kernel
+  differs.  On 2-vCPU x86-64 hosts under CPython 3.11 the REDC replay
+  kernel has measured from 35% slower to 10% faster than the ``%``
+  kernel, and a fresh line table pays one conversion into the domain
+  (``docs/PERFORMANCE.md``), so this backend is no longer the default:
+  it is selected only by name, as ``backend="montgomery"``.
 
-Only the two Miller line kernels run in the Montgomery domain.
+Only the line-replay kernel runs in the Montgomery domain.
 Unitary exponentiation (every final exponentiation and GT power) is
 the base class's Lucas ladder on ``%`` reductions: an in-domain REDC
-ladder measured slower on CPython.  The ``beta == -1`` line-kernel
-fast paths (family A: the square is ``((a+b)(a-b), 2ab)``) fall back
-to the generic base-class kernels for any other ``beta``, so family B
-stays correct, just unaccelerated.
+ladder measured slower on CPython.  The ``beta == -1`` replay fast
+path (family A: the square is ``((a+b)(a-b), 2ab)``) falls back to the
+generic base-class kernel for any other ``beta``, so family B stays
+correct, just unaccelerated.
 """
 
 from __future__ import annotations
@@ -109,74 +111,12 @@ class MontgomeryBackend(FieldBackend):
         return beta % self.p == self.p - 1
 
     # ------------------------------------------------------------------
-    # Miller kernels, beta == -1.  The loop invariants:
+    # The replay kernel, beta == -1.  The loop invariants:
     #   * every named value (fa, fb, va, vb, xv, yv, slope, s-coords)
     #     is in the Montgomery domain and < p;
     #   * products are reduced by ONE redc; sums of products carry the
     #     +p2 / +2*p2 offsets so redc's input stays in [0, R*p).
     # ------------------------------------------------------------------
-
-    def eval_line_sequence(self, steps, sxa, sxb, sya, syb, beta):
-        if not self._is_minus_one(beta):
-            return super().eval_line_sequence(steps, sxa, sxb, sya, syb, beta)
-        p = self.p
-        p2, p2_2 = self.p2, self.p2_2
-        mask, np_, k = self.mask, self.np, self.k
-        fa, fb = self.r1, 0
-        for is_add, kind, xv, yv, slope in steps:
-            if not is_add:
-                # beta = -1 square: real = (a+b)(a-b), cross = 2ab.
-                t = (fa + fb) * (fa - fb + p)
-                m = ((t & mask) * np_) & mask
-                t = (t + m * p) >> k
-                ra = t - p if t >= p else t
-                t = 2 * fa * fb
-                m = ((t & mask) * np_) & mask
-                t = (t + m * p) >> k
-                fb = t - p if t >= p else t
-                fa = ra
-            if kind == LINE:
-                t = (sxa - xv + p) * slope
-                m = ((t & mask) * np_) & mask
-                t = (t + m * p) >> k
-                t = t - p if t >= p else t
-                va = (sya - yv - t + 2 * p) % p
-                if sxb:
-                    t = sxb * slope
-                    m = ((t & mask) * np_) & mask
-                    t = (t + m * p) >> k
-                    t = t - p if t >= p else t
-                    vb = (syb - t + p) % p
-                else:
-                    vb = syb
-            elif kind == VERT:
-                va = (sxa - xv + p) % p
-                vb = sxb
-            else:
-                continue
-            if vb:
-                ac = fa * va
-                bd = fb * vb
-                t = ac - bd + p2
-                m = ((t & mask) * np_) & mask
-                t = (t + m * p) >> k
-                ra = t - p if t >= p else t
-                t = (fa + fb) * (va + vb) - ac - bd + p2_2
-                m = ((t & mask) * np_) & mask
-                t = (t + m * p) >> k
-                fb = t - p if t >= p else t
-                fa = ra
-            else:
-                t = fa * va
-                m = ((t & mask) * np_) & mask
-                t = (t + m * p) >> k
-                ra = t - p if t >= p else t
-                t = fb * va
-                m = ((t & mask) * np_) & mask
-                t = (t + m * p) >> k
-                fb = t - p if t >= p else t
-                fa = ra
-        return self.from_mont(fa), self.from_mont(fb)
 
     def eval_line_sequences_product(self, tasks, beta):
         if not self._is_minus_one(beta):

@@ -35,6 +35,7 @@ from repro.errors import (
 )
 from repro.math.quadratic import GTFixedBaseTable, QuadraticElement, unitary_exp
 from repro.pairing import hashing
+from repro.pairing.miller import PrecomputedLines
 from repro.pairing.opcount import (
     FINAL_EXP,
     FIXED_BASE_MULT,
@@ -132,17 +133,8 @@ class PairingPrecomputation:
 
     def pair(self, q_point: CurvePoint) -> "GTElement":
         """``ê(P, Q)`` — byte-identical to ``group.pair(P, Q)``."""
-        self.group.counters.record(PAIRING)
-        if not q_point.is_infinity and not self.point.is_infinity:
-            self.group.counters.record(MILLER_LOOP)
-            self.group.counters.record(FINAL_EXP)
-        return GTElement(self.group, self._pair_value(q_point))
-
-    def _pair_value(self, q_point: CurvePoint) -> QuadraticElement:
-        if self.lines is None:
-            return self.group.tate.pair(self.point, q_point)
-        self.group.counters.record(PAIRING_PRECOMP)
-        return self.group.tate.pair_with_precomp(self.lines, q_point)
+        fixed = self.point if self.lines is None else self.lines
+        return self.group._pair_resolved(fixed, q_point)
 
     def __repr__(self) -> str:
         kind = "lines" if self.lines is not None else "fallback"
@@ -188,9 +180,10 @@ class PairingGroup:
     backend:
         Field-arithmetic backend (see :mod:`repro.math.backend`):
         ``"python"``, ``"montgomery"``, ``"gmpy2"``, or ``"auto"``
-        (the default, also chosen for ``None``) which picks the fastest
-        available.  Every group element and wire format is byte-identical
-        across backends; only the wall clock changes.
+        (the default, also chosen for ``None``): ``gmpy2`` when it is
+        importable, else ``python``.  Every group element and wire
+        format is byte-identical across backends; only the wall clock
+        changes.
     """
 
     def __init__(self, params="ss512", family: str = FAMILY_A,
@@ -436,17 +429,7 @@ class PairingGroup:
         — symmetry lets a cached *second* argument swap into the fixed
         slot.  Results are identical either way.
         """
-        self.counters.record(PAIRING)
-        if not p_point.is_infinity and not q_point.is_infinity:
-            self.counters.record(MILLER_LOOP)
-            self.counters.record(FINAL_EXP)
-        precomp = self._pairing_precomp.get(p_point)
-        if precomp is not None:
-            return GTElement(self, precomp._pair_value(q_point))
-        precomp = self._pairing_precomp.get(q_point)
-        if precomp is not None:
-            return GTElement(self, precomp._pair_value(p_point))
-        return GTElement(self, self.tate.pair(p_point, q_point))
+        return self._pair_resolved(*self._resolve(p_point, q_point))
 
     def multi_pair(self, pairs, exponents=None) -> GTElement:
         """``Π ê(P_i, Q_i)^{e_i}`` with ONE shared final exponentiation.
@@ -465,33 +448,52 @@ class PairingGroup:
         The result is byte-identical to computing ``group.pair`` per
         pair and multiplying (inverting the ``e_i == -1`` factors).
         """
-        pairs = list(pairs)
-        if not pairs:
+        resolved = [self._resolve(p_point, q_point) for p_point, q_point in pairs]
+        if not resolved:
             return self.gt_identity()
-        resolved = []
-        live = 0
-        for p_point, q_point in pairs:
-            self.counters.record(PAIRING)
-            if not p_point.is_infinity and not q_point.is_infinity:
-                self.counters.record(MILLER_LOOP)
-                live += 1
-            first, second = p_point, q_point
-            precomp = self._pairing_precomp.get(p_point)
-            if precomp is not None and precomp.lines is not None:
-                first, second = precomp.lines, q_point
-                self.counters.record(PAIRING_PRECOMP)
-            else:
-                precomp = self._pairing_precomp.get(q_point)
-                if precomp is not None and precomp.lines is not None:
-                    # Symmetric pairing: a cached second argument swaps
-                    # into the fixed slot.
-                    first, second = precomp.lines, p_point
-                    self.counters.record(PAIRING_PRECOMP)
-            resolved.append((first, second))
+        live = [self._count(first, second) for first, second in resolved]
         self.counters.record(MULTI_PAIRING)
-        if live:
+        if any(live):
             self.counters.record(FINAL_EXP)
         return GTElement(self, self.tate.multi_pair(resolved, exponents))
+
+    def _resolve(self, p_point: CurvePoint, q_point: CurvePoint):
+        """``(P, Q)`` with a cached argument's Miller lines in the fixed slot.
+
+        The one probe of the :meth:`precompute_pairing` cache: ``P``
+        first, then ``Q`` (the pairing is symmetric, so a cached second
+        argument swaps into the fixed slot).  An entry without lines
+        (family B, or infinity) leaves the points as they are.
+        """
+        for fixed, other in ((p_point, q_point), (q_point, p_point)):
+            precomp = self._pairing_precomp.get(fixed)
+            if precomp is not None and precomp.lines is not None:
+                return precomp.lines, other
+        return p_point, q_point
+
+    def _count(self, first, second: CurvePoint) -> bool:
+        """Record one pairing of resolved arguments; whether it is live.
+
+        A pairing counts as ``pairing``, and as ``pairing_precomp`` when
+        ``first`` is recorded lines; a live one (no infinity argument)
+        also counts a ``miller_loop``.
+        """
+        self.counters.record(PAIRING)
+        recorded = isinstance(first, PrecomputedLines)
+        if recorded:
+            self.counters.record(PAIRING_PRECOMP)
+        live = not second.is_infinity and (recorded or not first.is_infinity)
+        if live:
+            self.counters.record(MILLER_LOOP)
+        return live
+
+    def _pair_resolved(self, first, second: CurvePoint) -> GTElement:
+        """One counted pairing of resolved arguments (see :meth:`_resolve`)."""
+        if self._count(first, second):
+            self.counters.record(FINAL_EXP)
+        if isinstance(first, PrecomputedLines):
+            return GTElement(self, self.tate.pair_with_precomp(first, second))
+        return GTElement(self, self.tate.pair(first, second))
 
     def pair_ratio_is_one(self, numerators, denominators=()) -> bool:
         """Verify ``Π ê(numerators) == Π ê(denominators)`` in one shot.

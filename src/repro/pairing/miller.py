@@ -16,11 +16,11 @@ BKLS/GHS denominator-free loop): distorted x-coordinates stay in
 * Fixed arguments record ``P``'s line sequence once
   (:func:`record_line_sequence` — the same Jacobian chain plus two
   batch inversions that make the lines affine) and replay it against
-  any number of evaluation points in the backend's kernel
-  (:func:`evaluate_line_sequence`, and
-  :func:`evaluate_line_sequences_product` for multi-pairings).  The
-  recording costs about 1.3 fused loops and a replay a little under
-  half of one, so it breaks even at about two evaluations.
+  any number of evaluation points in the backend's one replay kernel
+  (:func:`evaluate_line_sequences_product`; a single pairing is a
+  one-task product).  The recording costs about 1.3 fused loops and a
+  replay a little under half of one, so it breaks even at about two
+  evaluations.
 
 * :func:`miller_loop_general` — the textbook loop evaluating ``f_{q,P}``
   at the divisor ``(S + R) - (R)`` for an auxiliary point ``R``, keeping
@@ -40,6 +40,7 @@ from repro.encoding import int_to_bytes
 from repro.errors import ParameterError
 from repro.ec import jacobian
 from repro.ec.point import CurvePoint
+from repro.math.backend.base import LINE as _LINE, ONE as _ONE, VERT as _VERT
 from repro.math.quadratic import QuadraticElement, QuadraticField
 
 
@@ -70,11 +71,6 @@ def _vertical_value(v: CurvePoint, s_x, fp2: QuadraticField):
     if v.is_infinity:
         return fp2.one()
     return s_x - fp2.from_base(v.x)
-
-
-_LINE = 0   # chord/tangent: (s_y - yv) - (s_x - xv) * slope
-_VERT = 1   # vertical:      s_x - xv
-_ONE = 2    # line through infinity: constant 1
 
 
 class PrecomputedLines:
@@ -152,7 +148,7 @@ def record_line_sequence(p_point: CurvePoint, order: int) -> PrecomputedLines:
     (:meth:`~repro.math.backend.base.FieldBackend.fp_batch_inv`).
     Affine coordinates are canonical, so the steps do not depend on the
     backend.  The returned sequence replays against any number of
-    second arguments via :func:`evaluate_line_sequence`.
+    second arguments via :func:`evaluate_line_sequences_product`.
     """
     curve = p_point.curve
     backend = curve.field.backend
@@ -214,34 +210,6 @@ def record_line_sequence(p_point: CurvePoint, order: int) -> PrecomputedLines:
     return PrecomputedLines(tuple(steps), order)
 
 
-def evaluate_line_sequence(
-    lines: PrecomputedLines,
-    s_point: CurvePoint,
-    fp2: QuadraticField,
-) -> QuadraticElement:
-    """``f_{order, P}(S)`` from cached coefficients.
-
-    One ``Fp2`` squaring per doubling step and one multiplication per
-    line, but no curve arithmetic.  The integer loop runs in the field's
-    arithmetic backend
-    (:meth:`~repro.math.backend.base.FieldBackend.eval_line_sequence`):
-    the python backend executes a plain mod-``p`` loop, the Montgomery
-    backend the lazy-reduction REDC kernel — canonical in, canonical
-    out, identical bytes either way.
-    """
-    if s_point.is_infinity:
-        raise ParameterError("cannot evaluate Miller function at infinity")
-    backend = fp2.backend
-    fa, fb = backend.eval_line_sequence(
-        lines.backend_steps(backend),
-        *backend.convert_coords(
-            s_point.x.a, s_point.x.b, s_point.y.a, s_point.y.b
-        ),
-        fp2.beta,
-    )
-    return QuadraticElement(fp2, fa, fb)
-
-
 def evaluate_line_sequences_product(
     tasks,
     fp2: QuadraticField,
@@ -261,8 +229,10 @@ def evaluate_line_sequences_product(
     ``Fp2`` squaring per doubling step, normally paid once *per pairing*
     — is paid once for the whole product.  Because conjugation is a ring
     homomorphism and ``Fp2`` arithmetic is exact, the result equals the
-    product of the individual :func:`evaluate_line_sequence` values
-    (conjugated where requested) bit for bit.
+    product of the one-task values (conjugated where requested) bit for
+    bit.  The integer loop is the backend's one replay kernel
+    (:meth:`~repro.math.backend.base.FieldBackend.eval_line_sequences_product`):
+    canonical in, canonical out, identical bytes on every backend.
     """
     tasks = list(tasks)
     if not tasks:
@@ -286,8 +256,7 @@ def evaluate_line_sequences_product(
             ),
             conjugate,
         ))
-    # Same integer-level kernel as evaluate_line_sequence, with one
-    # shared accumulator: each step squares once and folds in every
+    # One shared accumulator: each step squares once and folds in every
     # task's line value (conjugation = negating the ``b`` coefficient).
     fa, fb = backend.eval_line_sequences_product(prepared, fp2.beta)
     return QuadraticElement(fp2, fa, fb)

@@ -24,14 +24,15 @@ Miller values differ from the recorded-lines path, the GT bytes do not.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import operator
 
 from repro.errors import NotInSubgroupError, ParameterError
 from repro.ec.point import CurvePoint
 from repro.math.quadratic import QuadraticElement, unitary_exp
 from repro.pairing.miller import (
     PrecomputedLines,
-    evaluate_line_sequence,
     evaluate_line_sequences_product,
     miller_loop_general,
     miller_loop_projective,
@@ -93,21 +94,7 @@ class TatePairing:
         extension ``ê(O, Q) = 1``; raises :class:`ParameterError` when
         ``P``'s order does not divide ``q``.
         """
-        if p_point.is_infinity or q_point.is_infinity:
-            return self.fp2.one()
-        if p_point.curve != self.ssc.curve or q_point.curve != self.ssc.curve:
-            raise NotInSubgroupError("pairing inputs must lie on E(Fp)")
-        if self.ssc.family == FAMILY_A:
-            f = miller_loop_projective(
-                [(p_point, q_point, False)], self.ssc.q, self.fp2
-            )
-        else:
-            f = self._general_miller(p_point, self.ssc.distort(q_point))
-        return self.final_exponentiation(f)
-
-    def _record(self, p_point: CurvePoint) -> PrecomputedLines:
-        """Record ``P``'s family-A line sequence for :meth:`precompute_lines`."""
-        return record_line_sequence(p_point, self.ssc.q)
+        return self._product([(p_point, q_point, False)])
 
     def precompute_lines(self, p_point: CurvePoint) -> PrecomputedLines:
         """Cache the Miller-loop line coefficients for a fixed ``P``.
@@ -130,24 +117,18 @@ class TatePairing:
             raise ParameterError("cannot precompute lines for infinity")
         if p_point.curve != self.ssc.curve:
             raise NotInSubgroupError("pairing inputs must lie on E(Fp)")
-        return self._record(p_point)
+        return record_line_sequence(p_point, self.ssc.q)
 
     def pair_with_precomp(
         self, lines: PrecomputedLines, q_point: CurvePoint
     ) -> QuadraticElement:
         """``ê(P, Q)`` from :meth:`precompute_lines` output for ``P``.
 
-        Byte-identical to :meth:`pair` on the same arguments: the line
-        evaluation performs the same ``Fp2`` operations in the same
-        order, and the final exponentiation is shared.
+        Byte-identical to :meth:`pair` on the same arguments: the Miller
+        values differ only by an ``Fp*`` factor, which the shared final
+        exponentiation removes.
         """
-        if q_point.is_infinity:
-            return self.fp2.one()
-        if q_point.curve != self.ssc.curve:
-            raise NotInSubgroupError("pairing inputs must lie on E(Fp)")
-        s_point = self.ssc.distort(q_point)
-        f = evaluate_line_sequence(lines, s_point, self.fp2)
-        return self.final_exponentiation(f)
+        return self._product([(lines, q_point, False)])
 
     def multi_pair(self, pairs, exponents=None) -> QuadraticElement:
         """``Π ê(P_i, Q_i)^{e_i}`` with ONE shared final exponentiation.
@@ -163,7 +144,7 @@ class TatePairing:
         lockstep accumulating into a single ``Fp2`` product (on family A
         the per-iteration accumulator squaring is shared too: raw-point
         pairs share one fused projective loop, recorded-lines pairs one
-        line-evaluation product, and the two values are multiplied
+        line-replay product, and the two values are multiplied
         before the final exponentiation), negative
         exponents enter as conjugated Miller values (valid because
         ``FE(conj(f)) == FE(f)^-1`` for the even-embedding-degree
@@ -186,43 +167,51 @@ class TatePairing:
                 raise ParameterError("one exponent per pair required")
             if any(e not in (1, -1) for e in exponents):
                 raise ParameterError("multi_pair exponents must be +1 or -1")
-        live = []
-        for (first, q_point), exponent in zip(pairs, exponents):
-            if isinstance(first, PrecomputedLines):
-                if q_point.is_infinity:
-                    continue
-                if q_point.curve != self.ssc.curve:
-                    raise NotInSubgroupError("pairing inputs must lie on E(Fp)")
+        return self._product(
+            (first, q_point, exponent < 0)
+            for (first, q_point), exponent in zip(pairs, exponents)
+        )
+
+    def _product(self, tasks) -> QuadraticElement:
+        """``Π ê(P_i, Q_i)^{±1}``: the one evaluator behind every pairing.
+
+        ``tasks`` are ``(P or its PrecomputedLines, Q, conjugate)``.  An
+        infinity argument contributes the identity factor.  On family A
+        the raw points share one fused projective loop and the recorded
+        lines one replay product; family B runs the general loop per
+        pair.  The Miller values are multiplied and finally exponentiated
+        once, so a single pairing pays no extra ``Fp2`` operation.
+        """
+        recorded, raw = [], []
+        for first, q_point, conjugate in tasks:
+            lines = isinstance(first, PrecomputedLines)
+            if q_point.is_infinity or (not lines and first.is_infinity):
+                continue
+            if q_point.curve != self.ssc.curve or (
+                not lines and first.curve != self.ssc.curve
+            ):
+                raise NotInSubgroupError("pairing inputs must lie on E(Fp)")
+            if lines:
+                recorded.append((first, self.ssc.distort(q_point), conjugate))
             else:
-                if first.is_infinity or q_point.is_infinity:
-                    continue
-                if first.curve != self.ssc.curve or q_point.curve != self.ssc.curve:
-                    raise NotInSubgroupError("pairing inputs must lie on E(Fp)")
-            live.append((first, q_point, exponent))
-        if not live:
-            return self.fp2.one()
+                raw.append((first, q_point, conjugate))
+        values = []
         if self.ssc.family == FAMILY_A:
-            recorded, raw = [], []
-            for first, q_point, exponent in live:
-                if isinstance(first, PrecomputedLines):
-                    recorded.append(
-                        (first, self.ssc.distort(q_point), exponent < 0)
-                    )
-                else:
-                    raw.append((first, q_point, exponent < 0))
-            f = evaluate_line_sequences_product(recorded, self.fp2)
             if raw:
-                f = f * miller_loop_projective(raw, self.ssc.q, self.fp2)
+                values.append(miller_loop_projective(raw, self.ssc.q, self.fp2))
+            if recorded:
+                values.append(evaluate_line_sequences_product(recorded, self.fp2))
+        elif recorded:
+            raise ParameterError(
+                "precomputed lines require the family A Miller loop"
+            )
         else:
-            f = self.fp2.one()
-            for first, q_point, exponent in live:
-                if isinstance(first, PrecomputedLines):
-                    raise ParameterError(
-                        "precomputed lines require the family A Miller loop"
-                    )
-                g = self._general_miller(first, self.ssc.distort(q_point))
-                f = f * (g.conjugate() if exponent < 0 else g)
-        return self.final_exponentiation(f)
+            for p_point, q_point, conjugate in raw:
+                g = self._general_miller(p_point, self.ssc.distort(q_point))
+                values.append(g.conjugate() if conjugate else g)
+        if not values:
+            return self.fp2.one()
+        return self.final_exponentiation(functools.reduce(operator.mul, values))
 
     def _general_miller(self, p_point, s_point) -> QuadraticElement:
         last_error = None

@@ -13,6 +13,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import pytest
+
 from repro.lint import lint_source
 from repro.lint.engine import analyze_modules, parse_module
 from repro.lint.flow.lattice import (
@@ -152,8 +154,11 @@ def test_verification_pairing_branch_is_below_rp202_threshold():
     assert not findings
 
 
-def test_pairing_output_must_not_be_rendered():
-    src = "def debug(g, p):\n    print(pair(g, p))\n"
+@pytest.mark.parametrize(
+    "call", ["pair", "pair_with_precomp", "pair_h1", "multi_pair"]
+)
+def test_pairing_output_must_not_be_rendered(call):
+    src = f"def debug(g, p):\n    print({call}(g, p))\n"
     findings, _ = lint_source(src, "d.py", package_path="core/d.py")
     assert [f.rule for f in findings] == ["RP201"]
     assert "secret-derived" in findings[0].message
