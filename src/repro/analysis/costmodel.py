@@ -21,7 +21,7 @@ its cofactor").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 # Recording one argument's Miller lines, in one-shot (fused) Miller
@@ -33,6 +33,14 @@ LINE_RECORDING_MILLER_LOOPS = 1.3
 # 352-bit cofactor multiplication is about three quarters of
 # hash_to_g1 on ss512 (docs/PERFORMANCE.md, "H1 without its cofactor").
 MAP_TO_CURVE_SHARE = 0.25
+
+# dominant_cost's weights, in scalar-mult equivalents: the measured
+# ratios in BENCH_pairing.json.
+PAIRING_WEIGHT = 10.0
+PRECOMP_PAIRING_WEIGHT = 4.0
+FIXED_BASE_WEIGHT = 0.4
+FINAL_EXP_WEIGHT = 2.0
+GT_FIXED_BASE_WEIGHT = 0.4
 
 
 @dataclass(frozen=True)
@@ -97,14 +105,7 @@ class OpBudget:
         }
         return {name: count for name, count in mapping.items() if count}
 
-    def dominant_cost(
-        self,
-        pairing_weight: float = 10.0,
-        precomp_pairing_weight: float = 4.0,
-        fixed_base_weight: float = 0.4,
-        final_exp_weight: float = 2.0,
-        gt_fixed_base_weight: float = 0.4,
-    ) -> float:
+    def dominant_cost(self) -> float:
         """A single comparable number: scalar-mult-equivalents.
 
         Precomputed pairings keep the final exponentiation but drop the
@@ -112,7 +113,7 @@ class OpBudget:
         all doublings.  A multi-pairing budget (``multi_pairs > 0``)
         gets credited the final exponentiations it shares away:
         ``pairings - final_exps`` of them, each worth
-        ``final_exp_weight``.  A table-driven GT exponentiation
+        :data:`FINAL_EXP_WEIGHT`.  A table-driven GT exponentiation
         (``gt_fixed_base_exps``, a subset of ``gt_exps``) drops all
         squarings the same way a fixed-base multiplication does, and
         earns the same discount.  A map point without its cofactor
@@ -120,8 +121,7 @@ class OpBudget:
         ``hash_to_group``.  A line recording costs
         :data:`LINE_RECORDING_MILLER_LOOPS` one-shot Miller loops, a
         Miller loop being a pairing without its final exponentiation.
-        The discounted weights reflect the measured ratios in
-        ``BENCH_pairing.json``.
+        The weights are the module constants above.
         """
         direct_pairings = self.pairings - self.precomputed_pairings
         direct_mults = self.scalar_mults - self.fixed_base_mults
@@ -133,18 +133,18 @@ class OpBudget:
             self.pairings - self.final_exps if self.multi_pairs else 0
         )
         return (
-            direct_pairings * pairing_weight
-            + self.precomputed_pairings * precomp_pairing_weight
+            direct_pairings * PAIRING_WEIGHT
+            + self.precomputed_pairings * PRECOMP_PAIRING_WEIGHT
             + direct_mults
-            + self.fixed_base_mults * fixed_base_weight
+            + self.fixed_base_mults * FIXED_BASE_WEIGHT
             + self.hash_to_group
             + self.hash_to_curve * MAP_TO_CURVE_SHARE
             + direct_gt_exps
-            + self.gt_fixed_base_exps * gt_fixed_base_weight
+            + self.gt_fixed_base_exps * GT_FIXED_BASE_WEIGHT
             + 0.01 * self.point_adds
             + self.line_recordings * LINE_RECORDING_MILLER_LOOPS
-            * (pairing_weight - final_exp_weight)
-            - saved_final_exps * final_exp_weight
+            * (PAIRING_WEIGHT - FINAL_EXP_WEIGHT)
+            - saved_final_exps * FINAL_EXP_WEIGHT
         )
 
 
@@ -154,7 +154,6 @@ class SchemeCost:
     encrypt: OpBudget
     decrypt: OpBudget
     notes: str = ""
-    extras: dict = field(default_factory=dict)
 
 
 # The §5.1 scheme: Encrypt = r·G and K = ê(r·asG, H1(T)), computed as
@@ -196,14 +195,16 @@ HYBRID_COST = SchemeCost(
 
 
 def multiserver_cost(servers: int) -> SchemeCost:
-    """§5.3.5: one r·G_i per server; decryption is ONE N-fold
-    multi-pairing (N Miller loops, one shared final exponentiation)."""
+    """§5.3.5: one r·G_i per server, then the §5.1 sender key with
+    ``X = Σ a·s_iG_i`` (H1's map point only, like TRE); decryption is
+    ONE N-fold multi-pairing (N Miller loops, one shared final
+    exponentiation)."""
     return SchemeCost(
         name=f"multi-server (N={servers})",
         encrypt=OpBudget(
             pairings=1,
             scalar_mults=servers + 1,
-            hash_to_group=1,
+            hash_to_curve=1,
             point_adds=servers - 1,
             miller_loops=1,
             final_exps=1,

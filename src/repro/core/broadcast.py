@@ -40,12 +40,7 @@ from repro.core.tre import H2_TAG, TimedReleaseScheme
 from repro.crypto.authenc import aead_decrypt, aead_encrypt
 from repro.ec.point import CurvePoint
 from repro.encoding import pack_chunks, unpack_chunks
-from repro.errors import (
-    DecryptionError,
-    EncodingError,
-    ParameterError,
-    UpdateVerificationError,
-)
+from repro.errors import DecryptionError, EncodingError, ParameterError
 from repro.pairing.api import PairingGroup
 
 _KEY_BYTES = 32
@@ -153,7 +148,8 @@ class BroadcastTimedReleaseScheme:
         u_point = self.group.mul(server_public.generator, r)
         header_ad = self.group.point_to_bytes(u_point) + time_label
         headers = []
-        for k in self._kem._sender_keys(receivers, time_label, r):
+        points = [receiver_public.as_generator for receiver_public in receivers]
+        for k in self._kem._sender_keys(points, time_label, r):
             wrap_key = self.group.mask_bytes(k, _KEY_BYTES, tag=H2_TAG)
             headers.append(
                 aead_encrypt(
@@ -183,9 +179,9 @@ class BroadcastTimedReleaseScheme:
                 f"header index {header_index} out of range for "
                 f"{len(ciphertext.headers)} recipients"
             )
-        private = receiver.private if isinstance(receiver, UserKeyPair) else receiver
-        k = self._kem._receiver_key(ciphertext.u_point, private, update)
-        wrap_key = self.group.mask_bytes(k, _KEY_BYTES, tag=H2_TAG)
+        wrap_key = self._kem.decapsulate(
+            ciphertext.u_point, receiver, update, key_bytes=_KEY_BYTES
+        )
         header_ad = (
             self.group.point_to_bytes(ciphertext.u_point) + ciphertext.time_label
         )
@@ -216,12 +212,7 @@ class BroadcastTimedReleaseScheme:
         information, unlike the secret-typed positional arguments of
         the single-recipient ``decrypt`` methods.
         """
-        if update.time_label != ciphertext.time_label:
-            raise UpdateVerificationError(
-                "update is for a different release time than the ciphertext"
-            )
-        if server_public is not None:
-            update.ensure_valid(self.group, server_public)
+        update.ensure_opens(ciphertext.time_label, self.group, server_public)
         dem_key = self.open_header(ciphertext, header_index, receiver, update)
         return aead_decrypt(
             dem_key,

@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.core.keys import ServerPublicKey, UserKeyPair, UserPublicKey
 from repro.core.timeserver import TimeBoundKeyUpdate
-from repro.core.tre import H2_TAG, TimedReleaseScheme
+from repro.core.tre import H2_TAG, KEMScheme
 from repro.crypto.kdf import derive_key
 from repro.ec.point import CurvePoint
 from repro.encoding import pack_chunks, unpack_chunks, xor_bytes
-from repro.errors import DecryptionError, EncodingError, UpdateVerificationError
+from repro.errors import DecryptionError, EncodingError
 from repro.pairing.api import PairingGroup
 
 _H3_TAG = "repro:FO:H3"
@@ -68,31 +67,13 @@ class FOTRECiphertext:
         return len(self.to_bytes(group))
 
 
-class FOTimedReleaseScheme:
-    """Chosen-ciphertext-secure TRE via the Fujisaki–Okamoto transform."""
+class FOTimedReleaseScheme(KEMScheme):
+    """Chosen-ciphertext-secure TRE via the Fujisaki–Okamoto transform.
 
-    def __init__(self, group: PairingGroup):
-        self.group = group
-        self._base = TimedReleaseScheme(group)
-
-    def precompute_sender(
-        self,
-        receiver_public: UserPublicKey,
-        server_public: ServerPublicKey,
-        time_labels: Iterable[bytes] = (),
-    ) -> None:
-        """Warm the base scheme's sender fast paths (incl. GT tables).
-
-        ``_sender_key`` in :meth:`encrypt` picks up the cached pairing
-        transparently; FO's derandomized ``r`` does not change the cache
-        key, so the output stays byte-identical.
-        """
-        self._base.precompute_sender(
-            receiver_public, server_public, time_labels=time_labels
-        )
-
-    def clear_sender_cache(self) -> None:
-        self._base.clear_sender_cache()
+    A warmed sender cache (:meth:`precompute_sender`) serves
+    :meth:`encrypt` too: FO's derandomized ``r`` does not change the
+    cache key, so the output stays byte-identical.
+    """
 
     def _derive_r(self, sigma: bytes, message: bytes, time_label: bytes) -> int:
         return self.group.hash_to_scalar(sigma, message, time_label, tag=_H3_TAG)
@@ -111,7 +92,7 @@ class FOTimedReleaseScheme:
         sigma = rng.randbytes(SIGMA_BYTES)
         r = self._derive_r(sigma, message, time_label)
         u_point = self.group.mul(server_public.generator, r)
-        k = self._base._sender_key(receiver_public, time_label, r)
+        k = self._kem._sender_key(receiver_public.as_generator, time_label, r)
         sigma_masked = xor_bytes(
             sigma, self.group.mask_bytes(k, SIGMA_BYTES, tag=H2_TAG)
         )
@@ -128,18 +109,14 @@ class FOTimedReleaseScheme:
         server_public: ServerPublicKey,
     ) -> bytes:
         """Decrypt and *verify*; any tampering raises DecryptionError."""
-        if update.time_label != ciphertext.time_label:
-            raise UpdateVerificationError(
-                "update is for a different release time than the ciphertext"
-            )
-        update.ensure_valid(self.group, server_public)
-        private = receiver.private if isinstance(receiver, UserKeyPair) else receiver
+        update.ensure_opens(ciphertext.time_label, self.group, server_public)
         if len(ciphertext.sigma_masked) != SIGMA_BYTES:
             raise DecryptionError("malformed sigma component")
-        k = self._base._receiver_key(ciphertext.u_point, private, update)
         sigma = xor_bytes(
             ciphertext.sigma_masked,
-            self.group.mask_bytes(k, SIGMA_BYTES, tag=H2_TAG),
+            self._kem.decapsulate(
+                ciphertext.u_point, receiver, update, key_bytes=SIGMA_BYTES
+            ),
         )
         message = xor_bytes(
             ciphertext.message_masked,

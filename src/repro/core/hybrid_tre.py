@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.core.keys import ServerPublicKey, UserKeyPair, UserPublicKey
 from repro.core.timeserver import TimeBoundKeyUpdate
-from repro.core.tre import TimedReleaseScheme
+from repro.core.tre import KEMScheme
 from repro.crypto.authenc import aead_decrypt, aead_encrypt
 from repro.ec.point import CurvePoint
 from repro.encoding import pack_chunks, unpack_chunks
-from repro.errors import EncodingError, UpdateVerificationError
+from repro.errors import EncodingError
 from repro.pairing.api import PairingGroup
 
 _KEY_BYTES = 32
@@ -56,26 +55,8 @@ class HybridTRECiphertext:
         return len(self.to_bytes(group))
 
 
-class HybridTimedReleaseScheme:
+class HybridTimedReleaseScheme(KEMScheme):
     """TRE-KEM + encrypt-then-MAC DEM."""
-
-    def __init__(self, group: PairingGroup):
-        self.group = group
-        self._kem = TimedReleaseScheme(group)
-
-    def precompute_sender(
-        self,
-        receiver_public: UserPublicKey,
-        server_public: ServerPublicKey,
-        time_labels: Iterable[bytes] = (),
-    ) -> None:
-        """Warm the underlying KEM's sender fast paths (incl. GT tables)."""
-        self._kem.precompute_sender(
-            receiver_public, server_public, time_labels=time_labels
-        )
-
-    def clear_sender_cache(self) -> None:
-        self._kem.clear_sender_cache()
 
     def encrypt(
         self,
@@ -106,11 +87,7 @@ class HybridTimedReleaseScheme:
         server_public: ServerPublicKey | None = None,
     ) -> bytes:
         if server_public is not None:
-            if update.time_label != ciphertext.time_label:
-                raise UpdateVerificationError(
-                    "update is for a different release time than the ciphertext"
-                )
-            update.ensure_valid(self.group, server_public)
+            update.ensure_opens(ciphertext.time_label, self.group, server_public)
         key = self._kem.decapsulate(
             ciphertext.u_point, receiver, update, key_bytes=_KEY_BYTES
         )

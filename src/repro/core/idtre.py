@@ -23,7 +23,7 @@ from repro.core.keys import ServerKeyPair, ServerPublicKey
 from repro.core.timeserver import TimeBoundKeyUpdate
 from repro.ec.point import CurvePoint
 from repro.encoding import pack_chunks, unpack_chunks, xor_bytes
-from repro.errors import EncodingError, UpdateVerificationError
+from repro.errors import EncodingError
 from repro.pairing.api import PairingGroup
 
 H1_TAG = "repro:H1"
@@ -168,11 +168,7 @@ class IdentityTimedReleaseScheme:
     ) -> bytes:
         """Combine ``s·H1(ID) + s·H1(T)`` and pair once with ``U``."""
         if server_public is not None:
-            if update.time_label != ciphertext.time_label:
-                raise UpdateVerificationError(
-                    "update is for a different release time than the ciphertext"
-                )
-            update.ensure_valid(self.group, server_public)
+            update.ensure_opens(ciphertext.time_label, self.group, server_public)
         k_d = self.group.add(user_key.point, update.point)
         k = self.group.pair(ciphertext.u_point, k_d)
         mask = self.group.mask_bytes(k, len(ciphertext.masked), tag=H2_TAG)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from repro.core.keys import ServerPublicKey, UserPublicKey
 from repro.crypto.redact import redacted_repr
 from repro.core.timeserver import TimeBoundKeyUpdate
-from repro.core.tre import H1_TAG, H2_TAG
+from repro.core.tre import H2_TAG, TimedReleaseScheme
 from repro.ec.point import CurvePoint
 from repro.encoding import pack_chunks, unpack_chunks, xor_bytes
 from repro.errors import (
@@ -100,6 +100,7 @@ class MultiServerTimedReleaseScheme:
             raise ParameterError("need at least one time server")
         self.group = group
         self.server_publics = list(server_publics)
+        self._kem = TimedReleaseScheme(group)
 
     @property
     def server_count(self) -> int:
@@ -142,12 +143,12 @@ class MultiServerTimedReleaseScheme:
         u_points = tuple(
             self.group.mul(pk.generator, r) for pk in self.server_publics
         )
-        h_t = self.group.hash_to_g1(time_label, tag=H1_TAG)
-        # K = ê(r · Σ a·s_iG_i, H1(T)) = Π ê(G_i, H1(T))^{r·a·s_i}.
+        # K = ê(r · Σ a·s_iG_i, H1(T)) = Π ê(G_i, H1(T))^{r·a·s_i}: the
+        # §5.1 sender key with X = Σ a·s_iG_i.
         combined = self.group.identity()
         for component in receiver_components:
             combined = self.group.add(combined, component.as_generator)
-        k = self.group.pair(self.group.mul(combined, r), h_t)
+        k = self._kem._sender_key(combined, time_label, r)
         mask = self.group.mask_bytes(k, len(message), tag=H2_TAG)
         return MultiServerCiphertext(u_points, xor_bytes(message, mask), time_label)
 
@@ -172,11 +173,7 @@ class MultiServerTimedReleaseScheme:
             raise EncodingError("ciphertext server count mismatch")
         if verify_updates:
             for update, server_public in zip(updates, self.server_publics):
-                if update.time_label != ciphertext.time_label:
-                    raise UpdateVerificationError(
-                        "update label does not match ciphertext release time"
-                    )
-                update.ensure_valid(self.group, server_public)
+                update.ensure_opens(ciphertext.time_label, self.group, server_public)
         k = self.group.multi_pair(
             [
                 (u_point, update.point)

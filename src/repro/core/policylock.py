@@ -32,8 +32,9 @@ import random
 from dataclasses import dataclass
 
 from repro.core.keys import ServerPublicKey, UserKeyPair, UserPublicKey
+from repro.core.threshold import _eval_poly, lagrange_coefficient_at_zero
 from repro.core.timeserver import TimeBoundKeyUpdate
-from repro.core.tre import H1_TAG, H2_TAG
+from repro.core.tre import H1_TAG, H2_TAG, TimedReleaseScheme
 from repro.crypto.authenc import aead_decrypt, aead_encrypt
 from repro.ec.point import CurvePoint
 from repro.encoding import pack_chunks, unpack_chunks, xor_bytes
@@ -84,6 +85,7 @@ class PolicyLockScheme:
 
     def __init__(self, group: PairingGroup):
         self.group = group
+        self._kem = TimedReleaseScheme(group)
 
     def _policy_point(self, conditions: tuple[bytes, ...]) -> CurvePoint:
         if not conditions:
@@ -131,7 +133,6 @@ class PolicyLockScheme:
         server_public: ServerPublicKey | None = None,
     ) -> bytes:
         """Open with one witness attestation per condition, any order."""
-        private = receiver.private if isinstance(receiver, UserKeyPair) else receiver
         by_label = {att.time_label: att for att in attestations}
         if set(by_label) != set(ciphertext.conditions):
             missing = set(ciphertext.conditions) - set(by_label)
@@ -142,7 +143,7 @@ class PolicyLockScheme:
             if server_public is not None:
                 attestation.ensure_valid(self.group, server_public)
             combined = self.group.add(combined, attestation.point)
-        k = self.group.pair(ciphertext.u_point, combined) ** private
+        k = self._kem._receiver_key(ciphertext.u_point, receiver, combined)
         mask = self.group.mask_bytes(k, len(ciphertext.masked), tag=H2_TAG)
         return xor_bytes(ciphertext.masked, mask)
 
@@ -174,15 +175,12 @@ class PolicyLockScheme:
         u_points = []
         masked_keys = []
         for condition in conditions:
-            r = self.group.random_scalar(rng)
-            u_points.append(self.group.mul(server_public.generator, r))
-            k = self.group.pair(
-                self.group.mul(receiver_public.as_generator, r),
-                self.group.hash_to_g1(condition, tag=H1_TAG),
+            key, u_point = self._kem.encapsulate(
+                receiver_public, server_public, condition, rng,
+                key_bytes=_KEY_BYTES, verify_receiver_key=False,
             )
-            masked_keys.append(
-                xor_bytes(session_key, self.group.mask_bytes(k, _KEY_BYTES, tag=H2_TAG))
-            )
+            u_points.append(u_point)
+            masked_keys.append(xor_bytes(session_key, key))
         sealed = aead_encrypt(
             session_key, b"policy", message, associated_data=pack_chunks(*conditions)
         )
@@ -198,7 +196,6 @@ class PolicyLockScheme:
         server_public: ServerPublicKey | None = None,
     ) -> bytes:
         """Open with a single attestation for any one listed condition."""
-        private = receiver.private if isinstance(receiver, UserKeyPair) else receiver
         if attestation.time_label not in ciphertext.conditions:
             raise PolicyError(
                 f"attestation {attestation.time_label!r} not in this policy"
@@ -208,9 +205,12 @@ class PolicyLockScheme:
         index = ciphertext.conditions.index(attestation.time_label)
         masked_blob, sealed = unpack_chunks(ciphertext.sealed)
         masked_keys = unpack_chunks(masked_blob)
-        k = self.group.pair(ciphertext.u_points[index], attestation.point) ** private
         session_key = xor_bytes(
-            masked_keys[index], self.group.mask_bytes(k, _KEY_BYTES, tag=H2_TAG)
+            masked_keys[index],
+            self._kem.decapsulate(
+                ciphertext.u_points[index], receiver, attestation,
+                key_bytes=_KEY_BYTES,
+            ),
         )
         return aead_decrypt(
             session_key,
@@ -235,7 +235,7 @@ class ThresholdPolicyScheme:
 
     def __init__(self, group: PairingGroup):
         self.group = group
-        self._base = PolicyLockScheme(group)
+        self._kem = TimedReleaseScheme(group)
 
     def encrypt(
         self,
@@ -261,31 +261,19 @@ class ThresholdPolicyScheme:
         if verify_receiver_key:
             receiver_public.ensure_well_formed(self.group, server_public)
 
-        q = self.group.q
         coefficients = [self.group.random_scalar(rng) for _ in range(threshold)]
         session_secret = coefficients[0]
-
-        def share_at(x: int) -> int:
-            value = 0
-            for coefficient in reversed(coefficients):
-                value = (value * x + coefficient) % q
-            return value
-
         u_points = []
         masked_shares = []
         for index, condition in enumerate(conditions):
-            r = self.group.random_scalar(rng)
-            u_points.append(self.group.mul(server_public.generator, r))
-            k = self.group.pair(
-                self.group.mul(receiver_public.as_generator, r),
-                self.group.hash_to_g1(condition, tag=H1_TAG),
-            )
-            share = share_at(index + 1)
+            share = _eval_poly(coefficients, index + 1, self.group.q)
             share_bytes = share.to_bytes(self.group.scalar_bytes + 1, "big")
-            masked_shares.append(xor_bytes(
-                share_bytes,
-                self.group.mask_bytes(k, len(share_bytes), tag=H2_TAG),
-            ))
+            key, u_point = self._kem.encapsulate(
+                receiver_public, server_public, condition, rng,
+                key_bytes=len(share_bytes), verify_receiver_key=False,
+            )
+            u_points.append(u_point)
+            masked_shares.append(xor_bytes(share_bytes, key))
 
         session_key = session_secret.to_bytes(self.group.scalar_bytes + 1, "big")
         sealed = aead_encrypt(
@@ -305,9 +293,6 @@ class ThresholdPolicyScheme:
         server_public: ServerPublicKey | None = None,
     ) -> bytes:
         """Open with any ``threshold`` distinct attested conditions."""
-        from repro.core.threshold import lagrange_coefficient_at_zero
-
-        private = receiver.private if isinstance(receiver, UserKeyPair) else receiver
         by_label = {}
         for attestation in attestations:
             if attestation.time_label in ciphertext.conditions:
@@ -326,13 +311,11 @@ class ThresholdPolicyScheme:
             if server_public is not None:
                 attestation.ensure_valid(self.group, server_public)
             index = ciphertext.conditions.index(label)
-            k = self.group.pair(
-                ciphertext.u_points[index], attestation.point
-            ) ** private
             share_bytes = xor_bytes(
                 masked_shares[index],
-                self.group.mask_bytes(
-                    k, len(masked_shares[index]), tag=H2_TAG
+                self._kem.decapsulate(
+                    ciphertext.u_points[index], receiver, attestation,
+                    key_bytes=len(masked_shares[index]),
                 ),
             )
             recovered[index + 1] = int.from_bytes(share_bytes, "big") % q

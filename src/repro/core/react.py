@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.core.keys import ServerPublicKey, UserKeyPair, UserPublicKey
 from repro.core.timeserver import TimeBoundKeyUpdate
-from repro.core.tre import TimedReleaseScheme, TRECiphertext
+from repro.core.tre import KEMScheme, TRECiphertext
 from repro.crypto.kdf import derive_key
 from repro.encoding import pack_chunks, unpack_chunks, xor_bytes
 from repro.errors import DecryptionError, EncodingError
@@ -64,26 +63,8 @@ class ReactTRECiphertext:
         return len(self.to_bytes(group))
 
 
-class ReactTimedReleaseScheme:
+class ReactTimedReleaseScheme(KEMScheme):
     """Chosen-ciphertext-secure TRE via the REACT conversion."""
-
-    def __init__(self, group: PairingGroup):
-        self.group = group
-        self._base = TimedReleaseScheme(group)
-
-    def precompute_sender(
-        self,
-        receiver_public: UserPublicKey,
-        server_public: ServerPublicKey,
-        time_labels: Iterable[bytes] = (),
-    ) -> None:
-        """Warm the base scheme's sender fast paths (incl. GT tables)."""
-        self._base.precompute_sender(
-            receiver_public, server_public, time_labels=time_labels
-        )
-
-    def clear_sender_cache(self) -> None:
-        self._base.clear_sender_cache()
 
     def _checksum(self, r_value: bytes, message: bytes, c1_bytes: bytes, c2: bytes) -> bytes:
         return hash_bytes(r_value, message, c1_bytes, c2, tag=_H_TAG)[:CHECK_BYTES]
@@ -98,7 +79,7 @@ class ReactTimedReleaseScheme:
         verify_receiver_key: bool = True,
     ) -> ReactTRECiphertext:
         r_value = rng.randbytes(R_BYTES)
-        c1 = self._base.encrypt(
+        c1 = self._kem.encrypt(
             r_value,
             receiver_public,
             server_public,
@@ -118,7 +99,7 @@ class ReactTimedReleaseScheme:
         update: TimeBoundKeyUpdate,
         server_public: ServerPublicKey,
     ) -> bytes:
-        r_value = self._base.decrypt(
+        r_value = self._kem.decrypt(
             ciphertext.c1, receiver, update, server_public
         )
         if len(r_value) != R_BYTES:

@@ -87,6 +87,27 @@ class TimeBoundKeyUpdate:
                 f"update for {self.time_label!r} failed self-authentication"
             )
 
+    def ensure_opens(
+        self,
+        time_label: bytes,
+        group: PairingGroup,
+        server_public: ServerPublicKey | None,
+    ) -> None:
+        """The one gate an update passes before decryption.
+
+        Raises :class:`UpdateVerificationError` unless the update is
+        for ``time_label`` (the ciphertext's release time) and, when
+        ``server_public`` is given, self-authenticates under it
+        (:meth:`ensure_valid`) — catching a wrong-epoch or forged
+        update before it produces garbage plaintext.
+        """
+        if self.time_label != time_label:
+            raise UpdateVerificationError(
+                "update is for a different release time than the ciphertext"
+            )
+        if server_public is not None:
+            self.ensure_valid(group, server_public)
+
     def to_bytes(self, group: PairingGroup) -> bytes:
         return pack_chunks(self.time_label, group.point_to_bytes(self.point))
 
@@ -239,7 +260,9 @@ class PassiveTimeServer:
         """Re-load an archive snapshot, verifying every update first.
 
         Each update must self-authenticate under *this* server's public
-        key — a corrupted or foreign snapshot raises
+        key, checked as one backlog by :func:`verify_archive` (the
+        server key's Miller lines are recorded once) — a corrupted or
+        foreign snapshot raises
         :class:`UpdateVerificationError` rather than poisoning the
         archive.  Returns the number of updates restored (existing
         entries are kept; counters are not replayed).
@@ -248,8 +271,10 @@ class PassiveTimeServer:
             TimeBoundKeyUpdate.from_bytes(self.group, blob)
             for blob in unpack_chunks(snapshot)
         ]
-        for update in updates:
-            update.ensure_valid(self.group, self.public_key)
+        if verify_archive(self.group, self.public_key, updates):
+            raise UpdateVerificationError(
+                "snapshot holds an update that fails self-authentication"
+            )
         restored = 0
         for update in updates:
             if update.time_label not in self._archive:

@@ -96,46 +96,45 @@ class TimedReleaseScheme:
 
     def _sender_key(
         self,
-        receiver_public: UserPublicKey,
+        point: CurvePoint,
         time_label: bytes,
         r: int,
     ) -> GTElement:
-        """``K = ê(r·asG, H1(T))`` — :meth:`_sender_keys` for one receiver."""
-        return self._sender_keys([receiver_public], time_label, r)[0]
+        """``K = ê(r·X, H1(T))`` — :meth:`_sender_keys` for one point."""
+        return self._sender_keys([point], time_label, r)[0]
 
     def _sender_keys(
         self,
-        receivers: Sequence[UserPublicKey],
+        points: Sequence[CurvePoint],
         time_label: bytes,
         r: int,
     ) -> list[GTElement]:
-        """``K_i = ê(r·as_iG, H1(T))`` for every receiver, in order.
+        """``K_i = ê(r·X_i, H1(T))`` for every point ``X_i``, in order.
 
-        A warm ``(receiver, T)`` (see :meth:`precompute_sender` with
-        ``time_labels``) costs ``ê(asG, H1(T))^r`` — one table-driven GT
+        ``X`` is a receiver's ``asG`` (or, for multi-server TRE, the sum
+        ``Σ a·s_iG_i``); ``T`` is any label, a time or a condition.
+        A warm ``(X, T)`` (see :meth:`precompute_sender` with
+        ``time_labels``) costs ``ê(X, H1(T))^r`` — one table-driven GT
         exponentiation, no hash-to-curve, no pairing.  A single cold
-        receiver never clears ``H1(T)``'s cofactor
+        point never clears ``H1(T)``'s cofactor
         (:meth:`~repro.pairing.api.PairingGroup.pair_h1`): it costs the
         map point ``P′₀`` of ``H1(T) = c·P′₀``, one scalar
-        multiplication ``(c·r mod q)·asG`` (which may use a fixed-base
-        table for ``asG``) and one pairing, ``ê((c·r mod q)·asG, P′₀)``.
-        Two or more cold receivers share one ``H1(T)``, one ``r·H1(T)``
+        multiplication ``(c·r mod q)·X`` (which may use a fixed-base
+        table for ``X``) and one pairing, ``ê((c·r mod q)·X, P′₀)``.
+        Two or more cold points share one ``H1(T)``, one ``r·H1(T)``
         and one recording of its Miller lines; each then costs one
         evaluation of those lines and one final exponentiation,
-        ``ê(as_iG, r·H1(T))``.  A recorded argument must lie in G1, so
+        ``ê(X_i, r·H1(T))``.  A recorded argument must lie in G1, so
         this path clears the cofactor with ``hash_to_g1``.  Bilinearity
         and symmetry make all three the same group element, so the
         ciphertexts are byte-identical.
         """
-        cached = [
-            self._sender_gt.get((receiver_public.as_generator, time_label))
-            for receiver_public in receivers
-        ]
+        cached = [self._sender_gt.get((point, time_label)) for point in points]
         cold = [index for index, g in enumerate(cached) if g is None]
         fresh: dict[int, GTElement] = {}
         if len(cold) == 1:
             fresh[cold[0]] = self.group.pair_h1(
-                receivers[cold[0]].as_generator, time_label, H1_TAG, scalar=r
+                points[cold[0]], time_label, H1_TAG, scalar=r
             )
         elif cold:
             h_t = self.group.hash_to_g1(time_label, tag=H1_TAG)
@@ -143,7 +142,7 @@ class TimedReleaseScheme:
             # lines are never reused and must not enter the group cache.
             shared = PairingPrecomputation(self.group, self.group.mul(h_t, r))
             for index in cold:
-                fresh[index] = shared.pair(receivers[index].as_generator)
+                fresh[index] = shared.pair(points[index])
         return [
             fresh[index] if g is None else g ** r
             for index, g in enumerate(cached)
@@ -152,11 +151,16 @@ class TimedReleaseScheme:
     def _receiver_key(
         self,
         u_point: CurvePoint,
-        private: int,
-        update: TimeBoundKeyUpdate,
+        receiver: UserKeyPair | int,
+        point: CurvePoint,
     ) -> GTElement:
-        """``K' = ê(U, I_T)^a`` — computed by the receiver."""
-        return self.group.pair(u_point, update.point) ** private
+        """``K' = ê(U, Z)^a`` — computed by the receiver.
+
+        ``Z`` is the update ``I_T`` (or, for a conjunction of
+        conditions, the sum of their attestations).
+        """
+        private = receiver.private if isinstance(receiver, UserKeyPair) else receiver
+        return self.group.pair(u_point, point) ** private
 
     # ------------------------------------------------------------------
     # Fixed-argument precomputation.
@@ -234,12 +238,14 @@ class TimedReleaseScheme:
         callers who have already validated (or certified) the key; the
         check costs two pairings, which E1 accounts separately.
         """
-        if verify_receiver_key:
-            receiver_public.ensure_well_formed(self.group, server_public)
-        r = self.group.random_scalar(rng)
-        u_point = self.group.mul(server_public.generator, r)
-        k = self._sender_key(receiver_public, time_label, r)
-        mask = self.group.mask_bytes(k, len(message), tag=H2_TAG)
+        mask, u_point = self.encapsulate(
+            receiver_public,
+            server_public,
+            time_label,
+            rng,
+            key_bytes=len(message),
+            verify_receiver_key=verify_receiver_key,
+        )
         return TRECiphertext(u_point, xor_bytes(message, mask), time_label)
 
     def decrypt(
@@ -259,15 +265,11 @@ class TimedReleaseScheme:
         :meth:`~repro.core.timeserver.TimeBoundKeyUpdate.verify`).
         Without it, the method is the paper's bare two-step decryption.
         """
-        private = receiver.private if isinstance(receiver, UserKeyPair) else receiver
         if server_public is not None:
-            if update.time_label != ciphertext.time_label:
-                raise UpdateVerificationError(
-                    "update is for a different release time than the ciphertext"
-                )
-            update.ensure_valid(self.group, server_public)
-        k = self._receiver_key(ciphertext.u_point, private, update)
-        mask = self.group.mask_bytes(k, len(ciphertext.masked), tag=H2_TAG)
+            update.ensure_opens(ciphertext.time_label, self.group, server_public)
+        mask = self.decapsulate(
+            ciphertext.u_point, receiver, update, key_bytes=len(ciphertext.masked)
+        )
         return xor_bytes(ciphertext.masked, mask)
 
     def decrypt_batch(
@@ -329,7 +331,7 @@ class TimedReleaseScheme:
         return plaintexts
 
     # ------------------------------------------------------------------
-    # KEM view (used by the hybrid and CCA layers).
+    # KEM view (used by the hybrid, CCA and policy-lock layers).
     # ------------------------------------------------------------------
 
     def encapsulate(
@@ -347,7 +349,7 @@ class TimedReleaseScheme:
             receiver_public.ensure_well_formed(self.group, server_public)
         r = self.group.random_scalar(rng)
         u_point = self.group.mul(server_public.generator, r)
-        k = self._sender_key(receiver_public, time_label, r)
+        k = self._sender_key(receiver_public.as_generator, time_label, r)
         return self.group.mask_bytes(k, key_bytes, tag=H2_TAG), u_point
 
     def decapsulate(
@@ -357,6 +359,33 @@ class TimedReleaseScheme:
         update: TimeBoundKeyUpdate,
         key_bytes: int = 32,
     ) -> bytes:
-        private = receiver.private if isinstance(receiver, UserKeyPair) else receiver
-        k = self._receiver_key(u_point, private, update)
+        k = self._receiver_key(u_point, receiver, update.point)
         return self.group.mask_bytes(k, key_bytes, tag=H2_TAG)
+
+
+class KEMScheme:
+    """A scheme layered on the §5.1 KEM, sharing its sender caches.
+
+    :meth:`precompute_sender` warms, and :meth:`clear_sender_cache`
+    drops, the KEM's fixed-argument tables and cached ``g_{R,T}``
+    pairings (see :meth:`TimedReleaseScheme.precompute_sender`); the
+    layer's ciphertexts stay byte-identical either way.
+    """
+
+    def __init__(self, group: PairingGroup):
+        self.group = group
+        self._kem = TimedReleaseScheme(group)
+
+    def precompute_sender(
+        self,
+        receiver_public: UserPublicKey,
+        server_public: ServerPublicKey,
+        time_labels: Iterable[bytes] = (),
+    ) -> None:
+        """Warm the KEM's sender fast paths (incl. GT tables)."""
+        self._kem.precompute_sender(
+            receiver_public, server_public, time_labels=time_labels
+        )
+
+    def clear_sender_cache(self) -> None:
+        self._kem.clear_sender_cache()

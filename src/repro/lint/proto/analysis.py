@@ -394,6 +394,9 @@ class ProtoTransfer:
         self.eval(value, env)
 
     def _exec_if(self, stmt: ast.If, env: dict[str, Val]) -> bool:
+        # The test runs on both paths, so an unconditional transition in
+        # it (a batch guard's) holds in each branch.
+        self.eval(stmt.test, env)
         then_env, else_env = dict(env), dict(env)
         for key in self._true_subjects(stmt.test, then_env):
             self._verify_key(key, then_env)

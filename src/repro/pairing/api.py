@@ -254,18 +254,18 @@ class PairingGroup:
             product.prove_order(point.proven_order)
         return product
 
-    def precompute(self, point: CurvePoint, width: int = 4) -> FixedBaseTable:
+    def precompute(self, point: CurvePoint) -> FixedBaseTable:
         """Build (and cache) a fixed-base table for ``point``.
 
         Subsequent :meth:`mul` calls on the same point use the table —
-        zero doublings, one mixed addition per ``width``-bit window —
+        zero doublings, one mixed addition per 4-bit window —
         and return byte-identical results.  Amortizes after a handful of
         multiplications; see ``docs/PERFORMANCE.md`` for the memory /
         break-even numbers.  :meth:`clear_precomputations` frees tables.
         """
         table = self._fixed_base.get(point)
-        if table is None or table.width != width:
-            table = FixedBaseTable(point, self.q.bit_length(), width=width)
+        if table is None:
+            table = FixedBaseTable(point, self.q.bit_length())
             self._fixed_base[point] = table
         return table
 
@@ -599,22 +599,22 @@ class PairingGroup:
             return GTElement(self, table.exp(exponent))
         return GTElement(self, unitary_exp(gt.value, exponent))
 
-    def precompute_gt(self, base: GTElement, width: int = 4) -> GTFixedBaseTable:
+    def precompute_gt(self, base: GTElement) -> GTFixedBaseTable:
         """Build (and cache) a windowed exponentiation table for ``base``.
 
         The GT analog of :meth:`precompute`: subsequent ``base ** k``
         (equivalently :meth:`gt_exp`) calls on the same element read one
-        stored power per ``width``-bit window of ``k`` — **zero
+        stored power per 4-bit window of ``k`` — **zero
         squarings** — and return the identical group element.  This is
         the sender-side fast path: once ``g = ê(asG, H1(T))`` is cached
         for a fixed (receiver, T), every encryption costs one
         table-driven GT exponentiation instead of a pairing.  Memory is
-        ``(2^width - 1) * ceil(q_bits/width)`` Fp2 elements;
+        ``15 * ceil(q_bits/4)`` Fp2 elements;
         :meth:`clear_precomputations` frees the tables.
         """
         table = self._gt_fixed_base.get(base.value)
-        if table is None or table.width != width:
-            table = GTFixedBaseTable(base.value, self.q.bit_length(), width=width)
+        if table is None:
+            table = GTFixedBaseTable(base.value, self.q.bit_length())
             self._gt_fixed_base[base.value] = table
         return table
 

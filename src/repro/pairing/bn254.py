@@ -128,9 +128,6 @@ class BN254:
             return False
         return (point * self.q).is_infinity
 
-    def clear_g2_cofactor(self, point: CurvePoint) -> CurvePoint:
-        return point * G2_COFACTOR
-
     # ------------------------------------------------------------------
     # Twist: E'(Fp2) -> E(Fp12).
     # ------------------------------------------------------------------
@@ -244,9 +241,6 @@ class BN254:
                 # curve equation's RHS, so (x, y) is on G1 (cofactor 1)
                 return self.curve_g1.unchecked_point(self.fp(x), y)
         raise ParameterError("hash_to_g1 exhausted its attempt budget")
-
-    def gt_to_bytes(self, element: PolyElement) -> bytes:
-        return element.to_bytes()
 
     def mask_bytes(
         self, element: PolyElement, length: int, tag: str = "repro:bn254:H2"

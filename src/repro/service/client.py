@@ -35,7 +35,6 @@ from typing import Iterable
 from repro.core.timeserver import TimeBoundKeyUpdate, verify_archive
 from repro.errors import (
     ParameterError,
-    PermanentServiceError,
     ReproError,
     ServiceTimeoutError,
     TransientServiceError,

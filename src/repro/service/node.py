@@ -90,7 +90,6 @@ class TimeServerNode:
         self._scheduler_task: asyncio.Task | None = None
         self._subscribers: list[asyncio.Queue] = []
         self._next_epoch = 0
-        self._started_at = 0.0
         # Counters survive crash/restart: they describe the node, not
         # one incarnation of its state.
         self.requests_served = 0
@@ -132,7 +131,6 @@ class TimeServerNode:
                 max_clock_skew=self.max_clock_skew,
             )
         self.running = True
-        self._started_at = asyncio.get_running_loop().time()
         self._next_epoch = self._resume_epoch()
         self._publish_due_epochs()
         self.ready = True

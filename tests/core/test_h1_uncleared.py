@@ -96,7 +96,7 @@ def test_cold_key_matches_h1_pairing(group):
         expected = group.pair(
             group.mul(user.public.as_generator, r), group.hash_to_g1(label)
         )
-        assert scheme._sender_key(user.public, label, r) == expected
+        assert scheme._sender_key(user.public.as_generator, label, r) == expected
 
 
 def _assert_derived_off_identity(group, key, derive, point):
@@ -212,7 +212,7 @@ def test_cold_encrypt_falls_back_exactly(group, degenerate):
         group.mul(user.public.as_generator, r), group.hash_to_g1(label)
     )
     assert not expected.is_identity()
-    assert scheme._sender_key(user.public, label, r) == expected
+    assert scheme._sender_key(user.public.as_generator, label, r) == expected
     message = b"opens after the forced label"
     ciphertext = scheme.encrypt(
         message, user.public, server.public_key, label, rng
@@ -250,12 +250,14 @@ def test_warm_label_falls_back_exactly(group, degenerate):
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
-def _functions_where(predicate, skip=()):
-    """``Class.function`` names in ``src/repro`` whose body matches."""
+def _functions_where(predicate, skip=(), under=""):
+    """``Class.function`` names in ``src/repro`` (or its ``under``
+    subdirectory) whose body matches."""
     found = set()
     for path in sorted(SRC.rglob("*.py")):
         relative = path.relative_to(SRC).as_posix()
-        if relative.startswith("lint/") or relative in skip:
+        if (relative.startswith("lint/") or not relative.startswith(under)
+                or relative in skip):
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for cls in ast.walk(tree):
@@ -299,3 +301,39 @@ def test_pair_h1_is_the_only_fallback():
         _calls("clear_cofactor"),
         skip={"pairing/hashing.py", "pairing/supersingular.py"},
     ) == {"PairingGroup.pair_h1"}
+
+
+# Every function in repro.core that still calls hash_to_g1 (ROADMAP
+# item 2).  Each needs H1 as a point in G1, or is the §5.1 KEM's
+# multi-receiver path; the rest pair through pair_h1.  tlock runs on
+# the BN254 engine with its own hash and is not scanned.
+H1_IN_G1_BY_DESIGN = {
+    # Two or more cold receivers record the lines of r·H1(T).
+    "TimedReleaseScheme._sender_keys",
+    # Signing: BLS updates (batch_verify and verify_aggregate hash
+    # through it) and threshold update shares.
+    "BLSSignatureScheme.hash_message",
+    "ThresholdServerMember.issue_update_share",
+    # Key extraction: ID-TRE's s·H1(ID), and the escrow demonstration's
+    # s·(H1(ID) + H1(T)).
+    "IdentityTimedReleaseScheme.hash_identity",
+    "IdentityTimedReleaseScheme.server_decrypt",
+    # The resilient scheme's tree points.
+    "HierarchicalTimeTree.node_point",
+    # A conjunction pairs once against Σ H1(C_j), which is no one label.
+    "PolicyLockScheme._policy_point",
+}
+H1_IN_G1_WAITING = {
+    # ID-TRE encryption pairs against H1(ID) + H1(T).
+    "IdentityTimedReleaseScheme.precompute_sender",
+    "IdentityTimedReleaseScheme.encrypt",
+    "ThresholdTimeServer.verify_share",
+}
+
+
+def test_core_hash_to_g1_callers_are_the_listed_ones():
+    """Policy-lock's OR and t-of-m encryption and multi-server
+    encryption compute their key through the §5.1 KEM, not inline."""
+    assert _functions_where(
+        _calls("hash_to_g1"), skip={"core/tlock.py"}, under="core/"
+    ) == H1_IN_G1_BY_DESIGN | H1_IN_G1_WAITING

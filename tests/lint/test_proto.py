@@ -125,6 +125,23 @@ def test_one_unverified_branch_taints_the_merge():
     assert findings[0].line == 5
 
 
+def test_batch_guard_as_if_test_verifies_both_branches():
+    """``verify_archive`` authenticates its collection whatever it
+    returns, so used as an ``if`` test it verifies the fall-through
+    path too: caching the backlog after ``if verify_archive(...):
+    raise`` is quiet."""
+    src = (
+        "def restore(group, server_public, archive, blobs):\n"
+        "    updates = [TimeBoundKeyUpdate.from_bytes(group, b) for b in blobs]\n"
+        "    if verify_archive(group, server_public, updates):\n"
+        "        raise UpdateVerificationError('bad snapshot')\n"
+        "    for update in updates:\n"
+        "        archive[update.time_label] = update\n"
+    )
+    findings, _ = lint_source(src, "restore.py", package_path="svc/restore.py")
+    assert findings == []
+
+
 def test_waiver_suppresses_proto_finding():
     src = (
         "def rebroadcast(group, blob):\n"

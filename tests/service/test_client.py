@@ -4,7 +4,6 @@ import asyncio
 
 import pytest
 
-from repro.core.timeserver import TimeBoundKeyUpdate
 from repro.crypto.rng import seeded_rng
 from repro.errors import (
     ParameterError,

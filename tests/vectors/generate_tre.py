@@ -91,7 +91,7 @@ def build_set(params: str, family: str) -> dict:
     receiver_keys = []
     for index, ciphertext in enumerate(ciphertexts):
         update = updates[0] if index < SINGLES else updates[1]
-        k = scheme._receiver_key(ciphertext.u_point, user.private, update)
+        k = scheme._receiver_key(ciphertext.u_point, user.private, update.point)
         receiver_keys.append(k.to_bytes().hex())
     return {
         "params": params,

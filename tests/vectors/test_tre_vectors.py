@@ -111,5 +111,5 @@ def test_receiver_keys(case):
     scheme = TimedReleaseScheme(group)
     for index, ciphertext in enumerate(_ciphertexts(entry, group)):
         update = updates[0] if index < SINGLES else updates[1]
-        k = scheme._receiver_key(ciphertext.u_point, user.private, update)
+        k = scheme._receiver_key(ciphertext.u_point, user.private, update.point)
         assert k.to_bytes().hex() == entry["receiver_keys"][index]
