@@ -15,7 +15,7 @@ message after missing m broadcasts).
 from benchmarks.conftest import KEY_MESSAGE, emit
 from repro.analysis import format_table
 from repro.core.resilient import ResilientTRE, ResilientTimeServer
-from repro.core.timeserver import PassiveTimeServer
+from repro.core.timeserver import PassiveTimeServer, epoch_label
 from repro.core.tre import TimedReleaseScheme
 from repro.core.keys import UserKeyPair
 from repro.crypto.rng import seeded_rng
@@ -84,7 +84,10 @@ def test_e14_claim_table(benchmark, toy_group):
             update.size_bytes(group),
             dec_ops.get("pairing", 0),
         ))
-    rows.append(("plain TRE", "1 label", 1, 54, 1))
+    # Plain TRE's update for one epoch, under the canonical epoch label.
+    plain = PassiveTimeServer(group, rng=seeded_rng("e14-ref"))
+    plain_update = plain.publish_update(epoch_label((1 << DEPTHS[-1]) - 1))
+    rows.append(("plain TRE", "1 label", 1, plain_update.size_bytes(group), 1))
     emit(format_table(
         ("tree depth d", "epochs", "update points (worst)", "update bytes",
          "dec pairings"),

@@ -39,8 +39,8 @@ from repro.core.timeserver import TimeBoundKeyUpdate
 from repro.core.tre import H2_TAG, TimedReleaseScheme
 from repro.crypto.authenc import aead_decrypt, aead_encrypt
 from repro.ec.point import CurvePoint
-from repro.encoding import pack_chunks, unpack_chunks
-from repro.errors import DecryptionError, EncodingError, ParameterError
+from repro.encoding import BYTES, POINT, codec, many
+from repro.errors import DecryptionError, ParameterError
 from repro.pairing.api import PairingGroup
 
 _KEY_BYTES = 32
@@ -48,6 +48,7 @@ _KEM_NONCE = b"tre-bc-kem"
 _DEM_NONCE = b"tre-bc-dem"
 
 
+@codec(u_point=POINT, time_label=BYTES, headers=many(BYTES, least=1), sealed=BYTES)
 @dataclass(frozen=True)
 class BroadcastCiphertext:
     """``⟨U, T, header_1..header_N, sealed⟩`` for N recipients.
@@ -66,31 +67,6 @@ class BroadcastCiphertext:
     @property
     def recipients(self) -> int:
         return len(self.headers)
-
-    def to_bytes(self, group: PairingGroup) -> bytes:
-        return pack_chunks(
-            group.point_to_bytes(self.u_point),
-            self.time_label,
-            *self.headers,
-            self.sealed,
-        )
-
-    @classmethod
-    def from_bytes(cls, group: PairingGroup, data: bytes) -> "BroadcastCiphertext":
-        chunks = unpack_chunks(data)
-        if len(chunks) < 4:
-            raise EncodingError(
-                "broadcast ciphertext needs U, label, >=1 header and payload"
-            )
-        return cls(
-            group.point_from_bytes(chunks[0]),
-            chunks[1],
-            tuple(chunks[2:-1]),
-            chunks[-1],
-        )
-
-    def size_bytes(self, group: PairingGroup) -> int:
-        return len(self.to_bytes(group))
 
 
 class BroadcastTimedReleaseScheme:

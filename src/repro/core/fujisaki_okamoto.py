@@ -30,15 +30,15 @@ from repro.core.timeserver import TimeBoundKeyUpdate
 from repro.core.tre import H2_TAG, KEMScheme
 from repro.crypto.kdf import derive_key
 from repro.ec.point import CurvePoint
-from repro.encoding import pack_chunks, unpack_chunks, xor_bytes
-from repro.errors import DecryptionError, EncodingError
-from repro.pairing.api import PairingGroup
+from repro.encoding import BYTES, POINT, codec, xor_bytes
+from repro.errors import DecryptionError
 
 _H3_TAG = "repro:FO:H3"
 _H4_LABEL = "repro:FO:H4"
 SIGMA_BYTES = 32
 
 
+@codec(u_point=POINT, sigma_masked=BYTES, message_masked=BYTES, time_label=BYTES)
 @dataclass(frozen=True)
 class FOTRECiphertext:
     """``⟨U, V, W⟩`` plus the public release-time label."""
@@ -47,24 +47,6 @@ class FOTRECiphertext:
     sigma_masked: bytes
     message_masked: bytes
     time_label: bytes
-
-    def to_bytes(self, group: PairingGroup) -> bytes:
-        return pack_chunks(
-            group.point_to_bytes(self.u_point),
-            self.sigma_masked,
-            self.message_masked,
-            self.time_label,
-        )
-
-    @classmethod
-    def from_bytes(cls, group: PairingGroup, data: bytes) -> "FOTRECiphertext":
-        chunks = unpack_chunks(data)
-        if len(chunks) != 4:
-            raise EncodingError("FO-TRE ciphertext must have 4 components")
-        return cls(group.point_from_bytes(chunks[0]), chunks[1], chunks[2], chunks[3])
-
-    def size_bytes(self, group: PairingGroup) -> int:
-        return len(self.to_bytes(group))
 
 
 class FOTimedReleaseScheme(KEMScheme):

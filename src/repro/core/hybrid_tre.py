@@ -24,13 +24,12 @@ from repro.core.timeserver import TimeBoundKeyUpdate
 from repro.core.tre import KEMScheme
 from repro.crypto.authenc import aead_decrypt, aead_encrypt
 from repro.ec.point import CurvePoint
-from repro.encoding import pack_chunks, unpack_chunks
-from repro.errors import EncodingError
-from repro.pairing.api import PairingGroup
+from repro.encoding import BYTES, POINT, codec
 
 _KEY_BYTES = 32
 
 
+@codec(u_point=POINT, sealed=BYTES, time_label=BYTES)
 @dataclass(frozen=True)
 class HybridTRECiphertext:
     """``⟨U, sealed⟩`` where ``sealed`` is AEAD ciphertext-plus-tag."""
@@ -38,21 +37,6 @@ class HybridTRECiphertext:
     u_point: CurvePoint
     sealed: bytes
     time_label: bytes
-
-    def to_bytes(self, group: PairingGroup) -> bytes:
-        return pack_chunks(
-            group.point_to_bytes(self.u_point), self.sealed, self.time_label
-        )
-
-    @classmethod
-    def from_bytes(cls, group: PairingGroup, data: bytes) -> "HybridTRECiphertext":
-        chunks = unpack_chunks(data)
-        if len(chunks) != 3:
-            raise EncodingError("hybrid TRE ciphertext must have 3 components")
-        return cls(group.point_from_bytes(chunks[0]), chunks[1], chunks[2])
-
-    def size_bytes(self, group: PairingGroup) -> int:
-        return len(self.to_bytes(group))
 
 
 class HybridTimedReleaseScheme(KEMScheme):

@@ -22,14 +22,14 @@ from typing import Iterable
 from repro.core.keys import ServerKeyPair, ServerPublicKey
 from repro.core.timeserver import TimeBoundKeyUpdate
 from repro.ec.point import CurvePoint
-from repro.encoding import pack_chunks, unpack_chunks, xor_bytes
-from repro.errors import EncodingError
+from repro.encoding import BYTES, POINT, codec, xor_bytes
 from repro.pairing.api import PairingGroup
 
 H1_TAG = "repro:H1"
 H2_TAG = "repro:H2"
 
 
+@codec(u_point=POINT, masked=BYTES, time_label=BYTES)
 @dataclass(frozen=True)
 class IDTRECiphertext:
     """``C = ⟨U, V⟩`` plus the public release-time label."""
@@ -37,21 +37,6 @@ class IDTRECiphertext:
     u_point: CurvePoint
     masked: bytes
     time_label: bytes
-
-    def to_bytes(self, group: PairingGroup) -> bytes:
-        return pack_chunks(
-            group.point_to_bytes(self.u_point), self.masked, self.time_label
-        )
-
-    @classmethod
-    def from_bytes(cls, group: PairingGroup, data: bytes) -> "IDTRECiphertext":
-        chunks = unpack_chunks(data)
-        if len(chunks) != 3:
-            raise EncodingError("ID-TRE ciphertext must have 3 components")
-        return cls(group.point_from_bytes(chunks[0]), chunks[1], chunks[2])
-
-    def size_bytes(self, group: PairingGroup) -> int:
-        return len(self.to_bytes(group))
 
 
 @dataclass(frozen=True)

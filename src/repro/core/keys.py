@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from repro.crypto.kdf import derive_key
 from repro.crypto.redact import redacted_repr
 from repro.ec.point import CurvePoint
-from repro.encoding import pack_chunks, unpack_chunks
-from repro.errors import EncodingError, KeyValidationError
+from repro.encoding import POINT, codec
+from repro.errors import KeyValidationError
 from repro.pairing.api import PairingGroup
 
 
@@ -35,6 +35,7 @@ def _cofactor_multiple(key, slot: str, point: CurvePoint, group: PairingGroup) -
     return getattr(key, slot)
 
 
+@codec(generator=POINT, s_generator=POINT)
 @dataclass(frozen=True)
 class ServerPublicKey:
     """The time server's public key ``PK_S = (G, sG)``."""
@@ -68,21 +69,6 @@ class ServerPublicKey:
         group.precompute_pairing(self.s_generator)
         group.precompute_pairing(self.cofactor_s_generator(group))
 
-    def to_bytes(self, group: PairingGroup) -> bytes:
-        return pack_chunks(
-            group.point_to_bytes(self.generator),
-            group.point_to_bytes(self.s_generator),
-        )
-
-    @classmethod
-    def from_bytes(cls, group: PairingGroup, data: bytes) -> "ServerPublicKey":
-        chunks = unpack_chunks(data)
-        if len(chunks) != 2:
-            raise EncodingError("server public key must have 2 components")
-        return cls(
-            group.point_from_bytes(chunks[0]), group.point_from_bytes(chunks[1])
-        )
-
 
 @redacted_repr("public")
 @dataclass(frozen=True)
@@ -108,6 +94,7 @@ class ServerKeyPair:
         return cls(s, ServerPublicKey(generator, group.mul(generator, s)))
 
 
+@codec(a_generator=POINT, as_generator=POINT)
 @dataclass(frozen=True)
 class UserPublicKey:
     """A receiver's public key ``PK_U = (aG, asG)``."""
@@ -158,21 +145,6 @@ class UserPublicKey:
             raise KeyValidationError(
                 "receiver public key is not of the form (aG, a*sG)"
             )
-
-    def to_bytes(self, group: PairingGroup) -> bytes:
-        return pack_chunks(
-            group.point_to_bytes(self.a_generator),
-            group.point_to_bytes(self.as_generator),
-        )
-
-    @classmethod
-    def from_bytes(cls, group: PairingGroup, data: bytes) -> "UserPublicKey":
-        chunks = unpack_chunks(data)
-        if len(chunks) != 2:
-            raise EncodingError("user public key must have 2 components")
-        return cls(
-            group.point_from_bytes(chunks[0]), group.point_from_bytes(chunks[1])
-        )
 
 
 @redacted_repr("public")

@@ -25,7 +25,7 @@ from repro.crypto.redact import redacted_repr
 from repro.core.timeserver import TimeBoundKeyUpdate
 from repro.core.tre import H2_TAG, TimedReleaseScheme
 from repro.ec.point import CurvePoint
-from repro.encoding import pack_chunks, unpack_chunks, xor_bytes
+from repro.encoding import BYTES, POINT, codec, seq, xor_bytes
 from repro.errors import (
     EncodingError,
     KeyValidationError,
@@ -66,6 +66,7 @@ class MultiServerUserKeyPair:
         return self.components
 
 
+@codec(u_points=seq(POINT), masked=BYTES, time_label=BYTES)
 @dataclass(frozen=True)
 class MultiServerCiphertext:
     """``⟨rG_1, ..., rG_N, V⟩`` plus the public release-time label."""
@@ -73,23 +74,6 @@ class MultiServerCiphertext:
     u_points: tuple[CurvePoint, ...]
     masked: bytes
     time_label: bytes
-
-    def to_bytes(self, group: PairingGroup) -> bytes:
-        point_blobs = [group.point_to_bytes(u) for u in self.u_points]
-        return pack_chunks(pack_chunks(*point_blobs), self.masked, self.time_label)
-
-    @classmethod
-    def from_bytes(cls, group: PairingGroup, data: bytes) -> "MultiServerCiphertext":
-        chunks = unpack_chunks(data)
-        if len(chunks) != 3:
-            raise EncodingError("multi-server ciphertext must have 3 components")
-        points = tuple(
-            group.point_from_bytes(blob) for blob in unpack_chunks(chunks[0])
-        )
-        return cls(points, chunks[1], chunks[2])
-
-    def size_bytes(self, group: PairingGroup) -> int:
-        return len(self.to_bytes(group))
 
 
 class MultiServerTimedReleaseScheme:

@@ -37,13 +37,14 @@ from repro.core.timeserver import TimeBoundKeyUpdate
 from repro.core.tre import H1_TAG, H2_TAG, TimedReleaseScheme
 from repro.crypto.authenc import aead_decrypt, aead_encrypt
 from repro.ec.point import CurvePoint
-from repro.encoding import pack_chunks, unpack_chunks, xor_bytes
-from repro.errors import EncodingError, PolicyError
+from repro.encoding import BYTES, POINT, U16, codec, pack_chunks, seq, unpack_chunks, xor_bytes
+from repro.errors import DecodingError, PolicyError
 from repro.pairing.api import PairingGroup
 
 _KEY_BYTES = 32
 
 
+@codec(u_point=POINT, masked=BYTES, conditions=seq(BYTES))
 @dataclass(frozen=True)
 class ConjunctionCiphertext:
     """Locked under ALL listed conditions: ``⟨U, V, (C_1..C_m)⟩``."""
@@ -52,25 +53,8 @@ class ConjunctionCiphertext:
     masked: bytes
     conditions: tuple[bytes, ...]
 
-    def to_bytes(self, group: PairingGroup) -> bytes:
-        return pack_chunks(
-            group.point_to_bytes(self.u_point),
-            self.masked,
-            pack_chunks(*self.conditions),
-        )
 
-    @classmethod
-    def from_bytes(cls, group: PairingGroup, data: bytes) -> "ConjunctionCiphertext":
-        chunks = unpack_chunks(data)
-        if len(chunks) != 3:
-            raise EncodingError("conjunction ciphertext must have 3 components")
-        return cls(
-            group.point_from_bytes(chunks[0]),
-            chunks[1],
-            tuple(unpack_chunks(chunks[2])),
-        )
-
-
+@codec(u_points=seq(POINT), sealed=BYTES, conditions=seq(BYTES))
 @dataclass(frozen=True)
 class DisjunctionCiphertext:
     """Locked under ANY listed condition: one ``U_j`` per alternative."""
@@ -78,6 +62,23 @@ class DisjunctionCiphertext:
     u_points: tuple[CurvePoint, ...]
     sealed: bytes
     conditions: tuple[bytes, ...]
+
+
+def _branches(ciphertext) -> tuple[list[bytes], bytes]:
+    """The per-condition masked keys (or shares) and the AEAD payload in
+    an OR or t-of-m ``sealed`` blob, checked to hold one branch per
+    condition; :class:`DecodingError` otherwise."""
+    chunks = unpack_chunks(ciphertext.sealed)
+    if len(chunks) != 2:
+        raise DecodingError("sealed blob must hold the masked keys and a payload")
+    masked = unpack_chunks(chunks[0])
+    count = len(ciphertext.conditions)
+    if not len(ciphertext.u_points) == len(masked) == count:
+        raise DecodingError(
+            f"{count} condition(s) need as many U points and masked keys, got "
+            f"{len(ciphertext.u_points)} and {len(masked)}"
+        )
+    return masked, chunks[1]
 
 
 class PolicyLockScheme:
@@ -134,8 +135,8 @@ class PolicyLockScheme:
     ) -> bytes:
         """Open with one witness attestation per condition, any order."""
         by_label = {att.time_label: att for att in attestations}
-        if set(by_label) != set(ciphertext.conditions):
-            missing = set(ciphertext.conditions) - set(by_label)
+        missing = set(ciphertext.conditions) - set(by_label)
+        if missing:
             raise PolicyError(f"missing attestations for {sorted(missing)}")
         combined = self.group.identity()
         for condition in ciphertext.conditions:
@@ -196,6 +197,7 @@ class PolicyLockScheme:
         server_public: ServerPublicKey | None = None,
     ) -> bytes:
         """Open with a single attestation for any one listed condition."""
+        masked_keys, sealed = _branches(ciphertext)
         if attestation.time_label not in ciphertext.conditions:
             raise PolicyError(
                 f"attestation {attestation.time_label!r} not in this policy"
@@ -203,8 +205,6 @@ class PolicyLockScheme:
         if server_public is not None:
             attestation.ensure_valid(self.group, server_public)
         index = ciphertext.conditions.index(attestation.time_label)
-        masked_blob, sealed = unpack_chunks(ciphertext.sealed)
-        masked_keys = unpack_chunks(masked_blob)
         session_key = xor_bytes(
             masked_keys[index],
             self._kem.decapsulate(
@@ -220,6 +220,7 @@ class PolicyLockScheme:
         )
 
 
+@codec(threshold=U16, u_points=seq(POINT), sealed=BYTES, conditions=seq(BYTES))
 @dataclass(frozen=True)
 class ThresholdPolicyCiphertext:
     """Locked under any ``threshold`` of the listed conditions."""
@@ -293,6 +294,9 @@ class ThresholdPolicyScheme:
         server_public: ServerPublicKey | None = None,
     ) -> bytes:
         """Open with any ``threshold`` distinct attested conditions."""
+        masked_shares, sealed = _branches(ciphertext)
+        if not 1 <= ciphertext.threshold <= len(ciphertext.conditions):
+            raise DecodingError("need 1 <= threshold <= number of conditions")
         by_label = {}
         for attestation in attestations:
             if attestation.time_label in ciphertext.conditions:
@@ -302,8 +306,6 @@ class ThresholdPolicyScheme:
                 f"need {ciphertext.threshold} attested conditions, "
                 f"have {len(by_label)}"
             )
-        masked_blob, sealed = unpack_chunks(ciphertext.sealed)
-        masked_shares = unpack_chunks(masked_blob)
 
         q = self.group.q
         recovered: dict[int, int] = {}

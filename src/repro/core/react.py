@@ -26,9 +26,8 @@ from repro.core.keys import ServerPublicKey, UserKeyPair, UserPublicKey
 from repro.core.timeserver import TimeBoundKeyUpdate
 from repro.core.tre import KEMScheme, TRECiphertext
 from repro.crypto.kdf import derive_key
-from repro.encoding import pack_chunks, unpack_chunks, xor_bytes
-from repro.errors import DecryptionError, EncodingError
-from repro.pairing.api import PairingGroup
+from repro.encoding import BYTES, codec, nested, xor_bytes
+from repro.errors import DecryptionError
 from repro.pairing.hashing import hash_bytes
 
 _G_LABEL = "repro:REACT:G"
@@ -37,6 +36,7 @@ R_BYTES = 32
 CHECK_BYTES = 32
 
 
+@codec(c1=nested(TRECiphertext), c2=BYTES, c3=BYTES)
 @dataclass(frozen=True)
 class ReactTRECiphertext:
     """``⟨c1, c2, c3⟩`` where ``c1`` is a plain TRE ciphertext of ``R``."""
@@ -48,19 +48,6 @@ class ReactTRECiphertext:
     @property
     def time_label(self) -> bytes:
         return self.c1.time_label
-
-    def to_bytes(self, group: PairingGroup) -> bytes:
-        return pack_chunks(self.c1.to_bytes(group), self.c2, self.c3)
-
-    @classmethod
-    def from_bytes(cls, group: PairingGroup, data: bytes) -> "ReactTRECiphertext":
-        chunks = unpack_chunks(data)
-        if len(chunks) != 3:
-            raise EncodingError("REACT ciphertext must have 3 components")
-        return cls(TRECiphertext.from_bytes(group, chunks[0]), chunks[1], chunks[2])
-
-    def size_bytes(self, group: PairingGroup) -> int:
-        return len(self.to_bytes(group))
 
 
 class ReactTimedReleaseScheme(KEMScheme):

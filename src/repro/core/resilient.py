@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from repro.core.keys import ServerKeyPair, ServerPublicKey, UserKeyPair, UserPublicKey
 from repro.core.tre import H2_TAG
 from repro.ec.point import CurvePoint
-from repro.encoding import pack_chunks, xor_bytes
+from repro.encoding import BITS, BYTES, POINT, U16, U64, codec, nested, pack_chunks, seq, xor_bytes
 from repro.errors import (
     ParameterError,
     UpdateNotAvailableError,
@@ -73,6 +73,7 @@ def left_cover(epoch: int, depth: int) -> list[tuple[int, ...]]:
     return cover
 
 
+@codec(path=BITS, s_point=POINT, q_points=seq(POINT))
 @dataclass(frozen=True)
 class NodeKey:
     """A GS-HIBE node key: ``(path, S, [Q_2..Q_k])``."""
@@ -92,6 +93,7 @@ class NodeKey:
         return 1 + len(self.q_points)
 
 
+@codec(epoch=U64, depth=U16, node_keys=seq(nested(NodeKey)))
 @dataclass(frozen=True)
 class ResilientUpdate:
     """The broadcast for time ``t``: node keys for the left cover of [0,t]."""
@@ -103,50 +105,8 @@ class ResilientUpdate:
     def point_count(self) -> int:
         return sum(key.point_count() for key in self.node_keys)
 
-    def size_bytes(self, group: PairingGroup) -> int:
-        total = 16  # epoch + depth framing
-        for key in self.node_keys:
-            total += len(key.path)
-            total += key.point_count() * group.point_bytes
-        return total
 
-    def to_bytes(self, group: PairingGroup) -> bytes:
-        key_blobs = []
-        for key in self.node_keys:
-            key_blobs.append(pack_chunks(
-                bytes(key.path),
-                group.point_to_bytes(key.s_point),
-                pack_chunks(*(group.point_to_bytes(q) for q in key.q_points)),
-            ))
-        return pack_chunks(
-            self.epoch.to_bytes(8, "big"),
-            self.depth.to_bytes(2, "big"),
-            pack_chunks(*key_blobs),
-        )
-
-    @classmethod
-    def from_bytes(cls, group: PairingGroup, data: bytes) -> "ResilientUpdate":
-        from repro.encoding import unpack_chunks
-        from repro.errors import EncodingError
-
-        chunks = unpack_chunks(data)
-        if len(chunks) != 3:
-            raise EncodingError("resilient update must have 3 components")
-        epoch = int.from_bytes(chunks[0], "big")
-        depth = int.from_bytes(chunks[1], "big")
-        node_keys = []
-        for blob in unpack_chunks(chunks[2]):
-            path_bytes, s_blob, q_blob = unpack_chunks(blob)
-            if any(b not in (0, 1) for b in path_bytes):
-                raise EncodingError("node path bits must be 0 or 1")
-            node_keys.append(NodeKey(
-                tuple(path_bytes),
-                group.point_from_bytes(s_blob),
-                tuple(group.point_from_bytes(q) for q in unpack_chunks(q_blob)),
-            ))
-        return cls(epoch, depth, tuple(node_keys))
-
-
+@codec(epoch=U64, depth=U16, u0=POINT, u_points=seq(POINT), masked=BYTES)
 @dataclass(frozen=True)
 class ResilientCiphertext:
     """``(U_0, U_2..U_d, V)`` plus the release epoch."""

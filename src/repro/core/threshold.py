@@ -39,6 +39,7 @@ from repro.core.keys import ServerPublicKey
 from repro.core.timeserver import TimeBoundKeyUpdate
 from repro.core.tre import H1_TAG
 from repro.ec.point import CurvePoint
+from repro.encoding import BYTES, POINT, U32, codec
 from repro.errors import ParameterError, UpdateVerificationError
 from repro.math.modular import inverse_mod
 from repro.pairing.api import PairingGroup
@@ -65,6 +66,7 @@ def lagrange_coefficient_at_zero(indices: list[int], i: int, q: int) -> int:
     return numerator * inverse_mod(denominator, q) % q
 
 
+@codec(member_index=U32, time_label=BYTES, point=POINT)
 @dataclass(frozen=True)
 class UpdateShare:
     """One member's contribution ``s_i·H1(T)`` for time ``T``."""
@@ -72,29 +74,6 @@ class UpdateShare:
     member_index: int
     time_label: bytes
     point: CurvePoint
-
-    def to_bytes(self, group: PairingGroup) -> bytes:
-        from repro.encoding import pack_chunks
-
-        return pack_chunks(
-            self.member_index.to_bytes(4, "big"),
-            self.time_label,
-            group.point_to_bytes(self.point),
-        )
-
-    @classmethod
-    def from_bytes(cls, group: PairingGroup, data: bytes) -> "UpdateShare":
-        from repro.encoding import unpack_chunks
-        from repro.errors import EncodingError
-
-        chunks = unpack_chunks(data)
-        if len(chunks) != 3 or len(chunks[0]) != 4:
-            raise EncodingError("update share must have 3 components")
-        return cls(
-            int.from_bytes(chunks[0], "big"),
-            chunks[1],
-            group.point_from_bytes(chunks[2]),
-        )
 
 
 class ThresholdServerMember:

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from repro.core.bls import BLSSignatureScheme
 from repro.core.keys import ServerKeyPair, ServerPublicKey
 from repro.ec.point import CurvePoint
-from repro.encoding import pack_chunks, unpack_chunks
+from repro.encoding import BYTES, POINT, codec, pack_chunks, unpack_chunks
 from repro.errors import (
-    EncodingError,
     ReproError,
     UpdateNotAvailableError,
     UpdateVerificationError,
@@ -45,6 +44,7 @@ def epoch_label(epoch: int, prefix: str = "epoch") -> bytes:
     return f"{prefix}:{epoch:012d}".encode()
 
 
+@codec(time_label=BYTES, point=POINT)
 @dataclass(frozen=True)
 class TimeBoundKeyUpdate:
     """``I_T = s·H1(T)`` — identical for all users, self-authenticating."""
@@ -107,16 +107,6 @@ class TimeBoundKeyUpdate:
             )
         if server_public is not None:
             self.ensure_valid(group, server_public)
-
-    def to_bytes(self, group: PairingGroup) -> bytes:
-        return pack_chunks(self.time_label, group.point_to_bytes(self.point))
-
-    @classmethod
-    def from_bytes(cls, group: PairingGroup, data: bytes) -> "TimeBoundKeyUpdate":
-        chunks = unpack_chunks(data)
-        if len(chunks) != 2:
-            raise EncodingError("update must have 2 components")
-        return cls(chunks[0], group.point_from_bytes(chunks[1]))
 
 
 class PassiveTimeServer:

@@ -28,14 +28,15 @@ from typing import Iterable, Sequence
 from repro.core.keys import ServerPublicKey, UserKeyPair, UserPublicKey
 from repro.core.timeserver import TimeBoundKeyUpdate
 from repro.ec.point import CurvePoint
-from repro.encoding import pack_chunks, unpack_chunks, xor_bytes
-from repro.errors import EncodingError, UpdateVerificationError
+from repro.encoding import BYTES, POINT, codec, xor_bytes
+from repro.errors import UpdateVerificationError
 from repro.pairing.api import GTElement, PairingGroup, PairingPrecomputation
 
 H1_TAG = "repro:H1"
 H2_TAG = "repro:H2"
 
 
+@codec(u_point=POINT, masked=BYTES, time_label=BYTES)
 @dataclass(frozen=True)
 class TRECiphertext:
     """``C = ⟨U, V⟩`` plus the (public) release-time label.
@@ -48,21 +49,6 @@ class TRECiphertext:
     u_point: CurvePoint
     masked: bytes
     time_label: bytes
-
-    def to_bytes(self, group: PairingGroup) -> bytes:
-        return pack_chunks(
-            group.point_to_bytes(self.u_point), self.masked, self.time_label
-        )
-
-    @classmethod
-    def from_bytes(cls, group: PairingGroup, data: bytes) -> "TRECiphertext":
-        chunks = unpack_chunks(data)
-        if len(chunks) != 3:
-            raise EncodingError("TRE ciphertext must have 3 components")
-        return cls(group.point_from_bytes(chunks[0]), chunks[1], chunks[2])
-
-    def size_bytes(self, group: PairingGroup) -> int:
-        return len(self.to_bytes(group))
 
 
 class TimedReleaseScheme:

@@ -1,7 +1,9 @@
 """The service wire protocol: length-framed request/response messages.
 
 Everything the node and client exchange is one :func:`~repro.encoding
-.pack_chunks` frame whose first chunk is a one-byte message type.  The
+.pack_chunks` frame whose first chunk is a one-byte message type, followed
+by the message's fields as its :func:`~repro.encoding.codec` declaration
+lays them out (``health_ok`` flattens its key/value pairs).  The
 payloads reuse the library's own wire encodings (update bytes travel
 exactly as ``TimeBoundKeyUpdate.to_bytes`` produced them), so the
 client's authenticity check operates on the same bytes the archive
@@ -36,7 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.encoding import pack_chunks, unpack_chunks
+from repro.encoding import (
+    BYTES, codec, decode_fields, encode_fields, many, pack_chunks, unpack_chunks,
+)
 from repro.errors import (
     DecodingError,
     PermanentServiceError,
@@ -64,31 +68,37 @@ _ERROR_CLASSES = {
 }
 
 
+@codec(label=BYTES)
 @dataclass(frozen=True)
 class GetUpdate:
     label: bytes
 
 
+@codec(after=BYTES)
 @dataclass(frozen=True)
 class GetArchive:
     after: bytes = b""
 
 
+@codec()
 @dataclass(frozen=True)
 class Health:
     pass
 
 
+@codec(update_bytes=BYTES)
 @dataclass(frozen=True)
 class Announce:
     update_bytes: bytes
 
 
+@codec(update_bytes=BYTES)
 @dataclass(frozen=True)
 class UpdateResponse:
     update_bytes: bytes
 
 
+@codec(update_blobs=many(BYTES))
 @dataclass(frozen=True)
 class ArchiveResponse:
     update_blobs: tuple[bytes, ...]
@@ -102,6 +112,7 @@ class HealthResponse:
         return dict(self.fields)
 
 
+@codec(code=BYTES, detail=BYTES)
 @dataclass(frozen=True)
 class ErrorResponse:
     code: bytes
@@ -129,28 +140,28 @@ Message = (
 )
 
 
+_MESSAGES = {
+    GET_UPDATE: GetUpdate,
+    GET_ARCHIVE: GetArchive,
+    HEALTH: Health,
+    ANNOUNCE: Announce,
+    UPDATE: UpdateResponse,
+    ARCHIVE: ArchiveResponse,
+    HEALTH_OK: HealthResponse,
+    ERROR: ErrorResponse,
+}
+_TYPE_BYTES = {cls: bytes([kind]) for kind, cls in _MESSAGES.items()}
+
+
 def encode_message(message: Message) -> bytes:
-    if isinstance(message, GetUpdate):
-        return pack_chunks(bytes([GET_UPDATE]), message.label)
-    if isinstance(message, GetArchive):
-        return pack_chunks(bytes([GET_ARCHIVE]), message.after)
-    if isinstance(message, Health):
-        return pack_chunks(bytes([HEALTH]))
-    if isinstance(message, Announce):
-        return pack_chunks(bytes([ANNOUNCE]), message.update_bytes)
-    if isinstance(message, UpdateResponse):
-        return pack_chunks(bytes([UPDATE]), message.update_bytes)
-    if isinstance(message, ArchiveResponse):
-        return pack_chunks(bytes([ARCHIVE]), *message.update_blobs)
-    if isinstance(message, HealthResponse):
-        flat: list[bytes] = []
-        for key, value in message.fields:
-            flat.append(key)
-            flat.append(value)
-        return pack_chunks(bytes([HEALTH_OK]), *flat)
-    if isinstance(message, ErrorResponse):
-        return pack_chunks(bytes([ERROR]), message.code, message.detail)
-    raise PermanentServiceError(f"cannot encode {type(message).__name__}")
+    type_byte = _TYPE_BYTES.get(type(message))
+    if type_byte is None:
+        raise PermanentServiceError(f"cannot encode {type(message).__name__}")
+    if type(message) is HealthResponse:
+        body = [part for pair in message.fields for part in pair]
+    else:
+        body = encode_fields(message, None)
+    return pack_chunks(type_byte, *body)
 
 
 def decode_message(data: bytes) -> Message:
@@ -158,39 +169,12 @@ def decode_message(data: bytes) -> Message:
     chunks = unpack_chunks(data)
     if not chunks or len(chunks[0]) != 1:
         raise DecodingError("service message must start with a type byte")
-    kind = chunks[0][0]
+    cls = _MESSAGES.get(chunks[0][0])
+    if cls is None:
+        raise DecodingError(f"unknown service message type 0x{chunks[0][0]:02x}")
     body = chunks[1:]
-    if kind == GET_UPDATE:
-        _expect(body, 1, "get_update")
-        return GetUpdate(body[0])
-    if kind == GET_ARCHIVE:
-        _expect(body, 1, "get_archive")
-        return GetArchive(body[0])
-    if kind == HEALTH:
-        _expect(body, 0, "health")
-        return Health()
-    if kind == ANNOUNCE:
-        _expect(body, 1, "announce")
-        return Announce(body[0])
-    if kind == UPDATE:
-        _expect(body, 1, "update")
-        return UpdateResponse(body[0])
-    if kind == ARCHIVE:
-        return ArchiveResponse(tuple(body))
-    if kind == HEALTH_OK:
+    if cls is HealthResponse:
         if len(body) % 2:
             raise DecodingError("health_ok needs key/value pairs")
-        return HealthResponse(
-            tuple((body[i], body[i + 1]) for i in range(0, len(body), 2))
-        )
-    if kind == ERROR:
-        _expect(body, 2, "error")
-        return ErrorResponse(body[0], body[1])
-    raise DecodingError(f"unknown service message type 0x{kind:02x}")
-
-
-def _expect(body: list[bytes], count: int, name: str) -> None:
-    if len(body) != count:
-        raise DecodingError(
-            f"{name} message needs {count} field(s), got {len(body)}"
-        )
+        return HealthResponse(tuple(zip(body[::2], body[1::2])))
+    return decode_fields(cls, None, body)

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.core.policylock import PolicyLockScheme
-from repro.errors import DecryptionError, PolicyError
+from dataclasses import replace
+
+from repro.core.policylock import DisjunctionCiphertext, PolicyLockScheme
+from repro.encoding import pack_chunks
+from repro.errors import DecodingError, DecryptionError, PolicyError
 
 CONDITIONS = [b"incident-declared", b"cto-approved", b"legal-signed-off"]
 
@@ -46,6 +49,13 @@ class TestConjunction:
         ]
         with pytest.raises(PolicyError):
             scheme.decrypt_all(ct, user, atts, server.public_key)
+
+    def test_superset_of_attestations_opens(self, scheme, server, user, rng):
+        ct = scheme.encrypt_all(
+            b"secret", user.public, server.public_key, CONDITIONS[:2], rng
+        )
+        atts = [server.publish_update(c) for c in CONDITIONS]
+        assert scheme.decrypt_all(ct, user, atts, server.public_key) == b"secret"
 
     def test_single_condition_equals_tre(self, scheme, group, server, user, rng):
         # With one condition the conjunction IS the TRE construction.
@@ -119,3 +129,27 @@ class TestDisjunction:
     def test_empty_policy_rejected(self, scheme, server, user, rng):
         with pytest.raises(PolicyError):
             scheme.encrypt_any(b"m", user.public, server.public_key, [], rng)
+
+    def test_serialization(self, scheme, group, server, user, rng):
+        ct = scheme.encrypt_any(
+            b"m", user.public, server.public_key, CONDITIONS, rng
+        )
+        restored = DisjunctionCiphertext.from_bytes(group, ct.to_bytes(group))
+        assert restored == ct
+        att = server.publish_update(CONDITIONS[1])
+        assert scheme.decrypt_any(restored, user, att, server.public_key) == b"m"
+
+    @pytest.mark.parametrize("malform", [
+        lambda ct: replace(ct, sealed=pack_chunks(ct.sealed)),
+        lambda ct: replace(ct, u_points=ct.u_points[:-1]),
+        lambda ct: replace(ct, sealed=pack_chunks(pack_chunks(b"k"), b"")),
+    ], ids=["one-chunk-sealed", "short-u-points", "short-masked-keys"])
+    def test_malformed_branches_are_decoding_errors(
+        self, scheme, server, user, rng, malform
+    ):
+        ct = malform(scheme.encrypt_any(
+            b"m", user.public, server.public_key, CONDITIONS, rng
+        ))
+        att = server.publish_update(CONDITIONS[-1])
+        with pytest.raises(DecodingError):
+            scheme.decrypt_any(ct, user, att, server.public_key)

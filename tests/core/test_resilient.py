@@ -5,12 +5,16 @@ import pytest
 from repro.core.resilient import (
     HierarchicalTimeTree,
     NodeKey,
+    ResilientCiphertext,
     ResilientTRE,
     ResilientTimeServer,
+    ResilientUpdate,
     epoch_path,
     left_cover,
 )
+from repro.encoding import pack_chunks
 from repro.errors import (
+    DecodingError,
     ParameterError,
     UpdateNotAvailableError,
     UpdateVerificationError,
@@ -200,3 +204,33 @@ class TestUpdateSize:
         worst = server.publish_update(63).point_count()
         best = server.publish_update(0).point_count()
         assert worst > best
+
+
+class TestWireForm:
+    def test_size_bytes_is_the_wire_length(self, resilient_world):
+        server, _, _ = resilient_world
+        for epoch in (0, 21, 63):
+            update = server.publish_update(epoch)
+            assert update.size_bytes(server.group) == len(
+                update.to_bytes(server.group)
+            )
+
+    def test_node_key_without_three_parts_is_a_decoding_error(
+        self, group, resilient_world
+    ):
+        server, _, _ = resilient_world
+        key = server.publish_update(5).node_keys[0]
+        two_parts = pack_chunks(bytes(key.path), group.point_to_bytes(key.s_point))
+        blob = pack_chunks(
+            (5).to_bytes(8, "big"), DEPTH.to_bytes(2, "big"), pack_chunks(two_parts)
+        )
+        with pytest.raises(DecodingError):
+            ResilientUpdate.from_bytes(group, blob)
+
+    def test_ciphertext_roundtrip(self, group, resilient_world, rng):
+        server, scheme, user = resilient_world
+        ct = scheme.encrypt(b"stored until epoch 9", user.public, 9, rng)
+        restored = ResilientCiphertext.from_bytes(group, ct.to_bytes(group))
+        assert restored == ct
+        update = server.publish_update(30)
+        assert scheme.decrypt(restored, user, update, rng) == b"stored until epoch 9"

@@ -1,11 +1,13 @@
 """Tests for t-of-m threshold condition locks."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
-from repro.core.policylock import ThresholdPolicyScheme
-from repro.errors import PolicyError
+from repro.core.policylock import ThresholdPolicyCiphertext, ThresholdPolicyScheme
+from repro.encoding import pack_chunks
+from repro.errors import DecodingError, PolicyError
 
 CONDITIONS = [b"board-approved", b"audit-passed", b"regulator-ok", b"ceo-signed"]
 
@@ -117,3 +119,26 @@ class TestThresholdPolicy:
                 locked, user, [attestations[CONDITIONS[0]], forged],
                 server.public_key,
             )
+
+    def test_serialization(self, scheme, group, user, locked, attestations):
+        restored = ThresholdPolicyCiphertext.from_bytes(
+            group, locked.to_bytes(group)
+        )
+        assert restored == locked
+        atts = [attestations[c] for c in CONDITIONS[1:3]]
+        assert scheme.decrypt(restored, user, atts) == b"threshold secret"
+
+    @pytest.mark.parametrize("malform", [
+        lambda ct: replace(ct, threshold=0),
+        lambda ct: replace(ct, threshold=len(CONDITIONS) + 1),
+        lambda ct: replace(ct, sealed=pack_chunks(ct.sealed)),
+        lambda ct: replace(ct, u_points=ct.u_points[:1]),
+        lambda ct: replace(ct, sealed=pack_chunks(pack_chunks(b"s"), b"")),
+    ], ids=["zero-threshold", "threshold-above-m", "one-chunk-sealed",
+            "short-u-points", "short-masked-shares"])
+    def test_malformed_branches_are_decoding_errors(
+        self, scheme, user, locked, attestations, malform
+    ):
+        atts = [attestations[c] for c in CONDITIONS]
+        with pytest.raises(DecodingError):
+            scheme.decrypt(malform(locked), user, atts)

@@ -1,17 +1,23 @@
 """Tests for the shared byte-encoding helpers."""
 
+from dataclasses import dataclass, field
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.encoding import (
+    BYTES,
+    U16,
     byte_length,
+    codec,
     int_from_bytes,
     int_to_bytes,
+    many,
     pack_chunks,
     unpack_chunks,
     xor_bytes,
 )
-from repro.errors import EncodingError
+from repro.errors import DecodingError, EncodingError
 
 
 class TestIntBytes:
@@ -132,3 +138,44 @@ class TestXor:
             xor_bytes(a, b)
         with pytest.raises(EncodingError):
             xor_bytes(bytearray(a), memoryview(b))
+
+
+@codec(version=U16, items=many(BYTES, least=1), tail=BYTES)
+@dataclass(frozen=True)
+class _Spread:
+    version: int
+    items: tuple[bytes, ...]
+    tail: bytes
+    cache: object = field(default=None, init=False, compare=False)
+
+
+class TestCodec:
+    def test_layout_is_one_chunk_per_field_and_one_per_item(self):
+        value = _Spread(7, (b"a", b"bc"), b"z")
+        blob = value.to_bytes(None)
+        assert blob == pack_chunks(b"\x00\x07", b"a", b"bc", b"z")
+        assert _Spread.from_bytes(None, blob) == value
+        assert value.size_bytes(None) == len(blob)
+
+    @pytest.mark.parametrize("chunks", [
+        (b"\x00\x07", b"z"),
+        (b"\x07", b"a", b"z"),
+    ], ids=["too-few-items", "short-integer"])
+    def test_malformed_frames_raise_decoding_error(self, chunks):
+        with pytest.raises(DecodingError):
+            _Spread.from_bytes(None, pack_chunks(*chunks))
+
+    @pytest.mark.parametrize("layout", [
+        {"version": U16, "tail": BYTES},
+        {"items": many(BYTES), "version": U16, "tail": BYTES},
+        {"version": U16, "items": many(BYTES), "tail": many(BYTES)},
+    ], ids=["missing-field", "wrong-order", "two-many"])
+    def test_layout_must_match_the_constructor_fields(self, layout):
+        @dataclass(frozen=True)
+        class Unsent:
+            version: int
+            items: tuple[bytes, ...]
+            tail: bytes
+
+        with pytest.raises(TypeError):
+            codec(**layout)(Unsent)

@@ -15,9 +15,10 @@ sender key ``ê(r·X, H1(L))`` for some receiver point ``X`` and label
   ``s·H1(T)`` for two labels;
 * policy-lock ciphertexts: ``encrypt_all`` under the first two
   conditions, ``encrypt_any`` under all three and
-  ``ThresholdPolicyScheme.encrypt`` 2-of-3.  The last two have no wire
-  form, so their U points and sealed blob (the masked per-condition
-  keys or shares plus the AEAD payload) are pinned one by one;
+  ``ThresholdPolicyScheme.encrypt`` 2-of-3.  The last two were pinned
+  before they had a wire form, so their U points and sealed blob (the
+  masked per-condition keys or shares plus the AEAD payload) are pinned
+  one by one; ``wire.json`` pins their bytes;
 * multi-server TRE with three servers: every server key, the receiver's
   key components, each server's update and the ciphertext;
 * FO, REACT and ID-TRE ciphertexts (and the ID-TRE user key).
