@@ -18,7 +18,7 @@ import pathlib
 
 import pytest
 
-from benchmarks.trajectory import BenchTrajectory
+from benchmarks.trajectory import BenchTrajectory, merge_claim_tables
 from repro.core.keys import UserKeyPair
 from repro.core.timeserver import PassiveTimeServer
 from repro.crypto.rng import seeded_rng
@@ -45,8 +45,9 @@ def emit(text: str) -> None:
     """Queue a claim-vs-measured table for the end-of-run summary.
 
     Tables are printed by ``pytest_terminal_summary`` (after capture is
-    released, so they reach bench_output.txt) and also appended to
-    ``benchmarks/claim_tables.txt`` for later inspection.
+    released, so they reach bench_output.txt) and also merged into
+    ``benchmarks/claim_tables.txt`` by id, so a run of one experiment
+    file rewrites only its own tables.
     """
     _REPORTS.append(text)
 
@@ -66,7 +67,8 @@ def pytest_terminal_summary(terminalreporter):
         for line in table.splitlines():
             terminalreporter.write_line(line)
     report_path = pathlib.Path(__file__).parent / "claim_tables.txt"
-    report_path.write_text("\n\n".join(_REPORTS) + "\n")
+    existing = report_path.read_text() if report_path.exists() else ""
+    report_path.write_text(merge_claim_tables(existing, _REPORTS))
 
 
 @pytest.fixture(scope="session")

@@ -305,10 +305,10 @@ def bench_multi_pair(group, rng, trajectory, rounds):
     the fixed ``(G, sG)`` — exactly the archive catch-up configuration —
     so the difference isolates the saved final exponentiation plus the
     saved GT comparison.  ``verify_cold`` is the same ratio check under
-    a second key whose lines are never cached, the path a client takes
-    when it checks one update (``ResilientTimeClient._ingest``) or a
-    receiver key (``ensure_well_formed``): one fused Miller loop over
-    both pairs.
+    a second key whose lines are never cached, the path a client's
+    first update check (``ResilientTimeClient._ingest``) or a sender's
+    first receiver-key check (``ensure_well_formed``) per server key
+    takes: one fused Miller loop over both pairs.
     """
     from repro.core.bls import BLSSignatureScheme
 
@@ -357,8 +357,10 @@ def bench_catchup(group, rng, trajectory, rounds, batch):
     This is the client-after-an-outage workload from ``repro.service``:
     a backlog of ``batch`` epoch updates must each pass
     ``ê(sG, H1(T)) == ê(G, I_T)`` before being trusted.  The direct
-    path clears the caches and verifies update-by-update; the archive
-    path shares the ``(G, sG)`` Miller lines across the whole backlog.
+    path clears the caches and verifies update-by-update, so by the
+    second-use rule its first check is fused, its second records the
+    ``(D, G)`` lines and the rest replay them; the archive path records
+    them up front and shares them across the whole backlog.
     Both decode the backlog from bytes every round, as a client does:
     an update remembers the key it was accepted under, so verifying the
     same objects again would time that record, not the check.

@@ -5,6 +5,7 @@ module keeps the same measurements as data, so successive PRs can be
 compared mechanically.  Entries are keyed ``op:params:variant`` (e.g.
 ``scalar_mult:ss512:fixed_base``) and merged on write — re-running one
 experiment updates its rows and leaves the rest of the file alone.
+The claim tables merge the same way (:func:`merge_claim_tables`).
 
 Each entry records the median wall time, the round count, the live
 operation counts from :mod:`repro.pairing.opcount` for one execution,
@@ -47,6 +48,24 @@ def time_median(fn, rounds: int = 5) -> float:
         fn()
         samples.append(time.perf_counter() - start)
     return statistics.median(samples)
+
+
+def merge_claim_tables(existing: str, emitted: list[str]) -> str:
+    """``claim_tables.txt`` with this run's ``emitted`` tables merged in.
+
+    Blocks are separated by one blank line and keyed by the id before
+    the first ``:`` of their first line (``E10``, ``E12a``, ...).  An
+    emitted block replaces the block with its id in place; every other
+    block keeps its bytes and its place, and new ids go at the end.
+    """
+    def block_id(block: str) -> str:
+        return block.split("\n", 1)[0].split(":", 1)[0]
+
+    fresh = {block_id(block): block.strip("\n") for block in emitted}
+    old = [block for block in existing.strip("\n").split("\n\n") if block]
+    merged = [fresh.pop(block_id(block), block) for block in old]
+    merged.extend(fresh.values())
+    return "\n\n".join(merged) + "\n"
 
 
 class BenchTrajectory:

@@ -310,9 +310,12 @@ def broadcast_encrypt_cost(recipients: int, warm: bool = True) -> OpBudget:
         miller_loops=recipients, final_exps=recipients,
     )
 
-# Update self-authentication against a precomputed (G, D): both
-# pairings evaluate cached Miller lines inside one multi-pairing.  D was
-# derived when the lines were recorded, so no scalar multiplication.
+# Update self-authentication against recorded (D, G) lines: after
+# precompute_public, ServerPublicKey.precompute or verify_archive, or
+# from the third check per server key and group (the second records
+# them).  Both pairings evaluate cached Miller lines inside one
+# multi-pairing.  D was derived when the lines were recorded, so no
+# scalar multiplication.
 PRECOMP_UPDATE_VERIFY_COST = OpBudget(
     pairings=2, hash_to_curve=1, precomputed_pairings=2,
     miller_loops=2, final_exps=1, multi_pairs=1,

@@ -73,16 +73,26 @@ class BLSSignatureScheme:
         with ``D = (c mod q)·sG``
         (:meth:`~repro.core.keys.ServerPublicKey.cofactor_s_generator`):
         one multi-pairing ratio ``ê(D, P′₀) / ê(G, σ)`` against
-        ``H1(m)``'s uncleared map point, reusing cached lines for ``D``
-        and ``G`` once :meth:`precompute_public` has run.
+        ``H1(m)``'s uncleared map point.
+
+        A receiver keeps one server key for its whole life, so the check
+        follows the second-use rule of
+        :meth:`~repro.pairing.api.PairingGroup._precompute_on_second_use`:
+        the first check against ``public`` on this group runs both
+        Miller loops fused and records nothing, the second records the
+        lines of ``D`` and ``G``, and every later one evaluates both
+        tables in one pass plus one final exponentiation.
+        :meth:`precompute_public` records them up front.  The verdict is
+        the same on every path.
         """
         if (signature.is_infinity or public.generator.is_infinity
                 or not self.group.in_group(signature)):
             return False
+        derived = public.cofactor_s_generator(self.group)
+        self.group._precompute_on_second_use(derived, public.generator)
         return self.group.pair_h1(
             public.s_generator, message, self.hash_tag,
-            derived=public.cofactor_s_generator(self.group),
-            over=(public.generator, signature),
+            derived=derived, over=(public.generator, signature),
         ).is_identity()
 
     def batch_verify(

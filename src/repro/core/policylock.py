@@ -133,7 +133,14 @@ class PolicyLockScheme:
         attestations: list[TimeBoundKeyUpdate],
         server_public: ServerPublicKey | None = None,
     ) -> bytes:
-        """Open with one witness attestation per condition, any order."""
+        """Open with one witness attestation per condition, any order.
+
+        A ciphertext with no conditions (possible on the wire, never
+        from :meth:`encrypt_all`) raises :class:`PolicyError`: its key
+        would pair against the identity and unmask to garbage.
+        """
+        if not ciphertext.conditions:
+            raise PolicyError("policy needs at least one condition")
         by_label = {att.time_label: att for att in attestations}
         missing = set(ciphertext.conditions) - set(by_label)
         if missing:

@@ -529,10 +529,13 @@ class PairingGroup:
         about 1.3 uncached Miller loops and each later evaluation saves
         a little more than half of one, so precomputation breaks even
         at about the second pairing with ``point`` and pays off from
-        the third; a one-off pairing is cheaper uncached.  The
-        receiver-key check records the server key ``(G, sG)`` here by
-        itself from its second use (see
-        :meth:`~repro.core.keys.UserPublicKey.verify_well_formed`).
+        the third; a one-off pairing is cheaper uncached.  Two checks
+        record their fixed server-key points here by themselves from
+        their second use (:meth:`_precompute_on_second_use`): the
+        receiver-key check ``(G, sG)``
+        (:meth:`~repro.core.keys.UserPublicKey.verify_well_formed`) and
+        the update check ``(D, G)`` with ``D = (c mod q)·sG``
+        (:meth:`~repro.core.bls.BLSSignatureScheme.verify`).
         Only public points belong in this cache: lines derived from a
         secret, such as a receiver's ``a·I_T``, go in a transient
         :class:`PairingPrecomputation` that the caller drops.  On
@@ -553,7 +556,12 @@ class PairingGroup:
         keeps the fused Miller loop and pays nothing for a table it
         never reuses; the second records every point (family A only),
         and later calls find them cached.  :meth:`clear_precomputations`
-        forgets the tuples too.
+        forgets the tuples too.  Its callers are the two checks against
+        a server key a process holds for its whole life: the
+        receiver-key check with ``(G, sG)``
+        (:meth:`~repro.core.keys.UserPublicKey.verify_well_formed`) and
+        the update check with ``(D, G)``
+        (:meth:`~repro.core.bls.BLSSignatureScheme.verify`).
         """
         if self.family != FAMILY_A:
             return
@@ -570,7 +578,7 @@ class PairingGroup:
         archive catch-up over thousands of labels) call this to bound
         memory; correctness is unaffected.  The second-use record of
         :meth:`_precompute_on_second_use` is dropped too, so the next
-        receiver-key check runs cold again.
+        receiver-key or update check runs cold again.
         """
         self._fixed_base.clear()
         self._pairing_precomp.clear()

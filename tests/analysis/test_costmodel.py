@@ -290,6 +290,21 @@ class TestPrecomputedBudgets:
         )
         _assert_budget_with_advisory(measured, PRECOMP_UPDATE_VERIFY_COST)
 
+    def test_update_verify_second_use(self, fresh):
+        """With no precompute call, the third check replays (D, G)."""
+        group, server, user = fresh
+        blobs = [
+            server.publish_update(LABEL + b"%d" % index).to_bytes(group)
+            for index in range(3)
+        ]
+        updates = [TimeBoundKeyUpdate.from_bytes(group, blob) for blob in blobs]
+        for update in updates[:2]:
+            assert update.verify(group, server.public_key)
+        measured = _measure(
+            group, lambda: updates[2].verify(group, server.public_key)
+        )
+        _assert_budget_with_advisory(measured, PRECOMP_UPDATE_VERIFY_COST)
+
     def test_precomp_key_check(self, fresh):
         """The third check replays the (G, sG) lines the second recorded."""
         group, server, user = fresh

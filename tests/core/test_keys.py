@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.bls import BLSSignatureScheme
 from repro.core.keys import ServerKeyPair, ServerPublicKey, UserKeyPair, UserPublicKey
+from repro.core.timeserver import TimeBoundKeyUpdate
 from repro.errors import EncodingError, KeyValidationError
 from repro.pairing.api import PairingGroup
 from repro.pairing.opcount import (
@@ -201,4 +203,125 @@ class TestKeyCheckSecondUse:
         for _ in range(3):
             assert user.public.verify_well_formed(group, server)
             assert not forged.verify_well_formed(group, server)
+        assert group._pairing_precomp == {}
+
+
+class TestUpdateCheckSecondUse:
+    """The update check records ``(D, G)`` from its second use.
+
+    ``D = (c mod q)·sG`` is the check's fixed argument next to ``G``.
+    Every case builds its own group, and every check decodes its update
+    afresh, so no earlier accept answers for it.
+    """
+
+    LABELS = [f"second-use:T{index}".encode() for index in range(4)]
+
+    @pytest.fixture()
+    def fresh(self, rng):
+        group = PairingGroup("toy64", family="A")
+        keypair = ServerKeyPair.generate(group, rng)
+        bls = BLSSignatureScheme(group)
+        blobs = [
+            TimeBoundKeyUpdate(label, bls.sign(keypair, label)).to_bytes(group)
+            for label in self.LABELS
+        ]
+        return group, keypair.public, blobs
+
+    @staticmethod
+    def _check(group, server, update):
+        """Verify ``update`` (decoded afresh if given as bytes), counted."""
+        if isinstance(update, bytes):
+            update = TimeBoundKeyUpdate.from_bytes(group, update)
+        with group.counters.measure() as delta:
+            verdict = update.verify(group, server)
+        return verdict, delta
+
+    @classmethod
+    def _forgeries(cls, group, server, blobs):
+        """``σ + G``, ``2σ``, the next label's update and ``σ + (0, 0)``.
+
+        A rejected update records nothing, so each is checked as is.
+        """
+        sigma = TimeBoundKeyUpdate.from_bytes(group, blobs[0]).point
+        zero = group.ssc.fp(0)
+        points = (
+            sigma + server.generator,
+            sigma + sigma,
+            TimeBoundKeyUpdate.from_bytes(group, blobs[1]).point,
+            sigma + group.ssc.curve.point(zero, zero),
+        )
+        return [TimeBoundKeyUpdate(cls.LABELS[0], point) for point in points]
+
+    def test_first_check_records_nothing(self, fresh):
+        group, server, blobs = fresh
+        verdict, delta = self._check(group, server, blobs[0])
+        assert verdict
+        assert group._pairing_precomp == {}
+        assert PAIRING_PRECOMP not in delta
+
+    def test_second_check_caches_server_key(self, fresh):
+        group, server, blobs = fresh
+        for blob in blobs[:2]:
+            assert self._check(group, server, blob)[0]
+        assert set(group._pairing_precomp) == {
+            server.cofactor_s_generator(group), server.generator
+        }
+
+    def test_third_check_replays(self, fresh):
+        group, server, blobs = fresh
+        for blob in blobs[:2]:
+            assert self._check(group, server, blob)[0]
+        verdict, delta = self._check(group, server, blobs[2])
+        assert verdict
+        assert len(group._pairing_precomp) == 2
+        assert delta[PAIRING_PRECOMP] == 2
+        assert delta[MILLER_LOOP] == 2
+        assert delta[FINAL_EXP] == 1
+        assert delta[MULTI_PAIRING] == 1
+
+    @pytest.mark.parametrize("position", [1, 2, 3])
+    def test_forgeries_rejected(self, fresh, position):
+        """Each forgery as the fused, recording and replayed check.
+
+        ``σ + (0, 0)`` fails the subgroup check before any pairing, so
+        it neither records nor replays.
+        """
+        group, server, blobs = fresh
+        *paired, off_subgroup = self._forgeries(group, server, blobs)
+        for forged in paired:
+            group.clear_precomputations()
+            for blob in blobs[:position - 1]:
+                assert self._check(group, server, blob)[0]
+            verdict, delta = self._check(group, server, forged)
+            assert not verdict
+            assert len(group._pairing_precomp) == (0 if position == 1 else 2)
+            assert delta.get(PAIRING_PRECOMP, 0) == (0 if position == 1 else 2)
+        group.clear_precomputations()
+        for blob in blobs[:position - 1]:
+            assert self._check(group, server, blob)[0]
+        verdict, delta = self._check(group, server, off_subgroup)
+        assert not verdict
+        assert MILLER_LOOP not in delta
+        assert len(group._pairing_precomp) == (2 if position == 3 else 0)
+
+    def test_family_b_records_nothing(self, rng):
+        group = PairingGroup("toy64", family="B")
+        keypair = ServerKeyPair.generate(group, rng)
+        bls = BLSSignatureScheme(group)
+        label = self.LABELS[0]
+        sigma = bls.sign(keypair, label)
+        for _ in range(3):
+            assert TimeBoundKeyUpdate(label, sigma).verify(group, keypair.public)
+            forged = TimeBoundKeyUpdate(label, sigma + keypair.public.generator)
+            assert not forged.verify(group, keypair.public)
+        assert group._pairing_precomp == {}
+
+    def test_clear_makes_next_check_cold(self, fresh):
+        group, server, blobs = fresh
+        for blob in blobs[:3]:
+            assert self._check(group, server, blob)[0]
+        group.clear_precomputations()
+        verdict, delta = self._check(group, server, blobs[3])
+        assert verdict
+        assert PAIRING_PRECOMP not in delta
         assert group._pairing_precomp == {}

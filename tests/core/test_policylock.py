@@ -73,6 +73,21 @@ class TestConjunction:
         with pytest.raises(PolicyError):
             scheme.encrypt_all(b"m", user.public, server.public_key, [], rng)
 
+    def test_no_conditions_ciphertext_raises(self, scheme, group, server, user, rng):
+        """A stored AND lock re-encoded with no conditions cannot open."""
+        from repro.core.policylock import ConjunctionCiphertext
+
+        ct = scheme.encrypt_all(
+            b"secret", user.public, server.public_key, CONDITIONS, rng
+        )
+        stripped = ConjunctionCiphertext.from_bytes(
+            group, replace(ct, conditions=()).to_bytes(group)
+        )
+        atts = [server.publish_update(c) for c in CONDITIONS]
+        for given in ([], atts):
+            with pytest.raises(PolicyError):
+                scheme.decrypt_all(stripped, user, given, server.public_key)
+
     def test_duplicate_conditions_rejected(self, scheme, server, user, rng):
         with pytest.raises(PolicyError):
             scheme.encrypt_all(

@@ -252,6 +252,38 @@ class TestVerificationGate:
         assert len(cache) == 1
         assert stats["rejected"] == 2
 
+    def test_announces_replay_the_server_key(self, rng):
+        """From the second announce on, the gate replays ``(D, G)``.
+
+        A fresh group keeps the session fixture's caches out of it.
+        """
+        from repro.core.bls import BLSSignatureScheme
+        from repro.core.keys import ServerKeyPair
+        from repro.core.timeserver import TimeBoundKeyUpdate
+        from repro.pairing.api import PairingGroup
+
+        group = PairingGroup("toy64", family="A")
+        keypair = ServerKeyPair.generate(group, rng)
+        bls = BLSSignatureScheme(group)
+
+        def announce(label, point=None):
+            if point is None:
+                point = bls.sign(keypair, label)
+            update = TimeBoundKeyUpdate(label, point)
+            return wire.encode_message(wire.Announce(update.to_bytes(group)))
+
+        client = make_client(group, keypair, [DeadTransport()])
+        for epoch in range(3):
+            assert client.ingest_frame(announce(b"T%d" % epoch)) is not None
+        assert set(group._pairing_precomp) == {
+            keypair.public.cofactor_s_generator(group),
+            keypair.public.generator,
+        }
+        forged = bls.sign(keypair, b"T3") + keypair.public.generator
+        assert client.ingest_frame(announce(b"T3", forged)) is None
+        assert client.stats()["rejected"] == 1
+        assert sorted(client.updates) == [b"T0", b"T1", b"T2"]
+
     def test_listener_lifecycle_owned_by_close(self, group, node_keypair):
         async def main():
             node = await started_node(group, node_keypair)

@@ -14,8 +14,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.trajectory import (  # noqa: E402
     BenchTrajectory,
     compare_entries,
+    merge_claim_tables,
     render_comparison,
 )
+
+CLAIM_TABLES = Path(__file__).resolve().parent.parent / "benchmarks" / "claim_tables.txt"
 
 
 def _entry(key: str, ms: float) -> dict:
@@ -78,3 +81,29 @@ class TestSpeedupDerivation:
         traj.record("encrypt", "toy64", "gt_table", 0.002, 3)
         speedups = traj._derive_speedups(traj.entries)
         assert speedups == {"encrypt:toy64:gt_table": 5.0}
+
+
+class TestClaimTableMerge:
+    """One experiment's run rewrites only its own claim tables."""
+
+    def test_reemitting_one_block_keeps_every_other_byte(self):
+        existing = CLAIM_TABLES.read_text()
+        old = next(b for b in existing.split("\n\n") if b.startswith("E12a:"))
+        new = "E12a: re-measured\ncol | value\n----+------\n  a |     1"
+        merged = merge_claim_tables(existing, [new])
+        start = existing.index(old)
+        assert merged[:start] == existing[:start]
+        assert merged[start:start + len(new)] == new
+        assert merged[start + len(new):] == existing[start + len(old):]
+
+    def test_unchanged_tables_round_trip(self):
+        existing = CLAIM_TABLES.read_text()
+        blocks = existing.rstrip("\n").split("\n\n")
+        assert merge_claim_tables(existing, []) == existing
+        assert merge_claim_tables(existing, blocks[3:5]) == existing
+
+    def test_new_id_appended_and_first_run_writes_all(self):
+        existing = "E1: one\nrow\n\nE2: two\nrow\n"
+        merged = merge_claim_tables(existing, ["E3: three\nrow", "E1: uno\nrow"])
+        assert merged == "E1: uno\nrow\n\nE2: two\nrow\n\nE3: three\nrow\n"
+        assert merge_claim_tables("", ["E3: x", "E1: y"]) == "E3: x\n\nE1: y\n"

@@ -5,6 +5,11 @@ check today's signing against the committed update bytes and today's
 verdicts, through every entry point an update check takes, against the
 committed verdicts rather than against another in-tree path.  Each case
 builds a fresh group, so every replay starts with empty caches.
+
+The update check records the server key's lines from its second use
+per group, so the cold tests clear the group's caches before each
+candidate, and :func:`test_verify_second_use` replays every verdict as
+the first (fused), second (recording) and third (replayed) check.
 """
 
 from __future__ import annotations
@@ -61,10 +66,10 @@ def test_signing(case):
 def test_verify_cold(case):
     entry, group, public, points = case
     bls = BLSSignatureScheme(group)
-    got = [
-        (name, index, bls.verify(public, LABELS[index], point))
-        for name, index, point in points
-    ]
+    got = []
+    for name, index, point in points:
+        group.clear_precomputations()
+        got.append((name, index, bls.verify(public, LABELS[index], point)))
     assert got == _expected(entry)
 
 
@@ -81,11 +86,33 @@ def test_verify_precomputed(case):
 
 def test_update_verify(case):
     entry, group, public, points = case
-    got = [
-        (name, index, TimeBoundKeyUpdate(LABELS[index], point).verify(group, public))
-        for name, index, point in points
-    ]
+    got = []
+    for name, index, point in points:
+        group.clear_precomputations()
+        update = TimeBoundKeyUpdate(LABELS[index], point)
+        got.append((name, index, update.verify(group, public)))
     assert got == _expected(entry)
+
+
+def test_verify_second_use(case):
+    """Every verdict as the 1st, 2nd and 3rd check on one group.
+
+    Before the ``k``-th position the caches are cleared and ``k - 1``
+    honest checks run, so the candidate meets the fused, recording and
+    replaying paths in turn.  Each check builds a fresh update, so no
+    earlier accept answers for it.
+    """
+    entry, group, public, points = case
+    honest = points[0][2]
+    for position in (1, 2, 3):
+        got = []
+        for name, index, point in points:
+            group.clear_precomputations()
+            for _ in range(position - 1):
+                assert TimeBoundKeyUpdate(LABELS[0], honest).verify(group, public)
+            update = TimeBoundKeyUpdate(LABELS[index], point)
+            got.append((name, index, update.verify(group, public)))
+        assert got == _expected(entry), f"check {position}"
 
 
 def test_verify_archive(case):
