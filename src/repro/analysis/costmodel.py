@@ -170,12 +170,15 @@ TRE_COST = SchemeCost(
     notes="receiver-key check: +2 pairings (amortizable)",
 )
 
-# §5.2: Encrypt hashes ID and T, adds them, pairs once, exponentiates.
+# §5.2: Encrypt is the §5.1 sender key for the two labels (ID, T) under
+# X = sG: r·G, one D = (c·r mod q)·sG, and per label H1's map point P′
+# and one pairing ê(D, P′); the two factors multiply to
+# ê(r·sG, H1(ID) + H1(T)).
 IDTRE_COST = SchemeCost(
     name="ID-TRE",
     encrypt=OpBudget(
-        pairings=1, scalar_mults=1, hash_to_group=2, gt_exps=1, point_adds=1,
-        miller_loops=1, final_exps=1,
+        pairings=2, scalar_mults=2, hash_to_curve=2,
+        miller_loops=2, final_exps=2,
     ),
     decrypt=OpBudget(pairings=1, point_adds=1, miller_loops=1, final_exps=1),
     notes="escrow inherent; no receiver certificate",
@@ -221,9 +224,11 @@ def resilient_cost(depth: int) -> SchemeCost:
     return SchemeCost(
         name=f"resilient (d={depth})",
         encrypt=OpBudget(
-            # U_0 = r·G plus U_i = r·P_i for levels 2..d.
-            pairings=1, scalar_mults=depth, hash_to_group=depth, gt_exps=1,
-            miller_loops=1, final_exps=1,
+            # U_0 = r·G, U_i = r·P_i for levels 2..d (each P_i hashed
+            # into G1) and K = ê((c·r mod q)·asG, P′_1) on P_1's map
+            # point, like TRE.
+            pairings=1, scalar_mults=depth + 1, hash_to_group=depth - 1,
+            hash_to_curve=1, miller_loops=1, final_exps=1,
         ),
         decrypt=OpBudget(
             pairings=depth, gt_exps=1,

@@ -74,7 +74,7 @@ class FOTimedReleaseScheme(KEMScheme):
         sigma = rng.randbytes(SIGMA_BYTES)
         r = self._derive_r(sigma, message, time_label)
         u_point = self.group.mul(server_public.generator, r)
-        k = self._kem._sender_key(receiver_public.as_generator, time_label, r)
+        k = self._kem._sender_key(receiver_public.as_generator, (time_label,), r)
         sigma_masked = xor_bytes(
             sigma, self.group.mask_bytes(k, SIGMA_BYTES, tag=H2_TAG)
         )

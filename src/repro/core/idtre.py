@@ -3,8 +3,11 @@
 The Chen-et-al. multi-trust-authority idea: the receiver's "public key"
 is their identity string, the server doubles as the IBE private-key
 generator, and the encryption point is the *sum* ``H1(ID) + H1(T)``.
-The receiver combines their long-term key ``s·H1(ID)`` with the
-broadcast update ``s·H1(T)`` into ``s(H1(ID) + H1(T))`` and pairs once.
+The sender never forms that sum: its key ``ê(r·sG, H1(ID) + H1(T))``
+is the §5.1 KEM's key for the two labels ``(ID, T)`` under ``X = sG``
+(:meth:`~repro.core.tre.TimedReleaseScheme._sender_key`).  The receiver
+combines their long-term key ``s·H1(ID)`` with the broadcast update
+``s·H1(T)`` into ``s(H1(ID) + H1(T))`` and pairs once.
 
 Key escrow is inherent: the server knows ``s`` and can decrypt anything
 (demonstrated by :meth:`IdentityTimedReleaseScheme.server_decrypt`, and
@@ -21,12 +24,10 @@ from typing import Iterable
 
 from repro.core.keys import ServerKeyPair, ServerPublicKey
 from repro.core.timeserver import TimeBoundKeyUpdate
+from repro.core.tre import H1_TAG, H2_TAG, TimedReleaseScheme
 from repro.ec.point import CurvePoint
 from repro.encoding import BYTES, POINT, codec, xor_bytes
 from repro.pairing.api import PairingGroup
-
-H1_TAG = "repro:H1"
-H2_TAG = "repro:H2"
 
 
 @codec(u_point=POINT, masked=BYTES, time_label=BYTES)
@@ -52,11 +53,7 @@ class IdentityTimedReleaseScheme:
 
     def __init__(self, group: PairingGroup):
         self.group = group
-        # Sender-side GT cache: (sG, ID, T) -> ê(sG, H1(ID) + H1(T)).
-        # Same collapse as the TRE sender cache — for a fixed
-        # (server, identity, T) only the exponent r varies, so a warm
-        # entry turns encryption into one GT exponentiation.
-        self._sender_gt: dict[tuple[CurvePoint, bytes, bytes], object] = {}
+        self._kem = TimedReleaseScheme(group)
 
     def hash_identity(self, identity: bytes) -> CurvePoint:
         return self.group.hash_to_g1(identity, tag=H1_TAG)
@@ -69,40 +66,29 @@ class IdentityTimedReleaseScheme:
     ) -> None:
         """Warm the sender's fixed arguments for repeated encryption.
 
-        §5.2 encryption multiplies the fixed ``G`` by ``r`` and pairs
-        the fixed ``sG`` against a per-message point: the first gets a
-        fixed-base table, the second cached Miller lines.  Both fast
-        paths are picked up transparently by ``group.mul`` /
-        ``group.pair`` in :meth:`encrypt`.
-
-        With ``identities`` and ``time_labels`` the GT fast path is
-        warmed for their cross product: each constant pairing
-        ``ê(sG, H1(ID) + H1(T))`` is cached with a windowed
-        exponentiation table, collapsing :meth:`encrypt` for that
-        (identity, T) pair to one fixed-base multiplication plus one
-        table-driven GT exponentiation — byte-identical output.
-        :meth:`clear_sender_cache` frees the entries.
+        §5.2 encryption multiplies the fixed ``G`` and ``sG`` by ``r``
+        (``U = rG``, the sender key's ``(c·r mod q)·sG``): both get
+        fixed-base tables.  With ``identities`` and ``time_labels``,
+        ``ê(sG, H1(L))`` is cached with a GT table for each of them, so
+        ``n`` identities and ``m`` times cost ``n + m`` pairings, and
+        :meth:`encrypt` for any of the ``n·m`` pairs one fixed-base
+        multiplication plus two table-driven GT exponentiations —
+        byte-identical output.  :meth:`clear_sender_cache` frees the
+        entries.
         """
         self.group.precompute(server_public.generator)
-        precomp = self.group.precompute_pairing(server_public.s_generator)
-        identities = list(identities)
-        time_labels = list(time_labels)
-        for identity in identities:
-            h_id = self.hash_identity(identity)
-            for label in time_labels:
-                key = (server_public.s_generator, identity, label)
-                g = self._sender_gt.get(key)
-                if g is None:
-                    k_e = self.group.add(
-                        h_id, self.group.hash_to_g1(label, tag=H1_TAG)
-                    )
-                    g = precomp.pair(k_e)
-                    self._sender_gt[key] = g
-                self.group.precompute_gt(g)
+        self.group.precompute(server_public.s_generator)
+        labels = [*identities, *time_labels]
+        if labels:
+            self._kem._warm_labels(
+                server_public.s_generator,
+                server_public.cofactor_s_generator(self.group),
+                labels,
+            )
 
     def clear_sender_cache(self) -> None:
-        """Drop the cached per-(identity, T) pairings."""
-        self._sender_gt.clear()
+        """Drop the cached per-identity and per-time pairings."""
+        self._kem.clear_sender_cache()
 
     def extract_user_key(
         self, server: ServerKeyPair, identity: bytes
@@ -125,22 +111,10 @@ class IdentityTimedReleaseScheme:
     ) -> IDTRECiphertext:
         """§5.2: ``K = ê(sG, H1(ID) + H1(T))^r``, ``C = ⟨rG, M ⊕ H2(K)⟩``."""
         r = self.group.random_scalar(rng)
-        cached = self._sender_gt.get(
-            (server_public.s_generator, identity, time_label)
-        )
-        if cached is not None:
-            # Warm path: the constant pairing is cached, so only the GT
-            # exponentiation remains.  Bilinearity makes the element —
-            # and hence the ciphertext bytes — identical to the cold
-            # path, and ``r`` is still the sole rng draw.
-            k = cached**r
-        else:
-            k_e = self.group.add(
-                self.hash_identity(identity),
-                self.group.hash_to_g1(time_label, tag=H1_TAG),
-            )
-            k = self.group.pair(server_public.s_generator, k_e) ** r
         u_point = self.group.mul(server_public.generator, r)
+        k = self._kem._sender_key(
+            server_public.s_generator, (identity, time_label), r
+        )
         mask = self.group.mask_bytes(k, len(message), tag=H2_TAG)
         return IDTRECiphertext(u_point, xor_bytes(message, mask), time_label)
 

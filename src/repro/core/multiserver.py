@@ -132,7 +132,7 @@ class MultiServerTimedReleaseScheme:
         combined = self.group.identity()
         for component in receiver_components:
             combined = self.group.add(combined, component.as_generator)
-        k = self._kem._sender_key(combined, time_label, r)
+        k = self._kem._sender_key(combined, (time_label,), r)
         mask = self.group.mask_bytes(k, len(message), tag=H2_TAG)
         return MultiServerCiphertext(u_points, xor_bytes(message, mask), time_label)
 

@@ -11,7 +11,10 @@ Beyond the paper's single-condition sketch, this module supports:
 * **Conjunction** (ALL of ``C_1..C_m``): encrypt against the point sum
   ``Σ H1(C_j)``.  By bilinearity the receiver needs the *sum of the
   witness signatures* ``Σ s·H1(C_j) = s·Σ H1(C_j)``, i.e. every single
-  condition attested — one pairing regardless of ``m``.
+  condition attested — decryption is one pairing regardless of ``m``.
+  The sender's key is the §5.1 KEM's for the conditions as labels,
+  ``Π_j ê(r·asG, H1(C_j))``: one pairing per condition, or one GT
+  exponentiation per condition the KEM has warmed.
 * **Disjunction** (ANY of ``C_1..C_m``): encapsulate the same session
   key once per condition; any one attestation opens the message.
 * **Threshold** (any ``t`` of ``C_1..C_m``): Shamir-share the session
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from repro.core.keys import ServerPublicKey, UserKeyPair, UserPublicKey
 from repro.core.threshold import _eval_poly, lagrange_coefficient_at_zero
 from repro.core.timeserver import TimeBoundKeyUpdate
-from repro.core.tre import H1_TAG, H2_TAG, TimedReleaseScheme
+from repro.core.tre import H2_TAG, TimedReleaseScheme
 from repro.crypto.authenc import aead_decrypt, aead_encrypt
 from repro.ec.point import CurvePoint
 from repro.encoding import BYTES, POINT, U16, codec, pack_chunks, seq, unpack_chunks, xor_bytes
@@ -88,18 +91,6 @@ class PolicyLockScheme:
         self.group = group
         self._kem = TimedReleaseScheme(group)
 
-    def _policy_point(self, conditions: tuple[bytes, ...]) -> CurvePoint:
-        if not conditions:
-            raise PolicyError("policy needs at least one condition")
-        if len(set(conditions)) != len(conditions):
-            raise PolicyError("duplicate conditions in policy")
-        total = self.group.identity()
-        for condition in conditions:
-            total = self.group.add(
-                total, self.group.hash_to_g1(condition, tag=H1_TAG)
-            )
-        return total
-
     # ------------------------------------------------------------------
     # Conjunction (ALL conditions).
     # ------------------------------------------------------------------
@@ -117,12 +108,13 @@ class PolicyLockScheme:
         conditions = tuple(conditions)
         if verify_receiver_key:
             receiver_public.ensure_well_formed(self.group, server_public)
-        policy_point = self._policy_point(conditions)
+        if not conditions:
+            raise PolicyError("policy needs at least one condition")
+        if len(set(conditions)) != len(conditions):
+            raise PolicyError("duplicate conditions in policy")
         r = self.group.random_scalar(rng)
         u_point = self.group.mul(server_public.generator, r)
-        k = self.group.pair(
-            self.group.mul(receiver_public.as_generator, r), policy_point
-        )
+        k = self._kem._sender_key(receiver_public.as_generator, conditions, r)
         mask = self.group.mask_bytes(k, len(message), tag=H2_TAG)
         return ConjunctionCiphertext(u_point, xor_bytes(message, mask), conditions)
 

@@ -24,7 +24,9 @@ module builds exactly that construction:
 * Encryption stays receiver-bound exactly as in TRE: the session key is
   ``ê(a·sG, P_1)^r``, so decryption needs the receiver's ``a`` *and* a
   node key covering the release epoch; the server (before time ``t``)
-  and other users still learn nothing.
+  and other users still learn nothing.  Like TRE's, the sender's key
+  pairs against ``P_1``'s map point alone; only levels ``2..d`` are
+  hashed into G1, for ``U_i = r·P_i``.
 
 Costs (measured in experiment E13): the update grows from one point to
 O(d²/2) points worst-case and decryption from one pairing to ≤ d+1
@@ -128,14 +130,16 @@ class HierarchicalTimeTree:
         self.depth = depth
         self.namespace = namespace
 
-    def node_point(self, path: tuple[int, ...]) -> CurvePoint:
-        """``P_k = H1(namespace, depth, b_1..b_k)``."""
-        label = pack_chunks(
+    def _node_label(self, path: tuple[int, ...]) -> bytes:
+        return pack_chunks(
             self.namespace,
             self.depth.to_bytes(2, "big"),
             bytes(path),
         )
-        return self.group.hash_to_g1(label, tag=_TREE_TAG)
+
+    def node_point(self, path: tuple[int, ...]) -> CurvePoint:
+        """``P_k = H1(namespace, depth, b_1..b_k)``."""
+        return self.group.hash_to_g1(self._node_label(path), tag=_TREE_TAG)
 
     def path_points(self, path: tuple[int, ...]) -> list[CurvePoint]:
         return [self.node_point(path[: i + 1]) for i in range(len(path))]
@@ -245,12 +249,17 @@ class ResilientTRE:
         if verify_receiver_key:
             receiver_public.ensure_well_formed(self.group, self.server_public)
         path = epoch_path(epoch, self.tree.depth)
-        points = self.tree.path_points(path)
         r = self.group.random_scalar(rng)
         u0 = self.group.mul(self.server_public.generator, r)
-        u_points = tuple(self.group.mul(p, r) for p in points[1:])
-        # K = ê(a·sG, P_1)^r — receiver-bound exactly like plain TRE.
-        k = self.group.pair(receiver_public.as_generator, points[0]) ** r
+        u_points = tuple(
+            self.group.mul(self.tree.node_point(path[:level]), r)
+            for level in range(2, len(path) + 1)
+        )
+        # K = ê(r·asG, P_1) — receiver-bound and paired like plain TRE.
+        k = self.group.pair_h1(
+            receiver_public.as_generator, self.tree._node_label(path[:1]),
+            _TREE_TAG, scalar=r,
+        )
         mask = self.group.mask_bytes(k, len(message), tag=H2_TAG)
         return ResilientCiphertext(
             epoch, self.tree.depth, u0, u_points, xor_bytes(message, mask)
@@ -282,6 +291,8 @@ class ResilientTRE:
     def find_covering_key(
         self, update: ResilientUpdate, epoch: int
     ) -> NodeKey:
+        if update.depth != self.tree.depth:
+            raise UpdateVerificationError("update is for another tree depth")
         leaf = epoch_path(epoch, self.tree.depth)
         for key in update.node_keys:
             if key.covers(leaf):
@@ -301,6 +312,8 @@ class ResilientTRE:
 
         ``K' = [ê(U_0, S_leaf) / Π ê(Q_i, U_i)]^a``.
         """
+        if ciphertext.depth != self.tree.depth:
+            raise UpdateVerificationError("ciphertext is for another tree depth")
         private = receiver.private if isinstance(receiver, UserKeyPair) else receiver
         if isinstance(update_or_leaf_key, ResilientUpdate):
             if rng is None:

@@ -169,15 +169,16 @@ class ThresholdTimeServer:
     def verify_share(self, share: UpdateShare) -> bool:
         """Check ``ê(s_iG, H1(T)) == ê(G, share)`` against the Feldman
         commitments — a bad or substituted share is caught before it can
-        poison the combination."""
+        poison the combination.  Paired on ``H1(T)``'s map point like
+        the update check, but with no line recording: ``s_iG`` follows
+        from the ``member_index`` anyone can put on the wire."""
         if share.point.is_infinity or not self.group.in_group(share.point):
             return False
         verification_key = self.expected_verification_key(share.member_index)
-        h_t = self.group.hash_to_g1(share.time_label, tag=H1_TAG)
-        return self.group.pair_ratio_is_one(
-            ((verification_key, h_t),),
-            ((self.public_key.generator, share.point),),
-        )
+        return self.group.pair_h1(
+            verification_key, share.time_label, H1_TAG,
+            over=(self.public_key.generator, share.point),
+        ).is_identity()
 
     # ------------------------------------------------------------------
     # Combination.

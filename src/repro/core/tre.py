@@ -21,8 +21,10 @@ is one-way/CPA-secure; apply :mod:`repro.core.fujisaki_okamoto` or
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 from repro.core.keys import ServerPublicKey, UserKeyPair, UserPublicKey
@@ -56,14 +58,13 @@ class TimedReleaseScheme:
 
     def __init__(self, group: PairingGroup):
         self.group = group
-        # Sender-side GT cache: (asG, T) -> g = ê(asG, H1(T)).  For a
-        # fixed (receiver, T) the pairing never changes — only the
-        # exponent r does — so a warmed entry collapses encryption from
-        # a Miller loop + final exponentiation to one GT exponentiation.
-        # Pure accelerator: cached and direct paths produce byte-
-        # identical ciphertexts (bilinearity: ê(asG, H1(T))^r ==
-        # ê(r·asG, H1(T))).  Keyed by asG, which binds both the receiver
-        # and the server.
+        # Sender-side GT cache: (X, T) -> g = ê(X, H1(T)).  For a fixed
+        # (X, T) the pairing never changes — only the exponent r does —
+        # so a warmed label costs one GT exponentiation instead of a
+        # Miller loop + final exponentiation.  Pure accelerator:
+        # bilinearity (ê(X, H1(T))^r == ê(r·X, H1(T))) keeps the bytes.
+        # X is a receiver's asG, binding receiver and server, or
+        # ID-TRE's sG, under which identities and times are labels.
         self._sender_gt: dict[tuple[CurvePoint, bytes], GTElement] = {}
 
     # ------------------------------------------------------------------
@@ -83,11 +84,35 @@ class TimedReleaseScheme:
     def _sender_key(
         self,
         point: CurvePoint,
-        time_label: bytes,
+        labels: tuple[bytes, ...],
         r: int,
     ) -> GTElement:
-        """``K = ê(r·X, H1(T))`` — :meth:`_sender_keys` for one point."""
-        return self._sender_keys([point], time_label, r)[0]
+        """``K = Π_j ê(r·X, H1(T_j)) = ê(r·X, Σ_j H1(T_j))``, the §5.1
+        key for a conjunction of labels: ``(T,)`` under a receiver's
+        ``asG`` (multi-server: ``Σ a·s_iG_i``), ``(ID, T)`` under ``sG``
+        for ID-TRE, an AND lock's conditions under ``asG``.
+
+        A warm ``(X, T_j)`` (:meth:`precompute_sender`) costs
+        ``ê(X, H1(T_j))^r``, one table-driven GT exponentiation.  Cold
+        labels share one ``D = (c·r mod q)·X``; each costs ``H1(T_j)``'s
+        map point ``P′`` and one pairing ``ê(D, P′)``, with its own
+        fallback (:meth:`~repro.pairing.api.PairingGroup.pair_h1`).
+        One pairing against ``Σ_j P′_j`` would be inexact: it cannot
+        tell when a single label's ``c·P′_j = O``.
+        """
+        derived = None
+        factors = []
+        for label in labels:
+            g = self._sender_gt.get((point, label))
+            if g is not None:
+                factors.append(g ** r)
+                continue
+            if derived is None:
+                derived = self.group.mul(point, self.group.h1_cofactor * r)
+            factors.append(
+                self.group.pair_h1(point, label, H1_TAG, scalar=r, derived=derived)
+            )
+        return reduce(operator.mul, factors)
 
     def _sender_keys(
         self,
@@ -97,41 +122,24 @@ class TimedReleaseScheme:
     ) -> list[GTElement]:
         """``K_i = ê(r·X_i, H1(T))`` for every point ``X_i``, in order.
 
-        ``X`` is a receiver's ``asG`` (or, for multi-server TRE, the sum
-        ``Σ a·s_iG_i``); ``T`` is any label, a time or a condition.
-        A warm ``(X, T)`` (see :meth:`precompute_sender` with
-        ``time_labels``) costs ``ê(X, H1(T))^r`` — one table-driven GT
-        exponentiation, no hash-to-curve, no pairing.  A single cold
-        point never clears ``H1(T)``'s cofactor
-        (:meth:`~repro.pairing.api.PairingGroup.pair_h1`): it costs the
-        map point ``P′₀`` of ``H1(T) = c·P′₀``, one scalar
-        multiplication ``(c·r mod q)·X`` (which may use a fixed-base
-        table for ``X``) and one pairing, ``ê((c·r mod q)·X, P′₀)``.
-        Two or more cold points share one ``H1(T)``, one ``r·H1(T)``
-        and one recording of its Miller lines; each then costs one
-        evaluation of those lines and one final exponentiation,
-        ``ê(X_i, r·H1(T))``.  A recorded argument must lie in G1, so
-        this path clears the cofactor with ``hash_to_g1``.  Bilinearity
-        and symmetry make all three the same group element, so the
-        ciphertexts are byte-identical.
+        A warm point, or a single cold one, costs what
+        :meth:`_sender_key` charges for ``(T,)``.  Two or more cold
+        points share one ``H1(T)`` (cleared: a recorded argument must
+        lie in G1), one ``r·H1(T)`` and one recording of its Miller
+        lines; each then costs one replay and one final exponentiation,
+        ``ê(X_i, r·H1(T))``, the same element.
         """
-        cached = [self._sender_gt.get((point, time_label)) for point in points]
-        cold = [index for index, g in enumerate(cached) if g is None]
-        fresh: dict[int, GTElement] = {}
-        if len(cold) == 1:
-            fresh[cold[0]] = self.group.pair_h1(
-                points[cold[0]], time_label, H1_TAG, scalar=r
-            )
-        elif cold:
-            h_t = self.group.hash_to_g1(time_label, tag=H1_TAG)
-            # Transient on purpose: r is fresh per encryption, so these
-            # lines are never reused and must not enter the group cache.
-            shared = PairingPrecomputation(self.group, self.group.mul(h_t, r))
-            for index in cold:
-                fresh[index] = shared.pair(points[index])
+        cold = [(point, time_label) not in self._sender_gt for point in points]
+        if sum(cold) < 2:
+            return [self._sender_key(point, (time_label,), r) for point in points]
+        h_t = self.group.hash_to_g1(time_label, tag=H1_TAG)
+        # Transient on purpose: r is fresh per encryption, so these
+        # lines are never reused and must not enter the group cache.
+        shared = PairingPrecomputation(self.group, self.group.mul(h_t, r))
         return [
-            fresh[index] if g is None else g ** r
-            for index, g in enumerate(cached)
+            shared.pair(point) if is_cold
+            else self._sender_key(point, (time_label,), r)
+            for point, is_cold in zip(points, cold)
         ]
 
     def _receiver_key(
@@ -182,17 +190,25 @@ class TimedReleaseScheme:
         self.group.precompute(server_public.generator)
         self.group.precompute(receiver_public.as_generator)
         time_labels = list(time_labels)
-        if not time_labels:
-            return
-        derived = receiver_public.cofactor_as_generator(self.group)
+        if time_labels:
+            self._warm_labels(
+                receiver_public.as_generator,
+                receiver_public.cofactor_as_generator(self.group),
+                time_labels,
+            )
+
+    def _warm_labels(
+        self, point: CurvePoint, derived: CurvePoint, labels: Iterable[bytes]
+    ) -> None:
+        """Cache ``ê(X, H1(T))`` and its GT table for each label: one
+        recording of ``derived = (c mod q)·X``'s lines, then per new
+        label ``H1(T)``'s map point and one replay of them."""
         self.group.precompute_pairing(derived)
-        for label in time_labels:
-            key = (receiver_public.as_generator, label)
+        for label in labels:
+            key = (point, label)
             g = self._sender_gt.get(key)
             if g is None:
-                g = self.group.pair_h1(
-                    receiver_public.as_generator, label, H1_TAG, derived=derived
-                )
+                g = self.group.pair_h1(point, label, H1_TAG, derived=derived)
                 self._sender_gt[key] = g
             self.group.precompute_gt(g)
 
@@ -335,7 +351,7 @@ class TimedReleaseScheme:
             receiver_public.ensure_well_formed(self.group, server_public)
         r = self.group.random_scalar(rng)
         u_point = self.group.mul(server_public.generator, r)
-        k = self._sender_key(receiver_public.as_generator, time_label, r)
+        k = self._sender_key(receiver_public.as_generator, (time_label,), r)
         return self.group.mask_bytes(k, key_bytes, tag=H2_TAG), u_point
 
     def decapsulate(

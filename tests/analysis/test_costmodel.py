@@ -120,6 +120,25 @@ class TestFixedBudgets:
         # ...and asking the same object again costs nothing.
         assert _measure(group, lambda: update.verify(group, public)) == {}
 
+    @pytest.mark.parametrize("threshold", [1, 3])
+    def test_share_verify(self, rng, threshold):
+        """A share check is the update check's multi-pairing plus the
+        Feldman recomputation of s_iG (one scalar multiplication per
+        commitment) and its D = (c mod q)·s_iG.  It records no lines,
+        so every check of a share costs the same."""
+        from repro.core.threshold import ThresholdTimeServer
+
+        group = PairingGroup("toy64", family="A")
+        coordinator, members = ThresholdTimeServer.setup(
+            group, members=3, threshold=threshold, rng=rng
+        )
+        shares = [member.issue_update_share(LABEL) for member in members]
+        budget = UPDATE_VERIFY_COST + OpBudget(scalar_mults=threshold + 1)
+        for share in shares + shares:
+            measured = _measure(group, lambda: coordinator.verify_share(share))
+            _assert_budget_with_advisory(measured, budget)
+        assert not group._seen_once and not group._pairing_precomp
+
     def test_receiver_key_check(self, group, server, user):
         measured = _measure(
             group,

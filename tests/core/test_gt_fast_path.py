@@ -140,7 +140,8 @@ class TestIDTREByteIdentity:
                 MESSAGE, identity, server.public, LABEL, random.Random(6)
             )
         assert warm.to_bytes(group) == cold.to_bytes(group)
-        assert ops.get(GT_FIXED_BASE) == 1
+        # One table-driven GT exponentiation per label, ID and T.
+        assert ops.get(GT_FIXED_BASE) == 2
         assert "pairing" not in ops
 
     def test_warm_ciphertext_decrypts(self, group):

@@ -3,13 +3,15 @@
 ``H1(T) = c·P′₀`` with the 352-bit (on ss512) cofactor ``c``.  The
 reduced Tate pairing is linear in its second argument over all of
 ``E(Fp²)``, so ``ê(X, c·P′) = ê((c mod q)·X, P′)``: the update check,
-the cold single-receiver sender and the warm sender's labels pair
-against ``P′₀`` through ``PairingGroup.pair_h1`` and carry the cofactor
-on a fixed G1 argument.  These tests check the identity on both
-families and every backend, force the one case where the two sides
-differ (``c·P′₀ = O``, where ``H1`` moves on to counter 1) to show the
-fallback keeps verdicts and keys exact, and scan ``src/`` to keep that
-fallback in one place.
+the share check, the cold sender (one factor per label of a
+conjunction: ID-TRE's ``(ID, T)``, an AND lock's conditions), the
+resilient sender's ``P_1`` and the warm sender's labels pair against
+``P′₀`` through ``PairingGroup.pair_h1`` and carry the cofactor on a
+fixed G1 argument.  These tests check the identity on both families and
+every backend, force the one case where the two sides differ
+(``c·P′₀ = O``, where ``H1`` moves on to counter 1) for every label or
+for one chosen label to show the fallback keeps verdicts and keys
+exact, and scan ``src/`` to keep that fallback in one place.
 """
 
 from __future__ import annotations
@@ -23,9 +25,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.bls import BLSSignatureScheme
+from repro.core.idtre import IdentityTimedReleaseScheme
 from repro.core.keys import ServerKeyPair, UserKeyPair
+from repro.core.policylock import PolicyLockScheme
+from repro.core.resilient import ResilientTimeServer, ResilientTRE, epoch_path
+from repro.core.threshold import ThresholdTimeServer, UpdateShare
 from repro.core.timeserver import PassiveTimeServer, TimeBoundKeyUpdate
-from repro.core.tre import H1_TAG, TimedReleaseScheme
+from repro.core.tre import H1_TAG, H2_TAG, TimedReleaseScheme
+from repro.encoding import xor_bytes
 from repro.errors import ParameterError
 from repro.math.backend import available_backends
 from repro.pairing import hashing
@@ -96,7 +103,7 @@ def test_cold_key_matches_h1_pairing(group):
         expected = group.pair(
             group.mul(user.public.as_generator, r), group.hash_to_g1(label)
         )
-        assert scheme._sender_key(user.public.as_generator, label, r) == expected
+        assert scheme._sender_key(user.public.as_generator, (label,), r) == expected
 
 
 def _assert_derived_off_identity(group, key, derive, point):
@@ -144,19 +151,24 @@ def _small_order_point(group):
 
 
 @pytest.fixture(params=["identity", "zero_miller"])
-def degenerate(request, group, monkeypatch):
-    """Make counter 0 of every map hit a small-order point.
+def force(request, group, monkeypatch):
+    """``force(*labels)`` makes counter 0 of the map hit a small-order
+    point for those labels only (under any tag), or for every label when
+    none is named, and returns that point.  Until it is called no label
+    is forced.
 
-    Pairing against it gives the identity.  The ``zero_miller`` case
-    also makes every Miller loop that meets it, fused or replayed from
-    recorded lines, fail the way a zero Miller value does, with
+    Pairing against the point gives the identity.  The ``zero_miller``
+    case also makes every Miller loop that meets it, fused or replayed
+    from recorded lines, fail the way a zero Miller value does, with
     :class:`ParameterError`.
     """
     real = hashing.map_to_curve
     small = _small_order_point(group)
+    forced: list[set[bytes] | None] = [set()]  # None: every label
 
     def map_to_curve(ssc, data, tag="repro:H1", counter=0):
-        return small if counter == 0 else real(ssc, data, tag, counter)
+        hit = counter == 0 and (forced[0] is None or data in forced[0])
+        return small if hit else real(ssc, data, tag, counter)
 
     monkeypatch.setattr(hashing, "map_to_curve", map_to_curve)
     if request.param == "zero_miller":
@@ -174,7 +186,18 @@ def degenerate(request, group, monkeypatch):
 
         for name in ("pair", "pair_with_precomp", "multi_pair"):
             monkeypatch.setattr(tate, name, failing(getattr(tate, name)))
-    return small
+
+    def choose(*labels: bytes):
+        forced[0] = set(labels) or None
+        return small
+
+    return choose
+
+
+@pytest.fixture
+def degenerate(force):
+    """Every label's counter-0 map point is the small-order point."""
+    return force()
 
 
 def test_degenerate_map_point_moves_h1_to_counter_one(group, degenerate):
@@ -212,7 +235,7 @@ def test_cold_encrypt_falls_back_exactly(group, degenerate):
         group.mul(user.public.as_generator, r), group.hash_to_g1(label)
     )
     assert not expected.is_identity()
-    assert scheme._sender_key(user.public.as_generator, label, r) == expected
+    assert scheme._sender_key(user.public.as_generator, (label,), r) == expected
     message = b"opens after the forced label"
     ciphertext = scheme.encrypt(
         message, user.public, server.public_key, label, rng
@@ -241,6 +264,116 @@ def test_warm_label_falls_back_exactly(group, degenerate):
     assert scheme.decrypt(
         ciphertext, user, update, server.public_key
     ) == message
+
+
+# A conjunction of labels pairs one factor per label, so a label whose
+# map point is forced falls back by itself.  Pairing once against the
+# sum of the map points would not: with only label j forced,
+# ê(D, Σ P′) = ê(X, Σ_{i≠j} H1(T_i)) is no identity, so nothing could
+# tell.  Hence each case forces one label and compares with the key on
+# cleared H1 points.
+
+
+@pytest.mark.parametrize("forced", ["identity_label", "time_label"])
+def test_idtre_key_falls_back_per_label(group, force, forced):
+    rng = random.Random(14)
+    master = ServerKeyPair.generate(group, rng)
+    server = PassiveTimeServer(group, keypair=master)
+    public = master.public
+    identity, label = b"forced-alice", b"forced-T"
+    force(identity if forced == "identity_label" else label)
+    scheme = IdentityTimedReleaseScheme(group)
+    r = group.random_scalar(rng)
+    expected = group.pair(
+        group.mul(public.s_generator, r),
+        group.hash_to_g1(identity) + group.hash_to_g1(label),
+    )
+    assert scheme._kem._sender_key(
+        public.s_generator, (identity, label), r
+    ) == expected
+    message = b"opens for alice after the forced label"
+    cold = scheme.encrypt(message, identity, public, label, random.Random(15))
+    scheme.precompute_sender(public, identities=[identity], time_labels=[label])
+    warm = scheme.encrypt(message, identity, public, label, random.Random(15))
+    assert warm == cold
+    user_key = scheme.extract_user_key(master, identity)
+    update = server.publish_update(label)
+    assert scheme.decrypt(cold, user_key, update, public) == message
+
+
+def test_and_key_falls_back_per_condition(group, force):
+    rng = random.Random(16)
+    server = PassiveTimeServer(group, rng=rng)
+    user = UserKeyPair.generate(group, server.public_key, rng)
+    conditions = (b"C0", b"C1-forced", b"C2")
+    force(conditions[1])
+    scheme = PolicyLockScheme(group)
+    r = group.random_scalar(rng)
+    total = group.identity()
+    for condition in conditions:
+        total = total + group.hash_to_g1(condition)
+    expected = group.pair(group.mul(user.public.as_generator, r), total)
+    assert scheme._kem._sender_key(
+        user.public.as_generator, conditions, r
+    ) == expected
+    message = b"opens once all three are attested"
+    ciphertext = scheme.encrypt_all(
+        message, user.public, server.public_key, list(conditions), rng
+    )
+    attestations = [server.issue_update(c) for c in conditions]
+    assert scheme.decrypt_all(
+        ciphertext, user, attestations, server.public_key
+    ) == message
+
+
+def test_resilient_first_level_falls_back(group, force):
+    rng = random.Random(17)
+    server = ResilientTimeServer(group, 3, rng)
+    scheme = ResilientTRE(group, server.tree, server.public_key)
+    user = scheme.generate_user_keypair(server.public_key, rng)
+    epoch = 5
+    first = epoch_path(epoch, 3)[:1]
+    force(server.tree._node_label(first))
+    message = b"released at epoch 5"
+    ciphertext = scheme.encrypt(
+        message, user.public, epoch, random.Random(18), verify_receiver_key=False
+    )
+    r = group.random_scalar(random.Random(18))
+    expected = group.pair(
+        group.mul(user.public.as_generator, r), server.tree.node_point(first)
+    )
+    mask = group.mask_bytes(expected, len(message), tag=H2_TAG)
+    assert ciphertext.masked == xor_bytes(message, mask)
+    update = server.publish_update(7)
+    assert scheme.decrypt(ciphertext, user, update, rng) == message
+
+
+def test_share_check_falls_back_exactly(group, force):
+    rng = random.Random(19)
+    coordinator, members = ThresholdTimeServer.setup(group, 3, 2, rng)
+    label = b"forced-share"
+    force(label)
+    generator = coordinator.public_key.generator
+
+    def reference(share):
+        return group.pair_ratio_is_one(
+            ((coordinator.expected_verification_key(share.member_index),
+              group.hash_to_g1(share.time_label)),),
+            ((generator, share.point),),
+        )
+
+    honest = [member.issue_update_share(label) for member in members]
+    sigma = honest[0].point
+    forged = [
+        UpdateShare(1, label, sigma + sigma),
+        UpdateShare(1, label, sigma + generator),
+        UpdateShare(2, label, sigma),
+    ]
+    for share in honest + forged:
+        assert coordinator.verify_share(share) == reference(share)
+    assert [coordinator.verify_share(share) for share in honest] == [True] * 3
+    assert not any(coordinator.verify_share(share) for share in forged)
+    assert coordinator.combine(honest[1:]).verify(group, coordinator.public_key)
 
 
 # ----------------------------------------------------------------------
@@ -303,37 +436,33 @@ def test_pair_h1_is_the_only_fallback():
     ) == {"PairingGroup.pair_h1"}
 
 
-# Every function in repro.core that still calls hash_to_g1 (ROADMAP
-# item 2).  Each needs H1 as a point in G1, or is the §5.1 KEM's
-# multi-receiver path; the rest pair through pair_h1.  tlock runs on
-# the BN254 engine with its own hash and is not scanned.
+# Every function in repro.core that still calls hash_to_g1.  Each needs
+# H1 as a point in G1; every other key and check pairs through pair_h1.
+# tlock runs on the BN254 engine with its own hash and is not scanned.
 H1_IN_G1_BY_DESIGN = {
-    # Two or more cold receivers record the lines of r·H1(T).
+    # Two or more cold receivers record the lines of r·H1(T), and a
+    # recorded argument must lie in G1.
     "TimedReleaseScheme._sender_keys",
-    # Signing: BLS updates (batch_verify and verify_aggregate hash
-    # through it) and threshold update shares.
+    # Signing: BLS updates and threshold update shares are s·H1(T).
+    # batch_verify and verify_aggregate hash through hash_message too:
+    # they pair against a sum of labels, where a per-label fallback is
+    # the only exact form and would cost one pairing per label.
     "BLSSignatureScheme.hash_message",
     "ThresholdServerMember.issue_update_share",
     # Key extraction: ID-TRE's s·H1(ID), and the escrow demonstration's
     # s·(H1(ID) + H1(T)).
     "IdentityTimedReleaseScheme.hash_identity",
     "IdentityTimedReleaseScheme.server_decrypt",
-    # The resilient scheme's tree points.
+    # The resilient scheme's tree points: node keys s·P_1 + Σ r_i·P_i
+    # and the ciphertext's U_i = r·P_i for levels 2..d.
     "HierarchicalTimeTree.node_point",
-    # A conjunction pairs once against Σ H1(C_j), which is no one label.
-    "PolicyLockScheme._policy_point",
-}
-H1_IN_G1_WAITING = {
-    # ID-TRE encryption pairs against H1(ID) + H1(T).
-    "IdentityTimedReleaseScheme.precompute_sender",
-    "IdentityTimedReleaseScheme.encrypt",
-    "ThresholdTimeServer.verify_share",
 }
 
 
 def test_core_hash_to_g1_callers_are_the_listed_ones():
-    """Policy-lock's OR and t-of-m encryption and multi-server
-    encryption compute their key through the §5.1 KEM, not inline."""
+    """ID-TRE, every policy lock and multi-server encryption compute
+    their key through the §5.1 KEM, and the resilient sender and the
+    share check pair through pair_h1, not on cleared points."""
     assert _functions_where(
         _calls("hash_to_g1"), skip={"core/tlock.py"}, under="core/"
-    ) == H1_IN_G1_BY_DESIGN | H1_IN_G1_WAITING
+    ) == H1_IN_G1_BY_DESIGN

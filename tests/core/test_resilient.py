@@ -1,5 +1,7 @@
 """Tests for the missing-update-resilient hierarchical TRE (§6 future work)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.resilient import (
@@ -157,6 +159,35 @@ class TestTimeLock:
         key = update.node_keys[0]
         with pytest.raises(UpdateNotAvailableError):
             scheme.derive_leaf_key(key, 63, rng)
+
+
+class TestDepthBinding:
+    """A ciphertext or an update for another tree depth is refused, not
+    opened against this tree's paths."""
+
+    @pytest.mark.parametrize("depth", [DEPTH - 1, DEPTH + 1])
+    def test_relabelled_ciphertext_depth_rejected(
+        self, resilient_world, rng, depth
+    ):
+        server, scheme, user = resilient_world
+        ct = scheme.encrypt(b"depth-bound", user.public, 9, rng)
+        update = server.publish_update(9)
+        leaf = scheme.derive_leaf_key(scheme.find_covering_key(update, 9), 9, rng)
+        relabelled = dataclasses.replace(ct, depth=depth)
+        for key in (update, leaf):
+            with pytest.raises(UpdateVerificationError):
+                scheme.decrypt(relabelled, user, key, rng)
+        assert scheme.decrypt(ct, user, update, rng) == b"depth-bound"
+
+    @pytest.mark.parametrize("depth", [DEPTH - 1, DEPTH + 1])
+    def test_relabelled_update_depth_rejected(self, resilient_world, rng, depth):
+        server, scheme, user = resilient_world
+        ct = scheme.encrypt(b"depth-bound", user.public, 9, rng)
+        update = dataclasses.replace(server.publish_update(9), depth=depth)
+        with pytest.raises(UpdateVerificationError):
+            scheme.find_covering_key(update, 9)
+        with pytest.raises(UpdateVerificationError):
+            scheme.decrypt(ct, user, update, rng)
 
 
 class TestNodeKeys:

@@ -3,7 +3,8 @@
 ``schemes.json`` was generated once by ``generate_schemes.py``; these
 tests check today's key generation, attestations and updates,
 policy-lock (ALL, ANY, 2-of-3), multi-server, FO, REACT and ID-TRE
-encryption against those bytes, decrypt each committed ciphertext to
+encryption against those bytes (ID-TRE and ALL also with every label
+warmed in the sender's cache), decrypt each committed ciphertext to
 its fixed plaintext with the update check on, and show that an update
 for the wrong label raises :class:`UpdateVerificationError`.  Each case
 builds a fresh group, so every replay starts with empty caches.
@@ -42,6 +43,7 @@ from tests.vectors.generate_schemes import (
     CONDITIONS,
     IDENTITY,
     LABELS,
+    _rng,
     encode,
     encrypt,
     keys,
@@ -49,6 +51,7 @@ from tests.vectors.generate_schemes import (
 )
 
 DOC = json.loads(pathlib.Path(__file__).with_name("schemes.json").read_text())
+ALL = DOC["all_conditions"]
 
 
 @pytest.fixture(
@@ -111,6 +114,32 @@ def test_encrypt(case):
     assert encode(group, encrypt(group, keyset, entry["seed"])) == (
         entry["ciphertexts"]
     )
+
+
+def test_warm_encrypt(case):
+    """ID-TRE and the AND lock give the committed bytes with every label
+    warm too; the KEM caches one pairing per identity, time and
+    condition, not one per (identity, time) pair."""
+    entry, group, (server, user, _, _) = case
+    seed = entry["seed"]
+    identities = [IDENTITY, IDENTITY + b":bob", IDENTITY + b":carol"]
+    idtre = IdentityTimedReleaseScheme(group)
+    idtre.precompute_sender(server.public, identities, LABELS)
+    assert len(idtre._kem._sender_gt) == len(identities) + len(LABELS)
+    ciphertext = idtre.encrypt(
+        message("idtre"), IDENTITY, server.public, LABELS[0],
+        _rng(seed, "idtre"),
+    )
+    assert ciphertext.to_bytes(group).hex() == entry["ciphertexts"]["idtre"]
+    policy = PolicyLockScheme(group)
+    policy._kem.precompute_sender(
+        user.public, server.public, time_labels=CONDITIONS[:ALL]
+    )
+    ciphertext = policy.encrypt_all(
+        message("policy_all"), user.public, server.public,
+        CONDITIONS[:ALL], _rng(seed, "policy_all"),
+    )
+    assert ciphertext.to_bytes(group).hex() == entry["ciphertexts"]["policy_all"]
 
 
 def test_policy_all(case):
