@@ -81,8 +81,9 @@ if [ "$backends" -eq 1 ]; then
          print('available backends:', ', '.join(available_backends())); \
          print('auto resolves to:', resolve_backend_name('auto'))"
     PYTHONPATH=src python -m pytest -q \
-        tests/math/test_backends.py tests/math/test_gt_exp.py \
-        tests/core/test_cross_backend.py tests/core/test_broadcast.py \
+        tests/math/test_backends.py tests/math/test_quadratic.py \
+        tests/math/test_gt_exp.py tests/core/test_cross_backend.py \
+        tests/core/test_broadcast.py \
         tests/core/test_keys.py tests/core/test_batch_decrypt.py \
         tests/core/test_h1_uncleared.py tests/core/test_subgroup_proofs.py \
         tests/vectors tests/pairing tests/ec/test_jacobian.py \

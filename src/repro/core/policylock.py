@@ -37,12 +37,11 @@ from dataclasses import dataclass
 from repro.core.keys import ServerPublicKey, UserKeyPair, UserPublicKey
 from repro.core.threshold import _eval_poly, lagrange_coefficient_at_zero
 from repro.core.timeserver import TimeBoundKeyUpdate
-from repro.core.tre import H2_TAG, TimedReleaseScheme
+from repro.core.tre import H2_TAG, KEMScheme
 from repro.crypto.authenc import aead_decrypt, aead_encrypt
 from repro.ec.point import CurvePoint
 from repro.encoding import BYTES, POINT, U16, codec, pack_chunks, seq, unpack_chunks, xor_bytes
 from repro.errors import DecodingError, PolicyError
-from repro.pairing.api import PairingGroup
 
 _KEY_BYTES = 32
 
@@ -84,12 +83,8 @@ def _branches(ciphertext) -> tuple[list[bytes], bytes]:
     return masked, chunks[1]
 
 
-class PolicyLockScheme:
+class PolicyLockScheme(KEMScheme):
     """Condition-locked public-key encryption over a witness server."""
-
-    def __init__(self, group: PairingGroup):
-        self.group = group
-        self._kem = TimedReleaseScheme(group)
 
     # ------------------------------------------------------------------
     # Conjunction (ALL conditions).
@@ -230,12 +225,8 @@ class ThresholdPolicyCiphertext:
     conditions: tuple[bytes, ...]
 
 
-class ThresholdPolicyScheme:
+class ThresholdPolicyScheme(KEMScheme):
     """t-of-m condition locks via Shamir sharing of the session key."""
-
-    def __init__(self, group: PairingGroup):
-        self.group = group
-        self._kem = TimedReleaseScheme(group)
 
     def encrypt(
         self,

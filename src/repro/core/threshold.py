@@ -190,8 +190,11 @@ class ThresholdTimeServer:
         """Lagrange-combine ``k`` verified shares into ``s·H1(T)``.
 
         Extra shares beyond the threshold are ignored (the first ``k``
-        distinct valid ones are used).  The result is indistinguishable
-        from — and verified exactly like — a single-server update.
+        distinct valid ones are used), and a share that fails
+        :meth:`verify_share` is skipped, so up to ``N - k`` corrupt
+        members cannot block a release.  The result is
+        indistinguishable from — and verified exactly like — a
+        single-server update.
         """
         distinct: dict[int, UpdateShare] = {}
         label = None
@@ -205,9 +208,7 @@ class ThresholdTimeServer:
             if share.member_index in distinct:
                 continue
             if verify and not self.verify_share(share):
-                raise UpdateVerificationError(
-                    f"share from member {share.member_index} failed verification"
-                )
+                continue
             distinct[share.member_index] = share
             if len(distinct) == self.threshold:
                 break

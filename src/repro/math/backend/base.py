@@ -12,9 +12,10 @@ exactly the calls the runtime makes:
   kernels' representation, and
 * the two pairing hot-loop kernels over ``Fp2 = Fp[u]/(u^2 - beta)``
   — the line replay (one or many recorded sequences under one shared
-  squaring chain) and unitary exponentiation (a Lucas ladder on the
-  trace, one implementation for every backend) — that dominate every
-  pairing's wall clock.
+  squaring chain; family A only, so ``u^2 = -1``) and unitary
+  exponentiation (a Lucas ladder on the trace, one implementation for
+  every backend and both families) — that dominate every pairing's
+  wall clock.
 
 Backends trade representation for speed *inside* kernels only.  At the
 object layer (``FieldElement``, ``QuadraticElement``, ``CurvePoint``)
@@ -130,25 +131,26 @@ class FieldBackend:
         """Lift one evaluation point's coefficients for the kernels."""
         return (self.lift(sxa), self.lift(sxb), self.lift(sya), self.lift(syb))
 
-    def eval_line_sequences_product(self, tasks, beta):
-        """``Π f_i(S_i)^{±1}`` with ONE shared squaring chain.
+    def eval_line_sequences_product(self, tasks):
+        """``Π f_i(S_i)^{±1}`` over ``Fp[i]`` with ONE shared squaring chain.
 
         The one line-replay kernel: a single pairing is a one-task
-        product.  ``tasks`` is a list of ``(steps, sxa, sxb, sya, syb,
-        conjugate)`` with steps from :meth:`convert_steps` and coords
-        from :meth:`convert_coords`; all step sequences must be aligned
-        (same loop order — the caller checks).  Conjugation is a
-        negated ``b`` coefficient, exactly as in the object layer.
-        Returns canonical ``(a, b)`` ints.
+        product.  Only family A records lines, so the extension is
+        ``Fp[u]/(u^2 + 1)``: a square is ``((a+b)(a-b), 2ab)`` and a
+        product's real part ``ac - bd``.  ``tasks`` is a list of
+        ``(steps, sxa, sxb, sya, syb, conjugate)`` with steps from
+        :meth:`convert_steps` and coords from :meth:`convert_coords`;
+        all step sequences must be aligned (same loop order — the
+        caller checks).  Conjugation is a negated ``b`` coefficient,
+        exactly as in the object layer.  Returns canonical ``(a, b)``
+        ints.
         """
         p = self._p_lifted
         shared_steps = tasks[0][0]
         fa, fb = self.lift(1), self.lift(0)
         for index in range(len(shared_steps)):
             if not shared_steps[index][0]:  # is_add flag, shared by all
-                a2 = fa * fa
-                b2 = fb * fb
-                fa, fb = (a2 + beta * b2) % p, 2 * fa * fb % p
+                fa, fb = (fa + fb) * (fa - fb) % p, 2 * fa * fb % p
             for steps, sxa, sxb, sya, syb, conjugate in tasks:
                 _, kind, xv, yv, slope = steps[index]
                 if kind == LINE:
@@ -167,7 +169,7 @@ class FieldBackend:
                     ac = fa * va
                     bd = fb * vb
                     fa, fb = (
-                        (ac + beta * bd) % p,
+                        (ac - bd) % p,
                         ((fa + fb) * (va + vb) - ac - bd) % p,
                     )
                 else:
@@ -196,9 +198,12 @@ class FieldBackend:
         + beta*b*Im(z^n)``, one inversion at the end recovers
         ``Im(z^n) = (V_{n+1} - a*V_n) / (2*beta*b)``.
 
-        Negative exponents conjugate first; ``b == 0`` means ``z = ±1``,
-        whose powers are ``(a^e mod p, 0)``.  Exact mod-``p``
-        arithmetic, so every backend returns the same canonical ints.
+        ``beta`` is the field's small signed non-residue
+        (:attr:`repro.math.quadratic.QuadraticField.beta`: -1 for family
+        A, -3 for family B).  Negative exponents conjugate first;
+        ``b == 0`` means ``z = ±1``, whose powers are ``(a^e mod p, 0)``.
+        Exact mod-``p`` arithmetic, so every backend returns the same
+        canonical ints.
         """
         p = self._p_lifted
         if exponent < 0:

@@ -39,10 +39,9 @@ Two deliberate choices, both measured on the seed hardware:
 Only the line-replay kernel runs in the Montgomery domain.
 Unitary exponentiation (every final exponentiation and GT power) is
 the base class's Lucas ladder on ``%`` reductions: an in-domain REDC
-ladder measured slower on CPython.  The ``beta == -1`` replay fast
-path (family A: the square is ``((a+b)(a-b), 2ab)``) falls back to the
-generic base-class kernel for any other ``beta``, so family B stays
-correct, just unaccelerated.
+ladder measured slower on CPython.  Like the base kernel, the replay
+serves family A alone (``Fp[i]``, the square is ``((a+b)(a-b), 2ab)``):
+family B records no lines.
 """
 
 from __future__ import annotations
@@ -107,20 +106,15 @@ class MontgomeryBackend(FieldBackend):
         to_m = self.to_mont
         return (to_m(sxa), to_m(sxb), to_m(sya), to_m(syb))
 
-    def _is_minus_one(self, beta: int) -> bool:
-        return beta % self.p == self.p - 1
-
     # ------------------------------------------------------------------
-    # The replay kernel, beta == -1.  The loop invariants:
+    # The replay kernel over Fp[i].  The loop invariants:
     #   * every named value (fa, fb, va, vb, xv, yv, slope, s-coords)
     #     is in the Montgomery domain and < p;
     #   * products are reduced by ONE redc; sums of products carry the
     #     +p2 / +2*p2 offsets so redc's input stays in [0, R*p).
     # ------------------------------------------------------------------
 
-    def eval_line_sequences_product(self, tasks, beta):
-        if not self._is_minus_one(beta):
-            return super().eval_line_sequences_product(tasks, beta)
+    def eval_line_sequences_product(self, tasks):
         p = self.p
         p2, p2_2 = self.p2, self.p2_2
         redc = self.redc

@@ -3,6 +3,9 @@
 ``beta`` must be a quadratic non-residue of ``Fp``.  The two supersingular
 curve families use ``beta = -1`` (family A, so ``u = i``) and ``beta = -3``
 (family B, where the primitive cube root of unity is ``(-1 + u) / 2``).
+The field stores ``beta`` as its signed representative of least absolute
+value, so ``beta * x`` is a small-integer multiply, not a product with a
+``p``-sized residue such as ``p - 1``.
 
 The Frobenius map ``x -> x^p`` acts as conjugation (``a + b*u -> a - b*u``)
 because ``u^p = u * (u^2)^((p-1)/2) = -u`` for non-residue ``beta``.  The
@@ -42,6 +45,8 @@ class QuadraticField:
         beta %= base.p
         if is_quadratic_residue(beta, base.p):
             raise ParameterError("beta must be a quadratic non-residue")
+        if beta > base.p // 2:
+            beta -= base.p
         self.base = base
         self.p = base.p
         self.beta = beta
@@ -95,7 +100,7 @@ class QuadraticField:
         return hash(("QuadraticField", self.p, self.beta))
 
     def __repr__(self) -> str:
-        return f"QuadraticField(p~2^{self.p.bit_length()}, beta={self.beta - self.p})"
+        return f"QuadraticField(p~2^{self.p.bit_length()}, beta={self.beta})"
 
 
 class QuadraticElement:

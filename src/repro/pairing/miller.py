@@ -232,7 +232,9 @@ def evaluate_line_sequences_product(
     product of the one-task values (conjugated where requested) bit for
     bit.  The integer loop is the backend's one replay kernel
     (:meth:`~repro.math.backend.base.FieldBackend.eval_line_sequences_product`):
-    canonical in, canonical out, identical bytes on every backend.
+    canonical in, canonical out, identical bytes on every backend.  Only
+    family A records lines, so ``fp2`` is ``Fp[i]`` and the kernel
+    hard-codes ``u^2 = -1``.
     """
     tasks = list(tasks)
     if not tasks:
@@ -258,7 +260,7 @@ def evaluate_line_sequences_product(
         ))
     # One shared accumulator: each step squares once and folds in every
     # task's line value (conjugation = negating the ``b`` coefficient).
-    fa, fb = backend.eval_line_sequences_product(prepared, fp2.beta)
+    fa, fb = backend.eval_line_sequences_product(prepared)
     return QuadraticElement(fp2, fa, fb)
 
 
@@ -349,7 +351,7 @@ def miller_loop_projective(tasks, order: int, fp2: QuadraticField):
     does not divide ``order``, like :func:`record_line_sequence`.
     """
     tasks = list(tasks)
-    if fp2.beta != fp2.p - 1:
+    if fp2.beta != -1:
         raise ParameterError("the projective Miller loop needs Fp2 = Fp[i]")
     backend = fp2.backend
     lift = backend.lift

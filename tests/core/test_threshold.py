@@ -133,6 +133,21 @@ class TestCombination:
         with pytest.raises(UpdateVerificationError):
             coordinator.combine(shares)
 
+    def test_bad_share_skipped_when_enough_honest(self, group, rng):
+        """A corrupt member's share is discarded, not fatal: k = 2 honest
+        shares still release the update."""
+        coordinator, members = ThresholdTimeServer.setup(
+            group, members=3, threshold=2, rng=rng
+        )
+        honest = [m.issue_update_share(LABEL) for m in members]
+        doubled = UpdateShare(1, LABEL, group.mul(honest[0].point, 2))
+        update = coordinator.combine([doubled, *honest[1:]])
+        assert update.to_bytes(group) == (
+            coordinator.combine(honest[1:]).to_bytes(group)
+        )
+        with pytest.raises(UpdateVerificationError, match="need 2 valid shares"):
+            coordinator.combine([doubled, honest[1]])
+
     def test_mixed_labels_rejected(self, threshold_world):
         coordinator, members = threshold_world
         shares = [m.issue_update_share(LABEL) for m in members[:2]]

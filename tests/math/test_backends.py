@@ -30,8 +30,9 @@ from repro.pairing.params import get_parameter_set
 from tests.math.reference import unitary_exp_wnaf
 
 # toy64's p (fast) and ss512's p (production-width operands): both are
-# family-A moduli, p % 4 == 3, so beta = -1 exercises the Montgomery
-# fast paths.  BETA_ODD exercises the generic fallback kernels.
+# family-A moduli, p % 4 == 3, so beta = -1 is a non-residue.  The
+# replay kernel serves family A alone (u^2 = -1); BETA_ODD gives
+# unitary_exp a general non-residue too.
 P_TOY = get_parameter_set("toy64").p
 P_SS512 = get_parameter_set("ss512").p
 BETA_NEG1 = -1
@@ -219,21 +220,24 @@ class TestLineKernels:
                 )
                 for steps, *cs, conjugate in tasks
             ]
-            assert backend.eval_line_sequences_product(
-                converted, BETA_NEG1
-            ) == expected, name
+            assert backend.eval_line_sequences_product(converted) == (
+                expected
+            ), name
 
     @pytest.mark.parametrize("p", [P_TOY, P_SS512])
     def test_eval_line_sequence_agreement(self, p):
         """Single pairings as one-task products, where a purely real
         ``x`` (``sxb == 0``, family A's distortion) takes the
-        constant-``u`` line branch."""
+        constant-``u`` line branch, plain and conjugated."""
         rng = random.Random(0xBEEF ^ p)
         for trial in range(8):
             steps = self._random_steps(rng, p, 24)
             sxa, sya, syb = (rng.randrange(p) for _ in range(3))
             sxb = 0 if trial % 2 else rng.randrange(p)
-            self._assert_agreement(p, [(steps, sxa, sxb, sya, syb, False)])
+            conjugate = trial % 4 >= 2
+            self._assert_agreement(
+                p, [(steps, sxa, sxb, sya, syb, conjugate)]
+            )
 
     @pytest.mark.parametrize("p", [P_TOY, P_SS512])
     def test_product_kernel_agreement(self, p):

@@ -1,11 +1,14 @@
 """Unit and property tests for the quadratic extension Fp2."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import EncodingError, FieldMismatchError, ParameterError
+from repro.math.backend import available_backends
 from repro.math.field import PrimeField
-from repro.math.quadratic import QuadraticField
+from repro.math.quadratic import QuadraticField, unitary_exp
+from repro.pairing.params import PARAMETER_SETS, get_parameter_set
+from repro.pairing.supersingular import FAMILY_A, FAMILY_B, SupersingularCurve
 
 P = 10007  # P % 4 == 3 and P % 3 == 2: both betas available.
 BASE = PrimeField(P)
@@ -121,3 +124,81 @@ class TestSerialization:
         zeta = FQ2_M3((P - 1) * inv2 % P, inv2)
         assert zeta ** 3 == FQ2_M3.one()
         assert zeta != FQ2_M3.one()
+
+
+class TestSmallBeta:
+    """``beta`` is stored as its signed representative of least absolute
+    value: ``QuadraticField(base, p - 1)`` and ``QuadraticField(base, -1)``
+    are one field, with ``beta == -1``, so ``beta * x`` is a
+    small-integer multiply."""
+
+    @pytest.mark.parametrize("beta", [-1, -3])
+    def test_both_constructions_are_one_field(self, beta):
+        residue = QuadraticField(BASE, P + beta)
+        signed = QuadraticField(BASE, beta)
+        assert residue == signed
+        assert hash(residue) == hash(signed)
+        assert residue.beta == signed.beta == beta
+        assert repr(residue).endswith(f"beta={beta})")
+
+    def test_small_positive_beta_kept(self):
+        assert QuadraticField(BASE, 5).beta == 5
+
+    @pytest.mark.parametrize("name", sorted(PARAMETER_SETS))
+    @pytest.mark.parametrize("family", [FAMILY_A, FAMILY_B])
+    def test_parameter_sets_store_small_beta(self, name, family):
+        curve = SupersingularCurve(get_parameter_set(name), family)
+        assert curve.fp2.beta == (-1 if family == FAMILY_A else -3)
+
+
+def _oracle_mul(x, y, beta, p):
+    """``(a + bu)(c + du)`` with ``u^2`` the canonical residue ``beta % p``."""
+    a, b = x
+    c, d = y
+    return (a * c + beta % p * b * d) % p, (a * d + b * c) % p
+
+
+# Both moduli have p % 4 == 3 and p % 3 == 2, so -1 and -3 are
+# non-residues of each.
+_BETA_FIELDS = [
+    (p, beta, backend)
+    for p in (P, get_parameter_set("ss512").p)
+    for beta in (-1, -3)
+    for backend in available_backends()
+]
+
+
+@pytest.mark.parametrize(
+    "p, beta, backend", _BETA_FIELDS,
+    ids=[f"p{p.bit_length()}-beta{beta}-{b}" for p, beta, b in _BETA_FIELDS],
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_constructions_agree(p, beta, backend, data):
+    """``*``, ``square``, ``norm``, ``inverse`` and ``unitary_exp`` give
+    the same canonical ints under ``beta`` and ``p + beta``, and match a
+    textbook product that multiplies by the residue ``beta % p``."""
+    base = PrimeField(p, backend=backend)
+    fields = (QuadraticField(base, beta), QuadraticField(base, p + beta))
+    coeff = st.integers(0, p - 1)
+    x = (data.draw(coeff), data.draw(coeff))
+    y = (data.draw(coeff), data.draw(coeff))
+    exponent = data.draw(st.integers(-(2**64), 2**64))
+    results = []
+    for field in fields:
+        fx, fy = field(*x), field(*y)
+        product = fx * fy
+        square = fx.square()
+        row = [(product.a, product.b), (square.a, square.b), fx.norm()]
+        if not fx.is_zero():
+            inverse = fx.inverse()
+            unit = fx.conjugate() * inverse  # norm 1 by construction
+            power = unitary_exp(unit, exponent)
+            row += [(inverse.a, inverse.b), (power.a, power.b)]
+            assert (inverse * fx).is_one()
+            assert power == unit ** exponent
+        results.append(row)
+    assert results[0] == results[1]
+    assert results[0][0] == _oracle_mul(x, y, beta, p)
+    assert results[0][1] == _oracle_mul(x, x, beta, p)
+    assert results[0][2] == (x[0] * x[0] - beta % p * x[1] * x[1]) % p

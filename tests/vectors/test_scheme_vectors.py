@@ -3,8 +3,8 @@
 ``schemes.json`` was generated once by ``generate_schemes.py``; these
 tests check today's key generation, attestations and updates,
 policy-lock (ALL, ANY, 2-of-3), multi-server, FO, REACT and ID-TRE
-encryption against those bytes (ID-TRE and ALL also with every label
-warmed in the sender's cache), decrypt each committed ciphertext to
+encryption against those bytes (ID-TRE, ALL and 2-of-3 also with every
+label warmed in the sender's cache), decrypt each committed ciphertext to
 its fixed plaintext with the update check on, and show that an update
 for the wrong label raises :class:`UpdateVerificationError`.  Each case
 builds a fresh group, so every replay starts with empty caches.
@@ -48,6 +48,7 @@ from tests.vectors.generate_schemes import (
     encrypt,
     keys,
     message,
+    points,
 )
 
 DOC = json.loads(pathlib.Path(__file__).with_name("schemes.json").read_text())
@@ -117,9 +118,9 @@ def test_encrypt(case):
 
 
 def test_warm_encrypt(case):
-    """ID-TRE and the AND lock give the committed bytes with every label
-    warm too; the KEM caches one pairing per identity, time and
-    condition, not one per (identity, time) pair."""
+    """ID-TRE, the AND lock and the t-of-m lock give the committed bytes
+    with every label warm too; the KEM caches one pairing per identity,
+    time and condition, not one per (identity, time) pair."""
     entry, group, (server, user, _, _) = case
     seed = entry["seed"]
     identities = [IDENTITY, IDENTITY + b":bob", IDENTITY + b":carol"]
@@ -132,7 +133,7 @@ def test_warm_encrypt(case):
     )
     assert ciphertext.to_bytes(group).hex() == entry["ciphertexts"]["idtre"]
     policy = PolicyLockScheme(group)
-    policy._kem.precompute_sender(
+    policy.precompute_sender(
         user.public, server.public, time_labels=CONDITIONS[:ALL]
     )
     ciphertext = policy.encrypt_all(
@@ -140,6 +141,20 @@ def test_warm_encrypt(case):
         CONDITIONS[:ALL], _rng(seed, "policy_all"),
     )
     assert ciphertext.to_bytes(group).hex() == entry["ciphertexts"]["policy_all"]
+    blob = entry["ciphertexts"]["policy_threshold"]
+    threshold = ThresholdPolicyScheme(group)
+    threshold.precompute_sender(
+        user.public, server.public, time_labels=CONDITIONS
+    )
+    assert len(threshold._kem._sender_gt) == len(CONDITIONS)
+    warm = threshold.encrypt(
+        message("policy_threshold"), user.public, server.public,
+        CONDITIONS, blob["threshold"], _rng(seed, "policy_threshold"),
+    )
+    assert points(group, warm.u_points) == blob["u_points"]
+    assert warm.sealed.hex() == blob["sealed"]
+    threshold.clear_sender_cache()
+    assert not threshold._kem._sender_gt
 
 
 def test_policy_all(case):
