@@ -238,8 +238,6 @@ def resilient_cost(depth: int) -> SchemeCost:
     )
 
 
-ALL_FIXED_COSTS = (TRE_COST, IDTRE_COST, HYBRID_COST)
-
 # Every pairing-product *verification* is one multi-pairing ratio check:
 # two (or more) Miller loops, a single shared final exponentiation.  The
 # update check ê(sG, H1(T)) == ê(G, I_T) runs as ê(D, P′) == ê(G, I_T)
@@ -367,7 +365,9 @@ def cost_table() -> str:
         )
 
     rows = []
-    for cost in ALL_FIXED_COSTS + (multiserver_cost(3), resilient_cost(8)):
+    for cost in (
+        TRE_COST, IDTRE_COST, HYBRID_COST, multiserver_cost(3), resilient_cost(8)
+    ):
         rows.append((
             cost.name,
             ops(cost.encrypt),

@@ -41,7 +41,6 @@ from repro.core.tre import H1_TAG
 from repro.ec.point import CurvePoint
 from repro.encoding import BYTES, POINT, U32, codec
 from repro.errors import ParameterError, UpdateVerificationError
-from repro.math.modular import inverse_mod
 from repro.pairing.api import PairingGroup
 
 
@@ -63,7 +62,10 @@ def lagrange_coefficient_at_zero(indices: list[int], i: int, q: int) -> int:
             continue
         numerator = numerator * j % q
         denominator = denominator * (j - i) % q
-    return numerator * inverse_mod(denominator, q) % q
+    try:
+        return numerator * pow(denominator, -1, q) % q
+    except ValueError as exc:
+        raise ParameterError("interpolation indices must be distinct") from exc
 
 
 @codec(member_index=U32, time_label=BYTES, point=POINT)

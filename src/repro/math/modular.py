@@ -10,51 +10,6 @@ from __future__ import annotations
 from repro.errors import ParameterError
 
 
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return ``(g, x, y)`` with ``a*x + b*y == g == gcd(a, b)``."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_x, x = x, old_x - quotient * x
-        old_y, y = y, old_y - quotient * y
-    return old_r, old_x, old_y
-
-
-def inverse_mod(a: int, modulus: int) -> int:
-    """Multiplicative inverse of ``a`` modulo ``modulus``.
-
-    Raises :class:`ParameterError` when ``a`` is not invertible.
-    """
-    a %= modulus
-    if a == 0:
-        raise ParameterError("0 has no inverse")
-    g, x, _ = egcd(a, modulus)
-    if g != 1:
-        raise ParameterError(f"{a} is not invertible modulo {modulus} (gcd={g})")
-    return x % modulus
-
-
-def jacobi_symbol(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd positive ``n``."""
-    if n <= 0 or n % 2 == 0:
-        raise ParameterError("jacobi symbol requires odd positive n")
-    a %= n
-    result = 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 def is_quadratic_residue(a: int, p: int) -> bool:
     """True when ``a`` is a nonzero square modulo the odd prime ``p``."""
     a %= p
@@ -128,10 +83,3 @@ def cube_root_mod(a: int, p: int) -> int:
         raise ParameterError("unique cube roots need p % 3 == 2")
     return pow(a % p, (2 * p - 1) // 3, p)
 
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Solve ``x ≡ r1 (mod m1)``, ``x ≡ r2 (mod m2)`` for coprime moduli."""
-    g, u, _ = egcd(m1, m2)
-    if g != 1:
-        raise ParameterError("crt_pair requires coprime moduli")
-    return (r1 + (r2 - r1) * u % m2 * m1) % (m1 * m2)

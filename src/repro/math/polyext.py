@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from repro.encoding import int_from_bytes, int_to_bytes
 from repro.errors import EncodingError, FieldMismatchError, ParameterError
-from repro.math.modular import inverse_mod
 
 
 class PolyExtensionField:
@@ -101,7 +100,7 @@ def _poly_rounded_div(a: list[int], b: list[int], p: int) -> list[int]:
     degb = _deg(b)
     temp = list(a)
     quotient = [0] * (dega - degb + 1)
-    inv_lead = inverse_mod(b[degb], p)
+    inv_lead = pow(b[degb], -1, p)  # b's leading coefficient is nonzero
     for i in range(dega - degb, -1, -1):
         quotient[i] = (quotient[i] + temp[degb + i] * inv_lead) % p
         for c in range(degb + 1):
@@ -238,7 +237,10 @@ class PolyElement:
                     new[i + j] = (new[i + j] - low[i] * quotient[j]) % p
             hm, lm = lm, nm
             high, low = low, new
-        inv_lead = inverse_mod(low[0], p)
+        try:
+            inv_lead = pow(low[0], -1, p)
+        except ValueError as exc:  # a reducible modulus
+            raise ParameterError("element is not invertible") from exc
         return PolyElement(
             self.field, tuple(c * inv_lead % p for c in lm[:degree])
         )

@@ -224,14 +224,6 @@ class QuadraticElement:
         """``a - b*u``, which equals the Frobenius ``self ** p``."""
         return QuadraticElement(self.field, self.a, -self.b % self.field.p)
 
-    def unitary_inverse(self) -> "QuadraticElement":
-        """Inverse assuming ``norm == 1`` (holds after final exponentiation).
-
-        For unitary elements the conjugate *is* the inverse, which makes
-        GT-exponentiation with negative digits cheap.
-        """
-        return self.conjugate()
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 

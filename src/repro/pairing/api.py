@@ -644,15 +644,13 @@ class PairingGroup:
             raise NotInSubgroupError("GT element is outside the order-q subgroup")
         return value
 
-    def gt_from_bytes(self, data: bytes, check: bool = True) -> GTElement:
+    def gt_from_bytes(self, data: bytes) -> GTElement:
         """Decode a GT element, validating subgroup membership.
 
-        ``check=False`` skips the order check for bytes from a trusted
-        in-process source (it costs one ``q``-bit exponentiation).
+        The order check always runs (one ``q``-bit exponentiation).
         """
         value = self.ssc.fp2.from_bytes(data)
-        if check:
-            self.ensure_in_gt(value)
+        self.ensure_in_gt(value)
         return GTElement(self, value)
 
     def mask_bytes(self, gt: GTElement, length: int, tag: str = "repro:H2") -> bytes:

@@ -31,7 +31,7 @@ from repro.errors import NotInSubgroupError, ParameterError
 from repro.ec.curve import EllipticCurve
 from repro.ec.point import CurvePoint
 from repro.math.field import PrimeField
-from repro.math.modular import inverse_mod, sqrt_if_square
+from repro.math.modular import sqrt_if_square
 from repro.math.quadratic import QuadraticField
 from repro.pairing.params import ParameterSet
 
@@ -73,7 +73,7 @@ class SupersingularCurve:
         if family == FAMILY_B:
             # zeta = (-1 + u) / 2 with u = sqrt(-3): a primitive cube root
             # of unity, zeta^3 == 1 and zeta != 1.
-            inv2 = inverse_mod(2, self.p)
+            inv2 = pow(2, -1, self.p)
             self._zeta = self.fp2((self.p - 1) * inv2, inv2)
             if self._zeta * self._zeta * self._zeta != self.fp2.one():
                 raise ParameterError("zeta is not a cube root of unity")

@@ -11,7 +11,7 @@ real-world robustness lives around that passive core:
   archive state.
 * :mod:`repro.service.retry` — reusable resilience primitives:
   :class:`Deadline`, :class:`ExponentialBackoff` (full jitter from an
-  injected RNG) and :class:`CircuitBreaker` with half-open probing.
+  injected RNG) and :class:`CircuitBreaker` with a single half-open probe.
 * :mod:`repro.service.client` — :class:`ResilientTimeClient`:
   per-request timeouts, retry/backoff, multi-source failover across a
   primary and mirrors, authenticated archive catch-up, and a decrypt

@@ -13,14 +13,18 @@ Around that rule sit the standard resilience layers, all built from
 :mod:`repro.service.retry` and therefore deterministic under
 :class:`~repro.service.virtualtime.VirtualTimeLoop`:
 
-* per-request timeouts (``asyncio.wait_for`` against the loop clock);
-* a circuit breaker per source, so a dead primary stops eating the
+* one exchange (``_exchange``): a request to one source under a
+  timeout (``asyncio.wait_for`` against the loop clock), decoded —
+  the sweep and :meth:`health` both go through it;
+* one failover sweep (``_sweep``) across primary + mirrors, with a
+  circuit breaker per source, so a dead primary stops eating the
   deadline budget;
-* failover sweeps across primary + mirrors, then full-jitter
-  exponential backoff between sweeps;
-* archive catch-up (:meth:`catch_up`) that batch-authenticates the
-  backlog with :func:`~repro.core.timeserver.verify_archive` and keeps
-  the good entries even when some are corrupt;
+* one retry loop (``_call``) with full-jitter exponential backoff
+  between sweeps, shared by :meth:`get_update` (which also returns a
+  cached update and wakes early on an announce) and :meth:`catch_up`;
+* archive catch-up that batch-authenticates the backlog with
+  :func:`~repro.core.timeserver.verify_archive` and keeps the good
+  entries even when some are corrupt;
 * a decrypt queue (:meth:`park` / :meth:`drain`) holding ciphertexts
   until the verified ``I_T`` for their release time arrives — graceful
   degradation instead of failure while the server is unreachable.
@@ -41,6 +45,15 @@ from repro.errors import (
 )
 from repro.service import wire
 from repro.service.retry import CircuitBreaker, Deadline, ExponentialBackoff
+
+
+def _expect(response: wire.Message, cls: type):
+    """``response`` if it is a ``cls``; a wrong type is transient."""
+    if not isinstance(response, cls):
+        raise TransientServiceError(
+            f"unexpected response {type(response).__name__}"
+        )
+    return response
 
 
 class ResilientTimeClient:
@@ -157,8 +170,7 @@ class ResilientTimeClient:
         try:
             message = wire.decode_message(frame)
         except ReproError:
-            self.rejected += 1
-            return None
+            message = None
         if not isinstance(message, wire.Announce):
             self.rejected += 1
             return None
@@ -216,15 +228,28 @@ class ResilientTimeClient:
         self._waiters.clear()
 
     # ------------------------------------------------------------------
-    # One failover sweep: each source once, breaker-gated, with a
-    # per-attempt timeout.  No sleeping here — backoff lives upstairs.
+    # The one exchange, the one sweep and the one retry loop.
     # ------------------------------------------------------------------
 
+    async def _exchange(
+        self, index: int, payload: bytes, timeout: float
+    ) -> wire.Message:
+        """One decoded request to source ``index``; a timeout raises
+        :class:`ServiceTimeoutError`, other errors propagate."""
+        try:
+            raw = await asyncio.wait_for(
+                self.transports[index].request(payload), timeout
+            )
+        except (TimeoutError, asyncio.TimeoutError) as exc:
+            raise ServiceTimeoutError(
+                f"source {index} timed out after {timeout:.3f}s"
+            ) from exc
+        return wire.decode_message(raw)
+
     async def _sweep(self, payload: bytes, deadline: Deadline) -> wire.Message:
+        """Each source once, breaker-gated; no sleeping here."""
         last: TransientServiceError | None = None
-        for index, (transport, breaker) in enumerate(
-            zip(self.transports, self.breakers)
-        ):
+        for index, breaker in enumerate(self.breakers):
             deadline.require("sweeping sources")
             if index > 0:
                 self.failovers += 1
@@ -234,19 +259,10 @@ class ResilientTimeClient:
                 last = exc
                 continue
             self.attempts += 1
-            timeout = deadline.clamp(self.request_timeout)
             try:
-                raw = await asyncio.wait_for(
-                    transport.request(payload), timeout
+                response = await self._exchange(
+                    index, payload, deadline.clamp(self.request_timeout)
                 )
-                response = wire.decode_message(raw)
-            except (TimeoutError, asyncio.TimeoutError) as exc:
-                breaker.record_failure()
-                last = ServiceTimeoutError(
-                    f"source {index} timed out after {timeout:.3f}s"
-                )
-                last.__cause__ = exc
-                continue
             except TransientServiceError as exc:
                 breaker.record_failure()
                 last = exc
@@ -272,25 +288,60 @@ class ResilientTimeClient:
         )
 
     async def _call(
-        self, payload: bytes, deadline: Deadline, doing: str
-    ) -> wire.Message:
+        self,
+        payload: bytes,
+        deadline: Deadline,
+        doing: str,
+        label: bytes | None = None,
+    ) -> wire.Message | TimeBoundKeyUpdate:
         """Sweep + full-jitter backoff until success, deadline, or a
-        permanent error."""
+        permanent error.
+
+        With a ``label`` the loop fetches that label's update: it
+        returns a cached one before each sweep, accepts only a verified
+        update for ``label``, and an announce for ``label`` ends a
+        backoff early.  Without one it returns the first response.
+        """
         attempt = 0
         while True:
+            if label is not None and label in self.updates:
+                return self.updates[label]
             deadline.require(doing)
             try:
-                return await self._sweep(payload, deadline)
-            except ServiceTimeoutError:
-                if deadline.expired:
+                response = await self._sweep(payload, deadline)
+                if label is None:
+                    return response
+                update = self._ingest(
+                    _expect(response, wire.UpdateResponse).update_bytes
+                )
+                if update.time_label == label:
+                    return update
+                # A verified update for the wrong label is still a wrong
+                # answer (e.g. a reordered response).
+                raise TransientServiceError(
+                    f"asked for {label!r}, got {update.time_label!r}"
+                )
+            except TransientServiceError as exc:
+                if isinstance(exc, ServiceTimeoutError) and deadline.expired:
                     raise
-            except TransientServiceError:
-                pass
             self.retries += 1
-            await asyncio.sleep(
-                deadline.clamp(self.backoff.delay(attempt))
-            )
+            await self._pause(label, attempt, deadline)
             attempt += 1
+
+    async def _pause(
+        self, label: bytes | None, attempt: int, deadline: Deadline
+    ) -> None:
+        """Back off; with a ``label``, sleep with one ear open for its
+        announce instead of burning the whole backoff."""
+        delay = deadline.clamp(self.backoff.delay(attempt))
+        if label is None:
+            await asyncio.sleep(delay)
+            return
+        waiter = self._waiters.get(label)
+        if waiter is None or waiter.done():
+            waiter = asyncio.get_running_loop().create_future()
+            self._waiters[label] = waiter
+        await asyncio.wait([waiter], timeout=delay)
 
     # ------------------------------------------------------------------
     # Operations.
@@ -307,49 +358,12 @@ class ResilientTimeClient:
         chaos suite checks — once ``T`` passes and the network delivers
         one honest response, this returns.
         """
-        deadline = self._deadline(deadline)
-        attempt = 0
-        payload = wire.encode_message(wire.GetUpdate(time_label))
-        while True:
-            cached = self.updates.get(time_label)
-            if cached is not None:
-                return cached
-            deadline.require(f"fetching update for {time_label!r}")
-            try:
-                response = await self._sweep(payload, deadline)
-                if isinstance(response, wire.UpdateResponse):
-                    update = self._ingest(response.update_bytes)
-                    if update.time_label == time_label:
-                        return update
-                    # A verified update for the wrong label is still a
-                    # wrong answer (e.g. a reordered response).
-                    raise TransientServiceError(
-                        f"asked for {time_label!r}, got "
-                        f"{update.time_label!r}"
-                    )
-                raise TransientServiceError(
-                    f"unexpected response {type(response).__name__}"
-                )
-            except ServiceTimeoutError:
-                if deadline.expired:
-                    raise
-            except TransientServiceError:
-                pass
-            self.retries += 1
-            # Sleep with one ear open: an announce for this label ends
-            # the wait early instead of burning the whole backoff.
-            await self._pause(time_label, attempt, deadline)
-            attempt += 1
-
-    async def _pause(
-        self, time_label: bytes, attempt: int, deadline: Deadline
-    ) -> None:
-        delay = deadline.clamp(self.backoff.delay(attempt))
-        waiter = self._waiters.get(time_label)
-        if waiter is None or waiter.done():
-            waiter = asyncio.get_running_loop().create_future()
-            self._waiters[time_label] = waiter
-        await asyncio.wait([waiter], timeout=delay)
+        return await self._call(
+            wire.encode_message(wire.GetUpdate(time_label)),
+            self._deadline(deadline),
+            f"fetching update for {time_label!r}",
+            time_label,
+        )
 
     async def catch_up(
         self, after: bytes = b"", deadline: Deadline | None = None
@@ -361,15 +375,13 @@ class ResilientTimeClient:
         still lands in the cache — one corrupt blob must not cost the
         client the other hundred updates.
         """
-        deadline = self._deadline(deadline)
-        payload = wire.encode_message(wire.GetArchive(after))
-        response = await self._call(payload, deadline, "catching up")
-        if not isinstance(response, wire.ArchiveResponse):
-            raise TransientServiceError(
-                f"unexpected response {type(response).__name__}"
-            )
+        response = await self._call(
+            wire.encode_message(wire.GetArchive(after)),
+            self._deadline(deadline),
+            "catching up",
+        )
         decoded: list[TimeBoundKeyUpdate] = []
-        for blob in response.update_blobs:
+        for blob in _expect(response, wire.ArchiveResponse).update_blobs:
             try:
                 decoded.append(TimeBoundKeyUpdate.from_bytes(self.group, blob))
             except ReproError:
@@ -387,23 +399,14 @@ class ResilientTimeClient:
     async def health(
         self, source: int = 0, timeout: float | None = None
     ) -> dict[bytes, bytes]:
-        """Probe one specific source (no failover — that is the point)."""
-        payload = wire.encode_message(wire.Health())
-        try:
-            raw = await asyncio.wait_for(
-                self.transports[source].request(payload),
-                timeout if timeout is not None else self.request_timeout,
-            )
-            response = wire.decode_message(raw)
-        except (TimeoutError, asyncio.TimeoutError) as exc:
-            raise ServiceTimeoutError(
-                f"health probe of source {source} timed out"
-            ) from exc
-        if not isinstance(response, wire.HealthResponse):
-            raise TransientServiceError(
-                f"unexpected response {type(response).__name__}"
-            )
-        return response.as_dict()
+        """Probe one specific source: no breaker, no failover, no retry,
+        and not counted in ``attempts``."""
+        response = await self._exchange(
+            source,
+            wire.encode_message(wire.Health()),
+            timeout if timeout is not None else self.request_timeout,
+        )
+        return _expect(response, wire.HealthResponse).as_dict()
 
     # ------------------------------------------------------------------
     # The decrypt queue: graceful degradation while the server is away.

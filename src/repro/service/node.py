@@ -22,7 +22,9 @@ latest archive snapshot (:meth:`TimeServerNode.snapshot` →
 is ever serialized).  :meth:`crash` drops the in-memory server state;
 :meth:`restart` rebuilds it from the keypair, re-verifies and re-loads
 the snapshot, then lets the epoch scheduler republish every epoch
-missed during the outage so the archive resumes gap-free.
+missed during the outage so the archive resumes gap-free.  :meth:`start`
+and :meth:`restart` share one boot path; :meth:`crash` is :meth:`stop`
+plus the loss of the server state.
 """
 
 from __future__ import annotations
@@ -121,15 +123,37 @@ class TimeServerNode:
 
     async def start(self) -> None:
         """Bring the node up and publish the current epoch immediately."""
+        self._boot(fresh=False)
+
+    async def restart(self, snapshot: bytes | None = None) -> int:
+        """Recover from a crash, resuming the archive from ``snapshot``.
+
+        Every snapshotted update is re-verified against this node's own
+        public key before it re-enters the archive, so a corrupted
+        snapshot cannot poison the node.  Returns the number of
+        archive entries restored.  The epoch scheduler then republishes
+        anything missed during the outage.
+        """
+        restored = self._boot(fresh=True, snapshot=snapshot)
+        self.restarts += 1
+        return restored
+
+    def _boot(self, fresh: bool, snapshot: bytes | None = None) -> int:
+        """The one boot path: build the server when ``fresh`` (or when
+        there is none), restore ``snapshot`` into it, publish every due
+        epoch from the first one missing and schedule the rest."""
         if self.running:
             raise ParameterError(f"{self.name} is already running")
-        if self._server is None:
+        restored = 0
+        if fresh or self._server is None:
             self._server = PassiveTimeServer(
                 self.group,
                 keypair=self.keypair,
                 clock=self.current_epoch,
                 max_clock_skew=self.max_clock_skew,
             )
+            if snapshot is not None:
+                restored = self._server.restore_archive(snapshot)
         self.running = True
         self._next_epoch = self._resume_epoch()
         self._publish_due_epochs()
@@ -137,6 +161,7 @@ class TimeServerNode:
         self._scheduler_task = asyncio.get_running_loop().create_task(
             self._scheduler()
         )
+        return restored
 
     def stop(self) -> None:
         """Graceful shutdown: stop scheduling but keep in-memory state.
@@ -159,43 +184,9 @@ class TimeServerNode:
         from :meth:`snapshot` bytes), requests start failing with
         :class:`ServiceUnavailableError`, and announcements stop.
         """
-        self.running = False
-        self.ready = False
+        self.stop()
         self._server = None
-        if self._scheduler_task is not None:
-            self._scheduler_task.cancel()
-            self._scheduler_task = None
         self.crashes += 1
-
-    async def restart(self, snapshot: bytes | None = None) -> int:
-        """Recover from a crash, resuming the archive from ``snapshot``.
-
-        Every snapshotted update is re-verified against this node's own
-        public key before it re-enters the archive, so a corrupted
-        snapshot cannot poison the node.  Returns the number of
-        archive entries restored.  The epoch scheduler then republishes
-        anything missed during the outage.
-        """
-        if self.running:
-            raise ParameterError(f"{self.name} is already running")
-        self._server = PassiveTimeServer(
-            self.group,
-            keypair=self.keypair,
-            clock=self.current_epoch,
-            max_clock_skew=self.max_clock_skew,
-        )
-        restored = 0
-        if snapshot is not None:
-            restored = self._server.restore_archive(snapshot)
-        self.restarts += 1
-        self._next_epoch = self._resume_epoch()
-        self.running = True
-        self._publish_due_epochs()
-        self.ready = True
-        self._scheduler_task = asyncio.get_running_loop().create_task(
-            self._scheduler()
-        )
-        return restored
 
     def snapshot(self) -> bytes:
         """Serialized public archive state for the supervisor to keep."""

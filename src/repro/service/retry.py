@@ -5,32 +5,26 @@ Time comes from an injected ``clock()`` callable (the asyncio loop's
 ``time`` in production, a :class:`~repro.service.virtualtime
 .VirtualTimeLoop` in tests) and jitter from an injected
 ``random.Random``, so retry schedules are deterministic given a seed.
-The client composes these with its own sleeper; nothing in this module
-ever blocks.
+The client's one retry loop composes these with its own sleeper;
+nothing in this module ever blocks.
 
-The taxonomy contract: policies decide *whether* to retry from the
+The taxonomy contract: the loop decides *whether* to retry from the
 exception type alone — :class:`~repro.errors.TransientServiceError`
-retries, anything else propagates (see :func:`is_retryable`).
+retries, anything else propagates.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.errors import (
     CircuitOpenError,
     ParameterError,
     ServiceTimeoutError,
-    TransientServiceError,
 )
 
 Clock = Callable[[], float]
-
-
-def is_retryable(exc: BaseException) -> bool:
-    """Retry exactly the transient family — never string-match messages."""
-    return isinstance(exc, TransientServiceError)
 
 
 class Deadline:
@@ -107,10 +101,6 @@ class ExponentialBackoff:
     def delay(self, attempt: int) -> float:
         return self._rng.uniform(0.0, self.ceiling(attempt))
 
-    def delays(self, attempts: int) -> Iterator[float]:
-        for attempt in range(attempts):
-            yield self.delay(attempt)
-
 
 # Circuit breaker states.
 CLOSED = "closed"
@@ -119,16 +109,16 @@ HALF_OPEN = "half_open"
 
 
 class CircuitBreaker:
-    """A per-source circuit breaker with half-open probing.
+    """A per-source circuit breaker with a single half-open probe.
 
     * **closed** — requests flow; ``failure_threshold`` *consecutive*
       failures trip the breaker.
     * **open** — :meth:`check` raises :class:`~repro.errors
       .CircuitOpenError` without touching the source, until
       ``reset_timeout`` has elapsed on the injected clock.
-    * **half-open** — up to ``half_open_probes`` trial requests are let
-      through; a success closes the breaker, a failure re-opens it and
-      restarts the timeout.
+    * **half-open** — one trial request is let through; a success
+      closes the breaker, a failure re-opens it and restarts the
+      timeout.
 
     The breaker never sleeps or schedules anything: state transitions
     happen lazily inside :meth:`check`/:meth:`record_failure`, driven
@@ -140,21 +130,18 @@ class CircuitBreaker:
         clock: Clock,
         failure_threshold: int = 3,
         reset_timeout: float = 5.0,
-        half_open_probes: int = 1,
     ):
-        if failure_threshold < 1 or half_open_probes < 1 or reset_timeout <= 0:
+        if failure_threshold < 1 or reset_timeout <= 0:
             raise ParameterError(
-                "need failure_threshold >= 1, half_open_probes >= 1 and "
-                "reset_timeout > 0"
+                "need failure_threshold >= 1 and reset_timeout > 0"
             )
         self._clock = clock
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
-        self.half_open_probes = half_open_probes
         self._state = CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._probes_in_flight = 0
+        self._probing = False
         self.trips = 0  # diagnostics: how often the breaker opened
 
     @property
@@ -168,33 +155,22 @@ class CircuitBreaker:
             and self._clock() - self._opened_at >= self.reset_timeout
         ):
             self._state = HALF_OPEN
-            self._probes_in_flight = 0
-
-    def allows(self) -> bool:
-        """Non-raising :meth:`check` (does not reserve a probe slot)."""
-        self._maybe_half_open()
-        if self._state == CLOSED:
-            return True
-        if self._state == HALF_OPEN:
-            return self._probes_in_flight < self.half_open_probes
-        return False
+            self._probing = False
 
     def check(self) -> None:
         """Gate one request; raises :class:`CircuitOpenError` when open.
 
-        In the half-open state the call *reserves* a probe slot, so at
-        most ``half_open_probes`` concurrent trials reach the source.
+        In the half-open state the call *reserves* the probe, so one
+        trial at a time reaches the source.
         """
         self._maybe_half_open()
         if self._state == CLOSED:
             return
         if self._state == HALF_OPEN:
-            if self._probes_in_flight < self.half_open_probes:
-                self._probes_in_flight += 1
+            if not self._probing:
+                self._probing = True
                 return
-            raise CircuitOpenError(
-                "circuit half-open and all probe slots taken"
-            )
+            raise CircuitOpenError("circuit half-open and its probe is out")
         raise CircuitOpenError(
             f"circuit open for another "
             f"{self.reset_timeout - (self._clock() - self._opened_at):.3f}s"
@@ -202,7 +178,7 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         self._consecutive_failures = 0
-        self._probes_in_flight = 0
+        self._probing = False
         self._state = CLOSED
 
     def record_failure(self) -> None:
@@ -221,5 +197,5 @@ class CircuitBreaker:
         self._state = OPEN
         self._opened_at = self._clock()
         self._consecutive_failures = 0
-        self._probes_in_flight = 0
+        self._probing = False
         self.trips += 1

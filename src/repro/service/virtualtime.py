@@ -40,8 +40,8 @@ from typing import Any, Coroutine
 from repro.errors import SimulationError
 
 
-class _InstantSelector:
-    """Delegates registration to a real selector but never waits.
+class _InstantSelector(selectors.SelectSelector):
+    """A real selector for registration that never waits.
 
     ``select(timeout)`` advances the owning loop's virtual clock by
     ``timeout`` instead of sleeping and always reports "no I/O ready" —
@@ -49,27 +49,7 @@ class _InstantSelector:
     ready queue, never through file descriptors.
     """
 
-    def __init__(self) -> None:
-        self._real = selectors.SelectSelector()
-        self.loop: "VirtualTimeLoop | None" = None
-
-    def register(self, fileobj, events, data=None):
-        return self._real.register(fileobj, events, data)
-
-    def unregister(self, fileobj):
-        return self._real.unregister(fileobj)
-
-    def modify(self, fileobj, events, data=None):
-        return self._real.modify(fileobj, events, data)
-
-    def get_map(self):
-        return self._real.get_map()
-
-    def get_key(self, fileobj):
-        return self._real.get_key(fileobj)
-
-    def close(self) -> None:
-        self._real.close()
+    loop: "VirtualTimeLoop | None" = None
 
     def select(self, timeout: float | None = None):
         if timeout is None:

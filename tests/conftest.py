@@ -17,6 +17,32 @@ from repro.core.timeserver import PassiveTimeServer
 from repro.pairing.api import PairingGroup
 
 
+# The cross-backend identity suites, marked ``backends``: CI's
+# ``test-gmpy2`` job and ``scripts/check.sh --backends`` both run
+# ``pytest -m backends``, so this tuple is the one list of them.
+BACKEND_SUITES = (
+    "tests/math/test_backends.py",
+    "tests/math/test_quadratic.py",
+    "tests/math/test_gt_exp.py",
+    "tests/core/test_cross_backend.py",
+    "tests/core/test_broadcast.py",
+    "tests/core/test_keys.py",
+    "tests/core/test_batch_decrypt.py",
+    "tests/core/test_h1_uncleared.py",
+    "tests/core/test_subgroup_proofs.py",
+    "tests/vectors/",
+    "tests/pairing/",
+    "tests/ec/test_jacobian.py",
+)
+
+
+def pytest_collection_modifyitems(config, items):
+    for item in items:
+        path = item.path.relative_to(config.rootpath).as_posix()
+        if path.startswith(BACKEND_SUITES):
+            item.add_marker(pytest.mark.backends)
+
+
 @pytest.fixture(scope="session")
 def group() -> PairingGroup:
     """Family A (denominator-free Miller loop) over toy64."""

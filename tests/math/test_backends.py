@@ -24,10 +24,9 @@ from repro.math.backend import (
 from repro.math.backend.base import FieldBackend, LINE, ONE, VERT
 from repro.math.backend.gmp import gmpy2_available
 from repro.math.field import PrimeField
-from repro.math.modular import inverse_mod
 from repro.math.quadratic import QuadraticField
 from repro.pairing.params import get_parameter_set
-from tests.math.reference import unitary_exp_wnaf
+from tests.math.reference import inverse_mod, unitary_exp_wnaf
 
 # toy64's p (fast) and ss512's p (production-width operands): both are
 # family-A moduli, p % 4 == 3, so beta = -1 is a non-residue.  The

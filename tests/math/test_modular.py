@@ -1,18 +1,11 @@
-"""Unit tests for repro.math.modular."""
+"""Unit tests for repro.math.modular and its oracles in tests.math.reference."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ParameterError
-from repro.math.modular import (
-    crt_pair,
-    cube_root_mod,
-    egcd,
-    inverse_mod,
-    is_quadratic_residue,
-    jacobi_symbol,
-    sqrt_mod,
-)
+from repro.math.modular import cube_root_mod, is_quadratic_residue, sqrt_mod
+from tests.math.reference import egcd, inverse_mod, jacobi_symbol
 
 P_3MOD4 = 10007          # prime, 10007 % 4 == 3
 P_1MOD4 = 10009          # prime, 10009 % 4 == 1
@@ -84,6 +77,11 @@ class TestJacobiSymbol:
             expected = 1 if euler == 1 else -1
             assert jacobi_symbol(a, p) == expected
 
+    @given(st.integers(0, 10**6))
+    def test_oracle_for_is_quadratic_residue(self, a):
+        for p in (P_3MOD4, P_1MOD4):
+            assert is_quadratic_residue(a, p) == (jacobi_symbol(a, p) == 1)
+
 
 class TestSqrtMod:
     @pytest.mark.parametrize("p", [P_3MOD4, P_1MOD4, 2**255 - 19])
@@ -133,20 +131,3 @@ class TestCubeRootMod:
         with pytest.raises(ParameterError):
             cube_root_mod(5, 13)  # 13 % 3 == 1
 
-
-class TestCrtPair:
-    def test_basic(self):
-        x = crt_pair(2, 3, 3, 5)
-        assert x % 3 == 2 and x % 5 == 3
-
-    def test_non_coprime_raises(self):
-        with pytest.raises(ParameterError):
-            crt_pair(1, 4, 3, 6)
-
-    @given(st.integers(0, 10**6), st.integers(0, 10**6))
-    def test_solves_both_congruences(self, r1, r2):
-        m1, m2 = 10007, 10009
-        x = crt_pair(r1, m1, r2, m2)
-        assert x % m1 == r1 % m1
-        assert x % m2 == r2 % m2
-        assert 0 <= x < m1 * m2

@@ -92,9 +92,10 @@ class TestFrobeniusAndNorm:
 
     @given(nonzero)
     def test_unitary_inverse(self, a):
+        """For a unitary element the conjugate is the inverse."""
         unit = a.conjugate() * a.inverse()  # norm 1 by construction
         assert unit.norm() == 1
-        assert unit * unit.unitary_inverse() == FQ2_M1.one()
+        assert unit * unit.conjugate() == FQ2_M1.one()
 
 
 class TestSerialization:
@@ -118,9 +119,7 @@ class TestSerialization:
         assert len({FQ2_M1(1, 2), FQ2_M1(1, 2), FQ2_M1(2, 1)}) == 2
 
     def test_cube_root_of_unity_in_m3(self):
-        from repro.math.modular import inverse_mod
-
-        inv2 = inverse_mod(2, P)
+        inv2 = pow(2, -1, P)
         zeta = FQ2_M3((P - 1) * inv2 % P, inv2)
         assert zeta ** 3 == FQ2_M3.one()
         assert zeta != FQ2_M3.one()

@@ -128,7 +128,7 @@ def fresh_group(request) -> PairingGroup:
 
 
 class TestGTMembership:
-    """``gt_from_bytes(check=True)`` rejects every non-GT encoding.
+    """``gt_from_bytes`` rejects every non-GT encoding.
 
     No pairing is needed: the inputs are built in ``Fp2`` directly, so
     family B at ss512 costs no more than family A.
