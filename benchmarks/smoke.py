@@ -23,6 +23,12 @@ Usage::
 
     PYTHONPATH=src python -m benchmarks.smoke                 # toy64
     PYTHONPATH=src python -m benchmarks.smoke --params ss512  # acceptance run
+    PYTHONPATH=src python -m benchmarks.smoke --rows 'gt_exp:*:fixed_base'
+
+``--rows`` re-records only the matching rows: a comparison runs when
+its op matches a glob's op field, all its variants are measured
+alternately as usual, and only the matching rows are written, with
+``speedup_vs_direct`` derived from this run's own ``direct`` median.
 
 Direct paths are timed through the cache-free primitives (``curve
 .scalar_mult`` / ``tate.pair`` / ``unitary_exp``) so prior
@@ -447,33 +453,39 @@ def bench_backend_pairing(group, rng, trajectory, rounds):
 
 
 def run_all(group, rng, trajectory, rounds, batch):
-    """Every smoke comparison; returns ``{label: speedup_ratio}``.
+    """Every smoke comparison ``trajectory`` selects (see
+    :meth:`~benchmarks.trajectory.BenchTrajectory.selects`); returns
+    ``{label: speedup_ratio}``.
 
     Shared by the CLI below and ``benchmarks.trajectory --check``.
     """
-    encrypt_ratios = bench_encrypt(group, rng, trajectory, rounds, batch)
-    return {
-        "fixed-base scalar mult": bench_scalar_mult(
-            group, rng, trajectory, rounds
-        ),
-        "precomputed pairing": bench_pairing(group, rng, trajectory, rounds),
-        "GT fixed-base exp": bench_gt_exp(group, rng, trajectory, rounds),
-        "warm encrypt x1": encrypt_ratios[1],
-        f"warm encrypt x{batch}": encrypt_ratios[batch],
-        f"broadcast x{batch}": bench_encrypt_broadcast(
-            group, rng, trajectory, rounds, batch
-        ),
-        f"batch decrypt x{batch}": bench_batch_decrypt(
-            group, rng, trajectory, rounds, batch
-        ),
-        "multi-pair verify": bench_multi_pair(group, rng, trajectory, rounds),
-        f"archive catch-up x{batch}": bench_catchup(
-            group, rng, trajectory, rounds, batch
-        ),
-        "backend pairing": bench_backend_pairing(
-            group, rng, trajectory, rounds
-        ),
-    }
+    comparisons = (
+        ((f"encrypt_x{n}" for n in (1, batch)), lambda: {
+            f"warm encrypt x{n}": ratio for n, ratio in
+            bench_encrypt(group, rng, trajectory, rounds, batch).items()
+        }),
+        (("scalar_mult",), lambda: {"fixed-base scalar mult":
+            bench_scalar_mult(group, rng, trajectory, rounds)}),
+        (("pairing",), lambda: {"precomputed pairing":
+            bench_pairing(group, rng, trajectory, rounds)}),
+        (("gt_exp",), lambda: {"GT fixed-base exp":
+            bench_gt_exp(group, rng, trajectory, rounds)}),
+        ((f"broadcast_x{batch}",), lambda: {f"broadcast x{batch}":
+            bench_encrypt_broadcast(group, rng, trajectory, rounds, batch)}),
+        ((f"tre_decrypt_x{batch}",), lambda: {f"batch decrypt x{batch}":
+            bench_batch_decrypt(group, rng, trajectory, rounds, batch)}),
+        (("multi_pair",), lambda: {"multi-pair verify":
+            bench_multi_pair(group, rng, trajectory, rounds)}),
+        ((f"catchup_x{batch}",), lambda: {f"archive catch-up x{batch}":
+            bench_catchup(group, rng, trajectory, rounds, batch)}),
+        (("pairing_backend",), lambda: {"backend pairing":
+            bench_backend_pairing(group, rng, trajectory, rounds)}),
+    )
+    ratios = {}
+    for ops, run in comparisons:
+        if any(trajectory.selects(op) for op in ops):
+            ratios.update(run())
+    return ratios
 
 
 def main(argv=None) -> int:
@@ -492,11 +504,16 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=None,
                         help="trajectory file (default: repo-root "
                              "BENCH_pairing.json)")
+    parser.add_argument("--rows", action="append", default=None,
+                        metavar="GLOB",
+                        help="write only the rows whose op:params:variant "
+                             "key matches GLOB (repeatable); comparisons "
+                             "whose op matches no GLOB are skipped")
     args = parser.parse_args(argv)
 
     group = PairingGroup(args.params, family="A", backend=args.backend)
     rng = seeded_rng(f"smoke:{args.params}")
-    trajectory = BenchTrajectory(args.output)
+    trajectory = BenchTrajectory(args.output, rows=args.rows)
 
     print(f"precomputation smoke benchmark on {args.params} "
           f"(q={group.q.bit_length()} bits, backend={group.backend_name}, "

@@ -10,8 +10,13 @@ The claim tables merge the same way (:func:`merge_claim_tables`).
 Each entry records the median wall time, the round count, the live
 operation counts from :mod:`repro.pairing.opcount` for one execution,
 and free-form extras.  For every ``op:params`` pair that has both a
-``direct`` and a non-direct variant, ``write`` derives a
-``speedup`` ratio (direct median / fast-path median).
+``direct`` and a non-direct variant measured in one session, ``write``
+derives a ``speedup_vs_direct`` ratio (direct median / fast-path
+median).  A session may write only the rows that match its ``rows``
+globs (``benchmarks.smoke --rows``); every pair it writes a row of gets
+its ratios from that session's own measurements, so a re-recorded fast
+row is never divided into an older session's ``direct`` row, and the
+ratios of the pairs it leaves alone stay as committed.
 
 Run as a module for the regression gate::
 
@@ -27,6 +32,7 @@ catch step-function regressions, not jitter).
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import json
 import os
 import pathlib
@@ -71,9 +77,26 @@ def merge_claim_tables(existing: str, emitted: list[str]) -> str:
 class BenchTrajectory:
     """Accumulates benchmark entries and merges them into the JSON file."""
 
-    def __init__(self, path: pathlib.Path | str | None = None):
+    def __init__(
+        self,
+        path: pathlib.Path | str | None = None,
+        rows: list[str] | None = None,
+    ):
         self.path = pathlib.Path(path) if path else DEFAULT_PATH
+        # Globs over ``op:params:variant``; None selects every row.
+        self.rows = rows
+        # Every row this session measured, and the selected ones, which
+        # are the rows it writes.
+        self.measured: dict[str, dict] = {}
         self.entries: dict[str, dict] = {}
+
+    def selects(self, op: str) -> bool:
+        """Whether some selected row can belong to ``op``: the op field
+        of a glob (its text before the first ``:``) matches it."""
+        return self.rows is None or any(
+            fnmatch.fnmatchcase(op, glob.split(":", 1)[0])
+            for glob in self.rows
+        )
 
     @staticmethod
     def key(op: str, params: str, variant: str) -> str:
@@ -112,7 +135,12 @@ class BenchTrajectory:
             entry["op_counts"] = dict(op_counts)
         if extra:
             entry.update(extra)
-        self.entries[self.key(op, params, variant)] = entry
+        key = self.key(op, params, variant)
+        self.measured[key] = entry
+        if self.rows is None or any(
+            fnmatch.fnmatchcase(key, glob) for glob in self.rows
+        ):
+            self.entries[key] = entry
 
     def measure_interleaved(
         self, group, op: str, variants: dict, rounds: int = 5,
@@ -161,20 +189,40 @@ class BenchTrajectory:
                 speedups[f"{op}:{params}:{variant}"] = round(direct / ms, 3)
         return speedups
 
+    def _session_speedups(self) -> tuple[set, dict[str, float]]:
+        """The ``op:params`` pairs this session writes a row of, and
+        their ratios, derived from this session's measurements only."""
+        pairs = {
+            (entry["op"], entry["params"]) for entry in self.entries.values()
+        }
+        speedups = {
+            key: ratio
+            for key, ratio in self._derive_speedups(self.measured).items()
+            if tuple(key.split(":")[:2]) in pairs
+        }
+        return pairs, speedups
+
     def write(self) -> pathlib.Path:
         """Merge this run's entries into the trajectory file."""
-        merged: dict[str, dict] = {}
+        committed: dict = {}
         if self.path.exists():
             try:
-                merged = json.loads(self.path.read_text()).get("entries", {})
+                committed = json.loads(self.path.read_text())
             except (json.JSONDecodeError, OSError):
-                merged = {}
+                committed = {}
+        merged = dict(committed.get("entries", {}))
         merged.update(self.entries)
-        merged = dict(sorted(merged.items()))
+        pairs, fresh = self._session_speedups()
+        speedups = {
+            key: ratio
+            for key, ratio in committed.get("speedup_vs_direct", {}).items()
+            if tuple(key.split(":")[:2]) not in pairs
+        }
+        speedups.update(fresh)
         payload = {
             "schema": SCHEMA,
-            "entries": merged,
-            "speedup_vs_direct": self._derive_speedups(merged),
+            "entries": dict(sorted(merged.items())),
+            "speedup_vs_direct": dict(sorted(speedups.items())),
         }
         self.path.write_text(json.dumps(payload, indent=2) + "\n")
         return self.path
@@ -183,7 +231,7 @@ class BenchTrajectory:
         lines = []
         for key, entry in sorted(self.entries.items()):
             lines.append(f"{key}: {entry['median_ms']:.3f} ms")
-        for key, ratio in self._derive_speedups(self.entries).items():
+        for key, ratio in self._session_speedups()[1].items():
             lines.append(f"speedup {key}: {ratio:.2f}x vs direct")
         return lines
 

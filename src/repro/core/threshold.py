@@ -120,12 +120,16 @@ class ThresholdTimeServer:
         threshold: int,
         public_key: ServerPublicKey,
         commitments: list[CurvePoint],
+        members: int,
     ):
         self.group = group
         self.threshold = threshold
         self.public_key = public_key
         # Feldman commitments a_0·G .. a_{k-1}·G with a_0 = s.
         self.commitments = commitments
+        self.members = members
+        # s_i·G of members 1..N, filled on first use: at most N entries.
+        self._member_keys: dict[int, CurvePoint] = {}
 
     @classmethod
     def setup(
@@ -145,7 +149,7 @@ class ThresholdTimeServer:
         secret = coefficients[0]
         public = ServerPublicKey(generator, group.mul(generator, secret))
         commitments = [group.mul(generator, a) for a in coefficients]
-        coordinator = cls(group, threshold, public, commitments)
+        coordinator = cls(group, threshold, public, commitments, members)
         member_objects = [
             ThresholdServerMember(
                 group, i, _eval_poly(coefficients, i, group.q), public
@@ -160,12 +164,22 @@ class ThresholdTimeServer:
 
     def expected_verification_key(self, index: int) -> CurvePoint:
         """``s_i·G`` recomputed from the public commitments:
-        ``Σ_j i^j · (a_j·G)``."""
+        ``Σ_j i^j · (a_j·G)``, k scalar multiplications.
+
+        Cached for the member indices ``1..N``, whose keys never change.
+        ``index`` comes off the wire in :meth:`verify_share`, so any
+        other index is computed afresh and never cached.
+        """
+        cached = self._member_keys.get(index)
+        if cached is not None:
+            return cached
         total = self.group.identity()
         power = 1
         for commitment in self.commitments:
             total = self.group.add(total, self.group.mul(commitment, power))
             power = power * index % self.group.q
+        if 1 <= index <= self.members:
+            self._member_keys[index] = total
         return total
 
     def verify_share(self, share: UpdateShare) -> bool:

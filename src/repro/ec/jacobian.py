@@ -29,7 +29,7 @@ which the equality tests in :func:`add` and :func:`add_affine` rely on.
 
 from __future__ import annotations
 
-from repro.math.backend.base import wnaf_digits
+from repro.math.backend.base import signed_window_digits, wnaf_digits
 
 INFINITY = (1, 1, 0)
 
@@ -192,50 +192,61 @@ def multi_scalar_mult(backend, a, terms, width):
 
 
 def fixed_base_rows(backend, a, x, y, bits, width) -> list:
-    """Affine ``d·2^(j·w)·P`` for every window ``j`` and ``d in 1..2^w-1``.
+    """Signed-digit rows for ``k·P`` with ``0 <= k < 2^bits``.
 
-    Two batch inversions: one normalizes the window bases
-    ``2^(j·w)·P`` so the row entries grow by mixed additions, the other
-    normalizes every entry.  Entries are canonical int pairs, ``None``
-    where a multiple is infinity (tiny-order base).
+    Row ``j`` of the ``bits // width + 1`` windows holds
+    ``d·2^(j·w)·P`` for ``d in 1..2^(w-1)``, the digits of
+    :func:`~repro.math.backend.base.signed_window_digits`, flat as
+    lifted ``[x_1, y_1, ..., x_h, y_h]``; a negative digit reads
+    ``(x, -y)``.  Two batch inversions: one normalizes the window
+    bases ``2^(j·w)·P`` so the row entries grow by mixed additions, the
+    other normalizes every entry.  ``None, None`` marks a multiple that
+    is infinity (tiny-order base).
     """
     p = backend.lift(backend.p)
-    windows = (bits + width - 1) // width
-    size = 1 << width
-    bases = []
+    windows = bits // width + 1
+    half = 1 << (width - 1)
     X, Y, Z = backend.lift(x), backend.lift(y), 1
-    for _ in range(windows):
-        bases.append((X, Y, Z))
+    bases = [(X, Y, Z)]
+    for _ in range(windows - 1):
         for _ in range(width):
             X, Y, Z = double(X, Y, Z, p, a)
+        bases.append((X, Y, Z))
     flat = []
     for base in normalize(backend, bases):
         if base is None:
-            flat.extend([INFINITY] * (size - 1))
+            flat.extend([INFINITY] * half)
             continue
         bx, by = backend.lift(base[0]), backend.lift(base[1])
         X, Y, Z = bx, by, 1
         flat.append((X, Y, Z))
-        for _ in range(size - 2):
+        for _ in range(half - 1):
             X, Y, Z = add_affine(X, Y, Z, bx, by, p, a)
             flat.append((X, Y, Z))
+    lift = backend.lift
     affine = normalize(backend, flat)
-    return [affine[j * (size - 1):(j + 1) * (size - 1)] for j in range(windows)]
+    rows = []
+    for j in range(windows):
+        row = []
+        for entry in affine[j * half:(j + 1) * half]:
+            row += (None, None) if entry is None else map(lift, entry)
+        rows.append(row)
+    return rows
 
 
 def fixed_base_mult(backend, a, rows, width, k):
     """``k·P`` from :func:`fixed_base_rows` output, for
-    ``0 <= k < 2^(len(rows)·width)``: one mixed addition per non-zero
-    window, zero doublings.  Returns affine ints or ``None``."""
+    ``0 <= k < 2^bits``: one mixed addition per non-zero signed digit,
+    zero doublings.  Returns affine ints or ``None``."""
     p = backend.lift(backend.p)
-    lift = backend.lift
-    mask = (1 << width) - 1
     X, Y, Z = INFINITY
-    for row in rows:
-        digit = k & mask
-        k >>= width
-        if digit:
-            entry = row[digit - 1]
-            if entry is not None:
-                X, Y, Z = add_affine(X, Y, Z, lift(entry[0]), lift(entry[1]), p, a)
+    for row, digit in zip(rows, signed_window_digits(k, width)):
+        if not digit:
+            continue
+        index = 2 * abs(digit) - 2
+        x2 = row[index]
+        if x2 is None:
+            continue  # that multiple is infinity (tiny-order base)
+        y2 = row[index + 1]
+        X, Y, Z = add_affine(X, Y, Z, x2, y2 if digit > 0 else -y2 % p, p, a)
     return normalize(backend, [(X, Y, Z)])[0]

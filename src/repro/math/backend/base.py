@@ -257,3 +257,33 @@ def wnaf_digits(scalar: int, width: int) -> list[int]:
         digits.append(digit)
         scalar >>= 1
     return digits
+
+
+def signed_window_digits(scalar: int, width: int) -> list[int]:
+    """Base-``2^w`` digits of a non-negative scalar, LSB first, each in
+    ``(-2^(w-1), 2^(w-1)]``.
+
+    ``scalar == Σ d_j·2^(j·w)``.  A window value above ``2^(w-1)``
+    becomes ``d - 2^w`` and carries one into the next window, so a
+    scalar below ``2^bits`` has at most ``bits // w + 1`` digits (the
+    top one absorbs the last carry; ``bits // w + 1`` is
+    ``ceil((bits + 1) / w)``).  A fixed-base table therefore stores only
+    the multiples ``1..2^(w-1)`` of each window, and a negative digit
+    reads its entry negated: ``(x, -y)`` on a curve, the conjugate in
+    the unitary group GT.
+    """
+    if scalar < 0:
+        raise ParameterError("signed windows expect a non-negative scalar")
+    if width < 1:
+        raise ParameterError("window width must be at least 1")
+    digits = []
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    while scalar:
+        digit = scalar & mask
+        scalar >>= width
+        if digit > half:
+            digit -= mask + 1
+            scalar += 1
+        digits.append(digit)
+    return digits

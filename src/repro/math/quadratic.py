@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from repro.encoding import int_from_bytes, int_to_bytes
 from repro.errors import EncodingError, FieldMismatchError, ParameterError
+from repro.math.backend.base import signed_window_digits
 from repro.math.field import PrimeField
 from repro.math.modular import is_quadratic_residue
 
 __all__ = [
     "QuadraticField",
     "QuadraticElement",
-    "cyclotomic_square",
     "unitary_exp",
     "GTFixedBaseTable",
 ]
@@ -266,26 +266,11 @@ class QuadraticElement:
 # * squaring needs only 2 base-field multiplications instead of the
 #   generic 3: with a^2 - beta*b^2 == 1 the real part of
 #   (a + bu)^2 = (a^2 + beta*b^2) + 2ab*u collapses to 2a^2 - 1
-#   (GTFixedBaseTable builds its rows with it);
+#   (GTFixedBaseTable steps from one window's base to the next with it);
 # * the real parts of the powers alone obey a Lucas recurrence, so
 #   unitary_exp ladders over them and recovers the imaginary part
 #   with one inversion at the end.
 # ----------------------------------------------------------------------
-
-
-def cyclotomic_square(x: QuadraticElement) -> QuadraticElement:
-    """``x * x`` assuming ``norm(x) == 1`` — 2 base mults instead of 3.
-
-    For unitary ``x = a + bu``: ``beta*b^2 = a^2 - 1``, so the square is
-    ``(2a^2 - 1) + 2ab*u``.  Exact (the same field element
-    :meth:`QuadraticElement.square` returns) whenever the norm really is
-    one; callers are responsible for that invariant, which holds for
-    every element produced by the pairing's final exponentiation.
-    """
-    p = x.field.p
-    return QuadraticElement(
-        x.field, (2 * x.a * x.a - 1) % p, 2 * x.a * x.b % p
-    )
 
 
 def unitary_exp(base: QuadraticElement, exponent: int) -> QuadraticElement:
@@ -307,26 +292,32 @@ def unitary_exp(base: QuadraticElement, exponent: int) -> QuadraticElement:
 
 
 class GTFixedBaseTable:
-    """Windowed powers of one fixed unitary element, for repeated ``g^k``.
+    """Signed-digit windowed powers of one fixed unitary element, for
+    repeated ``g^k``.
 
-    The GT analog of :class:`repro.ec.precompute.FixedBaseTable`: stores
-    ``g^(d * 2^(j*w))`` for every window index ``j`` and digit
-    ``d in 1..2^w - 1``, so an exponentiation reads one entry per
-    ``w``-bit window and performs only multiplications — **zero
-    squarings**.  A sender encrypting many messages to one
-    ``(receiver, T)`` pair builds the table once; every later
-    ``g^r`` costs ~``bits/w`` Fp2 multiplications.
+    The GT analog of :class:`repro.ec.precompute.FixedBaseTable`, on the
+    same digits (:func:`~repro.math.backend.base.signed_window_digits`):
+    each of the ``bits // w + 1`` windows stores
+    ``g^(d * 2^(j*w))`` for ``d in 1..2^(w-1)``, and a negative digit
+    reads its entry conjugated, which is its inverse because ``g`` is
+    unitary.  An exponentiation reads one entry per ``w``-bit window and
+    performs only multiplications — **zero squarings**.  A sender
+    encrypting many messages to one ``(receiver, T)`` pair builds the
+    table once; every later ``g^r`` costs ~``bits/w`` Fp2
+    multiplications.  Rows and the multiply loop hold bare lifted int
+    pairs and multiply by the field's small ``beta``, like the curve
+    kernels of :mod:`repro.ec.jacobian`.
 
     Parameters mirror the EC table: ``bits`` is the capacity (scalars
     reduced mod the group order fit in ``order.bit_length()`` bits;
     larger exponents fall back to :func:`unitary_exp`), ``width`` the
-    window size (memory is ``(2^w - 1) * ceil(bits/w)`` Fp2 elements).
+    window size (memory is ``2^(w-1) * (bits // w + 1)`` Fp2 elements).
     Negative exponents conjugate the (unitary) result for free.
     """
 
     __slots__ = ("base", "field", "width", "bits", "windows", "_rows")
 
-    def __init__(self, base: QuadraticElement, bits: int, width: int = 4):
+    def __init__(self, base: QuadraticElement, bits: int, width: int = 5):
         if not 1 <= width <= 8:
             raise ParameterError("window width must be in 1..8")
         if bits < 1:
@@ -339,47 +330,64 @@ class GTFixedBaseTable:
         self.field = base.field
         self.width = width
         self.bits = bits
-        self.windows = (bits + width - 1) // width
-        size = 1 << width
-        rows: list[list[QuadraticElement]] = []
-        window_base = base
+        self.windows = bits // width + 1
+        backend = self.field.backend
+        p = backend.lift(self.field.p)
+        beta = self.field.beta
+        # Row j is the flat [a_1, b_1, ..., a_h, b_h] of g_j^1..g_j^h,
+        # h = 2^(w-1), g_j = g^(2^(j*w)); the next window's base
+        # g_j^(2^w) is the cyclotomic square of g_j^h.
+        rows = []
+        ga, gb = backend.lift(base.a), backend.lift(base.b)
         for _ in range(self.windows):
-            entry = window_base
-            row = [entry]
-            for _ in range(size - 2):
-                entry = entry * window_base
-                row.append(entry)
+            ea, eb = ga, gb
+            row = [ea, eb]
+            for _ in range((1 << (width - 1)) - 1):
+                ac = ea * ga
+                bd = eb * gb
+                ea, eb = (
+                    (ac + beta * bd) % p,
+                    ((ea + eb) * (ga + gb) - ac - bd) % p,
+                )
+                row += (ea, eb)
             rows.append(row)
-            for _ in range(width):
-                window_base = cyclotomic_square(window_base)
+            ga, gb = (2 * ea * ea - 1) % p, 2 * ea * eb % p
         self._rows = rows
 
     @property
     def table_elements(self) -> int:
         """Stored Fp2 elements (memory ~= 2 base-field ints each)."""
-        return sum(len(row) for row in self._rows)
+        return sum(len(row) for row in self._rows) // 2
 
     def exp(self, exponent: int) -> QuadraticElement:
         """``base ** exponent``, identical to the direct exponentiation."""
-        if exponent == 0:
-            return self.field.one()
         negate = exponent < 0
         if negate:
             exponent = -exponent
         if exponent.bit_length() > self.bits:
             result = unitary_exp(self.base, exponent)
             return result.conjugate() if negate else result
-        mask = (1 << self.width) - 1
-        result = None
-        for window_index in range(self.windows):
-            digit = (exponent >> (window_index * self.width)) & mask
+        field = self.field
+        p = field.backend.lift(field.p)
+        beta = field.beta
+        ra, rb = 1, 0
+        digits = signed_window_digits(exponent, self.width)
+        for row, digit in zip(self._rows, digits):
             if not digit:
                 continue
-            entry = self._rows[window_index][digit - 1]
-            result = entry if result is None else result * entry
-        if result is None:  # pragma: no cover - exponent != 0 above
-            result = self.field.one()
-        return result.conjugate() if negate else result
+            index = 2 * abs(digit) - 2
+            ea, eb = row[index], row[index + 1]
+            if digit < 0:
+                eb = -eb  # the conjugate, g^-d for unitary g
+            ac = ra * ea
+            bd = rb * eb
+            ra, rb = (
+                (ac + beta * bd) % p,
+                ((ra + rb) * (ea + eb) - ac - bd) % p,
+            )
+        return QuadraticElement(
+            field, int(ra), int(-rb % p if negate else rb)
+        )
 
     def __repr__(self) -> str:
         return (

@@ -258,10 +258,12 @@ class PairingGroup:
         """Build (and cache) a fixed-base table for ``point``.
 
         Subsequent :meth:`mul` calls on the same point use the table —
-        zero doublings, one mixed addition per 4-bit window —
-        and return byte-identical results.  Amortizes after a handful of
-        multiplications; see ``docs/PERFORMANCE.md`` for the memory /
-        break-even numbers.  :meth:`clear_precomputations` frees tables.
+        zero doublings, one mixed addition per signed 5-bit digit —
+        and return byte-identical results.  The table holds
+        ``16 * (q_bits // 5 + 1)`` affine points (528 on ss512) and
+        amortizes after a handful of multiplications; see
+        ``docs/PERFORMANCE.md`` for the memory / break-even numbers.
+        :meth:`clear_precomputations` frees tables.
         """
         table = self._fixed_base.get(point)
         if table is None:
@@ -591,8 +593,8 @@ class PairingGroup:
         The single entry point every GT exponentiation goes through
         (``GTElement.__pow__`` delegates here): if the base has a table
         cached by :meth:`precompute_gt` the exponentiation is
-        table-driven — one ``Fp2`` multiplication per window, zero
-        squarings — and the advisory ``gt_fixed_base`` counter records
+        table-driven — one ``Fp2`` multiplication per non-zero signed
+        digit, zero squarings — and the advisory ``gt_fixed_base`` counter records
         the hit.  Without a table it runs the Lucas ladder of
         :func:`~repro.math.quadratic.unitary_exp`.  The result is the
         same group element either way.
@@ -612,13 +614,14 @@ class PairingGroup:
 
         The GT analog of :meth:`precompute`: subsequent ``base ** k``
         (equivalently :meth:`gt_exp`) calls on the same element read one
-        stored power per 4-bit window of ``k`` — **zero
-        squarings** — and return the identical group element.  This is
-        the sender-side fast path: once ``g = ê(asG, H1(T))`` is cached
-        for a fixed (receiver, T), every encryption costs one
-        table-driven GT exponentiation instead of a pairing.  Memory is
-        ``15 * ceil(q_bits/4)`` Fp2 elements;
-        :meth:`clear_precomputations` frees the tables.
+        stored power per signed 5-bit digit of ``k``, conjugated for a
+        negative digit — **zero squarings** — and return the identical
+        group element.  This is the sender-side fast path: once
+        ``g = ê(asG, H1(T))`` is cached for a fixed (receiver, T), every
+        encryption costs one table-driven GT exponentiation instead of a
+        pairing.  Memory is ``16 * (q_bits // 5 + 1)`` Fp2 elements (528
+        on ss512, about 109 KiB); :meth:`clear_precomputations` frees
+        the tables.
         """
         table = self._gt_fixed_base.get(base.value)
         if table is None:

@@ -111,6 +111,10 @@ class ResilientTimeClient:
         self.name = name
         self.updates: dict[bytes, TimeBoundKeyUpdate] = {}
         self._waiters: dict[bytes, asyncio.Future] = {}
+        # get_update calls in flight per label; the last one to end
+        # drops the label's waiter, so a fetch that gives up leaves
+        # nothing behind.
+        self._fetching: dict[bytes, int] = {}
         self._parked: list[asyncio.Task] = []
         self._listener_task: asyncio.Task | None = None
         # Observability counters (see stats()).
@@ -358,12 +362,21 @@ class ResilientTimeClient:
         chaos suite checks — once ``T`` passes and the network delivers
         one honest response, this returns.
         """
-        return await self._call(
-            wire.encode_message(wire.GetUpdate(time_label)),
-            self._deadline(deadline),
-            f"fetching update for {time_label!r}",
-            time_label,
-        )
+        self._fetching[time_label] = self._fetching.get(time_label, 0) + 1
+        try:
+            return await self._call(
+                wire.encode_message(wire.GetUpdate(time_label)),
+                self._deadline(deadline),
+                f"fetching update for {time_label!r}",
+                time_label,
+            )
+        finally:
+            self._fetching[time_label] -= 1
+            if not self._fetching[time_label]:
+                del self._fetching[time_label]
+                waiter = self._waiters.pop(time_label, None)
+                if waiter is not None:
+                    waiter.cancel()
 
     async def catch_up(
         self, after: bytes = b"", deadline: Deadline | None = None

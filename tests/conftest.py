@@ -33,6 +33,8 @@ BACKEND_SUITES = (
     "tests/vectors/",
     "tests/pairing/",
     "tests/ec/test_jacobian.py",
+    "tests/ec/test_precompute.py",
+    "tests/ec/test_signed_tables.py",
 )
 
 

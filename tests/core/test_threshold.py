@@ -89,6 +89,35 @@ class TestShares:
         )
 
 
+class TestMemberKeyCache:
+    def test_member_keys_cached_once_each(self, group, rng):
+        coordinator, members = ThresholdTimeServer.setup(
+            group, members=4, threshold=2, rng=rng
+        )
+        shares = [member.issue_update_share(LABEL) for member in members]
+        for share in shares + shares:
+            assert coordinator.verify_share(share)
+        assert sorted(coordinator._member_keys) == [1, 2, 3, 4]
+        for member in members:
+            assert (
+                coordinator._member_keys[member.index]
+                == member.verification_key
+            )
+
+    def test_bad_index_neither_cached_nor_accepted(self, group, rng):
+        """``member_index`` is wire input: an index outside 1..N is
+        computed uncached and still fails the check."""
+        coordinator, members = ThresholdTimeServer.setup(
+            group, members=4, threshold=2, rng=rng
+        )
+        share = members[0].issue_update_share(LABEL)
+        for index in (0, 5, 6, 2**16 - 1, 2**32 - 1):
+            relabeled = UpdateShare(index, share.time_label, share.point)
+            assert not coordinator.verify_share(relabeled)
+            assert not coordinator.verify_share(relabeled)
+        assert coordinator._member_keys == {}
+
+
 class TestCombination:
     def test_any_k_subset_combines_to_same_update(self, group, threshold_world):
         coordinator, members = threshold_world

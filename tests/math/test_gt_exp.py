@@ -1,6 +1,6 @@
 """Unitary (cyclotomic) exponentiation must equal naive exponentiation.
 
-``cyclotomic_square``, ``unitary_exp`` and ``GTFixedBaseTable`` are pure
+``unitary_exp`` and ``GTFixedBaseTable`` are pure
 accelerators for norm-1 elements of Fp2 — the GT representation the Tate
 pairing's final exponentiation produces.  Every fast path must return
 the exact field element the generic ``**`` computes, on every available
@@ -17,13 +17,8 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ParameterError
 from repro.math.backend import available_backends
 from repro.math.field import PrimeField
-from repro.math.quadratic import (
-    GTFixedBaseTable,
-    QuadraticField,
-    cyclotomic_square,
-    unitary_exp,
-)
-from tests.math.reference import unitary_exp_wnaf
+from repro.math.quadratic import GTFixedBaseTable, QuadraticField, unitary_exp
+from tests.math.reference import cyclotomic_square, unitary_exp_wnaf
 
 # Two field shapes: beta = -1 (family A's extension) and a small odd
 # non-residue (the general shape family B can use).
@@ -155,9 +150,12 @@ class TestGTFixedBaseTable:
         assert table.exp(k) == unitary_exp(g, k)
 
     def test_table_size_formula(self, g):
-        table = GTFixedBaseTable(g, self.BITS, width=4)
-        windows = (self.BITS + 3) // 4
-        assert table.table_elements == windows * (2**4 - 1)
+        """Signed digits: ``bits // w + 1`` windows (one for the top
+        carry) of ``2^(w-1)`` entries each."""
+        table = GTFixedBaseTable(g, self.BITS)
+        windows = self.BITS // 5 + 1
+        assert table.windows == windows == 13
+        assert table.table_elements == windows * 2**4
 
     def test_rejects_non_unitary_base(self, field):
         x = field(2, 3)  # arbitrary, norm != 1

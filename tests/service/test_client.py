@@ -430,6 +430,60 @@ class TestDecryptQueue:
         assert when < 60.0  # far sooner than the first 9000s poll
 
 
+class TestWaiters:
+    def test_fetches_that_give_up_leave_no_waiter(self, group, node_keypair):
+        """Ten 1 s fetches of unreleased epochs each time out; none
+        leaves its announce waiter behind."""
+        async def main():
+            node = await started_node(group, node_keypair)
+            client = make_client(
+                group, node_keypair, [LocalNodeTransport(node)]
+            )
+            for epoch in range(100, 110):
+                deadline = Deadline.after(client._clock, 1.0)
+                with pytest.raises(ServiceTimeoutError):
+                    await client.get_update(node.label_for(epoch), deadline)
+            return dict(client._waiters), dict(client._fetching)
+
+        assert run_virtual(main()) == ({}, {})
+
+    def test_shared_waiter_outlives_the_first_fetch_to_give_up(
+        self, group, node_keypair
+    ):
+        """Two fetches wait on one label: the short one gives up, the
+        long one keeps the waiter and is still woken by the announce."""
+        async def main():
+            node = await started_node(group, node_keypair)
+            transport = LocalNodeTransport(node)
+            client = make_client(
+                group,
+                node_keypair,
+                [transport],
+                backoff=ExponentialBackoff(
+                    seeded_rng(1), base=9000.0, max_delay=9000.0
+                ),
+            )
+            client.start_listening(transport.subscribe())
+            label = node.label_for(3)
+            short = asyncio.get_event_loop().create_task(client.get_update(
+                label, Deadline.after(client._clock, 1.0)
+            ))
+            long = asyncio.get_event_loop().create_task(
+                client.get_update(label)
+            )
+            with pytest.raises(ServiceTimeoutError):
+                await short
+            left_behind = label in client._waiters
+            update = await asyncio.wait_for(long, timeout=60.0)
+            await client.close()
+            return left_behind, update, client._waiters, client._fetching
+
+        left_behind, update, waiters, fetching = run_virtual(main())
+        assert left_behind
+        assert update.verify(group, node_keypair.public)
+        assert waiters == {} and fetching == {}
+
+
 class TestPermanentErrors:
     def test_bad_request_propagates_immediately(self, group, node_keypair):
         async def main():

@@ -6,6 +6,7 @@ keys; those are informational new entries and must never fail the gate.
 Only a key measured on both sides can regress.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -81,6 +82,46 @@ class TestSpeedupDerivation:
         traj.record("encrypt", "toy64", "gt_table", 0.002, 3)
         speedups = traj._derive_speedups(traj.entries)
         assert speedups == {"encrypt:toy64:gt_table": 5.0}
+
+
+class TestRowSelection:
+    """``--rows`` writes only matching rows, and every ratio it writes
+    comes from one session's ``direct`` and fast medians."""
+
+    def _committed(self, tmp_path):
+        path = tmp_path / "trajectory.json"
+        old = BenchTrajectory(path)
+        old.record("encrypt", "toy64", "direct", 0.012, 3)
+        old.record("encrypt", "toy64", "gt_table", 0.003, 3)
+        old.record("pairing", "toy64", "direct", 0.010, 3)
+        old.record("pairing", "toy64", "precomputed", 0.005, 3)
+        old.write()
+        return path
+
+    def test_only_selected_rows_written(self, tmp_path):
+        path = self._committed(tmp_path)
+        fresh = BenchTrajectory(path, rows=["encrypt:*:gt_table"])
+        assert fresh.selects("encrypt") and not fresh.selects("pairing")
+        fresh.record("encrypt", "toy64", "direct", 0.008, 3)
+        fresh.record("encrypt", "toy64", "gt_table", 0.002, 3)
+        fresh.write()
+        doc = json.loads(path.read_text())
+        entries = doc["entries"]
+        assert entries["encrypt:toy64:direct"]["median_ms"] == 12.0
+        assert entries["encrypt:toy64:gt_table"]["median_ms"] == 2.0
+        # This session's own direct (8 ms), not the committed 12 ms.
+        assert doc["speedup_vs_direct"] == {
+            "encrypt:toy64:gt_table": 4.0,
+            "pairing:toy64:precomputed": 2.0,
+        }
+
+    def test_no_session_direct_drops_the_ratio(self, tmp_path):
+        path = self._committed(tmp_path)
+        fresh = BenchTrajectory(path)
+        fresh.record("encrypt", "toy64", "gt_table", 0.002, 3)
+        fresh.write()
+        doc = json.loads(path.read_text())
+        assert doc["speedup_vs_direct"] == {"pairing:toy64:precomputed": 2.0}
 
 
 class TestClaimTableMerge:

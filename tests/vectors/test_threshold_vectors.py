@@ -40,6 +40,7 @@ def case(request):
         DOC["threshold"],
         ServerPublicKey.from_bytes(group, bytes.fromhex(entry["public"])),
         [group.point_from_bytes(bytes.fromhex(c)) for c in entry["commitments"]],
+        DOC["members"],
     )
     shares = [
         [UpdateShare.from_bytes(group, bytes.fromhex(blob)) for blob in row]
