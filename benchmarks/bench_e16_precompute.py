@@ -14,7 +14,6 @@ production-size numbers come from ``scripts/bench.sh --params ss512``.
 import pytest
 
 from benchmarks.conftest import emit
-from benchmarks.trajectory import time_median
 from repro.analysis import format_table
 from repro.core.keys import UserKeyPair
 from repro.core.timeserver import PassiveTimeServer
@@ -24,6 +23,9 @@ from repro.pairing.api import PairingGroup
 
 RELEASE = b"2030-01-01T00:00:00Z"
 BATCH = 16
+# Interleaved rounds per claim-table row: one call of each variant in
+# turn, so host drift lands on both alike.
+ROUNDS = 11
 
 
 @pytest.fixture(scope="module")
@@ -103,25 +105,20 @@ def test_e16_claim_table(benchmark, e16_group, trajectory):
             "one I_T, lines shared",
         ),
     ):
-        direct_ms = time_median(direct_fn, rounds=3) * 1000
-        fast_ms = time_median(fast_fn, rounds=3) * 1000
-        rows.append((
-            name, f"{direct_ms:.2f}", f"{fast_ms:.2f}",
-            f"{direct_ms / fast_ms:.1f}x", note,
-        ))
         # Namespaced: these rows time a SINGLE operation, while the
         # smoke benchmark's same-named entries time small batches —
         # sharing keys would make the trajectory self-inconsistent and
         # trip the --check gate with apples-to-oranges ratios.
-        op = "e16_" + name.replace(" ", "_")
-        trajectory.record(
-            op, group.params.name, "direct", direct_ms / 1000, 3,
-            backend=group.backend_name,
+        medians = trajectory.measure_interleaved(
+            group, "e16_" + name.replace(" ", "_"),
+            {"direct": direct_fn, "precomputed": fast_fn}, ROUNDS,
         )
-        trajectory.record(
-            op, group.params.name, "precomputed", fast_ms / 1000, 3,
-            backend=group.backend_name,
-        )
+        direct_ms = medians["direct"] * 1000
+        fast_ms = medians["precomputed"] * 1000
+        rows.append((
+            name, f"{direct_ms:.2f}", f"{fast_ms:.2f}",
+            f"{direct_ms / fast_ms:.1f}x", note,
+        ))
     group.clear_precomputations()
 
     # Multi-pairing: the update-verification equation as two cached-line
@@ -145,20 +142,16 @@ def test_e16_claim_table(benchmark, e16_group, trajectory):
             ((public.generator, update.point),),
         )
 
-    seq_ms = time_median(verify_sequential, rounds=3) * 1000
-    fused_ms = time_median(verify_fused, rounds=3) * 1000
+    medians = trajectory.measure_interleaved(
+        group, "verify_2pair",
+        {"direct": verify_sequential, "multi_pair": verify_fused}, ROUNDS,
+    )
+    seq_ms = medians["direct"] * 1000
+    fused_ms = medians["multi_pair"] * 1000
     rows.append((
         "update verify", f"{seq_ms:.2f}", f"{fused_ms:.2f}",
         f"{seq_ms / fused_ms:.1f}x", "2 final exps -> 1 (multi-pair)",
     ))
-    trajectory.record(
-        "verify_2pair", group.params.name, "direct", seq_ms / 1000, 3,
-        backend=group.backend_name,
-    )
-    trajectory.record(
-        "verify_2pair", group.params.name, "multi_pair", fused_ms / 1000, 3,
-        backend=group.backend_name,
-    )
     group.clear_precomputations()
 
     emit(format_table(

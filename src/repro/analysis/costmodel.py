@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from repro.core.tre import SHARED_H1_RECEIVERS
+
 
 # Recording one argument's Miller lines, in one-shot (fused) Miller
 # loops: measured on ss512, see "Cold pairings" in docs/PERFORMANCE.md.
@@ -157,13 +159,13 @@ class SchemeCost:
 
 
 # The §5.1 scheme: Encrypt = r·G and K = ê(r·asG, H1(T)), computed as
-# ê((c·r mod q)·asG, P′) from H1's map point P′ alone: one map point,
-# two scalar multiplications, one pairing.  Decrypt = one pairing
-# then ^a.
+# ê(asG, P′)^(c·r mod q) from H1's map point P′ alone: one map point,
+# one scalar multiplication (U), one pairing and one GT exponentiation.
+# Decrypt = one pairing then ^a.
 TRE_COST = SchemeCost(
     name="TRE",
     encrypt=OpBudget(
-        pairings=1, scalar_mults=2, hash_to_curve=1,
+        pairings=1, scalar_mults=1, hash_to_curve=1, gt_exps=1,
         miller_loops=1, final_exps=1,
     ),
     decrypt=OpBudget(pairings=1, gt_exps=1, miller_loops=1, final_exps=1),
@@ -171,13 +173,13 @@ TRE_COST = SchemeCost(
 )
 
 # §5.2: Encrypt is the §5.1 sender key for the two labels (ID, T) under
-# X = sG: r·G, one D = (c·r mod q)·sG, and per label H1's map point P′
-# and one pairing ê(D, P′); the two factors multiply to
+# X = sG: r·G, per label H1's map point P′ and one pairing ê(sG, P′),
+# and one GT exponentiation of their product to c·r mod q, which is
 # ê(r·sG, H1(ID) + H1(T)).
 IDTRE_COST = SchemeCost(
     name="ID-TRE",
     encrypt=OpBudget(
-        pairings=2, scalar_mults=2, hash_to_curve=2,
+        pairings=2, scalar_mults=1, hash_to_curve=2, gt_exps=1,
         miller_loops=2, final_exps=2,
     ),
     decrypt=OpBudget(pairings=1, point_adds=1, miller_loops=1, final_exps=1),
@@ -199,15 +201,17 @@ HYBRID_COST = SchemeCost(
 
 def multiserver_cost(servers: int) -> SchemeCost:
     """§5.3.5: one r·G_i per server, then the §5.1 sender key with
-    ``X = Σ a·s_iG_i`` (H1's map point only, like TRE); decryption is
+    ``X = Σ a·s_iG_i`` (H1's map point, one pairing and one GT
+    exponentiation, like TRE); decryption is
     ONE N-fold multi-pairing (N Miller loops, one shared final
     exponentiation)."""
     return SchemeCost(
         name=f"multi-server (N={servers})",
         encrypt=OpBudget(
             pairings=1,
-            scalar_mults=servers + 1,
+            scalar_mults=servers,
             hash_to_curve=1,
+            gt_exps=1,
             point_adds=servers - 1,
             miller_loops=1,
             final_exps=1,
@@ -225,10 +229,10 @@ def resilient_cost(depth: int) -> SchemeCost:
         name=f"resilient (d={depth})",
         encrypt=OpBudget(
             # U_0 = r·G, U_i = r·P_i for levels 2..d (each P_i hashed
-            # into G1) and K = ê((c·r mod q)·asG, P′_1) on P_1's map
+            # into G1) and K = ê(asG, P′_1)^(c·r mod q) on P_1's map
             # point, like TRE.
-            pairings=1, scalar_mults=depth + 1, hash_to_group=depth - 1,
-            hash_to_curve=1, miller_loops=1, final_exps=1,
+            pairings=1, scalar_mults=depth, hash_to_group=depth - 1,
+            hash_to_curve=1, gt_exps=1, miller_loops=1, final_exps=1,
         ),
         decrypt=OpBudget(
             pairings=depth, gt_exps=1,
@@ -258,11 +262,12 @@ RECEIVER_KEY_CHECK_COST = OpBudget(
 # the fast paths actually engaged).
 # ----------------------------------------------------------------------
 
-# §5.1 Encrypt after TimedReleaseScheme.precompute_sender: both scalar
-# multiplications (rG, (c·r mod q)·asG) come from fixed-base tables.
+# §5.1 Encrypt after TimedReleaseScheme.precompute_sender (no labels),
+# or from a cold sender's second send on: its one scalar multiplication,
+# rG, comes from G's fixed-base table.
 TRE_PRECOMP_ENCRYPT_COST = OpBudget(
-    pairings=1, scalar_mults=2, hash_to_curve=1, fixed_base_mults=2,
-    miller_loops=1, final_exps=1,
+    pairings=1, scalar_mults=1, hash_to_curve=1, gt_exps=1,
+    fixed_base_mults=1, miller_loops=1, final_exps=1,
 )
 
 # §5.1 Encrypt after precompute_sender(..., time_labels=[T]) — the GT
@@ -277,10 +282,11 @@ TRE_GT_ENCRYPT_COST = OpBudget(
     scalar_mults=1, fixed_base_mults=1, gt_exps=1, gt_fixed_base_exps=1,
 )
 
-# Warming it: per receiver key object, D = (c mod q)·asG from asG's
-# fixed-base table and one recording of D's lines; per label, H1's map
-# point P′ and one replay of D's lines, g_{R,T} = ê(D, P′).
-SENDER_KEY_DERIVATION_COST = OpBudget(scalar_mults=1, fixed_base_mults=1, line_recordings=1)
+# Warming it: per receiver key object, D = (c mod q)·asG (asG has no
+# table: no send multiplies it) and one recording of D's lines; per
+# label, H1's map point P′ and one replay of D's lines,
+# g_{R,T} = ê(D, P′).
+SENDER_KEY_DERIVATION_COST = OpBudget(scalar_mults=1, line_recordings=1)
 SENDER_LABEL_COST = OpBudget(
     pairings=1, hash_to_curve=1, precomputed_pairings=1, miller_loops=1, final_exps=1,
 )
@@ -292,11 +298,14 @@ def broadcast_encrypt_cost(recipients: int, warm: bool = True) -> OpBudget:
     Warm (GT caches built by ``BroadcastTimedReleaseScheme.
     precompute_sender``): one shared fixed-base ``U = rG`` plus one
     table-driven GT exponentiation per recipient — no pairings at all.
-    Cold, one recipient: :data:`TRE_COST` — ``H1(T)``'s map point,
-    ``rG``, ``(c·r mod q)·asG`` and one pairing.
-    Cold, two or more: one ``H1(T)``, two scalar multiplications
+    Cold, fewer than :data:`~repro.core.tre.SHARED_H1_RECEIVERS`: one
+    ``rG``, then per recipient :data:`TRE_COST`'s key — ``H1(T)``'s map
+    point, one pairing and one GT exponentiation.
+    Cold, that many or more: one ``H1(T)``, two scalar multiplications
     (``rG`` and ``r·H1(T)``), one shared recording of the Miller lines
     of ``r·H1(T)`` and one precomputed pairing per recipient.
+    ``rG`` is counted cold; from the sender's second send on it is
+    table-driven (one fixed-base multiplication).
     """
     if recipients < 1:
         raise ValueError("a broadcast needs at least one recipient")
@@ -305,8 +314,11 @@ def broadcast_encrypt_cost(recipients: int, warm: bool = True) -> OpBudget:
             scalar_mults=1, fixed_base_mults=1,
             gt_exps=recipients, gt_fixed_base_exps=recipients,
         )
-    if recipients == 1:
-        return TRE_COST.encrypt
+    if recipients < SHARED_H1_RECEIVERS:
+        return OpBudget(
+            pairings=recipients, scalar_mults=1, hash_to_curve=recipients,
+            gt_exps=recipients, miller_loops=recipients, final_exps=recipients,
+        )
     return OpBudget(
         pairings=recipients, scalar_mults=2, hash_to_group=1,
         precomputed_pairings=recipients, line_recordings=1,

@@ -15,8 +15,10 @@ payload.  The broadcast mode shares everything that can be shared:
   of its Miller lines for all cold recipients, after which each header
   costs one evaluation of those lines and one final exponentiation,
   ``ê(as_iG, r·H1(T))`` — the same element by bilinearity and
-  symmetry.  A single cold recipient pairs ``ê(r·asG, H1(T))``
-  directly.
+  symmetry.  Fewer than
+  :data:`~repro.core.tre.SHARED_H1_RECEIVERS` cold recipients are
+  cheaper one by one: ``ê(as_iG, P′₀)^(c·r mod q)`` on ``H1(T)``'s map
+  point each.
 
 Sharing ``r`` across recipients is safe here for the same reason it is
 in ElGamal-style multi-recipient KEMs: the per-recipient secrets
@@ -121,7 +123,7 @@ class BroadcastTimedReleaseScheme:
                 receiver_public.ensure_well_formed(self.group, server_public)
         r = self.group.random_scalar(rng)
         dem_key = rng.randbytes(_KEY_BYTES)
-        u_point = self.group.mul(server_public.generator, r)
+        u_point = self.group._mul_on_second_use(server_public.generator, r)
         header_ad = self.group.point_to_bytes(u_point) + time_label
         headers = []
         points = [receiver_public.as_generator for receiver_public in receivers]

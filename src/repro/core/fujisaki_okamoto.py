@@ -73,7 +73,7 @@ class FOTimedReleaseScheme(KEMScheme):
             receiver_public.ensure_well_formed(self.group, server_public)
         sigma = rng.randbytes(SIGMA_BYTES)
         r = self._derive_r(sigma, message, time_label)
-        u_point = self.group.mul(server_public.generator, r)
+        u_point = self.group._mul_on_second_use(server_public.generator, r)
         k = self._kem._sender_key(receiver_public.as_generator, (time_label,), r)
         sigma_masked = xor_bytes(
             sigma, self.group.mask_bytes(k, SIGMA_BYTES, tag=H2_TAG)
@@ -105,6 +105,7 @@ class FOTimedReleaseScheme(KEMScheme):
             derive_key(sigma, len(ciphertext.message_masked), _H4_LABEL),
         )
         r = self._derive_r(sigma, message, ciphertext.time_label)
-        if self.group.mul(server_public.generator, r) != ciphertext.u_point:
+        u_point = self.group._mul_on_second_use(server_public.generator, r)
+        if u_point != ciphertext.u_point:
             raise DecryptionError("FO re-encryption check failed")
         return message

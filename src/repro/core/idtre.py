@@ -66,9 +66,9 @@ class IdentityTimedReleaseScheme:
     ) -> None:
         """Warm the sender's fixed arguments for repeated encryption.
 
-        §5.2 encryption multiplies the fixed ``G`` and ``sG`` by ``r``
-        (``U = rG``, the sender key's ``(c·r mod q)·sG``): both get
-        fixed-base tables.  With ``identities`` and ``time_labels``,
+        §5.2 encryption multiplies only the fixed ``G`` by ``r``
+        (``U = rG``), so ``G`` gets a fixed-base table; the sender key
+        pairs ``sG`` itself.  With ``identities`` and ``time_labels``,
         ``ê(sG, H1(L))`` is cached with a GT table for each of them, so
         ``n`` identities and ``m`` times cost ``n + m`` pairings, and
         :meth:`encrypt` for any of the ``n·m`` pairs one fixed-base
@@ -77,7 +77,6 @@ class IdentityTimedReleaseScheme:
         entries.
         """
         self.group.precompute(server_public.generator)
-        self.group.precompute(server_public.s_generator)
         labels = [*identities, *time_labels]
         if labels:
             self._kem._warm_labels(
@@ -111,7 +110,7 @@ class IdentityTimedReleaseScheme:
     ) -> IDTRECiphertext:
         """§5.2: ``K = ê(sG, H1(ID) + H1(T))^r``, ``C = ⟨rG, M ⊕ H2(K)⟩``."""
         r = self.group.random_scalar(rng)
-        u_point = self.group.mul(server_public.generator, r)
+        u_point = self.group._mul_on_second_use(server_public.generator, r)
         k = self._kem._sender_key(
             server_public.s_generator, (identity, time_label), r
         )

@@ -54,8 +54,9 @@ class ServerPublicKey:
     def precompute(self, group: PairingGroup) -> None:
         """Warm every fixed-argument cache this key participates in.
 
-        Builds fixed-base tables for ``G`` and ``sG`` (user key
-        generation, TRE/ID-TRE encryption) and caches the Miller lines
+        Builds fixed-base tables for ``G`` (user key generation, every
+        sender's ``U = rG``) and ``sG`` (user key generation; the
+        ``D`` derivation below) and caches the Miller lines
         of ``G`` and ``sG`` (receiver-key checks) and of
         ``D = (c mod q)·sG`` (update self-authentication, with ``G``).
         A process that touches one server key many times calls this

@@ -125,7 +125,8 @@ class MultiServerTimedReleaseScheme:
             self.verify_user_key(receiver_components)
         r = self.group.random_scalar(rng)
         u_points = tuple(
-            self.group.mul(pk.generator, r) for pk in self.server_publics
+            self.group._mul_on_second_use(pk.generator, r)
+            for pk in self.server_publics
         )
         # K = ê(r · Σ a·s_iG_i, H1(T)) = Π ê(G_i, H1(T))^{r·a·s_i}: the
         # §5.1 sender key with X = Σ a·s_iG_i.

@@ -108,7 +108,7 @@ class PolicyLockScheme(KEMScheme):
         if len(set(conditions)) != len(conditions):
             raise PolicyError("duplicate conditions in policy")
         r = self.group.random_scalar(rng)
-        u_point = self.group.mul(server_public.generator, r)
+        u_point = self.group._mul_on_second_use(server_public.generator, r)
         k = self._kem._sender_key(receiver_public.as_generator, conditions, r)
         mask = self.group.mask_bytes(k, len(message), tag=H2_TAG)
         return ConjunctionCiphertext(u_point, xor_bytes(message, mask), conditions)

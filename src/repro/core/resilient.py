@@ -250,7 +250,7 @@ class ResilientTRE:
             receiver_public.ensure_well_formed(self.group, self.server_public)
         path = epoch_path(epoch, self.tree.depth)
         r = self.group.random_scalar(rng)
-        u0 = self.group.mul(self.server_public.generator, r)
+        u0 = self.group._mul_on_second_use(self.server_public.generator, r)
         u_points = tuple(
             self.group.mul(self.tree.node_point(path[:level]), r)
             for level in range(2, len(path) + 1)

@@ -37,6 +37,12 @@ from repro.pairing.api import GTElement, PairingGroup, PairingPrecomputation
 H1_TAG = "repro:H1"
 H2_TAG = "repro:H2"
 
+# Cold receivers of one broadcast from which they share one r·H1(T) and
+# its recorded Miller lines instead of a pairing and a GT exponentiation
+# each (measured in docs/PERFORMANCE.md, "A cold send with no
+# variable-base scalar multiplication").
+SHARED_H1_RECEIVERS = 3
+
 
 @codec(u_point=POINT, masked=BYTES, time_label=BYTES)
 @dataclass(frozen=True)
@@ -66,6 +72,8 @@ class TimedReleaseScheme:
         # X is a receiver's asG, binding receiver and server, or
         # ID-TRE's sG, under which identities and times are labels.
         self._sender_gt: dict[tuple[CurvePoint, bytes], GTElement] = {}
+        # c⁻¹ mod q: a cold label's pair_h1 scalar (see _sender_key).
+        self._cofactor_inverse = pow(group.h1_cofactor, -1, group.q)
 
     # ------------------------------------------------------------------
     # Key generation (delegates to repro.core.keys, kept here so the
@@ -93,25 +101,28 @@ class TimedReleaseScheme:
         for ID-TRE, an AND lock's conditions under ``asG``.
 
         A warm ``(X, T_j)`` (:meth:`precompute_sender`) costs
-        ``ê(X, H1(T_j))^r``, one table-driven GT exponentiation.  Cold
-        labels share one ``D = (c·r mod q)·X``; each costs ``H1(T_j)``'s
-        map point ``P′`` and one pairing ``ê(D, P′)``, with its own
-        fallback (:meth:`~repro.pairing.api.PairingGroup.pair_h1`).
+        ``ê(X, H1(T_j))^r``, one table-driven GT exponentiation.  A cold
+        label costs ``H1(T_j)``'s map point ``P′_j`` and one pairing
+        ``ê(X, P′_j) = ê(c⁻¹·X, H1(T_j))`` with its own fallback
+        (:meth:`~repro.pairing.api.PairingGroup.pair_h1` with
+        ``scalar = c⁻¹ mod q``), and the cold labels' product is raised
+        to ``c·r mod q`` once: no scalar multiplication of ``X``.
         One pairing against ``Σ_j P′_j`` would be inexact: it cannot
         tell when a single label's ``c·P′_j = O``.
         """
-        derived = None
         factors = []
+        cold = None
         for label in labels:
             g = self._sender_gt.get((point, label))
             if g is not None:
                 factors.append(g ** r)
                 continue
-            if derived is None:
-                derived = self.group.mul(point, self.group.h1_cofactor * r)
-            factors.append(
-                self.group.pair_h1(point, label, H1_TAG, scalar=r, derived=derived)
+            g = self.group.pair_h1(
+                point, label, H1_TAG, scalar=self._cofactor_inverse
             )
+            cold = g if cold is None else cold * g
+        if cold is not None:
+            factors.append(cold ** (self.group.h1_cofactor * r))
         return reduce(operator.mul, factors)
 
     def _sender_keys(
@@ -122,15 +133,16 @@ class TimedReleaseScheme:
     ) -> list[GTElement]:
         """``K_i = ê(r·X_i, H1(T))`` for every point ``X_i``, in order.
 
-        A warm point, or a single cold one, costs what
-        :meth:`_sender_key` charges for ``(T,)``.  Two or more cold
-        points share one ``H1(T)`` (cleared: a recorded argument must
-        lie in G1), one ``r·H1(T)`` and one recording of its Miller
-        lines; each then costs one replay and one final exponentiation,
+        A warm point, or a cold one among fewer than
+        :data:`SHARED_H1_RECEIVERS`, costs what :meth:`_sender_key`
+        charges for ``(T,)``.  From that many cold points on they share
+        one ``H1(T)`` (cleared: a recorded argument must lie in G1), one
+        ``r·H1(T)`` and one recording of its Miller lines; each then
+        costs one replay and one final exponentiation,
         ``ê(X_i, r·H1(T))``, the same element.
         """
         cold = [(point, time_label) not in self._sender_gt for point in points]
-        if sum(cold) < 2:
+        if sum(cold) < SHARED_H1_RECEIVERS:
             return [self._sender_key(point, (time_label,), r) for point in points]
         h_t = self.group.hash_to_g1(time_label, tag=H1_TAG)
         # Transient on purpose: r is fresh per encryption, so these
@@ -168,11 +180,11 @@ class TimedReleaseScheme:
     ) -> None:
         """Warm the sender's fixed-argument caches for repeated encryption.
 
-        Both scalar multiplications in :meth:`encrypt` — ``U = rG`` and
-        ``r·asG`` — use fixed bases, so a sender addressing the same
-        receiver repeatedly (or many receivers under one server) builds
-        the tables once and every subsequent encryption takes the
-        table-driven path automatically via ``group.mul``.
+        Builds the fixed-base table of the server's ``G``, so every
+        ``U = rG`` after it is table-driven via ``group.mul`` (a cold
+        sender gets the same table on its second send, see
+        :meth:`~repro.pairing.api.PairingGroup._mul_on_second_use`).
+        ``asG`` gets no table: no send multiplies it.
 
         ``time_labels`` unlocks the GT fast path: for each label ``T``
         the constant pairing ``g_{R,T} = ê(asG, H1(T))`` is computed
@@ -183,12 +195,11 @@ class TimedReleaseScheme:
         table-driven GT exponentiation (``g_{R,T}^r``) — no pairing, no
         hash-to-curve — with byte-identical ciphertexts.  A label costs
         ``H1(T)``'s map point and one replay of the Miller lines of
-        ``(c mod q)·asG``, recorded once per receiver key object
-        (:meth:`~repro.pairing.api.PairingGroup.pair_h1`).
+        ``(c mod q)·asG``, derived and recorded once per receiver key
+        object (:meth:`~repro.pairing.api.PairingGroup.pair_h1`).
         :meth:`clear_sender_cache` frees the per-label entries.
         """
         self.group.precompute(server_public.generator)
-        self.group.precompute(receiver_public.as_generator)
         time_labels = list(time_labels)
         if time_labels:
             self._warm_labels(
@@ -350,7 +361,7 @@ class TimedReleaseScheme:
         if verify_receiver_key:
             receiver_public.ensure_well_formed(self.group, server_public)
         r = self.group.random_scalar(rng)
-        u_point = self.group.mul(server_public.generator, r)
+        u_point = self.group._mul_on_second_use(server_public.generator, r)
         k = self._sender_key(receiver_public.as_generator, (time_label,), r)
         return self.group.mask_bytes(k, key_bytes, tag=H2_TAG), u_point
 

@@ -1,8 +1,9 @@
 """Fixed-argument precomputation for scalar multiplication.
 
 Deployments of the paper's schemes multiply the same handful of points
-over and over: the server generator ``G``, its public ``sG``, and each
-receiver's ``asG``.  :class:`FixedBaseTable` trades a one-time table
+over and over, above all the server generator ``G`` (every sender's
+``U = rG``) and its public ``sG`` (user key generation).
+:class:`FixedBaseTable` trades a one-time table
 build (the signed-digit multiples of the base in every window,
 batch-normalized to affine) for multiplications that need **zero
 doublings** — just one mixed addition per window — which amortizes

@@ -213,8 +213,10 @@ class PairingGroup:
         self._fixed_base: dict[CurvePoint, FixedBaseTable] = {}
         self._pairing_precomp: dict[CurvePoint, PairingPrecomputation] = {}
         self._gt_fixed_base: dict[QuadraticElement, GTFixedBaseTable] = {}
-        # Fixed-argument tuples seen once by _precompute_on_second_use.
-        self._seen_once: set[tuple[CurvePoint, ...]] = set()
+        # Fixed arguments seen once by the second-use helpers: a tuple
+        # of points for _precompute_on_second_use, (FixedBaseTable, G)
+        # for _mul_on_second_use.
+        self._seen_once: set[tuple] = set()
         _LIVE_GROUPS[id(self)] = self
 
     # ------------------------------------------------------------------
@@ -308,25 +310,32 @@ class PairingGroup:
         The one place a fixed G1 argument is paired against ``H1``.  It
         never clears ``H1(data) = c·P′₀``'s cofactor: the reduced Tate
         pairing is linear in its second argument over all of
-        ``E(Fp²)``, so ``ê(X, c·P′₀) = ê((c mod q)·X, P′₀)``, and it
-        pairs the map point ``P′₀`` against
-        ``derived = (c·scalar mod q)·fixed``.  A caller that pairs one
-        ``fixed`` often passes ``derived`` and records its Miller lines
-        with :meth:`precompute_pairing`; :meth:`pair` and
+        ``E(Fp²)``, so ``ê(X, c·P′₀) = ê((c mod q)·X, P′₀)
+        = ê(X, P′₀)^(c mod q)``.  Given neither ``derived`` nor
+        ``over`` it pairs ``fixed`` itself against the map point ``P′₀``
+        and raises the result to ``c·scalar mod q``: no scalar
+        multiplication, one GT exponentiation, none when that exponent
+        is 1.  A caller that multiplies several labels' values passes
+        ``scalar = c⁻¹ mod q`` and raises the product once.  A caller
+        that pairs one ``fixed`` often passes
+        ``derived = (c·scalar mod q)·fixed`` and records its Miller
+        lines with :meth:`precompute_pairing`; :meth:`pair` and
         :meth:`multi_pair` pick them up.  With ``over = (Y, Z)`` the
         ratio ``ê(derived, P′₀) / ê(Y, Z)`` stays one multi-pairing with
-        one final exponentiation.
+        one final exponentiation (``derived`` is computed if not given).
 
         The two sides differ only when ``c·P′₀ = O`` and ``H1`` moves
-        on to counter 1 (probability about ``1/q``).  Then
-        ``ê(derived, P′₀) = 1``, or its Miller value is zero
+        on to counter 1 (probability about ``1/q``).  Then the pairing
+        against ``P′₀`` is 1, or its Miller value is zero
         (:class:`ParameterError`), and exactly then the value is
         recomputed against ``H1(data)`` itself.  Without ``over`` an
-        identity result shows it.  With ``over``, whose points must lie
-        in G1 off infinity so that ``ê(Y, Z) ≠ 1``, an identity ratio
-        is exact, and a non-identity one clears ``P′₀``'s cofactor to
-        tell.  Callers that need ``H1(data)`` as a point in G1 (signing,
-        key extraction, recording its lines) use :meth:`hash_to_g1`.
+        identity pairing shows it (checked before the exponentiation,
+        whose exponent is nonzero for ``scalar`` in ``Z_q^*``).  With
+        ``over``, whose points must lie in G1 off infinity so that
+        ``ê(Y, Z) ≠ 1``, an identity ratio is exact, and a non-identity
+        one clears ``P′₀``'s cofactor to tell.  Callers that need
+        ``H1(data)`` as a point in G1 (signing, key extraction,
+        recording its lines) use :meth:`hash_to_g1`.
         """
         def value(first: CurvePoint, second: CurvePoint) -> GTElement:
             if over is None:
@@ -334,7 +343,10 @@ class PairingGroup:
             return self.multi_pair(((first, second), over), (1, -1))
 
         uncleared = self._map_to_curve(data, tag)
-        if derived is None:
+        exponent = 1
+        if derived is None and over is None:
+            derived, exponent = fixed, self.h1_cofactor * scalar % self.q
+        elif derived is None:
             derived = self.mul(fixed, self.h1_cofactor * scalar)
         try:
             result = value(derived, uncleared)
@@ -347,7 +359,7 @@ class PairingGroup:
                 exact = result.is_identity() or not self.ssc.clear_cofactor(
                     uncleared).is_infinity
             if exact:
-                return result
+                return result if exponent == 1 else result ** exponent
         return value(self.mul(fixed, scalar), self.hash_to_g1(data, tag))
 
     def random_point(self, rng: random.Random) -> CurvePoint:
@@ -565,13 +577,33 @@ class PairingGroup:
         the update check with ``(D, G)``
         (:meth:`~repro.core.bls.BLSSignatureScheme.verify`).
         """
-        if self.family != FAMILY_A:
-            return
-        if points not in self._seen_once:
-            self._seen_once.add(points)
-            return
-        for point in points:
-            self.precompute_pairing(point)
+        if self.family == FAMILY_A and self._seen_before(points):
+            for point in points:
+                self.precompute_pairing(point)
+
+    def _mul_on_second_use(self, generator: CurvePoint, scalar: int) -> CurvePoint:
+        """``scalar·generator``, table-driven from the generator's second use.
+
+        Every ``U = r·G`` a sender makes, and FO's re-encryption check,
+        goes through here with the server key's ``G``, which a process
+        holds for its whole life.  The first call only remembers ``G``
+        (in the record :meth:`_precompute_on_second_use` keeps), so a
+        one-shot sender builds no table; the second builds ``G``'s
+        fixed-base table (:meth:`precompute`), and it and every later
+        call multiply on it.  Only server-key generators come here:
+        never a receiver key, never a point off the wire.
+        :meth:`clear_precomputations` forgets the record too.
+        """
+        if self._seen_before((FixedBaseTable, generator)):
+            self.precompute(generator)
+        return self.mul(generator, scalar)
+
+    def _seen_before(self, key: tuple) -> bool:
+        """Whether ``key`` came before; the first time only records it."""
+        if key in self._seen_once:
+            return True
+        self._seen_once.add(key)
+        return False
 
     def clear_precomputations(self) -> None:
         """Drop all fixed-base tables, cached Miller lines, and GT tables.
@@ -579,8 +611,9 @@ class PairingGroup:
         Long-running processes that precompute per-epoch updates (e.g.
         archive catch-up over thousands of labels) call this to bound
         memory; correctness is unaffected.  The second-use record of
-        :meth:`_precompute_on_second_use` is dropped too, so the next
-        receiver-key or update check runs cold again.
+        :meth:`_precompute_on_second_use` and :meth:`_mul_on_second_use`
+        is dropped too, so the next receiver-key or update check runs
+        cold again and the next send builds no table.
         """
         self._fixed_base.clear()
         self._pairing_precomp.clear()

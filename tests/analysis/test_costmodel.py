@@ -293,6 +293,14 @@ class TestPrecomputedBudgets:
         _assert_budget_with_advisory(
             cold, broadcast_encrypt_cost(len(receivers), warm=False)
         )
+        # Below SHARED_H1_RECEIVERS each cold recipient pairs on H1's
+        # map point (primary counts: this second send's rG is tabled).
+        with group.counters.measure() as cold:
+            scheme.encrypt_broadcast(
+                b"m" * 32, receivers[:2], server.public_key, LABEL + b":2",
+                rng, verify_receiver_keys=False,
+            )
+        _assert_budget(cold, broadcast_encrypt_cost(2, warm=False))
         scheme.precompute_sender(
             receivers, server.public_key, time_labels=[LABEL]
         )

@@ -19,20 +19,40 @@ from repro.pairing.api import PairingGroup
 
 # The cross-backend identity suites, marked ``backends``: CI's
 # ``test-gmpy2`` job and ``scripts/check.sh --backends`` both run
-# ``pytest -m backends``, so this tuple is the one list of them.
+# ``pytest -m backends``, so this tuple is the one list of them.  With
+# gmpy2 installed their gmpy2 legs stop skipping, which shows the
+# GMP-backed arithmetic byte-identical to the pure-python reference.
 BACKEND_SUITES = (
+    # Backend kernels.
     "tests/math/test_backends.py",
+    # Fp2 under its small signed beta against the residue construction.
     "tests/math/test_quadratic.py",
+    # The unitary-exponentiation ladder and GT tables (b = 0 pow and
+    # int() coercions on mpz).
     "tests/math/test_gt_exp.py",
+    # The protocol slice.
     "tests/core/test_cross_backend.py",
+    # Broadcast vectors and the cold multi-receiver threshold.
     "tests/core/test_broadcast.py",
+    # The receiver-key check's cold and replayed paths.
     "tests/core/test_keys.py",
+    # Batch decryption on the transient a*I_T lines.
     "tests/core/test_batch_decrypt.py",
+    # The pairing-side H1 path, cold pair_h1 and its fallback.
     "tests/core/test_h1_uncleared.py",
+    # The subgroup proofs.
     "tests/core/test_subgroup_proofs.py",
+    # The second-use table of the server generator G.
+    "tests/core/test_send_tables.py",
+    # Known-answer vectors: TRE, GT and the scheme vectors of
+    # schemes.json (policy-lock, multi-server, FO, REACT, ID-TRE).
     "tests/vectors/",
+    # The pairing suite; with tests/vectors it runs the fused
+    # projective Miller loop on mpz integers.
     "tests/pairing/",
+    # The Jacobian kernels against the affine oracles.
     "tests/ec/test_jacobian.py",
+    # Fixed-base tables, and their signed-digit recoding.
     "tests/ec/test_precompute.py",
     "tests/ec/test_signed_tables.py",
 )

@@ -121,7 +121,8 @@ class TestSenderPrecompute:
             b"warm tables", user.public, server.public_key, LABEL, rng,
             verify_receiver_key=False,
         )
-        assert any_group.counters.total(FIXED_BASE_MULT) == 2
+        # U = rG on G's table; the key pairs asG itself, unmultiplied.
+        assert any_group.counters.total(FIXED_BASE_MULT) == 1
         assert scheme.decrypt(ct, user, update) == b"warm tables"
         any_group.clear_precomputations()
 

@@ -20,7 +20,7 @@ from repro.core.broadcast import (
 )
 from repro.core.keys import ServerKeyPair, UserKeyPair
 from repro.core.timeserver import PassiveTimeServer
-from repro.core.tre import H1_TAG, H2_TAG
+from repro.core.tre import H1_TAG, H2_TAG, SHARED_H1_RECEIVERS, TimedReleaseScheme
 from repro.crypto.authenc import aead_encrypt
 from repro.encoding import pack_chunks
 from repro.errors import (
@@ -237,9 +237,11 @@ class TestDeterminismAndFastPath:
 
 
 # ----------------------------------------------------------------------
-# Sender keys against a per-recipient oracle.  Cold sets of two or more
-# share one H1(T), one r·H1(T) and one line recording; every header must
-# still equal the one built from ê(r·as_iG, H1(T)) recipient by recipient.
+# Sender keys against a per-recipient oracle.  Cold sets of
+# SHARED_H1_RECEIVERS or more share one H1(T), one r·H1(T) and one line
+# recording; smaller ones pair each receiver on H1's map point.  Every
+# header must still equal the one built from ê(r·as_iG, H1(T))
+# recipient by recipient.
 # ----------------------------------------------------------------------
 
 ORACLE_LABEL = b"broadcast-oracle-T"
@@ -273,7 +275,9 @@ def _oracle_bytes(group, server_public, receivers, seed) -> bytes:
 
 
 class TestSenderKeysOracle:
-    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "n", sorted({1, SHARED_H1_RECEIVERS - 1, SHARED_H1_RECEIVERS, 5})
+    )
     @pytest.mark.parametrize("warm", ["cold", "warm", "mixed"])
     def test_matches_per_recipient_oracle(self, oracle_setup, n, warm):
         group, server, users = oracle_setup
@@ -297,7 +301,7 @@ class TestSenderKeysOracle:
             group, server.public, receivers, seed
         )
 
-    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("n", [SHARED_H1_RECEIVERS, 5])
     def test_cold_set_shares_one_miller_recording(self, oracle_setup, n):
         group, server, users = oracle_setup
         receivers = [user.public for user in users[:n]]
@@ -327,9 +331,37 @@ class TestSenderKeysOracle:
                 MESSAGE, [users[0].public], server.public, ORACLE_LABEL,
                 random.Random(1), verify_receiver_keys=False,
             )
-        # One map point of H1(T): the cofactor rides on (c·r mod q)·asG.
+        # One map point of H1(T): the cofactor rides on the exponent,
+        # ê(asG, P′)^(c·r mod q), so U = rG is the one multiplication.
         assert ops["hash_to_curve"] == 1
         assert "hash_to_group" not in ops
-        assert ops["scalar_mult"] == 2
+        assert ops["scalar_mult"] == 1
         assert ops["pairing"] == 1
+        assert ops["gt_exp"] == 1
         assert "pairing_precomp" not in ops
+
+    @pytest.mark.parametrize(
+        "n", [SHARED_H1_RECEIVERS - 1, SHARED_H1_RECEIVERS]
+    )
+    def test_threshold_switches_path_with_identical_keys(self, oracle_setup, n):
+        """``n − 1`` cold receivers pair one by one, ``n`` share
+        ``r·H1(T)``; either way every key is ``ê(r·as_iG, H1(T))``."""
+        group, server, users = oracle_setup
+        points = [user.public.as_generator for user in users[:n]]
+        scheme = TimedReleaseScheme(group)
+        r = group.random_scalar(random.Random(n))
+        cached_lines = len(group._pairing_precomp)
+        with group.counters.measure() as ops:
+            keys = scheme._sender_keys(points, ORACLE_LABEL, r)
+        h_t = group.hash_to_g1(ORACLE_LABEL, tag=H1_TAG)
+        assert keys == [group.pair(group.mul(point, r), h_t) for point in points]
+        assert keys == [
+            scheme._sender_key(point, (ORACLE_LABEL,), r) for point in points
+        ]
+        shared = n >= SHARED_H1_RECEIVERS
+        assert ops.get("hash_to_group", 0) == (1 if shared else 0)
+        assert ops.get("hash_to_curve", 0) == (0 if shared else n)
+        assert ops.get("scalar_mult", 0) == (1 if shared else 0)
+        assert ops.get("gt_exp", 0) == (0 if shared else n)
+        assert ops["pairing"] == n
+        assert len(group._pairing_precomp) == cached_lines

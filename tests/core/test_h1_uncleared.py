@@ -2,12 +2,13 @@
 
 ``H1(T) = c·P′₀`` with the 352-bit (on ss512) cofactor ``c``.  The
 reduced Tate pairing is linear in its second argument over all of
-``E(Fp²)``, so ``ê(X, c·P′) = ê((c mod q)·X, P′)``: the update check,
-the share check, the cold sender (one factor per label of a
-conjunction: ID-TRE's ``(ID, T)``, an AND lock's conditions), the
-resilient sender's ``P_1`` and the warm sender's labels pair against
-``P′₀`` through ``PairingGroup.pair_h1`` and carry the cofactor on a
-fixed G1 argument.  These tests check the identity on both families and
+``E(Fp²)``, so ``ê(X, c·P′) = ê((c mod q)·X, P′) = ê(X, P′)^(c mod q)``:
+the update check, the share check and the warm sender's labels pair
+against ``P′₀`` through ``PairingGroup.pair_h1`` and carry the cofactor
+on a fixed G1 argument; the cold sender (one factor per label of a
+conjunction: ID-TRE's ``(ID, T)``, an AND lock's conditions) and the
+resilient sender's ``P_1`` pair the fixed argument itself and carry it
+on a GT exponent.  These tests check the identity on both families and
 every backend, force the one case where the two sides differ
 (``c·P′₀ = O``, where ``H1`` moves on to counter 1) for every label or
 for one chosen label to show the fallback keeps verdicts and keys
@@ -72,6 +73,55 @@ def test_cofactor_moves_across_the_pairing(group, scalar, label, counter):
     assert PairingPrecomputation(group, moved).pair(uncleared) == group.pair(
         x, cleared
     )
+
+
+PROPERTY_CASES = [
+    (params, family, backend)
+    for params, family in (("toy64", "A"), ("toy64", "B"), ("ss512", "A"))
+    for backend in available_backends()
+]
+
+
+@pytest.fixture(
+    scope="module", params=PROPERTY_CASES, ids=lambda c: "-".join(c)
+)
+def property_group(request):
+    params, family, backend = request.param
+    return PairingGroup(params, family=family, backend=backend)
+
+
+@settings(
+    max_examples=4, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    x_scalar=st.integers(min_value=1),
+    r=st.integers(min_value=1),
+    labels=st.lists(
+        st.binary(max_size=16), min_size=1, max_size=4, unique=True
+    ),
+)
+def test_cold_pair_h1_matches_derived_and_cleared(
+    property_group, x_scalar, r, labels
+):
+    """Without ``derived``, ``pair_h1`` pairs ``X`` itself and raises the
+    result to ``c·r mod q``: the same element as the ``derived`` form
+    ``ê((c·r mod q)·X, P′₀)`` and as ``ê(r·X, H1(T))`` on the cleared
+    point, label by label and for the sender's conjunction of 1–4."""
+    group = property_group
+    x = group.mul(group.generator, x_scalar)
+    r = r % group.q or 1
+    product = group.gt_identity()
+    for label in labels:
+        cleared = group.pair(group.mul(x, r), group.hash_to_g1(label, H1_TAG))
+        derived = group.mul(x, group.h1_cofactor * r)
+        assert group.pair_h1(x, label, H1_TAG, scalar=r) == cleared
+        assert group.pair_h1(
+            x, label, H1_TAG, scalar=r, derived=derived
+        ) == cleared
+        product = product * cleared
+    scheme = TimedReleaseScheme(group)
+    assert scheme._sender_key(x, tuple(labels), r) == product
 
 
 @pytest.mark.parametrize("label", [b"", b"T", b"epoch:000000000042"])
@@ -244,6 +294,39 @@ def test_cold_encrypt_falls_back_exactly(group, degenerate):
     assert scheme.decrypt(
         ciphertext, user, update, server.public_key
     ) == message
+
+
+def test_cold_pair_h1_falls_back_per_label(group, force):
+    """The cold path with no ``derived``: a forced label falls back to
+    ``ê(r·X, H1(T))`` with no GT exponentiation, the others pair ``X``
+    and raise to ``c·r mod q``, and the sender's conjunction, which
+    pairs each label at ``scalar = c⁻¹ mod q`` and shares one
+    exponentiation, still equals the key on cleared points."""
+    rng = random.Random(20)
+    x = group.random_point(rng)
+    r = group.random_scalar(rng)
+    labels = (b"L0", b"L1-forced", b"L2")
+    force(labels[1])
+    total = group.identity()
+    for label in labels:
+        h1 = group.hash_to_g1(label)
+        total = total + h1
+        expected = group.pair(group.mul(x, r), h1)
+        assert not expected.is_identity()
+        with group.counters.measure() as ops:
+            assert group.pair_h1(x, label, H1_TAG, scalar=r) == expected
+        forced = label == labels[1]
+        assert ops.get("hash_to_group", 0) == int(forced)
+        assert ops.get("scalar_mult", 0) == int(forced)
+        assert ops.get("gt_exp", 0) == int(not forced)
+    expected = group.pair(group.mul(x, r), total)
+    scheme = TimedReleaseScheme(group)
+    with group.counters.measure() as ops:
+        assert scheme._sender_key(x, labels, r) == expected
+    # One multiplication (c⁻¹·X, the forced label's fallback) and one
+    # GT exponentiation for the three labels together.
+    assert ops["scalar_mult"] == 1
+    assert ops["gt_exp"] == 1
 
 
 def test_warm_label_falls_back_exactly(group, degenerate):
