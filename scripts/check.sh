@@ -46,9 +46,9 @@ if [ "$fast" -eq 0 ]; then
     PYTHONPATH=src python -m pytest -x -q || failures=$((failures + 1))
 fi
 
-# One run gates all four families (RP1xx pattern rules, RP2xx taint,
-# RP3xx fork-safety, RP4xx typestate protocols).
-step "crypto-hygiene lint (repro.lint, RP1xx-RP4xx)"
+# One run gates all three families (RP1xx pattern rules, RP2xx taint,
+# RP4xx typestate protocols).
+step "crypto-hygiene lint (repro.lint, RP1xx, RP2xx, RP4xx)"
 PYTHONPATH=src python -m repro.lint src examples benchmarks \
     --check-baseline --self-time-budget 60 \
     || failures=$((failures + 1))

@@ -5,77 +5,17 @@ tests and benchmarks are deterministic.  For production use,
 :func:`system_rng` adapts :class:`secrets.SystemRandom`;
 :func:`seeded_rng` labels the deterministic choice explicitly at call
 sites instead of hiding a module-level global.
-
-Fork safety
------------
-
-A ``fork()`` duplicates the whole process, including any deterministic
-generator state — two children that inherit a Mersenne-Twister instance
-replay the *same* "random" stream, which for nonce material is
-catastrophic (duplicate BLS-style signature nonces leak the signing
-key).  This module's discipline:
-
-* :func:`process_rng` returns a per-process cached
-  :class:`secrets.SystemRandom`.  Its draws read the kernel CSPRNG on
-  every call, so the cache itself carries no replayable state; caching
-  merely avoids re-instantiating the adapter in hot worker loops.
-* An ``os.register_at_fork`` hook still drops the cache and bumps
-  :func:`fork_generation` in every forked child — the guard costs
-  nothing, makes the process-local lifecycle explicit, and asserts the
-  pattern any *stateful* cache would need (``repro.lint`` rule RP301
-  flags caches without it).
 """
 
 from __future__ import annotations
 
-import os
 import random
 import secrets
-
-# Per-process cached SystemRandom and the fork counter.  SystemRandom
-# is stateless between draws (every call reads the OS CSPRNG), so the
-# cache is safe to share; the at-fork hook below resets it anyway so
-# children provably never reuse a parent object.
-_PROCESS_RNG: random.Random | None = None
-_FORK_GENERATION = 0
 
 
 def system_rng() -> random.Random:
     """A cryptographically secure RNG backed by the OS."""
     return secrets.SystemRandom()
-
-
-def process_rng() -> random.Random:
-    """The per-process shared :class:`secrets.SystemRandom`.
-
-    Safe under ``fork`` and ``spawn``: draws read the kernel CSPRNG, so
-    parent and children can never replay each other's stream, and the
-    registered at-fork guard re-creates the instance in each forked
-    child regardless.  Prefer this inside worker tasks over caching an
-    RNG in module state yourself.
-    """
-    global _PROCESS_RNG
-    if _PROCESS_RNG is None:
-        _PROCESS_RNG = secrets.SystemRandom()
-    return _PROCESS_RNG
-
-
-def fork_generation() -> int:
-    """How many times this process has been forked *into* (0 in the
-    original process, parents included).  Worker code can assert it is
-    running post-fork state, and tests can verify the guard fired."""
-    return _FORK_GENERATION
-
-
-def _reset_after_fork() -> None:
-    """At-fork child hook: drop inherited RNG state, count the fork."""
-    global _PROCESS_RNG, _FORK_GENERATION
-    _PROCESS_RNG = None
-    _FORK_GENERATION += 1
-
-
-if hasattr(os, "register_at_fork"):  # not available on all platforms
-    os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 def seeded_rng(seed: int | bytes | str) -> random.Random:

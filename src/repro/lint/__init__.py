@@ -30,19 +30,6 @@ RP203     secret-serialize  no secret or raw pairing output serialized or
                             persisted without first passing a KDF
 RP204     taint-escape      no secret passed into an untracked third-party
                             call
-RP301     fork-duplicated-rng       no worker-reachable draw from stdlib
-                            ``random`` module state or a cached
-                            deterministic generator
-RP302     shared-mutable-in-worker  no worker-reachable touch of module/
-                            class-level mutable state outside the
-                            read-only whitelist
-RP303     secret-over-pickle        no secret crossing the task-shard /
-                            pickle boundary without the bytes-only
-                            shard sanitizer
-RP304     fork-unsafe-lazy-init     no process-global first-touch init
-                            reachable from both sides of the fork
-RP305     nondeterministic-chunk-order  no worker-result merge through
-                            set/dict/completion order
 RP401     unverified-update-use     no wire-decoded update reaches a
                             cache insert, decrypt, or serialization
                             sink before the pairing check
@@ -64,15 +51,12 @@ RP1xx are single-node pattern rules (:mod:`repro.lint.rules`); RP2xx
 come from the whole-program taint analysis (:mod:`repro.lint.flow`),
 which propagates a CLEAN < DERIVED < SECRET lattice through function
 summaries to a fixpoint and reports at the call site that supplies the
-secret, however many calls separate it from the sink; RP3xx come from
-the concurrency/fork-safety pass (:mod:`repro.lint.conc`), which
-reuses the same call graph to decide what runs inside worker processes
-and checks the process-global state it touches; RP4xx come from the
-typestate protocol pass (:mod:`repro.lint.proto`), which tracks
+secret, however many calls separate it from the sink; RP4xx come from
+the typestate protocol pass (:mod:`repro.lint.proto`), which tracks
 per-variable abstract states (FETCHED < PARAM < VERIFIED for wire-
 decoded updates) through assignments, branches, and interprocedural
 summaries, plus the async-discipline and error-taxonomy checks.
-The three whole-program families share one core,
+The two whole-program families share one core,
 :mod:`repro.lint.program`: the program index, the call binder, the
 summary fixpoint and the finding sink.
 

@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--select",
         metavar="RULES",
         help="comma-separated rule-id prefixes to report (e.g. "
-        "'RP3' or 'RP301,RP302'); the baseline is scoped the same way",
+        "'RP4' or 'RP401,RP402'); the baseline is scoped the same way",
     )
     parser.add_argument(
         "--check-baseline",

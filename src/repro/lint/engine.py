@@ -1,12 +1,12 @@
 """The lint engine: file discovery, parsing, rule dispatch, waivers.
 
 A lint run is two-phase: every requested file is parsed up front, the
-single-node RP1xx rules run per module, then the three whole-program
-families (RP2xx taint, RP3xx fork safety, RP4xx typestate) run once
-over one :class:`~repro.lint.program.Program` of all parsed modules,
-and their findings are merged back onto the module they report
-against.  Waivers, baselining and fingerprints apply uniformly to
-every family.  ``RULES`` is the one table of every rule.
+single-node RP1xx rules run per module, then the two whole-program
+families (RP2xx taint, RP4xx typestate) run once over one
+:class:`~repro.lint.program.Program` of all parsed modules, and their
+findings are merged back onto the module they report against.
+Waivers, baselining and fingerprints apply uniformly to every family.
+``RULES`` is the one table of every rule.
 
 Waivers are inline comments of the form::
 
@@ -28,14 +28,13 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.lint.conc import CONC_RULES, analyze_concurrency
 from repro.lint.findings import Finding, attach_fingerprints
 from repro.lint.flow import FLOW_RULES, analyze_program
 from repro.lint.program import ParsedModule, Program
 from repro.lint.proto import PROTO_RULES, analyze_protocols
 from repro.lint.rules import MODULE_RULES, ModuleContext, Rule
 
-RULES: tuple[Rule, ...] = (*MODULE_RULES, *FLOW_RULES, *CONC_RULES, *PROTO_RULES)
+RULES: tuple[Rule, ...] = (*MODULE_RULES, *FLOW_RULES, *PROTO_RULES)
 _RULE_TOKENS = {rule.id for rule in RULES} | {rule.name for rule in RULES}
 
 _WAIVER = re.compile(r"#\s*lint:\s*allow\[([^\]]+)\]")
@@ -174,8 +173,7 @@ def analyze_modules(
     for module in modules:
         by_path[module.path].extend(_module_rule_findings(module, rules))
     program = Program(modules)
-    taint = analyze_program(program)
-    analyze_concurrency(program, taint)  # RP303 reads the taint summaries
+    analyze_program(program)
     analyze_protocols(program)
     for finding in program.findings:
         by_path.setdefault(finding.path, []).append(finding)
@@ -287,7 +285,7 @@ def run(
     """Full pipeline used by the CLI and the pytest gate.
 
     ``select`` restricts the report to rule ids matching any of the
-    given prefixes (``("RP3",)`` keeps just the concurrency family);
+    given prefixes (``("RP4",)`` keeps just the typestate family);
     the baseline is filtered the same way so entries for unselected
     rules are neither matched nor reported stale.  Waiver bookkeeping
     is not filtered — an unused waiver is stale regardless of scope.

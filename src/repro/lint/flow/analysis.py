@@ -19,7 +19,7 @@ import ast
 
 from repro.lint.flow import registry as reg
 from repro.lint.flow.transfer import RP201, FunctionTransfer, Summary
-from repro.lint.program import FunctionInfo, Program, Summaries
+from repro.lint.program import FunctionInfo, Program
 from repro.lint.rules.base import terminal_name
 
 
@@ -84,13 +84,10 @@ def _check_dataclass_reprs(program: Program, pseudo: FunctionInfo) -> None:
             )
 
 
-def analyze_program(program: Program) -> Summaries[Summary]:
+def analyze_program(program: Program) -> None:
     """Run the interprocedural taint analysis, emitting RP2xx findings
-    into ``program``.  Returns the solved summaries, which the
-    fork-safety pass reads too."""
-    summaries = program.solve(FunctionTransfer, Summary())
-    summaries.report()
+    into ``program``."""
+    program.solve(FunctionTransfer, Summary()).report()
     for pseudo in program.functions:
         if pseudo.name == "<module>":
             _check_dataclass_reprs(program, pseudo)
-    return summaries

@@ -1,9 +1,8 @@
-"""The whole-program core shared by the RP2xx, RP3xx and RP4xx families.
+"""The whole-program core shared by the RP2xx and RP4xx families.
 
-The taint analysis (:mod:`repro.lint.flow`), the fork-safety pass
-(:mod:`repro.lint.conc`) and the typestate pass (:mod:`repro.lint.proto`)
-each keep their lattice, their transfer or effect logic and their
-rules.  What they share lives here, once:
+The taint analysis (:mod:`repro.lint.flow`) and the typestate pass
+(:mod:`repro.lint.proto`) each keep their lattice, their transfer logic
+and their rules.  What they share lives here, once:
 
 * :class:`Program` indexes every function, class and import of the
   analyzed tree.  Module top-level code is indexed as a parameterless
@@ -66,7 +65,6 @@ class FunctionInfo:
     node: ast.AST  # FunctionDef | AsyncFunctionDef | Module (pseudo)
     params: list[str] = field(default_factory=list)
     is_method: bool = False  # first parameter is self/cls
-    class_name: str | None = None
 
     @property
     def top_dir(self) -> str:
@@ -155,7 +153,6 @@ class Program:
     name, plus the finding sink every family reports through."""
 
     def __init__(self, modules: list[ParsedModule]) -> None:
-        self.modules = modules
         self.functions: list[FunctionInfo] = []
         self.imports: dict[str, dict[str, str]] = {}  # keyed by module path
         self._by_name: dict[str, list[FunctionInfo]] = {}
@@ -184,7 +181,6 @@ class Program:
                         and not _is_staticmethod(child)
                         and bool(params)
                     ),
-                    class_name=class_name,
                 )
                 self._by_name.setdefault(child.name, []).append(info)
                 self.functions.append(info)
@@ -198,18 +194,6 @@ class Program:
                 self._walk(module, child, class_name=class_name)
 
     # -- resolution ---------------------------------------------------------
-
-    def callees(self, name: str) -> list[FunctionInfo]:
-        """Every function a call of ``name`` may run: a class name runs
-        the class's ``__init__``, any other name every same-named
-        function.  Reachability (RP3xx) follows these edges."""
-        if name in self._classes:
-            return [
-                init
-                for init in self._by_name.get("__init__", [])
-                if init.class_name == name
-            ]
-        return self._by_name.get(name, [])
 
     def bind_call(
         self, call: ast.Call, args: Sequence[T], receiver: T | None = None

@@ -1,9 +1,8 @@
 """The protocol analyzer's trusted-name tables.
 
-Like ``repro.lint.flow.registry`` and ``repro.lint.conc.registry``,
-this file is the analysis's trusted computing base: every name the
-typestate pass believes something about lives here.  Five kinds of
-declarations:
+Like ``repro.lint.flow.registry``, this file is the analysis's
+trusted computing base: every name the typestate pass believes
+something about lives here.  Five kinds of declarations:
 
 * **Update origins** — how an abstract :class:`TimeBoundKeyUpdate`
   enters a function in the FETCHED (untrusted) state: a ``from_bytes``
@@ -32,12 +31,6 @@ declarations:
 """
 
 from __future__ import annotations
-
-# Shared with the concurrency pass: the spawners whose result is an
-# asyncio.Task that must be tracked (RP403).
-from repro.lint.conc.registry import ASYNC_TASK_SPAWNERS as TASK_SPAWNERS
-
-__all__ = ["TASK_SPAWNERS"]
 
 # -- update origins (RP401) --------------------------------------------------
 
@@ -122,6 +115,9 @@ TRANSPORT_RECEIVER_TOKENS = frozenset(
 DEADLINE_GUARD_CALLS = frozenset({"wait_for", "timeout_at", "with_deadline"})
 
 # -- task tracking (RP403) ---------------------------------------------------
+
+# The spawners whose result is an asyncio.Task that must be tracked.
+TASK_SPAWNERS = frozenset({"create_task", "ensure_future"})
 
 # Once assigned to a local, any of these uses discharges the tracking
 # obligation (beyond the general "stored / awaited / passed on" rules

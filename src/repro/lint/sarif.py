@@ -3,7 +3,7 @@
 Static Analysis Results Interchange Format output lets CI surfaces
 (code-scanning dashboards, editor SARIF viewers) ingest repro.lint
 findings without bespoke glue.  One run, one tool (``repro.lint``),
-every RP1xx/RP2xx/RP3xx/RP4xx rule declared in the driver; new findings are
+every RP1xx/RP2xx/RP4xx rule declared in the driver; new findings are
 plain results, baselined findings are included but marked suppressed so
 dashboards show them greyed-out rather than resurfacing them.
 """

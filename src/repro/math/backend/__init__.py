@@ -30,15 +30,10 @@ conversion and more memory.
 
 Backend instances are cached per ``(name, p)``: they are deterministic,
 stateless-after-construction arithmetic providers, so sharing one across
-every field object with the same modulus is safe.  The cache is cleared
-in forked children purely as cache hygiene (entries are rebuilt on
-demand and cannot diverge — construction is a pure function of the
-public modulus).
+every field object with the same modulus is safe.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.errors import BackendUnavailableError, ParameterError
 from repro.math.backend.base import FieldBackend
@@ -58,8 +53,7 @@ __all__ = [
     "get_backend",
 ]
 
-# The selectable names, in documentation order.  Populated at import
-# time and never mutated (read-only registry for the conc analyzer).
+# The selectable names, in documentation order.
 BACKEND_NAMES = ("python", "montgomery", "gmpy2")
 
 _BACKEND_CLASSES = {
@@ -68,12 +62,8 @@ _BACKEND_CLASSES = {
     "gmpy2": Gmpy2Backend,
 }
 
-# Per-(name, modulus) instance cache.  Cleared in forked children
-# (cache hygiene, same idiom as the group caches in repro.pairing.api).
+# Per-(name, modulus) instance cache.
 _INSTANCES: dict[tuple[str, int], FieldBackend] = {}
-
-if hasattr(os, "register_at_fork"):  # not available on all platforms
-    os.register_at_fork(after_in_child=_INSTANCES.clear)
 
 
 def available_backends() -> tuple[str, ...]:

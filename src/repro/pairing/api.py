@@ -21,9 +21,7 @@ Example::
 
 from __future__ import annotations
 
-import os
 import random
-import weakref
 
 from repro.ec.point import CurvePoint
 from repro.ec.precompute import FixedBaseTable
@@ -141,31 +139,6 @@ class PairingPrecomputation:
         return f"PairingPrecomputation({kind}, steps={len(self.lines or ())})"
 
 
-# Every live group, so forked children can drop precomputation caches
-# they inherited from the parent.  The caches are pure accelerators
-# (byte-identical results with or without them), but letting a child
-# keep probing — and lazily extending — a copy-on-write copy of the
-# parent's tables means parent and child caches silently diverge, and
-# each lazy extension forces a private page copy.  Clearing in the
-# child is the fork-safe discipline (lint rules RP302/RP304); entries
-# are weak so the registry never extends a group's lifetime.  Keyed by
-# identity: groups over the same parameters compare equal, so a set
-# would hold only the first of them and skip the others' caches.
-_LIVE_GROUPS: "weakref.WeakValueDictionary[int, PairingGroup]" = (
-    weakref.WeakValueDictionary()
-)
-
-
-def _clear_caches_after_fork() -> None:
-    """At-fork child hook: each group rebuilds caches on demand."""
-    for group in _LIVE_GROUPS.values():
-        group.clear_precomputations()
-
-
-if hasattr(os, "register_at_fork"):  # not available on all platforms
-    os.register_at_fork(after_in_child=_clear_caches_after_fork)
-
-
 class PairingGroup:
     """A symmetric pairing group ``ê : G1 × G1 → GT`` with hashing.
 
@@ -217,7 +190,6 @@ class PairingGroup:
         # of points for _precompute_on_second_use, (FixedBaseTable, G)
         # for _mul_on_second_use.
         self._seen_once: set[tuple] = set()
-        _LIVE_GROUPS[id(self)] = self
 
     # ------------------------------------------------------------------
     # Scalars.

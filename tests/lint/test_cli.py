@@ -157,3 +157,76 @@ def test_list_rules_includes_flow_family(capsys) -> None:
     out = capsys.readouterr().out
     for rule_id in ("RP201", "RP202", "RP203", "RP204"):
         assert rule_id in out
+
+
+# -- --update-baseline and --select ------------------------------------------
+
+
+def test_update_baseline_creates_then_gates_clean(tmp_path, capsys) -> None:
+    target = _module(tmp_path, "demo.py", DIRTY)
+    baseline = tmp_path / "baseline.txt"
+    assert main([target, "--baseline", str(baseline), "--update-baseline"]) == 0
+    assert "1 entr(ies) added" in capsys.readouterr().out
+    assert "RP102" in baseline.read_text()
+    assert main([target, "--baseline", str(baseline)]) == 0
+
+
+def test_update_baseline_preserves_comments_and_drops_stale(tmp_path, capsys) -> None:
+    demo = _module(tmp_path, "demo.py", DIRTY)
+    extra = _module(tmp_path, "extra.py", DIRTY)
+    baseline = tmp_path / "baseline.txt"
+    assert main([demo, "--baseline", str(baseline), "--update-baseline"]) == 0
+
+    # Annotate the surviving entry the way a reviewer would.
+    annotated = [
+        line + "  # justified: legacy seed" if line.startswith("RP102") else line
+        for line in baseline.read_text().splitlines()
+    ]
+    baseline.write_text("\n".join(annotated) + "\n")
+
+    # A second dirty file: its entry is appended, the annotation stays.
+    assert main([demo, extra, "--baseline", str(baseline), "--update-baseline"]) == 0
+    assert "1 entr(ies) added, 0 stale entr(ies) removed" in capsys.readouterr().out
+    assert "# justified: legacy seed" in baseline.read_text()
+
+    # Fixing demo.py drops its entry — annotation and all — keeps extra's.
+    Path(demo).write_text(CLEAN)
+    assert main([demo, extra, "--baseline", str(baseline), "--update-baseline"]) == 0
+    assert "1 stale entr(ies) removed" in capsys.readouterr().out
+    text = baseline.read_text()
+    assert "# justified: legacy seed" not in text
+    assert "crypto/extra.py" in text
+    assert "crypto/demo.py" not in text
+
+
+def test_malformed_baseline_under_update_is_usage_error(tmp_path, capsys) -> None:
+    target = _module(tmp_path, "demo.py", DIRTY)
+    baseline = tmp_path / "baseline.txt"
+    baseline.write_text("not a valid entry line\n")
+    assert main([target, "--baseline", str(baseline), "--update-baseline"]) == 2
+    assert "malformed baseline line" in capsys.readouterr().err
+
+
+def test_select_scopes_the_baseline_the_same_way(tmp_path, capsys) -> None:
+    """Out-of-scope baseline entries are neither matched nor stale, so a
+    family-scoped CI job does not trip over the other families' state."""
+    relay = tmp_path / "repro" / "service" / "relay.py"
+    relay.parent.mkdir(parents=True)
+    relay.write_text(
+        "def rebroadcast(group, blob):\n"
+        "    update = TimeBoundKeyUpdate.from_bytes(group, blob)\n"
+        "    return update.to_bytes(group)\n"
+    )
+    targets = [_module(tmp_path, "bad.py", DIRTY), str(relay)]
+    baseline = tmp_path / "baseline.txt"
+    assert main([*targets, "--baseline", str(baseline), "--write-baseline"]) == 0
+    text = baseline.read_text()
+    assert "RP102" in text and "RP401" in text
+    assert main([*targets, "--baseline", str(baseline), "--select", "RP4"]) == 0
+    out = capsys.readouterr().out
+    assert "stale baseline entry" not in out  # RP1xx entries not reported stale
+
+
+def test_empty_select_is_usage_error(capsys) -> None:
+    assert main(["--select", " , "]) == 2
+    assert "names no rules" in capsys.readouterr().err

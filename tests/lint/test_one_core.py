@@ -1,9 +1,12 @@
 """One whole-program core under ``repro.lint``.
 
-The taint (RP2xx), fork-safety (RP3xx) and typestate (RP4xx) families
-share ``repro.lint.program``: one index, one call binder, one summary
+The taint (RP2xx) and typestate (RP4xx) families share
+``repro.lint.program``: one index, one call binder, one summary
 fixpoint and one finding sink.  These scans keep a second copy of that
 plumbing from growing back inside a family.
+
+The tree has no fork-safety family because nothing in it forks; the
+last scan keeps that premise true.
 """
 
 from __future__ import annotations
@@ -11,8 +14,9 @@ from __future__ import annotations
 import ast
 import pathlib
 
-LINT = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro" / "lint"
-FAMILIES = ("flow", "conc", "proto")
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+LINT = ROOT / "src" / "repro" / "lint"
+FAMILIES = ("flow", "proto")
 
 
 def _trees():
@@ -64,3 +68,40 @@ def test_families_import_no_private_name_from_each_other():
                     if alias.name.startswith("_")
                 )
     assert found == []
+
+
+# What a process pool or a fork looks like in source.
+_PROCESS_MODULES = ("multiprocessing", "concurrent.futures")
+_FORK_CALLS = ("os.fork", "os.register_at_fork")
+
+
+def _process_use(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        name = ast.unparse(node.func)
+        if name in _FORK_CALLS or name.rsplit(".", 1)[-1] == "Process":
+            return f"{name}()"
+        return None
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.module:
+        names = [f"{node.module}.{alias.name}" for alias in node.names]
+    else:
+        return None
+    for name in names:
+        if name.startswith(_PROCESS_MODULES) or name in _FORK_CALLS:
+            return f"import {name}"
+    return None
+
+
+def test_nothing_forks_or_spawns_processes():
+    found = [
+        f"{path.relative_to(ROOT).as_posix()}:{node.lineno}: {use}"
+        for top in ("src", "benchmarks", "examples")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (use := _process_use(node))
+    ]
+    assert found == [], (
+        "code now forks or spawns processes; restore the matching RP3xx "
+        "fork-safety rule from git history: " + "; ".join(found)
+    )

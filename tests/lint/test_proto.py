@@ -206,7 +206,7 @@ def test_select_rp4_reports_only_the_proto_family(tmp_path, capsys) -> None:
     out = capsys.readouterr().out
     assert "RP401" in out
     assert "RP1" not in out
-    assert "RP3" not in out
+    assert "RP2" not in out
 
 
 def test_list_rules_includes_proto_family(capsys) -> None:

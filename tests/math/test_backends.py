@@ -8,7 +8,6 @@ family-A moduli with ``beta = -1``, and a general odd ``beta``), plus
 the resolution/caching behavior of the registry itself.
 """
 
-import os
 import random
 
 import pytest
@@ -303,9 +302,6 @@ class TestRegistry:
         with pytest.raises(ParameterError):
             get_backend("montgomery", 10)
 
-    @pytest.mark.skipif(
-        not hasattr(os, "register_at_fork"), reason="no fork hooks"
-    )
     def test_gmpy2_skip_marker(self):
         """gmpy2 coverage self-documents: skipped when not installed."""
         if not gmpy2_available():
