@@ -2,11 +2,12 @@
 
 Every multi-step base-field curve operation runs here:
 :meth:`~repro.ec.curve.EllipticCurve.scalar_mult` and
-``multi_scalar_mult``, :class:`~repro.ec.precompute.FixedBaseTable`, and
-the family-A Miller recorder.  A point is a tuple of integers — Jacobian
-``(X, Y, Z)`` for the affine ``(X/Z^2, Y/Z^3)``, with ``Z == 0`` for
-infinity — so a doubling is a handful of big-int products and ``%``
-reductions with no object allocated per field operation.
+``multi_scalar_mult``, :class:`~repro.ec.precompute.FixedBaseTable`,
+the family-A Miller recorder and family B's fused Miller steps.  A
+point is a tuple of integers — Jacobian ``(X, Y, Z)`` for the affine
+``(X/Z^2, Y/Z^3)``, with ``Z == 0`` for infinity — so a doubling is a
+handful of big-int products and ``%`` reductions with no object
+allocated per field operation.
 
 Coordinates enter through ``backend.lift`` (``mpz`` under gmpy2, plain
 ``int`` otherwise) and leave :func:`normalize` as canonical ints in

@@ -31,8 +31,6 @@ CLEAN = 0
 DERIVED = 1
 SECRET = 2
 
-_LEVEL_NAMES = {CLEAN: "clean", DERIVED: "derived", SECRET: "secret"}
-
 # A dep edge is (param_index, direct).
 Dep = "tuple[int, bool]"
 
@@ -68,10 +66,6 @@ class Taint:
     def tainted(self) -> bool:
         """Concretely tainted or symbolically dependent on a parameter."""
         return self.level > CLEAN or bool(self.deps)
-
-    @property
-    def level_name(self) -> str:
-        return _LEVEL_NAMES[self.level]
 
 
 TAINT_CLEAN = Taint()

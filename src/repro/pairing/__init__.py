@@ -8,10 +8,9 @@ from a Weil or Tate pairing" (§4).  This package implements exactly that:
 * :mod:`repro.pairing.params` — frozen parameter sets ``p = c*q - 1``.
 * :mod:`repro.pairing.supersingular` — the two classic supersingular
   families over ``Fp`` with embedding degree 2 and their distortion maps.
-* :mod:`repro.pairing.miller` — Miller's algorithm: the family-A
-  denominator-free loops (fused projective for one-shot arguments,
-  record-then-evaluate for fixed ones) and the general divisor-based
-  loop family B needs.
+* :mod:`repro.pairing.miller` — Miller's algorithm: one fused
+  projective loop for one-shot arguments of both families, and
+  record-then-evaluate for fixed family-A ones.
 * :mod:`repro.pairing.tate` — the modified (reduced) Tate pairing.
 * :mod:`repro.pairing.hashing` — hash-to-group and hash-to-scalar maps.
 * :mod:`repro.pairing.api` — the :class:`~repro.pairing.api.PairingGroup`

@@ -114,9 +114,9 @@ class PairingPrecomputation:
     Built by :meth:`PairingGroup.precompute_pairing`.  On family A the
     line coefficients of ``f_{q,P}`` are recorded once; :meth:`pair`
     then evaluates them against any second argument, skipping all curve
-    arithmetic in the Miller loop.  On family B (no denominator-free
-    loop) the object transparently falls back to the direct pairing, so
-    callers can precompute unconditionally.
+    arithmetic in the Miller loop.  On family B (no recorded lines) the
+    object transparently falls back to the direct pairing, so callers
+    can precompute unconditionally.
     """
 
     __slots__ = ("group", "point", "lines")
@@ -149,7 +149,7 @@ class PairingGroup:
         :class:`~repro.pairing.params.ParameterSet`.
     family:
         Supersingular family, ``"A"`` (default; denominator-free Miller
-        loop) or ``"B"`` (deterministic MapToPoint, general Miller loop).
+        loop) or ``"B"`` (deterministic MapToPoint, conjugated verticals).
     backend:
         Field-arithmetic backend (see :mod:`repro.math.backend`):
         ``"python"``, ``"montgomery"``, ``"gmpy2"``, or ``"auto"``
@@ -526,7 +526,7 @@ class PairingGroup:
         secret, such as a receiver's ``a·I_T``, go in a transient
         :class:`PairingPrecomputation` that the caller drops.  On
         family B the returned object falls back to the direct pairing
-        (no denominator-free loop to cache).
+        (family B records no lines).
         :meth:`clear_precomputations` frees the cache.
         """
         precomp = self._pairing_precomp.get(point)

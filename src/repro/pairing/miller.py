@@ -1,19 +1,21 @@
 """Miller's algorithm for evaluating ``f_{q,P}`` at extension-field points.
 
-Family A takes one of two paths, chosen by whether the first argument
-already has recorded lines.  Both drop every vertical-line factor (the
-BKLS/GHS denominator-free loop): distorted x-coordinates stay in
-``Fp``, so the final exponentiation kills those factors.
+``f_{q,P}`` is evaluated at the distorted point ``phi(Q)`` itself, not
+at a divisor ``(phi(Q) + R) - (R)``: the final exponentiation removes
+the difference (Barreto–Kim–Lynn–Scott 2002), so no auxiliary point is
+needed.  There are two paths, chosen by whether the first argument
+already has recorded lines.
 
-* One-shot arguments run :func:`miller_loop_projective`: every
-  ``P_i``'s Jacobian double/add chain on the integer kernels, with each
-  tangent or chord evaluated at ``phi(Q_i)`` as it is met and scaled
-  into ``Fp`` instead of divided, under one shared ``Fp2`` squaring
-  chain.  No line table and no inversion; the value is the Miller
-  value up to an ``Fp*`` factor, which the final exponentiation
-  removes.
+* One-shot arguments of either family run
+  :func:`miller_loop_projective`: every ``P_i``'s Jacobian double/add
+  chain on the integer kernels, with each line evaluated at
+  ``phi(Q_i)`` as it is met and scaled into ``Fp`` instead of divided,
+  under one shared ``Fp2`` squaring chain.  Family A drops its vertical
+  lines, which lie in ``Fp*`` (the BKLS/GHS denominator-free loop);
+  family B multiplies by each one's conjugate instead.  No line table
+  and no inversion.
 
-* Fixed arguments record ``P``'s line sequence once
+* Fixed family-A arguments record ``P``'s line sequence once
   (:func:`record_line_sequence` — the same Jacobian chain plus two
   batch inversions that make the lines affine) and replay it against
   any number of evaluation points in the backend's one replay kernel
@@ -22,16 +24,10 @@ BKLS/GHS denominator-free loop): distorted x-coordinates stay in
   replay a little under half of one, so it breaks even at about two
   evaluations.
 
-* :func:`miller_loop_general` — the textbook loop evaluating ``f_{q,P}``
-  at the divisor ``(S + R) - (R)`` for an auxiliary point ``R``, keeping
-  numerator and denominator separate (one ``Fp2`` inversion at the end).
-  Correct for any supersingular family, and the only correct choice for
-  family B.  This is the "slow but general" arm of the E12 ablation.
-
 Throughout, ``P`` and the intermediate points ``V`` live on ``E(Fp)``
-while the evaluation points live on ``E(Fp2)``; the general loop's
-mixed-field line evaluation embeds the ``Fp`` slope via
-``QuadraticElement``'s integer coercion.
+while the evaluation points live on ``E(Fp2)``.  The textbook divisor
+loop is kept in ``tests/pairing/reference.py`` as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -42,35 +38,6 @@ from repro.ec import jacobian
 from repro.ec.point import CurvePoint
 from repro.math.backend.base import LINE as _LINE, ONE as _ONE, VERT as _VERT
 from repro.math.quadratic import QuadraticElement, QuadraticField
-
-
-def _line_value(v: CurvePoint, w: CurvePoint, s_x, s_y, fp2: QuadraticField):
-    """Evaluate at ``(s_x, s_y)`` the line through base-field points V, W.
-
-    Returns the chord/tangent value ``(s_y - y_V) - lambda * (s_x - x_V)``,
-    or the vertical value ``s_x - x_V`` when the line through V and W is
-    vertical (``W == -V`` or a 2-torsion doubling).
-    """
-    if v.is_infinity or w.is_infinity:
-        # Line "through infinity" contributes the constant 1.
-        return fp2.one()
-    if v.x == w.x and v.y != w.y:
-        return s_x - fp2.from_base(v.x)
-    if v.x == w.x:
-        # Tangent at V.
-        if v.y.is_zero():
-            return s_x - fp2.from_base(v.x)
-        slope = (v.x.square() * 3 + v.curve.a) / (v.y * 2)
-    else:
-        slope = (w.y - v.y) / (w.x - v.x)
-    return (s_y - fp2.from_base(v.y)) - (s_x - fp2.from_base(v.x)) * slope.value
-
-
-def _vertical_value(v: CurvePoint, s_x, fp2: QuadraticField):
-    """Evaluate the vertical line through V at x-coordinate ``s_x``."""
-    if v.is_infinity:
-        return fp2.one()
-    return s_x - fp2.from_base(v.x)
 
 
 class PrecomputedLines:
@@ -264,6 +231,17 @@ def evaluate_line_sequences_product(
     return QuadraticElement(fp2, fa, fb)
 
 
+def _phi(px, xq, yq, conjugate, p):
+    """``(sx, sy, sx - x_P)`` for ``phi(Q) = (sx, i*sy) = (-x_Q, i*y_Q)``;
+    a conjugated task evaluates at ``phi(-Q)``, the conjugate point."""
+    sx = -xq % p
+    return sx, -yq % p if conjugate else yq, (sx - px) % p
+
+
+def _square(fa, fb, p):
+    return (fa + fb) * (fa - fb) % p, 2 * fa * fb % p
+
+
 def _tangent(x, y, z, sx, sy, p):
     """``2V`` and the tangent at ``V`` evaluated at ``(sx, i*sy)``.
 
@@ -328,31 +306,106 @@ def _times_line(fa, fb, line, p):
     return (ac - bd) % p, ((fa + fb) * (va + vb) - ac - bd) % p
 
 
+# Family B (``y^2 = x^3 + 1``, ``u^2 = -3``): ``sx = (sa, sb)`` is
+# ``zeta*x_Q = sa + sb*u`` and ``sy = y_Q`` lies in ``Fp``, so a vertical
+# line at ``phi(Q)`` is a proper ``Fp2`` value ``v``.  Each line is
+# multiplied by ``conj(v)``: ``1/v`` times the norm ``N(v)``, in ``Fp*``.
+# A conjugated task evaluates at ``conj(phi(Q))``; every step value is a
+# polynomial over ``Fp`` in ``sx`` and ``sy``, so its Miller value is
+# the conjugate.
+
+
+def _phi_b(px, xq, yq, conjugate, p):
+    half = xq * ((p + 1) // 2) % p  # zeta = (-1 + u)/2
+    return (-half % p, -half % p if conjugate else half), yq, (-half - px) % p
+
+
+def _square_b(fa, fb, p):
+    ab = fa * fb
+    return ((fa + fb) * (fa - 3 * fb) + 2 * ab) % p, 2 * ab % p
+
+
+def _times_line_b(fa, fb, line, p):
+    if line is None:
+        return fa, fb
+    va, vb = line
+    ac, bd = fa * va, fb * vb
+    return (ac - 3 * bd) % p, ((fa + fb) * (va + vb) - ac - bd) % p
+
+
+def _over_vertical_b(la, lb, point, sx, p):
+    """``point`` and ``la + u*lb`` times the conjugated vertical at it."""
+    zz = point[2] * point[2] % p
+    vertical = ((zz * sx[0] - point[0]) % p, -zz * sx[1] % p)
+    return point, _times_line_b(la, lb, vertical, p)
+
+
+def _tangent_b(x, y, z, sx, sy, p):
+    """:func:`_tangent` for family B (``a = 0``), over the vertical at
+    ``2V``; the point comes from :func:`repro.ec.jacobian.double`."""
+    if not z or not y:
+        return jacobian.INFINITY, None
+    point = jacobian.double(x, y, z, p, 0)
+    zz, m = z * z % p, 3 * x * x % p
+    return _over_vertical_b(
+        (m * (x - zz * sx[0]) - 2 * y * y + point[2] * zz % p * sy) % p,
+        -m * zz % p * sx[1] % p, point, sx, p,
+    )
+
+
+def _chord_b(x, y, z, px, py, sx, sy, dx, p):
+    """:func:`_chord` for family B, over the vertical at ``V + P``; the
+    point comes from :func:`repro.ec.jacobian.add_affine`.  At
+    ``V = -P`` the chord is the vertical ``sx - x_P`` and the vertical
+    at ``V + P = O`` is 1."""
+    if not z:
+        return (px, py, 1), None
+    zz = z * z % p
+    h, r = (px * zz - x) % p, (py * zz % p * z - y) % p
+    if not h:
+        if not r:
+            return _tangent_b(x, y, z, sx, sy, p)
+        return jacobian.INFINITY, (dx, sx[1])
+    point = jacobian.add_affine(x, y, z, px, py, p, 0)
+    return _over_vertical_b(
+        (point[2] * (sy - py) - r * dx) % p, -r * sx[1] % p, point, sx, p
+    )
+
+
+# Each family's evaluation point, Fp2 squaring, line product, tangent
+# and chord, keyed by its non-residue ``beta`` (``u^2 = beta``).
+_STEPS = {
+    -1: (_phi, _square, _times_line, _tangent, _chord),
+    -3: (_phi_b, _square_b, _times_line_b, _tangent_b, _chord_b),
+}
+
+
 def miller_loop_projective(tasks, order: int, fp2: QuadraticField):
     """``Π f_{order, P_i}(phi(Q_i))^{±1}`` up to an ``Fp*`` factor, in one pass.
 
     ``tasks`` is a sequence of ``(p_point, q_point, conjugate)``: two
-    points of family A's ``E(Fp)`` and whether the factor enters
-    conjugated (exponent ``-1``).  The loop evaluates at the distorted
-    ``phi(Q) = (-x_Q, i*y_Q)`` without building it; conjugation is
-    evaluation at ``phi(-Q)``.
+    points of ``E(Fp)`` and whether the factor enters conjugated
+    (exponent ``-1``).  ``fp2`` names the family by its ``beta``: ``-1``
+    for family A, ``-3`` for family B.  The loop evaluates ``f`` at the
+    point ``phi(Q)`` itself, not at a divisor, without building it.
 
     Each step runs every ``P_i``'s Jacobian double or add on integers
     and multiplies the shared accumulator by the line value scaled into
     ``Fp`` — ``2YZ^3`` for a tangent, ``Z_3`` for a chord — so the loop
-    needs no inversion and keeps no line table.  Vertical lines, the
-    scale factors and a line through infinity all lie in ``Fp*``; since
-    ``p - 1`` divides ``(p^2 - 1)/q`` the final exponentiation sends
-    them to 1, so the result differs from the recorded path's Miller
-    value while its reduced pairing is the same element.  One ``Fp2``
-    squaring per doubling step is shared by all tasks.
+    needs no inversion and keeps no line table.  On family A the
+    vertical lines lie in ``Fp*`` and are dropped; on family B each line
+    is multiplied by the conjugate of the vertical it would be divided
+    by.  Scale factors, norms, verticals in ``Fp*`` and a line through
+    infinity are all ``Fp*`` factors; since ``p - 1`` divides
+    ``(p^2 - 1)/q`` the final exponentiation sends them to 1, so the
+    result differs from the textbook Miller value while its reduced
+    pairing is the same element.  One ``Fp2`` squaring per doubling
+    step is shared by all tasks.
 
     Raises :class:`ParameterError` when some ``P_i`` has an order that
     does not divide ``order``, like :func:`record_line_sequence`.
     """
-    tasks = list(tasks)
-    if fp2.beta != -1:
-        raise ParameterError("the projective Miller loop needs Fp2 = Fp[i]")
+    phi, square, times, tangent, chord = _STEPS[fp2.beta]
     backend = fp2.backend
     lift = backend.lift
     p = lift(fp2.p)
@@ -360,72 +413,22 @@ def miller_loop_projective(tasks, order: int, fp2: QuadraticField):
     consts = []
     for p_point, q_point, conjugate in tasks:
         px, py = lift(p_point.x.value), lift(p_point.y.value)
-        sx = -lift(q_point.x.value) % p
-        sy = -lift(q_point.y.value) % p if conjugate else lift(q_point.y.value)
+        sx, sy, dx = phi(
+            px, lift(q_point.x.value), lift(q_point.y.value), conjugate, p
+        )
         points.append((px, py, 1))
-        consts.append((px, py, sx, sy, (sx - px) % p))
+        consts.append((px, py, sx, sy, dx))
     fa, fb = lift(1), lift(0)
     for bit_index in range(order.bit_length() - 2, -1, -1):
-        fa, fb = (fa + fb) * (fa - fb) % p, 2 * fa * fb % p
+        fa, fb = square(fa, fb, p)
         add = (order >> bit_index) & 1
         for index, (px, py, sx, sy, dx) in enumerate(consts):
-            point, line = _tangent(*points[index], sx, sy, p)
-            fa, fb = _times_line(fa, fb, line, p)
+            point, line = tangent(*points[index], sx, sy, p)
+            fa, fb = times(fa, fb, line, p)
             if add:
-                point, line = _chord(*point, px, py, sx, sy, dx, p)
-                fa, fb = _times_line(fa, fb, line, p)
+                point, line = chord(*point, px, py, sx, sy, dx, p)
+                fa, fb = times(fa, fb, line, p)
             points[index] = point
     if any(z for _, _, z in points):
         raise ParameterError("point order does not divide the loop order")
     return QuadraticElement(fp2, int(fa), int(fb))
-
-
-def miller_loop_general(
-    p_point: CurvePoint,
-    s_point: CurvePoint,
-    order: int,
-    fp2: QuadraticField,
-    aux_point: CurvePoint,
-) -> QuadraticElement:
-    """``f_{order, P}`` evaluated at the divisor ``(S + R) - (R)``.
-
-    ``aux_point`` is ``R``, a point of ``E(Fp2)`` chosen so that no line
-    in the loop vanishes on it or on ``S + R``; callers retry with a
-    different ``R`` if a zero is hit (raised as :class:`ParameterError`).
-    Numerators and denominators accumulate separately so the whole loop
-    costs a single ``Fp2`` inversion.
-    """
-    if s_point.is_infinity:
-        raise ParameterError("cannot evaluate Miller function at infinity")
-    a_point = s_point + aux_point
-    if a_point.is_infinity or aux_point.is_infinity:
-        raise ParameterError("degenerate auxiliary point")
-    ax, ay = a_point.x, a_point.y
-    bx, by = aux_point.x, aux_point.y
-
-    num = fp2.one()
-    den = fp2.one()
-    v = p_point
-    for bit_index in range(order.bit_length() - 2, -1, -1):
-        l_a = _line_value(v, v, ax, ay, fp2)
-        l_b = _line_value(v, v, bx, by, fp2)
-        v2 = v.double()
-        v_a = _vertical_value(v2, ax, fp2)
-        v_b = _vertical_value(v2, bx, fp2)
-        num = num.square() * l_a * v_b
-        den = den.square() * l_b * v_a
-        v = v2
-        if (order >> bit_index) & 1:
-            l_a = _line_value(v, p_point, ax, ay, fp2)
-            l_b = _line_value(v, p_point, bx, by, fp2)
-            v1 = v + p_point
-            v_a = _vertical_value(v1, ax, fp2)
-            v_b = _vertical_value(v1, bx, fp2)
-            num = num * l_a * v_b
-            den = den * l_b * v_a
-            v = v1
-    if not v.is_infinity:
-        raise ParameterError("point order does not divide the loop order")
-    if num.is_zero() or den.is_zero():
-        raise ParameterError("line vanished on auxiliary divisor; retry R")
-    return num * den.inverse()

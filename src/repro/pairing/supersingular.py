@@ -12,9 +12,10 @@ Family B — ``y^2 = x^3 + 1`` over ``Fp`` with ``p % 3 == 2``.
     Supersingular with ``#E(Fp) = p + 1``.  The distortion map is
     ``phi(x, y) = (zeta*x, y)`` where ``zeta = (-1 + sqrt(-3)) / 2`` is a
     primitive cube root of unity in ``Fp2``.  Distorted x-coordinates are
-    proper ``Fp2`` elements, so denominators must be kept — the general
-    divisor-based Miller loop is required.  Its compensating advantage is
-    a *deterministic* hash-to-curve (cubing is a bijection when
+    proper ``Fp2`` elements, so the vertical lines cannot be dropped:
+    the Miller loop multiplies by each one's conjugate instead, one more
+    ``Fp2`` product per step.  Its compensating advantage is a
+    *deterministic* hash-to-curve (cubing is a bijection when
     ``p % 3 == 2``), the classic Boneh–Franklin MapToPoint.
 
 Both families are exposed through :class:`SupersingularCurve`, which owns

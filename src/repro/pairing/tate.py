@@ -16,16 +16,17 @@ The final exponentiation factors as ``(p - 1) * c`` since
   trace — applies.
 
 Because ``p - 1`` divides the exponent, every ``Fp*`` factor of a
-Miller value maps to 1.  That is what lets family A drop vertical lines
-and, for one-shot arguments, scale each line into ``Fp`` instead of
-dividing (:func:`~repro.pairing.miller.miller_loop_projective`): the
-Miller values differ from the recorded-lines path, the GT bytes do not.
+Miller value maps to 1.  That is what lets family A drop vertical
+lines, family B multiply by a conjugated vertical instead of dividing
+by it, and both, for one-shot arguments, scale each line into ``Fp``
+instead of dividing (:func:`~repro.pairing.miller.miller_loop_projective`):
+the Miller values differ from the recorded-lines path and from the
+textbook loop, the GT bytes do not.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import operator
 
 from repro.errors import NotInSubgroupError, ParameterError
@@ -34,7 +35,6 @@ from repro.math.quadratic import QuadraticElement, unitary_exp
 from repro.pairing.miller import (
     PrecomputedLines,
     evaluate_line_sequences_product,
-    miller_loop_general,
     miller_loop_projective,
     record_line_sequence,
 )
@@ -47,46 +47,11 @@ class TatePairing:
     def __init__(self, ssc: SupersingularCurve):
         self.ssc = ssc
         self.fp2 = ssc.fp2
-        # Derived lazily: family A never touches them, and even family B
-        # only needs them on the first pairing, not at construction.
-        self._aux_points = None
-
-    @property
-    def aux_points(self) -> list[CurvePoint]:
-        """Auxiliary divisor points for the general loop, derived on first use."""
-        if self._aux_points is None:
-            self._aux_points = self._derive_aux_points()
-        return self._aux_points
-
-    def _derive_aux_points(self, count: int = 8) -> list[CurvePoint]:
-        """Deterministic auxiliary divisor points for the general loop.
-
-        Base-field points suffice: the only requirements are support
-        disjoint from ``div(f_P) = q(P) - q(O)`` and no accidental line
-        zeros, both of which the retry loop in :meth:`pair` enforces.
-        """
-        points = []
-        counter = 0
-        rng_tag = f"repro:tate-aux:{self.ssc.params.name}:{self.ssc.family}"
-        while len(points) < count:
-            # lint: allow[hash-domain] fixed-width counter after a constant
-            # tag; reframing would move the derived auxiliary points
-            seed = hashlib.sha512(
-                rng_tag.encode() + counter.to_bytes(4, "big")
-            ).digest()
-            counter += 1
-            candidate = self.ssc._map_seed_to_point(seed)
-            if candidate is None or candidate.is_infinity:
-                continue
-            x = self.fp2.from_base(candidate.x)
-            y = self.fp2.from_base(candidate.y)
-            points.append(self.ssc.ext_curve.unchecked_point(x, y))
-        return points
 
     def pair(self, p_point: CurvePoint, q_point: CurvePoint) -> QuadraticElement:
         """Compute ``ê(P, Q)`` for subgroup points P, Q of ``E(Fp)``.
 
-        Family A runs the fused projective loop: no line table is
+        Both families run the fused projective loop: no line table is
         recorded, because ``P`` is evaluated once.  Callers that pair
         one ``P`` again and again record its lines with
         :meth:`precompute_lines` instead.  Returns the identity of
@@ -141,8 +106,8 @@ class TatePairing:
 
         A product of ``k`` pairings normally costs ``k`` Miller loops
         *and* ``k`` final exponentiations.  Here the Miller loops run in
-        lockstep accumulating into a single ``Fp2`` product (on family A
-        the per-iteration accumulator squaring is shared too: raw-point
+        lockstep accumulating into a single ``Fp2`` product (the
+        per-iteration accumulator squaring is shared too: raw-point
         pairs share one fused projective loop, recorded-lines pairs one
         line-replay product, and the two values are multiplied
         before the final exponentiation), negative
@@ -176,11 +141,11 @@ class TatePairing:
         """``Π ê(P_i, Q_i)^{±1}``: the one evaluator behind every pairing.
 
         ``tasks`` are ``(P or its PrecomputedLines, Q, conjugate)``.  An
-        infinity argument contributes the identity factor.  On family A
-        the raw points share one fused projective loop and the recorded
-        lines one replay product; family B runs the general loop per
-        pair.  The Miller values are multiplied and finally exponentiated
-        once, so a single pairing pays no extra ``Fp2`` operation.
+        infinity argument contributes the identity factor.  The raw
+        points of either family share one fused projective loop and the
+        recorded lines (family A only) one replay product.  The Miller
+        values are multiplied and finally exponentiated once, so a
+        single pairing pays no extra ``Fp2`` operation.
         """
         recorded, raw = [], []
         for first, q_point, conjugate in tasks:
@@ -195,36 +160,18 @@ class TatePairing:
                 recorded.append((first, self.ssc.distort(q_point), conjugate))
             else:
                 raw.append((first, q_point, conjugate))
-        values = []
-        if self.ssc.family == FAMILY_A:
-            if raw:
-                values.append(miller_loop_projective(raw, self.ssc.q, self.fp2))
-            if recorded:
-                values.append(evaluate_line_sequences_product(recorded, self.fp2))
-        elif recorded:
+        if recorded and self.ssc.family != FAMILY_A:
             raise ParameterError(
                 "precomputed lines require the family A Miller loop"
             )
-        else:
-            for p_point, q_point, conjugate in raw:
-                g = self._general_miller(p_point, self.ssc.distort(q_point))
-                values.append(g.conjugate() if conjugate else g)
+        values = []
+        if raw:
+            values.append(miller_loop_projective(raw, self.ssc.q, self.fp2))
+        if recorded:
+            values.append(evaluate_line_sequences_product(recorded, self.fp2))
         if not values:
             return self.fp2.one()
         return self.final_exponentiation(functools.reduce(operator.mul, values))
-
-    def _general_miller(self, p_point, s_point) -> QuadraticElement:
-        last_error = None
-        for aux in self.aux_points:
-            try:
-                return miller_loop_general(
-                    p_point, s_point, self.ssc.q, self.fp2, aux
-                )
-            except ParameterError as exc:
-                last_error = exc
-        raise ParameterError(
-            f"all auxiliary points failed for general Miller loop: {last_error}"
-        )
 
     def final_exponentiation(self, f: QuadraticElement) -> QuadraticElement:
         """Raise a Miller value to ``(p^2 - 1)/q = (p - 1) * c``."""

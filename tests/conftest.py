@@ -48,7 +48,8 @@ BACKEND_SUITES = (
     # schemes.json (policy-lock, multi-server, FO, REACT, ID-TRE).
     "tests/vectors/",
     # The pairing suite; with tests/vectors it runs the fused
-    # projective Miller loop on mpz integers.
+    # projective Miller loop on mpz integers, family B's steps against
+    # the divisor-loop oracle too (test_tate.py's TestMillerVariantsAgree).
     "tests/pairing/",
     # The Jacobian kernels against the affine oracles.
     "tests/ec/test_jacobian.py",
@@ -73,7 +74,7 @@ def group() -> PairingGroup:
 
 @pytest.fixture(scope="session")
 def group_b() -> PairingGroup:
-    """Family B (general Miller loop, deterministic MapToPoint) over toy64."""
+    """Family B (conjugated verticals, deterministic MapToPoint) over toy64."""
     return PairingGroup("toy64", family="B")
 
 

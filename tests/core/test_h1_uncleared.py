@@ -508,11 +508,10 @@ def test_pair_h1_is_the_only_map_point_caller():
 
 def test_pair_h1_is_the_only_fallback():
     """No other function catches a zero Miller value or clears a
-    cofactor by hand (the Miller loop's own auxiliary-point retry and
-    the hash itself aside)."""
-    assert _functions_where(
-        _catches_parameter_error, skip={"pairing/tate.py"}
-    ) == {"PairingGroup.pair_h1"}
+    cofactor by hand (the hash itself aside)."""
+    assert _functions_where(_catches_parameter_error) == {
+        "PairingGroup.pair_h1"
+    }
     assert _functions_where(
         _calls("clear_cofactor"),
         skip={"pairing/hashing.py", "pairing/supersingular.py"},

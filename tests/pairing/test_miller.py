@@ -1,16 +1,16 @@
-"""Edge-case tests for the Miller loop internals."""
+"""Edge-case tests for the affine Miller oracles in ``tests/pairing/reference.py``."""
 
 import pytest
 
 from repro.errors import ParameterError
-from repro.pairing.miller import (
-    _line_value,
-    _vertical_value,
-    miller_loop_general,
-)
 from repro.pairing.params import get_parameter_set
 from repro.pairing.supersingular import SupersingularCurve
-from tests.pairing.reference import miller_loop_denominator_free
+from tests.pairing.reference import (
+    _line_value,
+    _vertical_value,
+    miller_loop_denominator_free,
+    miller_loop_general,
+)
 
 PARAMS = get_parameter_set("toy64")
 

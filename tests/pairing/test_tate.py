@@ -3,16 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import NotInSubgroupError, ParameterError
 from repro.math.backend import available_backends
 from repro.math.quadratic import unitary_exp
 from repro.pairing import hashing
 from repro.pairing.api import PairingGroup
-from repro.pairing.miller import miller_loop_general
 from repro.pairing.params import get_parameter_set
 from repro.pairing.supersingular import SupersingularCurve
 from repro.pairing.tate import TatePairing
+from tests.pairing.reference import general_miller
 
 
 class TestPairingProperties:
@@ -134,29 +135,90 @@ class TestFirstArgumentOutsideSubgroup:
         assert g.tate.multi_pair([]) == one
 
 
+_FAMILY_B = {}
+
+
+def _family_b(name, backend):
+    key = (name, backend)
+    if key not in _FAMILY_B:
+        _FAMILY_B[key] = PairingGroup(name, family="B", backend=backend)
+    return _FAMILY_B[key]
+
+
+def _oracle_product(group, pairs, exponents):
+    """``Π ê(P_i, Q_i)^{e_i}`` from the divisor-loop oracle: each Miller
+    value conjugated where ``e_i == -1``, infinity pairs skipped, one
+    final exponentiation."""
+    value = group.ssc.fp2.one()
+    for (p_point, q_point), exponent in zip(pairs, exponents):
+        if p_point.is_infinity or q_point.is_infinity:
+            continue
+        f = general_miller(group.ssc, p_point, q_point)
+        value = value * (f.conjugate() if exponent < 0 else f)
+    return group.tate.final_exponentiation(value)
+
+
 class TestMillerVariantsAgree:
+    """The runtime loop against the affine divisor loop of
+    ``tests/pairing/reference.py``, which keeps every vertical line and
+    evaluates at ``(phi(Q) + R) - (R)``: equal after the final
+    exponentiation."""
+
+    ORDER_ERROR = "point order does not divide the loop order"
+
     def test_general_matches_denominator_free_on_family_a(self):
         """The general divisor evaluation and the BKLS shortcut must give
         the same reduced pairing value on family A."""
         params = get_parameter_set("toy64")
         ssc = SupersingularCurve(params, "A")
         tate = TatePairing(ssc)
-        general_aux = TatePairing.__new__(TatePairing)
-        general_aux.ssc = ssc
-        general_aux.fp2 = ssc.fp2
-        general_aux._aux_points = general_aux._derive_aux_points()
-
         rng = random.Random(17)
         for _ in range(3):
             p = ssc.generator * rng.randrange(1, params.q)
             q_pt = ssc.generator * rng.randrange(1, params.q)
             fast = tate.pair(p, q_pt)
-            s_point = ssc.distort(q_pt)
-            f = miller_loop_general(
-                p, s_point, params.q, ssc.fp2, general_aux._aux_points[0]
-            )
-            slow = tate.final_exponentiation(f)
+            slow = tate.final_exponentiation(general_miller(ssc, p, q_pt))
             assert fast == slow
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("name", ["toy64", "ss512"])
+    @settings(max_examples=10, deadline=None)
+    @given(
+        scalars=st.lists(st.integers(1, 2**62), min_size=4, max_size=4),
+        signs=st.lists(st.sampled_from([1, -1]), min_size=2, max_size=2),
+    )
+    def test_family_b_matches_divisor_oracle(self, name, backend, scalars, signs):
+        """Family B's fused loop, with its conjugated verticals, gives
+        the oracle's pairing for one pair and for a ``multi_pair`` with
+        mixed exponents and infinity arguments, on every backend."""
+        group = _family_b(name, backend)
+        p1, q1, p2, q2 = (group.generator * k for k in scalars)
+        assert group.tate.pair(p1, q1) == _oracle_product(
+            group, [(p1, q1)], [1]
+        )
+        o = group.identity()
+        pairs = [(p1, q1), (o, q2), (p2, q2), (q1, o)]
+        exponents = [signs[0], -1, signs[1], 1]
+        assert group.tate.multi_pair(pairs, exponents) == _oracle_product(
+            group, pairs, exponents
+        )
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_family_b_wrong_order_rejected(self, backend):
+        group = _family_b("toy64", backend)
+        fp, gen, o = group.ssc.fp, group.generator, group.identity()
+        one = group.ssc.fp2.one()
+        bad = [
+            group.ssc.curve.point(fp(group.ssc.p - 1), fp(0)),  # order 2
+            hashing.hash_to_curve_point(group.ssc, b"not cofactor-cleared"),
+        ]
+        for point in bad:
+            with pytest.raises(ParameterError, match=self.ORDER_ERROR):
+                group.tate.pair(point, gen)
+            with pytest.raises(ParameterError, match=self.ORDER_ERROR):
+                group.tate.multi_pair([(gen, gen), (point, gen)], [1, -1])
+            assert group.tate.pair(o, point) == one
+            assert group.tate.pair(point, o) == one
 
 
 class TestUnitaryPow:
