@@ -9,7 +9,11 @@ The claim tables merge the same way (:func:`merge_claim_tables`).
 
 Each entry records the median wall time, the round count, the live
 operation counts from :mod:`repro.pairing.opcount` for one execution,
-and free-form extras.  For every ``op:params`` pair that has both a
+free-form extras and the ``session`` that measured it: one id per
+``BenchTrajectory`` (UTC start time plus a random suffix), so rows
+re-recorded by a partial run sit visibly beside rows from another
+session or host, whose absolute medians are not comparable.  For
+every ``op:params`` pair that has both a
 ``direct`` and a non-direct variant measured in one session, ``write``
 derives a ``speedup_vs_direct`` ratio (direct median / fast-path
 median).  A session may write only the rows that match its ``rows``
@@ -36,6 +40,7 @@ import fnmatch
 import json
 import os
 import pathlib
+import secrets
 import statistics
 import sys
 import time
@@ -89,6 +94,10 @@ class BenchTrajectory:
         # are the rows it writes.
         self.measured: dict[str, dict] = {}
         self.entries: dict[str, dict] = {}
+        self.session = (
+            time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
+            + "-" + secrets.token_hex(3)
+        )
 
     def selects(self, op: str) -> bool:
         """Whether some selected row can belong to ``op``: the op field
@@ -128,6 +137,7 @@ class BenchTrajectory:
             # budget, so every entry records both and --check skips
             # mismatched pairs (see compare_entries).
             "cpus": cpus,
+            "session": self.session,
         }
         if backend is not None:
             entry["backend"] = backend

@@ -299,8 +299,8 @@ def broadcast_encrypt_cost(recipients: int, warm: bool = True) -> OpBudget:
     precompute_sender``): one shared fixed-base ``U = rG`` plus one
     table-driven GT exponentiation per recipient — no pairings at all.
     Cold, fewer than :data:`~repro.core.tre.SHARED_H1_RECEIVERS`: one
-    ``rG``, then per recipient :data:`TRE_COST`'s key — ``H1(T)``'s map
-    point, one pairing and one GT exponentiation.
+    ``rG`` and one map point of ``H1(T)``, then per recipient one
+    pairing and one GT exponentiation.
     Cold, that many or more: one ``H1(T)``, two scalar multiplications
     (``rG`` and ``r·H1(T)``), one shared recording of the Miller lines
     of ``r·H1(T)`` and one precomputed pairing per recipient.
@@ -316,7 +316,7 @@ def broadcast_encrypt_cost(recipients: int, warm: bool = True) -> OpBudget:
         )
     if recipients < SHARED_H1_RECEIVERS:
         return OpBudget(
-            pairings=recipients, scalar_mults=1, hash_to_curve=recipients,
+            pairings=recipients, scalar_mults=1, hash_to_curve=1,
             gt_exps=recipients, miller_loops=recipients, final_exps=recipients,
         )
     return OpBudget(

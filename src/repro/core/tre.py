@@ -133,25 +133,34 @@ class TimedReleaseScheme:
     ) -> list[GTElement]:
         """``K_i = ê(r·X_i, H1(T))`` for every point ``X_i``, in order.
 
-        A warm point, or a cold one among fewer than
-        :data:`SHARED_H1_RECEIVERS`, costs what :meth:`_sender_key`
-        charges for ``(T,)``.  From that many cold points on they share
-        one ``H1(T)`` (cleared: a recorded argument must lie in G1), one
-        ``r·H1(T)`` and one recording of its Miller lines; each then
-        costs one replay and one final exponentiation,
-        ``ê(X_i, r·H1(T))``, the same element.
+        A warm point costs ``ê(X_i, H1(T))^r``, one table-driven GT
+        exponentiation.  Fewer than :data:`SHARED_H1_RECEIVERS` cold
+        points share one map point ``P′₀`` of ``H1(T)``, and each costs
+        one pairing ``ê(X_i, P′₀)`` raised to ``c·r mod q``, with its
+        own fallback (:meth:`~repro.pairing.api.PairingGroup.pair_h1`).
+        From that many cold points on they share one ``H1(T)`` (cleared:
+        a recorded argument must lie in G1), one ``r·H1(T)`` and one
+        recording of its Miller lines; each then costs one replay and
+        one final exponentiation, ``ê(X_i, r·H1(T))``, the same element.
         """
-        cold = [(point, time_label) not in self._sender_gt for point in points]
-        if sum(cold) < SHARED_H1_RECEIVERS:
-            return [self._sender_key(point, (time_label,), r) for point in points]
-        h_t = self.group.hash_to_g1(time_label, tag=H1_TAG)
-        # Transient on purpose: r is fresh per encryption, so these
-        # lines are never reused and must not enter the group cache.
-        shared = PairingPrecomputation(self.group, self.group.mul(h_t, r))
+        cold = [point for point in points
+                if (point, time_label) not in self._sender_gt]
+        if len(cold) < SHARED_H1_RECEIVERS:
+            # No map point at all when every point is warm.
+            cold_keys = cold and self.group.pair_h1(
+                cold, time_label, H1_TAG, scalar=r
+            )
+        else:
+            h_t = self.group.hash_to_g1(time_label, tag=H1_TAG)
+            # Transient on purpose: r is fresh per encryption, so these
+            # lines are never reused and must not enter the group cache.
+            shared = PairingPrecomputation(self.group, self.group.mul(h_t, r))
+            cold_keys = [shared.pair(point) for point in cold]
+        keys = iter(cold_keys)
         return [
-            shared.pair(point) if is_cold
-            else self._sender_key(point, (time_label,), r)
-            for point, is_cold in zip(points, cold)
+            self._sender_gt[(point, time_label)] ** r
+            if (point, time_label) in self._sender_gt else next(keys)
+            for point in points
         ]
 
     def _receiver_key(

@@ -269,7 +269,7 @@ class PairingGroup:
 
     def pair_h1(
         self,
-        fixed: CurvePoint,
+        fixed: CurvePoint | list[CurvePoint],
         data: bytes,
         tag: str = "repro:H1",
         *,
@@ -308,31 +308,42 @@ class PairingGroup:
         one clears ``P′₀``'s cofactor to tell.  Callers that need
         ``H1(data)`` as a point in G1 (signing, key extraction,
         recording its lines) use :meth:`hash_to_g1`.
+
+        A list ``fixed`` (with no ``derived``) shares one map point of
+        ``data`` among its points and returns their values in order, each
+        checked and, if need be, recomputed on its own.
         """
         def value(first: CurvePoint, second: CurvePoint) -> GTElement:
             if over is None:
                 return self.pair(first, second)
             return self.multi_pair(((first, second), over), (1, -1))
 
+        def checked(point: CurvePoint, derived: CurvePoint | None) -> GTElement:
+            exponent = 1
+            if derived is None and over is None:
+                derived, exponent = point, self.h1_cofactor * scalar % self.q
+            elif derived is None:
+                derived = self.mul(point, self.h1_cofactor * scalar)
+            try:
+                result = value(derived, uncleared)
+            except ParameterError:
+                result = None  # a zero Miller value: c·P′₀ = O
+            if result is not None:
+                if over is None:
+                    exact = not result.is_identity()
+                else:
+                    exact = result.is_identity() or not self.ssc.clear_cofactor(
+                        uncleared).is_infinity
+                if exact:
+                    return result if exponent == 1 else result ** exponent
+            return value(self.mul(point, scalar), self.hash_to_g1(data, tag))
+
+        if isinstance(fixed, list) and derived is not None:
+            raise ParameterError("a list of fixed points takes no derived point")
         uncleared = self._map_to_curve(data, tag)
-        exponent = 1
-        if derived is None and over is None:
-            derived, exponent = fixed, self.h1_cofactor * scalar % self.q
-        elif derived is None:
-            derived = self.mul(fixed, self.h1_cofactor * scalar)
-        try:
-            result = value(derived, uncleared)
-        except ParameterError:
-            result = None  # a zero Miller value: c·P′₀ = O
-        if result is not None:
-            if over is None:
-                exact = not result.is_identity()
-            else:
-                exact = result.is_identity() or not self.ssc.clear_cofactor(
-                    uncleared).is_infinity
-            if exact:
-                return result if exponent == 1 else result ** exponent
-        return value(self.mul(fixed, scalar), self.hash_to_g1(data, tag))
+        if isinstance(fixed, list):
+            return [checked(point, None) for point in fixed]
+        return checked(fixed, derived)
 
     def random_point(self, rng: random.Random) -> CurvePoint:
         """A uniform element of the order-``q`` subgroup."""

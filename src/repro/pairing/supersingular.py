@@ -175,8 +175,9 @@ class SupersingularCurve:
             y = self.fp(value)
             x = (y.square() - self.fp(1)).cube_root()
             return self.curve.unchecked_point(x, y)
-        # Family A: try x = value, succeed iff x^3 + x is a square; one
-        # exponentiation both tests residuosity and yields the root.
+        # Family A: try x = value, succeed iff x^3 + x is a square; a
+        # Jacobi symbol rejects half the candidates, and one
+        # exponentiation tests the rest and yields the root.
         root = sqrt_if_square(value * value * value + value, self.p)
         if root is None:
             return None

@@ -19,9 +19,10 @@ Because ``p - 1`` divides the exponent, every ``Fp*`` factor of a
 Miller value maps to 1.  That is what lets family A drop vertical
 lines, family B multiply by a conjugated vertical instead of dividing
 by it, and both, for one-shot arguments, scale each line into ``Fp``
-instead of dividing (:func:`~repro.pairing.miller.miller_loop_projective`):
-the Miller values differ from the recorded-lines path and from the
-textbook loop, the GT bytes do not.
+instead of dividing and walk ``q`` in non-adjacent form
+(:func:`~repro.pairing.miller.miller_loop_projective`): the Miller
+values differ from the recorded-lines path and from the textbook loop,
+the GT bytes do not.
 """
 
 from __future__ import annotations

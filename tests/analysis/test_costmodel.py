@@ -293,7 +293,7 @@ class TestPrecomputedBudgets:
         _assert_budget_with_advisory(
             cold, broadcast_encrypt_cost(len(receivers), warm=False)
         )
-        # Below SHARED_H1_RECEIVERS each cold recipient pairs on H1's
+        # Below SHARED_H1_RECEIVERS the cold recipients pair on H1's one
         # map point (primary counts: this second send's rG is tabled).
         with group.counters.measure() as cold:
             scheme.encrypt_broadcast(

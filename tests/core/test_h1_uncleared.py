@@ -329,6 +329,25 @@ def test_cold_pair_h1_falls_back_per_label(group, force):
     assert ops["gt_exp"] == 1
 
 
+def test_cold_receivers_share_a_map_point_and_fall_back(group, degenerate):
+    """Below ``SHARED_H1_RECEIVERS`` the cold receivers of one send pair
+    on one map point of ``H1(T)``; each key still falls back to the
+    cleared ``H1(T)`` when ``c·P′₀ = O``, and a warm receiver among them
+    keeps its cached pairing."""
+    rng = random.Random(21)
+    points = [group.random_point(rng) for _ in range(3)]
+    label, r = b"forced", group.random_scalar(rng)
+    h1 = group.hash_to_g1(label)
+    expected = [group.pair(group.mul(point, r), h1) for point in points]
+    scheme = TimedReleaseScheme(group)
+    scheme._sender_gt[(points[1], label)] = group.pair(points[1], h1)
+    with group.counters.measure() as ops:
+        assert scheme._sender_keys(points, label, r) == expected
+    assert ops["hash_to_curve"] == 1
+    with pytest.raises(ParameterError):
+        group.pair_h1(points, label, H1_TAG, derived=points[0])
+
+
 def test_warm_label_falls_back_exactly(group, degenerate):
     rng = random.Random(13)
     server = PassiveTimeServer(group, rng=rng)

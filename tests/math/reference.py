@@ -4,7 +4,12 @@
   The library inverts with CPython's ``pow(x, -1, m)``; the tests check
   every backend's ``fp_inv`` against this independent implementation.
 * :func:`jacobi_symbol`: quadratic reciprocity, an oracle for the
-  library's Euler-criterion residuosity test.
+  library's Euler-criterion residuosity test and its binary
+  :func:`repro.math.modular.jacobi_symbol`.
+* :func:`sqrt_if_square_ungated`: the square root before the Jacobi
+  gate, where one ``(p+1)/4`` exponentiation is both the residuosity
+  test and the root for ``p % 4 == 3``.  The tests check that the gated
+  library function returns the same root or ``None`` for every input.
 * :func:`cyclotomic_square`: the norm-1 squaring ``(a + bu)^2 =
   (2a^2 - 1) + 2ab*u`` on a full element, which
   :class:`repro.math.quadratic.GTFixedBaseTable` runs inline on int
@@ -70,6 +75,46 @@ def jacobi_symbol(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+def sqrt_if_square_ungated(a: int, p: int) -> int | None:
+    """The canonical square root of ``a`` modulo ``p``, or ``None``.
+
+    For ``p % 4 == 3``: ``r = a^((p+1)/4)`` is a root exactly when
+    ``r^2 == a``.  Other primes: Euler's criterion, then Tonelli–Shanks.
+    """
+    a %= p
+    if a == 0:
+        return 0
+    if p % 4 == 3:
+        root = pow(a, (p + 1) // 4, p)
+        if root * root % p != a:
+            return None
+        return min(root, p - root)
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    m = s
+    c = pow(z, q, p)
+    t = pow(a, q, p)
+    root = pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, probe = 0, t
+        while probe != 1:
+            probe = probe * probe % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m = i
+        c = b * b % p
+        t = t * c % p
+        root = root * b % p
+    return min(root, p - root)
 
 
 def cyclotomic_square(x: QuadraticElement) -> QuadraticElement:

@@ -4,12 +4,28 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ParameterError
+from repro.math import modular
 from repro.math.modular import cube_root_mod, is_quadratic_residue, sqrt_mod
-from tests.math.reference import egcd, inverse_mod, jacobi_symbol
+from repro.pairing.params import get_parameter_set
+from tests.math.reference import (
+    egcd,
+    inverse_mod,
+    jacobi_symbol,
+    sqrt_if_square_ungated,
+)
 
 P_3MOD4 = 10007          # prime, 10007 % 4 == 3
 P_1MOD4 = 10009          # prime, 10009 % 4 == 1
 P_2MOD3 = 10007          # 10007 % 3 == 2
+P_TOY64 = get_parameter_set("toy64").p    # % 4 == 3
+P_SS512 = get_parameter_set("ss512").p    # % 4 == 3
+P_25519 = 2**255 - 19    # prime, % 4 == 1: the Tonelli–Shanks path
+PRIMES = [P_3MOD4, P_1MOD4, P_TOY64, P_SS512, P_25519]
+# Composite moduli that are 3 (mod 4), as a PrimeField(check_prime=False)
+# may hold: a Jacobi symbol of +1 proves nothing there.
+COMPOSITES_3MOD4 = [P_3MOD4 * P_1MOD4, P_SS512 * P_1MOD4]
+GATE_MODULI = [P_TOY64, P_SS512, P_25519] + COMPOSITES_3MOD4
+ANY_INT = st.one_of(st.integers(), st.integers(0, 2**1100))
 
 
 class TestEgcd:
@@ -81,6 +97,56 @@ class TestJacobiSymbol:
     def test_oracle_for_is_quadratic_residue(self, a):
         for p in (P_3MOD4, P_1MOD4):
             assert is_quadratic_residue(a, p) == (jacobi_symbol(a, p) == 1)
+
+
+class TestBinaryJacobi:
+    """The library's binary Jacobi symbol against Euler's criterion on
+    primes and against the reciprocity oracle on any odd modulus."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @given(a=ANY_INT)
+    def test_matches_euler_criterion(self, p, a):
+        euler = pow(a, (p - 1) // 2, p)
+        assert modular.jacobi_symbol(a, p) == (-1 if euler == p - 1 else euler)
+
+    @given(a=ANY_INT, n=st.integers(1, 2**600))
+    def test_matches_oracle_on_odd_moduli(self, a, n):
+        n |= 1
+        assert modular.jacobi_symbol(a, n) == jacobi_symbol(a, n)
+
+    @pytest.mark.parametrize("n", [0, -7, 8, 2])
+    def test_rejects_even_or_nonpositive(self, n):
+        with pytest.raises(ParameterError):
+            modular.jacobi_symbol(3, n)
+
+
+class TestSqrtGate:
+    """``sqrt_if_square`` answers ``None`` on a Jacobi symbol of ``-1``
+    before its exponentiation; every root or ``None`` stays what the
+    ungated function of ``tests/math/reference.py`` returns."""
+
+    @pytest.mark.parametrize("modulus", GATE_MODULI)
+    @given(a=ANY_INT)
+    def test_same_root_or_none(self, modulus, a):
+        for value in (a, a * a):
+            assert modular.sqrt_if_square(value, modulus) == (
+                sqrt_if_square_ungated(value, modulus)
+            )
+
+    @pytest.mark.parametrize("modulus", GATE_MODULI)
+    def test_edge_cases(self, modulus):
+        for a in (0, 1, modulus - 1, modulus, 5 * modulus, -modulus,
+                  modulus + 1, modulus * modulus, -1):
+            assert modular.sqrt_if_square(a, modulus) == (
+                sqrt_if_square_ungated(a, modulus)
+            )
+        assert modular.sqrt_if_square(0, modulus) == 0
+        assert modular.sqrt_if_square(3 * modulus, modulus) == 0
+        assert modular.sqrt_if_square(1, modulus) == 1
+
+    @pytest.mark.parametrize("p", [P_3MOD4, P_TOY64, P_SS512])
+    def test_minus_one_is_no_square(self, p):
+        assert modular.sqrt_if_square(p - 1, p) is None
 
 
 class TestSqrtMod:

@@ -15,6 +15,13 @@ They share no code with the runtime loops or the integer kernels, so
 ``f_{q,P}`` at ``(S + R) - (R)`` for an auxiliary point ``R`` from
 :func:`derive_aux_points`, keeping every vertical line, so it is exact
 on family B, whose distorted x-coordinates leave ``Fp``.
+
+:func:`miller_loop_projective_binary` is the fused loop as it was
+before it walked the order in non-adjacent form: the same integer
+steps, one chord with ``P`` per set bit of the order and never one
+with ``-P``.  Its Miller value differs from the NAF loop's by an
+``Fp*`` factor, so the two agree after the final exponentiation; a
+dropped or misplaced ``-1``-digit factor shows up there.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import hashlib
 from repro.ec.point import CurvePoint
 from repro.errors import ParameterError
 from repro.math.quadratic import QuadraticElement, QuadraticField
-from repro.pairing.miller import _LINE, _ONE, _VERT, PrecomputedLines
+from repro.pairing.miller import _LINE, _ONE, _STEPS, _VERT, PrecomputedLines
 from repro.pairing.supersingular import SupersingularCurve
 
 
@@ -211,3 +218,35 @@ def general_miller(
         except ParameterError as exc:
             last_error = exc
     raise ParameterError(f"all auxiliary points failed: {last_error}")
+
+
+def miller_loop_projective_binary(tasks, order: int, fp2: QuadraticField):
+    """:func:`repro.pairing.miller.miller_loop_projective` on the binary
+    schedule of ``order``: a doubling per bit below the leading one and
+    a chord with ``P`` on each set bit."""
+    phi, square, times, tangent, chord, _ = _STEPS[fp2.beta]
+    lift = fp2.backend.lift
+    p = lift(fp2.p)
+    points = []
+    consts = []
+    for p_point, q_point, conjugate in tasks:
+        px, py = lift(p_point.x.value), lift(p_point.y.value)
+        sx, sy, dx = phi(
+            px, lift(q_point.x.value), lift(q_point.y.value), conjugate, p
+        )
+        points.append((px, py, 1))
+        consts.append((px, py, sx, sy, dx))
+    fa, fb = lift(1), lift(0)
+    for bit_index in range(order.bit_length() - 2, -1, -1):
+        fa, fb = square(fa, fb, p)
+        add = (order >> bit_index) & 1
+        for index, (px, py, sx, sy, dx) in enumerate(consts):
+            point, line = tangent(*points[index], sx, sy, p)
+            fa, fb = times(fa, fb, line, p)
+            if add:
+                point, line = chord(*point, px, py, sx, sy, dx, p)
+                fa, fb = times(fa, fb, line, p)
+            points[index] = point
+    if any(z for _, _, z in points):
+        raise ParameterError("point order does not divide the loop order")
+    return QuadraticElement(fp2, int(fa), int(fb))

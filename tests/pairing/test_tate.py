@@ -10,10 +10,11 @@ from repro.math.backend import available_backends
 from repro.math.quadratic import unitary_exp
 from repro.pairing import hashing
 from repro.pairing.api import PairingGroup
+from repro.pairing.miller import PrecomputedLines, evaluate_line_sequences_product
 from repro.pairing.params import get_parameter_set
 from repro.pairing.supersingular import SupersingularCurve
 from repro.pairing.tate import TatePairing
-from tests.pairing.reference import general_miller
+from tests.pairing.reference import general_miller, miller_loop_projective_binary
 
 
 class TestPairingProperties:
@@ -135,14 +136,34 @@ class TestFirstArgumentOutsideSubgroup:
         assert g.tate.multi_pair([]) == one
 
 
-_FAMILY_B = {}
+_GROUPS = {}
 
 
-def _family_b(name, backend):
-    key = (name, backend)
-    if key not in _FAMILY_B:
-        _FAMILY_B[key] = PairingGroup(name, family="B", backend=backend)
-    return _FAMILY_B[key]
+def _cached_group(name, backend, family):
+    key = (name, backend, family)
+    if key not in _GROUPS:
+        _GROUPS[key] = PairingGroup(name, family=family, backend=backend)
+    return _GROUPS[key]
+
+
+def _binary_product(group, pairs, exponents):
+    """``Π ê(P_i, Q_i)^{e_i}`` with the raw pairs on the binary one-shot
+    loop of ``tests/pairing/reference.py`` and the recorded ones on the
+    replay product, infinity pairs skipped, one final exponentiation."""
+    raw, recorded = [], []
+    for (first, q_point), exponent in zip(pairs, exponents):
+        if isinstance(first, PrecomputedLines):
+            if not q_point.is_infinity:
+                recorded.append(
+                    (first, group.ssc.distort(q_point), exponent < 0)
+                )
+        elif not (first.is_infinity or q_point.is_infinity):
+            raw.append((first, q_point, exponent < 0))
+    fp2 = group.ssc.fp2
+    return group.tate.final_exponentiation(
+        miller_loop_projective_binary(raw, group.q, fp2)
+        * evaluate_line_sequences_product(recorded, fp2)
+    )
 
 
 def _oracle_product(group, pairs, exponents):
@@ -191,7 +212,7 @@ class TestMillerVariantsAgree:
         """Family B's fused loop, with its conjugated verticals, gives
         the oracle's pairing for one pair and for a ``multi_pair`` with
         mixed exponents and infinity arguments, on every backend."""
-        group = _family_b(name, backend)
+        group = _cached_group(name, backend, "B")
         p1, q1, p2, q2 = (group.generator * k for k in scalars)
         assert group.tate.pair(p1, q1) == _oracle_product(
             group, [(p1, q1)], [1]
@@ -204,8 +225,39 @@ class TestMillerVariantsAgree:
         )
 
     @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("family", ["A", "B"])
+    @pytest.mark.parametrize("name", ["toy64", "ss512"])
+    @settings(max_examples=10, deadline=None)
+    @given(
+        scalars=st.lists(st.integers(1, 2**62), min_size=4, max_size=4),
+        signs=st.lists(st.sampled_from([1, -1]), min_size=3, max_size=3),
+    )
+    def test_naf_loop_matches_binary_oracle(
+        self, name, family, backend, scalars, signs
+    ):
+        """The one-shot loop walks ``q`` in non-adjacent form; ``pair``
+        and ``multi_pair`` give the binary loop's bytes, with mixed
+        exponents, infinity arguments and (family A) recorded lines of
+        the same points in one product."""
+        group = _cached_group(name, backend, family)
+        p1, q1, p2, q2 = (group.generator * k for k in scalars)
+        assert group.tate.pair(p1, q1).to_bytes() == _binary_product(
+            group, [(p1, q1)], [1]
+        ).to_bytes()
+        o = group.identity()
+        pairs = [(p1, q1), (o, q2), (p2, q2), (q1, o), (q2, p1)]
+        exponents = [signs[0], -1, signs[1], 1, signs[2]]
+        if family == "A":
+            lines = group.tate.precompute_lines(p2)
+            pairs += [(lines, q1), (lines, o)]
+            exponents += [-signs[1], 1]
+        assert group.tate.multi_pair(pairs, exponents).to_bytes() == (
+            _binary_product(group, pairs, exponents).to_bytes()
+        )
+
+    @pytest.mark.parametrize("backend", available_backends())
     def test_family_b_wrong_order_rejected(self, backend):
-        group = _family_b("toy64", backend)
+        group = _cached_group("toy64", backend, "B")
         fp, gen, o = group.ssc.fp, group.generator, group.identity()
         one = group.ssc.fp2.one()
         bad = [

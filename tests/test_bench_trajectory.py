@@ -115,6 +115,21 @@ class TestRowSelection:
             "pairing:toy64:precomputed": 2.0,
         }
 
+    def test_rows_carry_their_session(self, tmp_path):
+        path = self._committed(tmp_path)
+        committed = json.loads(path.read_text())["entries"]
+        fresh = BenchTrajectory(path, rows=["encrypt:*:gt_table"])
+        fresh.record("encrypt", "toy64", "direct", 0.008, 3)
+        fresh.record("encrypt", "toy64", "gt_table", 0.002, 3)
+        fresh.write()
+        entries = json.loads(path.read_text())["entries"]
+        sessions = {key: entry["session"] for key, entry in entries.items()}
+        assert sessions["encrypt:toy64:gt_table"] == fresh.session
+        old = committed["encrypt:toy64:direct"]["session"]
+        assert old != fresh.session
+        assert {sessions[key] for key in sessions
+                if key != "encrypt:toy64:gt_table"} == {old}
+
     def test_no_session_direct_drops_the_ratio(self, tmp_path):
         path = self._committed(tmp_path)
         fresh = BenchTrajectory(path)
