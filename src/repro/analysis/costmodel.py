@@ -298,9 +298,10 @@ def broadcast_encrypt_cost(recipients: int, warm: bool = True) -> OpBudget:
     Warm (GT caches built by ``BroadcastTimedReleaseScheme.
     precompute_sender``): one shared fixed-base ``U = rG`` plus one
     table-driven GT exponentiation per recipient — no pairings at all.
-    Cold, fewer than :data:`~repro.core.tre.SHARED_H1_RECEIVERS`: one
-    ``rG`` and one map point of ``H1(T)``, then per recipient one
-    pairing and one GT exponentiation.
+    Cold, fewer than :data:`~repro.core.tre.SHARED_H1_RECEIVERS` (four,
+    where the two forms break even on ss512): one ``rG`` and one map
+    point of ``H1(T)``, then per recipient one pairing and one GT
+    exponentiation.
     Cold, that many or more: one ``H1(T)``, two scalar multiplications
     (``rG`` and ``r·H1(T)``), one shared recording of the Miller lines
     of ``r·H1(T)`` and one precomputed pairing per recipient.
@@ -360,38 +361,4 @@ def tre_batch_decrypt_cost(n: int) -> OpBudget:
     return OpBudget(
         pairings=n, scalar_mults=1, precomputed_pairings=n,
         miller_loops=n, final_exps=n, line_recordings=1,
-    )
-
-
-def cost_table() -> str:
-    """Render the fixed budgets as an aligned table (for docs/benches)."""
-    from repro.analysis.table import format_table
-
-    def ops(budget: OpBudget) -> str:
-        hashes = f"{budget.hash_to_group}H"
-        if budget.hash_to_curve:
-            hashes += f" {budget.hash_to_curve}h"
-        return (
-            f"{budget.pairings}P {budget.scalar_mults}M {hashes} "
-            f"{budget.gt_exps}E"
-        )
-
-    rows = []
-    for cost in (
-        TRE_COST, IDTRE_COST, HYBRID_COST, multiserver_cost(3), resilient_cost(8)
-    ):
-        rows.append((
-            cost.name,
-            ops(cost.encrypt),
-            ops(cost.decrypt),
-            f"{cost.encrypt.dominant_cost():.0f}",
-            f"{cost.decrypt.dominant_cost():.0f}",
-        ))
-    return format_table(
-        ("scheme", "encrypt", "decrypt", "enc cost*", "dec cost*"),
-        rows,
-        title=(
-            "Symbolic op budgets (*scalar-mult equivalents, pairing=10; "
-            "h = H1 map point without its cofactor)"
-        ),
     )

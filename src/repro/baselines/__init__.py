@@ -1,8 +1,6 @@
-"""Every comparator scheme the paper discusses, implemented for real.
+"""The comparator schemes the experiments run, implemented for real.
 
 §2.1 time-lock puzzles      → :mod:`repro.baselines.timelock_puzzle`
-§2.1 timed commitments/sigs → :mod:`repro.baselines.timed_commitment`
-§2.2 May's escrow agent     → :mod:`repro.baselines.escrow_agent`
 §2.2 Rivest's server        → :mod:`repro.baselines.rivest_server`
 §2.2 Di Crescenzo's COT     → :mod:`repro.baselines.cot`
 §2.2 Mont's HP time vault   → :mod:`repro.baselines.mont_vault`
@@ -17,12 +15,7 @@ benchmarks in ``benchmarks/`` compare real work against real work.
 from repro.baselines.elgamal import ExponentialElGamal, HashedElGamal
 from repro.baselines.bf_ibe import BonehFranklinIBE
 from repro.baselines.hybrid_pke_ibe import HybridPkeIbeTimedRelease
-from repro.baselines.timed_commitment import (
-    TimedCommitmentScheme,
-    TimedSignatureScheme,
-)
 from repro.baselines.timelock_puzzle import TimeLockPuzzle
-from repro.baselines.escrow_agent import EscrowAgent
 from repro.baselines.rivest_server import RivestKeyReleaseServer, RivestPublicKeyServer
 from repro.baselines.mont_vault import MontTimeVault
 
@@ -32,9 +25,6 @@ __all__ = [
     "BonehFranklinIBE",
     "HybridPkeIbeTimedRelease",
     "TimeLockPuzzle",
-    "TimedCommitmentScheme",
-    "TimedSignatureScheme",
-    "EscrowAgent",
     "RivestKeyReleaseServer",
     "RivestPublicKeyServer",
     "MontTimeVault",

@@ -39,9 +39,9 @@ H2_TAG = "repro:H2"
 
 # Cold receivers of one broadcast from which they share one r·H1(T) and
 # its recorded Miller lines instead of a pairing and a GT exponentiation
-# each (measured in docs/PERFORMANCE.md, "A cold send with no
-# variable-base scalar multiplication").
-SHARED_H1_RECEIVERS = 3
+# each (measured in docs/PERFORMANCE.md, "The cold multi-receiver
+# threshold").
+SHARED_H1_RECEIVERS = 4
 
 
 @codec(u_point=POINT, masked=BYTES, time_label=BYTES)

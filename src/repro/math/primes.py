@@ -1,7 +1,7 @@
 """Primality testing and prime generation.
 
-Used by the RSA-style time-lock puzzle baseline and by the (offline)
-pairing parameter generator.  Miller–Rabin here is deterministic for the
+Used by the RSA-style time-lock puzzle baseline and by ``Fp``'s check
+that its modulus is prime.  Miller–Rabin here is deterministic for the
 test vectors we care about because it always starts with the small-base
 set that is provably sufficient below 3.3 * 10^24, then adds random bases
 for larger inputs.
@@ -74,28 +74,3 @@ def random_prime(bits: int, rng: random.Random) -> int:
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if is_probable_prime(candidate, rng=rng):
             return candidate
-
-
-def random_safe_prime(bits: int, rng: random.Random) -> int:
-    """A random safe prime ``p`` (``(p - 1) / 2`` also prime) of ``bits`` bits.
-
-    Only used at small-to-moderate sizes (tests and the RSA baseline), where
-    the rejection loop terminates quickly.
-    """
-    while True:
-        q = random_prime(bits - 1, rng)
-        p = 2 * q + 1
-        if p.bit_length() == bits and is_probable_prime(p, rng=rng):
-            return p
-
-
-def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than ``n``."""
-    candidate = n + 1
-    if candidate <= 2:
-        return 2
-    if candidate % 2 == 0:
-        candidate += 1
-    while not is_probable_prime(candidate):
-        candidate += 2
-    return candidate

@@ -2,18 +2,15 @@
 
 Two separable concerns:
 
-* :class:`MetricsCollector` — counts messages and bytes per channel and
-  collects named observation series (e.g. per-receiver message opening
-  times) with summary statistics.
+* :class:`MetricsCollector` — counts messages and bytes per channel, so
+  a test can show that one update costs the server one broadcast.
 * :class:`AnonymityLedger` — records every identity-revealing fact each
-  party observes.  The paper's privacy claims become assertions over
-  this ledger: after a full TRE scenario the *time server's* entry must
-  be empty, while the escrow/Rivest/Mont baselines accumulate entries.
+  party observes.  The paper's privacy claim becomes an assertion over
+  this ledger: the *time server's* entry must stay empty.
 """
 
 from __future__ import annotations
 
-import statistics
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -25,38 +22,15 @@ class ChannelStats:
 
 
 class MetricsCollector:
-    """Accumulates per-channel traffic and named observation series."""
+    """Accumulates per-channel traffic."""
 
     def __init__(self):
         self.channels: dict[str, ChannelStats] = defaultdict(ChannelStats)
-        self.series: dict[str, list[float]] = defaultdict(list)
 
     def record_message(self, channel: str, size_bytes: int) -> None:
         stats = self.channels[channel]
         stats.messages += 1
         stats.bytes += size_bytes
-
-    def observe(self, series: str, value: float) -> None:
-        self.series[series].append(value)
-
-    def summary(self, series: str) -> dict[str, float]:
-        values = self.series.get(series, [])
-        if not values:
-            return {"count": 0}
-        return {
-            "count": len(values),
-            "mean": statistics.fmean(values),
-            "min": min(values),
-            "max": max(values),
-            "spread": max(values) - min(values),
-            "stdev": statistics.pstdev(values),
-        }
-
-    def channel_totals(self) -> dict[str, tuple[int, int]]:
-        return {
-            name: (stats.messages, stats.bytes)
-            for name, stats in sorted(self.channels.items())
-        }
 
 
 @dataclass

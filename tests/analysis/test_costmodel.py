@@ -24,7 +24,6 @@ from repro.analysis.costmodel import (
     UPDATE_KEY_DERIVATION_COST,
     UPDATE_VERIFY_COST,
     broadcast_encrypt_cost,
-    cost_table,
     multiserver_cost,
     resilient_cost,
     tre_batch_decrypt_cost,
@@ -32,7 +31,7 @@ from repro.analysis.costmodel import (
 from repro.core.idtre import IdentityTimedReleaseScheme
 from repro.core.keys import ServerKeyPair, UserKeyPair
 from repro.core.timeserver import PassiveTimeServer, TimeBoundKeyUpdate
-from repro.core.tre import TimedReleaseScheme
+from repro.core.tre import SHARED_H1_RECEIVERS, TimedReleaseScheme
 from repro.pairing.api import PairingGroup
 
 LABEL = b"costmodel-T"
@@ -279,9 +278,10 @@ class TestPrecomputedBudgets:
         from repro.core.broadcast import BroadcastTimedReleaseScheme
 
         group, server, user = fresh
+        # The smallest cold set that shares r·H1(T).
         others = [
             UserKeyPair.generate(group, server.public_key, rng)
-            for _ in range(2)
+            for _ in range(SHARED_H1_RECEIVERS - 1)
         ]
         receivers = [user.public] + [u.public for u in others]
         scheme = BroadcastTimedReleaseScheme(group)
@@ -422,10 +422,3 @@ class TestPrecomputedBudgets:
             resilient_cost(8).decrypt.dominant_cost()
             < OpBudget(pairings=8, gt_exps=1).dominant_cost()
         )
-
-
-class TestRendering:
-    def test_cost_table_renders(self):
-        table = cost_table()
-        assert "TRE" in table
-        assert "hybrid" in table

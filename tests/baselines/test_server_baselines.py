@@ -1,48 +1,13 @@
-"""Tests for the escrow-agent, Rivest-server and Mont-vault baselines."""
+"""Tests for the Rivest-server and Mont-vault baselines."""
 
 import pytest
 
-from repro.baselines.escrow_agent import EscrowAgent
 from repro.baselines.mont_vault import MontTimeVault, vault_identity
 from repro.baselines.rivest_server import (
     RivestKeyReleaseServer,
     RivestPublicKeyServer,
 )
 from repro.errors import DecryptionError, UpdateNotAvailableError
-
-
-class TestEscrowAgent:
-    def test_delivery_at_release(self):
-        agent = EscrowAgent()
-        agent.deposit(b"alice", b"bob", b"msg", release_epoch=10)
-        assert agent.tick(9) == []
-        due = agent.tick(10)
-        assert len(due) == 1 and due[0].message == b"msg"
-        assert agent.pending_count() == 0
-
-    def test_storage_accounting(self):
-        agent = EscrowAgent()
-        agent.deposit(b"a", b"b", b"x" * 100, 5)
-        agent.deposit(b"a", b"c", b"y" * 50, 6)
-        assert agent.stored_bytes == 150
-        agent.tick(5)
-        assert agent.stored_bytes == 50
-
-    def test_agent_learns_everything(self):
-        """The anti-anonymity property the paper criticizes."""
-        agent = EscrowAgent()
-        agent.deposit(b"alice", b"bob", b"secret", 5)
-        assert b"alice" in agent.knowledge.senders
-        assert b"bob" in agent.knowledge.receivers
-        assert agent.knowledge.messages_seen == 1
-        assert 5 in agent.knowledge.release_times_seen
-
-    def test_multiple_deliveries(self):
-        agent = EscrowAgent()
-        for epoch in (1, 2, 2, 3):
-            agent.deposit(b"s", b"r", b"m", epoch)
-        assert len(agent.tick(2)) == 3
-        assert agent.deliveries == 3
 
 
 class TestRivestSymmetric:

@@ -276,7 +276,7 @@ def _oracle_bytes(group, server_public, receivers, seed) -> bytes:
 
 class TestSenderKeysOracle:
     @pytest.mark.parametrize(
-        "n", sorted({1, SHARED_H1_RECEIVERS - 1, SHARED_H1_RECEIVERS, 5})
+        "n", sorted({1, 2, SHARED_H1_RECEIVERS - 1, SHARED_H1_RECEIVERS, 5})
     )
     @pytest.mark.parametrize("warm", ["cold", "warm", "mixed"])
     def test_matches_per_recipient_oracle(self, oracle_setup, n, warm):

@@ -5,12 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.math.primes import (
-    is_probable_prime,
-    next_prime,
-    random_prime,
-    random_safe_prime,
-)
+from repro.math.primes import is_probable_prime, random_prime
 
 KNOWN_PRIMES = [2, 3, 5, 7, 11, 101, 10007, 2**31 - 1, 2**61 - 1, 2**127 - 1]
 KNOWN_COMPOSITES = [1, 0, -7, 4, 100, 561, 1105, 2**31, 2**61 - 2]
@@ -66,30 +61,3 @@ class TestRandomPrime:
         assert random_prime(32, random.Random(9)) == random_prime(
             32, random.Random(9)
         )
-
-
-class TestRandomSafePrime:
-    def test_structure(self):
-        rng = random.Random(2)
-        p = random_safe_prime(24, rng)
-        assert p.bit_length() == 24
-        assert is_probable_prime(p)
-        assert is_probable_prime((p - 1) // 2)
-
-
-class TestNextPrime:
-    def test_small_values(self):
-        assert next_prime(0) == 2
-        assert next_prime(2) == 3
-        assert next_prime(3) == 5
-        assert next_prime(10) == 11
-        assert next_prime(13) == 17
-
-    def test_strictly_greater(self):
-        assert next_prime(7) == 11
-
-    @given(st.integers(0, 10**5))
-    def test_result_is_prime_and_greater(self, n):
-        p = next_prime(n)
-        assert p > n
-        assert is_probable_prime(p)

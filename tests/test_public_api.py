@@ -54,8 +54,7 @@ PUBLIC_SURFACE = {
     "repro.core.timeserver": ["batch_verify_updates", "verify_archive"],
     "repro.baselines": [
         "HashedElGamal", "ExponentialElGamal", "BonehFranklinIBE",
-        "HybridPkeIbeTimedRelease", "TimeLockPuzzle", "TimedCommitmentScheme",
-        "TimedSignatureScheme", "EscrowAgent", "RivestKeyReleaseServer",
+        "HybridPkeIbeTimedRelease", "TimeLockPuzzle", "RivestKeyReleaseServer",
         "RivestPublicKeyServer", "MontTimeVault",
     ],
     "repro.baselines.cot": [
@@ -74,7 +73,7 @@ PUBLIC_SURFACE = {
     "repro.analysis": ["format_table"],
     "repro.analysis.costmodel": [
         "OpBudget", "SchemeCost", "TRE_COST", "IDTRE_COST", "HYBRID_COST",
-        "multiserver_cost", "resilient_cost", "cost_table",
+        "multiserver_cost", "resilient_cost",
     ],
     "repro.service": [
         "TimeServerNode", "LocalNodeTransport", "ResilientTimeClient",
