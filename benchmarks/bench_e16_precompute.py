@@ -4,8 +4,10 @@ The deployment shape of the paper's schemes is dominated by *fixed*
 arguments: a sender reuses the server generator and one receiver key
 across many encryptions, and one broadcast update ``I_T`` unlocks every
 ciphertext labelled ``T``.  This experiment measures how much the
-fixed-base tables and cached Miller lines buy on that shape, and feeds
-the machine-readable trajectory (``BENCH_pairing.json``).
+fixed-base tables and cached Miller lines buy on that shape.  It times
+its claim table with an in-memory ``BenchTrajectory`` that it never
+writes: ``benchmarks/smoke.py`` records the same operations in
+``BENCH_pairing.json``.
 
 Runs on toy64 so it stays cheap inside the default benchmark sweep; the
 production-size numbers come from ``scripts/bench.sh --params ss512``.
@@ -14,6 +16,7 @@ production-size numbers come from ``scripts/bench.sh --params ss512``.
 import pytest
 
 from benchmarks.conftest import emit
+from benchmarks.trajectory import BenchTrajectory
 from repro.analysis import format_table
 from repro.core.keys import UserKeyPair
 from repro.core.timeserver import PassiveTimeServer
@@ -33,7 +36,7 @@ def e16_group():
     return PairingGroup("toy64", family="A")
 
 
-def test_e16_fixed_base_mult(benchmark, e16_group, trajectory):
+def test_e16_fixed_base_mult(benchmark, e16_group):
     group = e16_group
     rng = seeded_rng("e16")
     point = group.random_point(rng)
@@ -42,7 +45,7 @@ def test_e16_fixed_base_mult(benchmark, e16_group, trajectory):
     benchmark.pedantic(table.mult, args=(scalar,), rounds=5, iterations=1)
 
 
-def test_e16_pair_with_precomp(benchmark, e16_group, trajectory):
+def test_e16_pair_with_precomp(benchmark, e16_group):
     group = e16_group
     rng = seeded_rng("e16")
     p = group.random_point(rng)
@@ -53,8 +56,9 @@ def test_e16_pair_with_precomp(benchmark, e16_group, trajectory):
     )
 
 
-def test_e16_claim_table(benchmark, e16_group, trajectory):
+def test_e16_claim_table(benchmark, e16_group):
     group = e16_group
+    trajectory = BenchTrajectory()
     rng = seeded_rng("e16-table")
     curve = group.ssc.curve
     scheme = TimedReleaseScheme(group)
@@ -105,12 +109,8 @@ def test_e16_claim_table(benchmark, e16_group, trajectory):
             "one I_T, lines shared",
         ),
     ):
-        # Namespaced: these rows time a SINGLE operation, while the
-        # smoke benchmark's same-named entries time small batches —
-        # sharing keys would make the trajectory self-inconsistent and
-        # trip the --check gate with apples-to-oranges ratios.
         medians = trajectory.measure_interleaved(
-            group, "e16_" + name.replace(" ", "_"),
+            group, name.replace(" ", "_"),
             {"direct": direct_fn, "precomputed": fast_fn}, ROUNDS,
         )
         direct_ms = medians["direct"] * 1000

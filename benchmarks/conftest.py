@@ -1,6 +1,6 @@
 """Shared fixtures and reporting helpers for the benchmark harness.
 
-Every experiment (E1..E12 in DESIGN.md) lives in its own file.  Each
+Every experiment (E1..E16 in DESIGN.md) lives in its own file.  Each
 file both (a) registers pytest-benchmark timings for the operations the
 paper's claims are about and (b) emits a claim-versus-measured table
 directly to the real stdout, so ``pytest benchmarks/ --benchmark-only |
@@ -10,6 +10,9 @@ tee bench_output.txt`` captures the same rows EXPERIMENTS.md records.
 default parameter set for cryptographic timings; count-based and
 simulation experiments use ``toy64`` since their results are
 size-independent.
+
+A run writes claim tables only; ``benchmarks/smoke.py`` is the one
+writer of ``BENCH_pairing.json``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import pathlib
 
 import pytest
 
-from benchmarks.trajectory import BenchTrajectory, merge_claim_tables
+from benchmarks.trajectory import merge_claim_tables
 from repro.core.keys import UserKeyPair
 from repro.core.timeserver import PassiveTimeServer
 from repro.crypto.rng import seeded_rng
@@ -29,16 +32,6 @@ KEY_MESSAGE = b"k" * 32  # A 32-byte session key, the paper's unit payload.
 
 
 _REPORTS: list[str] = []
-
-# Run-wide machine-readable record; experiments add entries through the
-# ``trajectory`` fixture and the terminal-summary hook merges them into
-# BENCH_pairing.json at the repo root.
-TRAJECTORY = BenchTrajectory()
-
-
-@pytest.fixture(scope="session")
-def trajectory() -> BenchTrajectory:
-    return TRAJECTORY
 
 
 def emit(text: str) -> None:
@@ -53,12 +46,6 @@ def emit(text: str) -> None:
 
 
 def pytest_terminal_summary(terminalreporter):
-    if TRAJECTORY.entries:
-        path = TRAJECTORY.write()
-        terminalreporter.section("bench trajectory")
-        for line in TRAJECTORY.summary_lines():
-            terminalreporter.write_line(line)
-        terminalreporter.write_line(f"merged into {path}")
     if not _REPORTS:
         return
     terminalreporter.section("experiment claim tables (DESIGN.md E-index)")

@@ -60,35 +60,18 @@ The two whole-program families share one core,
 :mod:`repro.lint.program`: the program index, the call binder, the
 summary fixpoint and the finding sink.
 
-Suppression is explicit and reviewable: an inline
+Suppression is explicit and reviewable, and has one form: an inline
 ``# lint: allow[rule-name] justification`` waiver on (or directly
-above) the offending line, or an entry in the checked-in baseline file
-for grandfathered findings.  ``python -m repro.lint src/`` runs the
-analyzer; ``tests/lint/test_tree_is_clean.py`` gates the pytest suite.
+above) the offending line.  A waiver that suppresses nothing fails the
+gate.  ``python -m repro.lint src/`` runs the analyzer;
+``tests/lint/test_tree_is_clean.py`` gates the pytest suite.
 
 See ``docs/STATIC_ANALYSIS.md`` for the rule-by-rule rationale.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import format_baseline, load_baseline, update_baseline
-from repro.lint.engine import (
-    RULES,
-    LintReport,
-    lint_paths,
-    lint_source,
-    split_by_baseline,
-)
+from repro.lint.engine import RULES, LintReport, lint_source
 from repro.lint.findings import Finding
 
-__all__ = [
-    "RULES",
-    "Finding",
-    "LintReport",
-    "format_baseline",
-    "lint_paths",
-    "lint_source",
-    "load_baseline",
-    "split_by_baseline",
-    "update_baseline",
-]
+__all__ = ["RULES", "Finding", "LintReport", "lint_source"]

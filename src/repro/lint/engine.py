@@ -5,8 +5,8 @@ single-node RP1xx rules run per module, then the two whole-program
 families (RP2xx taint, RP4xx typestate) run once over one
 :class:`~repro.lint.program.Program` of all parsed modules, and their
 findings are merged back onto the module they report against.
-Waivers, baselining and fingerprints apply uniformly to every family.
-``RULES`` is the one table of every rule.
+Waivers and fingerprints apply uniformly to every family.  ``RULES``
+is the one table of every rule.
 
 Waivers are inline comments of the form::
 
@@ -15,16 +15,17 @@ Waivers are inline comments of the form::
 naming the rule by id (``RP104``) or name (``point-validation``),
 optionally several separated by commas.  A waiver applies to its own
 line or, when placed alone on a line, to the line directly below (for
-statements that do not fit on one line).  Waivers are expected to carry
-a justification; the gate counts them so reviews can watch the trend,
-and a waiver that suppresses nothing is itself reported (a hard error
-under ``--check-baseline``) so stale suppressions cannot linger.
+statements that do not fit on one line).  A waiver is the one way to
+suppress a finding.  Waivers are expected to carry a justification;
+the gate counts them so reviews can watch the trend, and a waiver that
+suppresses nothing fails the gate so stale suppressions cannot linger.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,13 +45,17 @@ _WAIVER = re.compile(r"#\s*lint:\s*allow\[([^\]]+)\]")
 _FLOW_SHADOWS = {"RP201": "RP103", "RP202": "RP102"}
 
 
+# The analyzer runs whole-program over the full tree inside the test
+# suite, so its own runtime is part of the tier-1 budget.  Generous
+# multiple of the observed ~2-3s to stay robust on slow CI machines.
+SELF_TIME_BUDGET_SECONDS = 60.0
+
+
 @dataclass
 class LintReport:
-    """Outcome of a lint run, split for gating."""
+    """Outcome of a lint run."""
 
-    new: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    stale_baseline: list[str] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)
     unused_waivers: list[str] = field(default_factory=list)
     waived: int = 0
     files_checked: int = 0
@@ -58,7 +63,12 @@ class LintReport:
 
     @property
     def clean(self) -> bool:
-        return not self.new and not self.stale_baseline
+        """No unsuppressed finding and no waiver that suppresses nothing."""
+        return not self.findings and not self.unused_waivers
+
+    @property
+    def over_budget(self) -> bool:
+        return self.elapsed > SELF_TIME_BUDGET_SECONDS
 
 
 def package_relative(path: str) -> str:
@@ -201,8 +211,8 @@ def analyze_modules(
                     f"{path}:{number}: unused waiver `# lint: allow[{token}]` "
                     "(suppresses nothing — remove it or fix the tag)"
                 )
-        # Fingerprint against the package-relative path so baselines
-        # survive checkout moves and out-of-tree working directories.
+        # Fingerprint against the package-relative path so SARIF
+        # fingerprints survive checkout moves and working directories.
         findings.extend(
             attach_fingerprints(kept, module.lines, module.package_path or path)
         )
@@ -247,69 +257,13 @@ def parse_paths(paths: list[str | Path]) -> list[ParsedModule]:
     ]
 
 
-def lint_paths(
-    paths: list[str | Path], rules: tuple[Rule, ...] = MODULE_RULES
-) -> tuple[list[Finding], int, int]:
-    """Lint files/trees; returns (findings, waived_count, files_checked)."""
-    modules = parse_paths(paths)
-    findings, waived, _ = analyze_modules(modules, rules)
-    return findings, waived, len(modules)
-
-
-def split_by_baseline(
-    findings: list[Finding], baseline: set[str]
-) -> tuple[list[Finding], list[Finding], list[str]]:
-    """Partition findings against a baseline.
-
-    Returns (new, baselined, stale_entries) where stale entries are
-    baseline fingerprints that matched nothing — evidence the finding
-    was fixed and the baseline needs regenerating.
-    """
-    new: list[Finding] = []
-    matched: list[Finding] = []
-    remaining = set(baseline)
-    for finding in findings:
-        if finding.fingerprint in remaining:
-            remaining.discard(finding.fingerprint)
-            matched.append(finding)
-        else:
-            new.append(finding)
-    return new, matched, sorted(remaining)
-
-
-def run(
-    paths: list[str | Path],
-    baseline: set[str] | None = None,
-    select: tuple[str, ...] | None = None,
-) -> LintReport:
-    """Full pipeline used by the CLI and the pytest gate.
-
-    ``select`` restricts the report to rule ids matching any of the
-    given prefixes (``("RP4",)`` keeps just the typestate family);
-    the baseline is filtered the same way so entries for unselected
-    rules are neither matched nor reported stale.  Waiver bookkeeping
-    is not filtered — an unused waiver is stale regardless of scope.
-    """
-    import time
-
+def run(paths: list[str | Path]) -> LintReport:
+    """Full pipeline used by the CLI and the pytest gate."""
     started = time.perf_counter()
     modules = parse_paths(paths)
     findings, waived, unused = analyze_modules(modules)
-    baseline = set(baseline or set())
-    if select:
-        findings = [
-            f for f in findings if any(f.rule.startswith(p) for p in select)
-        ]
-        baseline = {
-            fp
-            for fp in baseline
-            if any(fp.split("|", 1)[0].startswith(p) for p in select)
-        }
-    new, matched, stale = split_by_baseline(findings, baseline)
     return LintReport(
-        new=new,
-        baselined=matched,
-        stale_baseline=stale,
+        findings=findings,
         unused_waivers=unused,
         waived=waived,
         files_checked=len(modules),

@@ -1,4 +1,4 @@
-"""The findings data model shared by the engine, baseline, and CLI."""
+"""The findings data model shared by the engine, SARIF export, and CLI."""
 
 from __future__ import annotations
 
@@ -11,9 +11,11 @@ class Finding:
     """One rule violation at a specific source location.
 
     ``fingerprint`` identifies the finding independently of its line
-    *number* (so unrelated edits above it do not invalidate a baseline
-    entry): it hashes the rule id, the file path, the stripped text of
-    the offending line, and an occurrence index among identical lines.
+    *number* (so unrelated edits above it do not make code-scanning
+    dashboards report it as new): it is SARIF's ``partialFingerprints``
+    value, built from the rule id, the file path, a hash of the stripped
+    text of the offending line, and an occurrence index among identical
+    lines.
     """
 
     rule: str  # "RP102"
@@ -43,7 +45,7 @@ def snippet_hash(line_text: str) -> str:
 def attach_fingerprints(
     findings: list[Finding], lines: list[str], fingerprint_path: str | None = None
 ) -> list[Finding]:
-    """Return findings with baseline fingerprints filled in.
+    """Return findings with their fingerprints filled in.
 
     ``fingerprint_path`` (usually the *package-relative* path) keeps
     fingerprints stable across checkout locations and working

@@ -3,9 +3,9 @@
 Static Analysis Results Interchange Format output lets CI surfaces
 (code-scanning dashboards, editor SARIF viewers) ingest repro.lint
 findings without bespoke glue.  One run, one tool (``repro.lint``),
-every RP1xx/RP2xx/RP4xx rule declared in the driver; new findings are
-plain results, baselined findings are included but marked suppressed so
-dashboards show them greyed-out rather than resurfacing them.
+every RP1xx/RP2xx/RP4xx rule declared in the driver, every unsuppressed
+finding a result, every unused waiver a warning notification.  Waived
+findings never reach the report.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ def _rule_descriptors() -> list[dict]:
     ]
 
 
-def _result(finding: Finding, suppressed: bool) -> dict:
-    result = {
+def _result(finding: Finding) -> dict:
+    return {
         "ruleId": finding.rule,
         "level": "error",
         "message": {"text": finding.message},
@@ -54,27 +54,13 @@ def _result(finding: Finding, suppressed: bool) -> dict:
         ],
         "partialFingerprints": {"reproLint/v1": finding.fingerprint},
     }
-    if suppressed:
-        result["suppressions"] = [
-            {"kind": "external", "justification": "grandfathered in lint-baseline.txt"}
-        ]
-    return result
 
 
 def report_to_sarif(report: LintReport) -> dict:
     """Build the SARIF log object for one lint run."""
-    results = [_result(finding, suppressed=False) for finding in report.new]
-    results.extend(_result(finding, suppressed=True) for finding in report.baselined)
     invocation = {
         "executionSuccessful": report.clean,
         "toolExecutionNotifications": [
-            {
-                "level": "warning",
-                "message": {"text": f"stale baseline entry: {entry}"},
-            }
-            for entry in report.stale_baseline
-        ]
-        + [
             {"level": "warning", "message": {"text": message}}
             for message in report.unused_waivers
         ],
@@ -92,7 +78,7 @@ def report_to_sarif(report: LintReport) -> dict:
                     }
                 },
                 "invocations": [invocation],
-                "results": results,
+                "results": [_result(finding) for finding in report.findings],
             }
         ],
     }

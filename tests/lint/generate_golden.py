@@ -43,7 +43,7 @@ def render() -> str:
     report = LintReport()
     for modules in programs:
         findings, waived, unused = analyze_modules(modules)
-        report.new.extend(findings)
+        report.findings.extend(findings)
         report.waived += waived
         report.unused_waivers.extend(unused)
         report.files_checked += len(modules)

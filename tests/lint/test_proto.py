@@ -6,7 +6,7 @@ harness cannot: the interprocedural summaries crossing module
 boundaries (a sink in one module firing at the decode site in another,
 and a guard helper verifying its argument at the call site),
 byte-for-byte determinism of the RP4xx report, and the CLI surface
-that rides along (``--select RP4``, SARIF descriptors).
+that rides along (rule listing, SARIF descriptors).
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def test_waiver_suppresses_proto_finding():
 def _render_rp4(report) -> bytes:
     return "\n".join(
         f"{f.path}|{f.line}|{f.col}|{f.rule}|{f.fingerprint}|{f.message}"
-        for f in report.new
+        for f in report.findings
         if f.rule.startswith("RP4")
     ).encode()
 
@@ -184,7 +184,7 @@ def test_module_order_does_not_change_proto_findings():
     assert [key(f) for f in forward] == [key(f) for f in backward]
 
 
-# -- CLI: --select RP4, SARIF ------------------------------------------------
+# -- CLI: rule listing, SARIF --------------------------------------------------
 
 DIRTY_PROTO = (
     "def rebroadcast(group, blob):\n"
@@ -200,15 +200,6 @@ def _module(tmp_path: Path, subdir: str, name: str, source: str) -> str:
     return str(path)
 
 
-def test_select_rp4_reports_only_the_proto_family(tmp_path, capsys) -> None:
-    target = _module(tmp_path, "service", "relay.py", DIRTY_PROTO)
-    assert main([target, "--no-baseline", "--select", "RP4"]) == 1
-    out = capsys.readouterr().out
-    assert "RP401" in out
-    assert "RP1" not in out
-    assert "RP2" not in out
-
-
 def test_list_rules_includes_proto_family(capsys) -> None:
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
@@ -220,7 +211,7 @@ def test_sarif_includes_proto_descriptors_and_results(tmp_path, capsys) -> None:
     import json
 
     target = _module(tmp_path, "service", "relay.py", DIRTY_PROTO)
-    assert main([target, "--no-baseline", "--format", "sarif"]) == 1
+    assert main([target, "--format", "sarif"]) == 1
     payload = json.loads(capsys.readouterr().out)
     (sarif_run,) = payload["runs"]
     rule_ids = {rule["id"] for rule in sarif_run["tool"]["driver"]["rules"]}

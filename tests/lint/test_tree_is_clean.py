@@ -1,52 +1,42 @@
-"""The gate: the shipped tree must lint clean against its baseline.
+"""The gate: the shipped tree must lint clean.
 
 This is the test that makes the linter *binding* — a new unsuppressed
 finding anywhere under ``src/``, ``examples/`` or ``benchmarks/``
-fails the suite, and so does a stale baseline entry (a grandfathered
-finding that was fixed but whose entry was left behind) or an unused
-waiver comment (a suppression that outlived its finding).
+fails the suite, and so does an unused waiver comment (a suppression
+that outlived its finding).  It reaches the same verdict as
+``python -m repro.lint src examples benchmarks``: ``LintReport.clean``
+and the one self-time budget.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint import load_baseline
-from repro.lint.engine import run
+from repro.lint.engine import SELF_TIME_BUDGET_SECONDS, run
 
 ROOT = Path(__file__).resolve().parents[2]
 GATED_TREES = ("src", "examples", "benchmarks")
 
-# The analyzer runs whole-program over the full tree inside the test
-# suite, so its own runtime is part of the tier-1 budget.  Generous
-# multiple of the observed ~2-3s to stay robust on slow CI machines.
-SELF_TIME_BUDGET_SECONDS = 60.0
-
 
 def _report():
-    return run(
-        [ROOT / tree for tree in GATED_TREES],
-        load_baseline(ROOT / "lint-baseline.txt"),
-    )
+    return run([ROOT / tree for tree in GATED_TREES])
 
 
 def test_tree_is_clean() -> None:
     report = _report()
     assert report.files_checked > 0
-    rendered = "\n".join(finding.render() for finding in report.new)
-    assert report.new == [], f"new lint findings:\n{rendered}"
-    assert report.stale_baseline == [], (
-        "stale baseline entries (finding fixed — regenerate the baseline "
-        f"with --write-baseline): {report.stale_baseline}"
-    )
+    rendered = "\n".join(finding.render() for finding in report.findings)
+    assert report.findings == [], f"lint findings:\n{rendered}"
     assert report.unused_waivers == [], (
         f"waivers that suppress nothing: {report.unused_waivers}"
     )
+    assert report.clean
 
 
 def test_analyzer_stays_within_time_budget() -> None:
     report = _report()
-    assert report.elapsed < SELF_TIME_BUDGET_SECONDS, (
-        f"whole-tree analysis took {report.elapsed:.1f}s — the analyzer "
-        "has regressed; profile before raising the budget"
+    assert not report.over_budget, (
+        f"whole-tree analysis took {report.elapsed:.1f}s (budget "
+        f"{SELF_TIME_BUDGET_SECONDS:.0f}s) — the analyzer has regressed; "
+        "profile before raising the budget"
     )

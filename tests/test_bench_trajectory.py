@@ -6,6 +6,7 @@ keys; those are informational new entries and must never fail the gate.
 Only a key measured on both sides can regress.
 """
 
+import ast
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,8 @@ from benchmarks.trajectory import (  # noqa: E402
     render_comparison,
 )
 
-CLAIM_TABLES = Path(__file__).resolve().parent.parent / "benchmarks" / "claim_tables.txt"
+ROOT = Path(__file__).resolve().parent.parent
+CLAIM_TABLES = ROOT / "benchmarks" / "claim_tables.txt"
 
 
 def _entry(key: str, ms: float) -> dict:
@@ -163,3 +165,24 @@ class TestClaimTableMerge:
         merged = merge_claim_tables(existing, ["E3: three\nrow", "E1: uno\nrow"])
         assert merged == "E1: uno\nrow\n\nE2: two\nrow\n\nE3: three\nrow\n"
         assert merge_claim_tables("", ["E3: x", "E1: y"]) == "E3: x\n\nE1: y\n"
+
+
+class TestOneWriter:
+    """A claim-table refresh (``pytest benchmarks``) writes no trajectory
+    row: ``BenchTrajectory.write`` is called from one place only."""
+
+    def test_only_smoke_writes_the_trajectory(self):
+        writers = set()
+        for tree in ("benchmarks", "scripts", "src", "examples"):
+            for path in sorted((ROOT / tree).rglob("*.py")):
+                module = ast.parse(path.read_text(encoding="utf-8"))
+                for node in ast.walk(module):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "write"
+                        and not node.args
+                        and not node.keywords
+                    ):
+                        writers.add(path.relative_to(ROOT).as_posix())
+        assert writers == {"benchmarks/smoke.py"}
