@@ -77,6 +77,10 @@ class OpBudget:
     miller_loops: int = 0
     final_exps: int = 0
     multi_pairs: int = 0
+    # Interleaved sums Σ k_i·P_i (mirrors MULTI_SCALAR_MULT in
+    # repro.pairing.opcount), each one call whatever its term count;
+    # their terms are not in scalar_mults.
+    multi_scalar_mults: int = 0
     # Miller-line recordings for a one-off argument (a transient
     # PairingPrecomputation).  No counter sees them, so they stay out
     # of as_dict; dominant_cost charges each 1.3 one-shot Miller loops
@@ -104,6 +108,7 @@ class OpBudget:
             "miller_loop": self.miller_loops,
             "final_exp": self.final_exps,
             "multi_pair": self.multi_pairs,
+            "multi_scalar_mult": self.multi_scalar_mults,
         }
         return {name: count for name, count in mapping.items() if count}
 
@@ -123,6 +128,9 @@ class OpBudget:
         ``hash_to_group``.  A line recording costs
         :data:`LINE_RECORDING_MILLER_LOOPS` one-shot Miller loops, a
         Miller loop being a pairing without its final exponentiation.
+        A multi-scalar sum costs one scalar multiplication: its doubling
+        chain is one multiplication's, and its additions, about a fifth
+        of a multiplication per 128-bit term on ss512, are left out.
         The weights are the module constants above.
         """
         direct_pairings = self.pairings - self.precomputed_pairings
@@ -138,6 +146,7 @@ class OpBudget:
             direct_pairings * PAIRING_WEIGHT
             + self.precomputed_pairings * PRECOMP_PAIRING_WEIGHT
             + direct_mults
+            + self.multi_scalar_mults
             + self.fixed_base_mults * FIXED_BASE_WEIGHT
             + self.hash_to_group
             + self.hash_to_curve * MAP_TO_CURVE_SHARE
@@ -327,11 +336,11 @@ def broadcast_encrypt_cost(recipients: int, warm: bool = True) -> OpBudget:
     )
 
 # Update self-authentication against recorded (D, G) lines: after
-# precompute_public, ServerPublicKey.precompute or verify_archive, or
-# from the third check per server key and group (the second records
-# them).  Both pairings evaluate cached Miller lines inside one
-# multi-pairing.  D was derived when the lines were recorded, so no
-# scalar multiplication.
+# precompute_public (verify_archive's per-update pass calls it) or
+# ServerPublicKey.precompute, or from the third check per server key
+# and group (the second records them).  Both pairings evaluate cached
+# Miller lines inside one multi-pairing.  D was derived when the lines
+# were recorded, so no scalar multiplication.
 PRECOMP_UPDATE_VERIFY_COST = OpBudget(
     pairings=2, hash_to_curve=1, precomputed_pairings=2,
     miller_loops=2, final_exps=1, multi_pairs=1,
@@ -344,6 +353,37 @@ PRECOMP_KEY_CHECK_COST = OpBudget(
     pairings=2, precomputed_pairings=2,
     miller_loops=2, final_exps=1, multi_pairs=1,
 )
+
+
+def archive_verify_cost(n: int, fallback: bool = False) -> OpBudget:
+    """``verify_archive`` on a freshly decoded backlog of ``n`` updates.
+
+    A backlog of one is the single update check,
+    :data:`UPDATE_VERIFY_COST`.  From two on it is one batched
+    equation ``ê(D, Σ r_i·P′_i) / ê(G, Σ r_i·I_i) == 1``: ``n`` map
+    points ``P′_i`` (``hash_to_curve``), the two multi-scalar sums
+    ``Σ r_i·P′_i`` and ``Σ r_i·I_i`` (two ``multi_scalar_mult``) and one
+    fused multi-pairing (two Miller loops, one final exponentiation),
+    recording no lines.  With ``fallback`` (the batch failed; one bad
+    update is enough) the server key's ``(D, G)`` lines are recorded
+    next and every update is checked on its own against them
+    (:data:`PRECOMP_UPDATE_VERIFY_COST` each, hashing its map point
+    again).  Deriving ``D = (c mod q)·sG``, once per key object, is
+    :data:`UPDATE_KEY_DERIVATION_COST` and stays outside.
+    """
+    if n < 1:
+        raise ValueError("a backlog to verify holds at least one update")
+    if n == 1:
+        return UPDATE_VERIFY_COST
+    budget = OpBudget(
+        pairings=2, hash_to_curve=n, multi_scalar_mults=2,
+        miller_loops=2, final_exps=1, multi_pairs=1,
+    )
+    if fallback:
+        budget = budget + OpBudget(line_recordings=2)
+        for _ in range(n):
+            budget = budget + PRECOMP_UPDATE_VERIFY_COST
+    return budget
 
 
 def tre_batch_decrypt_cost(n: int) -> OpBudget:

@@ -34,6 +34,7 @@ from repro.errors import (
     UpdateNotAvailableError,
     UpdateVerificationError,
 )
+from repro.pairing import hashing
 from repro.pairing.api import PairingGroup
 
 
@@ -69,15 +70,23 @@ class TimeBoundKeyUpdate:
 
     def _check(self, bls: BLSSignatureScheme, server_public) -> bool:
         """:meth:`verify` through ``bls``, recording an accept."""
-        accepted = self._accepted_under
-        if (accepted is not None and accepted[0] is server_public
-                and accepted[1] == bls.group):
+        if self._accepted(server_public, bls.group):
             return True
         if not bls.verify(server_public, self.time_label, self.point):
             return False
-        # Frozen dataclass: the verdict slot is set past __setattr__.
-        object.__setattr__(self, "_accepted_under", (server_public, bls.group))
+        self._record(server_public, bls.group)
         return True
+
+    def _accepted(self, server_public, group: PairingGroup) -> bool:
+        """Whether a check already accepted this update under that key
+        object and an equal group."""
+        accepted = self._accepted_under
+        return (accepted is not None and accepted[0] is server_public
+                and accepted[1] == group)
+
+    def _record(self, server_public, group: PairingGroup) -> None:
+        """Record an accept (a frozen dataclass: set past __setattr__)."""
+        object.__setattr__(self, "_accepted_under", (server_public, group))
 
     def ensure_valid(
         self, group: PairingGroup, server_public: ServerPublicKey
@@ -250,8 +259,9 @@ class PassiveTimeServer:
         """Re-load an archive snapshot, verifying every update first.
 
         Each update must self-authenticate under *this* server's public
-        key, checked as one backlog by :func:`verify_archive` (the
-        server key's Miller lines are recorded once) — a corrupted or
+        key, checked as one backlog by :func:`verify_archive` (one
+        batched equation, two Miller loops for the whole snapshot; an
+        update-by-update pass only if it fails) — a corrupted or
         foreign snapshot raises
         :class:`UpdateVerificationError` rather than poisoning the
         archive.  Returns the number of updates restored (existing
@@ -279,20 +289,51 @@ class PassiveTimeServer:
         )
 
 
+# Domain tag of the digest that derives verify_archive's batch weights.
+_WEIGHT_TAG = "repro:archive-weights"
+
+
 def verify_archive(
     group: PairingGroup,
     server_public,
     updates: list[TimeBoundKeyUpdate],
 ) -> list[bytes]:
-    """Archive catch-up: authenticate a backlog update-by-update.
+    """Archive catch-up: authenticate a backlog, naming every bad label.
 
-    Verifies each update's ``ê(sG, H1(T)) == ê(G, I_T)`` individually,
-    but with the Miller lines of the fixed ``(G, sG)`` computed once
-    for the whole backlog.  Returns the labels that FAILED (empty list
-    == all authentic).  Complements :func:`batch_verify_updates`, which
-    is cheaper (two pairings total) but only yields a yes/no for the
-    whole batch — use that first and fall back to this to pinpoint the
-    bad update(s).
+    Returns the labels that FAILED ``ê(sG, H1(T)) == ê(G, I_T)`` (empty
+    list == all authentic), exactly as checking each update on its own
+    would.  The updates still pending, two or more, are first checked
+    as ONE equation (Bellare–Garay–Rabin small-exponent batching)::
+
+        ê(D, Σ r_i·P′_i) / ê(G, Σ r_i·I_i) == 1
+
+    with ``D = (c mod q)·sG``, ``P′_i`` the uncleared map point of
+    ``H1(T_i)`` that the single check pairs against, ``r_1 = 1`` and
+    each other ``r_i`` a nonzero 128-bit weight hashed from the server
+    key and every pending ``(label, point)`` (:func:`_batch_weights`;
+    no rng is drawn).  The two sums are one
+    :meth:`~repro.pairing.api.PairingGroup.multi_scalar_mult` each and
+    the ratio is one fused multi-pairing: two Miller loops and one
+    final exponentiation for the whole backlog, with no Miller lines
+    recorded.
+
+    Soundness and exactness.  Each ratio ``ê(D, P′_i) / ê(G, I_i)``
+    lies in the order-``q`` group, so a wrong update passes the batch
+    with probability at most ``2⁻¹²⁷``, and since every weight hashes
+    every pending update, a forger cannot choose updates after seeing
+    the weights.  An accept implies each per-label check: every ``I_i``
+    lies in G1 off infinity (else the batch is not tried), so
+    ``ê(G, I_i) ≠ 1``, which forces ``ê(D, P′_i) ≠ 1``, hence
+    ``c·P′_i ≠ O`` and ``H1(T_i) = c·P′_i``.  A label with
+    ``c·P′_j = O`` (where a lone check against a sum of labels would be
+    inexact) can only make the batch fail.  Whenever it fails, an input
+    is infinity or outside G1, or a Miller value is zero, every update
+    is checked on its own: the server key's ``(D, G)`` lines are
+    recorded (:meth:`~repro.core.bls.BLSSignatureScheme.precompute_public`)
+    and each update runs :meth:`TimeBoundKeyUpdate.verify`'s check,
+    whose ``H1`` fallback is exact, so the failed labels are pinpointed
+    exactly.  A backlog of one is that single check: no weights and no
+    second pass.
 
     Each accept is recorded on its update as
     :meth:`TimeBoundKeyUpdate.verify` records one: an update already
@@ -304,12 +345,18 @@ def verify_archive(
     verifier rejects) counts as failed and verification continues with
     the rest of the backlog — it never aborts the whole call.
 
-    The backlog is checked in this process, in order; two worker
-    processes measured slower at the archive sizes catch-up issues
+    The backlog is checked in this process, in order; the batched
+    equation leaves a process pool nothing to share out
     (docs/PERFORMANCE.md, "Why there is no process pool").
     """
     bls = BLSSignatureScheme(group)
-    bls.precompute_public(server_public)
+    pending = [u for u in updates if not u._accepted(server_public, group)]
+    if len(pending) > 1:
+        if _batch_holds(bls, server_public, pending):
+            for update in pending:
+                update._record(server_public, group)
+            return []
+        bls.precompute_public(server_public)
     failed = []
     for update in updates:
         try:
@@ -323,24 +370,52 @@ def verify_archive(
     return failed
 
 
-def batch_verify_updates(
-    group: PairingGroup,
-    server_public,
-    updates: list[TimeBoundKeyUpdate],
-    rng,
+def _batch_holds(
+    bls: BLSSignatureScheme, server_public, pending: list[TimeBoundKeyUpdate]
 ) -> bool:
-    """Verify many archived updates with two pairings total.
+    """Whether ``ê(D, Σ r_i·P′_i) / ê(G, Σ r_i·I_i) == 1`` over ``pending``.
 
-    Small-exponent batch BLS verification (see
-    :meth:`repro.core.bls.BLSSignatureScheme.batch_verify`).  The
-    offline-catch-up companion to the §3 archive: a receiver that
-    missed ``n`` broadcasts authenticates the whole backlog at
-    essentially the cost of one.
+    ``False`` also when the equation cannot be exact: an ``I_i`` at
+    infinity or outside G1, an infinity input to the pairing, or a
+    check that raises (a zero Miller value).  See :func:`verify_archive`.
     """
-    bls = BLSSignatureScheme(group)
-    return bls.batch_verify(
-        server_public,
-        [update.time_label for update in updates],
-        [update.point for update in updates],
-        rng,
+    group = bls.group
+    try:
+        if any(u.point.is_infinity or not group.in_group(u.point)
+               for u in pending):
+            return False
+        weights = _batch_weights(
+            server_public.to_bytes(group),
+            [update.to_bytes(group) for update in pending],
+        )
+        maps = group.multi_scalar_mult([
+            (r, group._map_to_curve(update.time_label, bls.hash_tag))
+            for r, update in zip(weights, pending)
+        ])
+        points = group.multi_scalar_mult(
+            [(r, update.point) for r, update in zip(weights, pending)]
+        )
+        return group.pair_ratio_is_one(
+            ((server_public.cofactor_s_generator(group), maps),),
+            ((server_public.generator, points),),
+        )
+    except ReproError:
+        return False
+
+
+def _batch_weights(key_bytes: bytes, entries: list[bytes]) -> list[int]:
+    """``r_1 = 1``, then an odd (so nonzero) 128-bit weight per further entry.
+
+    Every weight comes from one digest of the server key's bytes and
+    all the entries' bytes, so a change to any byte of any of them
+    changes every weight after the first.
+    """
+    seed = hashing.hash_bytes(
+        key_bytes, pack_chunks(*entries), tag=_WEIGHT_TAG
     )
+    return [1] + [
+        int.from_bytes(hashing.hash_bytes(
+            seed, index.to_bytes(4, "big"), tag=_WEIGHT_TAG
+        )[:16], "big") | 1
+        for index in range(1, len(entries))
+    ]

@@ -12,11 +12,10 @@ something about lives here.  Five kinds of declarations:
 * **Verification guards** — the transitions FETCHED → VERIFIED.  Three
   shapes: boolean predicates whose result must *guard control flow*
   (``update.verify(...)``, ``pair_ratio_is_one(...)``), raising guards
-  that verify-or-throw (``ensure_valid``), and batch guards that
-  authenticate a whole collection (``verify_archive``,
-  ``batch_verify_updates``).  Declaring a name here asserts "this call
-  really performs ê(sG, H1(T)) == ê(G, I_T) (or the generalized product
-  form) on its subject" — auditing the analyzer means auditing this
+  that verify-or-throw (``ensure_valid``), and the batch guard that
+  authenticates a whole collection (``verify_archive``).  Declaring a
+  name here asserts "this call really performs ê(sG, H1(T)) ==
+  ê(G, I_T) (or the generalized product form) on its subject" — auditing the analyzer means auditing this
   claim for each entry.
 * **Update sinks** — where a FETCHED update must never arrive: decrypt
   calls, inserts into cache/archive-named containers, and
@@ -57,17 +56,17 @@ VERIFY_PREDICATES = frozenset({"verify", "pair_ratio_is_one", "verify_node_key"}
 # VERIFIED on the fall-through path unconditionally.
 VERIFY_RAISING_GUARDS = frozenset({"ensure_valid"})
 
-# Batch guards: authenticate every element of a collection argument.
+# The batch guard: authenticates every element of a collection argument.
 # ``verify_archive`` returns the *failed* labels rather than a verdict,
 # so the transition applies at the call itself; the obligation to drop
 # the reported failures is the caller's (enforced dynamically by the
 # chaos suite, not by this pass).
-BATCH_VERIFY_CALLS = frozenset({"verify_archive", "batch_verify_updates"})
+BATCH_VERIFY_CALLS = frozenset({"verify_archive"})
 
 # Functions *named* like guards are the verifier TCB itself: the pass
 # neither looks for sinks inside them nor requires them to guard their
-# own subjects (``verify_archive`` serializes updates to shard them —
-# that is its job).
+# own subjects (``verify_archive`` serializes updates to hash its batch
+# weights — that is its job).
 GUARD_DEF_NAMES = VERIFY_PREDICATES | VERIFY_RAISING_GUARDS | BATCH_VERIFY_CALLS
 
 # -- update sinks (RP401) ----------------------------------------------------

@@ -44,6 +44,7 @@ from repro.pairing.opcount import (
     HASH_TO_GROUP,
     MILLER_LOOP,
     MULTI_PAIRING,
+    MULTI_SCALAR_MULT,
     PAIRING,
     PAIRING_PRECOMP,
     POINT_ADD,
@@ -245,6 +246,18 @@ class PairingGroup:
             self._fixed_base[point] = table
         return table
 
+    def multi_scalar_mult(self, terms) -> CurvePoint:
+        """``Σ k_i·P_i`` for ``(k_i, P_i)`` terms, as one counted sum.
+
+        Runs :meth:`~repro.ec.curve.EllipticCurve.multi_scalar_mult`
+        (interleaved wNAF, one shared doubling chain) and counts one
+        ``multi_scalar_mult`` whatever the number of terms.  Scalars are
+        not reduced mod ``q``: a term's point may lie outside G1, as
+        ``H1``'s map points do, and the sum carries no subgroup proof.
+        """
+        self.counters.record(MULTI_SCALAR_MULT)
+        return self.ssc.curve.multi_scalar_mult(terms)
+
     def add(self, left: CurvePoint, right: CurvePoint) -> CurvePoint:
         self.counters.record(POINT_ADD)
         return left + right
@@ -260,8 +273,11 @@ class PairingGroup:
     def _map_to_curve(self, data: bytes, tag: str = "repro:H1") -> CurvePoint:
         """``P′₀``, the point :meth:`hash_to_g1` clears first, uncleared.
 
-        Its one caller is :meth:`pair_h1`, which pairs against ``P′₀``
-        and owns the fallback for ``c·P′₀ = O``.  Counted as
+        Its callers are :meth:`pair_h1`, which pairs against ``P′₀``
+        and owns the fallback for ``c·P′₀ = O``, and the batched
+        equation of :func:`repro.core.timeserver.verify_archive`, which
+        only ever accepts where that case cannot arise and hands every
+        other verdict to :meth:`pair_h1` update by update.  Counted as
         ``hash_to_curve``, not ``hash_to_group``.
         """
         self.counters.record(HASH_TO_CURVE)

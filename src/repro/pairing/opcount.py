@@ -22,6 +22,9 @@ HASH_TO_GROUP = "hash_to_group"
 HASH_TO_CURVE = "hash_to_curve"
 GT_EXP = "gt_exp"
 GT_MUL = "gt_mul"
+# One interleaved sum of several scalar multiples (PairingGroup.
+# multi_scalar_mult); its terms are not counted as scalar_mult.
+MULTI_SCALAR_MULT = "multi_scalar_mult"
 
 # Advisory sub-counters for the precomputation fast paths: recorded *in
 # addition to* the primary counter above (a table-driven multiply still

@@ -22,8 +22,9 @@ Around that rule sit the standard resilience layers, all built from
 * one retry loop (``_call``) with full-jitter exponential backoff
   between sweeps, shared by :meth:`get_update` (which also returns a
   cached update and wakes early on an announce) and :meth:`catch_up`;
-* archive catch-up that batch-authenticates the backlog with
-  :func:`~repro.core.timeserver.verify_archive` and keeps the good
+* archive catch-up that authenticates the whole backlog with
+  :func:`~repro.core.timeserver.verify_archive` (one batched pairing
+  equation; update by update only when that fails) and keeps the good
   entries even when some are corrupt;
 * a decrypt queue (:meth:`park` / :meth:`drain`) holding ciphertexts
   until the verified ``I_T`` for their release time arrives — graceful
@@ -383,10 +384,12 @@ class ResilientTimeClient:
     ) -> list[TimeBoundKeyUpdate]:
         """Fetch and authenticate the archive backlog past ``after``.
 
-        The whole batch goes through :func:`verify_archive`; entries
-        that fail are rejected and counted while the verified remainder
-        still lands in the cache — one corrupt blob must not cost the
-        client the other hundred updates.
+        The whole batch goes through :func:`verify_archive`, which
+        checks it as one pairing equation and, only if that fails,
+        update by update to name the bad labels; entries that fail are
+        rejected and counted while the verified remainder still lands
+        in the cache — one corrupt blob must not cost the client the
+        other hundred updates.
         """
         response = await self._call(
             wire.encode_message(wire.GetArchive(after)),

@@ -23,6 +23,7 @@ from repro.analysis.costmodel import (
     TRE_PRECOMP_ENCRYPT_COST,
     UPDATE_KEY_DERIVATION_COST,
     UPDATE_VERIFY_COST,
+    archive_verify_cost,
     broadcast_encrypt_cost,
     multiserver_cost,
     resilient_cost,
@@ -30,7 +31,11 @@ from repro.analysis.costmodel import (
 )
 from repro.core.idtre import IdentityTimedReleaseScheme
 from repro.core.keys import ServerKeyPair, UserKeyPair
-from repro.core.timeserver import PassiveTimeServer, TimeBoundKeyUpdate
+from repro.core.timeserver import (
+    PassiveTimeServer,
+    TimeBoundKeyUpdate,
+    verify_archive,
+)
 from repro.core.tre import SHARED_H1_RECEIVERS, TimedReleaseScheme
 from repro.pairing.api import PairingGroup
 
@@ -50,6 +55,7 @@ def _assert_budget(measured: dict, budget) -> None:
         if k in (
             "pairing", "scalar_mult", "hash_to_group", "hash_to_curve",
             "gt_exp", "point_add", "miller_loop", "final_exp", "multi_pair",
+            "multi_scalar_mult",
         )
     }
     # point_add counts are advisory; compare the expensive ops exactly.
@@ -209,7 +215,7 @@ def _assert_budget_with_advisory(measured: dict, budget) -> None:
     names = (
         "pairing", "scalar_mult", "hash_to_group", "hash_to_curve", "gt_exp",
         "fixed_base_mult", "pairing_precomp", "gt_fixed_base",
-        "miller_loop", "final_exp", "multi_pair",
+        "miller_loop", "final_exp", "multi_pair", "multi_scalar_mult",
     )
     relevant = {k: v for k, v in measured.items() if k in names}
     expected = budget.as_dict()
@@ -348,6 +354,57 @@ class TestPrecomputedBudgets:
         )
         _assert_budget_with_advisory(measured, PRECOMP_KEY_CHECK_COST)
         _assert_budget(measured, RECEIVER_KEY_CHECK_COST)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_archive_verify(self, fresh, n):
+        """One batched equation, no lines recorded; a backlog of one is
+        the single check."""
+        group, server, user = fresh
+        public = server.public_key
+        public.cofactor_s_generator(group)  # D, derived once per key
+        blobs = [
+            server.publish_update(LABEL + b"%d" % index).to_bytes(group)
+            for index in range(n)
+        ]
+        updates = [TimeBoundKeyUpdate.from_bytes(group, blob) for blob in blobs]
+        measured = _measure(
+            group, lambda: verify_archive(group, public, updates)
+        )
+        _assert_budget_with_advisory(measured, archive_verify_cost(n))
+        assert not group._pairing_precomp
+
+    def test_archive_verify_fallback(self, fresh):
+        """One bad update: the failed batch, then the server key's lines
+        recorded and every update checked against them."""
+        group, server, user = fresh
+        public = server.public_key
+        public.cofactor_s_generator(group)
+        n = 4
+        updates = [
+            TimeBoundKeyUpdate.from_bytes(
+                group, server.publish_update(LABEL + b"%d" % index).to_bytes(group)
+            )
+            for index in range(n)
+        ]
+        updates[1] = TimeBoundKeyUpdate(updates[1].time_label, updates[0].point)
+        with group.counters.measure() as measured:
+            failed = verify_archive(group, public, updates)
+        assert failed == [updates[1].time_label]
+        _assert_budget_with_advisory(
+            measured, archive_verify_cost(n, fallback=True)
+        )
+        assert len(group._pairing_precomp) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_archive_batch_beats_the_per_update_pass(self, n):
+        """Recording the server key's lines and replaying them once per
+        update costs more from a backlog of one on."""
+        per_update = OpBudget(line_recordings=2)
+        for _ in range(n):
+            per_update = per_update + PRECOMP_UPDATE_VERIFY_COST
+        assert (
+            archive_verify_cost(n).dominant_cost() < per_update.dominant_cost()
+        )
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_batch_decrypt(self, fresh, rng, n):

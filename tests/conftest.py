@@ -38,6 +38,8 @@ BACKEND_SUITES = (
     "tests/core/test_keys.py",
     # Batch decryption on the transient a*I_T lines.
     "tests/core/test_batch_decrypt.py",
+    # The archive's batched equation against the per-update oracle.
+    "tests/core/test_batch_verify.py",
     # The pairing-side H1 path, cold pair_h1 and its fallback.
     "tests/core/test_h1_uncleared.py",
     # The subgroup proofs.

@@ -479,7 +479,7 @@ def test_share_check_falls_back_exactly(group, force):
 
 
 # ----------------------------------------------------------------------
-# One fallback in src/: only pair_h1 meets the uncleared map point.
+# One fallback in src/: only pair_h1 recomputes against H1 itself.
 # ----------------------------------------------------------------------
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -521,8 +521,14 @@ def _catches_parameter_error(node):
     )
 
 
-def test_pair_h1_is_the_only_map_point_caller():
-    assert _functions_where(_calls("_map_to_curve")) == {"PairingGroup.pair_h1"}
+def test_map_point_callers_are_pair_h1_and_the_archive_batch():
+    """Besides ``pair_h1``, only ``verify_archive``'s batched equation
+    reads map points.  It accepts only where ``c·P′_i ≠ O`` is implied,
+    and hands every other verdict to ``pair_h1`` update by update
+    (``tests/core/test_batch_verify.py`` forces that case)."""
+    assert _functions_where(_calls("_map_to_curve")) == {
+        "PairingGroup.pair_h1", "core/timeserver.py._batch_holds"
+    }
 
 
 def test_pair_h1_is_the_only_fallback():

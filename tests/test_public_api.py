@@ -51,7 +51,7 @@ PUBLIC_SURFACE = {
         "DrandStyleBeacon", "TimelockEncryption", "Type3TimedRelease",
         "RoundSignature", "round_label",
     ],
-    "repro.core.timeserver": ["batch_verify_updates", "verify_archive"],
+    "repro.core.timeserver": ["verify_archive"],
     "repro.baselines": [
         "HashedElGamal", "ExponentialElGamal", "BonehFranklinIBE",
         "HybridPkeIbeTimedRelease", "TimeLockPuzzle", "RivestKeyReleaseServer",
