@@ -364,11 +364,13 @@ def archive_verify_cost(n: int, fallback: bool = False) -> OpBudget:
     points ``P′_i`` (``hash_to_curve``), the two multi-scalar sums
     ``Σ r_i·P′_i`` and ``Σ r_i·I_i`` (two ``multi_scalar_mult``) and one
     fused multi-pairing (two Miller loops, one final exponentiation),
-    recording no lines.  With ``fallback`` (the batch failed; one bad
-    update is enough) the server key's ``(D, G)`` lines are recorded
-    next and every update is checked on its own against them
-    (:data:`PRECOMP_UPDATE_VERIFY_COST` each, hashing its map point
-    again).  Deriving ``D = (c mod q)·sG``, once per key object, is
+    recording no lines.  With ``fallback`` (the batch failed on one bad
+    update) the server key's ``(D, G)`` lines are recorded next and
+    every update is checked on its own against them, on the map point
+    it already has (:data:`PRECOMP_UPDATE_VERIFY_COST` without its
+    ``hash_to_curve``); the bad update then runs the full check once
+    more (:data:`PRECOMP_UPDATE_VERIFY_COST`), hashing its label again.
+    Deriving ``D = (c mod q)·sG``, once per key object, is
     :data:`UPDATE_KEY_DERIVATION_COST` and stays outside.
     """
     if n < 1:
@@ -380,9 +382,14 @@ def archive_verify_cost(n: int, fallback: bool = False) -> OpBudget:
         miller_loops=2, final_exps=1, multi_pairs=1,
     )
     if fallback:
+        single = OpBudget(
+            pairings=2, precomputed_pairings=2,
+            miller_loops=2, final_exps=1, multi_pairs=1,
+        )
         budget = budget + OpBudget(line_recordings=2)
         for _ in range(n):
-            budget = budget + PRECOMP_UPDATE_VERIFY_COST
+            budget = budget + single
+        budget = budget + PRECOMP_UPDATE_VERIFY_COST
     return budget
 
 

@@ -14,9 +14,9 @@ Signing is one hash-to-group plus one scalar multiplication; verifying
 is the pairing-ratio check ``ê(sG, H1(m)) == ê(G, σ)``, evaluated as a
 single multi-pairing (two Miller loops, ONE final exponentiation) by
 :meth:`repro.pairing.api.PairingGroup.pair_h1`, which never clears
-``H1(m)``'s cofactor.  Signing needs ``H1(m)`` as a point in G1, as
-does the sum in :meth:`BLSSignatureScheme.batch_verify`;
-``verify_aggregate`` still pairs each ``H1(m_i)`` itself.
+``H1(m)``'s cofactor.  Signing needs ``H1(m)`` as a point in G1.  A
+backlog of updates under one key is checked as one batched equation by
+:func:`repro.core.timeserver.verify_archive`.
 """
 
 from __future__ import annotations
@@ -94,81 +94,3 @@ class BLSSignatureScheme:
             public.s_generator, message, self.hash_tag,
             derived=derived, over=(public.generator, signature),
         ).is_identity()
-
-    def batch_verify(
-        self,
-        public: ServerPublicKey,
-        messages: list[bytes],
-        signatures: list[CurvePoint],
-        rng,
-    ) -> bool:
-        """Verify ``n`` signatures under ONE key with just 2 pairings.
-
-        Small-exponent batching: draw random ``r_i`` and check
-
-            ê(Σ r_i·H1(m_i), sG) == ê(G, Σ r_i·σ_i)
-
-        which follows from bilinearity when every signature is valid,
-        and fails with probability ``~2^-128`` per forged signature for
-        128-bit ``r_i``.  A receiver catching up on a long archive of
-        time-bound key updates verifies them all at the cost of one
-        (§5.1 single-update) check plus ``2n`` scalar multiplications.
-        """
-        if len(messages) != len(signatures) or not messages:
-            return False
-        for signature in signatures:
-            if signature.is_infinity or not self.group.in_group(signature):
-                return False
-        hash_side = self.group.identity()
-        sig_side = self.group.identity()
-        for message, signature in zip(messages, signatures):
-            r = rng.getrandbits(128) | 1
-            hash_side = self.group.add(
-                hash_side, self.group.mul(self.hash_message(message), r)
-            )
-            sig_side = self.group.add(sig_side, self.group.mul(signature, r))
-        return self.group.pair_ratio_is_one(
-            ((hash_side, public.s_generator),),
-            ((public.generator, sig_side),),
-        )
-
-    def aggregate(self, signatures: list[CurvePoint]) -> CurvePoint:
-        """Sum distinct-message signatures into one point (BLS aggregation).
-
-        Not used by the paper itself but exercised by the multi-server
-        tests: updates for the same ``T`` from servers sharing a
-        generator can be verified in aggregate.
-        """
-        total = self.group.identity()
-        for signature in signatures:
-            total = self.group.add(total, signature)
-        return total
-
-    def verify_aggregate(
-        self,
-        publics: list[ServerPublicKey],
-        messages: list[bytes],
-        aggregate: CurvePoint,
-    ) -> bool:
-        """Check ``Π ê(s_iG_i, H1(m_i)) == ê(G, Σσ_i)`` for a shared G.
-
-        The whole product equation is ONE multi-pairing: ``n + 1``
-        Miller loops in lockstep and a single final exponentiation.
-        The point at infinity is rejected as an aggregate — like a
-        single infinity signature in :meth:`verify`, it would otherwise
-        pass whenever the hash-side product collapses to the identity.
-        """
-        if len(publics) != len(messages) or not publics:
-            return False
-        generator = publics[0].generator
-        if any(pk.generator != generator for pk in publics):
-            return False
-        if aggregate.is_infinity or not self.group.in_group(aggregate):
-            return False
-        return self.group.pair_ratio_is_one(
-            [
-                (public.s_generator, self.hash_message(message))
-                for public, message in zip(publics, messages)
-            ],
-            ((generator, aggregate),),
-        )

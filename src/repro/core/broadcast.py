@@ -8,9 +8,10 @@ payload.  The broadcast mode shares everything that can be shared:
 * **one** randomizer ``r`` and therefore **one** ``U = rG``;
 * **one** DEM payload ``AEAD_{K_dem}(M)``;
 * **N** per-recipient KEM headers, each wrapping ``K_dem`` under
-  ``H2(ê(as_iG, H1(T))^r)`` — with the sender GT cache warm
-  (:meth:`BroadcastTimedReleaseScheme.precompute_sender`), each header
-  costs one table-driven GT exponentiation, no pairing;
+  ``H2(ê(as_iG, H1(T))^r)`` — with each recipient's ``(as_iG, T)``
+  warm on the group
+  (:meth:`~repro.core.tre.TimedReleaseScheme.precompute_sender`), each
+  header costs one table-driven GT exponentiation, no pairing;
 * cold, **one** ``H1(T)``, **one** ``r·H1(T)`` and **one** recording
   of its Miller lines for all cold recipients, after which each header
   costs one evaluation of those lines and one final exponentiation,
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.keys import ServerPublicKey, UserKeyPair, UserPublicKey
 from repro.core.timeserver import TimeBoundKeyUpdate
@@ -77,28 +78,6 @@ class BroadcastTimedReleaseScheme:
     def __init__(self, group: PairingGroup):
         self.group = group
         self._kem = TimedReleaseScheme(group)
-
-    def precompute_sender(
-        self,
-        receivers: Iterable[UserPublicKey],
-        server_public: ServerPublicKey,
-        time_labels: Iterable[bytes] = (),
-    ) -> None:
-        """Warm every recipient's sender fast paths (incl. GT tables).
-
-        With labels given, a subsequent :meth:`encrypt_broadcast` for a
-        warmed ``(receiver set, T)`` performs one fixed-base ``rG`` and
-        one table-driven GT exponentiation per recipient — zero
-        pairings, zero hash-to-curve calls.
-        """
-        time_labels = list(time_labels)
-        for receiver_public in receivers:
-            self._kem.precompute_sender(
-                receiver_public, server_public, time_labels=time_labels
-            )
-
-    def clear_sender_cache(self) -> None:
-        self._kem.clear_sender_cache()
 
     def encrypt_broadcast(
         self,

@@ -52,9 +52,10 @@ class FOTRECiphertext:
 class FOTimedReleaseScheme(KEMScheme):
     """Chosen-ciphertext-secure TRE via the Fujisaki–Okamoto transform.
 
-    A warmed sender cache (:meth:`precompute_sender`) serves
-    :meth:`encrypt` too: FO's derandomized ``r`` does not change the
-    cache key, so the output stays byte-identical.
+    A (receiver, T) warmed on the group
+    (:meth:`~repro.core.tre.TimedReleaseScheme.precompute_sender`)
+    serves :meth:`encrypt` too: FO's derandomized ``r`` does not change
+    the cache key, so the output stays byte-identical.
     """
 
     def _derive_r(self, sigma: bytes, message: bytes, time_label: bytes) -> int:

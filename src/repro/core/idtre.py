@@ -73,21 +73,19 @@ class IdentityTimedReleaseScheme:
         ``n`` identities and ``m`` times cost ``n + m`` pairings, and
         :meth:`encrypt` for any of the ``n·m`` pairs one fixed-base
         multiplication plus two table-driven GT exponentiations —
-        byte-identical output.  :meth:`clear_sender_cache` frees the
-        entries.
+        byte-identical output.  The entries live on the group
+        (:meth:`~repro.pairing.api.PairingGroup.precompute_pair_h1`);
+        :meth:`~repro.pairing.api.PairingGroup.clear_precomputations`
+        frees them.
         """
         self.group.precompute(server_public.generator)
         labels = [*identities, *time_labels]
         if labels:
-            self._kem._warm_labels(
+            self.group.precompute_pair_h1(
                 server_public.s_generator,
                 server_public.cofactor_s_generator(self.group),
                 labels,
             )
-
-    def clear_sender_cache(self) -> None:
-        """Drop the cached per-identity and per-time pairings."""
-        self._kem.clear_sender_cache()
 
     def extract_user_key(
         self, server: ServerKeyPair, identity: bytes

@@ -51,25 +51,6 @@ class ServerPublicKey:
         :meth:`~repro.core.bls.BLSSignatureScheme.verify`)."""
         return _cofactor_multiple(self, "_cofactor_s_generator", self.s_generator, group)
 
-    def precompute(self, group: PairingGroup) -> None:
-        """Warm every fixed-argument cache this key participates in.
-
-        Builds fixed-base tables for ``G`` (user key generation, every
-        sender's ``U = rG``) and ``sG`` (user key generation; the
-        ``D`` derivation below) and caches the Miller lines
-        of ``G`` and ``sG`` (receiver-key checks) and of
-        ``D = (c mod q)·sG`` (update self-authentication, with ``G``).
-        A process that touches one server key many times calls this
-        once.  Receiver-key checks do not need it: from their second
-        use they record the lines of ``G`` and ``sG`` themselves
-        (:meth:`UserPublicKey.verify_well_formed`).
-        """
-        group.precompute(self.generator)
-        group.precompute(self.s_generator)
-        group.precompute_pairing(self.generator)
-        group.precompute_pairing(self.s_generator)
-        group.precompute_pairing(self.cofactor_s_generator(group))
-
 
 @redacted_repr("public")
 @dataclass(frozen=True)

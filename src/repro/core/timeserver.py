@@ -330,10 +330,15 @@ def verify_archive(
     is infinity or outside G1, or a Miller value is zero, every update
     is checked on its own: the server key's ``(D, G)`` lines are
     recorded (:meth:`~repro.core.bls.BLSSignatureScheme.precompute_public`)
-    and each update runs :meth:`TimeBoundKeyUpdate.verify`'s check,
+    and each update is first checked with the one-element form of the
+    same equation, ``ê(D, P′_i) / ê(G, I_i) == 1`` on its map point
+    already hashed, with no weights and no sums.  The argument above
+    holds for one update too, so an accept there is final.  Only an
+    update that fails it runs :meth:`TimeBoundKeyUpdate.verify`'s check,
     whose ``H1`` fallback is exact, so the failed labels are pinpointed
-    exactly.  A backlog of one is that single check: no weights and no
-    second pass.
+    exactly, and only a failed update hashes its label a second time.
+    A backlog of one is that single check: no weights and no second
+    pass.
 
     Each accept is recorded on its update as
     :meth:`TimeBoundKeyUpdate.verify` records one: an update already
@@ -352,11 +357,15 @@ def verify_archive(
     bls = BLSSignatureScheme(group)
     pending = [u for u in updates if not u._accepted(server_public, group)]
     if len(pending) > 1:
-        if _batch_holds(bls, server_public, pending):
+        maps = [group._map_to_curve(u.time_label, bls.hash_tag) for u in pending]
+        if _batch_holds(bls, server_public, pending, maps):
             for update in pending:
                 update._record(server_public, group)
             return []
         bls.precompute_public(server_public)
+        for update, map_point in zip(pending, maps):
+            if _batch_holds(bls, server_public, [update], [map_point]):
+                update._record(server_public, group)
     failed = []
     for update in updates:
         try:
@@ -371,9 +380,14 @@ def verify_archive(
 
 
 def _batch_holds(
-    bls: BLSSignatureScheme, server_public, pending: list[TimeBoundKeyUpdate]
+    bls: BLSSignatureScheme,
+    server_public,
+    pending: list[TimeBoundKeyUpdate],
+    maps: list[CurvePoint],
 ) -> bool:
-    """Whether ``ê(D, Σ r_i·P′_i) / ê(G, Σ r_i·I_i) == 1`` over ``pending``.
+    """Whether ``ê(D, Σ r_i·P′_i) / ê(G, Σ r_i·I_i) == 1`` over ``pending``,
+    whose map points ``P′_i`` are ``maps``; for one update it is
+    ``ê(D, P′_1) / ê(G, I_1) == 1``, with no weights and no sums.
 
     ``False`` also when the equation cannot be exact: an ``I_i`` at
     infinity or outside G1, an infinity input to the pairing, or a
@@ -384,20 +398,20 @@ def _batch_holds(
         if any(u.point.is_infinity or not group.in_group(u.point)
                for u in pending):
             return False
-        weights = _batch_weights(
-            server_public.to_bytes(group),
-            [update.to_bytes(group) for update in pending],
-        )
-        maps = group.multi_scalar_mult([
-            (r, group._map_to_curve(update.time_label, bls.hash_tag))
-            for r, update in zip(weights, pending)
-        ])
-        points = group.multi_scalar_mult(
-            [(r, update.point) for r, update in zip(weights, pending)]
-        )
+        if len(pending) == 1:
+            map_sum, point_sum = maps[0], pending[0].point
+        else:
+            weights = _batch_weights(
+                server_public.to_bytes(group),
+                [update.to_bytes(group) for update in pending],
+            )
+            map_sum = group.multi_scalar_mult(zip(weights, maps))
+            point_sum = group.multi_scalar_mult(
+                [(r, update.point) for r, update in zip(weights, pending)]
+            )
         return group.pair_ratio_is_one(
-            ((server_public.cofactor_s_generator(group), maps),),
-            ((server_public.generator, points),),
+            ((server_public.cofactor_s_generator(group), map_sum),),
+            ((server_public.generator, point_sum),),
         )
     except ReproError:
         return False

@@ -63,17 +63,10 @@ class TimedReleaseScheme:
     """The server-passive, user-anonymous timed release encryption scheme."""
 
     def __init__(self, group: PairingGroup):
+        # The scheme is stateless beyond its group, which holds every
+        # warm sender pairing g_{R,T} (PairingGroup.precompute_pair_h1):
+        # every layer on this KEM shares one warm state.
         self.group = group
-        # Sender-side GT cache: (X, T) -> g = ê(X, H1(T)).  For a fixed
-        # (X, T) the pairing never changes — only the exponent r does —
-        # so a warmed label costs one GT exponentiation instead of a
-        # Miller loop + final exponentiation.  Pure accelerator:
-        # bilinearity (ê(X, H1(T))^r == ê(r·X, H1(T))) keeps the bytes.
-        # X is a receiver's asG, binding receiver and server, or
-        # ID-TRE's sG, under which identities and times are labels.
-        self._sender_gt: dict[tuple[CurvePoint, bytes], GTElement] = {}
-        # c⁻¹ mod q: a cold label's pair_h1 scalar (see _sender_key).
-        self._cofactor_inverse = pow(group.h1_cofactor, -1, group.q)
 
     # ------------------------------------------------------------------
     # Key generation (delegates to repro.core.keys, kept here so the
@@ -113,12 +106,12 @@ class TimedReleaseScheme:
         factors = []
         cold = None
         for label in labels:
-            g = self._sender_gt.get((point, label))
+            g = self.group.cached_pair_h1(point, label)
             if g is not None:
                 factors.append(g ** r)
                 continue
             g = self.group.pair_h1(
-                point, label, H1_TAG, scalar=self._cofactor_inverse
+                point, label, H1_TAG, scalar=self.group.h1_cofactor_inverse
             )
             cold = g if cold is None else cold * g
         if cold is not None:
@@ -143,8 +136,8 @@ class TimedReleaseScheme:
         recording of its Miller lines; each then costs one replay and
         one final exponentiation, ``ê(X_i, r·H1(T))``, the same element.
         """
-        cold = [point for point in points
-                if (point, time_label) not in self._sender_gt]
+        warm = [self.group.cached_pair_h1(point, time_label) for point in points]
+        cold = [point for point, g in zip(points, warm) if g is None]
         if len(cold) < SHARED_H1_RECEIVERS:
             # No map point at all when every point is warm.
             cold_keys = cold and self.group.pair_h1(
@@ -157,11 +150,7 @@ class TimedReleaseScheme:
             shared = PairingPrecomputation(self.group, self.group.mul(h_t, r))
             cold_keys = [shared.pair(point) for point in cold]
         keys = iter(cold_keys)
-        return [
-            self._sender_gt[(point, time_label)] ** r
-            if (point, time_label) in self._sender_gt else next(keys)
-            for point in points
-        ]
+        return [next(keys) if g is None else g ** r for g in warm]
 
     def _receiver_key(
         self,
@@ -197,49 +186,27 @@ class TimedReleaseScheme:
 
         ``time_labels`` unlocks the GT fast path: for each label ``T``
         the constant pairing ``g_{R,T} = ê(asG, H1(T))`` is computed
-        once, cached, and given a windowed exponentiation table
-        (:meth:`~repro.pairing.api.PairingGroup.precompute_gt`), after
-        which :meth:`encrypt` for that (receiver, T) pair costs one
-        table-driven fixed-base multiplication (``U = rG``) plus one
-        table-driven GT exponentiation (``g_{R,T}^r``) — no pairing, no
-        hash-to-curve — with byte-identical ciphertexts.  A label costs
-        ``H1(T)``'s map point and one replay of the Miller lines of
-        ``(c mod q)·asG``, derived and recorded once per receiver key
-        object (:meth:`~repro.pairing.api.PairingGroup.pair_h1`).
-        :meth:`clear_sender_cache` frees the per-label entries.
+        once and cached on the group with a windowed exponentiation
+        table (:meth:`~repro.pairing.api.PairingGroup.precompute_pair_h1`),
+        after which every encryption for that (receiver, T) pair on the
+        group, through this scheme or any layer on its KEM (hybrid, FO,
+        REACT, broadcast, policy locks), costs one table-driven
+        fixed-base multiplication (``U = rG``) plus one table-driven GT
+        exponentiation (``g_{R,T}^r``) — no pairing, no hash-to-curve —
+        with byte-identical ciphertexts.  A label costs ``H1(T)``'s map
+        point and one replay of the Miller lines of ``(c mod q)·asG``,
+        derived once per receiver key object and recorded once per
+        group.  :meth:`~repro.pairing.api.PairingGroup.clear_precomputations`
+        is the one reset: it drops the pairings with their tables.
         """
         self.group.precompute(server_public.generator)
         time_labels = list(time_labels)
         if time_labels:
-            self._warm_labels(
+            self.group.precompute_pair_h1(
                 receiver_public.as_generator,
                 receiver_public.cofactor_as_generator(self.group),
                 time_labels,
             )
-
-    def _warm_labels(
-        self, point: CurvePoint, derived: CurvePoint, labels: Iterable[bytes]
-    ) -> None:
-        """Cache ``ê(X, H1(T))`` and its GT table for each label: one
-        recording of ``derived = (c mod q)·X``'s lines, then per new
-        label ``H1(T)``'s map point and one replay of them."""
-        self.group.precompute_pairing(derived)
-        for label in labels:
-            key = (point, label)
-            g = self._sender_gt.get(key)
-            if g is None:
-                g = self.group.pair_h1(point, label, H1_TAG, derived=derived)
-                self._sender_gt[key] = g
-            self.group.precompute_gt(g)
-
-    def clear_sender_cache(self) -> None:
-        """Drop every cached ``g_{R,T}`` pairing (correctness unaffected).
-
-        The matching GT exponentiation tables live on the group; call
-        :meth:`~repro.pairing.api.PairingGroup.clear_precomputations`
-        to free those too.
-        """
-        self._sender_gt.clear()
 
     # ------------------------------------------------------------------
     # Encryption / decryption (§5.1 verbatim).
@@ -386,28 +353,13 @@ class TimedReleaseScheme:
 
 
 class KEMScheme:
-    """A scheme layered on the §5.1 KEM, sharing its sender caches.
+    """A scheme layered on the §5.1 KEM.
 
-    :meth:`precompute_sender` warms, and :meth:`clear_sender_cache`
-    drops, the KEM's fixed-argument tables and cached ``g_{R,T}``
-    pairings (see :meth:`TimedReleaseScheme.precompute_sender`); the
-    layer's ciphertexts stay byte-identical either way.
+    Its sender reads the group's warm pairings: warm a (receiver, T)
+    with :meth:`TimedReleaseScheme.precompute_sender` on the same group
+    and the layer's encryptions skip the pairing, byte-identically.
     """
 
     def __init__(self, group: PairingGroup):
         self.group = group
         self._kem = TimedReleaseScheme(group)
-
-    def precompute_sender(
-        self,
-        receiver_public: UserPublicKey,
-        server_public: ServerPublicKey,
-        time_labels: Iterable[bytes] = (),
-    ) -> None:
-        """Warm the KEM's sender fast paths (incl. GT tables)."""
-        self._kem.precompute_sender(
-            receiver_public, server_public, time_labels=time_labels
-        )
-
-    def clear_sender_cache(self) -> None:
-        self._kem.clear_sender_cache()

@@ -230,9 +230,6 @@ class QuadraticElement:
     def is_one(self) -> bool:
         return self.a == 1 and self.b == 0
 
-    def in_base_field(self) -> bool:
-        return self.b == 0
-
     def to_bytes(self) -> bytes:
         half = self.field.base.element_bytes
         return int_to_bytes(self.a, half) + int_to_bytes(self.b, half)

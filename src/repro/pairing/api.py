@@ -22,6 +22,7 @@ Example::
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 from repro.ec.point import CurvePoint
 from repro.ec.precompute import FixedBaseTable
@@ -180,13 +181,18 @@ class PairingGroup:
         self.point_bytes = 1 + 2 * self.ssc.fp.element_bytes
         self.gt_bytes = 2 * self.ssc.fp.element_bytes
         self.scalar_bytes = (self.q.bit_length() + 7) // 8
-        # c mod q, which pair_h1 moves onto the fixed pairing argument.
+        # c mod q, which pair_h1 moves onto the fixed pairing argument,
+        # and c⁻¹ mod q, the scalar a cold sender label passes to it.
         self.h1_cofactor = params.c % params.q
+        self.h1_cofactor_inverse = pow(self.h1_cofactor, -1, self.q)
         # Fixed-argument caches, populated only by explicit precompute
         # calls; mul/pair/gt_exp probe them with a dict lookup per call.
         self._fixed_base: dict[CurvePoint, FixedBaseTable] = {}
         self._pairing_precomp: dict[CurvePoint, PairingPrecomputation] = {}
         self._gt_fixed_base: dict[QuadraticElement, GTFixedBaseTable] = {}
+        # (X, label) -> ê(X, H1(label)), the warm sender's g_{R,T}
+        # (precompute_pair_h1); each value also has a GT table above.
+        self._sender_gt: dict[tuple[CurvePoint, bytes], GTElement] = {}
         # Fixed arguments seen once by the second-use helpers: a tuple
         # of points for _precompute_on_second_use, (FixedBaseTable, G)
         # for _mul_on_second_use.
@@ -360,6 +366,37 @@ class PairingGroup:
         if isinstance(fixed, list):
             return [checked(point, None) for point in fixed]
         return checked(fixed, derived)
+
+    def precompute_pair_h1(
+        self, fixed: CurvePoint, derived: CurvePoint, labels: Iterable[bytes]
+    ) -> None:
+        """Cache ``g = ê(fixed, H1(label))`` and its GT table per label.
+
+        The warm sender's constant pairing: for a fixed ``X`` (a
+        receiver's ``asG``, or ID-TRE's ``sG``) and a label ``T``,
+        ``ê(r·X, H1(T)) = g^r``, so once ``g`` is cached with a
+        :meth:`precompute_gt` table every key for ``(X, T)`` costs one
+        table-driven GT exponentiation, with the same bytes.  ``derived``
+        is ``(c mod q)·fixed``: its Miller lines are recorded once, and
+        each new label then costs ``H1``'s map point and one replay of
+        them (:meth:`pair_h1`, under ``H1``'s default tag).  The cache
+        belongs to the group, so every scheme on it shares the warm
+        labels; :meth:`cached_pair_h1` reads it and
+        :meth:`clear_precomputations` drops it with the tables.
+        """
+        self.precompute_pairing(derived)
+        for label in labels:
+            key = (fixed, label)
+            g = self._sender_gt.get(key)
+            if g is None:
+                g = self.pair_h1(fixed, label, derived=derived)
+                self._sender_gt[key] = g
+            self.precompute_gt(g)
+
+    def cached_pair_h1(self, fixed: CurvePoint, label: bytes) -> GTElement | None:
+        """``ê(fixed, H1(label))`` if :meth:`precompute_pair_h1` cached
+        it, else ``None``."""
+        return self._sender_gt.get((fixed, label))
 
     def random_point(self, rng: random.Random) -> CurvePoint:
         """A uniform element of the order-``q`` subgroup."""
@@ -605,11 +642,14 @@ class PairingGroup:
         return False
 
     def clear_precomputations(self) -> None:
-        """Drop all fixed-base tables, cached Miller lines, and GT tables.
+        """Drop all fixed-base tables, cached Miller lines, GT tables and
+        cached sender pairings: the one reset of the group's warm state.
 
         Long-running processes that precompute per-epoch updates (e.g.
         archive catch-up over thousands of labels) call this to bound
-        memory; correctness is unaffected.  The second-use record of
+        memory; correctness is unaffected.  The ``g_{R,T}`` pairings of
+        :meth:`precompute_pair_h1` go with their GT tables, so the next
+        send for any label is cold again.  The second-use record of
         :meth:`_precompute_on_second_use` and :meth:`_mul_on_second_use`
         is dropped too, so the next receiver-key or update check runs
         cold again and the next send builds no table.
@@ -617,6 +657,7 @@ class PairingGroup:
         self._fixed_base.clear()
         self._pairing_precomp.clear()
         self._gt_fixed_base.clear()
+        self._sender_gt.clear()
         self._seen_once.clear()
 
     def gt_exp(self, gt: GTElement, exponent: int) -> GTElement:

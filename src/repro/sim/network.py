@@ -105,10 +105,6 @@ class BroadcastChannel:
     def subscribe(self, deliver: Callable) -> None:
         self._subscribers.append(deliver)
 
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._subscribers)
-
     def publish(self, payload, size_bytes: int) -> list[float]:
         """Fan the payload out; the *sender* pays for one message.
 

@@ -29,6 +29,7 @@ from repro.analysis.costmodel import (
     resilient_cost,
     tre_batch_decrypt_cost,
 )
+from repro.core.bls import BLSSignatureScheme
 from repro.core.idtre import IdentityTimedReleaseScheme
 from repro.core.keys import ServerKeyPair, UserKeyPair
 from repro.core.timeserver import (
@@ -307,9 +308,10 @@ class TestPrecomputedBudgets:
                 rng, verify_receiver_keys=False,
             )
         _assert_budget(cold, broadcast_encrypt_cost(2, warm=False))
-        scheme.precompute_sender(
-            receivers, server.public_key, time_labels=[LABEL]
-        )
+        for public in receivers:
+            TimedReleaseScheme(group).precompute_sender(
+                public, server.public_key, time_labels=[LABEL]
+            )
         with group.counters.measure() as warm:
             scheme.encrypt_broadcast(
                 b"m" * 32, receivers, server.public_key, LABEL, rng,
@@ -321,7 +323,7 @@ class TestPrecomputedBudgets:
 
     def test_precomp_update_verify(self, fresh):
         group, server, user = fresh
-        server.public_key.precompute(group)
+        BLSSignatureScheme(group).precompute_public(server.public_key)
         update = server.publish_update(LABEL)
         measured = _measure(
             group, lambda: update.verify(group, server.public_key)

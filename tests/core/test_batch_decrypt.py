@@ -155,20 +155,3 @@ class TestArchiveCatchUp:
         assert bls.verify(keypair.public, b"some message", sig)
         assert not bls.verify(keypair.public, b"another message", sig)
         any_group.clear_precomputations()
-
-    def test_server_key_precompute_warms_all_caches(self, rng):
-        from repro.pairing.api import PairingGroup
-
-        fresh = PairingGroup("toy64", family="A")
-        keypair = ServerKeyPair.generate(fresh, rng)
-        keypair.public.precompute(fresh)
-        assert len(fresh._fixed_base) == 2
-        # Lines for G and sG (receiver-key checks) and for
-        # D = (c mod q)·sG (update checks).
-        assert set(fresh._pairing_precomp) == {
-            keypair.public.generator,
-            keypair.public.s_generator,
-            keypair.public.cofactor_s_generator(fresh),
-        }
-        user = UserKeyPair.generate(fresh, keypair.public, rng)
-        assert user.public.verify_well_formed(fresh, keypair.public)

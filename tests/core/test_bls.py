@@ -53,84 +53,3 @@ class TestSignVerify:
         # One G1 point: half the size of a (point, scalar)-style signature.
         sig = scheme.sign(keypair, b"m")
         assert len(group.point_to_bytes(sig)) == group.point_bytes
-
-
-class TestAggregation:
-    def test_aggregate_verifies(self, scheme, group, rng):
-        generator = group.random_point(rng)
-        keypairs = [
-            ServerKeyPair.generate(group, rng, generator=generator)
-            for _ in range(3)
-        ]
-        messages = [f"m{i}".encode() for i in range(3)]
-        sigs = [scheme.sign(kp, m) for kp, m in zip(keypairs, messages)]
-        agg = scheme.aggregate(sigs)
-        assert scheme.verify_aggregate(
-            [kp.public for kp in keypairs], messages, agg
-        )
-
-    def test_aggregate_rejects_wrong_message(self, scheme, group, rng):
-        generator = group.random_point(rng)
-        keypairs = [
-            ServerKeyPair.generate(group, rng, generator=generator)
-            for _ in range(2)
-        ]
-        sigs = [scheme.sign(kp, b"m") for kp in keypairs]
-        agg = scheme.aggregate(sigs)
-        assert not scheme.verify_aggregate(
-            [kp.public for kp in keypairs], [b"m", b"other"], agg
-        )
-
-    def test_aggregate_requires_shared_generator(self, scheme, group, rng):
-        keypairs = [ServerKeyPair.generate(group, rng) for _ in range(2)]
-        sigs = [scheme.sign(kp, b"m") for kp in keypairs]
-        agg = scheme.aggregate(sigs)
-        assert not scheme.verify_aggregate(
-            [kp.public for kp in keypairs], [b"m", b"m"], agg
-        )
-
-    def test_empty_aggregate_rejected(self, scheme, group):
-        assert not scheme.verify_aggregate([], [], group.identity())
-
-    def test_infinity_aggregate_rejected(self, scheme, group, rng):
-        """The point at infinity must never verify as an aggregate.
-
-        Without the explicit guard, infinity passes ``in_group`` and
-        the pairing equation degenerates: an attacker who can steer the
-        hash-side product to the identity gets a "valid" aggregate for
-        free.  Regression test for the guard in ``verify_aggregate``.
-        """
-        generator = group.random_point(rng)
-        keypairs = [
-            ServerKeyPair.generate(group, rng, generator=generator)
-            for _ in range(2)
-        ]
-        messages = [b"m0", b"m1"]
-        assert not scheme.verify_aggregate(
-            [kp.public for kp in keypairs], messages, group.identity()
-        )
-
-    def test_infinity_aggregate_rejected_even_if_equation_degenerates(
-        self, scheme, group, rng
-    ):
-        # The actual forgery the guard blocks: "signers" with secrets s
-        # and q-s on the same message.  The hash-side product collapses
-        # to the identity, so the infinity aggregate (= σ + (-σ))
-        # satisfies the raw pairing equation — and must still fail.
-        from repro.core.keys import ServerPublicKey
-
-        generator = group.random_point(rng)
-        keypair = ServerKeyPair.generate(group, rng, generator=generator)
-        mirrored = ServerPublicKey(
-            generator, group.negate(keypair.public.s_generator)
-        )
-        sig = scheme.sign(keypair, b"m")
-        agg = scheme.aggregate([sig, group.negate(sig)])
-        assert agg.is_infinity
-        assert not scheme.verify_aggregate(
-            [keypair.public, mirrored], [b"m", b"m"], agg
-        )
-
-    def test_aggregate_single_signer_matches_verify(self, scheme, keypair):
-        sig = scheme.sign(keypair, b"solo")
-        assert scheme.verify_aggregate([keypair.public], [b"solo"], sig)

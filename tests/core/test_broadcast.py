@@ -35,6 +35,14 @@ LABEL = b"broadcast-release-T"
 MESSAGE = b"one payload, many recipients" * 3
 
 
+def _warm(group, receivers, server_public, label):
+    """Warm ``(as_iG, label)`` for each receiver on ``group``."""
+    for receiver_public in receivers:
+        TimedReleaseScheme(group).precompute_sender(
+            receiver_public, server_public, time_labels=[label]
+        )
+
+
 @pytest.fixture()
 def setup(group):
     rng = random.Random(0xB40ADCA57)
@@ -214,7 +222,7 @@ class TestDeterminismAndFastPath:
             MESSAGE, pubs, server.public, LABEL, random.Random(15),
             verify_receiver_keys=False,
         )
-        scheme.precompute_sender(pubs, server.public, time_labels=[LABEL])
+        _warm(group, pubs, server.public, LABEL)
         warm = scheme.encrypt_broadcast(
             MESSAGE, pubs, server.public, LABEL, random.Random(15),
             verify_receiver_keys=False,
@@ -225,7 +233,7 @@ class TestDeterminismAndFastPath:
         scheme, server, users, _ = setup
         group = scheme.group
         pubs = [u.public for u in users]
-        scheme.precompute_sender(pubs, server.public, time_labels=[LABEL])
+        _warm(group, pubs, server.public, LABEL)
         with group.counters.measure() as ops:
             scheme.encrypt_broadcast(
                 MESSAGE, pubs, server.public, LABEL, random.Random(16),
@@ -248,12 +256,19 @@ ORACLE_LABEL = b"broadcast-oracle-T"
 
 
 @pytest.fixture(scope="module", params=["A", "B"])
-def oracle_setup(request):
+def oracle_keys(request):
     group = PairingGroup("toy64", family=request.param)
     rng = random.Random(0x0AC1E)
     server = ServerKeyPair.generate(group, rng)
     users = [UserKeyPair.generate(group, server.public, rng) for _ in range(5)]
     return group, server, users
+
+
+@pytest.fixture()
+def oracle_setup(oracle_keys):
+    """Each test starts cold: warm pairings live on the shared group."""
+    oracle_keys[0].clear_precomputations()
+    return oracle_keys
 
 
 def _oracle_bytes(group, server_public, receivers, seed) -> bytes:
@@ -288,10 +303,7 @@ class TestSenderKeysOracle:
             "mixed": receivers[1::2],
         }[warm]
         scheme = BroadcastTimedReleaseScheme(group)
-        if warmed:
-            scheme.precompute_sender(
-                warmed, server.public, time_labels=[ORACLE_LABEL]
-            )
+        _warm(group, warmed, server.public, ORACLE_LABEL)
         seed = 1000 * n + len(warmed)
         ct = scheme.encrypt_broadcast(
             MESSAGE, receivers, server.public, ORACLE_LABEL,

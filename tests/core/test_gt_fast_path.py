@@ -1,17 +1,19 @@
 """The sender GT fast path is a pure accelerator — bytes never change.
 
 ``precompute_sender(..., time_labels=[T])`` caches the constant pairing
-``ê(asG, H1(T))`` and a windowed exponentiation table for it.  Every
-scheme that rides the cache (TRE, ID-TRE, hybrid, FO, REACT) must emit
-ciphertexts byte-identical to the cold path for the same rng seed, in
-both curve families and at production size — bilinearity guarantees the
-same GT element, canonical field representation the same bytes.
+``ê(asG, H1(T))`` and a windowed exponentiation table for it on the
+group.  Every scheme that rides the cache (TRE, ID-TRE, hybrid, FO,
+REACT) must emit ciphertexts byte-identical to the cold path for the
+same rng seed, in both curve families and at production size —
+bilinearity guarantees the same GT element, canonical field
+representation the same bytes.
 """
 
 import random
 
 import pytest
 
+from repro.core.broadcast import BroadcastTimedReleaseScheme
 from repro.core.fujisaki_okamoto import FOTimedReleaseScheme
 from repro.core.hybrid_tre import HybridTimedReleaseScheme
 from repro.core.idtre import IdentityTimedReleaseScheme
@@ -69,11 +71,10 @@ class TestTREByteIdentity:
         )
         assert scheme.decrypt(ct, user, ts.issue_update(LABEL)) == MESSAGE
 
-    def test_clear_sender_cache_restores_cold_path(self, group):
+    def test_clear_precomputations_restores_cold_path(self, group):
         server, user = _setup(group)
         scheme = TimedReleaseScheme(group)
         scheme.precompute_sender(user.public, server.public, time_labels=[LABEL])
-        scheme.clear_sender_cache()
         group.clear_precomputations()
         with group.counters.measure() as ops:
             scheme.encrypt(
@@ -94,7 +95,6 @@ class TestTREByteIdentity:
             ).to_bytes(group)
             for label in labels
         ]
-        scheme.clear_sender_cache()
         group.clear_precomputations()
         scheme.precompute_sender(user.public, server.public, time_labels=labels)
         warms = [
@@ -171,23 +171,73 @@ class TestWrapperByteIdentity:
             MESSAGE, user.public, server.public, LABEL, random.Random(8),
             verify_receiver_key=False,
         )
-        scheme.precompute_sender(user.public, server.public, time_labels=[LABEL])
+        TimedReleaseScheme(group).precompute_sender(
+            user.public, server.public, time_labels=[LABEL]
+        )
         warm = scheme.encrypt(
             MESSAGE, user.public, server.public, LABEL, random.Random(8),
             verify_receiver_key=False,
         )
         assert warm.to_bytes(group) == cold.to_bytes(group)
-        scheme.clear_sender_cache()
+        group.clear_precomputations()
 
     @pytest.mark.parametrize("cls", WRAPPERS, ids=lambda c: c.__name__)
     def test_warm_ciphertext_decrypts(self, group, cls):
         server, user = _setup(group)
         ts = PassiveTimeServer(group, keypair=server)
         scheme = cls(group)
-        scheme.precompute_sender(user.public, server.public, time_labels=[LABEL])
+        TimedReleaseScheme(group).precompute_sender(
+            user.public, server.public, time_labels=[LABEL]
+        )
         ct = scheme.encrypt(
             MESSAGE, user.public, server.public, LABEL, random.Random(9),
             verify_receiver_key=False,
         )
         update = ts.issue_update(LABEL)
         assert scheme.decrypt(ct, user, update, server.public) == MESSAGE
+
+
+class TestOneWarmState:
+    """The group holds every warm ``g_{R,T}``: one warm-up serves each
+    layer on the KEM, and ``clear_precomputations`` is the one reset."""
+
+    def test_scheme_holds_only_its_group(self, group):
+        assert vars(TimedReleaseScheme(group)) == {"group": group}
+
+    @pytest.mark.parametrize("layer", ["hybrid", "fo", "broadcast"])
+    def test_layers_share_one_warm_up(self, layer):
+        group = PairingGroup("toy64", family="A")
+        server, user = _setup(group)
+
+        def encrypt(seed):
+            rng = random.Random(seed)
+            if layer == "broadcast":
+                return BroadcastTimedReleaseScheme(group).encrypt_broadcast(
+                    MESSAGE, [user.public], server.public, LABEL, rng,
+                    verify_receiver_keys=False,
+                )
+            cls = {"hybrid": HybridTimedReleaseScheme,
+                   "fo": FOTimedReleaseScheme}[layer]
+            return cls(group).encrypt(
+                MESSAGE, user.public, server.public, LABEL, rng,
+                verify_receiver_key=False,
+            )
+
+        def counted():
+            with group.counters.measure() as ops:
+                ciphertext = encrypt(10)
+            return ciphertext.to_bytes(group), ops
+
+        cold, cold_ops = counted()
+        assert cold_ops["pairing"] == 1
+        TimedReleaseScheme(group).precompute_sender(
+            user.public, server.public, time_labels=[LABEL]
+        )
+        warm, warm_ops = counted()
+        assert warm == cold
+        assert warm_ops.get("pairing", 0) == 0
+        assert warm_ops.get("hash_to_curve", 0) == 0
+        group.clear_precomputations()
+        again, again_ops = counted()
+        assert again == cold
+        assert again_ops == cold_ops

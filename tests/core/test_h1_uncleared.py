@@ -241,7 +241,9 @@ def force(request, group, monkeypatch):
         forced[0] = set(labels) or None
         return small
 
-    return choose
+    yield choose
+    # Sender pairings cached under the forced map must not outlive it.
+    group.clear_precomputations()
 
 
 @pytest.fixture
@@ -340,7 +342,7 @@ def test_cold_receivers_share_a_map_point_and_fall_back(group, degenerate):
     h1 = group.hash_to_g1(label)
     expected = [group.pair(group.mul(point, r), h1) for point in points]
     scheme = TimedReleaseScheme(group)
-    scheme._sender_gt[(points[1], label)] = group.pair(points[1], h1)
+    group._sender_gt[(points[1], label)] = group.pair(points[1], h1)
     with group.counters.measure() as ops:
         assert scheme._sender_keys(points, label, r) == expected
     assert ops["hash_to_curve"] == 1
@@ -357,7 +359,7 @@ def test_warm_label_falls_back_exactly(group, degenerate):
     scheme.precompute_sender(user.public, server.public_key, time_labels=[label])
     expected = group.pair(user.public.as_generator, group.hash_to_g1(label))
     assert not expected.is_identity()
-    assert scheme._sender_gt[(user.public.as_generator, label)] == expected
+    assert group.cached_pair_h1(user.public.as_generator, label) == expected
     message = b"opens after the forced label, warm"
     ciphertext = scheme.encrypt(
         message, user.public, server.public_key, label, rng
@@ -527,7 +529,7 @@ def test_map_point_callers_are_pair_h1_and_the_archive_batch():
     and hands every other verdict to ``pair_h1`` update by update
     (``tests/core/test_batch_verify.py`` forces that case)."""
     assert _functions_where(_calls("_map_to_curve")) == {
-        "PairingGroup.pair_h1", "core/timeserver.py._batch_holds"
+        "PairingGroup.pair_h1", "core/timeserver.py.verify_archive"
     }
 
 
@@ -551,9 +553,6 @@ H1_IN_G1_BY_DESIGN = {
     # recorded argument must lie in G1.
     "TimedReleaseScheme._sender_keys",
     # Signing: BLS updates and threshold update shares are s·H1(T).
-    # batch_verify and verify_aggregate hash through hash_message too:
-    # they pair against a sum of labels, where a per-label fallback is
-    # the only exact form and would cost one pairing per label.
     "BLSSignatureScheme.hash_message",
     "ThresholdServerMember.issue_update_share",
     # Key extraction: ID-TRE's s·H1(ID), and the escrow demonstration's

@@ -109,8 +109,10 @@ def test_nothing_forks_or_spawns_processes():
     )
 
 
-# Top-level definitions that no other file in src/, benchmarks/ or
-# examples/ names, kept on purpose, each with the reason it stays.
+# Definitions that no other file in src/, benchmarks/ or examples/
+# names, kept on purpose, each with the reason it stays: a top-level
+# function or class as "module:name", a method or property as
+# "module:Class.name".  Every member of a listed class is kept too.
 _UNREACHED_ON_PURPOSE = {
     "analysis/costmodel.py:multiserver_cost": "a budget asserted against live op counts",
     "analysis/costmodel.py:resilient_cost": "a budget asserted against live op counts",
@@ -125,6 +127,35 @@ _UNREACHED_ON_PURPOSE = {
     "sim/network.py:FixedLatency": "the constant latency model of the simulation tests",
     "sim/scenarios.py:run_threshold_beacon":
         "the k-of-N server under member failure (DESIGN.md's threshold row)",
+    "sim/scenarios.py:ThresholdBeaconResult.time_to_update":
+        "run_threshold_beacon's measured outcome (DESIGN.md's threshold row)",
+    "sim/gossip.py:GossipResult.coverage":
+        "GossipNetwork's outcome, how tests/sim/test_gossip.py shows DESIGN.md's gossip claim",
+    "sim/gossip.py:GossipResult.completion_time":
+        "GossipNetwork's outcome, how tests/sim/test_gossip.py shows DESIGN.md's gossip claim",
+    "baselines/rivest_server.py:RivestPublicKeyServer.release_private_key":
+        "the release step of the §2.2 public-key variant that DESIGN.md's Rivest row claims",
+    "baselines/rivest_server.py:RivestPublicKeyServer.extend_horizon":
+        "the §2.2 public-key variant's server-side remedy for its horizon",
+    "core/keys.py:UserKeyPair.from_password": "§5.1 password-derived receiver keys",
+    "core/keys.py:UserKeyPair.rekey_to_server": "§5.3.4 change of time server",
+    "core/certification.py:CertificateAuthority.issue": "§5.3.4 certified receiver keys",
+    "core/resilient.py:ResilientTimeServer.verify_node_key":
+        "the public check of a resilient update, as TimeBoundKeyUpdate.verify is of a flat one",
+    "math/field.py:FieldElement.is_square": "Fp's square roots, next to cube_root",
+    "math/field.py:FieldElement.sqrt": "Fp's square roots, next to cube_root",
+    "pairing/api.py:PairingGroup.point_to_bytes_compressed":
+        "the compressed G1 format in docs/PROTOCOL.md",
+    "pairing/api.py:PairingGroup.point_from_bytes_compressed":
+        "the compressed G1 format in docs/PROTOCOL.md",
+    "pairing/api.py:PairingGroup.gt_from_bytes": "the GT format in docs/PROTOCOL.md",
+    "pairing/bn254.py:BN254.in_g2": "the G2 subgroup check of the Type-3 engine, next to in_g1",
+    "service/virtualtime.py:_InstantSelector.select": "asyncio's event loop calls it",
+    "sim/metrics.py:AnonymityLedger.view": "the ledger's read side (ROADMAP item 5)",
+    "sim/metrics.py:AnonymityLedger.record_sender_seen": "ROADMAP item 5 feeds the ledger",
+    "sim/metrics.py:AnonymityLedger.record_receiver_seen": "ROADMAP item 5 feeds the ledger",
+    "sim/metrics.py:AnonymityLedger.record_plaintext_seen": "ROADMAP item 5 feeds the ledger",
+    "sim/metrics.py:AnonymityLedger.record_release_time_seen": "ROADMAP item 5 feeds the ledger",
 }
 
 
@@ -145,15 +176,49 @@ def _names(tree: ast.AST, reexport: bool) -> set[str]:
     return found
 
 
+def _is_member(node: ast.AST) -> bool:
+    """A method or property that must be named to run (no dunder)."""
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("__"))
+
+
+def _definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Top-level functions and classes by name, and each class's
+    members as ``Class.name``."""
+    found = {}
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("__")):
+            found[node.name] = node
+            if isinstance(node, ast.ClassDef):
+                found.update(
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body if _is_member(item)
+                )
+    return found
+
+
+def _body_names(node: ast.AST) -> set[str]:
+    """What a reached definition names; a class's members count only
+    once they are reached themselves."""
+    if not isinstance(node, ast.ClassDef):
+        return _names(node, False)
+    parts = [*node.decorator_list, *node.bases, *node.keywords,
+             *(item for item in node.body if not _is_member(item))]
+    return set().union(*(_names(part, False) for part in parts))
+
+
 def _closure(definitions: dict[str, ast.AST], roots: set[str]) -> set[str]:
     """``roots`` and every definition that a reached definition names."""
-    reached = set(roots)
-    pending = [name for name in definitions if name in reached]
+    reached, pending = set(), list(roots)
     while pending:
-        for name in _names(definitions[pending.pop()], False):
-            if name in definitions and name not in reached:
-                reached.add(name)
-                pending.append(name)
+        key = pending.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        names = _body_names(definitions[key])
+        pending += [other for other in definitions
+                    if other not in reached and other.rsplit(".", 1)[-1] in names]
     return reached
 
 
@@ -173,27 +238,32 @@ def _scan() -> tuple[list[str], list[str]]:
         if package not in path.parents:
             continue
         relative = path.relative_to(package).as_posix()
-        definitions = {
-            node.name: node
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("__")
-        }
+        definitions = _definitions(tree)
         # A definition is reached when another file names it, or when
         # module-level code or a reached definition of its own file does.
-        roots = {name for name in definitions if files_naming[name] > (name in named[path])}
-        roots = roots.union(*(
+        outside = {name for name in files_naming
+                   if files_naming[name] > (name in named[path])}
+        outside = outside.union(*(
             _names(node, False)
             for node in tree.body
             if node not in definitions.values()
             and not (isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__")
         ))
-        reached = _closure(definitions, roots)
-        listed = {name for name in definitions if f"{relative}:{name}" in _UNREACHED_ON_PURPOSE}
-        kept = _closure(definitions, reached | listed)
-        unreached += [f"{relative}:{name}" for name in definitions if name not in kept]
-        stale += [f"{relative}:{name}" for name in listed & reached]
-        defined.update(f"{relative}:{name}" for name in definitions)
+        reached = _closure(
+            definitions, {key for key in definitions if key.rsplit(".", 1)[-1] in outside}
+        )
+        listed = {key for key in definitions if f"{relative}:{key}" in _UNREACHED_ON_PURPOSE}
+        kept = _closure(definitions, reached | listed | {
+            key for key in definitions if key.split(".", 1)[0] in listed
+        })
+        # A member counts only when its class is kept: an unreached
+        # class is reported by itself.
+        unreached += [
+            f"{relative}:{key}" for key in definitions
+            if key not in kept and key.split(".", 1)[0] in kept | {key}
+        ]
+        stale += [f"{relative}:{key}" for key in listed & reached]
+        defined.update(f"{relative}:{key}" for key in definitions)
     return unreached, stale + sorted(_UNREACHED_ON_PURPOSE.keys() - defined)
 
 

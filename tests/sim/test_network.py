@@ -114,12 +114,6 @@ class TestBroadcastChannel:
         arrivals = run_virtual(scenario())
         assert len(set(arrivals)) > 1
 
-    def test_subscriber_count(self):
-        channel = BroadcastChannel(FixedLatency(0), random.Random(0), None)
-        assert channel.subscriber_count == 0
-        channel.subscribe(lambda p: None)
-        assert channel.subscriber_count == 1
-
     def test_empty_broadcast(self):
         channel = BroadcastChannel(FixedLatency(0), random.Random(0), None)
 

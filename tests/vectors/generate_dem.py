@@ -24,6 +24,7 @@ import random
 
 from repro.core.broadcast import BroadcastTimedReleaseScheme
 from repro.core.keys import ServerKeyPair, UserKeyPair
+from repro.core.tre import TimedReleaseScheme
 from repro.crypto.authenc import aead_encrypt
 from repro.crypto.stream import keystream
 from repro.encoding import xor_bytes
@@ -88,12 +89,14 @@ def broadcast_seed(params: str, family: str) -> int:
 
 
 def encrypt_case(group, server, users, recipients, warm, case_seed):
-    """One seeded broadcast for ``users[:recipients]`` after warming ``warm``."""
+    """One seeded broadcast for ``users[:recipients]`` after clearing the
+    group's warm state and warming ``warm``."""
+    group.clear_precomputations()
     scheme = BroadcastTimedReleaseScheme(group)
     pubs = [user.public for user in users[:recipients]]
-    if warm:
-        scheme.precompute_sender(
-            [pubs[i] for i in warm], server.public, time_labels=[BROADCAST_LABEL]
+    for i in warm:
+        TimedReleaseScheme(group).precompute_sender(
+            pubs[i], server.public, time_labels=[BROADCAST_LABEL]
         )
     return scheme.encrypt_broadcast(
         BROADCAST_MESSAGE, pubs, server.public, BROADCAST_LABEL,

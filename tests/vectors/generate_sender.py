@@ -74,11 +74,11 @@ def keys(group: PairingGroup, seed: int):
     return server, users
 
 
-def sender_labels(scheme: TimedReleaseScheme, users) -> list[list[str]]:
-    """The cached ``g_{R,T}`` bytes, one row per receiver."""
+def sender_labels(group: PairingGroup, users) -> list[list[str]]:
+    """The ``g_{R,T}`` bytes cached on ``group``, one row per receiver."""
     return [
         [
-            scheme._sender_gt[(user.public.as_generator, label)].to_bytes().hex()
+            group.cached_pair_h1(user.public.as_generator, label).to_bytes().hex()
             for label in LABELS
         ]
         for user in users
@@ -89,17 +89,18 @@ def encrypt_all(group: PairingGroup, name: str, server, users, seed: int,
                 warm: bool) -> list[str]:
     """Seeded ciphertexts of scheme ``name``, hex-encoded, in order.
 
-    ``warm`` warms a fresh sender for every receiver and label first;
-    the RNG seed, and so every ``r``, is the same either way.
+    The group's warm state is cleared first, and ``warm`` then warms
+    every receiver and label on it; the RNG seed, and so every ``r``,
+    is the same either way.
     """
+    group.clear_precomputations()
     scheme = SCHEMES[name](group)
     publics = [user.public for user in users]
     if warm:
-        if name == "broadcast":
-            scheme.precompute_sender(publics, server.public, time_labels=LABELS)
-        else:
-            for public in publics:
-                scheme.precompute_sender(public, server.public, time_labels=LABELS)
+        for public in publics:
+            TimedReleaseScheme(group).precompute_sender(
+                public, server.public, time_labels=LABELS
+            )
     rng = random.Random(seed + 1)
     ciphertexts = []
     for label_index, label in enumerate(LABELS):
@@ -124,7 +125,7 @@ def build_set(params: str, family: str) -> dict:
     scheme = TimedReleaseScheme(group)
     for user in users:
         scheme.precompute_sender(user.public, server.public, time_labels=LABELS)
-    labels = sender_labels(scheme, users)
+    labels = sender_labels(group, users)
     for user, row in zip(users, labels):
         for label, blob in zip(LABELS, row):
             expected = group.pair(

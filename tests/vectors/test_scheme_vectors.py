@@ -36,6 +36,7 @@ from repro.core.policylock import (
 )
 from repro.core.react import ReactTimedReleaseScheme, ReactTRECiphertext
 from repro.core.timeserver import PassiveTimeServer, TimeBoundKeyUpdate
+from repro.core.tre import TimedReleaseScheme
 from repro.errors import UpdateVerificationError
 from repro.math.backend import available_backends
 from repro.pairing.api import PairingGroup
@@ -119,42 +120,40 @@ def test_encrypt(case):
 
 def test_warm_encrypt(case):
     """ID-TRE, the AND lock and the t-of-m lock give the committed bytes
-    with every label warm too; the KEM caches one pairing per identity,
+    with every label warm too; the group caches one pairing per identity,
     time and condition, not one per (identity, time) pair."""
     entry, group, (server, user, _, _) = case
     seed = entry["seed"]
     identities = [IDENTITY, IDENTITY + b":bob", IDENTITY + b":carol"]
     idtre = IdentityTimedReleaseScheme(group)
     idtre.precompute_sender(server.public, identities, LABELS)
-    assert len(idtre._kem._sender_gt) == len(identities) + len(LABELS)
+    assert len(group._sender_gt) == len(identities) + len(LABELS)
     ciphertext = idtre.encrypt(
         message("idtre"), IDENTITY, server.public, LABELS[0],
         _rng(seed, "idtre"),
     )
     assert ciphertext.to_bytes(group).hex() == entry["ciphertexts"]["idtre"]
+    kem = TimedReleaseScheme(group)
+    kem.precompute_sender(user.public, server.public, time_labels=CONDITIONS[:ALL])
     policy = PolicyLockScheme(group)
-    policy.precompute_sender(
-        user.public, server.public, time_labels=CONDITIONS[:ALL]
-    )
     ciphertext = policy.encrypt_all(
         message("policy_all"), user.public, server.public,
         CONDITIONS[:ALL], _rng(seed, "policy_all"),
     )
     assert ciphertext.to_bytes(group).hex() == entry["ciphertexts"]["policy_all"]
     blob = entry["ciphertexts"]["policy_threshold"]
+    group.clear_precomputations()
+    kem.precompute_sender(user.public, server.public, time_labels=CONDITIONS)
+    assert len(group._sender_gt) == len(CONDITIONS)
     threshold = ThresholdPolicyScheme(group)
-    threshold.precompute_sender(
-        user.public, server.public, time_labels=CONDITIONS
-    )
-    assert len(threshold._kem._sender_gt) == len(CONDITIONS)
     warm = threshold.encrypt(
         message("policy_threshold"), user.public, server.public,
         CONDITIONS, blob["threshold"], _rng(seed, "policy_threshold"),
     )
     assert points(group, warm.u_points) == blob["u_points"]
     assert warm.sealed.hex() == blob["sealed"]
-    threshold.clear_sender_cache()
-    assert not threshold._kem._sender_gt
+    group.clear_precomputations()
+    assert not group._sender_gt
 
 
 def test_policy_all(case):

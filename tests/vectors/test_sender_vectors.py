@@ -58,7 +58,7 @@ def test_sender_labels(case):
     scheme = TimedReleaseScheme(group)
     for user in users:
         scheme.precompute_sender(user.public, server.public, time_labels=LABELS)
-    assert sender_labels(scheme, users) == entry["sender_labels"]
+    assert sender_labels(group, users) == entry["sender_labels"]
 
 
 def test_sender_labels_one_at_a_time(case):
@@ -68,7 +68,7 @@ def test_sender_labels_one_at_a_time(case):
     for label in LABELS:
         for user in users:
             scheme.precompute_sender(user.public, server.public, time_labels=[label])
-    assert sender_labels(scheme, users) == entry["sender_labels"]
+    assert sender_labels(group, users) == entry["sender_labels"]
 
 
 @pytest.mark.parametrize("name", list(SCHEMES))
