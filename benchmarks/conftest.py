@@ -11,17 +11,15 @@ default parameter set for cryptographic timings; count-based and
 simulation experiments use ``toy64`` since their results are
 size-independent.
 
-A run writes claim tables only; ``benchmarks/smoke.py`` is the one
+A run writes no file: ``benchmarks/claim_tables.py`` is the one writer
+of ``benchmarks/claim_tables.txt`` and ``benchmarks/smoke.py`` the one
 writer of ``BENCH_pairing.json``.
 """
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
 
-from benchmarks.trajectory import merge_claim_tables
 from repro.core.keys import UserKeyPair
 from repro.core.timeserver import PassiveTimeServer
 from repro.crypto.rng import seeded_rng
@@ -38,11 +36,15 @@ def emit(text: str) -> None:
     """Queue a claim-vs-measured table for the end-of-run summary.
 
     Tables are printed by ``pytest_terminal_summary`` (after capture is
-    released, so they reach bench_output.txt) and also merged into
-    ``benchmarks/claim_tables.txt`` by id, so a run of one experiment
-    file rewrites only its own tables.
+    released, so they reach bench_output.txt); ``python -m
+    benchmarks.claim_tables`` merges them into the committed file.
     """
     _REPORTS.append(text)
+
+
+def emitted_tables() -> list[str]:
+    """The tables this run emitted, in emission order."""
+    return list(_REPORTS)
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -53,9 +55,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line("")
         for line in table.splitlines():
             terminalreporter.write_line(line)
-    report_path = pathlib.Path(__file__).parent / "claim_tables.txt"
-    existing = report_path.read_text() if report_path.exists() else ""
-    report_path.write_text(merge_claim_tables(existing, _REPORTS))
 
 
 @pytest.fixture(scope="session")

@@ -199,39 +199,59 @@ def fixed_base_rows(backend, a, x, y, bits, width) -> list:
     ``d·2^(j·w)·P`` for ``d in 1..2^(w-1)``, the digits of
     :func:`~repro.math.backend.base.signed_window_digits`, flat as
     lifted ``[x_1, y_1, ..., x_h, y_h]``; a negative digit reads
-    ``(x, -y)``.  Two batch inversions: one normalizes the window
-    bases ``2^(j·w)·P`` so the row entries grow by mixed additions, the
-    other normalizes every entry.  ``None, None`` marks a multiple that
-    is infinity (tiny-order base).
+    ``(x, -y)``.  ``None, None`` marks a multiple that is infinity
+    (tiny-order base).
+
+    The window bases ``B_j = 2^(j·w)·P`` come from one doubling chain
+    and one batch inversion.  Every row then grows in affine
+    coordinates, all rows together: step ``d`` adds ``B_j`` to entry
+    ``d - 1`` of every row ``j``, and the slopes of that step share one
+    batch inversion, so a row entry costs a chord (or tangent) and no
+    normalization.  An infinity entry steps to ``B_j``, an entry equal
+    to ``B_j`` takes the tangent and one equal to ``-B_j`` sums to
+    infinity.
     """
-    p = backend.lift(backend.p)
+    lift = backend.lift
+    p = lift(backend.p)
     windows = bits // width + 1
-    half = 1 << (width - 1)
-    X, Y, Z = backend.lift(x), backend.lift(y), 1
+    X, Y, Z = lift(x), lift(y), 1
     bases = [(X, Y, Z)]
     for _ in range(windows - 1):
         for _ in range(width):
             X, Y, Z = double(X, Y, Z, p, a)
         bases.append((X, Y, Z))
-    flat = []
-    for base in normalize(backend, bases):
-        if base is None:
-            flat.extend([INFINITY] * half)
-            continue
-        bx, by = backend.lift(base[0]), backend.lift(base[1])
-        X, Y, Z = bx, by, 1
-        flat.append((X, Y, Z))
-        for _ in range(half - 1):
-            X, Y, Z = add_affine(X, Y, Z, bx, by, p, a)
-            flat.append((X, Y, Z))
-    lift = backend.lift
-    affine = normalize(backend, flat)
-    rows = []
-    for j in range(windows):
-        row = []
-        for entry in affine[j * half:(j + 1) * half]:
-            row += (None, None) if entry is None else map(lift, entry)
-        rows.append(row)
+    bases = [
+        None if base is None else (lift(base[0]), lift(base[1]))
+        for base in normalize(backend, bases)
+    ]
+    entries = list(bases)
+    rows = [[None, None] if base is None else list(base) for base in bases]
+    for _ in range((1 << (width - 1)) - 1):
+        # (row, slope numerator, slope denominator) of each finite sum.
+        steps = []
+        for j, base in enumerate(bases):
+            entry = entries[j]
+            if base is None:
+                continue
+            if entry is None:
+                entries[j] = base
+                continue
+            bx, by = base
+            ex, ey = entry
+            if ex != bx:
+                steps.append((j, ey - by, (ex - bx) % p))
+            elif ey == by and by:
+                steps.append((j, 3 * bx * bx + a, 2 * by % p))
+            else:
+                entries[j] = None  # entry == -B_j, so the sum is infinity
+        inverses = backend.fp_batch_inv([denominator for _, _, denominator in steps])
+        for (j, numerator, _), inverse in zip(steps, inverses):
+            bx, by = bases[j]
+            slope = numerator * inverse % p
+            x3 = (slope * slope - entries[j][0] - bx) % p
+            entries[j] = (x3, (slope * (bx - x3) - by) % p)
+        for row, entry in zip(rows, entries):
+            row += (None, None) if entry is None else entry
     return rows
 
 

@@ -4,12 +4,12 @@ Deployments of the paper's schemes multiply the same handful of points
 over and over, above all the server generator ``G`` (every sender's
 ``U = rG``) and its public ``sG`` (user key generation).
 :class:`FixedBaseTable` trades a one-time table
-build (the signed-digit multiples of the base in every window,
-batch-normalized to affine) for multiplications that need **zero
-doublings** — just one mixed addition per window — which amortizes
-after a few calls on the same point.  Both halves run on the integer
-kernels of :mod:`repro.ec.jacobian`, and the table stores canonical
-int pairs.
+build (the signed-digit multiples of the base in every window, grown
+in affine coordinates under batched inversions) for multiplications
+that need **zero doublings** — just one mixed addition per window —
+which amortizes after about 16 calls on the same point (ss512).  Both
+halves run on the integer kernels of :mod:`repro.ec.jacobian`, and the
+table stores canonical int pairs.
 
 The module also re-exports
 :func:`~repro.math.backend.base.wnaf_digits`, the signed-digit expansion
@@ -39,10 +39,10 @@ class FixedBaseTable:
     (:func:`~repro.math.backend.base.signed_window_digits`), so each of
     the ``bits // w + 1`` windows stores only ``d * 2^(j*w) * P`` for
     ``d in 1..2^(w-1)``, as canonical affine ``(x, y)``
-    (:func:`repro.ec.jacobian.fixed_base_rows`, two batch inversions);
-    a negative digit reads ``(x, -y)``.  A multiplication then reads one
-    entry per window and performs only mixed additions — no doublings
-    at all.
+    (:func:`repro.ec.jacobian.fixed_base_rows`, grown in affine
+    coordinates with one batch inversion per digit step); a negative
+    digit reads ``(x, -y)``.  A multiplication then reads one entry per
+    window and performs only mixed additions — no doublings at all.
 
     Parameters
     ----------
@@ -54,14 +54,17 @@ class FixedBaseTable:
         Larger or out-of-range scalars fall back to the direct ladder.
     width:
         Window width ``w``; memory is ``2^(w-1) * (bits // w + 1)``
-        affine points, additions per multiply ``~bits/w``.  Width 5,
-        the default for every table, stores 528 points on ss512 (33
-        windows of 16) for about 32 additions per multiply.
+        affine points, additions per multiply ``~bits/w``.  The default
+        8 stores 2688 points on ss512 (21 windows of 128, about 546 KiB)
+        for at most 21 additions per multiply: the one table a group
+        builds is the server generator ``G``'s, which every send
+        multiplies (:class:`~repro.math.quadratic.GTFixedBaseTable`,
+        one per warmed label, stays at 5).
     """
 
     __slots__ = ("point", "curve", "width", "bits", "windows", "_rows")
 
-    def __init__(self, point: CurvePoint, bits: int, width: int = 5):
+    def __init__(self, point: CurvePoint, bits: int, width: int = 8):
         if not 1 <= width <= 8:
             raise ParameterError("window width must be in 1..8")
         if bits < 1:

@@ -239,10 +239,10 @@ class PairingGroup:
         """Build (and cache) a fixed-base table for ``point``.
 
         Subsequent :meth:`mul` calls on the same point use the table —
-        zero doublings, one mixed addition per signed 5-bit digit —
+        zero doublings, one mixed addition per signed 8-bit digit —
         and return byte-identical results.  The table holds
-        ``16 * (q_bits // 5 + 1)`` affine points (528 on ss512) and
-        amortizes after a handful of multiplications; see
+        ``128 * (q_bits // 8 + 1)`` affine points (2688 on ss512, about
+        546 KiB) and amortizes after about 16 multiplications; see
         ``docs/PERFORMANCE.md`` for the memory / break-even numbers.
         :meth:`clear_precomputations` frees tables.
         """

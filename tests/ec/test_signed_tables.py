@@ -127,9 +127,9 @@ class TestFixedBaseTable:
         group, _, _ = setup
         bits = group.q.bit_length()
         table = FixedBaseTable(group.generator, bits)
-        assert table.width == 5
-        assert table.windows == bits // 5 + 1
-        assert table.table_points == 16 * table.windows
+        assert table.width == 8
+        assert table.windows == bits // 8 + 1
+        assert table.table_points == 128 * table.windows
 
 
 class TestGTFixedBaseTable:
@@ -165,9 +165,11 @@ class TestGTFixedBaseTable:
         assert table.table_elements == 16 * table.windows
 
 
-def test_ss512_tables_hold_at_most_528_entries():
+def test_ss512_table_sizes():
+    """The one G1 table per server key is width 8 (21 windows of 128);
+    the GT tables, one per warmed label, stay at width 5 (33 of 16)."""
     group = PairingGroup("ss512")
     rng = random.Random(1)
     gt = group.pair(group.random_point(rng), group.random_point(rng))
-    assert group.precompute(group.generator).table_points == 528
+    assert group.precompute(group.generator).table_points == 2688
     assert group.precompute_gt(gt).table_elements == 528

@@ -8,6 +8,9 @@ Only a key measured on both sides can regress.
 
 import ast
 import json
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -168,8 +171,44 @@ class TestClaimTableMerge:
 
 
 class TestOneWriter:
-    """A claim-table refresh (``pytest benchmarks``) writes no trajectory
-    row: ``BenchTrajectory.write`` is called from one place only."""
+    """``pytest benchmarks`` writes no committed file: ``BenchTrajectory
+    .write`` is called from ``benchmarks/smoke.py`` only, and the claim
+    tables are written by ``python -m benchmarks.claim_tables`` only."""
+
+    def test_only_the_claim_table_writer_writes_claim_tables(self, tmp_path):
+        """A plain run on a copy of the harness prints an emitted table
+        and leaves ``claim_tables.txt`` byte-identical; the writer run
+        merges the same table in."""
+        harness = tmp_path / "benchmarks"
+        harness.mkdir()
+        for name in (
+            "__init__.py", "conftest.py", "trajectory.py", "claim_tables.py",
+            "claim_tables.txt",
+        ):
+            shutil.copy(ROOT / "benchmarks" / name, harness / name)
+        table = "E99: probe table\ncol | value\n----+------\n  a |     1"
+        (harness / "bench_probe.py").write_text(
+            "from benchmarks.conftest import emit\n\n\n"
+            f"def test_probe():\n    emit({table!r})\n"
+        )
+        before = CLAIM_TABLES.read_bytes()
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+        def run(*args):
+            done = subprocess.run(
+                [sys.executable, *args, "-q", "-p", "no:cacheprovider",
+                 "benchmarks/bench_probe.py"],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stdout + done.stderr
+            return done.stdout
+
+        assert "E99: probe table" in run("-m", "pytest")
+        assert (harness / "claim_tables.txt").read_bytes() == before
+        run("-m", "benchmarks.claim_tables")
+        assert (harness / "claim_tables.txt").read_text() == merge_claim_tables(
+            before.decode(), [table]
+        )
 
     def test_only_smoke_writes_the_trajectory(self):
         writers = set()
