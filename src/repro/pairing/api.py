@@ -159,6 +159,10 @@ class PairingGroup:
         importable, else ``python``.  Every group element and wire
         format is byte-identical across backends; only the wall clock
         changes.
+
+    The library's default generator :attr:`generator` is derived on
+    first read, so a group that only ever meets the server's ``G`` (a
+    sender's or a receiver's) never pays for it.
     """
 
     def __init__(self, params="ss512", family: str = FAMILY_A,
@@ -177,7 +181,6 @@ class PairingGroup:
         self.tate = TatePairing(self.ssc)
         self.counters = OperationCounter()
         self.q = params.q
-        self.generator = self.ssc.generator
         self.point_bytes = 1 + 2 * self.ssc.fp.element_bytes
         self.gt_bytes = 2 * self.ssc.fp.element_bytes
         self.scalar_bytes = (self.q.bit_length() + 7) // 8
@@ -197,6 +200,11 @@ class PairingGroup:
         # of points for _precompute_on_second_use, (FixedBaseTable, G)
         # for _mul_on_second_use.
         self._seen_once: set[tuple] = set()
+
+    @property
+    def generator(self) -> CurvePoint:
+        """The curve's derived generator (see ``SupersingularCurve``)."""
+        return self.ssc.generator
 
     # ------------------------------------------------------------------
     # Scalars.
@@ -626,11 +634,15 @@ class PairingGroup:
         (in the record :meth:`_precompute_on_second_use` keeps), so a
         one-shot sender builds no table; the second builds ``G``'s
         fixed-base table (:meth:`precompute`), and it and every later
-        call multiply on it.  Only server-key generators come here:
-        never a receiver key, never a point off the wire.
+        call multiply on it; a later call finds the table first and
+        touches neither the record nor :meth:`precompute`.  Only
+        server-key generators come here: never a receiver key, never a
+        point off the wire.
         :meth:`clear_precomputations` forgets the record too.
         """
-        if self._seen_before((FixedBaseTable, generator)):
+        if generator not in self._fixed_base and self._seen_before(
+            (FixedBaseTable, generator)
+        ):
             self.precompute(generator)
         return self.mul(generator, scalar)
 

@@ -21,12 +21,15 @@ Family B — ``y^2 = x^3 + 1`` over ``Fp`` with ``p % 3 == 2``.
 Both families are exposed through :class:`SupersingularCurve`, which owns
 the base curve ``E(Fp)``, the extension curve ``E(Fp2)`` (where distorted
 points live), the distortion map, and a deterministically derived
-generator of the order-``q`` subgroup.
+generator of the order-``q`` subgroup, derived on first read: only a
+time server picking its ``G`` reads it, every other role takes ``G``
+from the server's public key.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import cached_property
 
 from repro.errors import NotInSubgroupError, ParameterError
 from repro.ec.curve import EllipticCurve
@@ -78,8 +81,6 @@ class SupersingularCurve:
             self._zeta = self.fp2((self.p - 1) * inv2, inv2)
             if self._zeta * self._zeta * self._zeta != self.fp2.one():
                 raise ParameterError("zeta is not a cube root of unity")
-
-        self.generator = self._derive_generator()
 
     # ------------------------------------------------------------------
     # Distortion map.
@@ -144,6 +145,11 @@ class SupersingularCurve:
         if not self.in_subgroup(point):
             raise NotInSubgroupError("point is outside the order-q subgroup")
         return point
+
+    @cached_property
+    def generator(self) -> CurvePoint:
+        """The library's default generator, derived once, on first read."""
+        return self._derive_generator()
 
     def _derive_generator(self) -> CurvePoint:
         """A fixed generator, derived by hashing a domain tag to the curve.

@@ -20,7 +20,7 @@ import pytest
 from repro.core.broadcast import BroadcastCiphertext, BroadcastTimedReleaseScheme
 from repro.core.fujisaki_okamoto import FOTRECiphertext, FOTimedReleaseScheme
 from repro.core.idtre import IDTRECiphertext, IdentityTimedReleaseScheme
-from repro.core.keys import ServerKeyPair, UserKeyPair
+from repro.core.keys import ServerKeyPair, ServerPublicKey, UserKeyPair, UserPublicKey
 from repro.core.timeserver import PassiveTimeServer, TimeBoundKeyUpdate
 from repro.core.tre import TRECiphertext, TimedReleaseScheme
 from repro.math.backend import available_backends
@@ -97,6 +97,43 @@ def test_tre_send(group, parties):
     scheme.precompute_sender(user.public, server.public_key, time_labels=[b"T9"])
     assert set(group._fixed_base) == {generator}
     _forgotten_after_clear(group, send, generator)
+
+
+def test_tabled_sends_build_once(group, parties, monkeypatch):
+    """Once ``G``'s table exists, a send neither probes nor rebuilds it:
+    N sends call ``precompute`` once, and their bytes equal the same
+    sends made cold, each on a group of its own."""
+    server, users = parties
+    user_bytes = users[0].public.to_bytes(group)
+    server_bytes = server.public_key.to_bytes(group)
+    builds = []
+    precompute = PairingGroup.precompute
+
+    def spy(self, point):
+        builds.append(point)
+        return precompute(self, point)
+
+    monkeypatch.setattr(PairingGroup, "precompute", spy)
+
+    def sends(fresh_group):
+        rng = random.Random(5)
+        blobs = []
+        for i in range(6):
+            on = fresh_group()
+            blobs.append(TimedReleaseScheme(on).encrypt(
+                MESSAGE,
+                UserPublicKey.from_bytes(on, user_bytes),
+                ServerPublicKey.from_bytes(on, server_bytes),
+                b"T%d" % i,
+                rng,
+            ).to_bytes(on))
+        return blobs
+
+    cold = sends(lambda: PairingGroup("toy64", family=group.family, backend=group.backend_name))
+    assert builds == []
+    tabled = sends(lambda: group)
+    assert builds == [server.public_key.generator]
+    assert tabled == cold
 
 
 def test_broadcast_send(group, parties):
