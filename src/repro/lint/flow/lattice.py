@@ -62,11 +62,6 @@ class Taint:
     def direct_deps(self) -> "frozenset[int]":
         return frozenset(i for i, direct in self.deps if direct)
 
-    @property
-    def tainted(self) -> bool:
-        """Concretely tainted or symbolically dependent on a parameter."""
-        return self.level > CLEAN or bool(self.deps)
-
 
 TAINT_CLEAN = Taint()
 TAINT_DERIVED = Taint(DERIVED)

@@ -32,12 +32,7 @@ node-plus-faulty-network scenario is byte-reproducible from its seed.
 """
 
 from repro.service.client import ResilientTimeClient
-from repro.service.faults import (
-    FaultPlan,
-    FaultyChannel,
-    FaultyTransport,
-    NodeChaos,
-)
+from repro.service.faults import FaultPlan, FaultyChannel, FaultyTransport
 from repro.service.node import LocalNodeTransport, TimeServerNode
 from repro.service.retry import CircuitBreaker, Deadline, ExponentialBackoff
 from repro.service.virtualtime import VirtualTimeLoop, run_virtual
@@ -52,7 +47,6 @@ __all__ = [
     "FaultPlan",
     "FaultyTransport",
     "FaultyChannel",
-    "NodeChaos",
     "VirtualTimeLoop",
     "run_virtual",
 ]

@@ -1,6 +1,6 @@
 """Deterministic, seed-driven fault injection for the service layer.
 
-Three composable injectors, all drawing every decision from one seeded
+Two composable injectors, both drawing every decision from one seeded
 ``random.Random`` so a whole chaos scenario replays byte-for-byte:
 
 * :class:`FaultyTransport` wraps any request/response transport and
@@ -15,9 +15,9 @@ Three composable injectors, all drawing every decision from one seeded
   queue): drop, delay, duplicate, one-deep reorder, and corruption —
   corrupt announces must be *discarded by verification*, never
   accepted, which is exactly what the chaos property asserts.
-* :class:`NodeChaos` drives crash/restart cycles (optionally losing
-  the archive snapshot) and re-draws the node's clock skew each
-  restart.
+
+The chaos suite's crash/restart schedule, ``NodeChaos``, is test
+harness code and lives in ``tests/service/harness.py``.
 
 :class:`FaultPlan` owns the probabilities and the RNG; transports and
 channels share one plan when their faults should come from one seeded
@@ -32,7 +32,6 @@ import asyncio
 import random
 
 from repro.errors import ParameterError, ServiceTimeoutError
-from repro.service.node import TimeServerNode
 
 
 class FaultPlan:
@@ -186,40 +185,3 @@ class FaultyChannel:
             self.queue.put_nowait(self._held)
             self._held = None
 
-
-class NodeChaos:
-    """Seeded crash/restart (and clock-skew) schedule for one node.
-
-    Each cycle: let the node run for a drawn uptime, snapshot (unless
-    ``lose_snapshot``), crash, wait out a drawn outage, re-draw the
-    clock skew, restart from the snapshot.  The epoch scheduler then
-    republishes everything the outage missed, so chaos tests can assert
-    the archive ends up gap-free either way.
-    """
-
-    def __init__(
-        self,
-        node: TimeServerNode,
-        rng: random.Random,
-        uptime: tuple[float, float] = (5.0, 15.0),
-        outage: tuple[float, float] = (0.5, 3.0),
-        lose_snapshot: bool = False,
-        skew_range: tuple[float, float] = (0.0, 0.0),
-    ):
-        self.node = node
-        self.rng = rng
-        self.uptime = uptime
-        self.outage = outage
-        self.lose_snapshot = lose_snapshot
-        self.skew_range = skew_range
-        self.cycles = 0
-
-    async def run(self, cycles: int) -> None:
-        for _ in range(cycles):
-            await asyncio.sleep(self.rng.uniform(*self.uptime))
-            snapshot = None if self.lose_snapshot else self.node.snapshot()
-            self.node.crash()
-            await asyncio.sleep(self.rng.uniform(*self.outage))
-            self.node.clock_skew = self.rng.uniform(*self.skew_range)
-            await self.node.restart(snapshot)
-            self.cycles += 1

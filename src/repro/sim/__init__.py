@@ -22,7 +22,6 @@ provides:
 
 from repro.sim.network import (
     BroadcastChannel,
-    FixedLatency,
     NormalJitterLatency,
     UniformLatency,
     UnicastLink,
@@ -30,7 +29,6 @@ from repro.sim.network import (
 from repro.sim.metrics import MetricsCollector
 
 __all__ = [
-    "FixedLatency",
     "UniformLatency",
     "NormalJitterLatency",
     "UnicastLink",

@@ -22,18 +22,6 @@ from repro.errors import SimulationError
 from repro.sim.metrics import MetricsCollector
 
 
-class FixedLatency:
-    """Constant delay."""
-
-    def __init__(self, seconds: float):
-        if seconds < 0:
-            raise SimulationError("latency cannot be negative")
-        self.seconds = seconds
-
-    def sample(self, rng: random.Random) -> float:
-        return self.seconds
-
-
 class UniformLatency:
     """Uniform delay on ``[low, high]`` — crude congestion jitter."""
 

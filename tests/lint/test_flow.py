@@ -116,6 +116,59 @@ def test_demotion_strips_directness_but_keeps_level():
     assert param(3, CLEAN).direct_deps() == {3}
 
 
+# -- control flow -----------------------------------------------------------
+
+
+def _rp201_lines(src: str) -> list[int]:
+    findings, _ = lint_source(src, "x.py", package_path="core/x.py")
+    return [f.line for f in findings if f.rule == "RP201"]
+
+
+def test_a_clean_handler_does_not_launder_the_try_body():
+    """Each ``except`` handler runs on its own copy of the state after
+    the ``try`` body, and the survivors are joined: rebinding the name
+    in a handler cannot clear the body's secret."""
+    src = (
+        "def f(rng, blob):\n"
+        "    try:\n"
+        "        label = random_scalar(rng)\n"
+        "        decode(blob)\n"
+        "    except ValueError:\n"
+        "        label = 'public'\n"
+        "    print(label)\n"
+    )
+    assert _rp201_lines(src) == [7]
+
+
+def test_rebinding_on_both_branches_replaces_the_secret():
+    """An ``if`` merges the branches that survive, not the state from
+    before it."""
+    src = (
+        "def f(rng, flag):\n"
+        "    label = random_scalar(rng)\n"
+        "    if flag:\n"
+        "        label = 'a'\n"
+        "    else:\n"
+        "        label = 'b'\n"
+        "    print(label)\n"
+    )
+    assert _rp201_lines(src) == []
+
+
+def test_a_secret_set_before_continue_reaches_the_next_iteration():
+    src = (
+        "def f(rng, items):\n"
+        "    label = 'public'\n"
+        "    for item in items:\n"
+        "        print(label)\n"
+        "        if item:\n"
+        "            label = random_scalar(rng)\n"
+        "            continue\n"
+        "        label = 'public'\n"
+    )
+    assert _rp201_lines(src) == [4]
+
+
 # -- scoping ----------------------------------------------------------------
 
 _BRANCH_SRC = (

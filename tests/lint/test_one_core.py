@@ -2,8 +2,8 @@
 
 The taint (RP2xx) and typestate (RP4xx) families share
 ``repro.lint.program``: one index, one call binder, one summary
-fixpoint and one finding sink.  These scans keep a second copy of that
-plumbing from growing back inside a family.
+fixpoint, one finding sink and one statement walker.  These scans keep
+a second copy of that plumbing from growing back inside a family.
 
 The tree has no fork-safety family because nothing in it forks; one
 scan keeps that premise true.  The last scan keeps code that only its
@@ -50,6 +50,45 @@ def test_no_solve_method_outside_the_core():
         and item.name == "solve"
     ]
     assert owners == []
+
+
+def test_one_statement_walker():
+    owners = sorted(
+        (node.name, relative)
+        for relative, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in ("exec_block", "exec_stmt")
+    )
+    assert owners == [("exec_block", "program.py"), ("exec_stmt", "program.py")]
+
+
+def _is_statement_class(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "ast"
+        and isinstance(getattr(ast, node.attr, None), type)
+        and issubclass(getattr(ast, node.attr), ast.stmt)
+    )
+
+
+def test_no_domain_dispatches_on_statement_types():
+    """A family's domain sees statements only through the walker's
+    hooks: no ``isinstance(..., ast.If)`` inside a ``Walker`` subclass."""
+    found = [
+        (relative, cls.name, ast.unparse(call))
+        for relative, tree in _trees()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(ast.unparse(base).startswith("Walker") for base in cls.bases)
+        for call in ast.walk(cls)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "isinstance"
+        and any(_is_statement_class(node) for node in ast.walk(call.args[1]))
+    ]
+    assert found == []
 
 
 def test_families_import_no_private_name_from_each_other():
@@ -125,9 +164,8 @@ _UNREACHED_ON_PURPOSE = {
         "DESIGN.md's §2.2 Rivest row claims both variants",
     "core/certification.py:verify_rekeyed_public_key": "§5.3.4 re-certification",
     "core/policylock.py:ThresholdPolicyScheme": "pinned by tests/vectors/schemes.json",
-    "service/faults.py:NodeChaos": "drives the seeded chaos suite (docs/ROBUSTNESS.md)",
+    "lint/engine.py:lint_source": "the lint's in-memory API, which four test files lint through",
     "sim/gossip.py:GossipNetwork": "DESIGN.md's gossip claim, shown by tests/sim/test_gossip.py",
-    "sim/network.py:FixedLatency": "the constant latency model of the simulation tests",
     "sim/scenarios.py:run_threshold_beacon":
         "the k-of-N server under member failure (DESIGN.md's threshold row)",
     "sim/scenarios.py:ThresholdBeaconResult.time_to_update":
@@ -232,16 +270,21 @@ def _scan() -> tuple[list[str], list[str]]:
         path: ast.parse(path.read_text(encoding="utf-8"))
         for top in ("src", "benchmarks", "examples")
         for path in sorted((ROOT / top).rglob("*.py"))
-        if LINT not in path.parents
     }
     named = {path: _names(tree, path.name == "__init__.py") for path, tree in trees.items()}
-    files_naming = Counter(name for names in named.values() for name in names)
+    # The lint's registries name runtime methods as strings, so what a
+    # lint file names reaches lint definitions only.
+    naming = Counter(name for names in named.values() for name in names)
+    runtime_naming = Counter(
+        name for path, names in named.items() if LINT not in path.parents for name in names
+    )
     unreached, stale, defined = [], [], set()
     for path, tree in trees.items():
         if package not in path.parents:
             continue
         relative = path.relative_to(package).as_posix()
         definitions = _definitions(tree)
+        files_naming = naming if LINT in path.parents else runtime_naming
         # A definition is reached when another file names it, or when
         # module-level code or a reached definition of its own file does.
         outside = {name for name in files_naming

@@ -142,6 +142,41 @@ def test_batch_guard_as_if_test_verifies_both_branches():
     assert findings == []
 
 
+def test_continue_past_a_failed_check_keeps_the_collection_fetched():
+    """The path that continues past a forged update reaches the loop
+    head, so the loop variable is not VERIFIED on every iteration and
+    the collection is not promoted."""
+    src = (
+        "def restore(group, server_public, archive, blobs):\n"
+        "    updates = [TimeBoundKeyUpdate.from_bytes(group, b) for b in blobs]\n"
+        "    for update in updates:\n"
+        "        if not update.verify(group, server_public):\n"
+        "            continue\n"
+        "    archive[0] = updates\n"
+    )
+    findings, _ = lint_source(src, "restore.py", package_path="svc/restore.py")
+    assert [(f.rule, f.line) for f in findings] == [("RP401", 6)]
+
+
+def test_break_before_the_check_keeps_the_collection_fetched():
+    """A loop that may break before verifying every element promotes
+    nothing: the break path joins the state after the loop."""
+    src = (
+        "def restore(group, archive, blobs, horizon):\n"
+        "    updates = [TimeBoundKeyUpdate.from_bytes(group, b) for b in blobs]\n"
+        "    for update in updates:\n"
+        "        if update.time_label > horizon:\n"
+        "            break\n"
+        "        update.ensure_valid(group)\n"
+        "    archive[0] = updates\n"
+    )
+    findings, _ = lint_source(src, "restore.py", package_path="svc/restore.py")
+    assert [(f.rule, f.line) for f in findings] == [("RP401", 7)]
+    unbroken = src.replace("            break\n", "            pass\n")
+    findings, _ = lint_source(unbroken, "restore.py", package_path="svc/restore.py")
+    assert findings == []
+
+
 def test_waiver_suppresses_proto_finding():
     src = (
         "def rebroadcast(group, blob):\n"

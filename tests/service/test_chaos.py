@@ -27,10 +27,11 @@ import pytest
 
 from repro.crypto.rng import seeded_rng
 from repro.service.client import ResilientTimeClient
-from repro.service.faults import FaultPlan, FaultyChannel, NodeChaos
+from repro.service.faults import FaultPlan, FaultyChannel
 from repro.service.faults import FaultyTransport
 from repro.service.node import LocalNodeTransport, TimeServerNode
 from repro.service.virtualtime import run_virtual
+from tests.service.harness import NodeChaos
 
 pytestmark = pytest.mark.faults
 

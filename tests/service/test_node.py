@@ -248,7 +248,7 @@ class TestCrashRestart:
 class TestLocalTransport:
     def test_latency_model_consumes_virtual_time(self, group, node_keypair):
         from repro.crypto.rng import seeded_rng
-        from repro.sim.network import FixedLatency
+        from tests.sim.harness import FixedLatency
 
         async def main():
             node = make_node(group, node_keypair)
@@ -265,7 +265,7 @@ class TestLocalTransport:
         assert run_virtual(main()) == pytest.approx(0.4)
 
     def test_latency_requires_rng(self, group, node_keypair):
-        from repro.sim.network import FixedLatency
+        from tests.sim.harness import FixedLatency
 
         node = TimeServerNode(group, node_keypair)
         with pytest.raises(ParameterError):

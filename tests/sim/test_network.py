@@ -14,11 +14,11 @@ from repro.service.virtualtime import run_virtual
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import (
     BroadcastChannel,
-    FixedLatency,
     NormalJitterLatency,
     UnicastLink,
     UniformLatency,
 )
+from tests.sim.harness import FixedLatency
 
 
 class TestLatencyModels:

@@ -10,8 +10,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.service.node import TimeServerNode
 from repro.sim import scenarios
-from repro.sim.network import FixedLatency, NormalJitterLatency, UniformLatency
+from repro.sim.network import NormalJitterLatency, UniformLatency
 from repro.sim.scenarios import run_programming_contest, run_sealed_bid_auction
+from tests.sim.harness import FixedLatency
 
 
 @pytest.fixture()

@@ -62,7 +62,7 @@ PUBLIC_SURFACE = {
     ],
     "repro.pairing.bn254": ["BN254", "bn254"],
     "repro.sim": [
-        "FixedLatency", "UniformLatency", "NormalJitterLatency",
+        "UniformLatency", "NormalJitterLatency",
         "UnicastLink", "BroadcastChannel", "MetricsCollector",
     ],
     "repro.sim.scenarios": [
@@ -78,7 +78,7 @@ PUBLIC_SURFACE = {
     "repro.service": [
         "TimeServerNode", "LocalNodeTransport", "ResilientTimeClient",
         "Deadline", "ExponentialBackoff", "CircuitBreaker",
-        "FaultPlan", "FaultyTransport", "FaultyChannel", "NodeChaos",
+        "FaultPlan", "FaultyTransport", "FaultyChannel",
         "VirtualTimeLoop", "run_virtual",
     ],
     "repro.cli": ["main", "build_parser"],
