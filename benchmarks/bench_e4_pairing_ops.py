@@ -115,12 +115,13 @@ def test_e4_multi_pair_op_counts(benchmark):
 def test_e4_gt_fast_path_op_counts(benchmark):
     """E4c — the sender GT fast path *eliminates* primary operations.
 
-    A cold §5.1 encryption pays a hash-to-curve, two scalar
-    multiplications and a pairing; with the (receiver, T) pairing
-    cached, the same byte-identical ciphertext costs one fixed-base
-    multiplication and one table-driven GT exponentiation.  Asserted
-    against the symbolic budgets so the collapse can never silently
-    regress.
+    A cold §5.1 encryption pays H1's map point, one scalar
+    multiplication, a pairing and a GT exponentiation; with the
+    (receiver, T) pairing cached, the same byte-identical ciphertext
+    costs one fixed-base multiplication and one table-driven GT
+    exponentiation.  The table prints the counted operations of each
+    path, asserted exactly against the budgets ``TRE_COST.encrypt`` and
+    ``TRE_GT_ENCRYPT_COST`` so the collapse can never silently regress.
     """
     from repro.analysis.costmodel import TRE_COST, TRE_GT_ENCRYPT_COST
     from repro.core.keys import ServerKeyPair, UserKeyPair
@@ -149,10 +150,7 @@ def test_e4_gt_fast_path_op_counts(benchmark):
     assert warm_ops == TRE_GT_ENCRYPT_COST.as_dict()
 
     rows = []
-    for path, ops, budget in (
-        ("direct", cold_ops, TRE_COST.encrypt),
-        ("GT fast path", warm_ops, TRE_GT_ENCRYPT_COST),
-    ):
+    for path, ops in (("direct", cold_ops), ("GT fast path", warm_ops)):
         rows.append((
             path,
             ops.get("pairing", 0),
@@ -161,15 +159,13 @@ def test_e4_gt_fast_path_op_counts(benchmark):
             ops.get("hash_to_curve", 0),
             ops.get("gt_exp", 0),
             ops.get("gt_fixed_base", 0),
-            f"{budget.dominant_cost():.1f}",
         ))
     emit(format_table(
         ("encrypt path", "pairings", "scalar mults", "H1", "H1 map only",
-         "GT exps", "GT table hits", "dominant cost*"),
+         "GT exps", "GT table hits"),
         rows,
         title="E4c: sender GT fast path — encryption collapses from a "
-              "pairing to one table-driven GT exponentiation "
-              "(*scalar-mult equivalents)",
+              "pairing to one table-driven GT exponentiation",
     ))
     benchmark(lambda: None)
 

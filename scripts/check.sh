@@ -21,18 +21,27 @@
 # the tree's annotations are still being tightened.
 
 set -u
-cd "$(dirname "$0")/.."
 
 fast=0
 bench=0
 chaos=0
 backends=0
 for arg in "$@"; do
-    [ "$arg" = "--fast" ] && fast=1
-    [ "$arg" = "--bench" ] && bench=1
-    [ "$arg" = "--chaos" ] && chaos=1
-    [ "$arg" = "--backends" ] && backends=1
+    case "$arg" in
+        --fast) fast=1 ;;
+        --bench) bench=1 ;;
+        --chaos) chaos=1 ;;
+        --backends) backends=1 ;;
+        *)
+            # The header comment above is the usage block.
+            echo "check.sh: unknown argument: $arg" >&2
+            sed -n '2,/^$/s/^# \{0,1\}//p' "$0" >&2
+            exit 2
+            ;;
+    esac
 done
+
+cd "$(dirname "$0")/.."
 
 failures=0
 

@@ -21,152 +21,57 @@ its cofactor").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, replace
 
 from repro.core.tre import SHARED_H1_RECEIVERS
 
 
-# Recording one argument's Miller lines, in one-shot (fused) Miller
-# loops: measured on ss512, see "Cold pairings" in docs/PERFORMANCE.md.
-LINE_RECORDING_MILLER_LOOPS = 1.3
-
-# H1's map point without the cofactor multiplication, as a share of
-# the full hash (the hash is charged one scalar-mult equivalent).  The
-# 352-bit cofactor multiplication is about three quarters of
-# hash_to_g1 on ss512 (docs/PERFORMANCE.md, "H1 without its cofactor").
-MAP_TO_CURVE_SHARE = 0.25
-
-# dominant_cost's weights, in scalar-mult equivalents: the measured
-# ratios in BENCH_pairing.json.
-PAIRING_WEIGHT = 10.0
-PRECOMP_PAIRING_WEIGHT = 4.0
-# scalar_mult:ss512:fixed_base over scalar_mult:ss512:direct, one
-# session: 1.38 / 10.00 ms per 8 multiplications on the width-8 table.
-FIXED_BASE_WEIGHT = 0.14
-FINAL_EXP_WEIGHT = 2.0
-GT_FIXED_BASE_WEIGHT = 0.4
-
-
 @dataclass(frozen=True)
 class OpBudget:
-    """Operation counts for one protocol step.
+    """Operation counts for one protocol step, one field per counter of
+    :mod:`repro.pairing.opcount`, named as the counter is.
 
-    ``fixed_base_mults`` and ``precomputed_pairings`` are *subsets* of
-    ``scalar_mults`` / ``pairings`` taken via the precomputation fast
-    paths (mirroring the advisory counters in
-    :mod:`repro.pairing.opcount`), not additional operations.
+    ``fixed_base_mult``, ``pairing_precomp`` and ``gt_fixed_base`` are
+    *subsets* of ``scalar_mult`` / ``pairing`` / ``gt_exp`` taken via
+    the precomputation fast paths, not additional operations.  A
+    k-fold multi-pairing is k ``miller_loop`` and ONE ``final_exp``, so
+    ``final_exp`` can be smaller than ``pairing``.  A
+    ``multi_scalar_mult`` is one interleaved sum Σ k_i·P_i whatever its
+    term count; its terms are not in ``scalar_mult``.  Two kinds of
+    work have no field: ``gt_mul``, and recording a one-off argument's
+    Miller lines, which no counter sees.
     """
 
-    pairings: int = 0
-    scalar_mults: int = 0
+    pairing: int = 0
+    scalar_mult: int = 0
+    point_add: int = 0
     hash_to_group: int = 0
-    # H1's map point only, no cofactor multiplication (mirrors
-    # HASH_TO_CURVE in repro.pairing.opcount).
     hash_to_curve: int = 0
-    gt_exps: int = 0
-    point_adds: int = 0
-    fixed_base_mults: int = 0
-    precomputed_pairings: int = 0
-    # Subset of ``gt_exps`` served by a windowed GT fixed-base table
-    # (mirrors GT_FIXED_BASE in repro.pairing.opcount): zero squarings,
-    # one GT multiplication per exponent window.
-    gt_fixed_base_exps: int = 0
-    # Pairing substructure (mirrors MILLER_LOOP / FINAL_EXP /
-    # MULTI_PAIRING in repro.pairing.opcount): ``miller_loops`` is one
-    # per live pairing, while a k-fold multi-pairing shares ONE final
-    # exponentiation across its k pairings, so ``final_exps`` can be
-    # smaller than ``pairings``.
-    miller_loops: int = 0
-    final_exps: int = 0
-    multi_pairs: int = 0
-    # Interleaved sums Σ k_i·P_i (mirrors MULTI_SCALAR_MULT in
-    # repro.pairing.opcount), each one call whatever its term count;
-    # their terms are not in scalar_mults.
-    multi_scalar_mults: int = 0
-    # Miller-line recordings for a one-off argument (a transient
-    # PairingPrecomputation).  No counter sees them, so they stay out
-    # of as_dict; dominant_cost charges each 1.3 one-shot Miller loops
-    # (the record-vs-fuse table in docs/PERFORMANCE.md).
-    line_recordings: int = 0
+    gt_exp: int = 0
+    multi_scalar_mult: int = 0
+    fixed_base_mult: int = 0
+    pairing_precomp: int = 0
+    gt_fixed_base: int = 0
+    miller_loop: int = 0
+    final_exp: int = 0
+    multi_pair: int = 0
 
     def __add__(self, other: "OpBudget") -> "OpBudget":
         """Two steps run one after the other: every count adds up."""
         return OpBudget(**{
-            item.name: getattr(self, item.name) + getattr(other, item.name)
-            for item in fields(self)
+            name: count + getattr(other, name) for name, count in asdict(self).items()
         })
 
     def as_dict(self) -> dict[str, int]:
-        mapping = {
-            "pairing": self.pairings,
-            "scalar_mult": self.scalar_mults,
-            "hash_to_group": self.hash_to_group,
-            "hash_to_curve": self.hash_to_curve,
-            "gt_exp": self.gt_exps,
-            "point_add": self.point_adds,
-            "fixed_base_mult": self.fixed_base_mults,
-            "pairing_precomp": self.precomputed_pairings,
-            "gt_fixed_base": self.gt_fixed_base_exps,
-            "miller_loop": self.miller_loops,
-            "final_exp": self.final_exps,
-            "multi_pair": self.multi_pairs,
-            "multi_scalar_mult": self.multi_scalar_mults,
-        }
-        return {name: count for name, count in mapping.items() if count}
-
-    def dominant_cost(self) -> float:
-        """A single comparable number: scalar-mult-equivalents.
-
-        Precomputed pairings keep the final exponentiation but drop the
-        Miller-loop curve arithmetic; table-driven multiplications drop
-        all doublings.  A multi-pairing budget (``multi_pairs > 0``)
-        gets credited the final exponentiations it shares away:
-        ``pairings - final_exps`` of them, each worth
-        :data:`FINAL_EXP_WEIGHT`.  A table-driven GT exponentiation
-        (``gt_fixed_base_exps``, a subset of ``gt_exps``) drops all
-        squarings the same way a fixed-base multiplication does, and
-        earns the same discount.  A map point without its cofactor
-        (``hash_to_curve``) costs :data:`MAP_TO_CURVE_SHARE` of a full
-        ``hash_to_group``.  A line recording costs
-        :data:`LINE_RECORDING_MILLER_LOOPS` one-shot Miller loops, a
-        Miller loop being a pairing without its final exponentiation.
-        A multi-scalar sum costs one scalar multiplication: its doubling
-        chain is one multiplication's, and its additions, about a fifth
-        of a multiplication per 128-bit term on ss512, are left out.
-        The weights are the module constants above.
-        """
-        direct_pairings = self.pairings - self.precomputed_pairings
-        direct_mults = self.scalar_mults - self.fixed_base_mults
-        direct_gt_exps = self.gt_exps - self.gt_fixed_base_exps
-        # Budgets written before the multi-pairing kernel leave
-        # final_exps at 0 ("not modeled") — only credit the saving when
-        # the budget explicitly declares multi-pairing structure.
-        saved_final_exps = (
-            self.pairings - self.final_exps if self.multi_pairs else 0
-        )
-        return (
-            direct_pairings * PAIRING_WEIGHT
-            + self.precomputed_pairings * PRECOMP_PAIRING_WEIGHT
-            + direct_mults
-            + self.multi_scalar_mults
-            + self.fixed_base_mults * FIXED_BASE_WEIGHT
-            + self.hash_to_group
-            + self.hash_to_curve * MAP_TO_CURVE_SHARE
-            + direct_gt_exps
-            + self.gt_fixed_base_exps * GT_FIXED_BASE_WEIGHT
-            + 0.01 * self.point_adds
-            + self.line_recordings * LINE_RECORDING_MILLER_LOOPS
-            * (PAIRING_WEIGHT - FINAL_EXP_WEIGHT)
-            - saved_final_exps * FINAL_EXP_WEIGHT
-        )
+        """The nonzero counts by counter name, as
+        ``OperationCounter.measure`` reports them."""
+        return {name: count for name, count in asdict(self).items() if count}
 
 
 @dataclass(frozen=True)
 class SchemeCost:
-    name: str
     encrypt: OpBudget
     decrypt: OpBudget
-    notes: str = ""
 
 
 # The §5.1 scheme: Encrypt = r·G and K = ê(r·asG, H1(T)), computed as
@@ -174,13 +79,11 @@ class SchemeCost:
 # one scalar multiplication (U), one pairing and one GT exponentiation.
 # Decrypt = one pairing then ^a.
 TRE_COST = SchemeCost(
-    name="TRE",
     encrypt=OpBudget(
-        pairings=1, scalar_mults=1, hash_to_curve=1, gt_exps=1,
-        miller_loops=1, final_exps=1,
+        pairing=1, scalar_mult=1, hash_to_curve=1, gt_exp=1,
+        miller_loop=1, final_exp=1,
     ),
-    decrypt=OpBudget(pairings=1, gt_exps=1, miller_loops=1, final_exps=1),
-    notes="receiver-key check: +2 pairings (amortizable)",
+    decrypt=OpBudget(pairing=1, gt_exp=1, miller_loop=1, final_exp=1),
 )
 
 # §5.2: Encrypt is the §5.1 sender key for the two labels (ID, T) under
@@ -188,48 +91,38 @@ TRE_COST = SchemeCost(
 # and one GT exponentiation of their product to c·r mod q, which is
 # ê(r·sG, H1(ID) + H1(T)).
 IDTRE_COST = SchemeCost(
-    name="ID-TRE",
     encrypt=OpBudget(
-        pairings=2, scalar_mults=1, hash_to_curve=2, gt_exps=1,
-        miller_loops=2, final_exps=2,
+        pairing=2, scalar_mult=1, hash_to_curve=2, gt_exp=1,
+        miller_loop=2, final_exp=2,
     ),
-    decrypt=OpBudget(pairings=1, point_adds=1, miller_loops=1, final_exps=1),
-    notes="escrow inherent; no receiver certificate",
+    decrypt=OpBudget(pairing=1, point_add=1, miller_loop=1, final_exp=1),
 )
 
 # Footnote 3: ElGamal KEM (2 smul) + BF-IBE (1 pairing + 2 smul +
 # 1 H1 + 1 GT exp).
 HYBRID_COST = SchemeCost(
-    name="hybrid PKE+IBE",
     encrypt=OpBudget(
-        pairings=1, scalar_mults=3, hash_to_group=1, gt_exps=1,
-        miller_loops=1, final_exps=1,
+        pairing=1, scalar_mult=3, hash_to_group=1, gt_exp=1,
+        miller_loop=1, final_exp=1,
     ),
-    decrypt=OpBudget(pairings=1, scalar_mults=1, miller_loops=1, final_exps=1),
-    notes="2 group elements per ciphertext (TRE: 1)",
+    decrypt=OpBudget(pairing=1, scalar_mult=1, miller_loop=1, final_exp=1),
 )
 
 
 def multiserver_cost(servers: int) -> SchemeCost:
     """§5.3.5: one r·G_i per server, then the §5.1 sender key with
-    ``X = Σ a·s_iG_i`` (H1's map point, one pairing and one GT
-    exponentiation, like TRE); decryption is
-    ONE N-fold multi-pairing (N Miller loops, one shared final
-    exponentiation)."""
+    ``X = Σ a·s_iG_i`` (one point addition per server, onto the
+    identity, then H1's map point, one pairing and one GT
+    exponentiation, like TRE); decryption is ONE N-fold multi-pairing
+    (N Miller loops, one shared final exponentiation)."""
     return SchemeCost(
-        name=f"multi-server (N={servers})",
         encrypt=OpBudget(
-            pairings=1,
-            scalar_mults=servers,
-            hash_to_curve=1,
-            gt_exps=1,
-            point_adds=servers - 1,
-            miller_loops=1,
-            final_exps=1,
+            pairing=1, scalar_mult=servers, point_add=servers,
+            hash_to_curve=1, gt_exp=1, miller_loop=1, final_exp=1,
         ),
         decrypt=OpBudget(
-            pairings=servers, gt_exps=1,
-            miller_loops=servers, final_exps=1, multi_pairs=1,
+            pairing=servers, gt_exp=1,
+            miller_loop=servers, final_exp=1, multi_pair=1,
         ),
     )
 
@@ -237,19 +130,17 @@ def multiserver_cost(servers: int) -> SchemeCost:
 def resilient_cost(depth: int) -> SchemeCost:
     """§6 construction at tree depth d (decrypting from a leaf key)."""
     return SchemeCost(
-        name=f"resilient (d={depth})",
         encrypt=OpBudget(
             # U_0 = r·G, U_i = r·P_i for levels 2..d (each P_i hashed
             # into G1) and K = ê(asG, P′_1)^(c·r mod q) on P_1's map
             # point, like TRE.
-            pairings=1, scalar_mults=depth, hash_to_group=depth - 1,
-            hash_to_curve=1, gt_exps=1, miller_loops=1, final_exps=1,
+            pairing=1, scalar_mult=depth, hash_to_group=depth - 1,
+            hash_to_curve=1, gt_exp=1, miller_loop=1, final_exp=1,
         ),
         decrypt=OpBudget(
-            pairings=depth, gt_exps=1,
-            miller_loops=depth, final_exps=1, multi_pairs=1,
+            pairing=depth, gt_exp=1,
+            miller_loop=depth, final_exp=1, multi_pair=1,
         ),
-        notes="decrypt pairings = 1 + (d-1) translation ratios",
     )
 
 
@@ -258,13 +149,13 @@ def resilient_cost(depth: int) -> SchemeCost:
 # update check ê(sG, H1(T)) == ê(G, I_T) runs as ê(D, P′) == ê(G, I_T)
 # with D = (c mod q)·sG, so it hashes only to H1's map point P′.
 UPDATE_VERIFY_COST = OpBudget(
-    pairings=2, hash_to_curve=1, miller_loops=2, final_exps=1, multi_pairs=1
+    pairing=2, hash_to_curve=1, miller_loop=2, final_exp=1, multi_pair=1
 )
 # Once per ServerPublicKey object, on its first update check (or in
-# ServerPublicKey.precompute): deriving D = (c mod q)·sG.
-UPDATE_KEY_DERIVATION_COST = OpBudget(scalar_mults=1)
+# BLSSignatureScheme.precompute_public): deriving D = (c mod q)·sG.
+UPDATE_KEY_DERIVATION_COST = OpBudget(scalar_mult=1)
 RECEIVER_KEY_CHECK_COST = OpBudget(
-    pairings=2, miller_loops=2, final_exps=1, multi_pairs=1
+    pairing=2, miller_loop=2, final_exp=1, multi_pair=1
 )
 
 # ----------------------------------------------------------------------
@@ -277,8 +168,8 @@ RECEIVER_KEY_CHECK_COST = OpBudget(
 # or from a cold sender's second send on: its one scalar multiplication,
 # rG, comes from G's fixed-base table.
 TRE_PRECOMP_ENCRYPT_COST = OpBudget(
-    pairings=1, scalar_mults=1, hash_to_curve=1, gt_exps=1,
-    fixed_base_mults=1, miller_loops=1, final_exps=1,
+    pairing=1, scalar_mult=1, hash_to_curve=1, gt_exp=1,
+    fixed_base_mult=1, miller_loop=1, final_exp=1,
 )
 
 # §5.1 Encrypt after precompute_sender(..., time_labels=[T]) — the GT
@@ -287,19 +178,18 @@ TRE_PRECOMP_ENCRYPT_COST = OpBudget(
 # constant pairing ê(asG, H1(T)) is cached, so the pairing, the
 # hash-to-curve and the r·asG multiplication all vanish, leaving one
 # fixed-base U = rG and one table-driven GT exponentiation g^r.  This
-# is the encryption collapse the E4c table demonstrates
-# (dominant cost: 12.25 -> ~0.8 scalar-mult equivalents).
+# is the encryption collapse the E4c table demonstrates.
 TRE_GT_ENCRYPT_COST = OpBudget(
-    scalar_mults=1, fixed_base_mults=1, gt_exps=1, gt_fixed_base_exps=1,
+    scalar_mult=1, fixed_base_mult=1, gt_exp=1, gt_fixed_base=1,
 )
 
 # Warming it: per receiver key object, D = (c mod q)·asG (asG has no
-# table: no send multiplies it) and one recording of D's lines; per
-# label, H1's map point P′ and one replay of D's lines,
-# g_{R,T} = ê(D, P′).
-SENDER_KEY_DERIVATION_COST = OpBudget(scalar_mults=1, line_recordings=1)
+# table: no send multiplies it) and one recording of D's lines, which
+# no counter sees; per label, H1's map point P′ and one replay of D's
+# lines, g_{R,T} = ê(D, P′).
+SENDER_KEY_DERIVATION_COST = OpBudget(scalar_mult=1)
 SENDER_LABEL_COST = OpBudget(
-    pairings=1, hash_to_curve=1, precomputed_pairings=1, miller_loops=1, final_exps=1,
+    pairing=1, hash_to_curve=1, pairing_precomp=1, miller_loop=1, final_exp=1,
 )
 
 
@@ -323,37 +213,36 @@ def broadcast_encrypt_cost(recipients: int, warm: bool = True) -> OpBudget:
         raise ValueError("a broadcast needs at least one recipient")
     if warm:
         return OpBudget(
-            scalar_mults=1, fixed_base_mults=1,
-            gt_exps=recipients, gt_fixed_base_exps=recipients,
+            scalar_mult=1, fixed_base_mult=1,
+            gt_exp=recipients, gt_fixed_base=recipients,
         )
     if recipients < SHARED_H1_RECEIVERS:
         return OpBudget(
-            pairings=recipients, scalar_mults=1, hash_to_curve=1,
-            gt_exps=recipients, miller_loops=recipients, final_exps=recipients,
+            pairing=recipients, scalar_mult=1, hash_to_curve=1,
+            gt_exp=recipients, miller_loop=recipients, final_exp=recipients,
         )
     return OpBudget(
-        pairings=recipients, scalar_mults=2, hash_to_group=1,
-        precomputed_pairings=recipients, line_recordings=1,
-        miller_loops=recipients, final_exps=recipients,
+        pairing=recipients, scalar_mult=2, hash_to_group=1,
+        pairing_precomp=recipients, miller_loop=recipients, final_exp=recipients,
     )
 
 # Update self-authentication against recorded (D, G) lines: after
-# precompute_public (verify_archive's per-update pass calls it) or
-# ServerPublicKey.precompute, or from the third check per server key
-# and group (the second records them).  Both pairings evaluate cached
+# BLSSignatureScheme.precompute_public (verify_archive's per-update pass
+# calls it), or from the second check per server key and group on (the
+# second records them first).  Both pairings evaluate cached
 # Miller lines inside one multi-pairing.  D was derived when the lines
 # were recorded, so no scalar multiplication.
 PRECOMP_UPDATE_VERIFY_COST = OpBudget(
-    pairings=2, hash_to_curve=1, precomputed_pairings=2,
-    miller_loops=2, final_exps=1, multi_pairs=1,
+    pairing=2, hash_to_curve=1, pairing_precomp=2,
+    miller_loop=2, final_exp=1, multi_pair=1,
 )
 
-# The receiver-key check from its third use against one server key
-# (the second records (G, sG)): both pairings evaluate cached lines
+# The receiver-key check from its second use against one server key
+# on (the second records (G, sG) first): both pairings evaluate cached lines
 # inside one multi-pairing, symmetry swapping sG into the fixed slot.
 PRECOMP_KEY_CHECK_COST = OpBudget(
-    pairings=2, precomputed_pairings=2,
-    miller_loops=2, final_exps=1, multi_pairs=1,
+    pairing=2, pairing_precomp=2,
+    miller_loop=2, final_exp=1, multi_pair=1,
 )
 
 
@@ -380,15 +269,11 @@ def archive_verify_cost(n: int, fallback: bool = False) -> OpBudget:
     if n == 1:
         return UPDATE_VERIFY_COST
     budget = OpBudget(
-        pairings=2, hash_to_curve=n, multi_scalar_mults=2,
-        miller_loops=2, final_exps=1, multi_pairs=1,
+        pairing=2, hash_to_curve=n, multi_scalar_mult=2,
+        miller_loop=2, final_exp=1, multi_pair=1,
     )
     if fallback:
-        single = OpBudget(
-            pairings=2, precomputed_pairings=2,
-            miller_loops=2, final_exps=1, multi_pairs=1,
-        )
-        budget = budget + OpBudget(line_recordings=2)
+        single = replace(PRECOMP_UPDATE_VERIFY_COST, hash_to_curve=0)
         for _ in range(n):
             budget = budget + single
         budget = budget + PRECOMP_UPDATE_VERIFY_COST
@@ -408,6 +293,6 @@ def tre_batch_decrypt_cost(n: int) -> OpBudget:
     removes the per-ciphertext GT exponentiation.
     """
     return OpBudget(
-        pairings=n, scalar_mults=1, precomputed_pairings=n,
-        miller_loops=n, final_exps=n, line_recordings=1,
+        pairing=n, scalar_mult=1, pairing_precomp=n,
+        miller_loop=n, final_exp=n,
     )

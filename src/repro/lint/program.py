@@ -404,10 +404,10 @@ class Walker(Generic[V]):
             iterated = self.eval(stmt.iter, env)
             loop_env = dict(env)
             self.bind_element(stmt.target, iterated, loop_env)
-            self._exec_loop(stmt, env, loop_env, iterated)
+            return self._exec_loop(stmt, env, loop_env, iterated)
         elif isinstance(stmt, ast.While):
             self.on_test(stmt.test, env)
-            self._exec_loop(stmt, env, dict(env), None)
+            return self._exec_loop(stmt, env, dict(env), None)
         elif isinstance(stmt, ast.Try):
             return self._exec_try(stmt, env)
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
@@ -443,11 +443,17 @@ class Walker(Generic[V]):
         return self._merge_survivors(env, survivors)
 
     def _exec_try(self, stmt: ast.Try, env: dict[str, V]) -> bool:
+        # A handler can start anywhere in the body: from the join of
+        # the states before and after it.
+        caught = dict(env)
         body_ends = self.exec_block(stmt.body, env)
+        self.merge_into(caught, env)
+        # The else runs only when the body finished, outside the handlers.
+        body_ends = body_ends or self.exec_block(stmt.orelse, env)
         ends = [dict(env)]
         survivors = [] if body_ends else [ends[0]]
         for handler in stmt.handlers:
-            handler_env = dict(env)
+            handler_env = dict(caught)
             if handler.name:
                 self._set(handler_env, handler.name, self.CAUGHT)
             if not self.exec_block(handler.body, handler_env):
@@ -460,7 +466,6 @@ class Walker(Generic[V]):
             self.exec_block(stmt.finalbody, final_env)
             return True
         self._merge_survivors(env, survivors)
-        self.exec_block(stmt.orelse, env)
         self.exec_block(stmt.finalbody, env)
         return False
 
@@ -470,7 +475,7 @@ class Walker(Generic[V]):
         env: dict[str, V],
         loop_env: dict[str, V],
         iterated: V | None,
-    ) -> None:
+    ) -> bool:
         breaks: list[dict[str, V]] = []
         for _ in range(2):
             continues: list[dict[str, V]] = []
@@ -479,12 +484,16 @@ class Walker(Generic[V]):
             self._loops.pop()
             for branch in continues:
                 self.merge_into(loop_env, branch)
-        self.exec_block(stmt.orelse, loop_env)
+        # The else runs on every normal exit: on the join of the states
+        # before the loop and after its body, not on a break.
         self.merge_into(env, loop_env)
         if not isinstance(stmt, ast.While):
             self.promote(stmt, iterated, loop_env, env)
+        if self.exec_block(stmt.orelse, env):
+            return self._merge_survivors(env, breaks)
         for branch in breaks:
             self.merge_into(env, branch)
+        return False
 
     # -- merging ------------------------------------------------------------
 

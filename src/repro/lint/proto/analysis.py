@@ -305,7 +305,9 @@ class ProtoTransfer(Walker[Val]):
         self.eval(value, env)
 
     def augment(self, stmt: ast.AugAssign, env: dict[str, Val]) -> None:
-        self.eval(stmt.value, env)
+        # `pending += [update]` puts the update into `pending`, as
+        # `pending.append(update)` does.
+        self._put(stmt.target, stmt.value, self.eval(stmt.value, env), env)
 
     def bind_element(
         self, target: ast.expr, iterated: Val | None, env: dict[str, Val]
@@ -354,6 +356,18 @@ class ProtoTransfer(Walker[Val]):
             self._sink(target, val, f"stored into cache `{rendered}`")
         elif val is not None and val.kind in (UPDATE, COLL):
             self._collect(env_key(target.value), val, env)
+
+    def _put(
+        self, container: ast.expr, item: ast.expr, val: Val | None, env: dict[str, Val]
+    ) -> None:
+        """``item`` (evaluated to ``val``) went into ``container`` by
+        ``append``, ``add`` or ``+=``: a cache-named container is an
+        RP401 sink; any other becomes a tracked collection."""
+        rname = _receiver_name(container)
+        if rname is not None and (name_tokens(rname) & preg.CACHE_NAME_TOKENS):
+            self._sink(item, val, f"appended to cache `{clip(ast.unparse(container))}`")
+        elif val is not None and val.kind in (UPDATE, COLL):
+            self._collect(env_key(container), val, env)
 
     def _collect(self, key: str | None, val: Val, env: dict[str, Val]) -> None:
         """``val`` went into the container at ``key``."""
@@ -503,18 +517,7 @@ class ProtoTransfer(Walker[Val]):
             )
             return None
         if fname in ("append", "add") and is_attr and node.args:
-            arg_val = arg_vals[0] if arg_vals else None
-            rname = _receiver_name(func.value)
-            if rname is not None and (
-                name_tokens(rname) & preg.CACHE_NAME_TOKENS
-            ):
-                self._sink(
-                    node.args[0],
-                    arg_val,
-                    f"appended to cache `{clip(ast.unparse(func.value))}`",
-                )
-            elif arg_val is not None and arg_val.kind in (UPDATE, COLL):
-                self._collect(receiver_key, arg_val, env)
+            self._put(func.value, node.args[0], arg_vals[0], env)
             return None
 
         # Pass-through builtins keep the element state.

@@ -59,7 +59,7 @@ def handler_falls_through(group, cache, blob):
         update.ensure_valid(group)
     except ValueError:
         print("keeping the unchecked update")
-    cache[update.time_label] = update
+    cache[update.time_label] = update  # EXPECT[RP401]
 
 
 def with_as(group, cache, blob, lock):
@@ -94,7 +94,7 @@ def augmented(group, cache, blobs):
         pending += [TimeBoundKeyUpdate.from_bytes(group, blob)]
     count = 0
     count += len(pending)
-    cache[count] = pending
+    cache[count] = pending  # EXPECT[RP401]
 
 
 def matched(group, cache, blob, mode, server_public):
@@ -113,7 +113,7 @@ def while_else(group, cache, blob, server_public, tries):
         tries -= 1
     else:
         update.ensure_valid(group)
-    cache[update.time_label] = update  # EXPECT[RP401]
+    cache[update.time_label] = update
 
 
 def for_else(group, cache, blobs, server_public):
@@ -123,3 +123,23 @@ def for_else(group, cache, blobs, server_public):
     else:
         pass
     cache[0] = updates  # EXPECT[RP401]
+
+
+def try_else(group, cache, blob):
+    update = TimeBoundKeyUpdate.from_bytes(group, blob)
+    try:
+        update.ensure_valid(group)
+    except ValueError:
+        print("rejected")
+    else:
+        cache[update.time_label] = update
+
+
+def first_valid_or_raise(group, cache, blobs, server_public):
+    for blob in blobs:
+        update = TimeBoundKeyUpdate.from_bytes(group, blob)
+        if update.verify(group, server_public):
+            break
+    else:
+        raise ValueError("no valid update")
+    cache[update.time_label] = update
