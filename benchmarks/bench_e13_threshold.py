@@ -6,6 +6,10 @@ update byte-identical to a single-server update (so every scheme's
 decryption cost is unchanged) and moves the extra work to whoever
 combines the shares.  Measured: share issuance, share verification
 (2 pairings + Feldman recomputation), and combination cost versus k.
+Crash tolerance is measured too: the k-of-N beacon of
+:func:`~repro.sim.scenarios.run_threshold_beacon` releases with N − k
+members offline (the delay to the combined update and the receivers
+that opened), and one more offline member is refused.
 """
 
 import pytest
@@ -16,8 +20,11 @@ from repro.core.threshold import ThresholdTimeServer
 from repro.core.tre import TimedReleaseScheme
 from repro.core.keys import UserKeyPair
 from repro.crypto.rng import seeded_rng
+from repro.errors import SimulationError
+from repro.sim.scenarios import run_threshold_beacon
 
 CONFIGS = ((3, 1), (5, 3), (9, 5), (16, 11))  # (members N, threshold k)
+BEACON_RECEIVERS = 10
 
 
 def _setup(group, members, threshold):
@@ -72,16 +79,31 @@ def test_e13_claim_table(benchmark, toy_group):
             verify_receiver_key=False,
         )
         assert scheme.decrypt(ct, user, update) == KEY_MESSAGE
+        # The beacon builds its own toy64 group: the counts above stay
+        # this group's alone.
+        offline = members - threshold
+        beacon = run_threshold_beacon(
+            members=members, threshold=threshold, offline=offline,
+            receivers=BEACON_RECEIVERS,
+        )
+        assert beacon.receivers_opened == BEACON_RECEIVERS
+        with pytest.raises(SimulationError):
+            run_threshold_beacon(
+                members=members, threshold=threshold, offline=offline + 1
+            )
         rows.append((
             f"{threshold}-of-{members}",
             f"{verify_ops.get('pairing', 0)}P "
             f"{verify_ops.get('scalar_mult', 0)}M",
             f"{combine_ops.get('scalar_mult', 0)}M "
             f"{combine_ops.get('point_add', 0)}A",
-            members - threshold,
+            offline,
+            f"{beacon.time_to_update:.3f}",
+            f"{beacon.receivers_opened}/{BEACON_RECEIVERS}",
         ))
     emit(format_table(
-        ("config", "verify 1 share", "combine k shares", "crash tolerance"),
+        ("config", "verify 1 share", "combine k shares", "offline N-k",
+         "update after (s)", "receivers opened"),
         rows,
         title="E13: threshold time server — combined update identical to "
               "single-server; receiver cost unchanged (vs §5.3.5's N-fold)",

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # The full local gate: exactly what CI runs.
 #
-#   ./scripts/check.sh            # tier-1 tests + repro.lint (+ ruff/mypy if installed)
-#   ./scripts/check.sh --fast     # skip the test suite, just the static checks
+#   ./scripts/check.sh            # tier-1 tests + the experiments' claim
+#                                 # assertions + repro.lint (+ ruff/mypy
+#                                 # if installed)
+#   ./scripts/check.sh --fast     # skip the test suites, just the static checks
 #   ./scripts/check.sh --bench    # also run the toy64 smoke benchmark and the
 #                                 # trajectory regression check (advisory —
 #                                 # mirrors CI's non-blocking bench job)
@@ -15,9 +17,10 @@
 #                                 # themselves when the wheel is absent —
 #                                 # mirrors CI's test-gmpy2 job)
 #
-# ruff and mypy are optional: they are skipped with a notice when not
-# installed so the gate works on the offline, stdlib-only toolchain the
-# repo targets.  mypy is advisory (reported, never fails the gate) while
+# ruff, mypy and pytest-benchmark (which the claim assertions under
+# benchmarks/ need) are optional: they are skipped with a notice when
+# not installed so the gate works on the offline, stdlib-only toolchain
+# the repo targets.  mypy is advisory (reported, never fails the gate) while
 # the tree's annotations are still being tightened.
 
 set -u
@@ -53,6 +56,14 @@ step() {
 if [ "$fast" -eq 0 ]; then
     step "tier-1 tests (pytest)"
     PYTHONPATH=src python -m pytest -x -q || failures=$((failures + 1))
+
+    step "claim assertions (pytest benchmarks, E1-E16)"
+    if python -c "import pytest_benchmark" >/dev/null 2>&1; then
+        PYTHONPATH=src python -m pytest benchmarks -q --benchmark-disable \
+            || failures=$((failures + 1))
+    else
+        echo "pytest-benchmark not installed — skipped (CI's claim-tables job runs it)"
+    fi
 fi
 
 # One run gates all three families (RP1xx pattern rules, RP2xx taint,

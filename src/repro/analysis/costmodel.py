@@ -37,9 +37,10 @@ class OpBudget:
     k-fold multi-pairing is k ``miller_loop`` and ONE ``final_exp``, so
     ``final_exp`` can be smaller than ``pairing``.  A
     ``multi_scalar_mult`` is one interleaved sum Σ k_i·P_i whatever its
-    term count; its terms are not in ``scalar_mult``.  Two kinds of
-    work have no field: ``gt_mul``, and recording a one-off argument's
-    Miller lines, which no counter sees.
+    term count; its terms are not in ``scalar_mult``.  ``gt_mul`` is a
+    product of two GT values outside a pairing.  One kind of work has
+    no field: recording a one-off argument's Miller lines, which no
+    counter sees.
     """
 
     pairing: int = 0
@@ -48,6 +49,7 @@ class OpBudget:
     hash_to_group: int = 0
     hash_to_curve: int = 0
     gt_exp: int = 0
+    gt_mul: int = 0
     multi_scalar_mult: int = 0
     fixed_base_mult: int = 0
     pairing_precomp: int = 0
@@ -88,11 +90,11 @@ TRE_COST = SchemeCost(
 
 # §5.2: Encrypt is the §5.1 sender key for the two labels (ID, T) under
 # X = sG: r·G, per label H1's map point P′ and one pairing ê(sG, P′),
-# and one GT exponentiation of their product to c·r mod q, which is
-# ê(r·sG, H1(ID) + H1(T)).
+# one GT multiplication for their product, and one GT exponentiation of
+# it to c·r mod q, which is ê(r·sG, H1(ID) + H1(T)).
 IDTRE_COST = SchemeCost(
     encrypt=OpBudget(
-        pairing=2, scalar_mult=1, hash_to_curve=2, gt_exp=1,
+        pairing=2, scalar_mult=1, hash_to_curve=2, gt_exp=1, gt_mul=1,
         miller_loop=2, final_exp=2,
     ),
     decrypt=OpBudget(pairing=1, point_add=1, miller_loop=1, final_exp=1),

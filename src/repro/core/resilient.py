@@ -146,19 +146,16 @@ class HierarchicalTimeTree:
 
 
 class ResilientTimeServer:
-    """A passive server whose broadcasts unlock *all* elapsed epochs."""
+    """A passive server whose broadcasts unlock *all* elapsed epochs.
 
-    def __init__(
-        self,
-        group: PairingGroup,
-        depth: int,
-        rng: random.Random,
-        keypair: ServerKeyPair | None = None,
-        namespace: bytes = b"time",
-    ):
+    Its key pair is fresh from ``rng`` and its tree uses the default
+    namespace ``b"time"``.
+    """
+
+    def __init__(self, group: PairingGroup, depth: int, rng: random.Random):
         self.group = group
-        self.tree = HierarchicalTimeTree(group, depth, namespace)
-        self._keypair = keypair or ServerKeyPair.generate(group, rng)
+        self.tree = HierarchicalTimeTree(group, depth)
+        self._keypair = ServerKeyPair.generate(group, rng)
         self._rng = rng
         self.latest_epoch: int | None = None
 

@@ -138,13 +138,12 @@ class ThresholdTimeServer:
         members: int,
         threshold: int,
         rng: random.Random,
-        generator: CurvePoint | None = None,
     ) -> tuple["ThresholdTimeServer", list[ThresholdServerMember]]:
-        """Dealer setup: share a fresh ``s`` into ``members`` shares."""
+        """Dealer setup: share a fresh ``s`` into ``members`` shares
+        under a fresh random generator ``G``."""
         if not 1 <= threshold <= members:
             raise ParameterError("need 1 <= threshold <= members")
-        if generator is None:
-            generator = group.mul(group.generator, group.random_scalar(rng))
+        generator = group.mul(group.generator, group.random_scalar(rng))
         coefficients = [group.random_scalar(rng) for _ in range(threshold)]
         secret = coefficients[0]
         public = ServerPublicKey(generator, group.mul(generator, secret))

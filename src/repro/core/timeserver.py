@@ -133,14 +133,10 @@ class PassiveTimeServer:
         Optional callable returning the current integer epoch.  When
         given, :meth:`publish_update` enforces the §3 trust assumption
         "do not give out any I_T before its release time" for labels
-        created by :func:`epoch_label`.  Injecting the clock keeps the
-        node, the simulator and the tests off the wall clock entirely.
-    max_clock_skew:
-        Epochs of forward tolerance in the release policy.  A publish
-        for epoch ``now + k`` with ``k <= max_clock_skew`` is allowed —
-        the deterministic treatment of near-boundary publishes when the
-        caller's clock and the server's clock disagree slightly.
-        Defaults to 0 (strict).
+        created by :func:`epoch_label`: no epoch after ``now`` is
+        published, whatever a caller's clock says.  Injecting the clock
+        keeps the node, the simulator and the tests off the wall clock
+        entirely.
     """
 
     def __init__(
@@ -149,19 +145,15 @@ class PassiveTimeServer:
         rng: random.Random | None = None,
         keypair: ServerKeyPair | None = None,
         clock=None,
-        max_clock_skew: int = 0,
     ):
         if keypair is None:
             if rng is None:
                 raise ValueError("need an rng or an existing keypair")
             keypair = ServerKeyPair.generate(group, rng)
-        if max_clock_skew < 0:
-            raise ValueError("max_clock_skew is a non-negative epoch count")
         self.group = group
         self._keypair = keypair
         self._bls = BLSSignatureScheme(group)
         self._clock = clock
-        self.max_clock_skew = max_clock_skew
         # The public archive of past updates (§3: "keep a list of old key
         # updates ... at a publicly accessible place").
         self._archive: dict[bytes, TimeBoundKeyUpdate] = {}
@@ -210,10 +202,12 @@ class PassiveTimeServer:
         except ValueError:
             return  # Free-form labels carry no enforceable ordering.
         now = self._clock()
-        if epoch > now + self.max_clock_skew:
+        if epoch > now:
+            # The text reaches the wire as an ERR_UNAVAILABLE detail, which
+            # transcripts hash: keep it byte for byte.
             raise UpdateNotAvailableError(
                 f"refusing to publish update for epoch {epoch} at time {now} "
-                f"(skew tolerance {self.max_clock_skew})"
+                "(skew tolerance 0)"
             )
 
     # ------------------------------------------------------------------

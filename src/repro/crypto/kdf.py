@@ -28,6 +28,6 @@ def derive_key(secret: bytes, length: int, label: str = "repro:kdf") -> bytes:
     return b"".join(blocks)[:length]
 
 
-def derive_subkeys(secret: bytes, *labels: str, length: int = 32) -> tuple[bytes, ...]:
-    """Derive one independent ``length``-byte subkey per label."""
-    return tuple(derive_key(secret, length, label) for label in labels)
+def derive_subkeys(secret: bytes, *labels: str) -> tuple[bytes, ...]:
+    """Derive one independent 32-byte subkey per label."""
+    return tuple(derive_key(secret, 32, label) for label in labels)

@@ -71,7 +71,7 @@ See ``docs/STATIC_ANALYSIS.md`` for the rule-by-rule rationale.
 
 from __future__ import annotations
 
-from repro.lint.engine import RULES, LintReport, lint_source
+from repro.lint.engine import RULES, LintReport
 from repro.lint.findings import Finding
 
-__all__ = ["RULES", "Finding", "LintReport", "lint_source"]
+__all__ = ["RULES", "Finding", "LintReport"]

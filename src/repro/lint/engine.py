@@ -142,11 +142,9 @@ def parse_module(source: str, path: str, package_path: str | None = None) -> Par
     )
 
 
-def _module_rule_findings(
-    module: ParsedModule, rules: tuple[Rule, ...]
-) -> list[Finding]:
+def _module_rule_findings(module: ParsedModule) -> list[Finding]:
     findings: list[Finding] = []
-    for rule in rules:
+    for rule in MODULE_RULES:
         context = ModuleContext(
             path=module.path,
             package_path=module.package_path,
@@ -173,7 +171,6 @@ def _drop_shadowed(findings: list[Finding]) -> list[Finding]:
 
 def analyze_modules(
     modules: list[ParsedModule],
-    rules: tuple[Rule, ...] = MODULE_RULES,
 ) -> tuple[list[Finding], int, list[str]]:
     """Both analysis phases plus waiver/fingerprint bookkeeping.
 
@@ -181,7 +178,7 @@ def analyze_modules(
     """
     by_path: dict[str, list[Finding]] = {module.path: [] for module in modules}
     for module in modules:
-        by_path[module.path].extend(_module_rule_findings(module, rules))
+        by_path[module.path].extend(_module_rule_findings(module))
     program = Program(modules)
     analyze_program(program)
     analyze_protocols(program)
@@ -220,24 +217,6 @@ def analyze_modules(
     # phase ordering: two runs over the same tree must be byte-identical.
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
     return findings, waived, sorted(unused)
-
-
-def lint_source(
-    source: str,
-    path: str,
-    rules: tuple[Rule, ...] = MODULE_RULES,
-    package_path: str | None = None,
-) -> tuple[list[Finding], int]:
-    """Lint one module's text; returns (findings, waived_count).
-
-    ``path`` is what findings report; ``package_path`` overrides scope
-    resolution (used by fixture tests to pretend a snippet lives in,
-    say, ``core/``).  The flow analysis sees just this one module, so
-    intra-module interprocedural flows are still found.
-    """
-    module = parse_module(source, path, package_path)
-    findings, waived, _ = analyze_modules([module], rules)
-    return findings, waived
 
 
 def iter_python_files(paths: list[str | Path]):

@@ -12,11 +12,7 @@ from __future__ import annotations
 from repro.encoding import byte_length, int_from_bytes, int_to_bytes
 from repro.errors import EncodingError, FieldMismatchError, ParameterError
 from repro.math.backend import FieldBackend, get_backend
-from repro.math.modular import (
-    cube_root_mod,
-    is_quadratic_residue,
-    sqrt_mod,
-)
+from repro.math.modular import cube_root_mod
 from repro.math.primes import is_probable_prime
 
 
@@ -155,12 +151,6 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return self.value == 0
-
-    def is_square(self) -> bool:
-        return self.value == 0 or is_quadratic_residue(self.value, self.field.p)
-
-    def sqrt(self) -> "FieldElement":
-        return FieldElement(self.field, sqrt_mod(self.value, self.field.p))
 
     def cube_root(self) -> "FieldElement":
         return FieldElement(self.field, cube_root_mod(self.value, self.field.p))

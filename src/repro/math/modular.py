@@ -95,15 +95,6 @@ def sqrt_if_square(a: int, p: int) -> int | None:
     return min(root, p - root)
 
 
-def sqrt_mod(a: int, p: int) -> int:
-    """:func:`sqrt_if_square`, raising :class:`ParameterError` when ``a``
-    is a non-residue."""
-    root = sqrt_if_square(a, p)
-    if root is None:
-        raise ParameterError(f"{a % p} is not a quadratic residue mod p")
-    return root
-
-
 def cube_root_mod(a: int, p: int) -> int:
     """The unique cube root of ``a`` modulo a prime ``p`` with ``p % 3 == 2``.
 

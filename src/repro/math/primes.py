@@ -36,11 +36,11 @@ def _miller_rabin_witness(n: int, base: int, d: int, r: int) -> bool:
     return True
 
 
-def is_probable_prime(n: int, rounds: int = 32, rng: random.Random | None = None) -> bool:
+def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     """Miller–Rabin primality test.
 
     Deterministic (and exact) for ``n`` below ~3.3e24; probabilistic with
-    ``rounds`` random bases above that.
+    32 random bases above that.
     """
     if n < 2:
         return False
@@ -59,7 +59,7 @@ def is_probable_prime(n: int, rounds: int = 32, rng: random.Random | None = None
     # Default to the CSPRNG: with Mersenne-Twister bases an adversary who
     # predicts the state could hand us composites that pass every round.
     rng = rng or secrets.SystemRandom()
-    for _ in range(rounds):
+    for _ in range(32):
         base = rng.randrange(2, n - 1)
         if _miller_rabin_witness(n, base, d, r):
             return False

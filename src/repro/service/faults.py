@@ -33,14 +33,16 @@ import random
 
 from repro.errors import ParameterError, ServiceTimeoutError
 
+# How long a "dropped" request hangs before the injector gives up on
+# its own; the client's per-request timeout almost always fires first.
+_STALL_SECONDS = 3600.0
+
 
 class FaultPlan:
     """Probabilities plus the seeded RNG that rolls them.
 
-    Rates are independent per-event probabilities in ``[0, 1]``.
-    ``stall`` is how long a "dropped" packet hangs before the injector
-    gives up on its own (the client's timeout almost always fires
-    first); ``delay_scale`` bounds injected extra latency.
+    Rates are independent per-event probabilities in ``[0, 1]``;
+    ``delay_scale`` bounds injected extra latency.
     """
 
     RATE_FIELDS = ("drop", "delay", "duplicate", "reorder", "corrupt")
@@ -54,15 +56,14 @@ class FaultPlan:
         reorder: float = 0.0,
         corrupt: float = 0.0,
         delay_scale: float = 0.25,
-        stall: float = 3600.0,
     ):
         for name, rate in zip(
             self.RATE_FIELDS, (drop, delay, duplicate, reorder, corrupt)
         ):
             if not 0.0 <= rate <= 1.0:
                 raise ParameterError(f"{name} rate must be in [0, 1]")
-        if delay_scale < 0 or stall <= 0:
-            raise ParameterError("need delay_scale >= 0 and stall > 0")
+        if delay_scale < 0:
+            raise ParameterError("need delay_scale >= 0")
         self.rng = rng
         self.drop = drop
         self.delay = delay
@@ -70,7 +71,6 @@ class FaultPlan:
         self.reorder = reorder
         self.corrupt = corrupt
         self.delay_scale = delay_scale
-        self.stall = stall
 
     @classmethod
     def from_seed(cls, seed: int, **rates) -> "FaultPlan":
@@ -98,12 +98,15 @@ class FaultPlan:
 
 
 class FaultyTransport:
-    """A request/response transport with a :class:`FaultPlan` in the path."""
+    """A request/response transport with a :class:`FaultPlan` in the path.
 
-    def __init__(self, inner, plan: FaultPlan, name: str | None = None):
+    Its ``name`` is ``faulty:`` and the inner transport's name.
+    """
+
+    def __init__(self, inner, plan: FaultPlan):
         self.inner = inner
         self.plan = plan
-        self.name = name or f"faulty:{getattr(inner, 'name', 'transport')}"
+        self.name = f"faulty:{getattr(inner, 'name', 'transport')}"
         self.dropped = 0
         self.delayed = 0
         self.duplicated = 0
@@ -113,7 +116,7 @@ class FaultyTransport:
         plan = self.plan
         if plan.coin(plan.drop):
             self.dropped += 1
-            await asyncio.sleep(plan.stall)
+            await asyncio.sleep(_STALL_SECONDS)
             raise ServiceTimeoutError(f"{self.name}: request lost in transit")
         if plan.coin(plan.delay):
             self.delayed += 1

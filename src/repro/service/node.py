@@ -59,9 +59,6 @@ class TimeServerNode:
         every node on one loop agrees on epoch numbering.
     prefix:
         Label family handed to :func:`~repro.core.timeserver.epoch_label`.
-    max_clock_skew:
-        Forward tolerance (in epochs) of the underlying release policy,
-        passed straight to :class:`PassiveTimeServer`.
     clock_skew:
         Seconds added to the node's own reading of the loop clock —
         a deliberately wrong server clock, for fault injection.
@@ -73,7 +70,6 @@ class TimeServerNode:
         keypair: ServerKeyPair,
         epoch_interval: float = 1.0,
         prefix: str = "epoch",
-        max_clock_skew: int = 0,
         clock_skew: float = 0.0,
         name: str = "node",
     ):
@@ -83,7 +79,6 @@ class TimeServerNode:
         self.keypair = keypair
         self.epoch_interval = epoch_interval
         self.prefix = prefix
-        self.max_clock_skew = max_clock_skew
         self.clock_skew = clock_skew
         self.name = name
         self.running = False
@@ -150,7 +145,6 @@ class TimeServerNode:
                 self.group,
                 keypair=self.keypair,
                 clock=self.current_epoch,
-                max_clock_skew=self.max_clock_skew,
             )
             if snapshot is not None:
                 restored = self._server.restore_archive(snapshot)
@@ -337,7 +331,8 @@ class LocalNodeTransport:
     and the response leg.  Fault injection
     wraps *around* this class (:class:`repro.service.faults
     .FaultyTransport`), keeping "slow network" and "broken network"
-    composable but separate.
+    composable but separate.  Its ``name`` is ``local:`` and the
+    node's name.
     """
 
     def __init__(
@@ -345,14 +340,13 @@ class LocalNodeTransport:
         node: TimeServerNode,
         latency=None,
         rng: random.Random | None = None,
-        name: str | None = None,
     ):
         if latency is not None and rng is None:
             raise ParameterError("a latency model needs an rng to sample")
         self.node = node
         self.latency = latency
         self.rng = rng
-        self.name = name or f"local:{node.name}"
+        self.name = f"local:{node.name}"
 
     async def _leg(self) -> None:
         if self.latency is not None:

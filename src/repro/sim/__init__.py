@@ -13,11 +13,13 @@ provides:
 * :mod:`repro.sim.network` — latency models, unicast links and the
   broadcast channel a passive time server uses, scheduled on the
   running loop;
-* :mod:`repro.sim.gossip` — epidemic dissemination of one update;
 * :mod:`repro.sim.metrics` — byte/message accounting plus the anonymity
   ledger that records what the server actually observed;
 * :mod:`repro.sim.scenarios` — ready-made builders for the paper's two
   motivating applications and a threshold beacon.
+
+The gossip model of one update's dissemination is test harness code
+and lives in ``tests/sim/harness.py``.
 """
 
 from repro.sim.network import (

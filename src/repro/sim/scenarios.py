@@ -24,8 +24,8 @@ instant (an organizer's sends, the members' shares) happens in one
 callback, in a loop: the RNG draw order is the code's.
 
 The results carry the measured timing/traffic plus the anonymity
-ledger, so tests and benchmark E10 can assert the paper's qualitative
-claims on concrete numbers.
+ledger, so tests and benchmarks E10 (the contest) and E13 (the beacon)
+can assert the paper's qualitative claims on concrete numbers.
 """
 
 from __future__ import annotations
@@ -158,25 +158,25 @@ class ContestResult:
 def run_programming_contest(
     teams: int = 20,
     seed: int = 2005,
-    group: PairingGroup | None = None,
-    contest_start: float = 3600.0,
     problem_bytes: int = 20_000,
     message_latency=None,
     update_latency=None,
     send_lead_time: float = 3000.0,
 ) -> ContestResult:
-    """Simulate a worldwide programming contest (paper §1).
+    """Simulate a worldwide programming contest (paper §1) on toy64.
 
     The organizer TRE-encrypts the problem set with release time =
-    contest start, ships it to every team well in advance over slow,
-    jittery links, and the passive time server broadcasts one tiny
-    update at the start.  A parallel "naive" arm withholds the plaintext
-    until the start and then ships it over the same links.
+    contest start (3600 s of loop time), ships it to every team well in
+    advance over slow, jittery links, and the passive time server
+    broadcasts one tiny update at the start.  A parallel "naive" arm
+    withholds the plaintext until the start and then ships it over the
+    same links.
     """
     if teams < 1:
         raise SimulationError("need at least one team")
     rng = random.Random(seed)
-    group = group or PairingGroup("toy64")
+    group = PairingGroup("toy64")
+    contest_start = 3600.0
     message_latency = message_latency or UniformLatency(5.0, 240.0)
     update_latency = update_latency or NormalJitterLatency(0.08, 0.03)
 
@@ -274,16 +274,15 @@ class AuctionResult:
 def run_sealed_bid_auction(
     bidders: int = 8,
     seed: int = 1993,
-    group: PairingGroup | None = None,
-    close_time: float = 600.0,
     early_attempt_times: tuple[float, ...] = (200.0, 400.0),
 ) -> AuctionResult:
-    """Simulate a sealed-bid government tender (paper §1).
+    """Simulate a sealed-bid government tender (paper §1) on toy64.
 
     Each bidder encrypts its bid to the auctioneer with release time =
-    the close.  The auctioneer holds all ciphertexts and *tries* to open
-    them early (modelling the corrupt-agent threat the paper describes):
-    at each of ``early_attempt_times`` it sends the node a
+    the close (600 s of loop time).  The auctioneer holds all
+    ciphertexts and *tries* to open them early (modelling the
+    corrupt-agent threat the paper describes): at each of
+    ``early_attempt_times`` it sends the node a
     ``GET_UPDATE`` for the close label per sealed bid, and before the
     close every one is refused.  At the close the time server
     broadcasts one update and all bids open.
@@ -291,7 +290,8 @@ def run_sealed_bid_auction(
     if bidders < 2:
         raise SimulationError("an auction needs at least two bidders")
     rng = random.Random(seed)
-    group = group or PairingGroup("toy64")
+    group = PairingGroup("toy64")
+    close_time = 600.0
 
     channel = BroadcastChannel(NormalJitterLatency(0.05, 0.01), rng)
     keypair = ServerKeyPair.generate(group, rng)
@@ -404,17 +404,17 @@ def run_threshold_beacon(
     offline: int = 1,
     receivers: int = 10,
     seed: int = 2024,
-    group: PairingGroup | None = None,
-    release_time: float = 120.0,
-    share_latency=None,
 ) -> ThresholdBeaconResult:
-    """Simulate a k-of-N beacon releasing one epoch under partial failure.
+    """Simulate a k-of-N beacon on toy64 releasing one epoch under
+    partial failure.
 
-    ``offline`` members never publish their share.  A relay collects
-    share broadcasts, verifies each against the Feldman commitments,
-    and combines as soon as ``threshold`` valid shares have arrived;
-    the combined update is then broadcast to the receivers, who hold
-    TRE ciphertexts sealed to the release label.
+    ``offline`` members never publish their share.  At the release
+    instant (120 s of loop time) the others send theirs over links of
+    N(0.25 s, 0.10 s) latency.  A relay collects share broadcasts,
+    verifies each against the Feldman commitments, and combines as soon
+    as ``threshold`` valid shares have arrived; the combined update is
+    then broadcast to the receivers, who hold TRE ciphertexts sealed to
+    the release label.
     """
     from repro.core.threshold import ThresholdTimeServer
 
@@ -423,8 +423,8 @@ def run_threshold_beacon(
             "too many offline members: the threshold can never be met"
         )
     rng = random.Random(seed)
-    group = group or PairingGroup("toy64")
-    share_latency = share_latency or NormalJitterLatency(0.25, 0.10)
+    group = PairingGroup("toy64")
+    release_time = 120.0
 
     coordinator, member_objs = ThresholdTimeServer.setup(
         group, members=members, threshold=threshold, rng=rng
@@ -444,7 +444,7 @@ def run_threshold_beacon(
     ]
 
     update_channel = BroadcastChannel(NormalJitterLatency(0.05, 0.02), rng)
-    shares = UnicastLink(share_latency, rng)
+    shares = UnicastLink(NormalJitterLatency(0.25, 0.10), rng)
     opened: list[tuple[int, bytes]] = []
     open_times: list[float] = []
     state = {"shares": [], "combined_at": None, "arrivals": [], "updates": []}

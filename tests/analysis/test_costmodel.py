@@ -81,7 +81,7 @@ def test_budget_fields_are_counter_names():
         value for name, value in vars(opcount).items()
         if name.isupper() and isinstance(value, str)
     }
-    assert BUDGETED <= counters
+    assert BUDGETED == counters
 
 
 class TestFixedBudgets:

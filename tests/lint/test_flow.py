@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_source
 from repro.lint.engine import analyze_modules, parse_module
 from repro.lint.flow.lattice import (
     CLEAN,
@@ -26,6 +25,7 @@ from repro.lint.flow.lattice import (
     join_all,
     param,
 )
+from tests.lint.harness import lint_source
 
 FLOWPKG = Path(__file__).parent / "fixtures" / "flowpkg"
 _HEADER = re.compile(r"#\s*lint-fixture:\s*(\S+)")

@@ -6,8 +6,9 @@ fixpoint, one finding sink and one statement walker.  These scans keep
 a second copy of that plumbing from growing back inside a family.
 
 The tree has no fork-safety family because nothing in it forks; one
-scan keeps that premise true.  The last scan keeps code that only its
-own tests reach from coming back.
+scan keeps that premise true.  The last two scans keep code that only
+its own tests reach from coming back, and test harness code that no
+test uses from piling up.
 """
 
 from __future__ import annotations
@@ -160,20 +161,8 @@ _UNREACHED_ON_PURPOSE = {
     "analysis/costmodel.py:resilient_cost": "a budget asserted against live op counts",
     "analysis/costmodel.py:broadcast_encrypt_cost": "a budget asserted against live op counts",
     "analysis/costmodel.py:tre_batch_decrypt_cost": "a budget asserted against live op counts",
-    "baselines/rivest_server.py:RivestKeyReleaseServer":
-        "DESIGN.md's §2.2 Rivest row claims both variants",
     "core/certification.py:verify_rekeyed_public_key": "§5.3.4 re-certification",
     "core/policylock.py:ThresholdPolicyScheme": "pinned by tests/vectors/schemes.json",
-    "lint/engine.py:lint_source": "the lint's in-memory API, which four test files lint through",
-    "sim/gossip.py:GossipNetwork": "DESIGN.md's gossip claim, shown by tests/sim/test_gossip.py",
-    "sim/scenarios.py:run_threshold_beacon":
-        "the k-of-N server under member failure (DESIGN.md's threshold row)",
-    "sim/scenarios.py:ThresholdBeaconResult.time_to_update":
-        "run_threshold_beacon's measured outcome (DESIGN.md's threshold row)",
-    "sim/gossip.py:GossipResult.coverage":
-        "GossipNetwork's outcome, how tests/sim/test_gossip.py shows DESIGN.md's gossip claim",
-    "sim/gossip.py:GossipResult.completion_time":
-        "GossipNetwork's outcome, how tests/sim/test_gossip.py shows DESIGN.md's gossip claim",
     "baselines/rivest_server.py:RivestPublicKeyServer.release_private_key":
         "the release step of the §2.2 public-key variant that DESIGN.md's Rivest row claims",
     "baselines/rivest_server.py:RivestPublicKeyServer.extend_horizon":
@@ -183,8 +172,6 @@ _UNREACHED_ON_PURPOSE = {
     "core/certification.py:CertificateAuthority.issue": "§5.3.4 certified receiver keys",
     "core/resilient.py:ResilientTimeServer.verify_node_key":
         "the public check of a resilient update, as TimeBoundKeyUpdate.verify is of a flat one",
-    "math/field.py:FieldElement.is_square": "Fp's square roots, next to cube_root",
-    "math/field.py:FieldElement.sqrt": "Fp's square roots, next to cube_root",
     "pairing/api.py:PairingGroup.point_to_bytes_compressed":
         "the compressed G1 format in docs/PROTOCOL.md",
     "pairing/api.py:PairingGroup.point_from_bytes_compressed":
@@ -320,3 +307,36 @@ def test_every_definition_is_reached():
         "with their tests, or list them above with a reason"
     )
     assert stale == [], "these are reached now, or gone; take them off the list"
+
+
+def _unused_harness_definitions() -> list[str]:
+    """Top-level definitions of a ``tests/**/harness.py`` that no other
+    test file names, directly or through one that is named."""
+    tests = ROOT / "tests"
+    named = {
+        path: _names(ast.parse(path.read_text(encoding="utf-8")), False)
+        for path in sorted(tests.rglob("*.py"))
+    }
+    unused = []
+    for path in sorted(tests.rglob("harness.py")):
+        definitions = {
+            node.name: node
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        elsewhere = set().union(*(names for other, names in named.items() if other != path))
+        reached, pending = set(), [name for name in definitions if name in elsewhere]
+        while pending:
+            name = pending.pop()
+            if name not in reached:
+                reached.add(name)
+                pending += _names(definitions[name], False) & definitions.keys()
+        unused += [f"{path.relative_to(ROOT).as_posix()}:{name}"
+                   for name in definitions if name not in reached]
+    return unused
+
+
+def test_every_harness_definition_is_used():
+    assert _unused_harness_definitions() == [], (
+        "no test uses these harness definitions; delete them"
+    )

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint import lint_source
 from repro.lint.cli import main
 from repro.lint.engine import analyze_modules, parse_module, run
+from tests.lint.harness import lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import RULES, lint_source
+from repro.lint import RULES
+from tests.lint.harness import lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 _HEADER = re.compile(r"#\s*lint-fixture:\s*(\S+)")

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ParameterError
 from repro.math import modular
-from repro.math.modular import cube_root_mod, is_quadratic_residue, sqrt_mod
+from repro.math.modular import cube_root_mod, is_quadratic_residue, sqrt_if_square
 from repro.pairing.params import get_parameter_set
 from tests.math.reference import (
     egcd,
@@ -154,30 +154,27 @@ class TestSqrtMod:
     def test_roundtrip(self, p):
         for a in range(2, 40):
             square = a * a % p
-            root = sqrt_mod(square, p)
+            root = sqrt_if_square(square, p)
             assert root * root % p == square
 
     def test_zero(self):
-        assert sqrt_mod(0, P_3MOD4) == 0
+        assert sqrt_if_square(0, P_3MOD4) == 0
 
-    def test_non_residue_raises(self):
-        # Find a non-residue and check the error path.
-        p = P_3MOD4
-        for a in range(2, p):
-            if not is_quadratic_residue(a, p):
-                with pytest.raises(ParameterError):
-                    sqrt_mod(a, p)
-                break
+    def test_non_residue_has_no_root(self):
+        for p in (P_3MOD4, P_1MOD4):
+            non_residues = [a for a in range(2, 200) if not is_quadratic_residue(a, p)]
+            assert non_residues
+            assert all(sqrt_if_square(a, p) is None for a in non_residues)
 
     def test_canonical_root(self):
         p = P_1MOD4
-        root = sqrt_mod(4, p)
+        root = sqrt_if_square(4, p)
         assert root == min(root, p - root)
 
     @given(st.integers(1, P_1MOD4 - 1))
     def test_tonelli_shanks_property(self, a):
         square = a * a % P_1MOD4
-        root = sqrt_mod(square, P_1MOD4)
+        root = sqrt_if_square(square, P_1MOD4)
         assert root * root % P_1MOD4 == square
 
 

@@ -83,6 +83,12 @@ class TestScheduling:
         future, freeform = run_virtual(main())
         assert isinstance(future, wire.ErrorResponse)
         assert future.code == wire.ERR_UNAVAILABLE
+        # The detail is on the wire, so its bytes are part of every
+        # transcript that hashes a refused request's response.
+        assert future.detail == (
+            b"refusing to publish update for epoch 50 at time 5 "
+            b"(skew tolerance 0)"
+        )
         assert isinstance(freeform, wire.UpdateResponse)
 
     def test_clock_skew_shifts_the_epoch(self, group, node_keypair):

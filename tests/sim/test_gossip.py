@@ -7,9 +7,9 @@ import pytest
 from repro.core.timeserver import PassiveTimeServer, TimeBoundKeyUpdate
 from repro.errors import SimulationError
 from repro.service.virtualtime import run_virtual
-from repro.sim.gossip import GossipNetwork
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import UniformLatency
+from tests.sim.harness import GossipNetwork
 
 
 def _network(nodes=40, fanout=3, seed=11, verifier=None):

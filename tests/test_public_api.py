@@ -69,7 +69,6 @@ PUBLIC_SURFACE = {
         "run_programming_contest", "run_sealed_bid_auction",
         "run_threshold_beacon",
     ],
-    "repro.sim.gossip": ["GossipNetwork", "GossipResult"],
     "repro.analysis": ["format_table"],
     "repro.analysis.costmodel": [
         "OpBudget", "SchemeCost", "TRE_COST", "IDTRE_COST", "HYBRID_COST",
