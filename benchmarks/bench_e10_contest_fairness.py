@@ -14,7 +14,7 @@ strategy and the naive send-at-release strategy, 50 receivers each.
 from benchmarks.conftest import emit
 from repro.analysis import format_table
 from repro.sim.network import NormalJitterLatency, UniformLatency
-from repro.sim.scenarios import run_programming_contest, run_sealed_bid_auction
+from repro.sim.scenarios import run_programming_contest
 
 JITTER_LEVELS = (30.0, 120.0, 480.0)
 
@@ -29,27 +29,13 @@ def _run(jitter, teams=50):
     )
 
 
-def test_e10_contest_simulation(benchmark):
-    result = benchmark.pedantic(
-        _run, args=(120.0,), kwargs={"teams": 20}, rounds=3, iterations=1
-    )
-    assert result.tre_spread < result.naive_spread
-
-
-def test_e10_auction_simulation(benchmark):
-    result = benchmark.pedantic(
-        run_sealed_bid_auction, kwargs={"bidders": 20, "seed": 3},
-        rounds=3, iterations=1,
-    )
-    assert result.early_openings_succeeded == 0
-
-
-def test_e10_claim_table(benchmark):
+def test_e10_claim_table():
     # The claim's assertions run in tier-1, at 12 teams:
     # tests/sim/test_scenarios.py::TestProgrammingContest::test_e10_claim.
     rows = []
     for jitter in JITTER_LEVELS:
         result = _run(jitter)
+        assert result.tre_spread < result.naive_spread
         rows.append((
             f"±{jitter:.0f}",
             f"{result.tre_spread:.3f}",
@@ -65,4 +51,3 @@ def test_e10_claim_table(benchmark):
         title="E10: contest opening-time fairness, 50 teams — claim: TRE "
               "tracks update jitter, not message delivery spread",
     ))
-    benchmark(lambda: None)

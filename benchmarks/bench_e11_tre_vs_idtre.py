@@ -10,12 +10,10 @@ Rows: encrypt/decrypt op counts and sizes for both schemes, plus the
 escrow outcome (can the server decrypt?).
 """
 
-import pytest
-
 from benchmarks.conftest import KEY_MESSAGE, RELEASE, emit
 from repro.analysis import format_table
 from repro.core.idtre import IdentityTimedReleaseScheme
-from repro.core.keys import ServerKeyPair
+from repro.core.keys import ServerKeyPair, UserKeyPair
 from repro.core.timeserver import PassiveTimeServer
 from repro.core.tre import TimedReleaseScheme
 from repro.crypto.rng import seeded_rng
@@ -23,55 +21,16 @@ from repro.crypto.rng import seeded_rng
 ALICE = b"alice@example.com"
 
 
-@pytest.fixture(scope="module")
-def world(bench_group):
+def test_e11_claim_table(bench_group):
+    group = bench_group
     rng = seeded_rng("e11")
-    master = ServerKeyPair.generate(bench_group, rng)
-    server = PassiveTimeServer(bench_group, keypair=master)
-    tre = TimedReleaseScheme(bench_group)
-    idtre = IdentityTimedReleaseScheme(bench_group)
-    from repro.core.keys import UserKeyPair
-
-    user = UserKeyPair.generate(bench_group, master.public, rng)
+    master = ServerKeyPair.generate(group, rng)
+    server = PassiveTimeServer(group, keypair=master)
+    tre = TimedReleaseScheme(group)
+    idtre = IdentityTimedReleaseScheme(group)
+    user = UserKeyPair.generate(group, master.public, rng)
     alice_key = idtre.extract_user_key(master, ALICE)
     update = server.publish_update(RELEASE)
-    return rng, master, server, tre, idtre, user, alice_key, update
-
-
-def test_e11_idtre_encrypt(benchmark, world):
-    rng, master, _, _, idtre, _, _, _ = world
-    benchmark.pedantic(
-        idtre.encrypt,
-        args=(KEY_MESSAGE, ALICE, master.public, RELEASE, rng),
-        rounds=3,
-        iterations=1,
-    )
-
-
-def test_e11_idtre_decrypt(benchmark, world):
-    rng, master, _, _, idtre, _, alice_key, update = world
-    ct = idtre.encrypt(KEY_MESSAGE, ALICE, master.public, RELEASE, rng)
-    result = benchmark.pedantic(
-        idtre.decrypt, args=(ct, alice_key, update), rounds=3, iterations=1
-    )
-    assert result == KEY_MESSAGE
-
-
-def test_e11_tre_decrypt_reference(benchmark, world):
-    rng, master, _, tre, _, user, _, update = world
-    ct = tre.encrypt(
-        KEY_MESSAGE, user.public, master.public, RELEASE, rng,
-        verify_receiver_key=False,
-    )
-    result = benchmark.pedantic(
-        tre.decrypt, args=(ct, user, update), rounds=3, iterations=1
-    )
-    assert result == KEY_MESSAGE
-
-
-def test_e11_claim_table(benchmark, bench_group, world):
-    group = bench_group
-    rng, master, server, tre, idtre, user, alice_key, update = world
 
     with group.counters.measure() as tre_enc:
         tre_ct = tre.encrypt(
@@ -79,11 +38,11 @@ def test_e11_claim_table(benchmark, bench_group, world):
             verify_receiver_key=False,
         )
     with group.counters.measure() as tre_dec:
-        tre.decrypt(tre_ct, user, update)
+        assert tre.decrypt(tre_ct, user, update) == KEY_MESSAGE
     with group.counters.measure() as id_enc:
         id_ct = idtre.encrypt(KEY_MESSAGE, ALICE, master.public, RELEASE, rng)
     with group.counters.measure() as id_dec:
-        idtre.decrypt(id_ct, alice_key, update)
+        assert idtre.decrypt(id_ct, alice_key, update) == KEY_MESSAGE
 
     server_reads_tre = (
         tre.decrypt(tre_ct, master.private, update) == KEY_MESSAGE
@@ -115,4 +74,3 @@ def test_e11_claim_table(benchmark, bench_group, world):
     assert server_reads_idtre
     assert id_dec.get("gt_exp", 0) == 0  # single pairing, no exponentiation
     assert tre_dec.get("gt_exp", 0) == 1
-    benchmark(lambda: None)

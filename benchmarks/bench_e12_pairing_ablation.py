@@ -15,74 +15,22 @@ E1/E4 can be interpreted:
   speedup at ss512 sizes.
 """
 
-import time
-
-import pytest
-
 from benchmarks.conftest import emit
+from benchmarks.trajectory import time_median
 from repro.analysis import format_table
 from repro.crypto.rng import seeded_rng
 from repro.pairing.api import PairingGroup
 
-_GROUPS = {}
-
-
-def _group(family):
-    if family not in _GROUPS:
-        _GROUPS[family] = PairingGroup("ss512", family=family)
-    return _GROUPS[family]
-
-
-@pytest.mark.parametrize("family", ["A", "B"])
-def test_e12_pairing_by_family(benchmark, family):
-    group = _group(family)
-    rng = seeded_rng("e12")
-    p_point = group.random_point(rng)
-    q_point = group.random_point(rng)
-    benchmark.pedantic(group.pair, args=(p_point, q_point), rounds=5, iterations=1)
-
-
-@pytest.mark.parametrize("family", ["A", "B"])
-def test_e12_hash_to_g1_by_family(benchmark, family):
-    # Family B's MapToPoint is deterministic (cube root); family A
-    # rejects half its candidates. Both end with a cofactor clearing.
-    group = _group(family)
-    counter = iter(range(10**9))
-    benchmark.pedantic(
-        lambda: group.hash_to_g1(str(next(counter)).encode()),
-        rounds=5,
-        iterations=1,
-    )
-
-
-def test_e12_jacobian_vs_affine(benchmark):
-    group = _group("A")
-    rng = seeded_rng("e12-coords")
-    point = group.random_point(rng)
-    scalar = group.random_scalar(rng)
-    assert point * scalar == point.affine_scalar_mult(scalar)
-    benchmark.pedantic(
-        point.affine_scalar_mult, args=(scalar,), rounds=3, iterations=1
-    )
-
-
-def test_e12_claim_table(benchmark):
+def test_e12_claim_table():
     rng = seeded_rng("e12-table")
+    groups = {family: PairingGroup("ss512", family=family) for family in "AB"}
 
-    def timed(fn, repeat=5):
-        # Best-of-N: the minimum is robust to scheduling spikes, which
-        # matters because this compares two timings against each other.
-        best = float("inf")
-        for _ in range(repeat):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best * 1000
+    def timed(fn):
+        return time_median(fn) * 1000
 
     rows = []
     times = {}
-    for family in ("A", "B"):
-        group = _group(family)
+    for family, group in groups.items():
         p_point = group.random_point(rng)
         q_point = group.random_point(rng)
         pair_ms = timed(lambda: group.pair(p_point, q_point))
@@ -97,9 +45,10 @@ def test_e12_claim_table(benchmark):
               "verticals dropped vs conjugated (ss512)",
     ))
 
-    group = _group("A")
+    group = groups["A"]
     point = group.random_point(rng)
     scalar = group.random_scalar(rng)
+    assert point * scalar == point.affine_scalar_mult(scalar)
     jac_ms = timed(lambda: point * scalar)
     aff_ms = timed(lambda: point.affine_scalar_mult(scalar))
     emit(format_table(
@@ -112,4 +61,3 @@ def test_e12_claim_table(benchmark):
     # Shape: family A strictly faster; Jacobian strictly faster.
     assert times["A"] < times["B"]
     assert jac_ms < aff_ms
-    benchmark(lambda: None)

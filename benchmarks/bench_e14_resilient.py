@@ -16,8 +16,6 @@ from benchmarks.conftest import KEY_MESSAGE, emit
 from repro.analysis import format_table
 from repro.core.resilient import ResilientTRE, ResilientTimeServer
 from repro.core.timeserver import PassiveTimeServer, epoch_label
-from repro.core.tre import TimedReleaseScheme
-from repro.core.keys import UserKeyPair
 from repro.crypto.rng import seeded_rng
 
 DEPTHS = (4, 8, 12, 16)
@@ -31,39 +29,7 @@ def _world(group, depth):
     return rng, server, scheme, user
 
 
-def test_e14_publish_update(benchmark, toy_group):
-    rng, server, _, _ = _world(toy_group, 8)
-    counter = iter(range(255))
-    benchmark.pedantic(
-        lambda: server.publish_update(next(counter)), rounds=3, iterations=1
-    )
-
-
-def test_e14_decrypt(benchmark, toy_group):
-    rng, server, scheme, user = _world(toy_group, 8)
-    ct = scheme.encrypt(KEY_MESSAGE, user.public, 100, rng,
-                        verify_receiver_key=False)
-    update = server.publish_update(200)
-    result = benchmark.pedantic(
-        scheme.decrypt, args=(ct, user, update, rng), rounds=3, iterations=1
-    )
-    assert result == KEY_MESSAGE
-
-
-def test_e14_plain_tre_reference(benchmark, toy_group):
-    rng = seeded_rng("e14-ref")
-    server = PassiveTimeServer(toy_group, rng=rng)
-    scheme = TimedReleaseScheme(toy_group)
-    user = UserKeyPair.generate(toy_group, server.public_key, rng)
-    ct = scheme.encrypt(KEY_MESSAGE, user.public, server.public_key, b"t", rng,
-                        verify_receiver_key=False)
-    update = server.publish_update(b"t")
-    benchmark.pedantic(
-        scheme.decrypt, args=(ct, user, update), rounds=3, iterations=1
-    )
-
-
-def test_e14_claim_table(benchmark, toy_group):
+def test_e14_claim_table(toy_group):
     group = toy_group
     rows = []
     for depth in DEPTHS:
@@ -111,4 +77,3 @@ def test_e14_claim_table(benchmark, toy_group):
          ("hierarchical (this module)", "1")],
         title="E14b: catch-up traffic after an offline period",
     ))
-    benchmark(lambda: None)

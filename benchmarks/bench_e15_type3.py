@@ -12,73 +12,21 @@ its absolute numbers are pessimistic.  The *structural* comparison
 (element sizes, op counts per protocol step) is the reproducible part.
 """
 
-import time
-
-import pytest
-
 from benchmarks.conftest import KEY_MESSAGE, emit
+from benchmarks.trajectory import time_median
 from repro.analysis import format_table
 from repro.core.tlock import DrandStyleBeacon, TimelockEncryption, Type3TimedRelease
 from repro.crypto.rng import seeded_rng
 from repro.pairing.bn254 import bn254
 
 
-@pytest.fixture(scope="module")
-def engine():
-    return bn254()
-
-
-@pytest.fixture(scope="module")
-def beacon(engine):
-    return DrandStyleBeacon(engine, seeded_rng("e15"))
-
-
-def test_e15_bn254_pairing(benchmark, engine):
-    benchmark.pedantic(
-        engine.pair, args=(engine.g1, engine.g2), rounds=3, iterations=1
-    )
-
-
-def test_e15_bn254_g1_mult(benchmark, engine):
-    scalar = engine.random_scalar(seeded_rng("e15"))
-    benchmark.pedantic(lambda: engine.g1 * scalar, rounds=3, iterations=1)
-
-
-def test_e15_bn254_g2_mult(benchmark, engine):
-    scalar = engine.random_scalar(seeded_rng("e15"))
-    benchmark.pedantic(lambda: engine.g2 * scalar, rounds=3, iterations=1)
-
-
-def test_e15_tlock_encrypt(benchmark, engine, beacon):
-    tlock = TimelockEncryption(engine)
-    rng = seeded_rng("e15-enc")
-    benchmark.pedantic(
-        tlock.encrypt, args=(KEY_MESSAGE, beacon.public_key, 77, rng),
-        rounds=3, iterations=1,
-    )
-
-
-def test_e15_tlock_decrypt(benchmark, engine, beacon):
-    tlock = TimelockEncryption(engine)
-    rng = seeded_rng("e15-dec")
-    ct = tlock.encrypt(KEY_MESSAGE, beacon.public_key, 78, rng)
-    sig = beacon.publish_round(78)
-    result = benchmark.pedantic(
-        tlock.decrypt, args=(ct, sig), rounds=3, iterations=1
-    )
-    assert result == KEY_MESSAGE
-
-
-def test_e15_claim_table(benchmark, engine, beacon, bench_group):
+def test_e15_claim_table(bench_group):
+    engine = bn254()
+    beacon = DrandStyleBeacon(engine, seeded_rng("e15"))
     rng = seeded_rng("e15-table")
 
-    def timed(fn, repeat=2):
-        best = float("inf")
-        for _ in range(repeat):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best * 1000
+    def timed(fn):
+        return time_median(fn) * 1000
 
     # Type-1 (ss512) column.
     t1 = bench_group
@@ -128,4 +76,3 @@ def test_e15_claim_table(benchmark, engine, beacon, bench_group):
     sig = beacon.publish_round(99)
     assert tlock.decrypt(c1, sig) == KEY_MESSAGE
     assert t3_scheme.decrypt(c2, user, sig) == KEY_MESSAGE
-    benchmark(lambda: None)

@@ -7,7 +7,6 @@ ciphertext size.  Our schemes could have 50% reduction in most cases."
 We measure, for a 32-byte session-key payload on ss512:
 
 * ciphertext size (bytes) and group-element count;
-* encrypt / decrypt wall time;
 * exact operation counts (pairings, scalar mults, hash-to-group).
 
 Expected shape: TRE carries ONE group element against the hybrid's TWO
@@ -16,8 +15,6 @@ exponentiation against the hybrid's one pairing + one scalar mult +
 extra KDF plumbing.
 """
 
-import pytest
-
 from benchmarks.conftest import KEY_MESSAGE, RELEASE, emit
 from repro.analysis import format_table
 from repro.baselines.hybrid_pke_ibe import HybridPkeIbeTimedRelease
@@ -25,84 +22,14 @@ from repro.core.tre import TimedReleaseScheme
 from repro.crypto.rng import seeded_rng
 
 
-@pytest.fixture(scope="module")
-def tre(bench_group):
-    return TimedReleaseScheme(bench_group)
-
-
-@pytest.fixture(scope="module")
-def hybrid(bench_group):
-    return HybridPkeIbeTimedRelease(bench_group)
-
-
-@pytest.fixture(scope="module")
-def hybrid_receiver(hybrid):
-    return hybrid.generate_receiver_keypair(seeded_rng("e1-hybrid"))
-
-
-def test_e1_tre_encrypt(benchmark, tre, bench_server, bench_user):
-    rng = seeded_rng("e1")
-    benchmark(
-        tre.encrypt,
-        KEY_MESSAGE,
-        bench_user.public,
-        bench_server.public_key,
-        RELEASE,
-        rng,
-        verify_receiver_key=False,
-    )
-
-
-def test_e1_tre_encrypt_with_key_check(benchmark, tre, bench_server, bench_user):
-    rng = seeded_rng("e1")
-    benchmark(
-        tre.encrypt,
-        KEY_MESSAGE,
-        bench_user.public,
-        bench_server.public_key,
-        RELEASE,
-        rng,
-        verify_receiver_key=True,
-    )
-
-
-def test_e1_tre_decrypt(benchmark, tre, bench_server, bench_user, bench_update):
-    rng = seeded_rng("e1")
-    ct = tre.encrypt(
-        KEY_MESSAGE, bench_user.public, bench_server.public_key, RELEASE, rng,
-        verify_receiver_key=False,
-    )
-    result = benchmark(tre.decrypt, ct, bench_user, bench_update)
-    assert result == KEY_MESSAGE
-
-
-def test_e1_hybrid_encrypt(benchmark, hybrid, bench_server, hybrid_receiver):
-    rng = seeded_rng("e1")
-    benchmark(
-        hybrid.encrypt,
-        KEY_MESSAGE,
-        hybrid_receiver.public,
-        bench_server.public_key,
-        RELEASE,
-        rng,
-    )
-
-
-def test_e1_hybrid_decrypt(benchmark, hybrid, bench_server, hybrid_receiver,
-                           bench_update):
-    rng = seeded_rng("e1")
-    ct = hybrid.encrypt(
-        KEY_MESSAGE, hybrid_receiver.public, bench_server.public_key, RELEASE, rng
-    )
-    result = benchmark(hybrid.decrypt, ct, hybrid_receiver.private, bench_update)
-    assert result == KEY_MESSAGE
-
-
-def test_e1_claim_table(benchmark, bench_group, tre, hybrid, bench_server,
-                        bench_user, hybrid_receiver, bench_update):
-    """Emit the E1 comparison rows (sizes + op counts) and check the claim."""
-    rng = seeded_rng("e1-table")
+def test_e1_claim_table(bench_group, bench_server, bench_user, bench_update):
+    """Emit the E1 comparison rows (sizes + op counts) and check the
+    claim; both schemes open their own ciphertext."""
     group = bench_group
+    tre = TimedReleaseScheme(group)
+    hybrid = HybridPkeIbeTimedRelease(group)
+    hybrid_receiver = hybrid.generate_receiver_keypair(seeded_rng("e1-hybrid"))
+    rng = seeded_rng("e1-table")
 
     with group.counters.measure() as tre_enc_ops:
         tre_ct = tre.encrypt(
@@ -110,14 +37,16 @@ def test_e1_claim_table(benchmark, bench_group, tre, hybrid, bench_server,
             rng, verify_receiver_key=False,
         )
     with group.counters.measure() as tre_dec_ops:
-        tre.decrypt(tre_ct, bench_user, bench_update)
+        assert tre.decrypt(tre_ct, bench_user, bench_update) == KEY_MESSAGE
     with group.counters.measure() as hyb_enc_ops:
         hyb_ct = hybrid.encrypt(
             KEY_MESSAGE, hybrid_receiver.public, bench_server.public_key,
             RELEASE, rng,
         )
     with group.counters.measure() as hyb_dec_ops:
-        hybrid.decrypt(hyb_ct, hybrid_receiver.private, bench_update)
+        assert hybrid.decrypt(
+            hyb_ct, hybrid_receiver.private, bench_update
+        ) == KEY_MESSAGE
 
     tre_size = tre_ct.size_bytes(group)
     hyb_size = hyb_ct.size_bytes(group)
@@ -153,4 +82,3 @@ def test_e1_claim_table(benchmark, bench_group, tre, hybrid, bench_server,
     # least ~40% smaller ciphertext for key-sized payloads.
     assert tre_points == hyb_points / 2
     assert tre_size < 0.62 * hyb_size
-    benchmark(lambda: None)

@@ -6,72 +6,21 @@ those units: wall time for each primitive on toy64 / ss512 / ss1024,
 plus serialized element sizes.  (Figure-style series: cost vs p-bits.)
 """
 
-import time
-
-import pytest
-
 from benchmarks.conftest import emit
+from benchmarks.trajectory import time_median
 from repro.analysis import format_table
 from repro.crypto.rng import seeded_rng
 from repro.pairing.api import PairingGroup
 
 PARAM_NAMES = ("toy64", "ss512", "ss1024")
 
-_GROUPS = {}
 
-
-def _group(name):
-    if name not in _GROUPS:
-        _GROUPS[name] = PairingGroup(name, family="A")
-    return _GROUPS[name]
-
-
-@pytest.mark.parametrize("name", PARAM_NAMES)
-def test_e4_pairing(benchmark, name):
-    group = _group(name)
-    rng = seeded_rng("e4")
-    p_point = group.random_point(rng)
-    q_point = group.random_point(rng)
-    benchmark.pedantic(
-        group.pair, args=(p_point, q_point), rounds=5, iterations=1
-    )
-
-
-@pytest.mark.parametrize("name", PARAM_NAMES)
-def test_e4_scalar_mult(benchmark, name):
-    group = _group(name)
-    rng = seeded_rng("e4")
-    point = group.random_point(rng)
-    scalar = group.random_scalar(rng)
-    benchmark.pedantic(group.mul, args=(point, scalar), rounds=5, iterations=1)
-
-
-@pytest.mark.parametrize("name", PARAM_NAMES)
-def test_e4_hash_to_g1(benchmark, name):
-    group = _group(name)
-    counter = iter(range(10**9))
-    benchmark.pedantic(
-        lambda: group.hash_to_g1(str(next(counter)).encode()),
-        rounds=5,
-        iterations=1,
-    )
-
-
-@pytest.mark.parametrize("name", PARAM_NAMES)
-def test_e4_gt_exponentiation(benchmark, name):
-    group = _group(name)
-    rng = seeded_rng("e4")
-    element = group.pair(group.generator, group.generator)
-    scalar = group.random_scalar(rng)
-    benchmark.pedantic(lambda: element ** scalar, rounds=5, iterations=1)
-
-
-def test_e4_multi_pair_op_counts(benchmark):
+def test_e4_multi_pair_op_counts():
     """The multi-pairing saving in *counted* operations: a two-pairing
     verify equation costs two Miller loops + two final exponentiations
     sequentially, but the fused ratio check shares ONE final
     exponentiation across the same two Miller loops (2 -> 1)."""
-    group = _group("toy64")  # operation counts are size-independent
+    group = PairingGroup("toy64", family="A")  # counts are size-independent
     rng = seeded_rng("e4-multi")
     from repro.core.keys import ServerKeyPair
 
@@ -109,10 +58,9 @@ def test_e4_multi_pair_op_counts(benchmark):
         title="E4b: two-pairing verify equation — the multi-pairing "
               "kernel shares the final exponentiation (2 -> 1)",
     ))
-    benchmark(lambda: None)
 
 
-def test_e4_gt_fast_path_op_counts(benchmark):
+def test_e4_gt_fast_path_op_counts():
     """E4c — the sender GT fast path *eliminates* primary operations.
 
     A cold §5.1 encryption pays H1's map point, one scalar
@@ -167,31 +115,21 @@ def test_e4_gt_fast_path_op_counts(benchmark):
         title="E4c: sender GT fast path — encryption collapses from a "
               "pairing to one table-driven GT exponentiation",
     ))
-    benchmark(lambda: None)
 
 
-def test_e4_claim_table(benchmark):
+def test_e4_claim_table():
     rows = []
     for name in PARAM_NAMES:
-        group = _group(name)
+        group = PairingGroup(name, family="A")
         rng = seeded_rng("e4-table")
         point = group.random_point(rng)
         other = group.random_point(rng)
         scalar = group.random_scalar(rng)
-
-        def timed(fn, repeat=3):
-            best = float("inf")
-            for _ in range(repeat):
-                start = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - start)
-            return best * 1000
-
-        pair_ms = timed(lambda: group.pair(point, other))
-        mul_ms = timed(lambda: group.mul(point, scalar))
-        hash_ms = timed(lambda: group.hash_to_g1(b"label"))
+        pair_ms = time_median(lambda: group.pair(point, other)) * 1000
+        mul_ms = time_median(lambda: group.mul(point, scalar)) * 1000
+        hash_ms = time_median(lambda: group.hash_to_g1(b"label")) * 1000
         gt = group.pair(point, other)
-        exp_ms = timed(lambda: gt ** scalar)
+        exp_ms = time_median(lambda: gt ** scalar) * 1000
         rows.append((
             name,
             group.params.p_bits,
@@ -210,4 +148,3 @@ def test_e4_claim_table(benchmark):
         title="E4: primitive costs by parameter size (pure-Python Tate "
               "pairing, family A)",
     ))
-    benchmark(lambda: None)

@@ -5,8 +5,6 @@ Paper claim (§5.3.5): splitting trust over N servers costs one extra
 decryption — linear in N, with N=1 degenerating to plain TRE.
 """
 
-import pytest
-
 from benchmarks.conftest import KEY_MESSAGE, RELEASE, emit
 from repro.analysis import format_table
 from repro.core.multiserver import (
@@ -30,35 +28,7 @@ def _setup(group, n):
     return rng, servers, scheme, user, updates
 
 
-@pytest.mark.parametrize("n", [1, 3])
-def test_e5_encrypt(benchmark, bench_group, n):
-    rng, _, scheme, user, _ = _setup(bench_group, n)
-    benchmark.pedantic(
-        scheme.encrypt,
-        args=(KEY_MESSAGE, user.public, RELEASE, rng),
-        kwargs={"verify_receiver_key": False},
-        rounds=3,
-        iterations=1,
-    )
-
-
-@pytest.mark.parametrize("n", [1, 3])
-def test_e5_decrypt(benchmark, bench_group, n):
-    rng, _, scheme, user, updates = _setup(bench_group, n)
-    ct = scheme.encrypt(
-        KEY_MESSAGE, user.public, RELEASE, rng, verify_receiver_key=False
-    )
-    result = benchmark.pedantic(
-        scheme.decrypt,
-        args=(ct, user.private, updates),
-        kwargs={"verify_updates": False},
-        rounds=3,
-        iterations=1,
-    )
-    assert result == KEY_MESSAGE
-
-
-def test_e5_claim_table(benchmark, bench_group):
+def test_e5_claim_table(bench_group):
     group = bench_group
     rows = []
     sizes = {}
@@ -69,7 +39,9 @@ def test_e5_claim_table(benchmark, bench_group):
             KEY_MESSAGE, user.public, RELEASE, rng, verify_receiver_key=False
         )
         with group.counters.measure() as dec_ops:
-            scheme.decrypt(ct, user.private, updates, verify_updates=False)
+            assert scheme.decrypt(
+                ct, user.private, updates, verify_updates=False
+            ) == KEY_MESSAGE
         sizes[n] = ct.size_bytes(group)
         pairings[n] = dec_ops.get("pairing", 0)
         rows.append((
@@ -87,4 +59,3 @@ def test_e5_claim_table(benchmark, bench_group):
     assert pairings == {n: n for n in SERVER_COUNTS}
     step = sizes[2] - sizes[1]
     assert sizes[8] - sizes[5] == 3 * step
-    benchmark(lambda: None)

@@ -19,27 +19,7 @@ from repro.core.timeserver import TimeBoundKeyUpdate, verify_archive
 LABEL = b"2030-01-01T00:00:00Z"
 
 
-def test_e6_issue_update(benchmark, bench_group, bench_server):
-    counter = iter(range(10**9))
-    benchmark(
-        lambda: bench_server.issue_update(f"t-{next(counter)}".encode())
-    )
-
-
-def test_e6_verify_update(benchmark, bench_group, bench_server):
-    # Decoded afresh per call, as a receiver gets it: an update remembers
-    # the key it was accepted under, so re-verifying one object would
-    # time that record instead of the check.
-    blob = bench_server.publish_update(LABEL).to_bytes(bench_group)
-    result = benchmark(
-        lambda: TimeBoundKeyUpdate.from_bytes(bench_group, blob).verify(
-            bench_group, bench_server.public_key
-        )
-    )
-    assert result
-
-
-def test_e6_claim_table(benchmark, bench_group, bench_server):
+def test_e6_claim_table(bench_group, bench_server, bench_rng):
     group = bench_group
     update = TimeBoundKeyUpdate.from_bytes(
         group, bench_server.publish_update(LABEL).to_bytes(group)
@@ -75,16 +55,12 @@ def test_e6_claim_table(benchmark, bench_group, bench_server):
               "overhead (the update IS the signature)",
     ))
     assert self_auth_bytes < strawman_bytes
-    benchmark(lambda: None)
+    # An update that is not s·H1(T) fails the same check.
+    forged = TimeBoundKeyUpdate(LABEL, group.random_point(bench_rng))
+    assert not forged.verify(group, bench_server.public_key)
 
 
-def test_e6_forged_update_rejected(benchmark, bench_group, bench_server, bench_rng):
-    forged = TimeBoundKeyUpdate(LABEL, bench_group.random_point(bench_rng))
-    result = benchmark(forged.verify, bench_group, bench_server.public_key)
-    assert not result
-
-
-def test_e6_batch_verify_backlog(benchmark, bench_group, bench_server):
+def test_e6_batch_verify_backlog(bench_group, bench_server):
     """E6b: a receiver catching up on an archive of n updates checks them
     all as one batched equation (2 pairings) instead of 2n, and still
     learns exactly which ones fail (``verify_archive``)."""
@@ -96,15 +72,9 @@ def test_e6_batch_verify_backlog(benchmark, bench_group, bench_server):
     ]
 
     def decoded():
-        # Decoded afresh, as in test_e6_verify_update.
+        # Decoded afresh: an update remembers the key it was accepted
+        # under, so re-checking one object would count nothing.
         return [TimeBoundKeyUpdate.from_bytes(group, blob) for blob in blobs]
-
-    result = benchmark.pedantic(
-        lambda: verify_archive(group, public, decoded()),
-        rounds=3,
-        iterations=1,
-    )
-    assert result == []
 
     with group.counters.measure() as batched:
         assert verify_archive(group, public, decoded()) == []

@@ -10,8 +10,6 @@ normal decryption, and the containment matrix (which epochs a stolen
 key opens).
 """
 
-import pytest
-
 from benchmarks.conftest import KEY_MESSAGE, emit
 from repro.analysis import format_table
 from repro.core.key_insulation import InsecureDevice, SafeDevice, decrypt_with_epoch_key
@@ -21,61 +19,10 @@ from repro.crypto.rng import seeded_rng
 from repro.errors import UpdateVerificationError
 
 
-@pytest.fixture(scope="module")
-def insulated(bench_group, bench_server, bench_user):
-    scheme = TimedReleaseScheme(bench_group)
-    safe = SafeDevice(bench_group, bench_user, bench_server.public_key)
-    return scheme, safe
-
-
-def test_e9_derive_epoch_key(benchmark, bench_server, insulated):
-    _, safe = insulated
-    counter = iter(range(10**9))
-
-    def derive():
-        label = epoch_label(next(counter))
-        return safe.derive_epoch_key(bench_server.publish_update(label))
-
-    benchmark.pedantic(derive, rounds=3, iterations=1)
-
-
-def test_e9_epoch_key_decrypt(benchmark, bench_group, bench_server, bench_user,
-                              insulated):
-    scheme, safe = insulated
-    label = epoch_label(500_000)
-    rng = seeded_rng("e9")
-    ct = scheme.encrypt(
-        KEY_MESSAGE, bench_user.public, bench_server.public_key, label, rng,
-        verify_receiver_key=False,
-    )
-    key = safe.derive_epoch_key(bench_server.publish_update(label))
-    result = benchmark.pedantic(
-        decrypt_with_epoch_key, args=(bench_group, ct, key), rounds=3,
-        iterations=1,
-    )
-    assert result == KEY_MESSAGE
-
-
-def test_e9_normal_decrypt_reference(benchmark, bench_group, bench_server,
-                                     bench_user, insulated):
-    scheme, _ = insulated
-    label = epoch_label(600_000)
-    rng = seeded_rng("e9")
-    ct = scheme.encrypt(
-        KEY_MESSAGE, bench_user.public, bench_server.public_key, label, rng,
-        verify_receiver_key=False,
-    )
-    update = bench_server.publish_update(label)
-    result = benchmark.pedantic(
-        scheme.decrypt, args=(ct, bench_user, update), rounds=3, iterations=1
-    )
-    assert result == KEY_MESSAGE
-
-
-def test_e9_claim_table(benchmark, bench_group, bench_server, bench_user,
-                        insulated):
+def test_e9_claim_table(bench_group, bench_server, bench_user):
     group = bench_group
-    scheme, safe = insulated
+    scheme = TimedReleaseScheme(group)
+    safe = SafeDevice(group, bench_user, bench_server.public_key)
     rng = seeded_rng("e9-table")
 
     # Op counts for each path.
@@ -88,9 +35,9 @@ def test_e9_claim_table(benchmark, bench_group, bench_server, bench_user,
     with group.counters.measure() as derive_ops:
         key = safe.derive_epoch_key(update)
     with group.counters.measure() as epoch_dec_ops:
-        decrypt_with_epoch_key(group, ct, key)
+        assert decrypt_with_epoch_key(group, ct, key) == KEY_MESSAGE
     with group.counters.measure() as normal_dec_ops:
-        scheme.decrypt(ct, bench_user, update)
+        assert scheme.decrypt(ct, bench_user, update) == KEY_MESSAGE
 
     def fmt(ops):
         return (
@@ -141,4 +88,3 @@ def test_e9_claim_table(benchmark, bench_group, bench_server, bench_user,
     # Epoch-path decryption avoids the GT exponentiation entirely.
     assert epoch_dec_ops.get("gt_exp", 0) == 0
     assert normal_dec_ops.get("gt_exp", 0) == 1
-    benchmark(lambda: None)

@@ -1,10 +1,10 @@
-"""Shared fixtures and reporting helpers for the benchmark harness.
+"""Shared fixtures and reporting helpers for the experiments' claim tests.
 
-Every experiment (E1..E16 in DESIGN.md) lives in its own file.  Each
-file both (a) registers pytest-benchmark timings for the operations the
-paper's claims are about and (b) emits a claim-versus-measured table
-directly to the real stdout, so ``pytest benchmarks/ --benchmark-only |
-tee bench_output.txt`` captures the same rows EXPERIMENTS.md records.
+Every experiment (E1..E16 in DESIGN.md) lives in its own file, whose
+claim test asserts the paper's claim and emits a claim-versus-measured
+table, so ``pytest benchmarks/ | tee bench_output.txt`` captures the
+same rows EXPERIMENTS.md records.  The few timings a table shows go
+through :func:`benchmarks.trajectory.time_median`.
 
 ``ss512`` (~80-bit security, contemporary with the 2005 paper) is the
 default parameter set for cryptographic timings; count-based and
@@ -85,13 +85,3 @@ def bench_user(bench_group, bench_server, bench_rng) -> UserKeyPair:
 @pytest.fixture(scope="session")
 def bench_update(bench_group, bench_server):
     return bench_server.publish_update(RELEASE)
-
-
-@pytest.fixture(scope="session")
-def toy_server(toy_group, bench_rng) -> PassiveTimeServer:
-    return PassiveTimeServer(toy_group, rng=bench_rng)
-
-
-@pytest.fixture(scope="session")
-def toy_user(toy_group, toy_server, bench_rng) -> UserKeyPair:
-    return UserKeyPair.generate(toy_group, toy_server.public_key, bench_rng)

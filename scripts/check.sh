@@ -17,10 +17,10 @@
 #                                 # themselves when the wheel is absent —
 #                                 # mirrors CI's test-gmpy2 job)
 #
-# ruff, mypy and pytest-benchmark (which the claim assertions under
-# benchmarks/ need) are optional: they are skipped with a notice when
-# not installed so the gate works on the offline, stdlib-only toolchain
-# the repo targets.  mypy is advisory (reported, never fails the gate) while
+# The claim assertions are plain pytest tests (pytest benchmarks/).
+# ruff and mypy are optional: they are skipped with a notice when not
+# installed so the gate works on the offline, stdlib-only toolchain the
+# repo targets.  mypy is advisory (reported, never fails the gate) while
 # the tree's annotations are still being tightened.
 
 set -u
@@ -58,12 +58,7 @@ if [ "$fast" -eq 0 ]; then
     PYTHONPATH=src python -m pytest -x -q || failures=$((failures + 1))
 
     step "claim assertions (pytest benchmarks, E1-E16)"
-    if python -c "import pytest_benchmark" >/dev/null 2>&1; then
-        PYTHONPATH=src python -m pytest benchmarks -q --benchmark-disable \
-            || failures=$((failures + 1))
-    else
-        echo "pytest-benchmark not installed — skipped (CI's claim-tables job runs it)"
-    fi
+    PYTHONPATH=src python -m pytest benchmarks -q || failures=$((failures + 1))
 fi
 
 # One run gates all three families (RP1xx pattern rules, RP2xx taint,

@@ -13,8 +13,8 @@ The package layers as follows (bottom-up):
   transforms, multi-server encryption, policy locks, key insulation and
   the certification helpers.
 * :mod:`repro.baselines` — every comparator the paper discusses
-  (time-lock puzzles, escrow agents, Rivest's server, Mont's vault,
-  conditional oblivious transfer, and the hybrid PKE+IBE construction).
+  (time-lock puzzles, Rivest's server, Mont's vault, conditional
+  oblivious transfer, and the hybrid PKE+IBE construction).
 * :mod:`repro.sim` — latency models, links and the paper's motivating
   scenarios (sealed-bid auctions, programming contests), run end to end
   on the :mod:`repro.service` node and client under a virtual-time

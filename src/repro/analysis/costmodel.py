@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 
 from repro.core.tre import SHARED_H1_RECEIVERS
+from repro.errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ def broadcast_encrypt_cost(recipients: int, warm: bool = True) -> OpBudget:
     table-driven (one fixed-base multiplication).
     """
     if recipients < 1:
-        raise ValueError("a broadcast needs at least one recipient")
+        raise ParameterError("a broadcast needs at least one recipient")
     if warm:
         return OpBudget(
             scalar_mult=1, fixed_base_mult=1,
@@ -267,7 +268,7 @@ def archive_verify_cost(n: int, fallback: bool = False) -> OpBudget:
     :data:`UPDATE_KEY_DERIVATION_COST` and stays outside.
     """
     if n < 1:
-        raise ValueError("a backlog to verify holds at least one update")
+        raise ParameterError("a backlog to verify holds at least one update")
     if n == 1:
         return UPDATE_VERIFY_COST
     budget = OpBudget(

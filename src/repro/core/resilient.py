@@ -51,6 +51,8 @@ from repro.errors import (
 from repro.pairing.api import GTElement, PairingGroup
 
 _TREE_TAG = "repro:H1:tree"
+# The first chunk of every node label.
+_NAMESPACE = b"time"
 
 
 def epoch_path(epoch: int, depth: int) -> tuple[int, ...]:
@@ -123,22 +125,21 @@ class ResilientCiphertext:
 class HierarchicalTimeTree:
     """Shared tree geometry + hash-to-group identities for one deployment."""
 
-    def __init__(self, group: PairingGroup, depth: int, namespace: bytes = b"time"):
+    def __init__(self, group: PairingGroup, depth: int):
         if depth < 1:
             raise ParameterError("tree depth must be at least 1")
         self.group = group
         self.depth = depth
-        self.namespace = namespace
 
     def _node_label(self, path: tuple[int, ...]) -> bytes:
         return pack_chunks(
-            self.namespace,
+            _NAMESPACE,
             self.depth.to_bytes(2, "big"),
             bytes(path),
         )
 
     def node_point(self, path: tuple[int, ...]) -> CurvePoint:
-        """``P_k = H1(namespace, depth, b_1..b_k)``."""
+        """``P_k = H1(b"time", depth, b_1..b_k)``."""
         return self.group.hash_to_g1(self._node_label(path), tag=_TREE_TAG)
 
     def path_points(self, path: tuple[int, ...]) -> list[CurvePoint]:
@@ -148,8 +149,7 @@ class HierarchicalTimeTree:
 class ResilientTimeServer:
     """A passive server whose broadcasts unlock *all* elapsed epochs.
 
-    Its key pair is fresh from ``rng`` and its tree uses the default
-    namespace ``b"time"``.
+    Its key pair is fresh from ``rng``.
     """
 
     def __init__(self, group: PairingGroup, depth: int, rng: random.Random):

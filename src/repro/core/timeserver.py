@@ -30,6 +30,7 @@ from repro.core.keys import ServerKeyPair, ServerPublicKey
 from repro.ec.point import CurvePoint
 from repro.encoding import BYTES, POINT, codec, pack_chunks, unpack_chunks
 from repro.errors import (
+    ParameterError,
     ReproError,
     UpdateNotAvailableError,
     UpdateVerificationError,
@@ -41,7 +42,7 @@ from repro.pairing.api import PairingGroup
 def epoch_label(epoch: int, prefix: str = "epoch") -> bytes:
     """A canonical label for integer epochs, ordered lexicographically."""
     if epoch < 0:
-        raise ValueError("epochs are non-negative")
+        raise ParameterError("epochs are non-negative")
     return f"{prefix}:{epoch:012d}".encode()
 
 
@@ -148,7 +149,7 @@ class PassiveTimeServer:
     ):
         if keypair is None:
             if rng is None:
-                raise ValueError("need an rng or an existing keypair")
+                raise ParameterError("need an rng or an existing keypair")
             keypair = ServerKeyPair.generate(group, rng)
         self.group = group
         self._keypair = keypair

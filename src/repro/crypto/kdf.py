@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 
+from repro.errors import ParameterError
+
 _BLOCK = 32  # SHA-256 output size.
 
 
@@ -20,7 +22,7 @@ def derive_key(secret: bytes, length: int, label: str = "repro:kdf") -> bytes:
     HMAC-SHA256 in counter mode: ``K_i = HMAC(secret, i || label)``.
     """
     if length < 0:
-        raise ValueError("length must be non-negative")
+        raise ParameterError("length must be non-negative")
     blocks = []
     for counter in range((length + _BLOCK - 1) // _BLOCK):
         message = counter.to_bytes(4, "big") + label.encode()

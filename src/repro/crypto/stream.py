@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.encoding import xor_bytes
+from repro.errors import ParameterError
 
 _BLOCK = 32
 
@@ -19,7 +20,7 @@ _BLOCK = 32
 def keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     """``length`` pad bytes from ``SHA256(key || nonce || counter)`` blocks."""
     if length < 0:
-        raise ValueError("length must be non-negative")
+        raise ParameterError("length must be non-negative")
     # The length-framed prefix is absorbed once; each block copies that
     # state and appends only its fixed-width counter.
     prefix = hashlib.sha256(len(key).to_bytes(2, "big"))

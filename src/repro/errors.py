@@ -2,7 +2,11 @@
 
 Every error raised by this library derives from :class:`ReproError`, so a
 caller can catch the whole family with a single ``except`` clause while the
-library itself raises the most specific subclass available.
+library itself raises the most specific subclass available.  A bad
+value (a negative length, too few bits, an empty batch) raises
+:class:`ParameterError` rather than ``ValueError``.  Wrong-type misuse
+(bytes expected, something else given) still raises ``TypeError``, as
+Python's own operations would.
 """
 
 from __future__ import annotations

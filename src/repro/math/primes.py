@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 import secrets
 
+from repro.errors import ParameterError
+
 # Bases that make Miller-Rabin deterministic for n < 3,317,044,064,679,887,385,961,981.
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -69,7 +71,7 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
 def random_prime(bits: int, rng: random.Random) -> int:
     """A random prime of exactly ``bits`` bits."""
     if bits < 2:
-        raise ValueError("primes need at least 2 bits")
+        raise ParameterError("primes need at least 2 bits")
     while True:
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if is_probable_prime(candidate, rng=rng):

@@ -13,13 +13,14 @@ provides:
 * :mod:`repro.sim.network` — latency models, unicast links and the
   broadcast channel a passive time server uses, scheduled on the
   running loop;
-* :mod:`repro.sim.metrics` — byte/message accounting plus the anonymity
-  ledger that records what the server actually observed;
+* :mod:`repro.sim.metrics` — the anonymity ledger that records what
+  the server actually observed;
 * :mod:`repro.sim.scenarios` — ready-made builders for the paper's two
   motivating applications and a threshold beacon.
 
-The gossip model of one update's dissemination is test harness code
-and lives in ``tests/sim/harness.py``.
+The gossip model of one update's dissemination and the per-channel
+traffic counters are test harness code and live in
+``tests/sim/harness.py``.
 """
 
 from repro.sim.network import (
@@ -28,12 +29,10 @@ from repro.sim.network import (
     UniformLatency,
     UnicastLink,
 )
-from repro.sim.metrics import MetricsCollector
 
 __all__ = [
     "UniformLatency",
     "NormalJitterLatency",
     "UnicastLink",
     "BroadcastChannel",
-    "MetricsCollector",
 ]

@@ -1,36 +1,14 @@
-"""Measurement plumbing: traffic accounting and the anonymity ledger.
+"""The anonymity ledger.
 
-Two separable concerns:
-
-* :class:`MetricsCollector` — counts messages and bytes per channel, so
-  a test can show that one update costs the server one broadcast.
-* :class:`AnonymityLedger` — records every identity-revealing fact each
-  party observes.  The paper's privacy claim becomes an assertion over
-  this ledger: the *time server's* entry must stay empty.
+:class:`AnonymityLedger` records every identity-revealing fact each
+party observes.  The paper's privacy claim becomes an assertion over
+this ledger: the *time server's* entry must stay empty.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-
-
-@dataclass
-class ChannelStats:
-    messages: int = 0
-    bytes: int = 0
-
-
-class MetricsCollector:
-    """Accumulates per-channel traffic."""
-
-    def __init__(self):
-        self.channels: dict[str, ChannelStats] = defaultdict(ChannelStats)
-
-    def record_message(self, channel: str, size_bytes: int) -> None:
-        stats = self.channels[channel]
-        stats.messages += 1
-        stats.bytes += size_bytes
 
 
 @dataclass

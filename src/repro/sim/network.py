@@ -19,7 +19,6 @@ import random
 from typing import Callable
 
 from repro.errors import SimulationError
-from repro.sim.metrics import MetricsCollector
 
 
 class UniformLatency:
@@ -52,24 +51,14 @@ class NormalJitterLatency:
 class UnicastLink:
     """A point-to-point link delivering byte payloads to one handler."""
 
-    def __init__(
-        self,
-        latency,
-        rng: random.Random,
-        metrics: MetricsCollector | None = None,
-        name: str = "unicast",
-    ):
+    def __init__(self, latency, rng: random.Random):
         self.latency = latency
         self.rng = rng
-        self.metrics = metrics
-        self.name = name
 
-    def send(self, payload, size_bytes: int, deliver: Callable) -> float:
+    def send(self, payload, deliver: Callable) -> float:
         """Schedule delivery; returns the arrival time."""
         loop = asyncio.get_running_loop()
         delay = self.latency.sample(self.rng)
-        if self.metrics is not None:
-            self.metrics.record_message(self.name, size_bytes)
         loop.call_later(delay, deliver, payload)
         return loop.time() + delay
 
@@ -77,31 +66,21 @@ class UnicastLink:
 class BroadcastChannel:
     """One-to-many dissemination with independent per-subscriber jitter."""
 
-    def __init__(
-        self,
-        latency,
-        rng: random.Random,
-        metrics: MetricsCollector | None = None,
-        name: str = "broadcast",
-    ):
+    def __init__(self, latency, rng: random.Random):
         self.latency = latency
         self.rng = rng
-        self.metrics = metrics
-        self.name = name
         self._subscribers: list[Callable] = []
 
     def subscribe(self, deliver: Callable) -> None:
         self._subscribers.append(deliver)
 
-    def publish(self, payload, size_bytes: int) -> list[float]:
-        """Fan the payload out; the *sender* pays for one message.
+    def publish(self, payload) -> list[float]:
+        """Fan the payload out in one call: the *sender* sends one message.
 
         Returns each subscriber's arrival time (for fairness analysis).
         Per-subscriber jitter is drawn independently, modelling last-hop
         variation under a multicast/satellite-style distribution tree.
         """
-        if self.metrics is not None:
-            self.metrics.record_message(self.name, size_bytes)
         loop = asyncio.get_running_loop()
         arrivals = []
         for deliver in self._subscribers:

@@ -80,7 +80,7 @@ class _ReleasePump:
     async def _forward(self, queue, group, channel) -> None:
         while True:
             frame = await queue.get()
-            arrivals = channel.publish(frame, len(frame))
+            arrivals = channel.publish(frame)
             update_bytes = wire.decode_message(frame).update_bytes
             update = TimeBoundKeyUpdate.from_bytes(group, update_bytes)
             if update.time_label == self.label:
@@ -218,20 +218,16 @@ def run_programming_contest(
                 start_label,
                 rng,
             )
-            arrivals.append(problems.send(
-                ciphertext,
-                ciphertext.size_bytes(group),
-                receiver.receive_ciphertext,
-            ))
+            arrivals.append(
+                problems.send(ciphertext, receiver.receive_ciphertext)
+            )
 
         # The naive organizer holds the plaintext until the start.
         await pump.released.wait()
         naive_open_times: list[float] = []
         for _ in receivers:
             arrivals.append(naive.send(
-                problem_set,
-                len(problem_set),
-                lambda _: naive_open_times.append(loop.time()),
+                problem_set, lambda _: naive_open_times.append(loop.time())
             ))
         await _sleep_until(max(arrivals + pump.arrivals))
         return ContestResult(
@@ -474,18 +470,12 @@ def run_threshold_beacon(
         if len(state["shares"]) >= threshold:
             update = coordinator.combine(state["shares"], verify=False)
             state["combined_at"] = now
-            state["updates"] = update_channel.publish(
-                update, len(update.to_bytes(group))
-            )
+            state["updates"] = update_channel.publish(update)
 
     async def beacon() -> None:
         await _sleep_until(release_time)
         arrivals = [
-            shares.send(
-                member.issue_update_share(label),
-                group.point_bytes + len(label),
-                on_share,
-            )
+            shares.send(member.issue_update_share(label), on_share)
             for member in member_objs[offline:]
         ]
         await _sleep_until(max(arrivals))

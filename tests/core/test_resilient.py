@@ -80,11 +80,6 @@ class TestTreeGeometry:
         assert tree.node_point((0,)) != tree.node_point((1,))
         assert tree.node_point((0, 1)) != tree.node_point((1,))
 
-    def test_namespace_separation(self, group):
-        t1 = HierarchicalTimeTree(group, 4, namespace=b"a")
-        t2 = HierarchicalTimeTree(group, 4, namespace=b"b")
-        assert t1.node_point((0,)) != t2.node_point((0,))
-
 
 class TestResilience:
     def test_later_update_opens_earlier_ciphertext(self, resilient_world, rng):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.keys import ServerKeyPair
 from repro.core.timeserver import PassiveTimeServer, TimeBoundKeyUpdate, epoch_label
 from repro.errors import (
+    ParameterError,
     UpdateNotAvailableError,
     UpdateVerificationError,
 )
@@ -16,7 +17,7 @@ class TestEpochLabel:
         assert labels == sorted(labels)
 
     def test_negative_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             epoch_label(-1)
 
     def test_prefix(self):
@@ -83,7 +84,7 @@ class TestServerBehaviour:
         assert server.bytes_broadcast == 2 * (after_one - before)
 
     def test_requires_rng_or_keypair(self, group):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             PassiveTimeServer(group)
 
     def test_existing_keypair(self, group, rng):

@@ -8,7 +8,7 @@ from repro.crypto.mac import MAC_BYTES, compute_mac, verify_mac
 from repro.crypto.rng import seeded_rng, system_rng
 from repro.crypto.stream import keystream, stream_xor
 from repro.encoding import xor_bytes
-from repro.errors import EncodingError
+from repro.errors import EncodingError, ParameterError
 
 
 class TestKdf:
@@ -29,7 +29,7 @@ class TestKdf:
         assert derive_key(b"s", 64)[:32] == derive_key(b"s", 32)
 
     def test_negative_length_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             derive_key(b"s", -1)
 
     def test_subkeys_independent(self):

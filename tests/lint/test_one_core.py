@@ -169,6 +169,7 @@ _UNREACHED_ON_PURPOSE = {
         "the §2.2 public-key variant's server-side remedy for its horizon",
     "core/keys.py:UserKeyPair.from_password": "§5.1 password-derived receiver keys",
     "core/keys.py:UserKeyPair.rekey_to_server": "§5.3.4 change of time server",
+    "core/certification.py:CertificateAuthority": "§5.3.4 certified receiver keys",
     "core/certification.py:CertificateAuthority.issue": "§5.3.4 certified receiver keys",
     "core/resilient.py:ResilientTimeServer.verify_node_key":
         "the public check of a resilient update, as TimeBoundKeyUpdate.verify is of a flat one",
@@ -188,19 +189,25 @@ _UNREACHED_ON_PURPOSE = {
 
 
 def _names(tree: ast.AST, reexport: bool) -> set[str]:
-    """Every name ``tree`` mentions; a re-export's imports and strings aside."""
-    found = set()
-    for node in ast.walk(tree):
+    """Every name ``tree`` mentions outside imports and annotations; a
+    re-export's strings aside.  Importing a name or annotating with it
+    runs none of its code."""
+    found, pending = set(), [tree]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
-        elif reexport:
-            continue
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            found.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (not reexport and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
             found.add(node.value)
+        for field, value in ast.iter_fields(node):
+            if field not in ("annotation", "returns"):
+                pending += [child for child in (value if isinstance(value, list) else [value])
+                            if isinstance(child, ast.AST)]
     return found
 
 

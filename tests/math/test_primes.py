@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.errors import ParameterError
 from repro.math.primes import is_probable_prime, random_prime
 
 KNOWN_PRIMES = [2, 3, 5, 7, 11, 101, 10007, 2**31 - 1, 2**61 - 1, 2**127 - 1]
@@ -54,7 +55,7 @@ class TestRandomPrime:
             assert is_probable_prime(p)
 
     def test_too_small_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             random_prime(1, random.Random(1))
 
     def test_deterministic_given_seed(self):

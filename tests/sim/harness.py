@@ -3,6 +3,10 @@
 * :class:`FixedLatency` satisfies the latency-model contract of
   :mod:`repro.sim.network` (``sample(rng) -> float``) with one constant
   delay, so a test can predict every delivery time exactly.
+* :class:`MetricsCollector` counts messages and bytes per channel;
+  :class:`MeteredUnicastLink` and :class:`MeteredBroadcastChannel`
+  charge each send or publish to one of its channels, so a test can
+  show that one update costs the server one broadcast.
 * :class:`GossipNetwork` models epidemic (gossip) dissemination of one
   time-bound key update.  The paper's server "publishes/broadcasts" one
   update and is done; in a real deployment that broadcast is carried by
@@ -21,10 +25,11 @@ from __future__ import annotations
 
 import asyncio
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.sim.metrics import MetricsCollector
+from repro.sim.network import BroadcastChannel, UnicastLink
 
 
 class FixedLatency:
@@ -37,6 +42,51 @@ class FixedLatency:
 
     def sample(self, rng: random.Random) -> float:
         return self.seconds
+
+
+@dataclass
+class ChannelStats:
+    messages: int = 0
+    bytes: int = 0
+
+
+class MetricsCollector:
+    """Accumulates per-channel traffic."""
+
+    def __init__(self):
+        self.channels: dict[str, ChannelStats] = defaultdict(ChannelStats)
+
+    def record_message(self, channel: str, size_bytes: int) -> None:
+        stats = self.channels[channel]
+        stats.messages += 1
+        stats.bytes += size_bytes
+
+
+class MeteredUnicastLink(UnicastLink):
+    """A unicast link that charges each payload's length to ``name``."""
+
+    def __init__(self, latency, rng, metrics: MetricsCollector, name: str):
+        super().__init__(latency, rng)
+        self.metrics = metrics
+        self.name = name
+
+    def send(self, payload: bytes, deliver) -> float:
+        self.metrics.record_message(self.name, len(payload))
+        return super().send(payload, deliver)
+
+
+class MeteredBroadcastChannel(BroadcastChannel):
+    """A broadcast channel that charges each publish to ``name`` once,
+    however many subscribers it reaches."""
+
+    def __init__(self, latency, rng, metrics: MetricsCollector, name: str):
+        super().__init__(latency, rng)
+        self.metrics = metrics
+        self.name = name
+
+    def publish(self, payload: bytes) -> list[float]:
+        self.metrics.record_message(self.name, len(payload))
+        return super().publish(payload)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Tests for metrics collection and the anonymity ledger."""
 
-from repro.sim.metrics import AnonymityLedger, MetricsCollector
+from repro.sim.metrics import AnonymityLedger
+from tests.sim.harness import MetricsCollector
 
 
 class TestMetricsCollector:

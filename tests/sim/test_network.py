@@ -11,14 +11,18 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.service.virtualtime import run_virtual
-from repro.sim.metrics import MetricsCollector
 from repro.sim.network import (
     BroadcastChannel,
     NormalJitterLatency,
     UnicastLink,
     UniformLatency,
 )
-from tests.sim.harness import FixedLatency
+from tests.sim.harness import (
+    FixedLatency,
+    MeteredBroadcastChannel,
+    MeteredUnicastLink,
+    MetricsCollector,
+)
 
 
 class TestLatencyModels:
@@ -61,11 +65,11 @@ async def _settle(result):
 class TestUnicastLink:
     def test_delivery(self):
         metrics = MetricsCollector()
-        link = UnicastLink(FixedLatency(2.0), random.Random(0), metrics, "l")
+        link = MeteredUnicastLink(FixedLatency(2.0), random.Random(0), metrics, "l")
         received = []
 
         async def scenario():
-            return await _settle(link.send(b"payload", 7, received.append))
+            return await _settle(link.send(b"payload", received.append))
 
         assert run_virtual(scenario()) == 2.0
         assert received == [b"payload"]
@@ -76,7 +80,7 @@ class TestUnicastLink:
         link = UnicastLink(FixedLatency(1.0), random.Random(0))
 
         async def scenario():
-            await _settle(link.send(b"x", 1, lambda p: None))
+            await _settle(link.send(b"x", lambda p: None))
 
         run_virtual(scenario())
 
@@ -84,7 +88,7 @@ class TestUnicastLink:
 class TestBroadcastChannel:
     def test_fanout(self):
         metrics = MetricsCollector()
-        channel = BroadcastChannel(
+        channel = MeteredBroadcastChannel(
             FixedLatency(0.5), random.Random(0), metrics, "b"
         )
         boxes = [[], [], []]
@@ -92,32 +96,30 @@ class TestBroadcastChannel:
             channel.subscribe(box.append)
 
         async def scenario():
-            return await _settle(channel.publish("update", 66))
+            return await _settle(channel.publish(b"update" * 11))
 
         arrivals = run_virtual(scenario())
-        assert all(box == ["update"] for box in boxes)
+        assert all(box == [b"update" * 11] for box in boxes)
         assert arrivals == [0.5, 0.5, 0.5]
         # One message charged regardless of subscriber count.
         assert metrics.channels["b"].messages == 1
         assert metrics.channels["b"].bytes == 66
 
     def test_independent_jitter(self):
-        channel = BroadcastChannel(
-            UniformLatency(0.0, 1.0), random.Random(3), None
-        )
+        channel = BroadcastChannel(UniformLatency(0.0, 1.0), random.Random(3))
         for _ in range(5):
             channel.subscribe(lambda p: None)
 
         async def scenario():
-            return await _settle(channel.publish("u", 1))
+            return await _settle(channel.publish("u"))
 
         arrivals = run_virtual(scenario())
         assert len(set(arrivals)) > 1
 
     def test_empty_broadcast(self):
-        channel = BroadcastChannel(FixedLatency(0), random.Random(0), None)
+        channel = BroadcastChannel(FixedLatency(0), random.Random(0))
 
         async def scenario():
-            return channel.publish("u", 1)
+            return channel.publish("u")
 
         assert run_virtual(scenario()) == []

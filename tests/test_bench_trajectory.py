@@ -225,3 +225,32 @@ class TestOneWriter:
                     ):
                         writers.add(path.relative_to(ROOT).as_posix())
         assert writers == {"benchmarks/smoke.py"}
+
+
+class TestOneTimer:
+    """Claim tests are plain pytest tests, and every claim-table timing
+    goes through ``benchmarks.trajectory.time_median``."""
+
+    def test_no_claim_test_takes_a_benchmark_fixture(self):
+        takers = []
+        for path in sorted((ROOT / "benchmarks").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("test")
+                    and "benchmark" in {arg.arg for arg in node.args.args}
+                ):
+                    takers.append(f"{path.relative_to(ROOT).as_posix()}:{node.name}")
+        assert takers == []
+
+    def test_only_time_median_reads_the_clock(self):
+        callers = set()
+        for path in sorted((ROOT / "benchmarks").rglob("*.py")):
+            if "e2e" in path.relative_to(ROOT).parts:
+                continue  # The end-to-end benchmark keeps its own clock.
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and "perf_counter" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)
+                ):
+                    callers.add(path.relative_to(ROOT).as_posix())
+        assert callers == {"benchmarks/trajectory.py"}

@@ -5,7 +5,9 @@ surface so a refactor that silently drops or undocuments a public name
 fails here rather than in their code.
 """
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -63,7 +65,7 @@ PUBLIC_SURFACE = {
     "repro.pairing.bn254": ["BN254", "bn254"],
     "repro.sim": [
         "UniformLatency", "NormalJitterLatency",
-        "UnicastLink", "BroadcastChannel", "MetricsCollector",
+        "UnicastLink", "BroadcastChannel",
     ],
     "repro.sim.scenarios": [
         "run_programming_contest", "run_sealed_bid_auction",
@@ -117,3 +119,18 @@ def test_version_string():
 
     parts = repro.__version__.split(".")
     assert len(parts) == 3 and all(p.isdigit() for p in parts)
+
+
+def test_bad_values_raise_library_errors():
+    """``repro.errors`` promises that every library error is a
+    ``ReproError``: no module under ``src/repro`` raises ``ValueError``."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert offenders == []
